@@ -98,16 +98,19 @@ ftcov:
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --json-out coverage-matrix.json
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
 
-# CI subset: the catalogs are already the minimal sufficient set (every
+# Smoke subset: the catalogs are already the minimal sufficient set (every
 # registered point has exactly one arming scenario), so smoke only drops
-# the knob re-run's report noise.
+# the knob re-run's report noise.  CI does not run this target: `make
+# analyze` runs the same lint, record (writing coverage-matrix.json) and
+# knob steps.
 ftcov-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro ftcov lint --baseline ftcov-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --json-out coverage-matrix.json
 	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
 
-# All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) as
-# one gate with a merged findings artifact; this is what CI runs.
+# All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) plus
+# the hycor bench gate as one gate with a merged findings artifact; this
+# is what CI runs (it also writes coverage-matrix.json).
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json
 
@@ -176,8 +179,9 @@ hycor:
 	PYTHONPATH=src $(PYTHON) -m repro modes compare
 	PYTHONPATH=src $(PYTHON) -m repro hycor bench --check BENCH_hycor.json
 
-# CI subset: the three-workload comparison + the same gate (smoke cells
-# are byte-identical to the matching cells of the full bench).
+# Smoke subset: the three-workload comparison + the same gate (smoke
+# cells are byte-identical to the matching cells of the full bench).  CI
+# runs only the comparison here; the gate runs inside `make analyze`.
 hycor-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro modes compare --smoke
 	PYTHONPATH=src $(PYTHON) -m repro hycor bench --smoke --check BENCH_hycor.json

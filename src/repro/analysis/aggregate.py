@@ -15,10 +15,12 @@ analyzer and baseline disposition.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import time
 
-__all__ = ["STEPS", "collect_findings", "format_summary", "run_all"]
+__all__ = ["STATIC_PASSES", "STEPS", "collect_findings", "format_summary",
+           "run_all"]
 
 
 def _wall() -> float:
@@ -57,45 +59,39 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("ftcov", ("ftcov", "selfcheck"), ("ftcov", "selfcheck")),
     ("ftcov", ("ftcov", "lint", "--baseline", "ftcov-baseline.json"),
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json")),
-    ("ftcov", ("ftcov", "record"), ("ftcov", "record")),
+    ("ftcov", ("ftcov", "record", "--json-out", "coverage-matrix.json"),
+     ("ftcov", "record", "--json-out", "coverage-matrix.json")),
     ("ftcov", ("ftcov", "record", "--knob", "drop-scenario"),
      ("ftcov", "record", "--knob", "drop-scenario")),
     ("hycor", ("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
      ("hycor", "bench", "--check", "BENCH_hycor.json")),
 )
 
-#: Static pass -> (finding producer, baseline file or None).
-_BASELINES = {
-    "nlint": None,
-    "ckptcov": "ckptcov-baseline.json",
-    "perf": "perf-baseline.json",
-    "ndflow": "ndflow-baseline.json",
-    "ftcov": "ftcov-baseline.json",
-}
+
+def _lint_src():
+    from repro.analysis.linter import all_rules, lint_paths
+
+    return lint_paths(["src"], all_rules())
 
 
-def _static_findings(analyzer: str):
-    if analyzer == "nlint":
-        from repro.analysis.linter import all_rules, lint_paths
+def _findings_of(module: str, analyze: str):
+    """``module.analyze().findings``, imported only when the pass runs."""
+    return lambda: getattr(importlib.import_module(module), analyze)().findings
 
-        return lint_paths(["src"], all_rules())
-    if analyzer == "ckptcov":
-        from repro.analysis.coverage import analyze_coverage
 
-        return analyze_coverage().findings
-    if analyzer == "perf":
-        from repro.analysis.perf import analyze_perf
-
-        return analyze_perf().findings
-    if analyzer == "ndflow":
-        from repro.analysis.ndflow import analyze_ndflow
-
-        return analyze_ndflow().findings
-    if analyzer == "ftcov":
-        from repro.analysis.ftcov import analyze_ftcov
-
-        return analyze_ftcov().findings
-    raise KeyError(analyzer)
+#: The static passes the merged findings cover: (analyzer, finding
+#: producer, checked-in baseline file or None).
+STATIC_PASSES = (
+    ("nlint", _lint_src, None),
+    ("ckptcov", _findings_of("repro.analysis.coverage", "analyze_coverage"),
+     "ckptcov-baseline.json"),
+    ("perf", _findings_of("repro.analysis.perf", "analyze_perf"),
+     "perf-baseline.json"),
+    ("ndflow", _findings_of("repro.analysis.ndflow", "analyze_ndflow"),
+     "ndflow-baseline.json"),
+    ("ftcov", _findings_of("repro.analysis.ftcov", "analyze_ftcov"),
+     "ftcov-baseline.json"),
+)
 
 
 def collect_findings() -> list[dict]:
@@ -105,8 +101,8 @@ def collect_findings() -> list[dict]:
     from repro.analysis.baseline import apply_baseline, load_baseline
 
     merged: list[dict] = []
-    for analyzer, baseline_file in _BASELINES.items():
-        findings = _static_findings(analyzer)
+    for analyzer, produce, baseline_file in STATIC_PASSES:
+        findings = produce()
         baselined_ids: set[int] = set()
         if baseline_file is not None:
             try:

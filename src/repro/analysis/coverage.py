@@ -69,18 +69,18 @@ import ast
 import re
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.analysis.linter import (
-    _ALL,
-    _SUPPRESS_RE,
-    Finding,
-    LintContext,
-    Rule,
-    _own_nodes,
-    register,
+from repro.analysis.inventory import (
+    Annotation,
+    InventoryRule,
+    assignments,
+    family_rules,
+    lint_by_path,
+    load_sources,
+    parse_each,
 )
+from repro.analysis.linter import Finding, _own_nodes, _self_attr, register
 
 __all__ = [
     "ClassInfo",
@@ -104,19 +104,8 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 
 
-class _CoverageRule(Rule):
-    """Whole-program rule: registered for id/severity bookkeeping only."""
-
-    # Nominal interest so the registry's "every rule visits something"
-    # invariant holds; visit() is a no-op — ckptcov builds these findings.
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-
 @register
-class ClassNotInventoried(_CoverageRule):
+class ClassNotInventoried(InventoryRule):
     rule_id = "CKPT100"
     summary = ("state-bearing class reachable by no dump path and carrying no "
                "__ckpt_ignore__ / annotation decision")
@@ -124,32 +113,28 @@ class ClassNotInventoried(_CoverageRule):
 
 
 @register
-class MutatedNeverDumped(_CoverageRule):
+class MutatedNeverDumped(InventoryRule):
     rule_id = "CKPT101"
     summary = "mutable container state never read by any checkpoint dump path"
-    severity = "warning"
 
 
 @register
-class DumpedNeverRestored(_CoverageRule):
+class DumpedNeverRestored(InventoryRule):
     rule_id = "CKPT102"
     summary = "field read during dump but never written by any restore path"
-    severity = "warning"
 
 
 @register
-class RestoredNeverDumped(_CoverageRule):
+class RestoredNeverDumped(InventoryRule):
     rule_id = "CKPT103"
     summary = "field written during restore but never dumped (restore-from-nothing)"
-    severity = "warning"
 
 
 @register
-class NoInvalidationPath(_CoverageRule):
+class NoInvalidationPath(InventoryRule):
     rule_id = "CKPT104"
     summary = ("field written between epochs with no soft-dirty or statecache "
                "invalidation path")
-    severity = "warning"
 
 
 COVERAGE_RULE_IDS = ("CKPT100", "CKPT101", "CKPT102", "CKPT103", "CKPT104")
@@ -160,7 +145,7 @@ COVERAGE_RULE_IDS = ("CKPT100", "CKPT101", "CKPT102", "CKPT103", "CKPT104")
 # --------------------------------------------------------------------------- #
 
 #: Inventory scope (Layer 1): the simulated kernel and its network stack.
-_INVENTORY_DIRS = ("kernel", "net")
+_INVENTORY_DIRS = ("kernel/", "net/")
 
 #: Dump corpus (Layer 2): everything a checkpoint reads.
 _DUMP_FILES = (
@@ -208,58 +193,27 @@ class SourceSet:
     wrappers: dict[str, str]
 
 
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def _norm(path: str) -> str:
-    return path.replace("\\", "/")
-
-
-def _override_for(rel: str, overrides: Mapping[str, str] | None) -> str | None:
-    """Find an override for package-relative path *rel* (suffix match, so
-    tests may key on ``kernel/cgroup.py`` or ``src/repro/kernel/cgroup.py``)."""
-    if not overrides:
-        return None
-    for key, text in overrides.items():
-        norm = _norm(key)
-        if norm == rel or norm.endswith("/" + rel):
-            return text
-    return None
-
-
 def load_source_set(overrides: Mapping[str, str] | None = None) -> SourceSet:
-    """Load the analyzed sources from the installed package.
+    """Load the analyzed sources (see :func:`load_sources`) and split
+    them into the four corpora.  *overrides* lets a test delete a dump
+    site from ``kernel/cgroup.py`` without touching disk."""
+    sources = load_sources(
+        (*_INVENTORY_DIRS, *_DUMP_FILES, *_RESTORE_FILES, *_WRAPPER_FILES),
+        overrides,
+    )
 
-    *overrides* maps path (suffix) to replacement source text; a test can
-    delete a dump site from ``kernel/cgroup.py`` without touching disk.
-    Display paths are always ``src/repro/<rel>`` so findings and baseline
-    fingerprints are stable regardless of the working directory.
-    """
-    root = _pkg_root()
+    def part(scope: Sequence[str]) -> dict[str, str]:
+        prefixes = tuple(f"src/repro/{entry}" for entry in scope)
+        return {
+            path: text for path, text in sources.items()
+            if path.startswith(prefixes)
+        }
 
-    def load(rels: Iterable[str]) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for rel in rels:
-            text = _override_for(rel, overrides)
-            if text is None:
-                text = (root / rel).read_text()
-            out[f"src/repro/{rel}"] = text
-        return out
-
-    inv_rels = []
-    for sub in _INVENTORY_DIRS:
-        for path in sorted((root / sub).rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            inv_rels.append(path.relative_to(root).as_posix())
     return SourceSet(
-        inventory=load(inv_rels),
-        dump=load(_DUMP_FILES),
-        restore=load(_RESTORE_FILES),
-        wrappers=load(_WRAPPER_FILES),
+        inventory=part(_INVENTORY_DIRS),
+        dump=part(_DUMP_FILES),
+        restore=part(_RESTORE_FILES),
+        wrappers=part(_WRAPPER_FILES),
     )
 
 
@@ -360,16 +314,6 @@ def _literal(node: ast.AST):
         return ast.literal_eval(node)
     except (ValueError, TypeError, SyntaxError):
         return None
-
-
-def _self_attr(node: ast.AST) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _self_writes(fn: ast.AST) -> dict[str, int]:
@@ -531,12 +475,7 @@ def _field_site_lines(node: ast.ClassDef, name: str) -> list[int]:
 def build_inventory(sources: Mapping[str, str]) -> Inventory:
     """Layer 1: scan *sources* (display path -> text) for state classes."""
     inventory = Inventory()
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue  # plain lint already reports E999
+    for path, text, tree in parse_each(sources):
         lines = text.splitlines()
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
@@ -555,8 +494,12 @@ def build_inventory(sources: Mapping[str, str]) -> Inventory:
 # Inventory self-check (CI: `repro ckptcov --check-inventory`)                 #
 # --------------------------------------------------------------------------- #
 
-_CKPT_ANY_RE = re.compile(r"#\s*ckpt:\s*([A-Za-z_-]+)")
-_KNOWN_ANNOTATIONS = frozenset({"derived", "ephemeral"})
+_CKPT_ANNOTATION = Annotation(
+    pattern=re.compile(r"#\s*ckpt:\s*([A-Za-z_-]+)"),
+    vocabulary=frozenset({"derived", "ephemeral"}),
+    noun="ckpt annotation",
+    hint="derived or ephemeral",
+)
 _KNOWN_CADENCES = frozenset({"epoch", "infrequent"})
 
 
@@ -575,19 +518,8 @@ def inventory_selfcheck(
     if srcs is None:
         srcs = load_source_set()
     problems: list[str] = []
-    for path in sorted(srcs.inventory):
-        text = srcs.inventory[path]
-        try:
-            ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            problems.append(f"{path}:{exc.lineno}: does not parse: {exc.msg}")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _CKPT_ANY_RE.search(line)
-            if match and match.group(1) not in _KNOWN_ANNOTATIONS:
-                problems.append(
-                    f"{path}:{lineno}: unknown ckpt annotation "
-                    f"'{match.group(1)}' (use derived or ephemeral)"
-                )
+    for path, text, _ in parse_each(srcs.inventory, problems):
+        problems += _CKPT_ANNOTATION.problems(path, text)
 
     inventory = build_inventory(srcs.inventory)
     dispositions: dict[str, str] = {}
@@ -724,21 +656,11 @@ def _close_over(
 
 def _parse_hooked_functions(sources: Mapping[str, str]) -> frozenset[str]:
     """The ftrace hook list the statecache invalidates on (HOOKED_FUNCTIONS)."""
-    for text in sources.values():
-        try:
-            tree = ast.parse(text)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "HOOKED_FUNCTIONS"
-            ):
-                value = _literal(node.value)
-                if isinstance(value, (tuple, list)):
-                    return frozenset(str(v) for v in value)
+    for _, _, tree in parse_each(sources):
+        for name, value, _ in assignments(ast.walk(tree)):
+            hooks = _literal(value) if name == "HOOKED_FUNCTIONS" else None
+            if isinstance(hooks, (tuple, list)):
+                return frozenset(str(v) for v in hooks)
     return frozenset()
 
 
@@ -752,11 +674,7 @@ def _traced_mutators(
     wrapper body therefore has a statecache invalidation path.
     """
     traced: set[str] = set()
-    for text in sources.values():
-        try:
-            tree = ast.parse(text)
-        except SyntaxError:
-            continue
+    for _, _, tree in parse_each(sources):
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -808,26 +726,6 @@ class CoverageReport:
                 if not field_info.covered:
                     out.add((cls_info.name, field_info.name))
         return out
-
-
-def _suppressions(sources: Mapping[str, str]) -> dict[str, dict[int, set[str]]]:
-    out: dict[str, dict[int, set[str]]] = {}
-    for path, text in sources.items():
-        per_line: dict[int, set[str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(line)
-            if not match:
-                continue
-            ids = match.group(1)
-            if ids is None:
-                per_line[lineno] = {_ALL}
-            else:
-                per_line[lineno] = {
-                    part.strip() for part in ids.split(",") if part.strip()
-                }
-        if per_line:
-            out[path] = per_line
-    return out
 
 
 def _emit(
@@ -947,31 +845,6 @@ def _emit(
     return findings
 
 
-def _filter(
-    findings: list[Finding],
-    suppressions: dict[str, dict[int, set[str]]],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> list[Finding]:
-    for opt in (select, ignore):
-        if opt:
-            unknown = sorted(set(opt) - set(COVERAGE_RULE_IDS))
-            if unknown:
-                raise KeyError(f"unknown rule id(s): {', '.join(unknown)}")
-    out = []
-    for finding in findings:
-        ids = suppressions.get(finding.path, {}).get(finding.line)
-        if ids is not None and (_ALL in ids or finding.rule_id in ids):
-            continue
-        if select and finding.rule_id not in select:
-            continue
-        if ignore and finding.rule_id in ignore:
-            continue
-        out.append(finding)
-    out.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
-    return out
-
-
 def analyze_source_set(
     srcs: SourceSet,
     select: Sequence[str] | None = None,
@@ -979,25 +852,24 @@ def analyze_source_set(
 ) -> CoverageReport:
     """Run Layers 1+2 over an explicit :class:`SourceSet` (tests use this
     with synthetic sources)."""
+    keep = {
+        rule.rule_id
+        for rule in family_rules(COVERAGE_RULE_IDS, select, ignore)
+    }
     inventory = build_inventory(srcs.inventory)
-
-    def parse_all(sources: Mapping[str, str]) -> list[ast.AST]:
-        out = []
-        for path in sorted(sources):
-            try:
-                out.append(ast.parse(sources[path], filename=path))
-            except SyntaxError:
-                continue
-        return out
-
-    dump = _close_over(parse_all(srcs.dump), inventory)
-    restore = _close_over(parse_all(srcs.restore), inventory)
+    dump = _close_over(
+        [tree for _, _, tree in parse_each(srcs.dump)], inventory)
+    restore = _close_over(
+        [tree for _, _, tree in parse_each(srcs.restore)], inventory)
     hooked = _parse_hooked_functions(srcs.dump)
     traced = _traced_mutators(srcs.wrappers, hooked)
 
-    findings = _emit(inventory, dump, restore, traced)
-    suppressions = _suppressions({**srcs.inventory, **srcs.dump, **srcs.restore})
-    findings = _filter(findings, suppressions, select, ignore)
+    by_path: dict[str, list[Finding]] = {}
+    for finding in _emit(inventory, dump, restore, traced):
+        if finding.rule_id in keep:
+            by_path.setdefault(finding.path, []).append(finding)
+    findings = lint_by_path(srcs.inventory, by_path, lambda ctx, found: found)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
     return CoverageReport(
         inventory=inventory,
         findings=findings,

@@ -59,27 +59,31 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
-from repro.analysis.linter import (
-    Finding,
-    LintContext,
-    Rule,
-    all_rules,
-    register,
+from repro.analysis.inventory import (
+    Annotation,
+    InventoryReport,
+    InventoryRule,
+    Site,
+    SiteInventory,
+    analyze_sites,
+    assignments,
+    call_name,
+    load_sources,
+    parse_each,
 )
+from repro.analysis.linter import register
 
 __all__ = [
     "FT_CLASSES",
     "FTCOV_RULE_IDS",
+    "FTCOV_SCOPE",
     "FtInventory",
     "FtSite",
-    "FtcovReport",
     "analyze_ftcov",
     "build_ft_inventory",
     "ftcov_selfcheck",
-    "load_ftcov_sources",
 ]
 
 #: The annotation vocabulary — every inventoried site must end up in
@@ -106,65 +110,50 @@ FT_CLASSES = frozenset(
 #: but keeps its lint finding.
 _ACCOUNTED = FT_CLASSES - {"unsafe"}
 
-_FT_ANNOT_RE = re.compile(r"#\s*ft:\s*([a-z-]+)(?:\s*--\s*([^#]*))?")
+_FT_ANNOTATION = Annotation(
+    pattern=re.compile(r"#\s*ft:\s*([a-z-]+)(?:\s*--\s*([^#]*))?"),
+    vocabulary=FT_CLASSES,
+    noun="ft class",
+    tag="'ft:'",
+    site="an inventoried failure-handling site",
+)
 
 #: The failure-handling scope: directories whose except handlers, wait
 #: loops and injection surfaces belong to the recovery proof.
-_SCOPE_DIRS = ("replication/", "fleet/", "faultinject/", "traffic/")
+FTCOV_SCOPE = ("replication/", "fleet/", "faultinject/", "traffic/")
 
 #: Words in a while-test that mark the wait as deadline-bounded.
 _DEADLINE_WORDS = ("now", "deadline", "until", "remaining", "budget")
 
 
 @dataclass
-class FtSite:
-    """One failure-handling site found by the Layer-1 inventory."""
+class FtSite(Site):
+    """One failure-handling site found by the Layer-1 inventory.
 
-    #: ``point-site`` | ``point`` (registry entry) | ``edge`` |
-    #: ``setstate`` | ``handler`` | ``inject`` | ``loop`` | ``knob``
-    kind: str
-    path: str
-    line: int
-    col: int
-    node: ast.AST
-    #: Point name / ``from->to`` edge / hook name / function name /
-    #: knob variable.
-    name: str
+    ``kind`` is ``point-site`` | ``point`` (registry entry) | ``edge`` |
+    ``setstate`` | ``handler`` | ``inject`` | ``loop`` | ``knob``; ``name``
+    the point name / ``from->to`` edge / hook name / function name / knob
+    variable; ``registered`` (point sites only) whether the runtime
+    registry has the name.  An annotation classifies exactly the site's
+    own line — one site, one line.
+    """
+
     #: Coverage-hook name carried by the site (handlers / injects).
     hook: str | None = None
-    #: Point sites only: name present in the runtime registry?
-    registered: bool | None = None
     #: Handlers only: catches Exception/BaseException/bare?
     broad: bool = False
     #: Handlers only: body re-raises?
     reraises: bool = False
     #: Extra payload (knob value, caught-exception rendering).
     extra: str | None = None
-    #: Class declared by a ``ft:`` annotation on the site line.
-    annotated: str | None = None
-    why: str | None = None
-    #: Class the inventory derived automatically (None = needs one).
-    auto: str | None = None
 
-    @property
-    def ft_class(self) -> str | None:
-        return self.annotated if self.annotated is not None else self.auto
-
-    @property
-    def accounted(self) -> bool:
-        return self.ft_class in _ACCOUNTED
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}:{self.name}"
+    ACCOUNTED: ClassVar[frozenset[str]] = _ACCOUNTED
 
 
 @dataclass
-class FtInventory:
+class FtInventory(SiteInventory):
     """Everything the Layer-1 pass discovered, plus cross-file context."""
 
-    sites: list[FtSite] = dc_field(default_factory=list)
-    by_path: dict[str, list[FtSite]] = dc_field(default_factory=dict)
     #: Registered fault-point names parsed from ``points.py`` sources.
     registry: set[str] = dc_field(default_factory=set)
     #: ``from->to`` names parsed from ``MEMBER_EDGES``.
@@ -175,78 +164,13 @@ class FtInventory:
     armed_points: set[str] = dc_field(default_factory=set)
     #: Edges claimed by at least one fleet scenario (runtime).
     claimed_edges: set[str] = dc_field(default_factory=set)
-    #: Parse failures and structural problems found while building.
-    problems: list[str] = dc_field(default_factory=list)
 
-    def add(self, site: FtSite) -> None:
-        self.sites.append(site)
-        self.by_path.setdefault(site.path, []).append(site)
-
-
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def load_ftcov_sources(
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """The failure-handling scope as ``display path -> text``; *overrides*
-    swaps in synthetic sources by path suffix, exactly like the ndflow
-    loader."""
-    root = _pkg_root()
-    rels = sorted(
-        str(p.relative_to(root)).replace("\\", "/")
-        for p in root.rglob("*.py")
-        if "__pycache__" not in p.parts
-        and str(p.relative_to(root)).replace("\\", "/").startswith(_SCOPE_DIRS)
-    )
-    out: dict[str, str] = {}
-    for rel in rels:
-        text = None
-        if overrides:
-            for key, value in overrides.items():
-                norm = key.replace("\\", "/")
-                if norm == rel or norm.endswith("/" + rel):
-                    text = value
-                    break
-        if text is None:
-            text = (root / rel).read_text()
-        out[f"src/repro/{rel}"] = text
-    if overrides:
-        for key, value in overrides.items():
-            norm = key.replace("\\", "/")
-            if not any(norm == rel or norm.endswith("/" + rel)
-                       for rel in rels):
-                out[norm] = value
-    return out
+    ANNOTATION: ClassVar[Annotation] = _FT_ANNOTATION
 
 
 # --------------------------------------------------------------------------- #
 # Layer 1 — inventory                                                         #
 # --------------------------------------------------------------------------- #
-
-
-def _annotation_on_line(
-    lines: list[str], lineno: int
-) -> tuple[str | None, str | None]:
-    """The ``ft:`` annotation on exactly *lineno* — one site, one line."""
-    if not 1 <= lineno <= len(lines):
-        return None, None
-    match = _FT_ANNOT_RE.search(lines[lineno - 1])
-    if match:
-        why = match.group(2)
-        return match.group(1), why.strip() if why else None
-    return None, None
-
-
-def _call_name(node: ast.Call) -> str | None:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
 
 
 def _str_arg(call: ast.Call, index: int) -> str | None:
@@ -263,7 +187,7 @@ def _coverage_hook(body: list[ast.stmt], kind: str) -> str | None:
         for node in ast.walk(stmt):
             if (
                 isinstance(node, ast.Call)
-                and _call_name(node) == "coverage_mark"
+                and call_name(node) == "coverage_mark"
                 and _str_arg(node, 1) == kind
             ):
                 return _str_arg(node, 2)
@@ -305,7 +229,7 @@ def _is_broad(handler: ast.ExceptHandler) -> bool:
 
 def _parse_string_tuple(node: ast.AST) -> list[str] | None:
     """String elements of a tuple/list/frozenset-literal assignment."""
-    if isinstance(node, ast.Call) and _call_name(node) == "frozenset":
+    if isinstance(node, ast.Call) and call_name(node) == "frozenset":
         if node.args:
             return _parse_string_tuple(node.args[0])
         return None
@@ -370,60 +294,44 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
     except Exception:  # pragma: no cover - registry import is load-bearing
         runtime_registry = set()
 
-    parsed: dict[str, tuple[ast.Module, list[str]]] = {}
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            inv.problems.append(f"{path}:{exc.lineno or 0}: {exc.msg}")
-            continue
-        parsed[path] = (tree, text.splitlines())
+    parsed = {
+        path: (tree, text.splitlines())
+        for path, text, tree in parse_each(sources, inv.problems)
+    }
 
-    # Pass 1: registry entries, MEMBER_STATES / MEMBER_EDGES declarations.
+    # Pass 1: registry entries, MEMBER_STATES / MEMBER_EDGES declarations
+    # (registries are annotated ``FAULT_POINTS: dict[...] = {...}``).
     for path, (tree, lines) in parsed.items():
-        for node in tree.body:
-            # Registry declarations are annotated (``FAULT_POINTS: dict[...]
-            # = {...}``); MEMBER_* tuples are plain assigns.
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target = node.target
-            else:
-                continue
-            if not isinstance(target, ast.Name):
-                continue
+        for target, value, _ in assignments(tree.body):
             if (
-                target.id in ("FAULT_POINTS", "FLEET_FAULT_POINTS")
+                target in ("FAULT_POINTS", "FLEET_FAULT_POINTS")
                 and path.endswith("faultinject/points.py")
-                and isinstance(node.value, ast.Dict)
+                and isinstance(value, ast.Dict)
             ):
-                for key in node.value.keys:
+                for key in value.keys:
                     if not (isinstance(key, ast.Constant)
                             and isinstance(key.value, str)):
                         continue
                     inv.registry.add(key.value)
-                    annotated, why = _annotation_on_line(lines, key.lineno)
                     inv.add(FtSite(
                         kind="point", path=path, line=key.lineno,
                         col=key.col_offset, node=key, name=key.value,
-                        annotated=annotated, why=why,
                         auto=("exercised" if key.value in inv.armed_points
                               else None),
-                    ))
+                    ), lines)
             elif (
-                target.id == "MEMBER_STATES"
+                target == "MEMBER_STATES"
                 and path.endswith("fleet/controller.py")
             ):
-                states = _parse_string_tuple(node.value)
+                states = _parse_string_tuple(value)
                 if states:
                     inv.member_states.update(states)
             elif (
-                target.id == "MEMBER_EDGES"
+                target == "MEMBER_EDGES"
                 and path.endswith("fleet/controller.py")
-                and isinstance(node.value, (ast.Tuple, ast.List))
+                and isinstance(value, (ast.Tuple, ast.List))
             ):
-                for el in node.value.elts:
+                for el in value.elts:
                     pair = (_parse_string_tuple(el)
                             if isinstance(el, ast.Tuple) else None)
                     if pair is None or len(pair) != 2:
@@ -439,20 +347,18 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             f"entry {name}"
                         )
                     inv.declared_edges.add(name)
-                    annotated, why = _annotation_on_line(lines, el.lineno)
                     inv.add(FtSite(
                         kind="edge", path=path, line=el.lineno,
                         col=el.col_offset, node=el, name=name,
-                        annotated=annotated, why=why,
                         auto=("exercised" if name in inv.claimed_edges
                               else None),
-                    ))
+                    ), lines)
 
     # Pass 2: call sites, handlers, injects, loops, knobs.
     for path, (tree, lines) in parsed.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                cname = _call_name(node)
+                cname = call_name(node)
                 if cname == "fault_point" and len(node.args) >= 2:
                     name = _str_arg(node, 1)
                     if name is None:
@@ -462,13 +368,12 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             f"cannot account for it"
                         )
                         continue
-                    annotated, why = _annotation_on_line(lines, node.lineno)
                     inv.add(FtSite(
                         kind="point-site", path=path, line=node.lineno,
                         col=node.col_offset, node=node, name=name,
                         registered=name in runtime_registry,
-                        annotated=annotated, why=why, auto="exercised",
-                    ))
+                        auto="exercised",
+                    ), lines)
                 elif cname == "_set_state" and len(node.args) >= 2:
                     state = _str_arg(node, 1)
                     if state is None:
@@ -478,18 +383,16 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                             f"cannot account for it"
                         )
                         continue
-                    annotated, why = _annotation_on_line(lines, node.lineno)
                     inv.add(FtSite(
                         kind="setstate", path=path, line=node.lineno,
                         col=node.col_offset, node=node, name=state,
-                        annotated=annotated, why=why, auto="exercised",
-                    ))
+                        auto="exercised",
+                    ), lines)
             elif isinstance(node, ast.ExceptHandler):
                 hook = _coverage_hook(node.body, "handler")
                 reraises = any(
                     isinstance(sub, ast.Raise) for sub in ast.walk(node)
                 )
-                annotated, why = _annotation_on_line(lines, node.lineno)
                 name = hook if hook is not None else (
                     f"except@{node.lineno}"
                 )
@@ -498,21 +401,18 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                     col=node.col_offset, node=node, name=name, hook=hook,
                     broad=_is_broad(node), reraises=reraises,
                     extra=_render_caught(node),
-                    annotated=annotated, why=why,
                     auto="exercised" if hook is not None else None,
-                ))
+                ), lines)
             elif (
                 isinstance(node, ast.FunctionDef)
                 and node.name.startswith("inject_")
             ):
                 hook = _coverage_hook(node.body, "inject")
-                annotated, why = _annotation_on_line(lines, node.lineno)
                 inv.add(FtSite(
                     kind="inject", path=path, line=node.lineno,
-                    col=node.col_offset, node=node, name=node.name,
-                    hook=hook, annotated=annotated, why=why,
+                    col=node.col_offset, node=node, name=node.name, hook=hook,
                     auto="exercised" if hook is not None else None,
-                ))
+                ), lines)
             elif isinstance(node, ast.While):
                 if isinstance(node.test, ast.Constant):
                     continue  # `while True:` event loops exit via recv/break
@@ -523,31 +423,18 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
                     continue
                 if any(isinstance(sub, ast.Break) for sub in ast.walk(node)):
                     continue
-                annotated, why = _annotation_on_line(lines, node.lineno)
                 inv.add(FtSite(
                     kind="loop", path=path, line=node.lineno,
                     col=node.col_offset, node=node,
                     name=f"while@{node.lineno}",
-                    annotated=annotated, why=why, auto=None,
-                ))
-        for node in tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id.startswith("UNSAFE_")
-                and isinstance(node.value, ast.Constant)
-            ):
-                annotated, why = _annotation_on_line(
-                    parsed[path][1], node.lineno
-                )
+                ), lines)
+        for target, value, node in assignments(tree.body):
+            if target.startswith("UNSAFE_") and isinstance(value, ast.Constant):
                 inv.add(FtSite(
                     kind="knob", path=path, line=node.lineno,
-                    col=node.col_offset, node=node,
-                    name=node.targets[0].id,
-                    extra=str(node.value.value),
-                    annotated=annotated, why=why, auto=None,
-                ))
+                    col=node.col_offset, node=node, name=target,
+                    extra=str(value.value),
+                ), lines)
     return inv
 
 
@@ -571,42 +458,19 @@ def ftcov_selfcheck(
     the auditable inventory the CLI prints.
     """
     if sources is None:
-        sources = load_ftcov_sources()
+        sources = load_sources(FTCOV_SCOPE)
     inv = build_ft_inventory(sources)
-    problems = list(inv.problems)
-
-    inventoried: dict[str, set[int]] = {}
-    for site in inv.sites:
-        inventoried.setdefault(site.path, set()).add(site.line)
-
-    for path in sorted(sources):
-        for lineno, line in enumerate(sources[path].splitlines(), start=1):
-            match = _FT_ANNOT_RE.search(line)
-            if match is None:
-                continue
-            if match.group(1) not in FT_CLASSES:
-                problems.append(
-                    f"{path}:{lineno}: unknown ft class '{match.group(1)}' "
-                    f"(use {', '.join(sorted(FT_CLASSES))})"
-                )
-            if lineno not in inventoried.get(path, ()):
-                problems.append(
-                    f"{path}:{lineno}: 'ft:' annotation is not on an "
-                    f"inventoried failure-handling site — it classifies "
-                    f"nothing"
-                )
+    problems = inv.problems + inv.annotation_problems(sources)
 
     to_states = {edge.split("->", 1)[1] for edge in inv.declared_edges}
     for site in inv.sites:
-        if site.ft_class is None:
+        if site.site_class is None:
             problems.append(
                 f"{site.path}:{site.line}: unaccounted failure-handling "
                 f"site {site.label} — classify it with an 'ft:' annotation "
                 f"or give it a dynamic witness (coverage hook / catalog "
                 f"reference)"
             )
-        elif site.ft_class not in FT_CLASSES:
-            pass  # unknown vocabulary already reported above
         if site.kind == "point-site" and site.registered is False:
             problems.append(
                 f"{site.path}:{site.line}: fault_point('{site.name}') is "
@@ -637,13 +501,7 @@ def ftcov_selfcheck(
                 f"the missing scenario ('-- scenario: <name>')"
             )
 
-    dispositions: dict[str, str] = {}
-    for site in sorted(inv.sites, key=lambda s: (s.path, s.line, s.label)):
-        cls = site.ft_class or "UNACCOUNTED"
-        if site.annotated is not None:
-            cls += " (annotated)"
-        dispositions[f"{site.path}:{site.line}  {site.label}"] = cls
-    return problems, dispositions
+    return problems, inv.dispositions()
 
 
 # --------------------------------------------------------------------------- #
@@ -651,130 +509,89 @@ def ftcov_selfcheck(
 # --------------------------------------------------------------------------- #
 
 
-class _FtcRule(Rule):
-    """Whole-program recovery-coverage rule: registered for id/severity
-    bookkeeping; the ftcov driver invokes :meth:`check` per file with the
-    full inventory (same pattern as the NDF rules)."""
-
-    severity = "warning"
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check(
-        self, ctx: LintContext, sites: Sequence[FtSite],
-        inventory: FtInventory,
-    ) -> Iterator[Finding]:
-        return iter(())
-
-
 @register
-class SwallowedRecoveryException(_FtcRule):
+class SwallowedRecoveryException(InventoryRule):
     rule_id = "FTC001"
     summary = ("broad except on a recovery path swallows the failure — no "
                "re-raise, no coverage hook, no declared class; a masked "
                "fault here ships a silent correctness gap")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "handler" or not site.broad:
-                continue
-            if site.reraises or site.accounted:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"broad except ({site.extra}) on a recovery path swallows "
-                f"failures without re-raise or coverage hook — classify it "
-                f"('# ft: <class> -- why') or re-raise",
-            )
+    def message(self, site, inventory):
+        if (site.kind == "handler" and site.broad
+                and not (site.reraises or site.accounted)):
+            return (f"broad except ({site.extra}) on a recovery path swallows "
+                    f"failures without re-raise or coverage hook — classify it "
+                    f"('# ft: <class> -- why') or re-raise")
+        return None
 
 
 @register
-class UnarmedFaultPoint(_FtcRule):
+class UnarmedFaultPoint(InventoryRule):
     rule_id = "FTC002"
     summary = ("registered fault point armed by zero catalog scenarios "
                "(or an UNSAFE_* knob that can drop one) — its failure "
                "mode has no dynamic witness")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind == "point" and not (
-                site.accounted or site.name in inventory.armed_points
-            ):
-                yield self.finding(
-                    ctx, site.node,
-                    f"registered fault point '{site.name}' is armed by "
+    def message(self, site, inventory):
+        if site.kind == "point" and not (
+            site.accounted or site.name in inventory.armed_points
+        ):
+            return (f"registered fault point '{site.name}' is armed by "
                     f"zero catalog scenarios — its failure mode is "
                     f"untested; add a scenario that arms it or remove the "
-                    f"registry entry",
-                )
-            elif site.kind == "knob" and not site.accounted:
-                yield self.finding(
-                    ctx, site.node,
-                    f"catalog knob {site.name} can drop scenario "
+                    f"registry entry")
+        if site.kind == "knob" and not site.accounted:
+            return (f"catalog knob {site.name} can drop scenario "
                     f"'{site.extra}' from the fault-injection catalog — a "
                     f"dropped scenario's fault points lose their only "
-                    f"dynamic witness",
-                )
+                    f"dynamic witness")
+        return None
 
 
 @register
-class UnclaimedStateEdge(_FtcRule):
+class UnclaimedStateEdge(InventoryRule):
     rule_id = "FTC003"
     summary = ("declared state-machine edge claimed by no fleet "
                "scenario's edges declaration — no campaign drives the "
                "transition")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "edge" or site.accounted:
-                continue
-            if site.name in inventory.claimed_edges:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"state-machine edge {site.name} is claimed by no fleet "
-                f"scenario — no campaign drives this transition; add a "
-                f"scenario declaring edges=({site.name!r},) or file the "
-                f"gap with '# ft: backlog -- scenario: <name>'",
-            )
+    def message(self, site, inventory):
+        if site.kind == "edge" and not (
+            site.accounted or site.name in inventory.claimed_edges
+        ):
+            return (f"state-machine edge {site.name} is claimed by no fleet "
+                    f"scenario — no campaign drives this transition; add a "
+                    f"scenario declaring edges=({site.name!r},) or file the "
+                    f"gap with '# ft: backlog -- scenario: <name>'")
+        return None
 
 
 @register
-class UnboundedWaitLoop(_FtcRule):
+class UnboundedWaitLoop(InventoryRule):
     rule_id = "FTC004"
     summary = ("wait loop with no deadline in its test and no break — a "
                "silent hang here wedges recovery instead of failing it")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "loop" or site.accounted:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"wait loop at {site.name} has no deadline in its test "
-                f"and no break — a silent hang here wedges recovery; "
-                f"bound it or annotate '# ft: bounded -- why'",
-            )
+    def message(self, site, inventory):
+        if site.kind == "loop" and not site.accounted:
+            return (f"wait loop at {site.name} has no deadline in its test "
+                    f"and no break — a silent hang here wedges recovery; "
+                    f"bound it or annotate '# ft: bounded -- why'")
+        return None
 
 
 @register
-class UnobservableInject(_FtcRule):
+class UnobservableInject(InventoryRule):
     rule_id = "FTC005"
     summary = ("inject_* entry point with no coverage_mark hook — no "
                "oracle can prove any scenario exercises it")
 
-    def check(self, ctx, sites, inventory):
-        for site in sites:
-            if site.kind != "inject" or site.accounted:
-                continue
-            yield self.finding(
-                ctx, site.node,
-                f"{site.name}() is an inject entry point with no "
-                f"coverage_mark hook — no oracle can prove any scenario "
-                f"exercises it; add a hook or classify the site",
-            )
+    def message(self, site, inventory):
+        if site.kind == "inject" and not site.accounted:
+            return (f"{site.name}() is an inject entry point with no "
+                    f"coverage_mark hook — no oracle can prove any scenario "
+                    f"exercises it; add a hook or classify the site")
+        return None
 
 
 FTCOV_RULE_IDS = ("FTC001", "FTC002", "FTC003", "FTC004", "FTC005")
@@ -785,42 +602,11 @@ FTCOV_RULE_IDS = ("FTC001", "FTC002", "FTC003", "FTC004", "FTC005")
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class FtcovReport:
-    """Everything one static ftcov pass produced."""
-
-    findings: list[Finding] = dc_field(default_factory=list)
-    inventory: FtInventory = dc_field(default_factory=FtInventory)
-
-
 def analyze_ftcov(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
     overrides: Mapping[str, str] | None = None,
-) -> FtcovReport:
+) -> InventoryReport:
     """Run Layers 1+2: inventory, then the FTC rules over every file."""
-    rules = [
-        rule for rule in all_rules(select=select, ignore=ignore)
-        if isinstance(rule, _FtcRule)
-    ]
-    sources = load_ftcov_sources(overrides)
-    inventory = build_ft_inventory(sources)
-
-    findings: list[Finding] = []
-    for path in sorted(inventory.by_path):
-        text = sources.get(path)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue  # already recorded in inventory.problems
-        ctx = LintContext(path, text, tree)
-        per_file = inventory.by_path[path]
-        for rule in rules:
-            for finding in rule.check(ctx, per_file, inventory):
-                if not ctx.suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
-    return FtcovReport(
-        findings=sorted(findings, key=Finding.sort_key), inventory=inventory
-    )
+    return analyze_sites(FTCOV_RULE_IDS, FTCOV_SCOPE, build_ft_inventory,
+                         select, ignore, overrides)

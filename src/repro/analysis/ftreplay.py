@@ -106,9 +106,10 @@ def crossref_coverage(
     passed), so the gap logic is unit-testable on synthetic counters.
     """
     if inventory is None:
-        from repro.analysis.ftcov import build_ft_inventory, load_ftcov_sources
+        from repro.analysis.ftcov import FTCOV_SCOPE, build_ft_inventory
+        from repro.analysis.inventory import load_sources
 
-        inventory = build_ft_inventory(load_ftcov_sources())
+        inventory = build_ft_inventory(load_sources(FTCOV_SCOPE))
 
     gaps: list[str] = []
     missing_scenarios: list[dict[str, str]] = []
@@ -125,7 +126,7 @@ def crossref_coverage(
             reached = counters.get(f"point:{site.name}", 0)
             fired = counters.get(f"fired:{site.name}", 0)
             points[site.name] = {"reached": reached, "fired": fired}
-            if site.ft_class != "exercised":
+            if site.site_class != "exercised":
                 continue  # annotated exception — accounted statically
             if reached == 0:
                 gaps.append(
@@ -152,7 +153,7 @@ def crossref_coverage(
                     missing_scenarios.append(
                         {"edge": site.name, "scenario": scenario}
                     )
-            elif site.ft_class == "exercised" and observed == 0:
+            elif site.site_class == "exercised" and observed == 0:
                 gaps.append(
                     f"edge-unobserved:{site.name} — claimed by a scenario "
                     f"but never driven by any catalog run"

@@ -261,6 +261,17 @@ def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _self_attr(node: ast.AST) -> str | None:
+    """``self.X`` -> ``"X"`` (one level only; ``self.a.b`` returns None)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
 class _Walker(ast.NodeVisitor):
     """Single-pass dispatcher feeding every rule its interesting nodes."""
 

@@ -59,26 +59,30 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
-from repro.analysis.linter import (
-    Finding,
-    LintContext,
-    Rule,
-    all_rules,
-    register,
+from repro.analysis.inventory import (
+    Annotation,
+    InventoryReport,
+    InventoryRule,
+    Site,
+    SiteInventory,
+    analyze_sites,
+    assignments,
+    attr_chain,
+    load_sources,
+    parse_each,
 )
+from repro.analysis.linter import register
 
 __all__ = [
     "ND_CLASSES",
     "NDFLOW_RULE_IDS",
+    "NDFLOW_SCOPE",
     "NdInventory",
     "NdSource",
-    "NdflowReport",
     "analyze_ndflow",
     "build_nd_inventory",
-    "load_ndflow_sources",
     "ndflow_selfcheck",
 ]
 
@@ -103,7 +107,16 @@ ND_CLASSES = frozenset(
 #: but keeps its lint finding.
 _ACCOUNTED = ND_CLASSES - {"unsafe"}
 
-_ND_ANNOT_RE = re.compile(r"#\s*nd:\s*([a-z-]+)(?:\s*--\s*([^#]*))?")
+_ND_ANNOTATION = Annotation(
+    pattern=re.compile(r"#\s*nd:\s*([a-z-]+)(?:\s*--\s*([^#]*))?"),
+    vocabulary=ND_CLASSES,
+    noun="nd class",
+    tag="'nd:'",
+    site="an inventoried nondeterminism source",
+)
+
+#: The whole package — provenance has no "cold" files.
+NDFLOW_SCOPE = ("",)
 
 #: Draw methods of :class:`random.Random` (and the NDLog stream wrappers).
 _DRAW_METHODS = frozenset(
@@ -122,114 +135,45 @@ _TIMING_CLASSES = ("NiliconConfig", "TrafficProfile")
 
 
 @dataclass
-class NdSource:
-    """One nondeterminism source found by the Layer-1 inventory."""
+class NdSource(Site):
+    """One nondeterminism source found by the Layer-1 inventory.
 
-    #: ``stream`` | ``spawn`` | ``tiebreak`` | ``counter`` |
-    #: ``global-random`` | ``draw`` | ``timing-knob``
-    kind: str
-    path: str
-    line: int
-    col: int
-    node: ast.AST
-    #: Stream name / counter variable / receiver chain / field name.
-    name: str
+    ``kind`` is ``stream`` | ``spawn`` | ``tiebreak`` | ``counter`` |
+    ``global-random`` | ``draw`` | ``timing-knob``; ``name`` the stream
+    name / counter variable / receiver chain / field name; ``registered``
+    (counters only) whether reset_id_counters() rewinds it.
+    """
+
     #: True when a stream name is not a string literal (f-string, computed).
     dynamic: bool = False
-    #: Class declared by an ``nd:`` annotation on the source line.
-    annotated: str | None = None
-    why: str | None = None
-    #: Class the inventory derived automatically (None = needs annotation).
-    auto: str | None = None
-    #: Counters only: rewound by reset_id_counters()?
-    registered: bool | None = None
+
+    ACCOUNTED: ClassVar[frozenset[str]] = _ACCOUNTED
 
     @property
-    def nd_class(self) -> str | None:
-        return self.annotated if self.annotated is not None else self.auto
-
-    @property
-    def accounted(self) -> bool:
-        return self.nd_class in _ACCOUNTED
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}:{self.name}"
+    def annotation_lines(self) -> range:
+        """Any line of the source's span, so multi-line call sites can
+        carry the comment on the argument line."""
+        stop = getattr(self.node, "end_lineno", None) or self.line
+        return range(self.line, stop + 1)
 
 
 @dataclass
-class NdInventory:
+class NdInventory(SiteInventory):
     """Everything the Layer-1 pass discovered, plus cross-file context."""
 
-    sources: list[NdSource] = dc_field(default_factory=list)
-    by_path: dict[str, list[NdSource]] = dc_field(default_factory=dict)
     #: Parsed from ``STREAM_OWNERS`` in ``sim/rng.py``.
     stream_owners: dict[str, str] = dc_field(default_factory=dict)
     #: ``(module path suffix, variable)`` rewound by reset_id_counters().
     registered_counters: set[tuple[str, str]] = dc_field(default_factory=set)
     #: Literal stream name -> paths of the call sites using it.
     literal_streams: dict[str, set[str]] = dc_field(default_factory=dict)
-    #: Parse failures and structural problems found while building.
-    problems: list[str] = dc_field(default_factory=list)
 
-    def add(self, source: NdSource) -> None:
-        self.sources.append(source)
-        self.by_path.setdefault(source.path, []).append(source)
-
-
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def load_ndflow_sources(
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """All ``repro.*`` sources as ``display path -> text`` (the whole
-    package — provenance has no "cold" files); *overrides* swaps in
-    synthetic sources by path suffix, exactly like the perf loader."""
-    root = _pkg_root()
-    rels = sorted(
-        str(p.relative_to(root)).replace("\\", "/")
-        for p in root.rglob("*.py")
-        if "__pycache__" not in p.parts
-    )
-    out: dict[str, str] = {}
-    for rel in rels:
-        text = None
-        if overrides:
-            for key, value in overrides.items():
-                norm = key.replace("\\", "/")
-                if norm == rel or norm.endswith("/" + rel):
-                    text = value
-                    break
-        if text is None:
-            text = (root / rel).read_text()
-        out[f"src/repro/{rel}"] = text
-    if overrides:
-        for key, value in overrides.items():
-            norm = key.replace("\\", "/")
-            if not any(norm == rel or norm.endswith("/" + rel)
-                       for rel in rels):
-                out[norm] = value
-    return out
+    ANNOTATION: ClassVar[Annotation] = _ND_ANNOTATION
 
 
 # --------------------------------------------------------------------------- #
 # Layer 1 — inventory                                                         #
 # --------------------------------------------------------------------------- #
-
-
-def _attr_chain(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _render_stream_name(arg: ast.AST) -> tuple[str, bool]:
@@ -255,72 +199,27 @@ def _render_stream_name(arg: ast.AST) -> tuple[str, bool]:
 
 def _exempt_spans(tree: ast.Module) -> list[tuple[int, int]]:
     """Line spans of classes marked ``__nd_exempt__ = True``."""
-    spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "__nd_exempt__"
-            ):
-                spans.append((node.lineno, node.end_lineno or node.lineno))
-                break
-    return spans
+    return [
+        (node.lineno, node.end_lineno or node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(name == "__nd_exempt__" for name, _, _ in assignments(node.body))
+    ]
 
 
 def _in_spans(line: int, spans: list[tuple[int, int]]) -> bool:
     return any(lo <= line <= hi for lo, hi in spans)
 
 
-def _annotation_on(
-    lines: list[str], node: ast.AST
-) -> tuple[str | None, str | None]:
-    """The ``nd:`` annotation on any line of *node*'s span (so multi-line
-    call sites can carry the comment on the argument line)."""
-    start = getattr(node, "lineno", 0)
-    stop = getattr(node, "end_lineno", None) or start
-    for lineno in range(start, stop + 1):
-        if not 1 <= lineno <= len(lines):
-            continue
-        match = _ND_ANNOT_RE.search(lines[lineno - 1])
-        if match:
-            why = match.group(2)
-            return match.group(1), why.strip() if why else None
-    return None, None
-
-
 def _parse_stream_owners(tree: ast.Module) -> dict[str, str]:
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "STREAM_OWNERS"
-        ):
-            value = node.value
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == "STREAM_OWNERS"
-            and node.value is not None
-        ):
-            value = node.value
-        else:
-            continue
-        if isinstance(value, ast.Dict):
-            out: dict[str, str] = {}
-            for key, val in zip(value.keys, value.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(val, ast.Constant)
-                    and isinstance(val.value, str)
-                ):
-                    out[key.value] = val.value
-            return out
+    for name, value, _ in assignments(tree.body):
+        if name == "STREAM_OWNERS" and isinstance(value, ast.Dict):
+            return {
+                key.value: val.value
+                for key, val in zip(value.keys, value.values)
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(val, ast.Constant) and isinstance(val.value, str)
+            }
     return {}
 
 
@@ -398,7 +297,7 @@ def _stream_derived_names(tree: ast.Module) -> set[str]:
             if isinstance(target, ast.Name):
                 out.add(target.id)
             else:
-                chain = _attr_chain(target)
+                chain = attr_chain(target)
                 if chain is not None:
                     out.add(chain)
     return out
@@ -417,29 +316,14 @@ def _random_aliases(tree: ast.Module) -> set[str]:
 def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
     """Layer 1: enumerate and classify every nondeterminism source."""
     inv = NdInventory()
-
-    for path in sorted(sources):
+    parsed = list(parse_each(sources, inv.problems))
+    for path, _, tree in parsed:
         if path.endswith("sim/rng.py"):
-            try:
-                inv.stream_owners = _parse_stream_owners(
-                    ast.parse(sources[path]))
-            except SyntaxError:
-                pass
+            inv.stream_owners = _parse_stream_owners(tree)
         if path.endswith("net/world.py"):
-            try:
-                inv.registered_counters = _parse_registered_counters(
-                    ast.parse(sources[path]))
-            except SyntaxError:
-                pass
+            inv.registered_counters = _parse_registered_counters(tree)
 
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            inv.problems.append(
-                f"{path}:{exc.lineno}: does not parse: {exc.msg}")
-            continue
+    for path, text, tree in parsed:
         lines = text.splitlines()
         spans = _exempt_spans(tree)
         stream_bound = _stream_derived_names(tree)
@@ -449,16 +333,12 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
 
         def add(kind: str, node: ast.AST, name: str, *, dynamic: bool = False,
                 auto: str | None = None,
-                registered: bool | None = None) -> NdSource:
-            annotated, why = _annotation_on(lines, node)
-            src = NdSource(
+                registered: bool | None = None) -> None:
+            inv.add(NdSource(
                 kind=kind, path=path, line=node.lineno,
                 col=getattr(node, "col_offset", 0), node=node, name=name,
-                dynamic=dynamic, annotated=annotated, why=why, auto=auto,
-                registered=registered,
-            )
-            inv.add(src)
-            return src
+                dynamic=dynamic, auto=auto, registered=registered,
+            ), lines)
 
         # Module-level id counters.
         for node in tree.body:
@@ -538,7 +418,7 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
 
             # Raw entropy: random.Random(...) / random.<fn>(...) or names
             # imported from the random module.
-            chain = _attr_chain(func)
+            chain = attr_chain(func)
             bare = func.id if isinstance(func, ast.Name) else None
             if not is_rng_module and (
                 (chain is not None and chain.split(".", 1)[0] == "random"
@@ -554,7 +434,7 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
                 and func.attr in _DRAW_METHODS
             ):
                 receiver = func.value
-                rchain = _attr_chain(receiver)
+                rchain = attr_chain(receiver)
                 derived = rchain in stream_bound or any(
                     isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
@@ -589,35 +469,12 @@ def ndflow_selfcheck(
     — the auditable inventory the CLI prints.
     """
     if sources is None:
-        sources = load_ndflow_sources()
+        sources = load_sources(NDFLOW_SCOPE)
     inv = build_nd_inventory(sources)
-    problems = list(inv.problems)
+    problems = inv.problems + inv.annotation_problems(sources)
 
-    inventoried: dict[str, set[int]] = {}
-    for src in inv.sources:
-        stop = getattr(src.node, "end_lineno", None) or src.line
-        inventoried.setdefault(src.path, set()).update(
-            range(src.line, stop + 1))
-
-    for path in sorted(sources):
-        for lineno, line in enumerate(sources[path].splitlines(), start=1):
-            match = _ND_ANNOT_RE.search(line)
-            if match is None:
-                continue
-            if match.group(1) not in ND_CLASSES:
-                problems.append(
-                    f"{path}:{lineno}: unknown nd class '{match.group(1)}' "
-                    f"(use {', '.join(sorted(ND_CLASSES))})"
-                )
-            if lineno not in inventoried.get(path, ()):
-                problems.append(
-                    f"{path}:{lineno}: 'nd:' annotation is not on an "
-                    f"inventoried nondeterminism source — it classifies "
-                    f"nothing"
-                )
-
-    for src in inv.sources:
-        if src.nd_class is None:
+    for src in inv.sites:
+        if src.site_class is None:
             detail = " (dynamic stream name)" if src.dynamic else ""
             problems.append(
                 f"{src.path}:{src.line}: unaccounted nondeterminism source "
@@ -636,13 +493,7 @@ def ndflow_selfcheck(
                 f"same-process runs"
             )
 
-    dispositions: dict[str, str] = {}
-    for src in sorted(inv.sources, key=lambda s: (s.path, s.line)):
-        cls = src.nd_class or "UNACCOUNTED"
-        if src.annotated is not None:
-            cls += " (annotated)"
-        dispositions[f"{src.path}:{src.line}  {src.label}"] = cls
-    return problems, dispositions
+    return problems, inv.dispositions()
 
 
 # --------------------------------------------------------------------------- #
@@ -650,126 +501,87 @@ def ndflow_selfcheck(
 # --------------------------------------------------------------------------- #
 
 
-class _NdfRule(Rule):
-    """Whole-program provenance rule: registered for id/severity
-    bookkeeping; the ndflow driver invokes :meth:`check` per file with the
-    full inventory (same pattern as the PERF rules)."""
-
-    severity = "warning"
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check(
-        self, ctx: LintContext, sources: Sequence[NdSource],
-        inventory: NdInventory,
-    ) -> Iterator[Finding]:
-        return iter(())
-
-
 @register
-class BareEntropy(_NdfRule):
+class BareEntropy(InventoryRule):
     rule_id = "NDF001"
     summary = ("bare random.Random / random.* entropy outside sim/rng.py "
                "with no declared provenance; a backup-side replay cannot "
                "reproduce its draws — use a named RngRegistry stream")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "global-random" or src.accounted:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"{src.name}() draws entropy outside the registry; the "
-                f"NDLog never sees it, so deterministic replay breaks — "
-                f"route through world.rng.stream(<name>) or declare "
-                f"provenance with an 'nd:' annotation",
-            )
+    def message(self, src, inventory):
+        if src.kind == "global-random" and not src.accounted:
+            return (f"{src.name}() draws entropy outside the registry; the "
+                    f"NDLog never sees it, so deterministic replay breaks — "
+                    f"route through world.rng.stream(<name>) or declare "
+                    f"provenance with an 'nd:' annotation")
+        return None
 
 
 @register
-class DynamicStreamName(_NdfRule):
+class DynamicStreamName(InventoryRule):
     rule_id = "NDF002"
     summary = ("dynamic (f-string/computed) stream name defeats the static "
                "nondeterminism inventory; annotate the call site or use a "
                "literal name")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind not in ("stream", "spawn") or not src.dynamic:
-                continue
-            if src.annotated is not None and src.annotated in _ACCOUNTED:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"stream name {src.name!r} is computed at runtime — the "
-                f"static inventory cannot enumerate it; add an 'nd:' "
-                f"annotation naming its class (or use a literal)",
-            )
+    def message(self, src, inventory):
+        if (src.kind in ("stream", "spawn") and src.dynamic
+                and src.annotated not in _ACCOUNTED):
+            return (f"stream name {src.name!r} is computed at runtime — the "
+                    f"static inventory cannot enumerate it; add an 'nd:' "
+                    f"annotation naming its class (or use a literal)")
+        return None
 
 
 @register
-class UnroutedControlPathDraw(_NdfRule):
+class UnroutedControlPathDraw(InventoryRule):
     rule_id = "NDF003"
     summary = ("RNG draw in a replication/fleet control path not routed "
                "through a named registry stream; the replay log misses it")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "draw" or src.accounted:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"{src.name}() draws from a generator the NDLog does not "
-                f"wrap, inside a replication/fleet control path — replay "
-                f"on the backup would diverge; draw from a named "
-                f"world.rng stream instead",
-            )
+    def message(self, src, inventory):
+        if src.kind == "draw" and not src.accounted:
+            return (f"{src.name}() draws from a generator the NDLog does not "
+                    f"wrap, inside a replication/fleet control path — replay "
+                    f"on the backup would diverge; draw from a named "
+                    f"world.rng stream instead")
+        return None
 
 
 @register
-class UnregisteredCounter(_NdfRule):
+class UnregisteredCounter(InventoryRule):
     rule_id = "NDF004"
     summary = ("module-level itertools.count not registered in "
                "reset_id_counters(); ids drift across same-process runs "
                "and leak into checkpoint digests")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "counter" or src.registered or src.accounted:
-                continue
-            yield self.finding(
-                ctx, src.node,
-                f"id counter '{src.name}' is never rewound by "
-                f"reset_id_counters(); a second same-seed run hands out "
-                f"different ids and digests diverge — register it in "
-                f"net/world.py",
-            )
+    def message(self, src, inventory):
+        if src.kind == "counter" and not (src.registered or src.accounted):
+            return (f"id counter '{src.name}' is never rewound by "
+                    f"reset_id_counters(); a second same-seed run hands out "
+                    f"different ids and digests diverge — register it in "
+                    f"net/world.py")
+        return None
 
 
 @register
-class SharedStreamName(_NdfRule):
+class SharedStreamName(InventoryRule):
     rule_id = "NDF005"
     summary = ("one stream-name literal used from several modules without "
                "a STREAM_OWNERS entry; the call sites silently couple "
                "their draw sequences")
 
-    def check(self, ctx, sources, inventory):
-        for src in sources:
-            if src.kind != "stream" or src.dynamic:
-                continue
-            users = inventory.literal_streams.get(src.name, set())
-            if len(users) < 2 or src.name in inventory.stream_owners:
-                continue
-            others = sorted(p for p in users if p != src.path)
-            yield self.finding(
-                ctx, src.node,
-                f"stream {src.name!r} is also drawn from "
+    def message(self, src, inventory):
+        if src.kind != "stream" or src.dynamic:
+            return None
+        users = inventory.literal_streams.get(src.name, set())
+        if len(users) < 2 or src.name in inventory.stream_owners:
+            return None
+        others = sorted(p for p in users if p != src.path)
+        return (f"stream {src.name!r} is also drawn from "
                 f"{', '.join(others)}; unrelated consumers of one stream "
                 f"perturb each other's sequences — declare an owner in "
-                f"sim/rng.py STREAM_OWNERS or pick a distinct name",
-            )
+                f"sim/rng.py STREAM_OWNERS or pick a distinct name")
 
 
 NDFLOW_RULE_IDS = ("NDF001", "NDF002", "NDF003", "NDF004", "NDF005")
@@ -780,42 +592,11 @@ NDFLOW_RULE_IDS = ("NDF001", "NDF002", "NDF003", "NDF004", "NDF005")
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class NdflowReport:
-    """Everything one static ndflow pass produced."""
-
-    findings: list[Finding] = dc_field(default_factory=list)
-    inventory: NdInventory = dc_field(default_factory=NdInventory)
-
-
 def analyze_ndflow(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
     overrides: Mapping[str, str] | None = None,
-) -> NdflowReport:
+) -> InventoryReport:
     """Run Layers 1+2: inventory, then the NDF rules over every file."""
-    rules = [
-        rule for rule in all_rules(select=select, ignore=ignore)
-        if isinstance(rule, _NdfRule)
-    ]
-    sources = load_ndflow_sources(overrides)
-    inventory = build_nd_inventory(sources)
-
-    findings: list[Finding] = []
-    for path in sorted(inventory.by_path):
-        text = sources.get(path)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue  # already recorded in inventory.problems
-        ctx = LintContext(path, text, tree)
-        per_file = inventory.by_path[path]
-        for rule in rules:
-            for finding in rule.check(ctx, per_file, inventory):
-                if not ctx.suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
-    return NdflowReport(
-        findings=sorted(findings, key=Finding.sort_key), inventory=inventory
-    )
+    return analyze_sites(NDFLOW_RULE_IDS, NDFLOW_SCOPE, build_nd_inventory,
+                         select, ignore, overrides)

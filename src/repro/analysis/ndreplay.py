@@ -30,7 +30,8 @@ import ast
 import re
 
 from repro.analysis.fuzz import PermutedTieBreak, run_instrumented
-from repro.analysis.ndflow import build_nd_inventory, load_ndflow_sources
+from repro.analysis.inventory import load_sources
+from repro.analysis.ndflow import NDFLOW_SCOPE, build_nd_inventory
 from repro.sim.ndlog import NDLog, ReplayDivergence, TIEBREAK_STREAM
 
 __all__ = [
@@ -206,9 +207,9 @@ def crossref_streams(draw_counts: dict[str, int], inventory=None) -> dict:
     site; an unmatched stream means the static inventory is incomplete —
     a logged source the NDF rules never saw."""
     if inventory is None:
-        inventory = build_nd_inventory(load_ndflow_sources())
+        inventory = build_nd_inventory(load_sources(NDFLOW_SCOPE))
     sites: list[tuple[str, list[str]]] = []
-    for src in inventory.sources:
+    for src in inventory.sites:
         if src.kind not in ("stream", "spawn"):
             continue
         label = f"{src.path}:{src.line}"

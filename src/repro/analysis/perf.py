@@ -66,18 +66,21 @@ from __future__ import annotations
 import ast
 import re
 from collections import deque
-from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Iterator, Mapping, Sequence
 
-from repro.analysis.linter import (
-    Finding,
-    LintContext,
-    Rule,
-    _own_nodes,
-    all_rules,
-    register,
+from repro.analysis.inventory import (
+    Annotation,
+    InventoryRule,
+    assignments,
+    attr_chain,
+    call_name,
+    family_rules,
+    lint_by_path,
+    load_sources,
+    parse_each,
 )
+from repro.analysis.linter import Finding, LintContext, _own_nodes, register
 
 __all__ = [
     "DEFAULT_ROOTS",
@@ -88,7 +91,6 @@ __all__ = [
     "PerfReport",
     "analyze_perf",
     "build_hot_map",
-    "load_perf_sources",
     "perf_selfcheck",
 ]
 
@@ -98,27 +100,6 @@ __all__ = [
 # (the hot map), so the generic per-file walker never fires them; the perf    #
 # driver calls their check() methods directly on each hot function.           #
 # --------------------------------------------------------------------------- #
-
-
-class _PerfRule(Rule):
-    """Hot-path rule: registered for id/severity bookkeeping; the perf
-    driver invokes :meth:`check` on each hot function directly."""
-
-    severity = "warning"
-    interests: tuple[type, ...] = (ast.Module,)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check(
-        self, fn: ast.AST, ctx: LintContext, hotness: str
-    ) -> Iterator[Finding]:
-        return iter(())
-
-    def _hot_finding(
-        self, ctx: LintContext, node: ast.AST, hotness: str, message: str
-    ) -> Finding:
-        return self.finding(ctx, node, f"[{hotness}] {message}")
 
 
 #: Hotness classes, strongest first (rank 0 beats rank 2 on a shared path).
@@ -152,18 +133,6 @@ def _loop_body_nodes(loop: ast.For | ast.While) -> Iterator[ast.AST]:
         yield from ast.walk(stmt)
 
 
-def _attr_chain(node: ast.AST) -> str | None:
-    """``a.b.c`` as a dotted string, or None for non-trivial bases."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _is_hash_call(call: ast.Call, ctx: LintContext) -> bool:
     name = ctx.call_name(call)
     if name is not None and (
@@ -176,7 +145,7 @@ def _is_hash_call(call: ast.Call, ctx: LintContext) -> bool:
 
 
 @register
-class AllocationChurn(_PerfRule):
+class AllocationChurn(InventoryRule):
     rule_id = "PERF001"
     summary = ("fresh list/dict/set/tuple allocated every iteration of a "
                "per-event or per-page loop — hoist or reuse the container")
@@ -201,15 +170,15 @@ class AllocationChurn(_PerfRule):
                     kind = f"{node.func.id}()"
                 if kind is not None:
                     seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         f"{kind} allocated on every iteration of a hot "
                         f"loop — allocate once outside and reuse",
                     )
 
 
 @register
-class WholeBufferRehash(_PerfRule):
+class WholeBufferRehash(InventoryRule):
     rule_id = "PERF002"
     summary = ("whole-buffer hashing inside a hot loop — cache digests by "
                "generation or hash incrementally (dirty data only)")
@@ -222,8 +191,8 @@ class WholeBufferRehash(_PerfRule):
                     continue
                 if _is_hash_call(node, ctx):
                     seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         "hashes a whole buffer inside a hot loop — hash "
                         "only what changed and cache the rest by "
                         "generation",
@@ -231,7 +200,7 @@ class WholeBufferRehash(_PerfRule):
 
 
 @register
-class SortPerEvent(_PerfRule):
+class SortPerEvent(InventoryRule):
     rule_id = "PERF003"
     summary = ("sorted()/.sort() on a hot path — sort once and maintain "
                "order incrementally, or iterate an already-ordered index")
@@ -256,8 +225,8 @@ class SortPerEvent(_PerfRule):
                 kind = self._sort_kind(node, ctx)
                 if kind is not None and id(node) not in seen:
                     seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         f"{kind} inside a hot loop re-sorts per iteration "
                         f"— maintain the order incrementally",
                     )
@@ -266,15 +235,15 @@ class SortPerEvent(_PerfRule):
                 kind = self._sort_kind(node, ctx)
                 if kind is not None and id(node) not in seen:
                     seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         f"{kind} runs on every {hotness} call — sort once "
                         f"and keep the result ordered",
                     )
 
 
 @register
-class RepeatedAttributeLookup(_PerfRule):
+class RepeatedAttributeLookup(InventoryRule):
     rule_id = "PERF004"
     summary = ("same attribute chain resolved 3+ times in one hot loop "
                "body — bind it to a local before the loop")
@@ -287,7 +256,7 @@ class RepeatedAttributeLookup(_PerfRule):
                     continue
                 if not isinstance(node.ctx, ast.Load):
                     continue
-                chain = _attr_chain(node)
+                chain = attr_chain(node)
                 if chain is None or "." not in chain:
                     continue
                 counts.setdefault(chain, []).append(node)
@@ -305,15 +274,15 @@ class RepeatedAttributeLookup(_PerfRule):
                     )
                 ]
                 if len(maximal) >= 3:
-                    yield self._hot_finding(
-                        ctx, maximal[0], hotness,
+                    yield self.finding(
+                        ctx, maximal[0],
                         f"'{chain}' resolved {len(maximal)} times per "
                         f"iteration of a hot loop — hoist to a local",
                     )
 
 
 @register
-class PerCallConstruction(_PerfRule):
+class PerCallConstruction(InventoryRule):
     rule_id = "PERF005"
     summary = ("lambda / itertools.count constructed per event or inside "
                "a hot loop — build once and reuse")
@@ -334,8 +303,8 @@ class PerCallConstruction(_PerfRule):
                 kind = self._kind(node, ctx)
                 if kind is not None and id(node) not in seen:
                     seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         f"fresh {kind} built every iteration of a hot loop "
                         f"— construct it once outside",
                     )
@@ -344,8 +313,8 @@ class PerCallConstruction(_PerfRule):
                 kind = self._kind(node, ctx)
                 if kind is not None and id(node) not in seen:
                     seen.add(id(node))
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         f"fresh {kind} built on every {hotness} call — "
                         f"construct it once and reuse",
                     )
@@ -371,7 +340,7 @@ def _is_accumulator_scan(loop: ast.For) -> bool:
 
 
 @register
-class FullScanAggregate(_PerfRule):
+class FullScanAggregate(InventoryRule):
     rule_id = "PERF006"
     summary = ("aggregate recomputed by scanning a whole collection on "
                "every hot call — maintain an incremental index instead")
@@ -391,10 +360,10 @@ class FullScanAggregate(_PerfRule):
                 source = comp.generators[0].iter
                 if isinstance(source, ast.Call):
                     source = source.func
-                chain = _attr_chain(source)
+                chain = attr_chain(source)
                 if chain is not None and "." in chain:
-                    yield self._hot_finding(
-                        ctx, node, hotness,
+                    yield self.finding(
+                        ctx, node,
                         f"{node.func.id}() scans all of '{chain}' on every "
                         f"hot call — maintain the aggregate incrementally",
                     )
@@ -406,10 +375,10 @@ class FullScanAggregate(_PerfRule):
                 source.func, ast.Attribute
             ) and source.func.attr in ("items", "values", "keys"):
                 source = source.func.value
-            chain = _attr_chain(source)
+            chain = attr_chain(source)
             if chain is not None and "." in chain:
-                yield self._hot_finding(
-                    ctx, loop, hotness,
+                yield self.finding(
+                    ctx, loop,
                     f"full scan of '{chain}' to recompute an aggregate on "
                     f"every hot call — maintain an incremental index",
                 )
@@ -468,8 +437,14 @@ DEFAULT_ROOTS = (
     ("pick_host", "per-epoch"),
 )
 
-_HOT_ANNOT_RE = re.compile(r"#\s*hot:\s*([A-Za-z-]+)(?:\s*--\s*(.*))?")
-_KNOWN_HOTNESS = frozenset({"per-event", "per-page", "per-epoch", "exempt"})
+_HOT_ANNOTATION = Annotation(
+    pattern=re.compile(r"#\s*hot:\s*([A-Za-z-]+)(?:\s*--\s*(.*))?"),
+    vocabulary=frozenset({"per-event", "per-page", "per-epoch", "exempt"}),
+    noun="hotness",
+    hint="per-event, per-page, per-epoch or exempt",
+    tag="'# hot:'",
+    site="a function def header",
+)
 
 
 @dataclass
@@ -495,65 +470,18 @@ class HotFunction:
         return self.qualname.rsplit(".", 1)[-1]
 
 
-def _pkg_root() -> Path:
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def load_perf_sources(
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """Scope sources as ``display path -> text``; *overrides* lets tests
-    swap in synthetic sources by path suffix (like ckptcov)."""
-    root = _pkg_root()
-    out: dict[str, str] = {}
-    for rel in PERF_SCOPE_FILES:
-        text = None
-        if overrides:
-            for key, value in overrides.items():
-                norm = key.replace("\\", "/")
-                if norm == rel or norm.endswith("/" + rel):
-                    text = value
-                    break
-        if text is None:
-            text = (root / rel).read_text()
-        out[f"src/repro/{rel}"] = text
-    if overrides:
-        for key, value in overrides.items():
-            norm = key.replace("\\", "/")
-            if not any(norm == rel or norm.endswith("/" + rel)
-                       for rel in PERF_SCOPE_FILES):
-                out[norm] = value
-    return out
-
-
 def _called_names(fn: ast.AST) -> frozenset[str]:
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Name):
-            out.add(node.func.id)
-        elif isinstance(node.func, ast.Attribute):
-            out.add(node.func.attr)
-    return frozenset(out)
+    return frozenset(
+        name for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and (name := call_name(node)) is not None
+    )
 
 
-def _header_annotation(
-    fn: ast.AST, lines: list[str]
-) -> tuple[str | None, str | None]:
-    """The ``# hot:`` annotation on the def header (def line through the
-    line before the first body statement), if any."""
-    first_body = fn.body[0].lineno if getattr(fn, "body", None) else fn.lineno
-    for lineno in range(fn.lineno, first_body + 1):
-        if lineno > len(lines):
-            break
-        match = _HOT_ANNOT_RE.search(lines[lineno - 1])
-        if match:
-            why = match.group(2)
-            return match.group(1), why.strip() if why else None
-    return None, None
+def _header_lines(fn: ast.AST) -> range:
+    """The def header: the def line through the first body statement's line
+    (where a ``# hot:`` annotation classifies the function)."""
+    first_body = fn.body[0].lineno if fn.body else fn.lineno
+    return range(fn.lineno, first_body + 1)
 
 
 def build_hot_map(
@@ -565,16 +493,11 @@ def build_hot_map(
     functions: dict[str, HotFunction] = {}
     by_name: dict[str, list[str]] = {}
 
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue  # plain lint already reports E999
+    for path, text, tree in parse_each(sources):
         lines = text.splitlines()
 
         def add(node: ast.AST, qualname: str, exempt_class: bool) -> None:
-            declared, why = _header_annotation(node, lines)
+            declared, why = _HOT_ANNOTATION.find(lines, _header_lines(node))
             exempt = exempt_class or declared == "exempt"
             fn = HotFunction(
                 qualname=qualname, path=path, line=node.lineno, node=node,
@@ -590,11 +513,8 @@ def build_hot_map(
                 add(node, node.name, exempt_class=False)
             elif isinstance(node, ast.ClassDef):
                 exempt_class = any(
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == "__perf_exempt__"
-                    for stmt in node.body
+                    name == "__perf_exempt__"
+                    for name, _, _ in assignments(node.body)
                 )
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -650,36 +570,14 @@ def perf_selfcheck(
     annotation uses the known vocabulary and sits on a def header, and no
     annotation understates the computed hotness."""
     if sources is None:
-        sources = load_perf_sources()
+        sources = load_sources(PERF_SCOPE_FILES)
     problems: list[str] = []
-
-    header_spans: dict[str, set[int]] = {}
-    for path in sorted(sources):
-        text = sources[path]
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            problems.append(f"{path}:{exc.lineno}: does not parse: {exc.msg}")
-            continue
-        spans = header_spans.setdefault(path, set())
+    for path, text, tree in parse_each(sources, problems):
+        spans: set[int] = set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first_body = node.body[0].lineno if node.body else node.lineno
-                spans.update(range(node.lineno, first_body + 1))
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _HOT_ANNOT_RE.search(line)
-            if match is None:
-                continue
-            if match.group(1) not in _KNOWN_HOTNESS:
-                problems.append(
-                    f"{path}:{lineno}: unknown hotness '{match.group(1)}' "
-                    f"(use per-event, per-page, per-epoch or exempt)"
-                )
-            if lineno not in spans:
-                problems.append(
-                    f"{path}:{lineno}: '# hot:' annotation is not on a "
-                    f"function def header — it classifies nothing"
-                )
+                spans.update(_header_lines(node))
+        problems += _HOT_ANNOTATION.problems(path, text, spans)
 
     hot_map = build_hot_map(sources, roots)
     for qualname, hotness in roots:
@@ -735,11 +633,8 @@ def analyze_perf(
     roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS,
 ) -> PerfReport:
     """Run Layers 1+2: classify, then lint only the hot functions."""
-    rules = [
-        rule for rule in all_rules(select=select, ignore=ignore)
-        if isinstance(rule, _PerfRule)
-    ]
-    sources = load_perf_sources(overrides)
+    rules = family_rules(PERF_RULE_IDS, select, ignore)
+    sources = load_sources(PERF_SCOPE_FILES, overrides)
     hot_map = build_hot_map(sources, roots)
 
     per_path: dict[str, list[HotFunction]] = {}
@@ -747,16 +642,14 @@ def analyze_perf(
         if fn.hotness is not None:
             per_path.setdefault(fn.path, []).append(fn)
 
-    findings: list[Finding] = []
-    for path in sorted(per_path):
-        text = sources[path]
-        tree = ast.parse(text, filename=path)
-        ctx = LintContext(path, text, tree)
-        for fn in sorted(per_path[path], key=lambda f: f.line):
-            for rule in rules:
-                for finding in rule.check(fn.node, ctx, fn.hotness):
-                    if not ctx.suppressed(finding.rule_id, finding.line):
-                        findings.append(finding)
-    return PerfReport(
-        findings=sorted(findings, key=Finding.sort_key), hot_map=hot_map
+    # Every message names the hotness of the function it was found in.
+    findings = lint_by_path(
+        sources, per_path,
+        lambda ctx, fns: (
+            replace(finding, message=f"[{fn.hotness}] {finding.message}")
+            for fn in sorted(fns, key=lambda f: f.line)
+            for rule in rules
+            for finding in rule.check(fn.node, ctx, fn.hotness)
+        ),
     )
+    return PerfReport(findings=findings, hot_map=hot_map)

@@ -42,6 +42,7 @@ from repro.analysis.linter import (
     Rule,
     _is_generator,
     _own_nodes,
+    _self_attr,
     register,
 )
 
@@ -585,17 +586,6 @@ _MUTATORS = frozenset(
 )
 
 
-def _self_attr(node: ast.AST) -> str | None:
-    """``self.X`` -> ``"X"`` (one level only; ``self.a.b`` returns None)."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 def _mutated_fields(stmt: ast.AST) -> dict[str, int]:
     """``self.X`` fields *stmt* (and its sub-nodes) write to — via
     direct/augmented/subscript assignment or in-place mutator calls —
@@ -822,10 +812,9 @@ class LiveWaiterIteration(Rule):
                 return
 
 
-# The PERF rules live with the hot-path analyzer; importing the module
-# registers them so --select/--ignore and --list-rules see the full catalog
-# (same pattern as the CKPT coverage rules).
-from repro.analysis import perf as _perf  # noqa: E402,F401  (registration import)
-
-# Likewise the NDF nondeterminism-provenance rules.
+# The whole-program rule families live with their analyzers; importing the
+# modules registers them so --select/--ignore and --list-rules see the full
+# catalog.  (The CKPT coverage rules register through repro.analysis.)
+from repro.analysis import ftcov as _ftcov  # noqa: E402,F401  (registration import)
 from repro.analysis import ndflow as _ndflow  # noqa: E402,F401  (registration import)
+from repro.analysis import perf as _perf  # noqa: E402,F401  (registration import)

@@ -297,7 +297,6 @@ def _cmd_report(args) -> int:
 def _cmd_lint(args) -> int:
     """Run nlint (the determinism/checkpoint-safety linter) over paths."""
     from repro.analysis.linter import all_rules, lint_paths
-    from repro.analysis.report import render_json, render_text
 
     if args.list_rules:
         for rule in all_rules():
@@ -313,19 +312,52 @@ def _cmd_lint(args) -> int:
     except FileNotFoundError as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    render = render_json if args.format == "json" else render_text
+    return _report_findings(findings, args, args.format == "json", "repro lint")
+
+
+def _report_findings(findings, args, as_json, prog) -> int:
+    """Print *findings* and return the exit status: through the
+    ``--baseline`` gate when one is given, else plain — warnings (the
+    heuristic rules) report without failing the build; only
+    error-severity findings gate CI."""
+    from repro.analysis.report import render_json, render_text
+
+    render = render_json if as_json else render_text
     if args.baseline is None:
         print(render(findings))
-        # Warnings (the heuristic RACE/ORD rules) report without failing
-        # the build; only error-severity findings gate CI.
         return 1 if any(f.severity == "error" for f in findings) else 0
     return _baseline_gate(
-        findings, args.baseline, args.update_baseline, render, "repro lint"
+        findings, args.baseline, args.update_baseline, render, prog
     )
 
 
+def _print_selfcheck(problems, dispositions, name, accounted) -> int:
+    """Print a selfcheck's dispositions table and verdict; exit status."""
+    width = max((len(item) for item in dispositions), default=0)
+    for item in sorted(dispositions):
+        print(f"  {item:<{width}}  {dispositions[item]}")
+    if problems:
+        print(f"{name} self-check FAILED:")
+        for problem in problems:
+            print(f"  - {problem}")
+        return 1
+    print(f"{name} self-check: {len(dispositions)} {accounted} accounted for.")
+    return 0
+
+
+def _selfcheck_failed(selfcheck, name) -> bool:
+    """Run *selfcheck* ahead of a lint: an unaccounted site would silently
+    shrink the audited surface, so any problem fails the lint."""
+    problems, _ = selfcheck()
+    if problems:
+        print(f"{name} self-check FAILED (run `repro {name} selfcheck`):")
+        for problem in problems:
+            print(f"  - {problem}")
+    return bool(problems)
+
+
 def _baseline_gate(findings, baseline_file, update, render, prog) -> int:
-    """Shared --baseline semantics for lint and ckptcov.
+    """Shared --baseline semantics for every finding-producing command.
 
     Errors always gate and are never baselined; warnings partition into
     new (fail) / baselined (report, pass) / stale entries (report, pass).
@@ -373,20 +405,9 @@ def _cmd_ckptcov(args) -> int:
     import json
 
     from repro.analysis.coverage import analyze_coverage, inventory_selfcheck
-    from repro.analysis.report import render_json, render_text
 
     if args.check_inventory:
-        problems, dispositions = inventory_selfcheck()
-        width = max(len(name) for name in dispositions)
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("inventory self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"inventory self-check: {len(dispositions)} class(es) accounted for.")
-        return 0
+        return _print_selfcheck(*inventory_selfcheck(), "inventory", "class(es)")
 
     try:
         report = analyze_coverage(select=args.select, ignore=args.ignore)
@@ -394,11 +415,12 @@ def _cmd_ckptcov(args) -> int:
         print(f"repro ckptcov: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    render = render_json if args.json else render_text
-    status = _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro ckptcov",
-    ) if args.baseline is not None else _plain_ckptcov(report, render)
+    status = _report_findings(report.findings, args, args.json, "repro ckptcov")
+    if args.baseline is None:
+        uncovered = sorted(report.uncovered())
+        if uncovered:
+            pairs = ", ".join(f"{c}.{f}" for c, f in uncovered)
+            print(f"repro ckptcov: uncovered field(s): {pairs}")
 
     if args.diff and not args.update_baseline:
         from repro.analysis.ckptdiff import ORACLE_WORKLOADS, run_oracle
@@ -424,44 +446,18 @@ def _cmd_ckptcov(args) -> int:
     return status
 
 
-def _plain_ckptcov(report, render) -> int:
-    print(render(report.findings))
-    uncovered = sorted(report.uncovered())
-    if uncovered:
-        pairs = ", ".join(f"{c}.{f}" for c, f in uncovered)
-        print(f"repro ckptcov: uncovered field(s): {pairs}")
-    return 1 if any(f.severity == "error" for f in report.findings) else 0
-
-
 def _cmd_perf(args) -> int:
     """Hot-path performance analyzer: PERF lint / profile / bench."""
     import json
 
     from repro.analysis.perf import analyze_perf, perf_selfcheck
-    from repro.analysis.report import render_json, render_text
-
-    render = render_json if args.json else render_text
 
     if args.action == "selfcheck":
-        problems, dispositions = perf_selfcheck()
-        width = max(len(name) for name in dispositions)
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("perf self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"perf self-check: {len(dispositions)} hot/exempt "
-              f"function(s) accounted for.")
-        return 0
+        return _print_selfcheck(*perf_selfcheck(), "perf",
+                                "hot/exempt function(s)")
 
     if args.action == "bench":
-        from repro.analysis.perfbench import (
-            check_bench,
-            run_perf_bench,
-            write_bench_json,
-        )
+        from repro.analysis.perfbench import run_perf_bench, write_bench_json
 
         report = run_perf_bench(smoke=args.smoke, seed=args.seed)
         if args.json:
@@ -479,28 +475,11 @@ def _cmd_perf(args) -> int:
         if args.out:
             write_bench_json(report, args.out)
             print(f"repro perf: wrote {args.out}")
-        if args.check:
-            try:
-                baseline = json.loads(open(args.check).read())
-            except (OSError, ValueError) as exc:
-                print(f"repro perf: cannot read {args.check}: {exc}",
-                      file=sys.stderr)
-                return 2
-            problems = check_bench(report, baseline)
-            for problem in problems:
-                print(f"repro perf: REGRESSION {problem}")
-            if problems:
-                return 1
-            print(f"repro perf: throughput within 20% of {args.check}")
-        return 0
+        return _perf_bench_gate(report, args.check) if args.check else 0
 
     # lint and profile both need the static pass; the selfcheck gates both
     # (an unreachable root would silently shrink the linted surface).
-    problems, _ = perf_selfcheck()
-    if problems:
-        print("perf self-check FAILED (run `repro perf selfcheck`):")
-        for problem in problems:
-            print(f"  - {problem}")
+    if _selfcheck_failed(perf_selfcheck, "perf"):
         return 1
     try:
         report = analyze_perf(select=args.select, ignore=args.ignore)
@@ -509,11 +488,7 @@ def _cmd_perf(args) -> int:
         return 2
 
     if args.action == "profile":
-        from repro.analysis.perfbench import (
-            check_bench,
-            crossref,
-            run_profiled_deployment,
-        )
+        from repro.analysis.perfbench import crossref, run_profiled_deployment
 
         run_ms = 400 if args.smoke else args.run_ms
         run = run_profiled_deployment(
@@ -543,12 +518,6 @@ def _cmd_perf(args) -> int:
                 print(f"  {entry['status']:<13} {entry['rule']} "
                       f"{entry['path']}:{entry['line']} ({entry['evidence']})")
         if args.check:
-            try:
-                baseline = json.loads(open(args.check).read())
-            except (OSError, ValueError) as exc:
-                print(f"repro perf: cannot read {args.check}: {exc}",
-                      file=sys.stderr)
-                return 2
             current = {
                 "workloads": {
                     run.workload: {
@@ -557,12 +526,7 @@ def _cmd_perf(args) -> int:
                     }
                 }
             }
-            problems = check_bench(current, baseline)
-            for problem in problems:
-                print(f"repro perf: REGRESSION {problem}")
-            if problems:
-                return 1
-            print(f"repro perf: throughput within 20% of {args.check}")
+            return _perf_bench_gate(current, args.check)
         return 0
 
     # action == "lint"
@@ -570,13 +534,28 @@ def _cmd_perf(args) -> int:
         for fn in report.hot_functions:
             mark = " (annotated)" if fn.declared else ""
             print(f"  {fn.hotness:<9} {fn.path}:{fn.line} {fn.qualname}{mark}")
-    if args.baseline is None:
-        print(render(report.findings))
-        return 1 if any(f.severity == "error" for f in report.findings) else 0
-    return _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro perf",
-    )
+    return _report_findings(report.findings, args, args.json, "repro perf")
+
+
+def _perf_bench_gate(current, check_file) -> int:
+    """Gate *current* events/sec against a checked-in BENCH_engine.json."""
+    import json
+
+    from repro.analysis.perfbench import check_bench
+
+    try:
+        with open(check_file) as fh:
+            baseline = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"repro perf: cannot read {check_file}: {exc}", file=sys.stderr)
+        return 2
+    problems = check_bench(current, baseline)
+    for problem in problems:
+        print(f"repro perf: REGRESSION {problem}")
+    if problems:
+        return 1
+    print(f"repro perf: throughput within 20% of {check_file}")
+    return 0
 
 
 def _cmd_ndflow(args) -> int:
@@ -584,23 +563,10 @@ def _cmd_ndflow(args) -> int:
     import json
 
     from repro.analysis.ndflow import analyze_ndflow, ndflow_selfcheck
-    from repro.analysis.report import render_json, render_text
-
-    render = render_json if args.json else render_text
 
     if args.action == "selfcheck":
-        problems, dispositions = ndflow_selfcheck()
-        width = max(len(name) for name in dispositions) if dispositions else 0
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("ndflow self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"ndflow self-check: {len(dispositions)} nondeterminism "
-              f"source(s) accounted for.")
-        return 0
+        return _print_selfcheck(*ndflow_selfcheck(), "ndflow",
+                                "nondeterminism source(s)")
 
     if args.action in ("record", "replay"):
         from repro.analysis.ndreplay import (
@@ -629,13 +595,8 @@ def _cmd_ndflow(args) -> int:
         # must have DIVERGED (the oracle proved it catches the regression).
         return 0 if report["ok"] else 1
 
-    # action == "lint" — the selfcheck gates it: an unaccounted source
-    # would silently shrink the audited surface.
-    problems, _ = ndflow_selfcheck()
-    if problems:
-        print("ndflow self-check FAILED (run `repro ndflow selfcheck`):")
-        for problem in problems:
-            print(f"  - {problem}")
+    # action == "lint"
+    if _selfcheck_failed(ndflow_selfcheck, "ndflow"):
         return 1
     try:
         report = analyze_ndflow(select=args.select, ignore=args.ignore)
@@ -643,15 +604,9 @@ def _cmd_ndflow(args) -> int:
         print(f"repro ndflow: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.inventory:
-        for src in report.inventory.sources:
-            print(f"  {src.nd_class or 'UNACCOUNTED':<11} {src.label}")
-    if args.baseline is None:
-        print(render(report.findings))
-        return 1 if any(f.severity == "error" for f in report.findings) else 0
-    return _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro ndflow",
-    )
+        for src in report.inventory.sites:
+            print(f"  {src.site_class or 'UNACCOUNTED':<11} {src.label}")
+    return _report_findings(report.findings, args, args.json, "repro ndflow")
 
 
 def _cmd_ftcov(args) -> int:
@@ -659,23 +614,10 @@ def _cmd_ftcov(args) -> int:
     import json
 
     from repro.analysis.ftcov import analyze_ftcov, ftcov_selfcheck
-    from repro.analysis.report import render_json, render_text
-
-    render = render_json if args.json else render_text
 
     if args.action == "selfcheck":
-        problems, dispositions = ftcov_selfcheck()
-        width = max(len(name) for name in dispositions) if dispositions else 0
-        for name in sorted(dispositions):
-            print(f"  {name:<{width}}  {dispositions[name]}")
-        if problems:
-            print("ftcov self-check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"ftcov self-check: {len(dispositions)} failure-surface "
-              f"site(s) accounted for.")
-        return 0
+        return _print_selfcheck(*ftcov_selfcheck(), "ftcov",
+                                "failure-surface site(s)")
 
     if args.action in ("record", "report"):
         from repro.analysis.ftreplay import format_report, run_ftcov_record
@@ -698,13 +640,8 @@ def _cmd_ftcov(args) -> int:
         # coverage gap must have been DETECTED.
         return 0 if report["ok"] else 1
 
-    # action == "lint" — the selfcheck gates it: an unaccounted site
-    # would silently shrink the audited failure surface.
-    problems, _ = ftcov_selfcheck()
-    if problems:
-        print("ftcov self-check FAILED (run `repro ftcov selfcheck`):")
-        for problem in problems:
-            print(f"  - {problem}")
+    # action == "lint"
+    if _selfcheck_failed(ftcov_selfcheck, "ftcov"):
         return 1
     try:
         report = analyze_ftcov(select=args.select, ignore=args.ignore)
@@ -713,15 +650,9 @@ def _cmd_ftcov(args) -> int:
         return 2
     if args.inventory:
         for site in report.inventory.sites:
-            print(f"  {site.ft_class or 'UNACCOUNTED':<11} "
+            print(f"  {site.site_class or 'UNACCOUNTED':<11} "
                   f"{site.path}:{site.line}  {site.label}")
-    if args.baseline is None:
-        print(render(report.findings))
-        return 1 if any(f.severity == "error" for f in report.findings) else 0
-    return _baseline_gate(
-        report.findings, args.baseline, args.update_baseline, render,
-        "repro ftcov",
-    )
+    return _report_findings(report.findings, args, args.json, "repro ftcov")
 
 
 def _cmd_analyze(args) -> int:
@@ -1053,6 +984,24 @@ def _cmd_hycor(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _add_finding_options(parser, family: str, debt: str) -> None:
+    """The rule-selection, baseline and output options every analyzer
+    subcommand shares (``repro <name> ... --baseline <name>-baseline.json``)."""
+    name = parser.prog.rsplit(" ", 1)[-1]
+    parser.add_argument("--select", action="append", default=None,
+                        metavar="RULE",
+                        help=f"emit only these {family} rule IDs (repeatable)")
+    parser.add_argument("--ignore", action="append", default=None,
+                        metavar="RULE",
+                        help=f"skip these {family} rule IDs (repeatable)")
+    parser.add_argument("--baseline", metavar="FILE", default=None,
+                        help=f"{debt} baseline (see {name}-baseline.json)")
+    parser.add_argument("--update-baseline", action="store_true",
+                        help="rewrite --baseline FILE from current warnings")
+    parser.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1118,16 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint state-coverage analyzer (CKPT1xx + "
              "checkpoint/restore differential oracle)",
     )
-    ckptcov.add_argument("--select", action="append", default=None,
-                         metavar="RULE",
-                         help="emit only these CKPT rule IDs (repeatable)")
-    ckptcov.add_argument("--ignore", action="append", default=None,
-                         metavar="RULE",
-                         help="skip these CKPT rule IDs (repeatable)")
-    ckptcov.add_argument("--baseline", metavar="FILE", default=None,
-                         help="known-gap baseline (see ckptcov-baseline.json)")
-    ckptcov.add_argument("--update-baseline", action="store_true",
-                         help="rewrite --baseline FILE from current warnings")
+    _add_finding_options(ckptcov, "CKPT", "known-gap")
     ckptcov.add_argument("--diff", action="store_true",
                          help="also run the checkpoint->restore->deep-compare "
                               "differential oracle on live workloads")
@@ -1135,8 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="oracle workload(s) (repeatable; default: one "
                               "per workload family)")
     ckptcov.add_argument("--seed", type=int, default=1)
-    ckptcov.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON")
     ckptcov.add_argument("--check-inventory", action="store_true",
                          help="verify every kernel/net class is accounted "
                               "for by the inventory and exit")
@@ -1148,14 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument("action", nargs="?", default="lint",
                       choices=("lint", "profile", "bench", "selfcheck"))
-    perf.add_argument("--select", action="append", default=None, metavar="RULE",
-                      help="emit only these PERF rule IDs (repeatable)")
-    perf.add_argument("--ignore", action="append", default=None, metavar="RULE",
-                      help="skip these PERF rule IDs (repeatable)")
-    perf.add_argument("--baseline", metavar="FILE", default=None,
-                      help="known-debt baseline (see perf-baseline.json)")
-    perf.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline FILE from current warnings")
+    _add_finding_options(perf, "PERF", "known-debt")
     perf.add_argument("--hot", action="store_true",
                       help="lint: also print the hot-function classification")
     perf.add_argument("--workload", default="net",
@@ -1171,8 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="gate events/sec against a checked-in "
                            "BENCH_engine.json (fail on >20%% drop)")
     perf.add_argument("--seed", type=int, default=1)
-    perf.add_argument("--json", action="store_true",
-                      help="emit machine-readable JSON")
 
     ndflow = sub.add_parser(
         "ndflow",
@@ -1181,16 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ndflow.add_argument("action", nargs="?", default="lint",
                         choices=("lint", "record", "replay", "selfcheck"))
-    ndflow.add_argument("--select", action="append", default=None,
-                        metavar="RULE",
-                        help="emit only these NDF rule IDs (repeatable)")
-    ndflow.add_argument("--ignore", action="append", default=None,
-                        metavar="RULE",
-                        help="skip these NDF rule IDs (repeatable)")
-    ndflow.add_argument("--baseline", metavar="FILE", default=None,
-                        help="known-finding baseline (see ndflow-baseline.json)")
-    ndflow.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from current warnings")
+    _add_finding_options(ndflow, "NDF", "known-finding")
     ndflow.add_argument("--inventory", action="store_true",
                         help="lint: also print the classified nondeterminism"
                              "-source inventory")
@@ -1207,8 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "every cell diverges")
     ndflow.add_argument("--smoke", action="store_true",
                         help="reduced CI matrix: net workload, seeds 1 2")
-    ndflow.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
 
     ftcov = sub.add_parser(
         "ftcov",
@@ -1218,24 +1136,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ftcov.add_argument("action", nargs="?", default="lint",
                        choices=("lint", "record", "report", "selfcheck"))
-    ftcov.add_argument("--select", action="append", default=None,
-                       metavar="RULE",
-                       help="emit only these FTC rule IDs (repeatable)")
-    ftcov.add_argument("--ignore", action="append", default=None,
-                       metavar="RULE",
-                       help="skip these FTC rule IDs (repeatable)")
-    ftcov.add_argument("--baseline", metavar="FILE", default=None,
-                       help="known-finding baseline (see ftcov-baseline.json)")
-    ftcov.add_argument("--update-baseline", action="store_true",
-                       help="rewrite --baseline FILE from current warnings")
+    _add_finding_options(ftcov, "FTC", "known-finding")
     ftcov.add_argument("--inventory", action="store_true",
                        help="lint: also print the classified failure-surface "
                             "inventory")
     ftcov.add_argument("--knob", choices=("drop-scenario",), default=None,
                        help="record: drop UNSAFE_DROP_SCENARIO from the "
                             "catalog; exit 0 iff the coverage gap is caught")
-    ftcov.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
     ftcov.add_argument("--json-out", default=None, metavar="FILE",
                        help="record: also write the coverage matrix here")
 

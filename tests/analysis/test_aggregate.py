@@ -5,7 +5,7 @@ paying for a full ``run_all`` (the individual steps are each covered by
 their own suites and by CI's ``make analyze``).
 """
 
-from repro.analysis.aggregate import _BASELINES, STEPS, collect_findings
+from repro.analysis.aggregate import STATIC_PASSES, STEPS, collect_findings
 
 
 def test_steps_cover_all_six_analyzers_plus_hycor_gate():
@@ -29,14 +29,20 @@ def test_ftcov_steps_mirror_the_make_target():
     assert ("ftcov", "selfcheck") in ftcov_smoke
     assert ("ftcov", "lint", "--baseline", "ftcov-baseline.json") in \
         ftcov_smoke
-    assert ("ftcov", "record") in ftcov_smoke
+    # CI runs no separate ftcov step: this one writes the coverage matrix
+    # the workflow uploads as an artifact.
+    assert ("ftcov", "record", "--json-out", "coverage-matrix.json") in \
+        ftcov_smoke
     assert ("ftcov", "record", "--knob", "drop-scenario") in ftcov_smoke
 
 
 def test_every_static_pass_has_a_baseline_entry():
-    assert set(_BASELINES) == {"nlint", "ckptcov", "perf", "ndflow",
-                               "ftcov"}
-    assert _BASELINES["ftcov"] == "ftcov-baseline.json"
+    baselines = {analyzer: baseline
+                 for analyzer, _, baseline in STATIC_PASSES}
+    assert set(baselines) == {"nlint", "ckptcov", "perf", "ndflow", "ftcov"}
+    assert baselines["nlint"] is None
+    for analyzer in ("ckptcov", "perf", "ndflow", "ftcov"):
+        assert baselines[analyzer] == f"{analyzer}-baseline.json"
 
 
 def test_merged_findings_tag_the_ftcov_knob_as_baselined():

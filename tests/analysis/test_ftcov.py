@@ -12,17 +12,18 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.ftcov import (
+    FTCOV_SCOPE,
     analyze_ftcov,
     build_ft_inventory,
     ftcov_selfcheck,
-    load_ftcov_sources,
 )
+from repro.analysis.inventory import load_sources
 
 _SCOPE = "replication/zz_scope.py"
 
 
 def inventory(code, path=_SCOPE):
-    sources = load_ftcov_sources({path: textwrap.dedent(code)})
+    sources = load_sources(FTCOV_SCOPE, {path: textwrap.dedent(code)})
     inv = build_ft_inventory(sources)
     return [s for s in inv.sites if s.path.endswith(path)]
 
@@ -34,7 +35,7 @@ def findings(code, select=None, path=_SCOPE):
 
 
 def selfcheck_problems(code, path=_SCOPE):
-    sources = load_ftcov_sources({path: textwrap.dedent(code)})
+    sources = load_sources(FTCOV_SCOPE, {path: textwrap.dedent(code)})
     problems, _ = ftcov_selfcheck(sources)
     return [p for p in problems if path in p]
 
@@ -57,7 +58,7 @@ def test_hooked_handler_is_auto_exercised():
     assert site.kind == "handler"
     assert site.hook == "zz.recover"
     assert site.broad
-    assert site.ft_class == "exercised"
+    assert site.site_class == "exercised"
     assert site.accounted
 
 
@@ -147,32 +148,12 @@ def test_deadline_free_wait_loop_needs_annotation():
         """
     )
     assert site.kind == "loop"
-    assert site.ft_class is None
+    assert site.site_class is None
 
 
 # --------------------------------------------------------------------------- #
 # Layer 1.5: selfcheck rejections                                             #
 # --------------------------------------------------------------------------- #
-
-
-def test_selfcheck_rejects_unknown_vocabulary():
-    problems = selfcheck_problems(
-        """
-        def zz_wait(engine, flag):
-            while not flag.done:  # ft: bogus -- not a class
-                yield engine.timeout(5)
-        """
-    )
-    assert any("unknown ft class 'bogus'" in p for p in problems)
-
-
-def test_selfcheck_rejects_orphan_annotation():
-    problems = selfcheck_problems(
-        """
-        ZZ_PLAIN = 1  # ft: defensive -- classifies nothing
-        """
-    )
-    assert any("annotation is not on an inventoried" in p for p in problems)
 
 
 def test_selfcheck_rejects_unaccounted_site():
@@ -380,7 +361,7 @@ def test_real_tree_selfcheck_is_clean():
 
 
 def test_real_tree_every_point_site_is_registered():
-    inv = build_ft_inventory(load_ftcov_sources())
+    inv = build_ft_inventory(load_sources(FTCOV_SCOPE))
     point_sites = [s for s in inv.sites if s.kind == "point-site"]
     assert len(point_sites) >= 13
     assert all(s.registered for s in point_sites)
@@ -388,7 +369,7 @@ def test_real_tree_every_point_site_is_registered():
 
 
 def test_real_tree_every_registered_point_is_armed():
-    inv = build_ft_inventory(load_ftcov_sources())
+    inv = build_ft_inventory(load_sources(FTCOV_SCOPE))
     registry_sites = [s for s in inv.sites if s.kind == "point"]
     assert {s.name for s in registry_sites} == inv.registry
     assert all(s.name in inv.armed_points for s in registry_sites)

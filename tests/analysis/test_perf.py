@@ -9,17 +9,19 @@ on the actual package, including the regression probe: the
 
 import textwrap
 
+from repro.analysis.inventory import load_sources
 from repro.analysis.perf import (
     DEFAULT_ROOTS,
+    PERF_SCOPE_FILES,
     analyze_perf,
     build_hot_map,
-    load_perf_sources,
     perf_selfcheck,
 )
 
 
 def classify(code, roots):
-    sources = load_perf_sources({"sim/engine.py": textwrap.dedent(code)})
+    sources = load_sources(
+        PERF_SCOPE_FILES, {"sim/engine.py": textwrap.dedent(code)})
     return build_hot_map(sources, roots)
 
 
@@ -33,7 +35,8 @@ def analyze(code, roots, select=None):
 
 
 def selfcheck(code, roots):
-    sources = load_perf_sources({"sim/engine.py": textwrap.dedent(code)})
+    sources = load_sources(
+        PERF_SCOPE_FILES, {"sim/engine.py": textwrap.dedent(code)})
     return perf_selfcheck(sources, roots)
 
 
@@ -179,25 +182,6 @@ def test_selfcheck_flags_unreachable_root():
     problems, _ = selfcheck("def zz_fn():\n    pass\n",
                             roots=(("zz_missing_root", "per-event"),))
     assert any("zz_missing_root" in p for p in problems)
-
-
-def test_selfcheck_flags_unknown_vocabulary():
-    problems, _ = selfcheck(
-        "def zz_fn():  # hot: blazing -- not a class\n    pass\n", roots=()
-    )
-    assert any("blazing" in p for p in problems)
-
-
-def test_selfcheck_flags_misplaced_annotation():
-    problems, _ = selfcheck(
-        """
-        def zz_fn():
-            x = 1
-            return x  # hot: per-event -- not on a def header
-        """,
-        roots=(),
-    )
-    assert any("not on a function def header" in p for p in problems)
 
 
 def test_selfcheck_flags_understated_annotation():

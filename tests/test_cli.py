@@ -77,6 +77,31 @@ def test_lint_unknown_rule_exits_two(capsys):
     assert main(["lint", "--select", "NOPE999", "src"]) == 2
 
 
+def test_lint_list_rules_covers_every_analyzer_family(capsys):
+    from repro.analysis.coverage import COVERAGE_RULE_IDS
+    from repro.analysis.ftcov import FTCOV_RULE_IDS
+    from repro.analysis.ndflow import NDFLOW_RULE_IDS
+    from repro.analysis.perf import PERF_RULE_IDS
+
+    assert main(["lint", "--list-rules"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    for ids in (COVERAGE_RULE_IDS, PERF_RULE_IDS, NDFLOW_RULE_IDS,
+                FTCOV_RULE_IDS):
+        assert set(ids) <= listed
+
+
+@pytest.mark.parametrize("argv", [
+    ["ckptcov", "--select", "PERF001"],
+    ["perf", "lint", "--select", "NDF001"],
+    ["ndflow", "lint", "--select", "PERF001"],
+    ["ftcov", "lint", "--select", "PERF001"],
+], ids=["ckptcov", "perf", "ndflow", "ftcov"])
+def test_analyzer_rejects_rule_ids_of_another_family(argv, capsys):
+    # Another analyzer's rule would otherwise silently lint nothing.
+    assert main(argv) == 2
+    assert "unknown rule id(s)" in capsys.readouterr().err
+
+
 def test_audit_command(capsys):
     assert main(["audit", "net", "--run-ms", "400"]) == 0
     out = capsys.readouterr().out
