@@ -204,6 +204,30 @@ class StateAuditor:
                     )
                 )
 
+        # The find_vma index and the kept heap are derived from the list.
+        starts = [vma.start for vma in vmas]
+        if mm.vma_starts != starts:
+            found.append(
+                Violation(
+                    invariant="vma",
+                    subject=mm.name,
+                    message="VMA start index disagrees with the VMA list",
+                    expected=starts,
+                    actual=list(mm.vma_starts),
+                )
+            )
+        heap = next((vma for vma in vmas if vma.kind == "heap"), None)
+        if mm.heap_vma is not heap:
+            found.append(
+                Violation(
+                    invariant="vma",
+                    subject=mm.name,
+                    message="kept heap VMA is not the first heap mapping",
+                    expected=heap,
+                    actual=mm.heap_vma,
+                )
+            )
+
         # Every resident page must be inside some VMA.
         mapped = set()
         for vma in vmas:

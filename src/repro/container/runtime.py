@@ -122,10 +122,10 @@ class Container:
     @property
     def heap_vma(self) -> Vma:
         """Heap of the first process (workload convenience)."""
-        return next(v for v in self.processes[0].mm.vmas if v.kind == "heap")
+        return self.processes[0].mm.heap_vma
 
     def heap_vma_of(self, process: Process) -> Vma:
-        return next(v for v in process.mm.vmas if v.kind == "heap")
+        return process.mm.heap_vma
 
     @property
     def tasks(self) -> list[Task]:
@@ -293,7 +293,8 @@ class Container:
         self.kernel.ftrace.trace("cgroup_write", self, key)
 
     def mmap_file(self, process: Process, path: str, n_pages: int) -> Vma:
-        start = max((v.end for v in process.mm.vmas), default=0x100) + 16
+        vmas = process.mm.vmas  # sorted and disjoint: the last one ends highest
+        start = (vmas[-1].end if vmas else 0x100) + 16
         vma = process.mm.mmap(Vma(start=start, n_pages=n_pages, kind="file", file_path=path))
         self.kernel.ftrace.trace("do_mmap_file", self, path)
         return vma

@@ -20,10 +20,18 @@ Dirty tracking supports the two mechanisms the paper contrasts:
 Both report the same dirty sets; they differ only in the per-fault cost that
 :class:`AddressSpace` accumulates in :attr:`AddressSpace.pending_fault_us`,
 which the workload driver charges as simulated time.
+
+Every page access resolves its VMA, so :class:`AddressSpace` indexes its
+sorted, disjoint VMA list: a parallel list of VMA starts turns
+:meth:`AddressSpace.find_vma` into one ``bisect`` plus an end check, and the
+first heap mapping is kept at hand for workloads that address it per key.
+Only :meth:`~AddressSpace.mmap` and :meth:`~AddressSpace.munmap` change the
+list, and both maintain the index; restore rebuilds it through ``mmap``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
@@ -56,9 +64,6 @@ class Vma:
     @property
     def end(self) -> int:
         return self.start + self.n_pages
-
-    def contains(self, page_idx: int) -> bool:
-        return self.start <= page_idx < self.end
 
     def overlaps(self, other: "Vma") -> bool:
         return self.start < other.end and other.start < self.end
@@ -102,6 +107,10 @@ class AddressSpace:
         self.costs = costs  # ckpt: derived -- host infrastructure handle
         self.name = name  # ckpt: derived -- rebuilt from container/comm at restore
         self.vmas: list[Vma] = []
+        #: ``vmas[i].start`` for every i: the bisect index of find_vma.
+        self.vma_starts: list[int] = []  # ckpt: derived -- rebuilt by mmap as restore re-maps the VMA list
+        #: The first ``kind == "heap"`` mapping, or ``None``.
+        self.heap_vma: Vma | None = None  # ckpt: derived -- rebuilt by mmap as restore re-maps the VMA list
         #: Resident pages: page index -> content token.
         self.pages: dict[int, bytes] = {}
         self._tracking = _TrackingState()  # ckpt: ephemeral -- restarted fresh after restore
@@ -129,23 +138,33 @@ class AddressSpace:
 
     # -- mapping ----------------------------------------------------------
     def mmap(self, vma: Vma) -> Vma:
-        """Map a new VMA; rejects overlap with an existing one."""
-        for existing in self.vmas:
+        """Map a new VMA; rejects an empty one and overlap with an existing one."""
+        if vma.n_pages < 1:
+            raise AddressError(f"{self.name}: empty VMA at page {vma.start}")
+        pos = bisect_right(self.vma_starts, vma.start)
+        # The list is sorted and disjoint, so only the two neighbours of the
+        # insertion point can overlap the new VMA.
+        for existing in self.vmas[max(pos - 1, 0) : pos + 1]:
             if existing.overlaps(vma):
                 raise AddressError(
                     f"{self.name}: VMA [{vma.start},{vma.end}) overlaps "
                     f"[{existing.start},{existing.end})"
                 )
-        self.vmas.append(vma)
-        self.vmas.sort(key=lambda v: v.start)
+        self.vmas.insert(pos, vma)
+        self.vma_starts.insert(pos, vma.start)
+        if vma.kind == "heap" and (self.heap_vma is None or vma.start < self.heap_vma.start):
+            self.heap_vma = vma
         return vma
 
     def munmap(self, vma: Vma) -> None:
         """Unmap *vma* and drop its resident pages."""
-        try:
-            self.vmas.remove(vma)
-        except ValueError:
-            raise AddressError(f"{self.name}: munmap of unmapped VMA") from None
+        pos = bisect_left(self.vma_starts, vma.start)
+        if pos == len(self.vmas) or self.vmas[pos] != vma:
+            raise AddressError(f"{self.name}: munmap of unmapped VMA")
+        removed = self.vmas.pop(pos)
+        del self.vma_starts[pos]
+        if removed is self.heap_vma:
+            self.heap_vma = next((v for v in self.vmas if v.kind == "heap"), None)
         for idx in range(vma.start, vma.end):
             self.pages.pop(idx, None)
             self._tracking.dirty.discard(idx)
@@ -153,8 +172,10 @@ class AddressSpace:
                 self.audit_hook.page_unmapped(idx)
 
     def find_vma(self, page_idx: int) -> Vma:
-        for vma in self.vmas:
-            if vma.contains(page_idx):
+        pos = bisect_right(self.vma_starts, page_idx) - 1
+        if pos >= 0:
+            vma = self.vmas[pos]
+            if page_idx < vma.start + vma.n_pages:
                 return vma
         raise AddressError(f"{self.name}: page {page_idx} is not mapped")
 

@@ -112,6 +112,20 @@ class TestStructuralInvariants:
         found = auditor.audit_epoch(FakeContainer(mm))
         assert any(v.invariant == "vma" for v in found)
 
+    def test_vma_index_and_kept_heap_checked(self):
+        mm = make_mm()
+        mm.mmap(Vma(start=100, n_pages=8, kind="anon"))
+        auditor = StateAuditor(raise_on_violation=False)
+        assert auditor.audit_epoch(FakeContainer(mm)) == []
+        mm.vma_starts[1] = 104  # inject: index drifts from the list
+        mm.heap_vma = mm.vmas[1]  # inject: kept heap is not the heap
+        found = auditor.audit_epoch(FakeContainer(mm))
+        messages = {v.message for v in found if v.invariant == "vma"}
+        assert messages == {
+            "VMA start index disagrees with the VMA list",
+            "kept heap VMA is not the first heap mapping",
+        }
+
     def test_fd_key_mismatch_detected(self):
         mm = make_mm()
         container = FakeContainer(mm)

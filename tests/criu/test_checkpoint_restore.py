@@ -197,17 +197,8 @@ def test_image_size_dominated_by_pages(world):
     assert page_bytes / image.size_bytes() > 0.85  # paper: 85%-95%+
 
 
-def test_restore_roundtrip_memory_and_threads(world):
-    _rt, container = make_container(world)
-    proc = container.processes[0]
-    heap = container.heap_vma
-    proc.mm.write(heap.start + 7, b"survives")
-    proc.tasks[1].registers["rip"] = 0xDEAD
-    proc.tasks[1].signal_mask = 0xFF
-
-    engine = CheckpointEngine(world.primary.kernel)
-    image = checkpoint_frozen(world, container, engine, incremental=False)
-
+def restore_on_backup(world, container, image):
+    """Restore a full *image* of *container* on the backup host."""
     backup_rt = ContainerRuntime(world.backup.kernel, world.bridge)
     world.backup.kernel.add_block_device("vdb")
     world.backup.kernel.mkfs("vdb", "datafs")
@@ -235,7 +226,20 @@ def test_restore_roundtrip_memory_and_threads(world):
         restored = yield from restore.restore(backup_rt, state)
         return restored
 
-    restored = run_gen(world, driver())
+    return run_gen(world, driver())
+
+
+def test_restore_roundtrip_memory_and_threads(world):
+    _rt, container = make_container(world)
+    proc = container.processes[0]
+    heap = container.heap_vma
+    proc.mm.write(heap.start + 7, b"survives")
+    proc.tasks[1].registers["rip"] = 0xDEAD
+    proc.tasks[1].signal_mask = 0xFF
+
+    engine = CheckpointEngine(world.primary.kernel)
+    image = checkpoint_frozen(world, container, engine, incremental=False)
+    restored = restore_on_backup(world, container, image)
     rproc = restored.processes[0]
     assert rproc.mm.read(heap.start + 7) == b"survives"
     assert rproc.tasks[1].registers["rip"] == 0xDEAD
@@ -243,3 +247,24 @@ def test_restore_roundtrip_memory_and_threads(world):
     assert rproc.n_threads == 4
     assert restored.veth.bridge is None  # still detached (input blocked)
     assert restored.cgroup.attributes["cpu.shares"] == 512
+
+
+def test_restore_rebuilds_vma_index_and_heap(world):
+    """The find_vma index and the kept heap are derived state: restore
+    rebuilds both from mm.img, so they match the restored VMA list."""
+    _rt, container = make_container(world)
+    proc = container.processes[0]
+    container.mmap_file(proc, "/data/blob", 16)
+    heap = container.heap_vma
+    proc.mm.write(heap.start + 2, b"heap-page")
+
+    engine = CheckpointEngine(world.primary.kernel)
+    image = checkpoint_frozen(world, container, engine, incremental=False)
+    restored = restore_on_backup(world, container, image)
+    mm = restored.processes[0].mm
+    assert mm.vma_starts == [v.start for v in mm.vmas]
+    assert mm.describe_vmas() == proc.mm.describe_vmas()
+    assert restored.heap_vma in mm.vmas
+    assert restored.heap_vma.describe() == heap.describe()
+    assert mm.find_vma(heap.start + 2) is restored.heap_vma
+    assert mm.read(heap.start + 2) == b"heap-page"

@@ -35,6 +35,20 @@ def test_vma_overlap_rejected(mm):
         mm.mmap(Vma(start=50, n_pages=10))
 
 
+def test_empty_vma_rejected(mm):
+    """A zero-length mapping covers no page; like mmap(2) with length 0,
+    it is refused."""
+    with pytest.raises(AddressError, match="empty VMA"):
+        mm.mmap(Vma(start=200, n_pages=0))
+    assert mm.vma_starts == [0]
+
+
+def test_overlap_error_names_first_overlapped_vma(mm):
+    mm.mmap(Vma(start=120, n_pages=10))
+    with pytest.raises(AddressError, match=r"\[95,125\) overlaps \[0,100\)"):
+        mm.mmap(Vma(start=95, n_pages=30))
+
+
 def test_munmap_drops_pages(mm):
     vma = mm.mmap(Vma(start=200, n_pages=10))
     mm.write(205, b"gone")

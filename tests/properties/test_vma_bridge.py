@@ -1,5 +1,6 @@
 """Properties of VMA overlap detection and bridge serialization."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,30 +10,52 @@ from repro.kernel.mm import AddressSpace, Vma
 from repro.kernel.netdev import Bridge, NetDevice, Packet
 from repro.sim import Engine
 
-vma_strategy = st.tuples(st.integers(0, 200), st.integers(1, 40))
+#: ("map", start, n_pages, is_heap) or ("unmap", pick): pick chooses which
+#: live VMA to unmap, modulo the number mapped.
+mmap_step = st.tuples(
+    st.just("map"), st.integers(0, 200), st.integers(1, 40), st.booleans()
+)
+munmap_step = st.tuples(st.just("unmap"), st.integers(0, 1000))
+
+
+def _check_index(space: AddressSpace) -> None:
+    """find_vma and the kept heap agree with a brute-force scan of the list."""
+    for idx in range(260):
+        owners = [v for v in space.vmas if v.start <= idx < v.end]
+        assert len(owners) <= 1  # no page belongs to two VMAs
+        if owners:
+            assert space.find_vma(idx) is owners[0]
+        else:
+            with pytest.raises(AddressError):
+                space.find_vma(idx)
+    heaps = [v for v in space.vmas if v.kind == "heap"]
+    assert space.heap_vma is (heaps[0] if heaps else None)
 
 
 @settings(max_examples=100, deadline=None)
-@given(vmas=st.lists(vma_strategy, max_size=12))
-def test_mapped_vmas_never_overlap(vmas):
-    """Whatever mmap sequence is attempted, accepted VMAs are disjoint and
-    rejected ones genuinely overlapped an accepted one."""
+@given(steps=st.lists(st.one_of(mmap_step, munmap_step), max_size=16))
+def test_mapped_vmas_never_overlap(steps):
+    """Whatever mmap/munmap sequence is attempted, accepted VMAs are
+    disjoint, rejected ones genuinely overlapped a live one, and after
+    every step each page resolves exactly as a scan of the list says."""
     space = AddressSpace(CostModel())
-    accepted: list[Vma] = []
-    for start, n_pages in vmas:
-        candidate = Vma(start=start, n_pages=n_pages)
-        try:
-            space.mmap(candidate)
-            accepted.append(candidate)
-        except AddressError:
-            assert any(candidate.overlaps(v) for v in accepted)
-    for i, a in enumerate(accepted):
-        for b in accepted[i + 1:]:
+    live: list[Vma] = []
+    for step in steps:
+        if step[0] == "map":
+            _, start, n_pages, is_heap = step
+            candidate = Vma(start=start, n_pages=n_pages, kind="heap" if is_heap else "anon")
+            try:
+                space.mmap(candidate)
+                live.append(candidate)
+            except AddressError:
+                assert any(candidate.overlaps(v) for v in live)
+        elif live:
+            space.munmap(live.pop(step[1] % len(live)))
+        assert sorted(map(id, space.vmas)) == sorted(map(id, live))
+        _check_index(space)
+    for i, a in enumerate(live):
+        for b in live[i + 1:]:
             assert not a.overlaps(b)
-    # Every accepted page is findable; no page belongs to two VMAs.
-    for vma in accepted:
-        for idx in range(vma.start, vma.end):
-            assert space.find_vma(idx) is vma
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for the framing protocol, including hypothesis round-trips."""
 
+import ast
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,12 +63,69 @@ def test_property_concatenated_frames_parse_in_order(bodies):
     assert out == bodies and stream == b""
 
 
+_STRING_CHARS = st.sampled_from("'\"\\\n\x00\t\x7féß€😀 aZ09") | st.characters()
+_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(min_value=10**20),
+    st.integers(max_value=-(10**20)),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, -1e16, 1.5e-7, 0.1]),
+    st.text(_STRING_CHARS, max_size=20),
+    st.binary(max_size=20),
+    st.sampled_from([bytes(range(256)), bytes(range(255, -1, -1))]),
+)
+_KEYS = st.one_of(st.integers(), st.text(_STRING_CHARS, max_size=8), st.booleans())
+
+
 @given(
     st.recursive(
-        st.one_of(st.integers(), st.text(max_size=20), st.none(), st.binary(max_size=20)),
-        lambda children: st.lists(children, max_size=4).map(tuple),
+        _SCALARS,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4),
+            st.dictionaries(_KEYS, children, max_size=4),
+        ),
         max_leaves=12,
     )
 )
 def test_property_encode_decode_roundtrip(obj):
-    assert protocol.decode_body(protocol.encode_body(obj)) == obj
+    """The strict decoder agrees with ``ast.literal_eval`` type-exactly
+    (``True`` is not ``1``, a tuple is not a list) on everything
+    ``encode_body`` is given."""
+    body = protocol.encode_body(obj)
+    assert repr(protocol.decode_body(body)) == repr(ast.literal_eval(body.decode()))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"",  # empty body
+        b"(1, 2",  # unbalanced: unclosed
+        b"[1, 2)",  # unbalanced: wrong closer
+        b"[1]]",  # unbalanced: extra closer
+        b"[1 2]",  # missing separator
+        b"[1, , 2]",  # extra separator
+        b"[1, ]",  # dangling separator
+        b"(1, 2,)",  # trailing comma only in a one-element tuple
+        b"(1)",  # one-element tuple without its comma
+        b"{1: 2, 3}",  # dict key without a value
+        b"{1, 2}",  # set
+        b"[1: 2]",  # ': ' outside a dict
+        b"{1: 2: 3: 4}",  # ': ' after a dict value
+        b"1, 2",  # bare top-level tuple
+        b"[1] x",  # trailing data
+        b"'a' 'b'",  # implicit concatenation
+        b"foo",  # bare name
+        b"inf",  # bare name
+        b"1j",  # complex
+        b"007",  # leading zeros
+        b"'\\N{no such name}'",  # bad escape in an escaped token
+        "b'é'".encode(),  # non-ASCII bytes literal
+        b"'a\x00b'",  # raw NUL
+    ],
+)
+def test_malformed_bodies_rejected(body):
+    with pytest.raises(ValueError):
+        protocol.decode_body(body)
