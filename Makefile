@@ -53,7 +53,10 @@ ckptcov-smoke:
 # Hot-path performance analyzer: annotation/root self-check, PERF lint
 # against the checked-in known-debt baseline, a deterministic profiled run
 # cross-referencing every finding, and the full wall-clock bench gated
-# against the checked-in BENCH_engine.json.
+# against the checked-in BENCH_engine.json.  All four BENCH_*.json files
+# share one schema (repro.metrics.benchfile) and one `--check` gate: a
+# gated metric may move at most 20% the wrong way, and the run must pass
+# its own checks (here: same-seed determinism, fast-path speedup).
 perf:
 	PYTHONPATH=src $(PYTHON) -m repro perf selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro perf lint --baseline perf-baseline.json
@@ -61,7 +64,7 @@ perf:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --check BENCH_engine.json
 
 # CI subset: baselined lint (selfcheck is implicit) + one bounded profiled
-# workload with the 20% events/sec regression gate.
+# workload, and the smoke bench gated on the 20% events/sec band.
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro perf lint --baseline perf-baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro perf profile --smoke
@@ -140,17 +143,20 @@ faultcampaign-smoke:
 
 # Fleet orchestration: every controller-fault scenario, then the full
 # acceptance campaign (12 members / 6 hosts, sequential + concurrent host
-# loss, replayed twice for digest determinism) and the scaling benches.
+# loss, replayed twice for digest determinism) and the scaling benches
+# gated against the checked-in BENCH_fleet.json.
 fleet:
 	PYTHONPATH=src $(PYTHON) -m repro fleet scenario
 	PYTHONPATH=src $(PYTHON) -m repro fleet campaign
-	PYTHONPATH=src $(PYTHON) -m repro fleet bench
+	PYTHONPATH=src $(PYTHON) -m repro fleet bench --check BENCH_fleet.json
 
-# CI subset: all scenarios + the reduced campaign and bench.
+# CI subset: all scenarios + the reduced campaign, and the first two cells
+# of each bench sweep (run at full-run parameters, so they equal the same
+# cells of BENCH_fleet.json) under the same gate.
 fleet-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fleet scenario
 	PYTHONPATH=src $(PYTHON) -m repro fleet campaign --smoke
-	PYTHONPATH=src $(PYTHON) -m repro fleet bench --smoke
+	PYTHONPATH=src $(PYTHON) -m repro fleet bench --smoke --check BENCH_fleet.json
 
 # Regenerate the checked-in BENCH_fleet.json (review the diff!).
 fleet-bench:
@@ -163,7 +169,8 @@ traffic:
 	PYTHONPATH=src $(PYTHON) -m repro traffic campaign
 	PYTHONPATH=src $(PYTHON) -m repro traffic bench --check BENCH_traffic.json
 
-# CI subset: the reduced campaign + the same SLO regression gate.
+# CI subset: the reduced campaign + the same SLO regression gate (p99 and
+# throughput per profile, 20% band).
 traffic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro traffic campaign --smoke
 	PYTHONPATH=src $(PYTHON) -m repro traffic bench --check BENCH_traffic.json

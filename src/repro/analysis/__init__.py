@@ -77,7 +77,6 @@ from repro.analysis.perf import (
 )
 from repro.analysis.perfbench import (
     ProfiledRun,
-    check_bench,
     crossref,
     run_perf_bench,
     run_profiled_deployment,
@@ -116,7 +115,6 @@ __all__ = [
     "apply_baseline",
     "build_hot_map",
     "build_inventory",
-    "check_bench",
     "compare_containers",
     "crossref",
     "fingerprint",

@@ -17,8 +17,11 @@ Two jobs, deliberately separated:
   (engine run() fast path vs the legacy peek/step loop, the page-digest
   generation cache vs the ``perf_unoptimized_digest`` re-hash-everything
   knob, the host-pool occupancy index vs the ``_load_scan`` reference).
-  The result is ``BENCH_engine.json``; :func:`check_bench` is the CI gate
-  that fails on a >20% events/sec regression against it.
+  The result is ``BENCH_engine.json`` in the one bench schema
+  (:mod:`repro.metrics.benchfile`), whose gate fails on a >20% events/sec
+  regression against it.  Checks that need no baseline (same-seed
+  determinism, the fast path's speedup, the pool index's equivalence)
+  fold into the report's ``ok``.
 
 The wall clock is banned from ``src`` by DET001 (seed replay); the single
 suppressed :func:`_wall` call below is this module's only exemption, and
@@ -28,29 +31,23 @@ profiler counters.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.linter import Finding
+from repro.metrics import benchfile
 from repro.sim.profiler import counter_digest, install_profiler
 from repro.sim.units import ms
 
 __all__ = [
-    "BENCH_SCHEMA",
     "HOT_THRESHOLD",
     "PERF_BENCH_WORKLOADS",
     "ProfiledRun",
-    "check_bench",
     "crossref",
     "run_perf_bench",
     "run_profiled_deployment",
-    "write_bench_json",
 ]
-
-BENCH_SCHEMA = "repro.bench.engine/v1"
 
 #: Catalog workloads the full bench measures (smoke uses the first only).
 PERF_BENCH_WORKLOADS = ("net", "redis", "streamcluster")
@@ -388,8 +385,25 @@ def _bench_fleet(smoke: bool, seed: int) -> dict[str, Any]:
     }
 
 
+#: Per-workload metrics: (field, unit, gate).  Only events/sec is gated.
+_WORKLOAD_METRICS = (
+    ("events", "events", {}),
+    ("sim_us", "us", {}),
+    ("wall_s", "s", {}),
+    ("events_per_sec", "events/s", {"better": "higher"}),
+    ("pages_digested", "pages", {}),
+    ("pages_digested_per_sec", "pages/s", {}),
+)
+
+_FLEET_CAMPAIGN_METRICS = (
+    ("trace_events", "events"),
+    ("wall_s", "s"),
+    ("trace_events_per_sec", "events/s"),
+)
+
+
 def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
-    """Produce the full BENCH_engine.json report dict.
+    """Produce the BENCH_engine.json report.
 
     Smoke keeps the simulated run length (so workload rates stay comparable
     to the checked-in full bench) but runs one workload only — streamcluster,
@@ -398,13 +412,7 @@ def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
     """
     run_ms = 1500
     workloads = ("streamcluster",) if smoke else PERF_BENCH_WORKLOADS
-    report: dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "smoke": smoke,
-        "seed": seed,
-        "run_ms": run_ms,
-        "workloads": {},
-    }
+    measured: dict[str, Any] = {}
     for name in workloads:
         # Best-of-3: the first run absorbs process cold-start (imports,
         # allocator warmup), and min() discards scheduler noise.  The
@@ -416,7 +424,7 @@ def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
         ]
         run = runs[0]
         wall_s = min(r.wall_s for r in runs)
-        report["workloads"][name] = {
+        measured[name] = {
             "events": run.events,
             "sim_us": run.sim_us,
             "wall_s": round(wall_s, 4),
@@ -428,60 +436,80 @@ def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
             "counter_digest": run.digest,
             "deterministic": len({r.digest for r in runs}) == 1,
         }
-    report["fleet_campaign"] = _bench_fleet(smoke, seed)
-    report["optimizations"] = {
-        "engine_run_fast_path": _bench_engine_loop(
-            n_events=80_000 if smoke else 240_000
-        ),
-        "page_digest_cache": _bench_digest_cache(run_ms, seed),
-        "pool_load_index": _bench_pool_index(
-            queries=20_000 if smoke else 200_000, seed=seed
-        ),
-    }
-    return report
+    return _engine_report({
+        "smoke": smoke,
+        "seed": seed,
+        "run_ms": run_ms,
+        "workloads": measured,
+        "fleet_campaign": _bench_fleet(smoke, seed),
+        "optimizations": {
+            "engine_run_fast_path": _bench_engine_loop(
+                n_events=80_000 if smoke else 240_000
+            ),
+            "page_digest_cache": _bench_digest_cache(run_ms, seed),
+            "pool_load_index": _bench_pool_index(
+                queries=20_000 if smoke else 200_000, seed=seed
+            ),
+        },
+    })
 
 
-def write_bench_json(report: Mapping[str, Any], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+def _engine_report(measured: Mapping[str, Any]) -> dict[str, Any]:
+    """Fold one bench's measurements into a bench-schema report.
 
-
-def check_bench(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.20,
-) -> list[str]:
-    """The CI regression gate: events/sec may not drop more than
-    *tolerance* below the checked-in BENCH_engine.json.  Returns the list
-    of regression descriptions (empty = gate passes).  Only workloads
-    present in both reports are compared, so smoke runs gate against the
-    full bench's shared subset.
-
-    The engine-loop micro-bench is additionally gated *relatively*: the
-    run() fast path must stay within *tolerance* of the legacy peek/step
-    loop measured in the same process — a machine-independent check that
-    survives CI runners slower or faster than the machine that recorded
-    the baseline."""
+    Every check here needs no baseline: same-seed repeats and the fleet
+    campaign replay must be deterministic, the pool index must agree with
+    its scan reference, and the run() fast path must stay within the
+    tolerance of the legacy step loop measured in the same process — a
+    machine-independent check that survives hosts slower or faster than
+    the one that recorded the baseline."""
+    metrics: dict[str, Any] = {}
     problems: list[str] = []
-    base_workloads = baseline.get("workloads", {})
-    for name, entry in current.get("workloads", {}).items():
-        base = base_workloads.get(name)
-        if base is None:
-            continue
-        floor = base["events_per_sec"] * (1 - tolerance)
-        if entry["events_per_sec"] < floor:
+    for name, entry in sorted(measured["workloads"].items()):
+        metrics.update({
+            f"{name}.{field}": {"value": entry[field], "unit": unit, **gate}
+            for field, unit, gate in _WORKLOAD_METRICS
+        })
+        if not entry["deterministic"]:
             problems.append(
-                f"{name}: {entry['events_per_sec']} events/sec is more than "
-                f"{tolerance:.0%} below the checked-in baseline "
-                f"{base['events_per_sec']} (floor {floor:.0f})"
+                f"{name}: same-seed repeats produced different counter digests"
             )
-    loop = current.get("optimizations", {}).get("engine_run_fast_path")
-    if loop and loop.get("speedup") is not None:
-        if loop["speedup"] < 1 - tolerance:
-            problems.append(
-                f"engine_run_fast_path: run() measured {loop['speedup']}x "
-                f"the legacy step loop — the fast path regressed below the "
-                f"{1 - tolerance:.2f}x floor"
-            )
-    return problems
+    fleet = measured["fleet_campaign"]
+    metrics.update({
+        f"fleet_campaign.{field}": {"value": fleet[field], "unit": unit}
+        for field, unit in _FLEET_CAMPAIGN_METRICS
+    })
+    if not fleet["deterministic"]:
+        problems.append("fleet_campaign: replay produced a different digest")
+    if not fleet["ok"]:
+        problems.append("fleet_campaign: the campaign failed its oracles")
+    optimizations = measured["optimizations"]
+    speedup = optimizations["engine_run_fast_path"]["speedup"]
+    if speedup is not None and speedup < 1 - benchfile.TOLERANCE:
+        problems.append(
+            f"engine_run_fast_path: run() measured {speedup}x the legacy "
+            f"step loop — the fast path regressed below the "
+            f"{1 - benchfile.TOLERANCE:.2f}x floor"
+        )
+    if not optimizations["pool_load_index"]["equivalent"]:
+        problems.append("pool_load_index: HostPool.load disagrees with _load_scan")
+    return {
+        "schema": benchfile.SCHEMA,
+        "bench": "engine",
+        "seed": measured["seed"],
+        "smoke": measured["smoke"],
+        "ok": not problems,
+        "problems": problems,
+        "metrics": metrics,
+        "info": {
+            "run_ms": measured["run_ms"],
+            "counter_digests": {
+                name: entry["counter_digest"]
+                for name, entry in sorted(measured["workloads"].items())
+            },
+            "fleet_campaign": {
+                "fleet": fleet["fleet"], "digest": fleet["digest"],
+            },
+            "optimizations": optimizations,
+        },
+    }

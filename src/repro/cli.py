@@ -457,25 +457,10 @@ def _cmd_perf(args) -> int:
                                 "hot/exempt function(s)")
 
     if args.action == "bench":
-        from repro.analysis.perfbench import run_perf_bench, write_bench_json
+        from repro.analysis.perfbench import run_perf_bench
 
-        report = run_perf_bench(smoke=args.smoke, seed=args.seed)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            for name, entry in sorted(report["workloads"].items()):
-                print(f"{name}: {entry['events_per_sec']} events/sec, "
-                      f"{entry['pages_digested_per_sec']} pages-digested/sec "
-                      f"(counter digest {entry['counter_digest']})")
-            fleet = report["fleet_campaign"]
-            print(f"fleet campaign: {fleet['trace_events']} trace events in "
-                  f"{fleet['wall_s']}s, deterministic={fleet['deterministic']}")
-            for opt, entry in sorted(report["optimizations"].items()):
-                print(f"optimization {opt}: {json.dumps(entry, sort_keys=True)}")
-        if args.out:
-            write_bench_json(report, args.out)
-            print(f"repro perf: wrote {args.out}")
-        return _perf_bench_gate(report, args.check) if args.check else 0
+        return _run_bench(run_perf_bench(smoke=args.smoke, seed=args.seed),
+                          args)
 
     # lint and profile both need the static pass; the selfcheck gates both
     # (an unreachable root would silently shrink the linted surface).
@@ -517,16 +502,6 @@ def _cmd_perf(args) -> int:
             for entry in entries:
                 print(f"  {entry['status']:<13} {entry['rule']} "
                       f"{entry['path']}:{entry['line']} ({entry['evidence']})")
-        if args.check:
-            current = {
-                "workloads": {
-                    run.workload: {
-                        "events_per_sec": int(run.events / run.wall_s)
-                        if run.wall_s > 0 else 0,
-                    }
-                }
-            }
-            return _perf_bench_gate(current, args.check)
         return 0
 
     # action == "lint"
@@ -537,24 +512,34 @@ def _cmd_perf(args) -> int:
     return _report_findings(report.findings, args, args.json, "repro perf")
 
 
-def _perf_bench_gate(current, check_file) -> int:
-    """Gate *current* events/sec against a checked-in BENCH_engine.json."""
+def _run_bench(report, args) -> int:
+    """Print a bench report, write it with ``--out`` and gate it with
+    ``--check`` against a checked-in BENCH file (one schema for all four
+    benches).  Exit 1 when the report fails its own checks or the gate,
+    2 when the ``--check`` file cannot be read."""
     import json
 
-    from repro.analysis.perfbench import check_bench
+    from repro.metrics import benchfile
 
+    name = report["bench"]
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json
+          else benchfile.format(report))
+    if args.out:
+        benchfile.write(report, args.out)
+        print(f"repro {name}: wrote {args.out}")
+    if not args.check:
+        return 0 if report["ok"] else 1
     try:
-        with open(check_file) as fh:
-            baseline = json.load(fh)
+        baseline = benchfile.load(args.check)
     except (OSError, ValueError) as exc:
-        print(f"repro perf: cannot read {check_file}: {exc}", file=sys.stderr)
+        print(f"repro {name}: cannot read {args.check}: {exc}", file=sys.stderr)
         return 2
-    problems = check_bench(current, baseline)
+    problems = benchfile.check(report, baseline)
     for problem in problems:
-        print(f"repro perf: REGRESSION {problem}")
+        print(f"repro {name}: REGRESSION: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print(f"repro perf: throughput within 20% of {check_file}")
+    print(f"{name} bench gate: within tolerance of {args.check}")
     return 0
 
 
@@ -819,11 +804,9 @@ def _cmd_fleet(args) -> int:
     import json
 
     from repro.experiments.fleet import (
-        format_bench,
         format_campaign,
         run_fleet_bench,
         run_fleet_campaign,
-        write_bench_json,
     )
     from repro.fleet import FLEET_SCENARIOS, run_fleet_scenario
 
@@ -858,15 +841,7 @@ def _cmd_fleet(args) -> int:
         return 0 if report["ok"] else 1
 
     # action == "bench"
-    report = run_fleet_bench(seed=args.seed, smoke=args.smoke)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_bench(report))
-    if args.out:
-        write_bench_json(report, args.out)
-        print(f"\nwrote {args.out}")
-    return 0 if report["ok"] else 1
+    return _run_bench(run_fleet_bench(seed=args.seed, smoke=args.smoke), args)
 
 
 def _cmd_traffic(args) -> int:
@@ -874,13 +849,10 @@ def _cmd_traffic(args) -> int:
     import json
 
     from repro.experiments.traffic import (
-        check_traffic_bench,
-        format_traffic_bench,
         format_traffic_campaign,
         run_traffic_bench,
         run_traffic_campaign,
         traffic_profiles,
-        write_traffic_bench_json,
     )
 
     if args.action == "profiles":
@@ -903,24 +875,7 @@ def _cmd_traffic(args) -> int:
         return 0 if report["ok"] else 1
 
     # action == "bench"
-    report = run_traffic_bench(seed=args.seed)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_traffic_bench(report))
-    if args.out:
-        write_traffic_bench_json(report, args.out)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        problems = check_traffic_bench(report, baseline)
-        for problem in problems:
-            print(f"repro traffic: REGRESSION: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"traffic bench gate: within tolerance of {args.check}")
-    return 0 if report["ok"] else 1
+    return _run_bench(run_traffic_bench(seed=args.seed), args)
 
 
 def _cmd_modes(args) -> int:
@@ -955,33 +910,9 @@ def _cmd_modes(args) -> int:
 
 def _cmd_hycor(args) -> int:
     """HyCoR bench: the overhead-vs-recovery tradeoff cells + CI gate."""
-    import json
+    from repro.experiments.hycor import run_hycor_bench
 
-    from repro.experiments.hycor import (
-        check_hycor_bench,
-        format_hycor_bench,
-        run_hycor_bench,
-        write_hycor_bench_json,
-    )
-
-    report = run_hycor_bench(seed=args.seed, smoke=args.smoke)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_hycor_bench(report))
-    if args.out:
-        write_hycor_bench_json(report, args.out)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        problems = check_hycor_bench(report, baseline)
-        for problem in problems:
-            print(f"repro hycor: REGRESSION: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"hycor bench gate: within tolerance of {args.check}")
-    return 0 if report["ok"] else 1
+    return _run_bench(run_hycor_bench(seed=args.seed, smoke=args.smoke), args)
 
 
 def _add_finding_options(parser, family: str, debt: str) -> None:
@@ -1000,6 +931,19 @@ def _add_finding_options(parser, family: str, debt: str) -> None:
                         help="rewrite --baseline FILE from current warnings")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
+
+
+def _add_bench_options(parser) -> None:
+    """The output and gate options every ``<name> bench`` shares."""
+    parser.add_argument("--json", action="store_true",
+                        help="emit the full JSON report")
+    parser.add_argument("--out", default=None, metavar="FILE",
+                        help="bench: also write the report here "
+                             "(e.g. BENCH_<name>.json)")
+    parser.add_argument("--check", default=None, metavar="FILE",
+                        help="bench: gate against a checked-in BENCH file "
+                             "(fail when a gated metric moves more than 20%% "
+                             "the wrong way)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1083,6 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help="hot-path performance analyzer: PERF lint rules, deterministic "
              "DES profiler, engine benchmark gate",
+        # --json comes from both option helpers; they define it alike.
+        conflict_handler="resolve",
     )
     perf.add_argument("action", nargs="?", default="lint",
                       choices=("lint", "profile", "bench", "selfcheck"))
@@ -1095,12 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="profile: simulated run length")
     perf.add_argument("--smoke", action="store_true",
                       help="reduced CI variant of profile/bench")
-    perf.add_argument("--out", default=None, metavar="FILE",
-                      help="bench: also write the JSON report here "
-                           "(e.g. BENCH_engine.json)")
-    perf.add_argument("--check", default=None, metavar="FILE",
-                      help="gate events/sec against a checked-in "
-                           "BENCH_engine.json (fail on >20%% drop)")
+    _add_bench_options(perf)
     perf.add_argument("--seed", type=int, default=1)
 
     ndflow = sub.add_parser(
@@ -1217,11 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: all — see `fleet list`)")
     fleet.add_argument("--smoke", action="store_true",
                        help="reduced CI variant of campaign/bench")
-    fleet.add_argument("--json", action="store_true",
-                       help="emit the full JSON report")
-    fleet.add_argument("--out", default=None, metavar="FILE",
-                       help="bench only: also write the JSON report here "
-                            "(e.g. BENCH_fleet.json)")
+    _add_bench_options(fleet)
 
     traffic = sub.add_parser(
         "traffic",
@@ -1231,15 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("campaign", "bench", "profiles"))
     traffic.add_argument("--smoke", action="store_true",
                          help="reduced CI variant of campaign/profiles")
-    traffic.add_argument("--json", action="store_true",
-                         help="emit the full JSON report")
-    traffic.add_argument("--out", default=None, metavar="FILE",
-                         help="bench only: also write the JSON report here "
-                              "(e.g. BENCH_traffic.json)")
-    traffic.add_argument("--check", default=None, metavar="FILE",
-                         help="bench only: gate SLO cells against a "
-                              "checked-in BENCH_traffic.json (fail on >20%% "
-                              "p99 rise or throughput drop)")
+    _add_bench_options(traffic)
 
     modes = sub.add_parser(
         "modes",
@@ -1259,15 +1188,7 @@ def build_parser() -> argparse.ArgumentParser:
     hycor.add_argument("--smoke", action="store_true",
                        help="bench only the CI workload subset (cells are "
                             "identical to the same cells of a full run)")
-    hycor.add_argument("--json", action="store_true",
-                       help="emit the full JSON report")
-    hycor.add_argument("--out", default=None, metavar="FILE",
-                       help="also write the JSON report here "
-                            "(e.g. BENCH_hycor.json)")
-    hycor.add_argument("--check", default=None, metavar="FILE",
-                       help="gate cells against a checked-in "
-                            "BENCH_hycor.json (fail on >20%% overhead rise, "
-                            "recovery-latency rise, or reduction shrink)")
+    _add_bench_options(hycor)
 
     return parser
 

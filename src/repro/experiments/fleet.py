@@ -19,12 +19,12 @@ interesting:
   latency, which is controller-bound, not capacity-bound.
 
 ``python -m repro fleet campaign|bench`` drives both; ``make fleet-smoke``
-runs the reduced CI variant.
+runs the reduced CI variant.  The bench report is in the one bench schema
+(:mod:`repro.metrics.benchfile`), gated against ``BENCH_fleet.json``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Generator
 
 from repro.analysis.fuzz import trace_digest
@@ -34,17 +34,16 @@ from repro.fleet.placement import PlacementDecision
 from repro.fleet.pool import HostPool
 from repro.fleet.service import FleetWorkload
 from repro.fleet.spec import FleetSpec
+from repro.metrics import benchfile
 from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
 from repro.sim.trace import install_tracer
 from repro.sim.units import ms, sec
 
 __all__ = [
-    "format_bench",
     "format_campaign",
     "run_fleet_bench",
     "run_fleet_campaign",
-    "write_bench_json",
 ]
 
 #: The campaign fleet: 12 replicated members over a 6-host pool.  Ten
@@ -316,10 +315,34 @@ def _run_steady(
     return FleetMetrics.collect(controller), workload, violations
 
 
+#: Sweep sizes; a smoke bench runs the first two cells of each sweep at
+#: full-run parameters, so its cells equal the same cells of a full run.
+PAIR_SIZES = (1, 2, 4, 8)
+POOL_SIZES = (4, 6, 8, 12)
+POOL_MEMBERS = 12
+
+#: Per-cell metrics: (field, unit, gate).
+_PAIR_METRICS = (
+    ("mean_stop_us", "us", {}),
+    ("mean_request_latency_us", "us", {"better": "lower"}),
+    ("completed_requests", "requests", {}),
+    ("throughput_rps", "req/s", {"better": "higher"}),
+)
+_POOL_METRICS = (
+    ("members_disturbed", "members", {}),
+    ("failovers", "count", {}),
+    ("reprotects", "count", {}),
+    ("mean_reprotect_latency_us", "us", {"better": "lower"}),
+    ("protected_at_end", "members", {}),
+)
+
+
 def run_fleet_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
     """Both scaling sweeps; the result is what ``BENCH_fleet.json`` holds."""
     run_until_us = sec(2)
-    n_requests = 10 if smoke else 25
+    n_cells = 2 if smoke else None
+    metrics: dict[str, Any] = {}
+    problems: list[str] = []
 
     # Sweep 1: members stacked on ONE host pair.  Every member replicates
     # node0 -> node1 over the same pooled 10 GbE link, and every request
@@ -328,24 +351,22 @@ def run_fleet_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
     # Stop time stays flat — the transfer is off the stop path — but the
     # backup's ack arrives later, so output commit and client-observed
     # request latency climb with fleet density on the pair.
-    pair_cells = []
-    for count in (1, 2) if smoke else (1, 2, 4, 8):
+    for count in PAIR_SIZES[:n_cells]:
         fleet = FleetSpec(n_containers=count, n_hosts=2, slots_per_host=8,
                           heap_pages=1024)
         decisions = [
             PlacementDecision(name, "node0", "node1")
             for name in fleet.member_names()
         ]
-        metrics, workload, violations = _run_steady(
+        fleet_metrics, workload, violations = _run_steady(
             seed, fleet, decisions,
-            n_requests=n_requests, run_until_us=run_until_us,
+            n_requests=25, run_until_us=run_until_us,
             touch_pages=1000,
         )
         latencies = [s.mean_latency_us() for s in workload.stats.values()
                      if s.completed]
-        pair_cells.append({
-            "containers_on_pair": count,
-            "mean_stop_us": round(metrics.mean_stop_us(), 1),
+        cell = {
+            "mean_stop_us": round(fleet_metrics.mean_stop_us(), 1),
             "mean_request_latency_us": round(
                 sum(latencies) / len(latencies), 1
             ) if latencies else 0.0,
@@ -353,71 +374,57 @@ def run_fleet_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
             "throughput_rps": round(
                 workload.total_completed() / (run_until_us / 1e6), 1
             ),
-            "ok": not violations,
+        }
+        metrics.update({
+            f"pair{count}.{field}": {"value": cell[field], "unit": unit, **gate}
+            for field, unit, gate in _PAIR_METRICS
         })
+        problems += [f"pair{count}: {v}" for v in violations]
 
     # Sweep 2: the same 12-member fleet over growing pools.  One host
     # fail-stop probes how re-protect latency and blast radius (members
     # disturbed per host loss) change with pool size.
-    pool_cells = []
-    for n_hosts in (4, 6) if smoke else (4, 6, 8, 12):
+    for n_hosts in POOL_SIZES[:n_cells]:
         fleet = FleetSpec(
-            n_containers=4 if smoke else 12,
-            n_hosts=n_hosts, slots_per_host=10,
+            n_containers=POOL_MEMBERS, n_hosts=n_hosts, slots_per_host=10,
         )
-        metrics, workload, violations = _run_steady(
+        fleet_metrics, workload, violations = _run_steady(
             seed, fleet, None,
-            n_requests=n_requests, run_until_us=sec(3),
+            n_requests=25, run_until_us=sec(3),
             fail_host="node0",
         )
-        disturbed = sum(
-            1 for m in metrics.members if m.failovers or m.reprotects
-        )
-        pool_cells.append({
-            "hosts": n_hosts,
-            "containers": fleet.n_containers,
-            "members_disturbed": disturbed,
-            "failovers": metrics.total_failovers,
-            "reprotects": metrics.total_reprotects,
-            "mean_reprotect_latency_us": round(
-                metrics.mean_reprotect_latency_us(), 1
+        cell = {
+            "members_disturbed": sum(
+                1 for m in fleet_metrics.members if m.failovers or m.reprotects
             ),
-            "protected_at_end": metrics.protected_members,
-            "ok": not violations and metrics.dead_members == 0,
+            "failovers": fleet_metrics.total_failovers,
+            "reprotects": fleet_metrics.total_reprotects,
+            "mean_reprotect_latency_us": round(
+                fleet_metrics.mean_reprotect_latency_us(), 1
+            ),
+            "protected_at_end": fleet_metrics.protected_members,
+        }
+        metrics.update({
+            f"hosts{n_hosts}.{field}": {"value": cell[field], "unit": unit, **gate}
+            for field, unit, gate in _POOL_METRICS
         })
+        problems += [f"hosts{n_hosts}: {v}" for v in violations]
+        if fleet_metrics.dead_members:
+            problems.append(
+                f"hosts{n_hosts}: {fleet_metrics.dead_members} member(s) dead"
+            )
 
     return {
+        "schema": benchfile.SCHEMA,
+        "bench": "fleet",
         "seed": seed,
         "smoke": smoke,
-        "containers_per_pair": pair_cells,
-        "pool_size": pool_cells,
-        "ok": all(c["ok"] for c in pair_cells + pool_cells),
+        "ok": not problems,
+        "problems": problems,
+        "metrics": metrics,
+        "info": {
+            "containers_per_pair": list(PAIR_SIZES[:n_cells]),
+            "pool_hosts": list(POOL_SIZES[:n_cells]),
+            "pool_members": POOL_MEMBERS,
+        },
     }
-
-
-def write_bench_json(report: dict[str, Any], path: str = "BENCH_fleet.json") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_bench(report: dict[str, Any]) -> str:
-    lines = [f"fleet bench (seed {report['seed']})", "",
-             "containers per pair link -> output-commit contention:"]
-    for cell in report["containers_per_pair"]:
-        lines.append(
-            f"  {cell['containers_on_pair']:>2} member(s): "
-            f"stop {cell['mean_stop_us'] / 1000:6.2f} ms   "
-            f"request latency {cell['mean_request_latency_us'] / 1000:6.2f} ms   "
-            f"{cell['throughput_rps']:7.1f} req/s"
-            f"{'' if cell['ok'] else '   FAILED ORACLES'}"
-        )
-    lines += ["", "pool size -> failure blast radius and re-protect latency:"]
-    for cell in report["pool_size"]:
-        lines.append(
-            f"  {cell['hosts']:>2} hosts / {cell['containers']} members: "
-            f"{cell['members_disturbed']} disturbed by one host loss, "
-            f"re-protect {cell['mean_reprotect_latency_us'] / 1000:6.2f} ms"
-            f"{'' if cell['ok'] else '   FAILED ORACLES'}"
-        )
-    return "\n".join(lines)

@@ -22,16 +22,16 @@ This module measures both sides of that trade across the catalog:
   hycor: the open-loop SLO oracles must hold across the host fail-stop.
 
 ``run_hycor_bench`` compacts the comparison into the checked-in
-``BENCH_hycor.json``; ``check_hycor_bench`` is the CI regression gate
-(overhead ceilings, recovery-latency ceilings, the reduction-vs-nilicon
-floor).  Every cell resets the identity counters and runs in a fresh
-world, so the numbers are exactly replayable.
+``BENCH_hycor.json`` in the one bench schema
+(:mod:`repro.metrics.benchfile`), whose gate holds the overhead and
+recovery-latency ceilings and the reduction-vs-nilicon floor.  Every cell
+resets the identity counters and runs in a fresh world, so the numbers
+are exactly replayable.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.experiments.common import (
     RunResult,
@@ -42,6 +42,7 @@ from repro.experiments.common import (
     run_server_benchmark,
 )
 from repro.faultinject import evaluate_oracles
+from repro.metrics import benchfile
 from repro.net.world import World, reset_id_counters
 from repro.sim.units import ms, sec
 from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload
@@ -51,14 +52,12 @@ __all__ = [
     "COMPARISON_MODES",
     "RECOVERY_WORKLOADS",
     "SMOKE_WORKLOADS",
-    "check_hycor_bench",
-    "format_hycor_bench",
     "format_mode_comparison",
     "run_hycor_bench",
     "run_mode_comparison",
     "run_overhead_row",
     "run_recovery_cell",
-    "write_hycor_bench_json",
+    "tradeoff_problems",
 ]
 
 COMPARISON_MODES = ("stock", "nilicon", "hycor")
@@ -258,29 +257,8 @@ def run_mode_comparison(
         "p99_us": traffic["row"].p99_us,
     }
 
-    problems: list[str] = []
-    for row in rows:
-        if row["kind"] == "server" and row["reduction_pct"] < -1.0:
-            problems.append(
-                f"{row['workload']}: hycor overhead "
-                f"{row['hycor_overhead_pct']}% exceeds nilicon's "
-                f"{row['nilicon_overhead_pct']}% — log-commit release "
-                "should never lose to checkpoint-commit"
-            )
+    problems = tradeoff_problems(rows, recovery, traffic_cell)
     by_cell = {(c["workload"], c["mode"]): c for c in recovery}
-    for cell in recovery:
-        problems += cell["violations"]
-        if cell["mode"] == "hycor" and cell.get("replay_us", 0) <= 0:
-            problems.append(
-                f"{cell['workload']}/hycor: recovery replayed no log tail"
-            )
-        if cell["mode"] == "nilicon" and cell.get("replay_us", 0) != 0:
-            problems.append(
-                f"{cell['workload']}/nilicon: nonzero replay time "
-                f"{cell['replay_us']} us in a checkpoint-only mode"
-            )
-    problems += traffic_cell["violations"]
-
     return {
         "seed": seed,
         "smoke": smoke,
@@ -293,6 +271,37 @@ def run_mode_comparison(
         "problems": problems,
         "ok": not problems,
     }
+
+
+def tradeoff_problems(
+    rows: list[dict[str, Any]],
+    recovery: list[dict[str, Any]],
+    traffic_cell: dict[str, Any],
+) -> list[str]:
+    """The tradeoff oracle over a comparison's overhead rows, recovery
+    cells and hycor traffic cell; returns its problems (empty = holds)."""
+    problems: list[str] = []
+    for row in rows:
+        if row["kind"] == "server" and row["reduction_pct"] < -1.0:
+            problems.append(
+                f"{row['workload']}: hycor overhead "
+                f"{row['hycor_overhead_pct']}% exceeds nilicon's "
+                f"{row['nilicon_overhead_pct']}% — log-commit release "
+                "should never lose to checkpoint-commit"
+            )
+    for cell in recovery:
+        problems += cell["violations"]
+        if cell["mode"] == "hycor" and cell.get("replay_us", 0) <= 0:
+            problems.append(
+                f"{cell['workload']}/hycor: recovery replayed no log tail"
+            )
+        if cell["mode"] == "nilicon" and cell.get("replay_us", 0) != 0:
+            problems.append(
+                f"{cell['workload']}/nilicon: nonzero replay time "
+                f"{cell['replay_us']} us in a checkpoint-only mode"
+            )
+    problems += traffic_cell["violations"]
+    return problems
 
 
 def format_mode_comparison(report: dict[str, Any]) -> str:
@@ -336,8 +345,23 @@ def format_mode_comparison(report: dict[str, Any]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Bench + CI gate                                                        #
+# Bench                                                                  #
 # --------------------------------------------------------------------- #
+#: Per-workload metrics: (field, unit, gate).  The percentage-point
+#: metrics sit near zero, so their band is floored at 2 points.
+_WORKLOAD_METRICS = (
+    ("nilicon_overhead_pct", "%", {}),
+    ("hycor_overhead_pct", "%", {"better": "lower", "min_band": 2.0}),
+    ("reduction_pct", "pp", {"better": "higher", "min_band": 2.0}),
+)
+_RECOVERY_METRICS = (
+    ("detection_us", "us", {}),
+    ("restore_us", "us", {}),
+    ("replay_us", "us", {}),
+    ("total_us", "us", {"better": "lower"}),
+)
+
+
 def run_hycor_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
     """The pinnable cells for the checked-in BENCH_hycor.json.
 
@@ -346,125 +370,36 @@ def run_hycor_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
     byte-identical to the same cells of a full run and the gate can
     compare whichever subset is present."""
     report = run_mode_comparison(smoke=smoke, seed=seed)
-    workload_cells = {
-        row["workload"]: {
-            "kind": row["kind"],
-            "stock": row["stock"],
-            "nilicon_overhead_pct": row["nilicon_overhead_pct"],
-            "hycor_overhead_pct": row["hycor_overhead_pct"],
-            "reduction_pct": row["reduction_pct"],
+    metrics: dict[str, Any] = {}
+    for row in report["rows"]:
+        name = row["workload"]
+        # A compute row's stock baseline is a completion time, a server
+        # row's a saturated throughput.
+        metrics[f"{name}.stock"] = {
+            "value": row["stock"],
+            "unit": "us" if row["kind"] == "compute" else "ops/s",
         }
-        for row in report["rows"]
-    }
-    recovery_cells = {
-        key: {
-            "detection_us": cell.get("detection_us", 0),
-            "restore_us": cell.get("restore_us", 0),
-            "replay_us": cell.get("replay_us", 0),
-            "total_us": cell.get("total_us", 0),
-        }
-        for key, cell in report["recovery_by_cell"].items()
-    }
-    return {
-        "seed": seed,
-        "workloads": workload_cells,
-        "recovery": recovery_cells,
-        "traffic": {
-            "requests": report["traffic"]["requests"],
-            "p99_us": report["traffic"]["p99_us"],
-            "ok": report["traffic"]["ok"],
-        },
-        "ok": report["ok"],
-    }
-
-
-def check_hycor_bench(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.20,
-) -> list[str]:
-    """The CI regression gate over BENCH_hycor.json.
-
-    Per workload present in both reports: hycor's overhead may not rise
-    more than *tolerance* (relative, floored at 2 percentage points)
-    above the checked-in cell, and the overhead reduction vs nilicon may
-    not shrink below the same band.  Per recovery cell: total recovery
-    latency may not rise more than *tolerance* above the baseline, and a
-    baseline with a replayed log tail must still replay one.  Returns
-    regression descriptions (empty = gate passes)."""
-    problems: list[str] = []
-    if not current.get("ok", False):
-        problems.append("current hycor bench failed its own tradeoff oracles")
-    base_workloads = baseline.get("workloads", {})
-    for name, cell in current.get("workloads", {}).items():
-        base = base_workloads.get(name)
-        if base is None:
-            continue
-        band = max(tolerance * abs(base["hycor_overhead_pct"]), 2.0)
-        ceiling = base["hycor_overhead_pct"] + band
-        if cell["hycor_overhead_pct"] > ceiling:
-            problems.append(
-                f"{name}: hycor overhead {cell['hycor_overhead_pct']}% is "
-                f"above the checked-in {base['hycor_overhead_pct']}% "
-                f"(ceiling {ceiling:.2f}%)"
-            )
-        band = max(tolerance * abs(base["reduction_pct"]), 2.0)
-        floor = base["reduction_pct"] - band
-        if cell["reduction_pct"] < floor:
-            problems.append(
-                f"{name}: overhead reduction vs nilicon shrank to "
-                f"{cell['reduction_pct']}p from the checked-in "
-                f"{base['reduction_pct']}p (floor {floor:.2f}p)"
-            )
-    base_recovery = baseline.get("recovery", {})
-    for key, cell in current.get("recovery", {}).items():
-        base = base_recovery.get(key)
-        if base is None:
-            continue
-        ceiling = base["total_us"] * (1 + tolerance)
-        if cell["total_us"] > ceiling:
-            problems.append(
-                f"{key}: recovery {cell['total_us']} us is more than "
-                f"{tolerance:.0%} above the checked-in {base['total_us']} us "
-                f"(ceiling {ceiling:.0f})"
-            )
-        if base["replay_us"] > 0 and cell["replay_us"] <= 0:
-            problems.append(f"{key}: log-tail replay disappeared")
-    if baseline.get("traffic", {}).get("ok") and not current.get(
-        "traffic", {}
-    ).get("ok", False):
-        problems.append("traffic failover under hycor no longer passes")
-    return problems
-
-
-def write_hycor_bench_json(
-    report: dict[str, Any], path: str = "BENCH_hycor.json"
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_hycor_bench(report: dict[str, Any]) -> str:
-    lines = [f"hycor bench (seed {report['seed']}) — "
-             f"{'tradeoff holds' if report['ok'] else 'PROBLEMS'}"]
-    for name in sorted(report["workloads"]):
-        cell = report["workloads"][name]
-        lines.append(
-            f"  {name:<14} nilicon {cell['nilicon_overhead_pct']:6.2f}%   "
-            f"hycor {cell['hycor_overhead_pct']:6.2f}%   "
-            f"reduction {cell['reduction_pct']:6.2f}p"
-        )
-    for key in sorted(report["recovery"]):
-        cell = report["recovery"][key]
-        lines.append(
-            f"  {key:<14} restore {cell['restore_us'] / 1000:6.1f} ms   "
-            f"replay {cell['replay_us'] / 1000:6.1f} ms   "
-            f"total {cell['total_us'] / 1000:6.1f} ms"
-        )
+        metrics.update({
+            f"{name}.{field}": {"value": row[field], "unit": unit, **gate}
+            for field, unit, gate in _WORKLOAD_METRICS
+        })
+    for key, cell in report["recovery_by_cell"].items():
+        metrics.update({
+            f"{key}.{field}": {"value": cell.get(field, 0), "unit": unit, **gate}
+            for field, unit, gate in _RECOVERY_METRICS
+        })
     traffic = report["traffic"]
-    lines.append(
-        f"  traffic        {'ok' if traffic['ok'] else 'VIOLATIONS'} "
-        f"({traffic['requests']} requests, p99 {traffic['p99_us'] / 1000:.1f} ms)"
-    )
-    return "\n".join(lines)
+    metrics["traffic.requests"] = {
+        "value": traffic["requests"], "unit": "requests",
+    }
+    metrics["traffic.p99_us"] = {"value": traffic["p99_us"], "unit": "us"}
+    return {
+        "schema": benchfile.SCHEMA,
+        "bench": "hycor",
+        "seed": seed,
+        "smoke": smoke,
+        "ok": report["ok"],
+        "problems": report["problems"],
+        "metrics": metrics,
+        "info": {"kind": {row["workload"]: row["kind"] for row in report["rows"]}},
+    }

@@ -22,16 +22,15 @@ validation failures, zero proxy drops, every routed request relayed, and
 (scenario profiles) the failover/migration actually happened.
 
 Because the clock is simulated, the bench's latency percentiles are exact
-and replayable — the ``BENCH_traffic.json`` gate compares them cell for
-cell and fails CI on a p99 regression beyond tolerance, with zero runner
-noise.
+and replayable — the ``BENCH_traffic.json`` gate (the one bench schema,
+:mod:`repro.metrics.benchfile`) compares them cell for cell and fails CI
+on a p99 regression beyond tolerance, with zero runner noise.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Generator, Mapping
+from typing import Any, Generator
 
 from repro.analysis.fuzz import trace_digest
 from repro.fleet.controller import FleetController
@@ -39,6 +38,7 @@ from repro.fleet.metrics import FleetMetrics
 from repro.fleet.pool import HostPool
 from repro.fleet.service import FleetWorkload
 from repro.fleet.spec import FleetSpec
+from repro.metrics import benchfile
 from repro.metrics.slo import SloRow, SloTable
 from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
@@ -48,13 +48,10 @@ from repro.traffic.openloop import OpenLoopTraffic, TrafficProfile
 from repro.traffic.proxy import TrafficProxy
 
 __all__ = [
-    "check_traffic_bench",
-    "format_traffic_bench",
     "format_traffic_campaign",
     "run_traffic_bench",
     "run_traffic_campaign",
     "traffic_profiles",
-    "write_traffic_bench_json",
 ]
 
 #: The campaign fleet: same shape as the fleet campaign's (12 members on
@@ -430,8 +427,19 @@ def format_traffic_campaign(report: dict[str, Any]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Bench + CI gate                                                        #
+# Bench                                                                  #
 # --------------------------------------------------------------------- #
+#: Per-profile metrics: (field, unit, gate).
+_PROFILE_METRICS = (
+    ("p50_us", "us", {}),
+    ("p99_us", "us", {"better": "lower"}),
+    ("p999_us", "us", {}),
+    ("stall_p99_us", "us", {}),
+    ("throughput_rps", "req/s", {"better": "higher"}),
+    ("requests", "requests", {}),
+)
+
+
 def run_traffic_bench(seed: int = 1) -> dict[str, Any]:
     """Smoke-scale SLO cells for the checked-in BENCH_traffic.json.
 
@@ -439,77 +447,19 @@ def run_traffic_bench(seed: int = 1) -> dict[str, Any]:
     gate compares cells directly — any drift is a real model change, not
     runner noise."""
     report = run_traffic_campaign(seed=seed, smoke=True)
-    cells: dict[str, Any] = {}
-    for row in report["slo"]["rows"]:
-        cells[row["workload"]] = {
-            "p50_us": row["p50_us"],
-            "p99_us": row["p99_us"],
-            "p999_us": row["p999_us"],
-            "stall_p99_us": row["stall_p99_us"],
-            "throughput_rps": row["throughput_rps"],
-            "requests": row["requests"],
-        }
     return {
+        "schema": benchfile.SCHEMA,
+        "bench": "traffic",
         "seed": seed,
-        "profiles": cells,
-        "slo_digest": report["slo_digest"],
-        "deterministic": report["deterministic"],
+        "smoke": False,
         "ok": report["ok"],
+        "problems": report["violations"],
+        "metrics": {
+            f"{row['workload']}.{field}": {
+                "value": row[field], "unit": unit, **gate,
+            }
+            for row in report["slo"]["rows"]
+            for field, unit, gate in _PROFILE_METRICS
+        },
+        "info": {"slo_digest": report["slo_digest"]},
     }
-
-
-def check_traffic_bench(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.20,
-) -> list[str]:
-    """The CI regression gate over BENCH_traffic.json: per profile, p99
-    latency may not rise more than *tolerance* above the checked-in cell
-    and throughput may not drop more than *tolerance* below it.  Only
-    profiles present in both reports are compared.  Returns regression
-    descriptions (empty = gate passes)."""
-    problems: list[str] = []
-    if not current.get("ok", False):
-        problems.append("current traffic bench failed its own oracles")
-    base_profiles = baseline.get("profiles", {})
-    for name, cell in current.get("profiles", {}).items():
-        base = base_profiles.get(name)
-        if base is None:
-            continue
-        ceiling = base["p99_us"] * (1 + tolerance)
-        if cell["p99_us"] > ceiling:
-            problems.append(
-                f"{name}: p99 {cell['p99_us']} us is more than "
-                f"{tolerance:.0%} above the checked-in baseline "
-                f"{base['p99_us']} us (ceiling {ceiling:.0f})"
-            )
-        floor = base["throughput_rps"] * (1 - tolerance)
-        if cell["throughput_rps"] < floor:
-            problems.append(
-                f"{name}: {cell['throughput_rps']} req/s is more than "
-                f"{tolerance:.0%} below the checked-in baseline "
-                f"{base['throughput_rps']} (floor {floor:.1f})"
-            )
-    return problems
-
-
-def write_traffic_bench_json(
-    report: dict[str, Any], path: str = "BENCH_traffic.json"
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_traffic_bench(report: dict[str, Any]) -> str:
-    lines = [f"traffic bench (seed {report['seed']}) — "
-             f"{'deterministic' if report['deterministic'] else 'NONDETERMINISTIC'}"]
-    for name in sorted(report["profiles"]):
-        cell = report["profiles"][name]
-        lines.append(
-            f"  {name:<10} p50 {cell['p50_us'] / 1000:6.1f} ms   "
-            f"p99 {cell['p99_us'] / 1000:6.1f} ms   "
-            f"p999 {cell['p999_us'] / 1000:6.1f} ms   "
-            f"{cell['throughput_rps']:7.1f} req/s"
-        )
-    return "\n".join(lines)

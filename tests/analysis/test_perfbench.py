@@ -1,5 +1,5 @@
 """Tests for perf Layer 3: deterministic profiling, the L2<->L3
-cross-reference, and the benchmark regression gate.
+cross-reference, and the checks the engine bench folds into its ``ok``.
 
 The load-bearing property is ISSUE acceptance: two same-seed profiled
 runs must produce *identical* counter digests.  The cross-reference tests
@@ -9,14 +9,17 @@ finding is confirmed-hot; a short run of the page-light ``net`` workload
 downgrades pool findings whose counters stayed cold.
 """
 
+import pytest
+
 from repro.analysis.linter import Finding
 from repro.analysis.perfbench import (
     HOT_THRESHOLD,
     _bench_pool_index,
-    check_bench,
+    _engine_report,
     crossref,
     run_profiled_deployment,
 )
+from repro.metrics import benchfile
 from repro.replication.config import NiliconConfig
 
 
@@ -103,39 +106,88 @@ def test_crossref_downgrades_cold_findings():
     assert hot[0]["observed"] == 70
 
 
-def _bench_doc(events_per_sec=40_000, speedup=1.1):
+def _measured():
+    """One engine bench's raw measurements, every check passing."""
     return {
+        "seed": 1,
+        "smoke": True,
+        "run_ms": 1500,
         "workloads": {
-            "net": {"events_per_sec": events_per_sec},
+            name: {
+                "events": 2505, "sim_us": 1_500_000, "wall_s": 0.04,
+                "events_per_sec": 40_000, "pages_digested": 31,
+                "pages_digested_per_sec": 800, "counter_digest": "68cdfcb0",
+                "deterministic": True,
+            }
+            for name in ("net", "streamcluster")
+        },
+        "fleet_campaign": {
+            "fleet": {"containers": 12, "hosts": 6, "slots_per_host": 10},
+            "ok": True, "deterministic": True, "digest": "cc43ab4c",
+            "trace_events": 16239, "wall_s": 1.6, "trace_events_per_sec": 10140,
         },
         "optimizations": {
-            "engine_run_fast_path": {"speedup": speedup},
+            "engine_run_fast_path": {"speedup": 1.1},
+            "page_digest_cache": {"work_reduction": 0.967},
+            "pool_load_index": {"equivalent": True, "speedup": 4.9},
         },
     }
 
 
-def test_check_bench_passes_within_tolerance():
-    assert check_bench(_bench_doc(33_000), _bench_doc(40_000)) == []
-
-
-def test_check_bench_flags_workload_regression():
-    problems = check_bench(_bench_doc(events_per_sec=10_000),
-                           _bench_doc(events_per_sec=40_000))
-    assert len(problems) == 1
-    assert "net" in problems[0]
+def test_engine_report_passes_its_own_gate():
+    report = _engine_report(_measured())
+    assert report["ok"], report["problems"]
+    assert report["metrics"]["net.events_per_sec"] == {
+        "value": 40_000, "unit": "events/s", "better": "higher",
+    }
+    assert "better" not in report["metrics"]["net.wall_s"]
+    assert benchfile.check(report, report) == []
 
 
 def test_check_bench_flags_fast_path_regression():
-    problems = check_bench(_bench_doc(speedup=0.5), _bench_doc())
-    assert len(problems) == 1
-    assert "engine_run_fast_path" in problems[0]
+    # Gated relative to the legacy loop in the same process, so the check
+    # needs no baseline and holds on hosts of any speed.
+    measured = _measured()
+    measured["optimizations"]["engine_run_fast_path"]["speedup"] = 0.5
+    report = _engine_report(measured)
+    assert not report["ok"]
+    assert len(report["problems"]) == 1
+    assert "engine_run_fast_path" in report["problems"][0]
+    assert benchfile.check(report, _engine_report(_measured()))
 
 
-def test_check_bench_skips_workloads_missing_from_baseline():
-    current = _bench_doc(events_per_sec=10_000)
-    current["workloads"]["zz_new"] = {"events_per_sec": 1}
-    baseline = _bench_doc(events_per_sec=10_000)
-    assert check_bench(current, baseline) == []
+def _nondeterministic_workload(measured):
+    measured["workloads"]["streamcluster"]["deterministic"] = False
+
+
+def _nondeterministic_campaign(measured):
+    measured["fleet_campaign"]["deterministic"] = False
+
+
+def _inequivalent_pool_index(measured):
+    measured["optimizations"]["pool_load_index"]["equivalent"] = False
+
+
+@pytest.mark.parametrize(
+    "breakage, culprit",
+    [
+        (_nondeterministic_workload, "streamcluster"),
+        (_nondeterministic_campaign, "fleet_campaign"),
+        (_inequivalent_pool_index, "pool_load_index"),
+    ],
+    ids=["workload", "fleet-campaign", "pool-index"],
+)
+def test_engine_gate_fails_on_a_baseline_free_check(breakage, culprit):
+    """Throughput inside its band does not save a report whose same-seed
+    repeats diverged or whose optimized path disagrees with its
+    reference."""
+    measured = _measured()
+    breakage(measured)
+    report = _engine_report(measured)
+    assert not report["ok"]
+    assert len(report["problems"]) == 1 and culprit in report["problems"][0]
+    problems = benchfile.check(report, _engine_report(_measured()))
+    assert len(problems) == 1 and culprit in problems[0]
 
 
 def test_pool_index_matches_scan_and_wins():

@@ -1,12 +1,14 @@
 """The fleet acceptance campaign and scaling benches (smoke variants)."""
 
+from pathlib import Path
+
 from repro.experiments.fleet import (
     _survivable_victims,
-    format_bench,
     format_campaign,
     run_fleet_bench,
     run_fleet_campaign,
 )
+from repro.metrics import benchfile
 
 
 def test_smoke_campaign_passes_and_replays_identically():
@@ -45,14 +47,22 @@ def test_campaign_digest_tracks_fleet_shape():
 
 def test_smoke_bench_shapes_and_oracles():
     report = run_fleet_bench(seed=1, smoke=True)
-    assert report["ok"]
-    assert [c["containers_on_pair"] for c in report["containers_per_pair"]] \
-        == [1, 2]
-    assert [c["hosts"] for c in report["pool_size"]] == [4, 6]
-    for cell in report["pool_size"]:
-        assert cell["failovers"] >= 1
-        assert cell["protected_at_end"] == cell["containers"]
-    assert "req/s" in format_bench(report)
+    assert report["ok"], report["problems"]
+    metrics = report["metrics"]
+    assert {name.split(".")[0] for name in metrics} == {
+        "pair1", "pair2", "hosts4", "hosts6",
+    }
+    for hosts in (4, 6):
+        assert metrics[f"hosts{hosts}.failovers"]["value"] >= 1
+        # Smoke runs full-size pool cells: all 12 members re-protected.
+        assert metrics[f"hosts{hosts}.protected_at_end"]["value"] == 12
+    assert "req/s" in benchfile.format(report)
+    # Smoke cells run at full-run parameters, so they equal the same
+    # cells of the checked-in full bench exactly.
+    pinned = benchfile.load(
+        Path(__file__).resolve().parents[2] / "BENCH_fleet.json"
+    )
+    assert metrics == {name: pinned["metrics"][name] for name in metrics}
 
 
 def test_survivable_victims_skips_spanned_pairs():

@@ -1,22 +1,23 @@
-"""The HyCoR-vs-NiLiCon tradeoff experiment and its CI gate.
+"""The HyCoR-vs-NiLiCon tradeoff experiment and its oracle.
 
 The full comparison (10 workloads x 3 modes + recovery + traffic) runs
 under ``make hycor``; here the tier-1 suite pins the two claims at
 single-cell scale — log-commit release beats checkpoint-commit on a
 latency-bound server, and recovery pays for it with a replayed log
-tail — plus the pure gate logic of ``check_hycor_bench``.
+tail — plus the pure tradeoff oracle, ``tradeoff_problems``.  The bench
+gate's cases live with the one bench schema (tests/metrics).
 """
 
-import copy
-import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.hycor import (
-    check_hycor_bench,
     run_overhead_row,
     run_recovery_cell,
-    write_hycor_bench_json,
+    tradeoff_problems,
 )
+from repro.metrics import benchfile
 
 
 def test_overhead_row_shows_log_commit_advantage():
@@ -44,104 +45,112 @@ def test_recovery_cells_split_on_replay():
     assert hycor["restore_us"] > 0
 
 
-def _base_report():
-    return {
-        "ok": True,
-        "seed": 1,
-        "workloads": {
-            "net-echo": {
-                "kind": "server",
-                "stock": 1664.0,
-                "nilicon_overhead_pct": 96.0,
-                "hycor_overhead_pct": 66.0,
-                "reduction_pct": 30.0,
-            },
-        },
-        "recovery": {
-            "redis/hycor": {
-                "detection_us": 0,
-                "restore_us": 238_000,
-                "replay_us": 16_500,
-                "total_us": 284_000,
-            },
-        },
-        "traffic": {"requests": 106, "p99_us": 607_000, "ok": True},
-    }
+def _comparison():
+    """A comparison's rows, recovery cells and traffic cell, tradeoff held."""
+    rows = [
+        {"workload": "net-echo", "kind": "server",
+         "nilicon_overhead_pct": 96.0, "hycor_overhead_pct": 66.0,
+         "reduction_pct": 30.0},
+        # Compute rows may lose a little: no output to release early.
+        {"workload": "swaptions", "kind": "compute",
+         "nilicon_overhead_pct": 5.0, "hycor_overhead_pct": 8.0,
+         "reduction_pct": -3.0},
+    ]
+    recovery = [
+        {"workload": "redis", "mode": "nilicon", "violations": [],
+         "replay_us": 0, "total_us": 267_000},
+        {"workload": "redis", "mode": "hycor", "violations": [],
+         "replay_us": 16_500, "total_us": 284_000},
+    ]
+    traffic_cell = {"mode": "hycor", "ok": True, "violations": []}
+    return rows, recovery, traffic_cell
 
 
-def test_check_hycor_bench_gate_logic():
-    base = _base_report()
-    assert check_hycor_bench(_base_report(), base) == []
+def _unreplayed(rows, recovery, traffic_cell):
+    recovery[1]["replay_us"] = 0
 
-    slow = _base_report()
-    slow["workloads"]["net-echo"]["hycor_overhead_pct"] = 90.0
-    assert any("overhead" in p for p in check_hycor_bench(slow, base))
 
-    shrunk = _base_report()
-    shrunk["workloads"]["net-echo"]["reduction_pct"] = 5.0
-    assert any("reduction" in p for p in check_hycor_bench(shrunk, base))
+def _nilicon_replayed(rows, recovery, traffic_cell):
+    recovery[0]["replay_us"] = 40
 
-    lagged = _base_report()
-    lagged["recovery"]["redis/hycor"]["total_us"] = 500_000
-    assert any("recovery" in p for p in check_hycor_bench(lagged, base))
 
-    unreplayed = _base_report()
-    unreplayed["recovery"]["redis/hycor"]["replay_us"] = 0
-    assert any("replay" in p for p in check_hycor_bench(unreplayed, base))
+def _server_lost_to_nilicon(rows, recovery, traffic_cell):
+    rows[0]["hycor_overhead_pct"] = 97.5
+    rows[0]["reduction_pct"] = -1.5
 
-    broken_traffic = _base_report()
-    broken_traffic["traffic"]["ok"] = False
-    assert any("traffic" in p for p in check_hycor_bench(broken_traffic, base))
 
-    # Cells absent from the baseline do not gate (smoke vs full subsets).
-    extra = _base_report()
-    extra["workloads"]["novel"] = {
-        "kind": "server", "stock": 1.0,
-        "nilicon_overhead_pct": 1.0, "hycor_overhead_pct": 99.0,
-        "reduction_pct": -98.0,
-    }
-    extra["recovery"]["novel/hycor"] = {
-        "detection_us": 0, "restore_us": 1, "replay_us": 0, "total_us": 10**9,
-    }
-    assert check_hycor_bench(extra, base) == []
+def _recovery_cell_violated(rows, recovery, traffic_cell):
+    recovery[1]["violations"].append("redis/hycor: acknowledged write lost")
 
-    # A failing current bench gates regardless of the cells.
-    failing = _base_report()
-    failing["ok"] = False
-    assert check_hycor_bench(failing, base)
 
-    # Drift inside the tolerance band passes.
-    drifted = _base_report()
-    drifted["workloads"]["net-echo"]["hycor_overhead_pct"] = 67.5
-    drifted["recovery"]["redis/hycor"]["total_us"] = 300_000
-    assert check_hycor_bench(drifted, base) == []
+def _broken_traffic(rows, recovery, traffic_cell):
+    traffic_cell["ok"] = False
+    traffic_cell["violations"].append("failover: 3 client errors")
+
+
+@pytest.mark.parametrize(
+    "breakage, expected",
+    [
+        (_unreplayed, "redis/hycor: recovery replayed no log tail"),
+        (_nilicon_replayed, "redis/nilicon: nonzero replay time 40 us"),
+        (_server_lost_to_nilicon, "net-echo: hycor overhead 97.5%"),
+        (_recovery_cell_violated, "redis/hycor: acknowledged write lost"),
+        (_broken_traffic, "failover: 3 client errors"),
+    ],
+    ids=["hycor-unreplayed", "nilicon-replayed", "server-reduction-below-1",
+         "recovery-violation", "broken-traffic"],
+)
+def test_tradeoff_problems(breakage, expected):
+    assert tradeoff_problems(*_comparison()) == []
+    comparison = _comparison()
+    breakage(*comparison)
+    problems = tradeoff_problems(*comparison)
+    assert len(problems) == 1
+    assert problems[0].startswith(expected)
 
 
 def test_bench_json_roundtrip(tmp_path):
-    report = _base_report()
+    report = {
+        "schema": benchfile.SCHEMA,
+        "bench": "hycor",
+        "seed": 1,
+        "smoke": True,
+        "ok": True,
+        "problems": [],
+        "metrics": {
+            "net-echo.reduction_pct": {
+                "value": 30.29, "unit": "pp", "better": "higher",
+                "min_band": 2.0,
+            },
+            "redis/hycor.replay_us": {"value": 16_500, "unit": "us"},
+        },
+        "info": {"kind": {"net-echo": "server"}},
+    }
     path = tmp_path / "BENCH_hycor.json"
-    write_hycor_bench_json(report, str(path))
-    loaded = json.loads(path.read_text())
+    benchfile.write(report, path)
+    loaded = benchfile.load(path)
     assert loaded == report
-    assert check_hycor_bench(loaded, copy.deepcopy(report)) == []
+    assert benchfile.check(loaded, report) == []
 
 
 def test_checked_in_bench_claims_the_tradeoff():
     """The committed BENCH_hycor.json must itself pin the paper's claim:
     a positive overhead reduction on the latency-bound servers and a
     recovery-latency cost carried by the replayed log tail."""
-    pinned_path = Path(__file__).resolve().parents[2] / "BENCH_hycor.json"
-    pinned = json.loads(pinned_path.read_text(encoding="utf-8"))
+    pinned = benchfile.load(
+        Path(__file__).resolve().parents[2] / "BENCH_hycor.json"
+    )
     assert pinned["ok"]
-    servers = [c for c in pinned["workloads"].values() if c["kind"] == "server"]
-    assert any(c["reduction_pct"] > 10 for c in servers)
-    assert all(c["reduction_pct"] >= 0 for c in servers)
-    hycor_cells = {k: c for k, c in pinned["recovery"].items()
-                   if k.endswith("/hycor")}
+    value = {name: m["value"] for name, m in pinned["metrics"].items()}
+    servers = [w for w, kind in pinned["info"]["kind"].items()
+               if kind == "server"]
+    assert any(value[f"{w}.reduction_pct"] > 10 for w in servers)
+    assert all(value[f"{w}.reduction_pct"] >= 0 for w in servers)
+    hycor_cells = {name.rsplit(".", 1)[0] for name in value
+                   if name.rsplit(".", 1)[0].endswith("/hycor")}
     assert hycor_cells
-    assert all(c["replay_us"] > 0 for c in hycor_cells.values())
-    for key, cell in hycor_cells.items():
-        twin = pinned["recovery"][key.replace("/hycor", "/nilicon")]
-        assert cell["total_us"] >= twin["total_us"]
-        assert twin["replay_us"] == 0
-    assert pinned["traffic"]["ok"]
+    for cell in hycor_cells:
+        twin = cell.replace("/hycor", "/nilicon")
+        assert value[f"{cell}.replay_us"] > 0
+        assert value[f"{cell}.total_us"] >= value[f"{twin}.total_us"]
+        assert value[f"{twin}.replay_us"] == 0

@@ -113,3 +113,46 @@ def test_traffic_profiles_lists_all_four(capsys):
     out = capsys.readouterr().out
     for name in ("steady", "bursty", "failover", "migration"):
         assert name in out
+
+
+def _bench_args(**kwargs):
+    import argparse
+
+    return argparse.Namespace(**{"json": False, "out": None, "check": None,
+                                 **kwargs})
+
+
+def _bench_report(events_per_sec, ok=True):
+    from repro.metrics import benchfile
+
+    return {
+        "schema": benchfile.SCHEMA, "bench": "engine", "seed": 1,
+        "smoke": True, "ok": ok, "problems": [] if ok else ["diverged"],
+        "metrics": {"net.events_per_sec": {
+            "value": events_per_sec, "unit": "events/s", "better": "higher",
+        }},
+        "info": {},
+    }
+
+
+def test_run_bench_exit_codes(tmp_path, capsys):
+    from repro.cli import _run_bench
+
+    pinned = tmp_path / "BENCH_engine.json"
+    assert _run_bench(_bench_report(40_000), _bench_args(out=str(pinned))) == 0
+    assert _run_bench(_bench_report(35_000), _bench_args(check=str(pinned))) == 0
+    assert "within tolerance" in capsys.readouterr().out
+    assert _run_bench(_bench_report(10_000), _bench_args(check=str(pinned))) == 1
+    assert _run_bench(_bench_report(40_000, ok=False), _bench_args()) == 1
+    stale = tmp_path / "BENCH_v1.json"
+    stale.write_text('{"schema": "repro.bench.engine/v1"}', encoding="utf-8")
+    assert _run_bench(_bench_report(40_000), _bench_args(check=str(stale))) == 2
+    assert "REGRESSION" in capsys.readouterr().err
+
+
+def test_fleet_bench_smoke_gates_against_checked_in_file(capsys):
+    from pathlib import Path
+
+    pinned = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
+    assert main(["fleet", "bench", "--smoke", "--check", str(pinned)]) == 0
+    assert "within tolerance" in capsys.readouterr().out

@@ -3,7 +3,6 @@
 from repro.experiments.traffic import (
     SMOKE_FLEET,
     _run_scenario_once,
-    check_traffic_bench,
     run_traffic_campaign,
     traffic_profiles,
 )
@@ -82,34 +81,3 @@ def test_smoke_campaign_green_and_deterministic():
     }
     # The open-loop generator actually sustained concurrent sessions.
     assert report["peak_sessions"] >= 30
-
-
-def test_bench_gate_flags_regressions():
-    base = {
-        "ok": True,
-        "profiles": {"steady": {"p99_us": 40_000, "throughput_rps": 150.0}},
-    }
-    good = {
-        "ok": True,
-        "profiles": {"steady": {"p99_us": 44_000, "throughput_rps": 140.0}},
-    }
-    slow = {
-        "ok": True,
-        "profiles": {"steady": {"p99_us": 50_000, "throughput_rps": 150.0}},
-    }
-    starved = {
-        "ok": True,
-        "profiles": {"steady": {"p99_us": 40_000, "throughput_rps": 100.0}},
-    }
-    assert check_traffic_bench(good, base) == []
-    assert any("p99" in p for p in check_traffic_bench(slow, base))
-    assert any("req/s" in p for p in check_traffic_bench(starved, base))
-    # Profiles absent from the baseline do not gate.
-    extra = {
-        "ok": True,
-        "profiles": {"novel": {"p99_us": 1, "throughput_rps": 1.0}},
-    }
-    assert check_traffic_bench(extra, base) == []
-    # A failing current bench gates regardless of the cells.
-    failing = dict(good, ok=False)
-    assert check_traffic_bench(failing, base)
