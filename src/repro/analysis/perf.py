@@ -416,6 +416,7 @@ DEFAULT_ROOTS = (
     ("Engine.step", "per-event"),
     ("Engine._dispatch", "per-event"),
     ("Engine._schedule", "per-event"),
+    ("Engine.call_later", "per-event"),
     ("Process._resume", "per-event"),
     ("trace", "per-event"),
     # per-event: slot bookkeeping (rebalancer + controller query per tick).

@@ -262,13 +262,9 @@ class FaultPlan:
         channel: "Channel", dest: "Endpoint", delivery: "Delivery", delay_us: int
     ) -> None:
         if delay_us <= 0:
-            if not channel.is_cut:
-                dest.rx.put(delivery)
+            channel.deliver(dest, delivery)
             return
-        timer = channel.engine.timeout(delay_us)
-        timer.callbacks.append(
-            lambda _ev: None if channel.is_cut else dest.rx.put(delivery)
-        )
+        channel.engine.call_later(delay_us, channel.deliver, dest, delivery)
 
 
 def _describe(message: Any) -> str:

@@ -370,5 +370,4 @@ class Bridge:
         self._port_free_at[port] = done
         arrival = done + self.latency_us
 
-        timeout = self.engine.timeout(arrival - now)
-        timeout.callbacks.append(lambda _ev, d=device, p=packet: d.receive(p))
+        self.engine.call_later(arrival - now, device.receive, packet)

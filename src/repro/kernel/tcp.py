@@ -36,7 +36,7 @@ from typing import Any, Optional
 from repro.kernel.costmodel import CostModel
 from repro.kernel.errors import ConnectionReset, SocketError
 from repro.kernel.netdev import NetDevice, Packet
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Call, Engine, Event
 
 __all__ = ["TcpSocket", "TcpStack", "TcpState", "MSS"]
 
@@ -110,9 +110,9 @@ class TcpSocket:
         #: the minimum immediately to repaired sockets, which otherwise
         #: restart at the fresh-socket default.
         self.rto: int = stack.costs.tcp_rto_default  # ckpt: derived -- re-derived by the §V-E rto patch on restore
-        self._retx_timer: Event | None = None  # ckpt: ephemeral -- re-armed by kick_retransmit after restore
+        self._retx_timer: Call | None = None  # ckpt: ephemeral -- re-armed by kick_retransmit after restore
         self._retx_backoff = 1  # ckpt: ephemeral -- backoff restarts with the fresh timer
-        self._syn_timer: Event | None = None  # ckpt: ephemeral
+        self._syn_timer: Call | None = None  # ckpt: ephemeral
         self._syn_retries = 0  # ckpt: ephemeral
         #: Metrics: retransmitted segments.
         self.retransmits = 0  # ckpt: ephemeral -- host-local metric
@@ -418,9 +418,9 @@ class TcpSocket:
         if self._retx_timer is not None or not self.write_queue:
             return
         snapshot_una = self.snd_una
-        timer = self.stack.engine.timeout(self.rto * self._retx_backoff)
-        timer.callbacks.append(lambda _ev: self._retransmit_check(snapshot_una))
-        self._retx_timer = timer
+        self._retx_timer = self.stack.engine.call_later(
+            self.rto * self._retx_backoff, self._retransmit_check, snapshot_una
+        )
 
     def _retransmit_check(self, una_when_armed: int) -> None:
         self._retx_timer = None
@@ -440,9 +440,9 @@ class TcpSocket:
         self._arm_retransmit()
 
     def _arm_syn_retry(self) -> None:
-        timer = self.stack.engine.timeout(self.stack.costs.syn_retry_timeout)
-        timer.callbacks.append(lambda _ev: self._syn_retry())
-        self._syn_timer = timer
+        self._syn_timer = self.stack.engine.call_later(
+            self.stack.costs.syn_retry_timeout, self._syn_retry
+        )
 
     def _syn_retry(self) -> None:
         self._syn_timer = None

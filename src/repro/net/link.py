@@ -111,6 +111,11 @@ class Channel:
     def tx_time_us(self, size_bytes: int) -> int:
         return (size_bytes * 8 * SECOND) // self.bandwidth_bps
 
+    def deliver(self, dest: Endpoint, delivery: Delivery) -> None:
+        """Hand *delivery* to *dest* unless the channel was cut in flight."""
+        if not self._cut:
+            dest.rx.put(delivery)
+
     def _transmit(self, from_index: int, message: Any, size_bytes: int, chunks: int) -> None:
         if self._cut:
             return
@@ -129,5 +134,4 @@ class Channel:
         if link_fault(self.engine, self, dest, delivery, arrival - now):
             return
 
-        timer = self.engine.timeout(arrival - now)
-        timer.callbacks.append(lambda _ev: None if self._cut else dest.rx.put(delivery))
+        self.engine.call_later(arrival - now, self.deliver, dest, delivery)

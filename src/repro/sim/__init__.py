@@ -12,6 +12,8 @@ Public surface:
   primitive awaitables yielded by simulation processes.
 * :class:`~repro.sim.engine.Process` -- a running coroutine; also an event
   that triggers when the coroutine finishes.
+* :class:`~repro.sim.engine.Call` -- cancellable handle of a one-shot
+  callback timer made by :meth:`Engine.call_later` (nothing waits on it).
 * :class:`~repro.sim.engine.Interrupt` -- exception thrown into a process by
   :meth:`Process.interrupt`.
 * :class:`~repro.sim.engine.AnyOf` / :class:`~repro.sim.engine.AllOf` --
@@ -27,6 +29,7 @@ Public surface:
 from repro.sim.engine import (
     AllOf,
     AnyOf,
+    Call,
     Engine,
     Event,
     Interrupt,
@@ -41,6 +44,7 @@ from repro.sim.units import MICROSECOND, MILLISECOND, SECOND, ms, sec, us
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Call",
     "Engine",
     "Event",
     "Interrupt",

@@ -5,7 +5,9 @@ The engine is a classic event-heap design: a priority queue of
 Python generators that ``yield`` :class:`Event` objects; the engine resumes a
 process when the event it waits on triggers.  The design follows SimPy's
 proven coroutine protocol but is intentionally smaller: no real-time mixing,
-no environment subclassing, integer-microsecond time only.
+no environment subclassing, integer-microsecond time only.  A timer nothing
+waits on skips the event altogether: :meth:`Engine.call_later` puts a
+:class:`Call` (the callback and its arguments) in the heap entry instead.
 
 Determinism guarantees
 ----------------------
@@ -47,6 +49,7 @@ from typing import Any
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Call",
     "Engine",
     "Event",
     "Interrupt",
@@ -192,11 +195,60 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: int, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(engine)
-        self.delay = int(delay)
-        self._ok = True
+        # Flat body instead of Event.__init__ + _schedule: timeouts are the
+        # most-constructed object in the simulator.  With no tie-break
+        # policy, race detector or profiler installed, _schedule would push
+        # exactly this entry (tie-break key 0) and run no hook.
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        self.engine._schedule(self, NORMAL, self.delay)
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self._vc = None
+        self.delay = delay = int(delay)
+        if (
+            engine._tiebreak is None
+            and engine._race_detector is None
+            and engine._profiler is None
+        ):
+            self._scheduled = True
+            engine._seq += 1
+            heapq.heappush(
+                engine._heap, (engine._now + delay, NORMAL, 0, engine._seq, self)
+            )
+        else:
+            self._scheduled = False
+            engine._schedule(self, NORMAL, delay)
+
+
+class Call:
+    """A one-shot callback timer made by :meth:`Engine.call_later`.
+
+    Not an :class:`Event`: nothing can wait on it and it carries no value.
+    It sits on the engine heap under the same ``(time, NORMAL, tie-break
+    key, sequence)`` key a :class:`Timeout` would get and runs ``fn(*args)``
+    as one callback context, exactly like a timeout with one callback — but
+    without the callback list, the closure and the event state.  The race
+    detector and profiler see it through the same hooks as any event.
+    """
+
+    __slots__ = ("fn", "args", "_cancelled", "_vc")
+
+    # Never fails, so _dispatch's unhandled-failure check passes it by.
+    _ok = True
+
+    def __init__(self, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
+        self.fn = fn
+        self.args = args
+        self._cancelled = False
+        # Vector clock of the scheduling context (race detector only).
+        self._vc: Any = None
+
+    def cancel(self) -> None:
+        """Drop the call: ``fn`` never runs and the entry does not advance
+        the clock when popped."""
+        self._cancelled = True
 
 
 class Initialize(Event):
@@ -430,7 +482,7 @@ class Engine:
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._heap: list[tuple[int, int, int, int, Event]] = []
+        self._heap: list[tuple[int, int, int, int, Event | Call]] = []
         self._seq: int = 0
         self._active_process: Process | None = None
         # Monotonic id of the current callback context.  Incremented before
@@ -468,6 +520,30 @@ class Engine:
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def call_later(self, delay: int, fn: Callable[..., Any], *args: Any) -> Call:
+        """Run ``fn(*args)`` *delay* microseconds from now; returns a
+        cancellable :class:`Call`.
+
+        The fire-and-forget form of ``timeout(delay).callbacks.append(...)``:
+        same heap key, same single callback context, no event to wait on.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay {delay}")
+        call = Call(fn, args)
+        self._seq += 1
+        tiebreak = self._tiebreak
+        key = 0 if tiebreak is None else tiebreak.key(self._ctx_serial)
+        heapq.heappush(
+            self._heap, (self._now + int(delay), NORMAL, key, self._seq, call)
+        )
+        detector = self._race_detector
+        if detector is not None:
+            detector.on_scheduled(call)
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.on_scheduled(call)
+        return call
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
         """Register *generator* as a new simulation process."""
@@ -523,12 +599,14 @@ class Engine:
         when, _prio, _key, _seq, event = heapq.heappop(self._heap)
         self._dispatch(when, event)
 
-    def _dispatch(self, when: int, event: Event) -> None:
+    def _dispatch(self, when: int, event: Event | Call) -> None:
         """Advance the clock to *when* and run *event*'s callbacks.
 
         The single dispatch body shared by :meth:`step` and every
         :meth:`run` loop, so ordering semantics (context serials, detector
-        hooks, failure surfacing) cannot drift between entry points.
+        hooks, failure surfacing) cannot drift between entry points.  A
+        :class:`Call` runs as one callback context, like an event with one
+        callback.
         """
         if when < self._now:  # pragma: no cover - heap invariant guard
             raise SimulationError("event heap went backwards in time")
@@ -540,10 +618,14 @@ class Engine:
             profiler.on_event(event)
         if detector is not None:
             detector.on_event_begin(event)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
+        if type(event) is Call:
             self._ctx_serial += 1
-            callback(event)
+            event.fn(*event.args)
+        else:
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                self._ctx_serial += 1
+                callback(event)
         if detector is not None:
             detector.on_event_end(event)
         if not event._ok and not event._defused:
@@ -591,11 +673,22 @@ class Engine:
         deadline = int(until)
         if deadline < self._now:
             raise SimulationError(f"run(until={deadline}) is in the past")
-        # peek() already discarded cancelled head entries, so the pop below
-        # yields exactly the event peek() priced — one head scan per event
-        # where step() would have done a second.
-        while (next_at := self.peek()) is not None and next_at <= deadline:
-            _when, _prio, _key, _seq, event = heapq.heappop(self._heap)
-            self._dispatch(next_at, event)
+        # One head check per event: drop a cancelled head entry (as peek()
+        # would), stop at the first live entry past the deadline, else pop
+        # and dispatch exactly the entry checked.
+        heap = self._heap
+        pop = heapq.heappop
+        dispatch = self._dispatch
+        while heap:
+            head = heap[0]
+            event = head[4]
+            if event._cancelled:
+                pop(heap)
+                continue
+            when = head[0]
+            if when > deadline:
+                break
+            pop(heap)
+            dispatch(when, event)
         self._now = deadline
         return None

@@ -413,6 +413,15 @@ def test_real_tree_engine_dispatch_loop_is_clean():
     assert [f for f in report.findings if f.path.endswith("sim/engine.py")] == []
 
 
+def test_real_tree_call_later_is_per_event():
+    # One Call per packet hop: call_later is a root like _schedule, so
+    # PERF001..006 lint it as per-event code.
+    assert ("Engine.call_later", "per-event") in DEFAULT_ROOTS
+    hot = build_hot_map(load_sources(PERF_SCOPE_FILES))
+    assert hot["Engine.call_later"].hotness == "per-event"
+    assert hot["Engine.call_later"].path.endswith("sim/engine.py")
+
+
 def test_real_tree_findings_match_checked_in_baseline():
     from pathlib import Path
 

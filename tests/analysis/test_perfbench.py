@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.linter import Finding
 from repro.analysis.perfbench import (
     HOT_THRESHOLD,
+    _bench_callback_timers,
     _bench_pool_index,
     _engine_report,
     crossref,
@@ -128,6 +129,7 @@ def _measured():
         },
         "optimizations": {
             "engine_run_fast_path": {"speedup": 1.1},
+            "callback_timers": {"speedup": 1.3},
             "page_digest_cache": {"work_reduction": 0.967},
             "pool_load_index": {"equivalent": True, "speedup": 4.9},
         },
@@ -168,14 +170,19 @@ def _inequivalent_pool_index(measured):
     measured["optimizations"]["pool_load_index"]["equivalent"] = False
 
 
+def _slow_callback_timers(measured):
+    measured["optimizations"]["callback_timers"]["speedup"] = 0.7
+
+
 @pytest.mark.parametrize(
     "breakage, culprit",
     [
         (_nondeterministic_workload, "streamcluster"),
         (_nondeterministic_campaign, "fleet_campaign"),
         (_inequivalent_pool_index, "pool_load_index"),
+        (_slow_callback_timers, "callback_timers"),
     ],
-    ids=["workload", "fleet-campaign", "pool-index"],
+    ids=["workload", "fleet-campaign", "pool-index", "callback-timers"],
 )
 def test_engine_gate_fails_on_a_baseline_free_check(breakage, culprit):
     """Throughput inside its band does not save a report whose same-seed
@@ -188,6 +195,14 @@ def test_engine_gate_fails_on_a_baseline_free_check(breakage, culprit):
     assert len(report["problems"]) == 1 and culprit in report["problems"][0]
     problems = benchfile.check(report, _engine_report(_measured()))
     assert len(problems) == 1 and culprit in problems[0]
+
+
+def test_callback_timer_bench_fires_every_timer():
+    result = _bench_callback_timers(n_timers=8_000)
+    assert result["events"] == 8_000
+    assert set(result) == {
+        "events", "before_events_per_sec", "after_events_per_sec", "speedup",
+    }
 
 
 def test_pool_index_matches_scan_and_wins():

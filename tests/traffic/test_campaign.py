@@ -1,12 +1,17 @@
 """Traffic campaign oracles: zero drops across faults, replay-identical SLOs."""
 
+from pathlib import Path
+
 from repro.experiments.traffic import (
     SMOKE_FLEET,
     _run_scenario_once,
     run_traffic_campaign,
     traffic_profiles,
 )
+from repro.metrics import benchfile
 from repro.sim.units import sec
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _scenario(name: str):
@@ -76,6 +81,10 @@ def test_smoke_campaign_green_and_deterministic():
     assert report["ok"], report["violations"]
     assert report["deterministic"]
     assert report["slo_digest"] == report["replay_slo_digest"]
+    # Pinned, not just self-consistent: BENCH_traffic.json records this
+    # same seed-1 smoke campaign, so any shift in simulated SLOs fails here.
+    pinned = benchfile.load(ROOT / "BENCH_traffic.json")
+    assert report["slo_digest"] == pinned["info"]["slo_digest"]
     assert {p["name"] for p in report["profiles"]} == {
         "steady", "bursty", "failover", "migration",
     }
