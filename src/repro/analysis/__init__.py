@@ -85,7 +85,6 @@ from repro.analysis.races import (
     RaceDetector,
     RaceFinding,
     install_detector,
-    uninstall_detector,
     verify_access_coverage,
 )
 from repro.analysis.report import render_json, render_text
@@ -129,7 +128,6 @@ __all__ = [
     "render_json",
     "render_text",
     "run_oracle",
-    "uninstall_detector",
     "verify_access_coverage",
     "write_baseline",
 ]

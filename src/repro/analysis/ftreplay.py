@@ -8,10 +8,10 @@ world's engine as ``engine._ftcov``; the hooks threaded through the
 protocol — :func:`~repro.sim.faults.fault_point` (every point reach),
 :meth:`FaultPlan.on_point <repro.faultinject.plan.FaultPlan.on_point>`
 (every rule that actually fired), ``FleetController._set_state`` (every
-state-machine edge), and the :func:`~repro.sim.faults.coverage_mark`
-calls in recovery handlers and ``inject_*`` entry points — are single
-``getattr`` no-ops when no recorder is armed, the same zero-cost
-discipline as ``SimProfiler``.  The recorder only counts; it adds no
+state-machine edge), and the other :func:`~repro.sim.faults.coverage_mark`
+calls in recovery handlers and ``inject_*`` entry points — all go through
+``coverage_mark``, a single attribute check when no recorder is armed,
+the same zero-cost discipline as the engine's observer slot.  The recorder only counts; it adds no
 simulated time and no trace events, so armed runs keep their golden
 digests.
 

@@ -50,6 +50,8 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Hashable
 
+from repro.sim.engine import Observer
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine, Event, Process
 
@@ -59,7 +61,6 @@ __all__ = [
     "TRACKED_STATE",
     "install_detector",
     "recorded_fields",
-    "uninstall_detector",
     "verify_access_coverage",
 ]
 
@@ -140,10 +141,11 @@ _EMPTY_CLOCK: dict[int, int] = {}
 _HISTORY = 4
 
 
-class RaceDetector:
+class RaceDetector(Observer):
     """Happens-before bookkeeping plus conflict/ordering checks.
 
-    Install with :func:`install_detector`; every engine hook then feeds it.
+    An engine :class:`~repro.sim.engine.Observer`: install with
+    :func:`install_detector`; every engine hook then feeds it.
     All state is per-run; create a fresh detector per simulation.
     """
 
@@ -172,7 +174,7 @@ class RaceDetector:
         self._ordered_reads: dict[tuple, list[_Access]] = {}
         self._seen: set[tuple] = set()
 
-    # -- engine hooks ----------------------------------------------------- #
+    # -- observer hooks --------------------------------------------------- #
     def on_scheduled(self, event: "Event") -> None:
         """Capture the scheduling context's clock on the event."""
         ctx = self._ctx
@@ -240,8 +242,8 @@ class RaceDetector:
             _join(pending, event._vc)
 
     # -- access recording -------------------------------------------------- #
-    def record(
-        self, obj: Any, field: str, kind: str, key: Hashable = None, site: str = ""
+    def on_access(
+        self, obj: Any, field: str, kind: str, key: Hashable, site: str
     ) -> None:
         self.accesses_recorded += 1
         ctx = self._ctx
@@ -401,14 +403,9 @@ class RaceDetector:
 
 
 def install_detector(engine: "Engine", max_findings: int = 200) -> RaceDetector:
-    """Attach a fresh :class:`RaceDetector` to *engine*; returns it."""
-    detector = RaceDetector(engine, max_findings=max_findings)
-    engine._race_detector = detector
-    return detector
-
-
-def uninstall_detector(engine: "Engine") -> None:
-    engine._race_detector = None
+    """Attach a fresh :class:`RaceDetector` to *engine*; returns it.  Remove
+    it with ``engine.observe(None)``."""
+    return engine.observe(RaceDetector(engine, max_findings=max_findings))
 
 
 # --------------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.faultinject.points import FAULT_POINTS, LINK_MESSAGE_KINDS
 from repro.sim.engine import Interrupt
+from repro.sim.faults import coverage_mark
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Channel, Delivery, Endpoint
@@ -162,7 +163,7 @@ class FaultPlan:
         return self
 
     def disarm(self) -> None:
-        if self._engine is not None and getattr(self._engine, "fault_plan", None) is self:
+        if self._engine is not None and self._engine.fault_plan is self:
             self._engine.fault_plan = None
         self._engine = None
 
@@ -187,9 +188,8 @@ class FaultPlan:
             if rule.hits != rule.at_hit:
                 continue
             rule.fired = True
-            rec = getattr(engine, "_ftcov", None) if engine else None
-            if rec is not None:
-                rec.record("fired", name)
+            if engine is not None:
+                coverage_mark(engine, "fired", name)
             self.log.append(
                 f"t={engine.now if engine else '?'} point {name} {detail} -> "
                 f"stall={rule.stall_us} kill={rule.kill} "

@@ -283,9 +283,9 @@ class FleetController:
         # race-detector finding instead of a silent corruption.
         record_access(self.engine, self, "member_state", "w", key=member.name,
                       site="fleet.set_state")
-        rec = getattr(self.engine, "_ftcov", None)
-        if rec is not None:
-            rec.record("edge", f"{member.state}->{state}")
+        # One coverage-matrix edge per real transition, for the ftcov
+        # dynamic oracle (repro.analysis.ftreplay).
+        coverage_mark(self.engine, "edge", f"{member.state}->{state}")
         member.state = state
         trace(self.engine, "fleet", "member_state", member=member.name,
               state=state)

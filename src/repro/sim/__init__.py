@@ -16,6 +16,8 @@ Public surface:
   callback timer made by :meth:`Engine.call_later` (nothing waits on it).
 * :class:`~repro.sim.engine.Interrupt` -- exception thrown into a process by
   :meth:`Process.interrupt`.
+* :class:`~repro.sim.engine.Observer` -- the engine's one hook protocol;
+  instruments subclass it and install with :meth:`Engine.observe`.
 * :class:`~repro.sim.engine.AnyOf` / :class:`~repro.sim.engine.AllOf` --
   composite wait conditions.
 * :class:`~repro.sim.resources.Queue` -- unbounded FIFO channel.
@@ -33,6 +35,7 @@ from repro.sim.engine import (
     Engine,
     Event,
     Interrupt,
+    Observer,
     Process,
     SimulationError,
     Timeout,
@@ -51,6 +54,7 @@ __all__ = [
     "Lock",
     "MICROSECOND",
     "MILLISECOND",
+    "Observer",
     "Process",
     "Queue",
     "RngRegistry",

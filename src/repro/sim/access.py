@@ -2,10 +2,10 @@
 
 Protocol code (netbuffer, agents, DRBD, heartbeat...) calls
 :func:`record_access` wherever it reads or mutates state that more than one
-simulation process can reach.  When no :class:`repro.analysis.races.
-RaceDetector` is installed on the engine the call is a single attribute
-check — the same pattern as :func:`repro.sim.faults.fault_point` and
-:func:`repro.sim.trace.trace`.
+simulation process can reach.  The call reaches the engine's observer
+(:meth:`Observer.on_access <repro.sim.engine.Observer.on_access>`), which
+the :class:`repro.analysis.races.RaceDetector` overrides; with no observer
+installed it is a single attribute check.
 
 Access kinds
 ------------
@@ -57,8 +57,8 @@ def record_access(
       accesses to different epochs of the same structure don't collide.
     * *site* — short code-location label used in findings.
 
-    No-op (one attribute check) when no detector is installed.
+    No-op (one attribute check) when no observer is installed.
     """
-    detector = engine._race_detector
-    if detector is not None:
-        detector.record(obj, field, kind, key, site)
+    observer = engine._observer
+    if observer is not None:
+        observer.on_access(obj, field, kind, key, site)

@@ -21,30 +21,33 @@ These two properties make every experiment in this repository exactly
 replayable from its seed, which the fault-injection campaign (50 seeded runs
 per benchmark, paper §VII-A) relies on.
 
-Schedule-independence checking
-------------------------------
+Schedule-independence checking and observers
+--------------------------------------------
 
 The insertion-order tie-break is a *default*, not something protocol code
-may rely on.  Two hooks make that a checked property (see ``docs/races.md``):
+may rely on.  :meth:`Engine.set_tiebreak` makes that a checked property
+(see ``docs/races.md``): it installs a policy that deterministically
+permutes the order of same-timestamp events scheduled from *different*
+contexts (a context is one callback invocation; events scheduled by the
+same context keep their relative order, which preserves per-sender FIFO).
+The schedule fuzzer replays workloads under such permutations and diffs
+their digests.
 
-* :meth:`Engine.set_tiebreak` installs a policy that deterministically
-  permutes the order of same-timestamp events scheduled from *different*
-  contexts (a context is one callback invocation; events scheduled by the
-  same context keep their relative order, which preserves per-sender FIFO).
-  The schedule fuzzer replays workloads under such permutations and diffs
-  their digests.
-* An installed :class:`repro.analysis.races.RaceDetector` (via
-  ``engine._race_detector``) receives happens-before bookkeeping callbacks:
-  every event captures the vector clock of the context that triggered it,
-  and every process joins the clock of the event that resumed it.  All
-  hooks are a single attribute check when no detector is installed.
+Instruments watch the run through one slot, ``Engine._observer``, set by
+:meth:`Engine.observe`.  An :class:`Observer` receives every hook the
+engine and the protocol emit: scheduling, dispatch, process resumption,
+condition joins, shared-state accesses and trace categories.  The
+happens-before :class:`repro.analysis.races.RaceDetector` and the
+:class:`repro.sim.profiler.SimProfiler` are observers; they override only
+the hooks they use.  Every hook site reads the slot once and costs one
+attribute check when no observer is installed.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Generator, Iterable
-from typing import Any
+from typing import Any, Hashable, TypeVar
 
 __all__ = [
     "AllOf",
@@ -53,10 +56,13 @@ __all__ = [
     "Engine",
     "Event",
     "Interrupt",
+    "Observer",
     "Process",
     "SimulationError",
     "Timeout",
 ]
+
+_O = TypeVar("_O", bound="Observer | None")
 
 # Priorities for same-timestamp ordering.  URGENT is used internally for
 # process resumption bookkeeping so that e.g. an interrupt scheduled "now"
@@ -80,6 +86,46 @@ class Interrupt(Exception):
     @property
     def cause(self) -> Any:
         return self.args[0] if self.args else None
+
+
+class Observer:
+    """The engine's one hook protocol; every hook is a no-op here.
+
+    Install a subclass with :meth:`Engine.observe` and override only the
+    hooks it needs.  The engine calls the ``on_*`` hooks around scheduling,
+    dispatch and process resumption; :func:`repro.sim.access.record_access`
+    calls :meth:`on_access` and :func:`repro.sim.trace.trace` calls
+    :meth:`on_trace`.
+    """
+
+    def on_scheduled(self, event: Event | Call) -> None:
+        """*event* was pushed on the heap."""
+
+    def on_event_begin(self, event: Event | Call) -> None:
+        """*event* was popped; its callbacks are about to run."""
+
+    def on_event_end(self, event: Event | Call) -> None:
+        """*event*'s callbacks returned."""
+
+    def on_resume(self, process: Process, event: Event) -> None:
+        """*process* is about to be resumed by *event*."""
+
+    def on_resume_end(self, process: Process) -> None:
+        """*process* yielded a pending event or finished."""
+
+    def on_consume(self, process: Process, event: Event) -> None:
+        """*process* yielded the already-processed *event* and goes on."""
+
+    def on_condition_join(self, condition: Event, event: Event) -> None:
+        """Constituent *event* was folded into an AnyOf/AllOf *condition*."""
+
+    def on_access(
+        self, obj: Any, field: str, kind: str, key: Hashable, site: str
+    ) -> None:
+        """Shared state was accessed (see :mod:`repro.sim.access`)."""
+
+    def on_trace(self, category: str) -> None:
+        """A protocol trace event of *category* was emitted."""
 
 
 class Event:
@@ -197,8 +243,8 @@ class Timeout(Event):
             raise SimulationError(f"negative timeout delay {delay}")
         # Flat body instead of Event.__init__ + _schedule: timeouts are the
         # most-constructed object in the simulator.  With no tie-break
-        # policy, race detector or profiler installed, _schedule would push
-        # exactly this entry (tie-break key 0) and run no hook.
+        # policy and no observer installed, _schedule would push exactly
+        # this entry (tie-break key 0) and run no hook.
         self.engine = engine
         self.callbacks = []
         self._value = value
@@ -207,11 +253,7 @@ class Timeout(Event):
         self._cancelled = False
         self._vc = None
         self.delay = delay = int(delay)
-        if (
-            engine._tiebreak is None
-            and engine._race_detector is None
-            and engine._profiler is None
-        ):
+        if engine._tiebreak is None and engine._observer is None:
             self._scheduled = True
             engine._seq += 1
             heapq.heappush(
@@ -229,8 +271,8 @@ class Call:
     It sits on the engine heap under the same ``(time, NORMAL, tie-break
     key, sequence)`` key a :class:`Timeout` would get and runs ``fn(*args)``
     as one callback context, exactly like a timeout with one callback — but
-    without the callback list, the closure and the event state.  The race
-    detector and profiler see it through the same hooks as any event.
+    without the callback list, the closure and the event state.  An
+    observer sees it through the same hooks as any event.
     """
 
     __slots__ = ("fn", "args", "_cancelled", "_vc")
@@ -331,12 +373,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with *event*'s outcome."""
         self.engine._active_process = self
-        detector = self.engine._race_detector
-        if detector is not None:
-            detector.on_resume(self, event)
-        profiler = self.engine._profiler
-        if profiler is not None:
-            profiler.on_resume(self)
+        observer = self.engine._observer
+        if observer is not None:
+            observer.on_resume(self, event)
         schedule = self.engine._schedule
         while True:
             try:
@@ -376,9 +415,9 @@ class Process(Event):
             if next_target.callbacks is None:
                 # Already processed: resume immediately with its value.
                 event = next_target
-                if detector is not None:
+                if observer is not None:
                     # The process still happens-after the consumed event.
-                    detector.on_consume(self, event)
+                    observer.on_consume(self, event)
                 if not event._ok:
                     event._defused = True
                 continue
@@ -386,8 +425,8 @@ class Process(Event):
             self._target = next_target
             break
         self.engine._active_process = None
-        if detector is not None:
-            detector.on_resume_end(self)
+        if observer is not None:
+            observer.on_resume_end(self)
 
 
 class _Condition(Event):
@@ -419,9 +458,9 @@ class _Condition(Event):
         constituent whose firing finally triggered it; the waiter must
         happen-after *every* constituent folded in so far.
         """
-        detector = self.engine._race_detector
-        if detector is not None:
-            detector.on_condition_join(self, event)
+        observer = self.engine._observer
+        if observer is not None:
+            observer.on_condition_join(self, event)
 
     def _collect(self) -> dict[Event, Any]:
         # Use ``processed`` (callbacks ran) rather than ``triggered``:
@@ -494,15 +533,36 @@ class Engine:
         # expose ``key(ctx_serial) -> int``; the key slots between priority
         # and the insertion sequence in heap entries.
         self._tiebreak: Any = None
-        # Happens-before race detector (repro.analysis.races.RaceDetector)
-        # or None.  All hook sites cost one attribute check when None.
-        self._race_detector: Any = None
-        # Deterministic work profiler (repro.sim.profiler.SimProfiler) or
-        # None; same one-attribute-check contract as the race detector.
-        self._profiler: Any = None
+        # The one installed Observer (see observe()) or None.  Every hook
+        # site costs one attribute check when None.
+        self._observer: Observer | None = None
+        # Instruments read directly by their hook functions, each None
+        # when off: the protocol Tracer (repro.sim.trace.trace), the armed
+        # FaultPlan (repro.sim.faults) and the ftcov coverage recorder
+        # (repro.sim.faults.coverage_mark).
+        self.tracer: Any = None
+        self.fault_plan: Any = None
+        self._ftcov: Any = None
         #: Lifetime count of events dispatched (always on: the perf bench
         #: derives events/sec from it without profiler overhead).
         self.n_dispatched: int = 0
+
+    # -- instruments -------------------------------------------------------
+    def observe(self, observer: _O) -> _O:
+        """Install *observer* in the engine's one hook slot and return it;
+        ``observe(None)`` removes the installed one.
+
+        One observer at a time: installing a second raises.
+        """
+        if observer is not None and self._observer is not None:
+            raise SimulationError(f"{self._observer!r} is already observing")
+        self._observer = observer
+        return observer
+
+    @property
+    def _profiler(self) -> Observer | None:
+        # bench/worker.py's assert_untraced reads this name.
+        return self._observer
 
     # -- time --------------------------------------------------------------
     @property
@@ -537,12 +597,9 @@ class Engine:
         heapq.heappush(
             self._heap, (self._now + int(delay), NORMAL, key, self._seq, call)
         )
-        detector = self._race_detector
-        if detector is not None:
-            detector.on_scheduled(call)
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.on_scheduled(call)
+        observer = self._observer
+        if observer is not None:
+            observer.on_scheduled(call)
         return call
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
@@ -575,12 +632,9 @@ class Engine:
         tiebreak = self._tiebreak
         key = 0 if tiebreak is None else tiebreak.key(self._ctx_serial)
         heapq.heappush(self._heap, (self._now + delay, priority, key, self._seq, event))
-        detector = self._race_detector
-        if detector is not None:
-            detector.on_scheduled(event)
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.on_scheduled(event)
+        observer = self._observer
+        if observer is not None:
+            observer.on_scheduled(event)
 
     def peek(self) -> int | None:
         """Timestamp of the next live event, or None if idle.
@@ -603,7 +657,7 @@ class Engine:
         """Advance the clock to *when* and run *event*'s callbacks.
 
         The single dispatch body shared by :meth:`step` and every
-        :meth:`run` loop, so ordering semantics (context serials, detector
+        :meth:`run` loop, so ordering semantics (context serials, observer
         hooks, failure surfacing) cannot drift between entry points.  A
         :class:`Call` runs as one callback context, like an event with one
         callback.
@@ -612,12 +666,9 @@ class Engine:
             raise SimulationError("event heap went backwards in time")
         self._now = when
         self.n_dispatched += 1
-        detector = self._race_detector
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.on_event(event)
-        if detector is not None:
-            detector.on_event_begin(event)
+        observer = self._observer
+        if observer is not None:
+            observer.on_event_begin(event)
         if type(event) is Call:
             self._ctx_serial += 1
             event.fn(*event.args)
@@ -626,8 +677,8 @@ class Engine:
             for callback in callbacks:
                 self._ctx_serial += 1
                 callback(event)
-        if detector is not None:
-            detector.on_event_end(event)
+        if observer is not None:
+            observer.on_event_end(event)
         if not event._ok and not event._defused:
             # An unhandled failure: surface it rather than losing it.
             raise event._value

@@ -3,11 +3,13 @@
 The replication protocol is threaded with *named injection points* —
 ``fault_point(engine, "primary.post_barrier", epoch=...)`` — exactly the
 way it is threaded with :func:`repro.sim.trace.trace` calls.  When no plan
-is armed the call is a single ``getattr`` returning 0, so instrumented
-code paths cost nothing in normal runs.
+is armed the call reads two ``None`` attributes of the engine (the ftcov
+recorder and the plan) and returns 0, so instrumented code paths cost
+nothing in normal runs.
 
-An armed plan (see :mod:`repro.faultinject.plan`) is stored on the engine
-as ``engine.fault_plan``.  ``fault_point`` returns the number of simulated
+An armed plan (see :mod:`repro.faultinject.plan`, armed and disarmed only
+by ``FaultPlan.arm``/``disarm``) is stored on the engine as
+``engine.fault_plan``.  ``fault_point`` returns the number of simulated
 microseconds the hooked process must stall (0 = continue immediately), and
 may raise :class:`~repro.sim.engine.Interrupt` to kill the hooked process
 in place — the mechanism behind "crash the primary exactly at phase X".
@@ -26,10 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Channel, Delivery, Endpoint
     from repro.sim.engine import Engine
 
-__all__ = [
-    "clear_plan", "coverage_mark", "fault_point", "install_plan",
-    "link_fault",
-]
+__all__ = ["coverage_mark", "fault_point", "link_fault"]
 
 
 def fault_point(engine: "Engine", name: str, **detail: Any) -> int:
@@ -40,10 +39,8 @@ def fault_point(engine: "Engine", name: str, **detail: Any) -> int:
     the calling process at exactly this point.  Cheap no-op when no plan
     is armed.
     """
-    rec = getattr(engine, "_ftcov", None)
-    if rec is not None:
-        rec.record("point", name)
-    plan = getattr(engine, "fault_plan", None)
+    coverage_mark(engine, "point", name)
+    plan = engine.fault_plan
     if plan is None:
         return 0
     return plan.on_point(name, detail)
@@ -55,10 +52,11 @@ def coverage_mark(engine: "Engine", kind: str, name: str) -> None:
     Sites on failure-handling paths (recovery handlers, ``inject_*``
     entry points) carry this hook; the static inventory in
     :mod:`repro.analysis.ftcov` treats a hooked site as dynamically
-    witnessed.  A single ``getattr`` no-op when no recorder is armed —
-    same zero-cost discipline as ``fault_point`` and ``SimProfiler``.
+    witnessed.  The recorder is ``engine._ftcov``: one attribute check
+    when no recorder is armed — same zero-cost discipline as
+    ``fault_point`` and the engine's observer slot.
     """
-    rec = getattr(engine, "_ftcov", None)
+    rec = engine._ftcov
     if rec is not None:
         rec.record(kind, name)
 
@@ -76,18 +74,7 @@ def link_fault(
     duplicated or re-timed the message); False means the channel should
     deliver normally.  Cheap no-op when no plan is armed.
     """
-    plan = getattr(engine, "fault_plan", None)
+    plan = engine.fault_plan
     if plan is None:
         return False
     return plan.on_transmit(channel, dest, delivery, delay_us)
-
-
-def install_plan(engine: "Engine", plan: Any) -> None:
-    """Arm *plan* on *engine* (one plan at a time)."""
-    engine.fault_plan = plan
-
-
-def clear_plan(engine: "Engine") -> None:
-    """Disarm any fault plan; hooks revert to zero-cost no-ops."""
-    if getattr(engine, "fault_plan", None) is not None:
-        engine.fault_plan = None

@@ -8,12 +8,13 @@ runs produce byte-identical counter sets.  ``repro perf --profile`` relies
 on that: its output digest is a replay check the same way the fleet
 campaign's trace digest is.
 
-Installation mirrors the race detector (see :mod:`repro.sim.engine`): the
-engine carries a ``_profiler`` attribute that is ``None`` by default, and
-every hook site costs one attribute check when profiling is off.  Hot
-objects without an engine reference (:class:`~repro.kernel.mm.AddressSpace`,
-the page stores, :class:`~repro.fleet.pool.HostPool`) instead keep plain
-always-on integer counters that :func:`harvest` collects at snapshot time —
+The profiler is an engine :class:`~repro.sim.engine.Observer`, installed
+in the engine's one observer slot like the race detector (see
+:mod:`repro.sim.engine`); every hook site costs one attribute check when
+no observer is installed.  Hot objects without an engine reference
+(:class:`~repro.kernel.mm.AddressSpace`, the page stores,
+:class:`~repro.fleet.pool.HostPool`) instead keep plain always-on integer
+counters that :func:`harvest` collects at snapshot time —
 an int increment is cheaper than any conditional hook would be.
 
 Counter vocabulary (dotted sites; see ``docs/perf.md``)::
@@ -35,20 +36,21 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Mapping
+
+from repro.sim.engine import Observer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Engine, Event, Process
+    from repro.sim.engine import Call, Engine, Event, Process
 
 __all__ = [
     "SimProfiler",
     "counter_digest",
     "install_profiler",
-    "uninstall_profiler",
 ]
 
 
-class SimProfiler:
+class SimProfiler(Observer):
     """Accumulates deterministic work counters for one profiled run."""
 
     #: The measuring instrument is not itself measured: hot classification
@@ -66,24 +68,28 @@ class SimProfiler:
         counters = self.counters
         counters[site] = counters.get(site, 0) + n
 
-    # -- engine hooks (called via ``engine._profiler``) ------------------
-    def on_event(self, event: "Event") -> None:
+    # -- observer hooks ----------------------------------------------------
+    def on_event_begin(self, event: "Event | Call") -> None:
         """One heap event dispatched; attribute it to the event class."""
         counters = self.counters
         counters["engine.events"] = counters.get("engine.events", 0) + 1
         site = "engine.events." + type(event).__name__
         counters[site] = counters.get(site, 0) + 1
 
-    def on_scheduled(self, event: "Event") -> None:
+    def on_scheduled(self, event: "Event | Call") -> None:
         counters = self.counters
         counters["engine.heap_push"] = counters.get("engine.heap_push", 0) + 1
 
-    def on_resume(self, process: "Process") -> None:
+    def on_resume(self, process: "Process", event: "Event") -> None:
         """One coroutine resumption; attribute it to the process name."""
         counters = self.counters
         counters["engine.resume"] = counters.get("engine.resume", 0) + 1
         site = "engine.resume." + process.name
         counters[site] = counters.get(site, 0) + 1
+
+    def on_trace(self, category: str) -> None:
+        """Protocol-event volume by category (per-epoch attribution)."""
+        self.hit("trace." + category)
 
     # -- harvesting ------------------------------------------------------
     def harvest(self, sites: Mapping[str, int]) -> None:
@@ -111,11 +117,6 @@ def counter_digest(counters: Mapping[str, int]) -> str:
 
 
 def install_profiler(engine: "Engine") -> SimProfiler:
-    """Attach a fresh profiler to *engine*; returns it."""
-    profiler = SimProfiler()
-    engine._profiler = profiler
-    return profiler
-
-
-def uninstall_profiler(engine: "Engine") -> None:
-    engine._profiler = None
+    """Attach a fresh profiler to *engine*; returns it.  Remove it with
+    ``engine.observe(None)``."""
+    return engine.observe(SimProfiler())

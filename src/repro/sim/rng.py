@@ -26,8 +26,9 @@ Two hooks support the nondeterminism-provenance analyzer
 * **Recorder hook** — :meth:`RngRegistry.set_recorder` installs an
   :class:`~repro.sim.ndlog.NDLog` adapter; every subsequent
   :meth:`stream` call returns a wrapper that records draws to (or replays
-  them from) the log.  Mirrors ``Engine._profiler``: ``None`` by default,
-  zero overhead when absent.
+  them from) the log.  Like the engine's observer slot
+  (``Engine._observer``), the recorder is ``None`` by default and costs
+  nothing when absent.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ steps).  Tests use it to assert *sequence conformance* — that the
 implementation performs the paper's protocol steps in the paper's order —
 and ``python -m repro trace`` prints a human-readable timeline.
 
-Tracing is off unless a tracer is installed, and emitting costs one
-attribute check when off.
+Tracing is off unless a tracer is installed, and emitting costs two
+attribute checks (the tracer and the engine's observer) when off.
 """
 
 from __future__ import annotations
@@ -81,13 +81,11 @@ def install_tracer(engine: "Engine", limit: int = 100_000) -> Tracer:
 
 def trace(engine: "Engine", category: str, name: str, **detail: Any) -> None:
     """Emit an event if *engine* has a tracer installed (cheap no-op
-    otherwise)."""
-    profiler = engine._profiler
-    if profiler is not None:
-        # Per-epoch hot-counter attribution: protocol-event volume by
-        # category (see repro.sim.profiler).  Counting is independent of
-        # whether a tracer is installed, so profile runs need no tracer.
-        profiler.hit("trace." + category)
-    tracer = getattr(engine, "tracer", None)
+    otherwise).  The engine's observer sees the category whether or not a
+    tracer is installed, so profile runs need no tracer."""
+    observer = engine._observer
+    if observer is not None:
+        observer.on_trace(category)
+    tracer = engine.tracer
     if tracer is not None:
         tracer.emit(engine.now, category, name, **detail)

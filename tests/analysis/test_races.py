@@ -4,7 +4,6 @@ from repro.analysis.races import (
     TRACKED_STATE,
     install_detector,
     recorded_fields,
-    uninstall_detector,
     verify_access_coverage,
 )
 from repro.sim import AnyOf, Engine, Event
@@ -185,6 +184,67 @@ def test_anyof_join_creates_happens_before_edges():
     assert det.findings == []
 
 
+def test_allof_waiter_happens_after_every_constituent():
+    """The constituent that settles first is ordered too, not only the
+    one whose firing triggers the condition."""
+    eng = Engine()
+    det = install_detector(eng)
+    a, b = Event(eng), Event(eng)
+
+    def producer(event, site):
+        yield eng.timeout(100)
+        if site:
+            record_access(eng, "state", "field", "w", site=site)
+        event.succeed(None)
+
+    def waiter():
+        yield eng.all_of([a, b])
+        record_access(eng, "state", "field", "w", site="waiter")
+
+    eng.process(producer(a, "prod-a"))  # settles first
+    eng.process(producer(b, ""))
+    eng.process(waiter())
+    eng.run()
+    assert det.findings == []
+
+
+def test_consuming_a_processed_event_creates_happens_before_edge():
+    """Yielding an event that already fired resumes inline; the process
+    still happens-after whoever triggered it."""
+    eng = Engine()
+    det = install_detector(eng)
+    done = Event(eng)
+
+    def writer():
+        yield eng.timeout(100)
+        record_access(eng, "state", "field", "w", site="writer")
+        done.succeed(None)
+
+    def reader():
+        yield eng.timeout(100)
+        yield eng.timeout(0)  # `done` is processed by now
+        yield done
+        record_access(eng, "state", "field", "r", site="reader")
+
+    eng.process(writer())
+    eng.process(reader())
+    eng.run()
+    assert det.findings == []
+
+
+def test_context_returns_to_setup_after_each_event():
+    """Code run between engine steps acts as ``<setup>`` again, not as
+    the last dispatched event."""
+    eng = Engine()
+    det = install_detector(eng)
+    eng.call_later(100, record_access, eng, "state", "field", "w", None, "call")
+    eng.run()
+    record_access(eng, "state", "field", "w", site="setup")
+    assert [f.accesses for f in det.findings] == [
+        (("w", "event:Call", "call"), ("w", "<setup>", "setup")),
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # Ordering obligations ("r+")                                                 #
 # --------------------------------------------------------------------------- #
@@ -319,13 +379,13 @@ def test_record_access_is_noop_without_detector():
 
     eng.process(proc())
     eng.run()  # nothing to assert beyond "does not blow up"
-    assert eng._race_detector is None
+    assert eng._observer is None
 
 
 def test_uninstall_detaches():
     eng = Engine()
     det = install_detector(eng)
-    uninstall_detector(eng)
+    eng.observe(None)
 
     def proc():
         yield eng.timeout(10)

@@ -5,7 +5,7 @@ import pytest
 from repro.faultinject.plan import FaultPlan, LinkFault, PointFault
 from repro.net.link import Channel
 from repro.sim.engine import Engine, Interrupt
-from repro.sim.faults import clear_plan, fault_point, link_fault
+from repro.sim.faults import fault_point, link_fault
 
 
 def test_fault_point_is_noop_without_plan():
@@ -58,11 +58,12 @@ def test_kill_raises_interrupt_after_action_runs():
     assert ran == [1]
 
 
-def test_clear_plan_disarms():
+def test_disarm_clears_the_plan():
     engine = Engine()
     plan = FaultPlan(points=[PointFault("primary.pre_send", stall_us=9)])
     plan.arm(engine)
-    clear_plan(engine)
+    plan.disarm()
+    assert engine.fault_plan is None
     assert fault_point(engine, "primary.pre_send") == 0
 
 

@@ -100,4 +100,4 @@ def test_tracer_off_by_default_costs_nothing(world):
     deployment.start()
     world.run(until=ms(200))
     deployment.stop()
-    assert not hasattr(world.engine, "tracer") or world.engine.tracer is None
+    assert world.engine.tracer is None
