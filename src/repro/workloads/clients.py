@@ -100,7 +100,7 @@ class PipelinedClient:
             self.stats.errors += 1
             self.done = True
             return
-        buffered = b""
+        buffered = bytearray()
         while self._more() or self._inflight:
             # Fill the window.
             while self._more() and len(self._inflight) < self.window:
@@ -124,10 +124,7 @@ class PipelinedClient:
                 self.stats.errors += len(self._inflight)
                 break
             buffered += chunk
-            while True:
-                frame_body, buffered = protocol.peel_frame(buffered)
-                if frame_body is None:
-                    break
+            while (frame_body := protocol.pop_frame(buffered)) is not None:
                 i, sent_at, check, ops = self._inflight.pop(0)
                 failure = check(frame_body)
                 if failure is not None:
@@ -213,7 +210,7 @@ class ClosedLoopClients:
             self.stats.errors += 1
             return
         sent = 0
-        buffered = b""
+        buffered = bytearray()
         while True:
             if self.n_requests_per_client is not None and sent >= self.n_requests_per_client:
                 break
@@ -254,7 +251,7 @@ class ClosedLoopClients:
                     failed = True
                     break
                 buffered += chunk
-                frame_body, buffered = protocol.peel_frame(buffered)
+                frame_body = protocol.pop_frame(buffered)
             if failed:
                 break
             failure = check(frame_body)

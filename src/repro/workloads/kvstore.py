@@ -221,7 +221,7 @@ class KvRequestFactory:
 
     def __call__(self, i: int) -> tuple[bytes, Callable[[bytes], str | None], int]:
         ops = []
-        expected_gets = []
+        expected = []  # each op's result: "OK" or the get's shadow value
         value_len = self.server.value_len
         for j in range(self.batch_size):
             if j % 2 == 0:
@@ -230,22 +230,28 @@ class KvRequestFactory:
                 value = f"k{key:06d}@{i:07d}.{j:04d}".ljust(value_len, ".")
                 ops.append(("set", key, value))
                 self.shadow[key] = value
+                expected.append("OK")
             else:
                 key = self.rng.randrange(self.server.n_keys)
                 ops.append(("get", key, None))
-                expected_gets.append(self.shadow[key])
+                expected.append(self.shadow[key])
         body = protocol.encode_body(("BATCH", ops))
 
-        def check(response: bytes, expected=tuple(expected_gets)) -> str | None:
+        def check(response: bytes) -> str | None:
+            # The exact reply is the common case: one bytes comparison.  The
+            # expected body is encoded here, not kept per in-flight batch.
+            if response == protocol.encode_body(("RESULTS", expected)):
+                return None
             kind, results = protocol.decode_body(response)
             if kind != "RESULTS":
                 return f"bad response kind {kind!r}"
             gets = [r for r in results if r != "OK"]
-            if len(gets) != len(expected):
-                return f"expected {len(expected)} get results, saw {len(gets)}"
-            for got, want in zip(gets, expected):
+            want_gets = [r for r in expected if r != "OK"]
+            if len(gets) != len(want_gets):
+                return f"expected {len(want_gets)} get results, saw {len(gets)}"
+            for got, want in zip(gets, want_gets):
                 if got != want:
                     return f"get mismatch: {got[:32]!r} != {want[:32]!r}"
-            return None
+            return "response bytes differ"
 
         return body, check, self.batch_size

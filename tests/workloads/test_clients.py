@@ -83,11 +83,11 @@ def test_pipelined_half_close_counts_every_abandoned_request():
 
     def server():
         conn = yield srv.accept()
-        buf = b""
+        buf = bytearray()
         body = None
         while body is None:
             buf += yield conn.recv(1 << 16)
-            body, buf = protocol.peel_frame(buf)
+            body = protocol.pop_frame(buf)
         # Answer exactly one request, then half-close with the remaining
         # three still in flight.
         conn.send(protocol.frame(body))

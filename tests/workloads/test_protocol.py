@@ -11,25 +11,27 @@ from repro.workloads import protocol
 
 def test_frame_roundtrip():
     body = b"hello world"
-    framed = protocol.frame(body)
-    got, rest = protocol.peel_frame(framed)
-    assert got == body and rest == b""
+    buffer = bytearray(protocol.frame(body))
+    assert protocol.pop_frame(buffer) == body and buffer == b""
 
 
 def test_peel_incomplete_header():
-    assert protocol.peel_frame(b"0000") == (None, b"0000")
+    buffer = bytearray(b"0000")
+    assert protocol.pop_frame(buffer) is None and buffer == b"0000"
 
 
 def test_peel_incomplete_body():
     framed = protocol.frame(b"abcdef")
-    assert protocol.peel_frame(framed[:-2]) == (None, framed[:-2])
+    buffer = bytearray(framed[:-2])
+    assert protocol.pop_frame(buffer) is None and buffer == framed[:-2]
 
 
 def test_peel_two_frames():
-    data = protocol.frame(b"one") + protocol.frame(b"two")
-    first, rest = protocol.peel_frame(data)
-    second, rest = protocol.peel_frame(rest)
-    assert (first, second, rest) == (b"one", b"two", b"")
+    buffer = bytearray(protocol.frame(b"one") + protocol.frame(b"two"))
+    first = protocol.pop_frame(buffer)
+    second = protocol.pop_frame(buffer)
+    assert (first, second, buffer) == (b"one", b"two", b"")
+    assert type(first) is bytes
 
 
 def test_frame_ready_counts_missing_bytes():
@@ -40,6 +42,27 @@ def test_frame_ready_counts_missing_bytes():
     assert protocol.frame_ready(framed[:3]) == protocol.HEADER_LEN - 3
 
 
+_TWO = protocol.frame(b"abcdef") + protocol.frame(b"xy")
+
+
+@pytest.mark.parametrize(
+    "buffer",
+    [
+        b"",
+        _TWO[:3],  # partial header
+        _TWO[: protocol.HEADER_LEN],  # header only
+        _TWO[: protocol.HEADER_LEN + 2],  # partial body
+        _TWO[: protocol.HEADER_LEN + 6],  # exact frame
+        _TWO[: protocol.HEADER_LEN + 9],  # frame, then part of the next header
+        _TWO,  # frame, then a whole second frame
+    ],
+)
+def test_frame_ready_from_header_peek(buffer):
+    """A server peeks only the header and passes the buffered count."""
+    head = buffer[: protocol.HEADER_LEN]
+    assert protocol.frame_ready(head, len(buffer)) == protocol.frame_ready(buffer)
+
+
 def test_encode_decode_structures():
     obj = ("BATCH", [("set", 3, "value"), ("get", 7, None)])
     assert protocol.decode_body(protocol.encode_body(obj)) == obj
@@ -47,18 +70,15 @@ def test_encode_decode_structures():
 
 @given(st.binary(max_size=2000))
 def test_property_frame_roundtrip(body):
-    got, rest = protocol.peel_frame(protocol.frame(body))
-    assert got == body and rest == b""
+    buffer = bytearray(protocol.frame(body))
+    assert protocol.pop_frame(buffer) == body and buffer == b""
 
 
 @given(st.lists(st.binary(max_size=200), max_size=10))
 def test_property_concatenated_frames_parse_in_order(bodies):
-    stream = b"".join(protocol.frame(b) for b in bodies)
+    stream = bytearray(b"".join(protocol.frame(b) for b in bodies))
     out = []
-    while True:
-        body, stream = protocol.peel_frame(stream)
-        if body is None:
-            break
+    while (body := protocol.pop_frame(stream)) is not None:
         out.append(body)
     assert out == bodies and stream == b""
 
@@ -76,12 +96,26 @@ _SCALARS = st.one_of(
     st.binary(max_size=20),
     st.sampled_from([bytes(range(256)), bytes(range(255, -1, -1))]),
 )
+# Flat containers: the decoder reads a tuple or list of plain scalars as one
+# token.  The strings mix plain ones with commas, quotes and brackets, so
+# near-flat containers fall back to the token path.
+_FLAT_ITEMS = st.lists(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.none(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(st.sampled_from("aZ09 .:-é()[]{},'\""), max_size=8),
+    ),
+    max_size=6,
+)
+_FLAT = st.one_of(_FLAT_ITEMS, _FLAT_ITEMS.map(tuple))
 _KEYS = st.one_of(st.integers(), st.text(_STRING_CHARS, max_size=8), st.booleans())
 
 
 @given(
     st.recursive(
-        _SCALARS,
+        _SCALARS | _FLAT,
         lambda children: st.one_of(
             st.lists(children, max_size=4).map(tuple),
             st.lists(children, max_size=4),
@@ -124,8 +158,29 @@ def test_property_encode_decode_roundtrip(obj):
         b"'\\N{no such name}'",  # bad escape in an escaped token
         "b'é'".encode(),  # non-ASCII bytes literal
         b"'a\x00b'",  # raw NUL
+        b"('a',1)",  # flat: no space after ','
+        b"(1, 2, )",  # flat: dangling separator
+        b"['a' , 1]",  # flat: space before ','
+        b"[1,2]",  # flat: ',' without a space
+        b"('a', 1,)",  # flat: trailing ',' on a two-element tuple
+        b"('a\x00b', 1)",  # flat: raw NUL in a str
     ],
 )
 def test_malformed_bodies_rejected(body):
     with pytest.raises(ValueError):
         protocol.decode_body(body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"('a, b', 1)",  # a comma in a str: token path
+        b"(\"it's\", 1)",  # a quote in a str: token path
+        b"(1,)",  # one-element tuple
+        b"{('a', 1): [2, None]}",  # flat dict key and value
+        b"[-0, 1.5e-07, True]",  # int, float and constant items
+        b"('x)', ['y]', '(z'])",  # brackets inside plain strs
+    ],
+)
+def test_flat_bodies_decode_type_exact(body):
+    assert repr(protocol.decode_body(body)) == repr(ast.literal_eval(body.decode()))
