@@ -33,7 +33,7 @@ This package provides the enforcement layers:
   pass classifying functions per-event/per-page/per-epoch, the
   PERF001..PERF006 rules linting only that hot surface, a deterministic
   profiler (:mod:`repro.sim.profiler`) cross-referencing every finding,
-  and the wall-clock benchmark gate behind ``BENCH_engine.json``.
+  and the exact work-counter gate behind ``BENCH_engine.json``.
 * :mod:`repro.analysis.baseline` — finding baselines shared by ``lint``,
   ``ckptcov`` and ``perf``: known findings are frozen in a checked-in
   file, new ones gate CI.

@@ -1,4 +1,4 @@
-"""Perf analyzer Layer 3: deterministic profiling + the benchmark gate.
+"""Perf analyzer Layer 3: deterministic profiling + the work gate.
 
 Two jobs, deliberately separated:
 
@@ -11,23 +11,27 @@ Two jobs, deliberately separated:
   subsystem's counters actually ran hot is **confirmed-hot**, one whose
   counters stayed cold is **downgraded** (the name-based call graph
   over-approximates; the profiler is the semantic backstop).
-* **Benchmarking is wall-clock.**  :func:`run_perf_bench` measures
-  events/sec and pages-digested/sec on catalog workloads, times the fleet
-  campaign, and records the before/after of each landed optimization
-  (engine run() fast path vs the legacy peek/step loop, call_later vs a
-  timeout() carrying a closure, the page-digest generation cache vs the
-  ``perf_unoptimized_digest`` re-hash-everything knob, the host-pool
-  occupancy index vs the ``_load_scan`` reference).
-  The result is ``BENCH_engine.json`` in the one bench schema
-  (:mod:`repro.metrics.benchfile`), whose gate fails on a >20% events/sec
-  regression against it.  Checks that need no baseline (same-seed
-  determinism, the two fast paths' speedups, the pool index's equivalence)
-  fold into the report's ``ok``.
+* **The bench gates work, not time.**  :func:`run_perf_bench` runs each
+  catalog workload twice under the profiler (the two counter digests must
+  agree) and turns every :func:`work_counters` entry into an ``exact``
+  metric ``<workload>.<counter>`` of ``BENCH_engine.json``, in the one
+  bench schema (:mod:`repro.metrics.benchfile`): any change to the events
+  dispatched or the pages written, digested and stored fails the gate,
+  whatever the host's speed.  It also records the before/after of each
+  landed optimization (engine run() fast path vs the legacy peek/step
+  loop, call_later vs a timeout() carrying a closure, the page-digest
+  generation cache vs the ``perf_unoptimized_digest`` re-hash-everything
+  knob, the host-pool occupancy index vs the ``_load_scan`` reference).
+  Checks that need no baseline (same-seed determinism, the two fast
+  paths' in-process speedups, the pool index's equivalence) fold into the
+  report's ``ok``.  The simulator's own speed is measured by
+  ``python3 -m bench``, and ``bench compare`` is the only route for a
+  speed claim.
 
 The wall clock is banned from ``src`` by DET001 (seed replay); the single
-suppressed :func:`_wall` call below is this module's only exemption, and
-its readings influence *report output only* — never simulated state, never
-profiler counters.
+suppressed :func:`_wall` call below is this module's only exemption.  It
+times the in-process micro-benches only, and never feeds simulated state,
+profiler counters or a gated metric.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "crossref",
     "run_perf_bench",
     "run_profiled_deployment",
+    "work_counters",
 ]
 
 #: Catalog workloads the full bench measures (smoke uses the first only).
@@ -55,7 +60,7 @@ PERF_BENCH_WORKLOADS = ("net", "redis", "streamcluster")
 
 
 def _wall() -> float:
-    """Host wall clock, for benchmark throughput numbers only."""
+    """Host wall clock, for the in-process micro-benches only."""
     return time.perf_counter()  # nlint: disable=DET001 -- bench-report timing only; never feeds simulated state or profiler counters
 
 
@@ -66,7 +71,7 @@ def _wall() -> float:
 
 @dataclass
 class ProfiledRun:
-    """One profiled workload run: deterministic counters + a wall reading."""
+    """One profiled workload run: its deterministic counters."""
 
     workload: str
     seed: int
@@ -74,9 +79,6 @@ class ProfiledRun:
     sim_us: int
     #: Total heap events dispatched (``engine.events``).
     events: int
-    #: Wall seconds for the run loop — bench output only, NOT part of the
-    #: counter set and NOT covered by :attr:`digest`.
-    wall_s: float
     counters: dict[str, int]
     #: CRC32 over the sorted counter set; identical across same-seed runs.
     digest: str
@@ -148,9 +150,7 @@ def run_profiled_deployment(
     world, workload, deployment = _build_deployment(workload_name, seed, config)
     profiler = install_profiler(world.engine)
     _launch_clients(world, workload, run_ms)
-    start = _wall()
     world.run(until=ms(run_ms))
-    wall_s = _wall() - start
     deployment.stop()
     _harvest_deployment(profiler, deployment)
     counters = profiler.snapshot()
@@ -160,10 +160,16 @@ def run_profiled_deployment(
         run_ms=run_ms,
         sim_us=world.now,
         events=counters.get("engine.events", 0),
-        wall_s=wall_s,
         counters=counters,
         digest=counter_digest(counters),
     )
+
+
+def work_counters(counters: Mapping[str, int]) -> dict[str, int]:
+    """The per-subsystem totals: the counters with exactly one dot in
+    their name (``engine.events``, ``digest.pages_digested``), not the
+    per-kind breakdowns such as ``engine.events.Call``."""
+    return {site: n for site, n in counters.items() if site.count(".") == 1}
 
 
 # --------------------------------------------------------------------------- #
@@ -216,24 +222,8 @@ def crossref(
 
 
 # --------------------------------------------------------------------------- #
-# Wall-clock benches                                                          #
+# The engine bench                                                            #
 # --------------------------------------------------------------------------- #
-
-
-def _timed_run(workload_name: str, run_ms: int, seed: int, config=None):
-    """One unprofiled timed run; returns ``(deployment, events, wall_s)``."""
-    world, workload, deployment = _build_deployment(workload_name, seed, config)
-    _launch_clients(world, workload, run_ms)
-    engine = world.engine
-    start = _wall()
-    engine.run(until=ms(run_ms))
-    wall_s = _wall() - start
-    deployment.stop()
-    return deployment, engine.n_dispatched, wall_s
-
-
-def _rate(count: int, wall_s: float) -> int:
-    return int(count / wall_s) if wall_s > 0 else 0
 
 
 def _before_after(
@@ -243,29 +233,27 @@ def _before_after(
 
     ``prepare(legacy)`` builds a fresh engine and returns it with the
     zero-argument callable to time; the engine's dispatch count is the
-    event total.  Each side is best-of-3 in this process.
+    event total.  Each of 3 repeats times the legacy side and then the
+    fast side, so a burst of host noise lands on both; each side keeps its
+    best time.
     """
-    def measure(legacy: bool) -> tuple[int, float]:
-        best = None
-        events = 0
-        for _ in range(3):
+    events: dict[bool, int] = {}
+    best: dict[bool, float] = {}
+    for _ in range(3):
+        for legacy in (True, False):
             engine, work = prepare(legacy)
             start = _wall()
             work()
             wall_s = _wall() - start
-            events = engine.n_dispatched
-            best = wall_s if best is None else min(best, wall_s)
-        return events, best
-
-    ev_before, wall_before = measure(legacy=True)
-    ev_after, wall_after = measure(legacy=False)
-    before = _rate(ev_before, wall_before)
-    after = _rate(ev_after, wall_after)
+            events[legacy] = engine.n_dispatched
+            best[legacy] = min(wall_s, best.get(legacy, wall_s))
+    before = int(events[True] / best[True])
+    after = int(events[False] / best[False])
     return {
-        "events": ev_after,
+        "events": events[False],
         "before_events_per_sec": before,
         "after_events_per_sec": after,
-        "speedup": round(after / before, 3) if before else None,
+        "speedup": round(after / before, 3),
     }
 
 
@@ -336,46 +324,32 @@ def _bench_callback_timers(n_timers: int = 240_000) -> dict[str, Any]:
     return _before_after(prepare)
 
 
-def _bench_digest_cache(run_ms: int, seed: int) -> dict[str, Any]:
-    """Before/after of the page-digest generation cache: the
-    ``perf_unoptimized_digest`` knob re-hashes the whole resident set every
-    epoch; the cache hashes dirty pages only."""
+def _bench_digest_cache(after: ProfiledRun) -> dict[str, Any]:
+    """Work of the page-digest generation cache against the
+    ``perf_unoptimized_digest`` knob, which re-hashes the whole resident
+    set every epoch; the cache hashes dirty pages only.  *after* is the
+    bench's own run of the workload, so only the knob-on run is extra."""
     from repro.replication.config import NiliconConfig
 
-    # streamcluster has the catalog's largest resident set (55k pages) with
-    # a small per-epoch dirty set — the shape the generation cache exists
-    # for, and the shape where re-hash-everything hurts most.
-    workload = "streamcluster"
     unopt = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    before_dep, _, wall_before = _timed_run(workload, run_ms, seed, config=unopt)
-    after_dep, _, wall_after = _timed_run(workload, run_ms, seed)
-    before_cache = before_dep.primary_agent.digest_cache
-    after_cache = after_dep.primary_agent.digest_cache
+    before = run_profiled_deployment(
+        after.workload, run_ms=after.run_ms, seed=after.seed, config=unopt
+    ).counters
+    pages_before = before["digest.pages_digested"]
+    pages_after = after.counters["digest.pages_digested"]
     return {
-        "workload": workload,
+        "workload": after.workload,
         "before": {
-            "pages_digested": before_cache.pages_digested,
-            "bytes_hashed": before_cache.bytes_hashed,
-            "wall_s": round(wall_before, 4),
-            "pages_digested_per_sec": _rate(
-                before_cache.pages_digested, wall_before
-            ),
+            "pages_digested": pages_before,
+            "bytes_hashed": before["digest.bytes_hashed"],
         },
         "after": {
-            "pages_digested": after_cache.pages_digested,
-            "bytes_hashed": after_cache.bytes_hashed,
-            "cache_hits": after_cache.cache_hits,
-            "wall_s": round(wall_after, 4),
-            "pages_digested_per_sec": _rate(
-                after_cache.pages_digested, wall_after
-            ),
+            "pages_digested": pages_after,
+            "bytes_hashed": after.counters["digest.bytes_hashed"],
+            "cache_hits": after.counters["digest.cache_hits"],
         },
         # Deterministic work reduction: pages the cache did NOT re-hash.
-        "work_reduction": round(
-            1 - after_cache.pages_digested / before_cache.pages_digested, 3
-        )
-        if before_cache.pages_digested
-        else None,
+        "work_reduction": round(1 - pages_after / pages_before, 3),
     }
 
 
@@ -415,82 +389,34 @@ def _bench_pool_index(queries: int = 200_000, seed: int = 1) -> dict[str, Any]:
     }
 
 
-def _bench_fleet(smoke: bool, seed: int) -> dict[str, Any]:
-    """Time the 12-member fleet campaign (which replays itself twice and
-    checks its own trace-digest determinism)."""
-    from repro.experiments.fleet import run_fleet_campaign
-
-    start = _wall()
-    report = run_fleet_campaign(seed=seed, smoke=smoke)
-    wall_s = _wall() - start
-    return {
-        "fleet": report["fleet"],
-        "ok": report["ok"],
-        "deterministic": report["deterministic"],
-        "digest": report["digest"],
-        "trace_events": report["trace_events"],
-        "wall_s": round(wall_s, 2),
-        "trace_events_per_sec": _rate(report["trace_events"], wall_s),
-    }
-
-
-#: Per-workload metrics: (field, unit, gate).  Only events/sec is gated.
-_WORKLOAD_METRICS = (
-    ("events", "events", {}),
-    ("sim_us", "us", {}),
-    ("wall_s", "s", {}),
-    ("events_per_sec", "events/s", {"better": "higher"}),
-    ("pages_digested", "pages", {}),
-    ("pages_digested_per_sec", "pages/s", {}),
-)
-
-_FLEET_CAMPAIGN_METRICS = (
-    ("trace_events", "events"),
-    ("wall_s", "s"),
-    ("trace_events_per_sec", "events/s"),
-)
-
-
 def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
     """Produce the BENCH_engine.json report.
 
-    Smoke keeps the simulated run length (so workload rates stay comparable
-    to the checked-in full bench) but runs one workload only — streamcluster,
-    whose ~0.5 s wall time sits well above the timing noise floor — plus the
-    reduced fleet campaign and smaller micro-bench iteration counts.
+    Smoke keeps the simulated run length, so its counters equal the full
+    bench's, but runs one workload only (streamcluster) and smaller
+    micro-bench iteration counts.
     """
     run_ms = 1500
     workloads = ("streamcluster",) if smoke else PERF_BENCH_WORKLOADS
-    measured: dict[str, Any] = {}
-    for name in workloads:
-        # Best-of-3: the first run absorbs process cold-start (imports,
-        # allocator warmup), and min() discards scheduler noise.  The
-        # repeats double as a determinism check: same seed, so all three
-        # counter digests must be identical.
-        runs = [
+    runs = {
+        name: [
             run_profiled_deployment(name, run_ms=run_ms, seed=seed)
-            for _ in range(3)
+            for _ in range(2)
         ]
-        run = runs[0]
-        wall_s = min(r.wall_s for r in runs)
-        measured[name] = {
-            "events": run.events,
-            "sim_us": run.sim_us,
-            "wall_s": round(wall_s, 4),
-            "events_per_sec": _rate(run.events, wall_s),
-            "pages_digested": run.counters.get("digest.pages_digested", 0),
-            "pages_digested_per_sec": _rate(
-                run.counters.get("digest.pages_digested", 0), wall_s
-            ),
-            "counter_digest": run.digest,
-            "deterministic": len({r.digest for r in runs}) == 1,
-        }
+        for name in workloads
+    }
     return _engine_report({
         "smoke": smoke,
         "seed": seed,
         "run_ms": run_ms,
-        "workloads": measured,
-        "fleet_campaign": _bench_fleet(smoke, seed),
+        "workloads": {
+            name: {
+                "counters": first.counters,
+                "counter_digest": first.digest,
+                "deterministic": first.digest == second.digest,
+            }
+            for name, (first, second) in runs.items()
+        },
         "optimizations": {
             "engine_run_fast_path": _bench_engine_loop(
                 n_events=80_000 if smoke else 240_000
@@ -498,7 +424,10 @@ def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
             "callback_timers": _bench_callback_timers(
                 n_timers=80_000 if smoke else 240_000
             ),
-            "page_digest_cache": _bench_digest_cache(run_ms, seed),
+            # streamcluster has the catalog's largest resident set (55k
+            # pages) with a small per-epoch dirty set — the shape the
+            # generation cache exists for.
+            "page_digest_cache": _bench_digest_cache(runs["streamcluster"][0]),
             "pool_load_index": _bench_pool_index(
                 queries=20_000 if smoke else 200_000, seed=seed
             ),
@@ -509,33 +438,24 @@ def run_perf_bench(smoke: bool = False, seed: int = 1) -> dict[str, Any]:
 def _engine_report(measured: Mapping[str, Any]) -> dict[str, Any]:
     """Fold one bench's measurements into a bench-schema report.
 
-    Every check here needs no baseline: same-seed repeats and the fleet
-    campaign replay must be deterministic, the pool index must agree with
-    its scan reference, and the run() fast path and call_later must stay
-    within the tolerance of their references (the legacy step loop, a
-    timeout() carrying a closure) measured in the same process — a
-    machine-independent check that survives hosts slower or faster than
-    the one that recorded the baseline."""
+    Each workload's work counters become exact metrics.  Every check here
+    needs no baseline: same-seed repeats must be deterministic, the pool
+    index must agree with its scan reference, and the run() fast path and
+    call_later must stay within the tolerance of their references (the
+    legacy step loop, a timeout() carrying a closure) measured in the same
+    process — a machine-independent check that survives hosts slower or
+    faster than the one that recorded the baseline."""
     metrics: dict[str, Any] = {}
     problems: list[str] = []
     for name, entry in sorted(measured["workloads"].items()):
         metrics.update({
-            f"{name}.{field}": {"value": entry[field], "unit": unit, **gate}
-            for field, unit, gate in _WORKLOAD_METRICS
+            f"{name}.{site}": {"value": n, "unit": "count", "better": "exact"}
+            for site, n in work_counters(entry["counters"]).items()
         })
         if not entry["deterministic"]:
             problems.append(
                 f"{name}: same-seed repeats produced different counter digests"
             )
-    fleet = measured["fleet_campaign"]
-    metrics.update({
-        f"fleet_campaign.{field}": {"value": fleet[field], "unit": unit}
-        for field, unit in _FLEET_CAMPAIGN_METRICS
-    })
-    if not fleet["deterministic"]:
-        problems.append("fleet_campaign: replay produced a different digest")
-    if not fleet["ok"]:
-        problems.append("fleet_campaign: the campaign failed its oracles")
     optimizations = measured["optimizations"]
     floor = 1 - benchfile.TOLERANCE
     for name, fast, reference in (
@@ -543,7 +463,7 @@ def _engine_report(measured: Mapping[str, Any]) -> dict[str, Any]:
         ("callback_timers", "call_later", "timeout() + closure"),
     ):
         speedup = optimizations[name]["speedup"]
-        if speedup is not None and speedup < floor:
+        if speedup < floor:
             problems.append(
                 f"{name}: {fast} measured {speedup}x {reference} — the "
                 f"fast path regressed below the {floor:.2f}x floor"
@@ -563,9 +483,6 @@ def _engine_report(measured: Mapping[str, Any]) -> dict[str, Any]:
             "counter_digests": {
                 name: entry["counter_digest"]
                 for name, entry in sorted(measured["workloads"].items())
-            },
-            "fleet_campaign": {
-                "fleet": fleet["fleet"], "digest": fleet["digest"],
             },
             "optimizations": optimizations,
         },

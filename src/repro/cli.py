@@ -473,7 +473,11 @@ def _cmd_perf(args) -> int:
         return 2
 
     if args.action == "profile":
-        from repro.analysis.perfbench import crossref, run_profiled_deployment
+        from repro.analysis.perfbench import (
+            crossref,
+            run_profiled_deployment,
+            work_counters,
+        )
 
         run_ms = 400 if args.smoke else args.run_ms
         run = run_profiled_deployment(
@@ -496,9 +500,8 @@ def _cmd_perf(args) -> int:
         else:
             print(f"{run.workload}: {run.events} events dispatched in "
                   f"{run.sim_us} simulated us; counter digest {run.digest}")
-            for site in sorted(run.counters):
-                if "." in site and site.count(".") == 1:
-                    print(f"  {site:<28} {run.counters[site]}")
+            for site, n in work_counters(run.counters).items():
+                print(f"  {site:<28} {n}")
             for entry in entries:
                 print(f"  {entry['status']:<13} {entry['rule']} "
                       f"{entry['path']}:{entry['line']} ({entry['evidence']})")
@@ -1026,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf",
         help="hot-path performance analyzer: PERF lint rules, deterministic "
-             "DES profiler, engine benchmark gate",
+             "DES profiler, engine work-counter gate",
         # --json comes from both option helpers; they define it alike.
         conflict_handler="resolve",
     )

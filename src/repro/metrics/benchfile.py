@@ -10,7 +10,8 @@ report of this shape::
                  "steady.p50_us": {"value": 35839, "unit": "us"}, ...},
      "info": {"slo_digest": "fd301e4b1308cdb8"}}
 
-A metric with ``better`` (``"higher"`` or ``"lower"``) is gated; one
+A metric with ``better`` is gated: ``"higher"`` or ``"lower"`` within a
+band, ``"exact"`` (a deterministic work counter) on any difference; one
 without it is recorded only.  ``info`` holds the non-numeric context a
 report carries (digests, fleet shape, workload kind, the engine's
 before/after optimization records).  A producer folds every check that
@@ -34,7 +35,7 @@ SCHEMA = "repro.bench/v2"
 #: absolute units (hycor's percentage-point metrics sit near zero).
 TOLERANCE = 0.20
 
-_DIRECTIONS = ("higher", "lower")
+_DIRECTIONS = ("higher", "lower", "exact")
 
 
 def write(report: Mapping[str, Any], path: str | Path) -> None:
@@ -65,10 +66,16 @@ def load(path: str | Path) -> dict[str, Any]:
 def check(
     current: Mapping[str, Any], baseline: Mapping[str, Any]
 ) -> list[str]:
-    """The regression gate: *current* must hold its own ``ok``, and every
-    metric the *baseline* gates must stay inside its band when *current*
-    also has it.  Returns the problems (empty = gate passes)."""
+    """The regression gate: *current* must run the baseline's seed and hold
+    its own ``ok``, and every metric the *baseline* gates must stay inside
+    its band (or equal it, when exact) if *current* also has it.  Returns
+    the problems (empty = gate passes)."""
     problems: list[str] = []
+    if current["seed"] != baseline["seed"]:
+        problems.append(
+            f"seed {current['seed']} differs from the checked-in seed "
+            f"{baseline['seed']}; its metrics are not comparable"
+        )
     if not current["ok"]:
         problems.append(
             f"the current {current['bench']} bench failed its own checks: "
@@ -79,8 +86,15 @@ def check(
         base = base_metrics.get(name)
         if base is None or "better" not in base:
             continue
-        band = max(TOLERANCE * abs(base["value"]), base.get("min_band", 0.0))
         value = metric["value"]
+        if base["better"] == "exact":
+            if value != base["value"]:
+                problems.append(
+                    f"{name}: {value} {base['unit']} differs from the "
+                    f"checked-in {base['value']} (exact)"
+                )
+            continue
+        band = max(TOLERANCE * abs(base["value"]), base.get("min_band", 0.0))
         if base["better"] == "higher" and value < base["value"] - band:
             problems.append(
                 f"{name}: {value} {base['unit']} is below the checked-in "

@@ -83,7 +83,7 @@ class NiliconConfig:
     #: instead of hashing only the dirty pages and reusing clean pages'
     #: cached CRCs.  Exists so ``repro perf`` can prove the analyzer flags
     #: the re-hash-everything loop (PERF002) and the profiler confirms it
-    #: hot, and so BENCH_engine.json can record the cache's before/after;
+    #: hot, and so BENCH_engine.json can record the pages the cache saves;
     #: never enable outside tests and benches.
     perf_unoptimized_digest: bool = False
     #: REGRESSION KNOB — one RNG consumer bypassing the NDLog: the primary

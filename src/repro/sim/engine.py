@@ -543,8 +543,8 @@ class Engine:
         self.tracer: Any = None
         self.fault_plan: Any = None
         self._ftcov: Any = None
-        #: Lifetime count of events dispatched (always on: the perf bench
-        #: derives events/sec from it without profiler overhead).
+        #: Lifetime count of events dispatched (always on: the perf bench's
+        #: engine micro-benches derive events/sec from it without a profiler).
         self.n_dispatched: int = 0
 
     # -- instruments -------------------------------------------------------

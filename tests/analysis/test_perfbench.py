@@ -1,5 +1,6 @@
 """Tests for perf Layer 3: deterministic profiling, the L2<->L3
-cross-reference, and the checks the engine bench folds into its ``ok``.
+cross-reference, the engine bench's exact work metrics, and the checks
+it folds into its ``ok``.
 
 The load-bearing property is ISSUE acceptance: two same-seed profiled
 runs must produce *identical* counter digests.  The cross-reference tests
@@ -8,6 +9,8 @@ every resident page, so on a memory-heavy workload the statecache PERF002
 finding is confirmed-hot; a short run of the page-light ``net`` workload
 downgrades pool findings whose counters stayed cold.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +22,12 @@ from repro.analysis.perfbench import (
     _engine_report,
     crossref,
     run_profiled_deployment,
+    work_counters,
 )
 from repro.metrics import benchfile
 from repro.replication.config import NiliconConfig
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_profiled_run_is_deterministic():
@@ -53,6 +59,21 @@ def test_profiled_counters_cover_every_subsystem():
     assert c.get("mm.pages_written", 0) > 0
     assert c.get("digest.pages_digested", 0) > 0
     assert c.get("pagestore.pages_stored", 0) > 0
+
+
+def test_streamcluster_counters_match_the_checked_in_bench():
+    """The engine gate's streamcluster rows are this run's work counters,
+    so a change to the work it does must come with a regenerated
+    BENCH_engine.json."""
+    run = run_profiled_deployment("streamcluster", run_ms=1500, seed=1)
+    report = benchfile.load(ROOT / "BENCH_engine.json")
+    pinned = {
+        name.removeprefix("streamcluster."): metric["value"]
+        for name, metric in report["metrics"].items()
+        if name.startswith("streamcluster.")
+    }
+    assert work_counters(run.counters) == pinned
+    assert report["info"]["counter_digests"]["streamcluster"] == run.digest
 
 
 def test_unoptimized_digest_knob_is_confirmed_hot():
@@ -115,17 +136,15 @@ def _measured():
         "run_ms": 1500,
         "workloads": {
             name: {
-                "events": 2505, "sim_us": 1_500_000, "wall_s": 0.04,
-                "events_per_sec": 40_000, "pages_digested": 31,
-                "pages_digested_per_sec": 800, "counter_digest": "68cdfcb0",
+                "counters": {
+                    "digest.pages_digested": 31,
+                    "engine.events": 2505,
+                    "engine.events.Call": 900,
+                },
+                "counter_digest": "68cdfcb0",
                 "deterministic": True,
             }
             for name in ("net", "streamcluster")
-        },
-        "fleet_campaign": {
-            "fleet": {"containers": 12, "hosts": 6, "slots_per_host": 10},
-            "ok": True, "deterministic": True, "digest": "cc43ab4c",
-            "trace_events": 16239, "wall_s": 1.6, "trace_events_per_sec": 10140,
         },
         "optimizations": {
             "engine_run_fast_path": {"speedup": 1.1},
@@ -139,10 +158,18 @@ def _measured():
 def test_engine_report_passes_its_own_gate():
     report = _engine_report(_measured())
     assert report["ok"], report["problems"]
-    assert report["metrics"]["net.events_per_sec"] == {
-        "value": 40_000, "unit": "events/s", "better": "higher",
+    assert report["metrics"]["net.engine.events"] == {
+        "value": 2505, "unit": "count", "better": "exact",
     }
-    assert "better" not in report["metrics"]["net.wall_s"]
+    # One metric per one-dot counter; the per-kind breakdown stays out.
+    assert sorted(report["metrics"]) == [
+        f"{name}.{site}"
+        for name in ("net", "streamcluster")
+        for site in ("digest.pages_digested", "engine.events")
+    ]
+    assert not any(
+        name.endswith(("_per_sec", "wall_s")) for name in report["metrics"]
+    )
     assert benchfile.check(report, report) == []
 
 
@@ -162,10 +189,6 @@ def _nondeterministic_workload(measured):
     measured["workloads"]["streamcluster"]["deterministic"] = False
 
 
-def _nondeterministic_campaign(measured):
-    measured["fleet_campaign"]["deterministic"] = False
-
-
 def _inequivalent_pool_index(measured):
     measured["optimizations"]["pool_load_index"]["equivalent"] = False
 
@@ -178,14 +201,13 @@ def _slow_callback_timers(measured):
     "breakage, culprit",
     [
         (_nondeterministic_workload, "streamcluster"),
-        (_nondeterministic_campaign, "fleet_campaign"),
         (_inequivalent_pool_index, "pool_load_index"),
         (_slow_callback_timers, "callback_timers"),
     ],
-    ids=["workload", "fleet-campaign", "pool-index", "callback-timers"],
+    ids=["workload", "pool-index", "callback-timers"],
 )
 def test_engine_gate_fails_on_a_baseline_free_check(breakage, culprit):
-    """Throughput inside its band does not save a report whose same-seed
+    """Counters equal to the baseline do not save a report whose same-seed
     repeats diverged or whose optimized path disagrees with its
     reference."""
     measured = _measured()

@@ -16,6 +16,9 @@ def test_smoke_campaign_passes_and_replays_identically():
     assert report["ok"], report["violations"]
     assert report["deterministic"]
     assert report["digest"] == report["replay_digest"]
+    # Seeded, so the trace digest is pinned: a change to the campaign's
+    # simulated behaviour must update it here on purpose.
+    assert report["digest"] == "2625ef0c"
     assert report["metrics"]["protected_members"] == 12
     assert report["metrics"]["dead_members"] == 0
     assert report["metrics"]["total_failovers"] >= 2

@@ -29,16 +29,17 @@ SPECS = {
     "novel.hycor_overhead_pct": ("%", {"better": "lower", "min_band": 2.0}),
     "novel.reduction_pct": ("pp", {"better": "higher", "min_band": 2.0}),
     "redis/hycor.total_us": ("us", {"better": "lower"}),
+    "streamcluster.engine.events": ("count", {"better": "exact"}),
     "redis/hycor.replay_us": ("us", {}),
     "novel/hycor.total_us": ("us", {"better": "lower"}),
 }
 
 
-def _report(values, ok=True):
+def _report(values, ok=True, seed=1):
     return {
         "schema": benchfile.SCHEMA,
         "bench": "test",
-        "seed": 1,
+        "seed": seed,
         "smoke": False,
         "ok": ok,
         "problems": [] if ok else ["an oracle failed"],
@@ -60,60 +61,71 @@ HYCOR = {
     "redis/hycor.replay_us": 16_500,
 }
 
-#: (id, baseline values, current values, current ok, the one problem's
-#: substring — None when the gate must pass).
+WORK = {"streamcluster.engine.events": 12_401}
+NOT_OK = {"ok": False}
+
+#: (id, baseline values, current values, the current report's other
+#: fields, the one problem's substring — None when the gate must pass).
 CASES = [
     ("engine-within-tolerance", ENGINE, {"net.events_per_sec": 33_000},
-     True, None),
+     {}, None),
     ("engine-throughput-drop", ENGINE, {"net.events_per_sec": 10_000},
-     True, "net.events_per_sec"),
+     {}, "net.events_per_sec"),
     ("engine-new-workload-skipped", {"net.events_per_sec": 10_000},
-     {"net.events_per_sec": 10_000, "zz_new.events_per_sec": 1}, True, None),
-    ("traffic-within-tolerance", TRAFFIC, TRAFFIC_GOOD, True, None),
+     {"net.events_per_sec": 10_000, "zz_new.events_per_sec": 1}, {}, None),
+    # A deterministic work counter has no band: any change fails.
+    ("exact-equal", WORK, WORK, {}, None),
+    ("exact-one-more", WORK, {"streamcluster.engine.events": 12_402},
+     {}, "streamcluster.engine.events"),
+    ("exact-one-fewer", WORK, {"streamcluster.engine.events": 12_400},
+     {}, "streamcluster.engine.events"),
+    # Any seeded metric from another seed means nothing, in range or not.
+    ("seed-differs", WORK, WORK, {"seed": 2}, "seed 2"),
+    ("traffic-within-tolerance", TRAFFIC, TRAFFIC_GOOD, {}, None),
     ("traffic-p99-rise", TRAFFIC,
      {"steady.p99_us": 50_000, "steady.throughput_rps": 150.0},
-     True, "steady.p99_us"),
+     {}, "steady.p99_us"),
     ("traffic-throughput-drop", TRAFFIC,
      {"steady.p99_us": 40_000, "steady.throughput_rps": 100.0},
-     True, "steady.throughput_rps"),
+     {}, "steady.throughput_rps"),
     ("traffic-new-profile-skipped", TRAFFIC,
-     {"novel.p99_us": 1, "novel.throughput_rps": 1.0}, True, None),
-    ("traffic-current-not-ok", TRAFFIC, TRAFFIC_GOOD, False,
+     {"novel.p99_us": 1, "novel.throughput_rps": 1.0}, {}, None),
+    ("traffic-current-not-ok", TRAFFIC, TRAFFIC_GOOD, NOT_OK,
      "failed its own checks"),
-    ("hycor-identical", HYCOR, HYCOR, True, None),
+    ("hycor-identical", HYCOR, HYCOR, {}, None),
     ("hycor-overhead-rise", HYCOR,
      {**HYCOR, "net-echo.hycor_overhead_pct": 90.0},
-     True, "net-echo.hycor_overhead_pct"),
+     {}, "net-echo.hycor_overhead_pct"),
     ("hycor-reduction-shrink", HYCOR,
      {**HYCOR, "net-echo.reduction_pct": 5.0},
-     True, "net-echo.reduction_pct"),
+     {}, "net-echo.reduction_pct"),
     ("hycor-recovery-rise", HYCOR,
      {**HYCOR, "redis/hycor.total_us": 500_000},
-     True, "redis/hycor.total_us"),
+     {}, "redis/hycor.total_us"),
     ("hycor-new-cells-skipped", HYCOR,
      {**HYCOR, "novel.hycor_overhead_pct": 99.0,
       "novel.reduction_pct": -98.0, "novel/hycor.total_us": 10**9},
-     True, None),
-    ("hycor-current-not-ok", HYCOR, HYCOR, False, "failed its own checks"),
+     {}, None),
+    ("hycor-current-not-ok", HYCOR, HYCOR, NOT_OK, "failed its own checks"),
     ("hycor-drift-within-band", HYCOR,
      {**HYCOR, "net-echo.hycor_overhead_pct": 67.5,
       "redis/hycor.total_us": 300_000},
-     True, None),
+     {}, None),
     # Percentage-point metrics: a zero baseline still gets a 2-point band.
     ("hycor-two-point-floor-holds", {"net-echo.reduction_pct": 0.0},
-     {"net-echo.reduction_pct": -1.9}, True, None),
+     {"net-echo.reduction_pct": -1.9}, {}, None),
     ("hycor-two-point-floor-breaks", {"net-echo.reduction_pct": 0.0},
-     {"net-echo.reduction_pct": -2.1}, True, "net-echo.reduction_pct"),
+     {"net-echo.reduction_pct": -2.1}, {}, "net-echo.reduction_pct"),
 ]
 
 
 @pytest.mark.parametrize(
-    "baseline, current, ok, expected",
+    "baseline, current, fields, expected",
     [case[1:] for case in CASES],
     ids=[case[0] for case in CASES],
 )
-def test_check(baseline, current, ok, expected):
-    problems = benchfile.check(_report(current, ok=ok), _report(baseline))
+def test_check(baseline, current, fields, expected):
+    problems = benchfile.check(_report(current, **fields), _report(baseline))
     if expected is None:
         assert problems == []
     else:
