@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit races races-smoke ckptcov ckptcov-smoke perf perf-smoke perf-bench ndflow ndflow-smoke ftcov ftcov-smoke analyze golden-regen bench bench-full validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench hycor hycor-smoke hycor-bench report examples clean
+.PHONY: install test lint audit perf-bench analyze golden-regen bench bench-full validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench hycor hycor-bench report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -16,106 +16,18 @@ lint:
 audit:
 	PYTHONPATH=src $(PYTHON) -m repro audit
 
-# Happens-before race detection + full tie-break schedule fuzz
-# (8 permutations x 2 workloads x 3 seeds).
-races:
-	PYTHONPATH=src $(PYTHON) -m repro races --check-access
-	PYTHONPATH=src $(PYTHON) -m repro races
-	PYTHONPATH=src $(PYTHON) -m repro races --fuzz
-
-# CI subset: coverage check, detector probe and a 3-schedule fuzz on one
-# workload/seed, plus both regression knobs (which MUST be flagged).
-races-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro races --check-access
-	PYTHONPATH=src $(PYTHON) -m repro races --smoke
-	PYTHONPATH=src $(PYTHON) -m repro races --fuzz --smoke
-	PYTHONPATH=src $(PYTHON) -m repro races --smoke --knob ack-before-commit > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro races --smoke --knob release-oldest > /dev/null
-
-# Checkpoint state-coverage: inventory self-check, static CKPT1xx pass
-# against the checked-in known-gap baseline, then the full differential
-# oracle (checkpoint -> restore -> deep-compare) over every catalog
-# workload.
-ckptcov:
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --check-inventory
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --baseline ckptcov-baseline.json \
-	  --diff --workload swaptions --workload streamcluster --workload redis \
-	  --workload ssdb --workload node --workload lighttpd --workload djcms \
-	  --workload disk-rw --workload net-echo --workload net
-
-# CI subset: self-check, baselined static pass, one oracle workload per
-# checkpoint surface (fs cache via ssdb, network stack via net-echo).
-ckptcov-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --check-inventory > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro ckptcov --baseline ckptcov-baseline.json \
-	  --diff --workload ssdb --workload net-echo
-
-# Hot-path performance analyzer: annotation/root self-check, PERF lint
-# against the checked-in known-debt baseline, a deterministic profiled run
-# cross-referencing every finding, and the full bench gated against the
-# checked-in BENCH_engine.json.  All four BENCH_*.json files share one
-# schema (repro.metrics.benchfile) and one `--check` gate: a gated metric
-# may move at most 20% the wrong way (an `exact` one not at all), and the
-# run must pass its own checks (here: same-seed determinism, fast-path
-# speedup).  The engine bench gates work counters, not time; the
-# simulator's wall time is measured by `python3 -m bench` (bench/README.md).
-perf:
-	PYTHONPATH=src $(PYTHON) -m repro perf selfcheck
-	PYTHONPATH=src $(PYTHON) -m repro perf lint --baseline perf-baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro perf profile
-	PYTHONPATH=src $(PYTHON) -m repro perf bench --check BENCH_engine.json
-
-# CI subset: baselined lint (selfcheck is implicit) + one bounded profiled
-# workload, and the smoke bench gated on streamcluster's exact work counters.
-perf-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro perf lint --baseline perf-baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro perf profile --smoke
-	PYTHONPATH=src $(PYTHON) -m repro perf bench --smoke --check BENCH_engine.json
-
-# Regenerate the checked-in BENCH_engine.json (review the diff!).
+# Regenerate the checked-in BENCH_engine.json (review the diff!).  It
+# gates the engine's exact work counters, not time; the simulator's wall
+# time is measured by `python3 -m bench` (bench/README.md).
 perf-bench:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
 
-# Nondeterminism-provenance analyzer: inventory self-check, NDF lint
-# against the checked-in baseline (only the unsafe_unlogged_draw knob is
-# frozen there), the record->replay oracle over the default matrix, and
-# the knob probe (the oracle MUST detect the unlogged draw).
-ndflow:
-	PYTHONPATH=src $(PYTHON) -m repro ndflow selfcheck
-	PYTHONPATH=src $(PYTHON) -m repro ndflow lint --baseline ndflow-baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro ndflow replay
-	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --knob unsafe-unlogged-draw > /dev/null
-
-# CI subset: baselined lint (selfcheck is implicit) + a one-workload
-# record->replay matrix and the same knob probe.
-ndflow-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro ndflow lint --baseline ndflow-baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --smoke
-	PYTHONPATH=src $(PYTHON) -m repro ndflow replay --smoke --knob unsafe-unlogged-draw > /dev/null
-
-# Recovery-path coverage analyzer: failure-surface inventory self-check,
-# FTC lint against the frozen baseline, the full-catalog coverage
-# recorder (every fault point / state edge / handler crossed against the
-# static inventory), and the drop-scenario knob polarity probe.
-ftcov:
-	PYTHONPATH=src $(PYTHON) -m repro ftcov selfcheck
-	PYTHONPATH=src $(PYTHON) -m repro ftcov lint --baseline ftcov-baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro ftcov record --json-out coverage-matrix.json
-	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
-
-# Smoke subset: the catalogs are already the minimal sufficient set (every
-# registered point has exactly one arming scenario), so smoke only drops
-# the knob re-run's report noise.  CI does not run this target: `make
-# analyze` runs the same lint, record (writing coverage-matrix.json) and
-# knob steps.
-ftcov-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro ftcov lint --baseline ftcov-baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro ftcov record --json-out coverage-matrix.json
-	PYTHONPATH=src $(PYTHON) -m repro ftcov record --knob drop-scenario > /dev/null
-
 # All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) plus
-# the hycor bench gate as one gate with a merged findings artifact; this
-# is what CI runs (it also writes coverage-matrix.json).
+# the hycor tradeoff comparison and bench gate, as one gate with a merged
+# findings artifact; CI runs it (it also writes coverage-matrix.json).
+# The step list is repro.analysis.aggregate.STEPS and nothing else: each
+# lint step runs its analyzer's inventory selfcheck first.  For the
+# full-depth passes run `PYTHONPATH=src python -m repro analyze --full`.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json
 
@@ -171,10 +83,10 @@ traffic:
 	PYTHONPATH=src $(PYTHON) -m repro traffic campaign
 	PYTHONPATH=src $(PYTHON) -m repro traffic bench --check BENCH_traffic.json
 
-# CI subset: the reduced campaign + the same SLO regression gate (p99 and
-# throughput per profile, 20% band).
+# CI subset: the SLO regression gate (p99 and throughput per profile, 20%
+# band).  The bench runs the reduced campaign once and fails on any of its
+# oracle violations, replay nondeterminism included.
 traffic-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro traffic campaign --smoke
 	PYTHONPATH=src $(PYTHON) -m repro traffic bench --check BENCH_traffic.json
 
 # Regenerate the checked-in BENCH_traffic.json (review the diff!).
@@ -182,18 +94,11 @@ traffic-bench:
 	PYTHONPATH=src $(PYTHON) -m repro traffic bench --out BENCH_traffic.json
 
 # Replication-mode comparison: the full 10-workload overhead-vs-recovery
-# tradeoff (HyCoR vs NiLiCon), then the bench gated against the
-# checked-in BENCH_hycor.json.
+# tradeoff (HyCoR vs NiLiCon), printed and gated against the checked-in
+# BENCH_hycor.json in one run.  Its three-workload smoke subset runs
+# inside `make analyze`.
 hycor:
-	PYTHONPATH=src $(PYTHON) -m repro modes compare
 	PYTHONPATH=src $(PYTHON) -m repro hycor bench --check BENCH_hycor.json
-
-# Smoke subset: the three-workload comparison + the same gate (smoke
-# cells are byte-identical to the matching cells of the full bench).  CI
-# runs only the comparison here; the gate runs inside `make analyze`.
-hycor-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro modes compare --smoke
-	PYTHONPATH=src $(PYTHON) -m repro hycor bench --smoke --check BENCH_hycor.json
 
 # Regenerate the checked-in BENCH_hycor.json (review the diff!).
 hycor-bench:

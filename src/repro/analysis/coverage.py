@@ -491,7 +491,7 @@ def build_inventory(sources: Mapping[str, str]) -> Inventory:
 
 
 # --------------------------------------------------------------------------- #
-# Inventory self-check (CI: `repro ckptcov --check-inventory`)                 #
+# Inventory self-check (gates every `repro ckptcov` run)                       #
 # --------------------------------------------------------------------------- #
 
 _CKPT_ANNOTATION = Annotation(

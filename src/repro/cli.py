@@ -345,12 +345,14 @@ def _print_selfcheck(problems, dispositions, name, accounted) -> int:
     return 0
 
 
-def _selfcheck_failed(selfcheck, name) -> bool:
+def _selfcheck_failed(selfcheck, command) -> bool:
     """Run *selfcheck* ahead of a lint: an unaccounted site would silently
-    shrink the audited surface, so any problem fails the lint."""
+    shrink the audited surface, so any problem fails the lint.  *command*
+    is the ``repro`` command that prints the full dispositions table."""
     problems, _ = selfcheck()
     if problems:
-        print(f"{name} self-check FAILED (run `repro {name} selfcheck`):")
+        name = command.split()[0]
+        print(f"{name} self-check FAILED (run `repro {command}`):")
         for problem in problems:
             print(f"  - {problem}")
     return bool(problems)
@@ -409,6 +411,9 @@ def _cmd_ckptcov(args) -> int:
     if args.check_inventory:
         return _print_selfcheck(*inventory_selfcheck(), "inventory", "class(es)")
 
+    # An unaccounted class would silently drop out of the static pass.
+    if _selfcheck_failed(inventory_selfcheck, "ckptcov --check-inventory"):
+        return 1
     try:
         report = analyze_coverage(select=args.select, ignore=args.ignore)
     except KeyError as exc:
@@ -464,7 +469,7 @@ def _cmd_perf(args) -> int:
 
     # lint and profile both need the static pass; the selfcheck gates both
     # (an unreachable root would silently shrink the linted surface).
-    if _selfcheck_failed(perf_selfcheck, "perf"):
+    if _selfcheck_failed(perf_selfcheck, "perf selfcheck"):
         return 1
     try:
         report = analyze_perf(select=args.select, ignore=args.ignore)
@@ -584,7 +589,7 @@ def _cmd_ndflow(args) -> int:
         return 0 if report["ok"] else 1
 
     # action == "lint"
-    if _selfcheck_failed(ndflow_selfcheck, "ndflow"):
+    if _selfcheck_failed(ndflow_selfcheck, "ndflow selfcheck"):
         return 1
     try:
         report = analyze_ndflow(select=args.select, ignore=args.ignore)
@@ -629,7 +634,7 @@ def _cmd_ftcov(args) -> int:
         return 0 if report["ok"] else 1
 
     # action == "lint"
-    if _selfcheck_failed(ftcov_selfcheck, "ftcov"):
+    if _selfcheck_failed(ftcov_selfcheck, "ftcov selfcheck"):
         return 1
     try:
         report = analyze_ftcov(select=args.select, ignore=args.ignore)
@@ -881,41 +886,30 @@ def _cmd_traffic(args) -> int:
     return _run_bench(run_traffic_bench(seed=args.seed), args)
 
 
-def _cmd_modes(args) -> int:
-    """Replication strategy registry: list backends, compare the tradeoff."""
-    import json
-
+def _cmd_modes(_args) -> int:
+    """Replication strategy registry: list the backends."""
     from repro.replication.modes import MODE_REGISTRY
 
-    if args.action == "list":
-        for name, mode in MODE_REGISTRY.items():
-            pair = "pair" if mode.pair_protocol else "solo"
-            print(f"  {name:<9} [{pair}] release: {mode.release_rule:<18} "
-                  f"{mode.description}")
-        return 0
+    for name, mode in MODE_REGISTRY.items():
+        pair = "pair" if mode.pair_protocol else "solo"
+        print(f"  {name:<9} [{pair}] release: {mode.release_rule:<18} "
+              f"{mode.description}")
+    return 0
 
-    # action == "compare"
+
+def _cmd_hycor(args) -> int:
+    """HyCoR bench: the overhead-vs-recovery tradeoff comparison, its
+    pinnable cells and the CI gate (the comparison runs once)."""
     from repro.experiments.hycor import (
         format_mode_comparison,
+        run_hycor_bench,
         run_mode_comparison,
     )
 
     report = run_mode_comparison(smoke=args.smoke, seed=args.seed)
-    if args.json:
-        print(json.dumps(
-            {k: v for k, v in report.items() if k != "recovery_by_cell"},
-            indent=2, sort_keys=True, default=str,
-        ))
-    else:
-        print(format_mode_comparison(report))
-    return 0 if report["ok"] else 1
-
-
-def _cmd_hycor(args) -> int:
-    """HyCoR bench: the overhead-vs-recovery tradeoff cells + CI gate."""
-    from repro.experiments.hycor import run_hycor_bench
-
-    return _run_bench(run_hycor_bench(seed=args.seed, smoke=args.smoke), args)
+    if not args.json:
+        print(format_mode_comparison(report) + "\n")
+    return _run_bench(run_hycor_bench(report), args)
 
 
 def _add_finding_options(parser, family: str, debt: str) -> None:
@@ -1023,8 +1017,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "per workload family)")
     ckptcov.add_argument("--seed", type=int, default=1)
     ckptcov.add_argument("--check-inventory", action="store_true",
-                         help="verify every kernel/net class is accounted "
-                              "for by the inventory and exit")
+                         help="print how the inventory accounts for every "
+                              "kernel/net class and exit (every other run "
+                              "gates on the same check)")
 
     perf = sub.add_parser(
         "perf",
@@ -1174,18 +1169,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench_options(traffic)
 
     modes = sub.add_parser(
-        "modes",
-        help="replication strategies: registry listing, tradeoff comparison",
+        "modes", help="replication strategies: registry listing",
     )
-    modes.add_argument("action", choices=("list", "compare"))
-    modes.add_argument("--smoke", action="store_true",
-                       help="compare only the CI workload subset")
-    modes.add_argument("--json", action="store_true",
-                       help="emit the full JSON report")
+    modes.add_argument("action", choices=("list",))
 
     hycor = sub.add_parser(
         "hycor",
-        help="HyCoR bench: overhead-vs-recovery tradeoff cells + CI gate",
+        help="HyCoR bench: overhead-vs-recovery tradeoff comparison, its "
+             "cells + CI gate",
     )
     hycor.add_argument("action", choices=("bench",))
     hycor.add_argument("--smoke", action="store_true",

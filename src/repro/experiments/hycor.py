@@ -21,7 +21,7 @@ This module measures both sides of that trade across the catalog:
 * **Traffic** — the L7 tier's failover profile run fleet-wide under
   hycor: the open-loop SLO oracles must hold across the host fail-stop.
 
-``run_hycor_bench`` compacts the comparison into the checked-in
+``run_hycor_bench`` compacts a comparison report into the checked-in
 ``BENCH_hycor.json`` in the one bench schema
 (:mod:`repro.metrics.benchfile`), whose gate holds the overhead and
 recovery-latency ceilings and the reduction-vs-nilicon floor.  Every cell
@@ -362,14 +362,14 @@ _RECOVERY_METRICS = (
 )
 
 
-def run_hycor_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
-    """The pinnable cells for the checked-in BENCH_hycor.json.
+def run_hycor_bench(report: dict[str, Any]) -> dict[str, Any]:
+    """The pinnable cells of a ``run_mode_comparison`` *report*, for the
+    checked-in BENCH_hycor.json.
 
     Simulated time makes every cell exact and replayable; each cell runs
     in its own world behind a counter reset, so a smoke run's cells are
     byte-identical to the same cells of a full run and the gate can
     compare whichever subset is present."""
-    report = run_mode_comparison(smoke=smoke, seed=seed)
     metrics: dict[str, Any] = {}
     for row in report["rows"]:
         name = row["workload"]
@@ -396,8 +396,8 @@ def run_hycor_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
     return {
         "schema": benchfile.SCHEMA,
         "bench": "hycor",
-        "seed": seed,
-        "smoke": smoke,
+        "seed": report["seed"],
+        "smoke": report["smoke"],
         "ok": report["ok"],
         "problems": report["problems"],
         "metrics": metrics,

@@ -6,6 +6,7 @@ their own suites and by CI's ``make analyze``).
 """
 
 from repro.analysis.aggregate import STATIC_PASSES, STEPS, collect_findings
+from repro.cli import build_parser
 
 
 def test_steps_cover_all_six_analyzers_plus_hycor_gate():
@@ -14,26 +15,48 @@ def test_steps_cover_all_six_analyzers_plus_hycor_gate():
                          "ftcov", "hycor"}
 
 
-def test_hycor_step_mirrors_the_make_target():
-    hycor_smoke = [smoke for analyzer, smoke, _ in STEPS
-                   if analyzer == "hycor"]
-    assert ("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json") in \
-        hycor_smoke
-    full = [full for analyzer, _, full in STEPS if analyzer == "hycor"]
-    assert ("hycor", "bench", "--check", "BENCH_hycor.json") in full
+def test_every_step_argv_is_a_real_command_run_once():
+    """``STEPS`` is the only list of analyzer steps, so each argv must
+    parse as a ``repro`` command, none may repeat, and no selfcheck runs
+    on its own: every lint step already gates on it."""
+    parser = build_parser()
+    for column in (1, 2):
+        argvs = [step[column] for step in STEPS]
+        assert len(set(argvs)) == len(argvs)
+        for argv in argvs:
+            parser.parse_args(list(argv))
+            assert "selfcheck" not in argv
+            assert "--check-inventory" not in argv
 
 
-def test_ftcov_steps_mirror_the_make_target():
+def test_hycor_steps_gate_the_comparison_against_the_bench_file():
+    assert [(smoke, full) for analyzer, smoke, full in STEPS
+            if analyzer == "hycor"] == [
+        (("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
+         ("hycor", "bench", "--check", "BENCH_hycor.json")),
+    ]
+
+
+def test_ftcov_steps_lint_record_and_probe_the_knob():
     ftcov_smoke = [smoke for analyzer, smoke, _ in STEPS
                    if analyzer == "ftcov"]
-    assert ("ftcov", "selfcheck") in ftcov_smoke
-    assert ("ftcov", "lint", "--baseline", "ftcov-baseline.json") in \
-        ftcov_smoke
-    # CI runs no separate ftcov step: this one writes the coverage matrix
-    # the workflow uploads as an artifact.
-    assert ("ftcov", "record", "--json-out", "coverage-matrix.json") in \
-        ftcov_smoke
-    assert ("ftcov", "record", "--knob", "drop-scenario") in ftcov_smoke
+    # The lint step runs the selfcheck; CI runs no separate ftcov step:
+    # the record step writes the coverage matrix the workflow uploads.
+    assert ftcov_smoke == [
+        ("ftcov", "lint", "--baseline", "ftcov-baseline.json"),
+        ("ftcov", "record", "--json-out", "coverage-matrix.json"),
+        ("ftcov", "record", "--knob", "drop-scenario"),
+    ]
+
+
+def test_full_ckptcov_step_runs_the_oracle_on_every_catalog_workload():
+    from repro.workloads.catalog import WORKLOADS
+
+    (full,) = [full for analyzer, _, full in STEPS
+               if analyzer == "ckptcov"]
+    workloads = [full[i + 1] for i, arg in enumerate(full)
+                 if arg == "--workload"]
+    assert sorted(workloads) == sorted(WORKLOADS)
 
 
 def test_every_static_pass_has_a_baseline_entry():

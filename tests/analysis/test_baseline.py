@@ -125,5 +125,5 @@ def test_lint_accepts_baseline_flag(tmp_path, capsys):
 
 def test_checked_in_ckptcov_baseline_matches_tree(capsys):
     """The repo-root baseline must stay in sync with the tree (CI runs this
-    same gate via `make ckptcov-smoke`)."""
+    same gate as a step of `make analyze`)."""
     assert main(["ckptcov", "--baseline", "ckptcov-baseline.json"]) == 0

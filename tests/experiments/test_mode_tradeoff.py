@@ -109,6 +109,38 @@ def test_tradeoff_problems(breakage, expected):
     assert problems[0].startswith(expected)
 
 
+def test_hycor_bench_prints_and_gates_one_comparison(monkeypatch, capsys):
+    """``repro hycor bench`` runs the comparison once, prints its table,
+    then the bench cells derived from that same report."""
+    from repro.cli import main
+    from repro.experiments import hycor
+
+    rows, recovery, traffic_cell = _comparison()
+    for row in rows:
+        row["stock"] = 1000
+    traffic_cell.update(requests=106, p99_us=607_000)
+    runs = []
+
+    def comparison(smoke, seed):
+        runs.append((smoke, seed))
+        return {
+            "seed": seed, "smoke": smoke, "rows": rows,
+            "recovery": recovery,
+            "recovery_by_cell": {f"{c['workload']}/{c['mode']}": c
+                                 for c in recovery},
+            "traffic": traffic_cell, "problems": [], "ok": True,
+        }
+
+    monkeypatch.setattr(hycor, "run_mode_comparison", comparison)
+    assert main(["hycor", "bench", "--smoke"]) == 0
+    assert runs == [(True, 1)]
+    out = capsys.readouterr().out
+    table, bench = out.split("comparison: tradeoff holds")
+    assert "net-echo" in table and "redis" in table
+    assert "hycor bench (seed 1, smoke) — ok" in bench
+    assert "net-echo.reduction_pct" in bench
+
+
 def test_bench_json_roundtrip(tmp_path):
     report = {
         "schema": benchfile.SCHEMA,

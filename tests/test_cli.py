@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -100,6 +102,27 @@ def test_analyzer_rejects_rule_ids_of_another_family(argv, capsys):
     # Another analyzer's rule would otherwise silently lint nothing.
     assert main(argv) == 2
     assert "unknown rule id(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, selfcheck, argv, hint", [
+    ("repro.analysis.coverage", "inventory_selfcheck", ["ckptcov"],
+     "repro ckptcov --check-inventory"),
+    ("repro.analysis.perf", "perf_selfcheck", ["perf", "lint"],
+     "repro perf selfcheck"),
+    ("repro.analysis.ndflow", "ndflow_selfcheck", ["ndflow", "lint"],
+     "repro ndflow selfcheck"),
+    ("repro.analysis.ftcov", "ftcov_selfcheck", ["ftcov", "lint"],
+     "repro ftcov selfcheck"),
+], ids=["ckptcov", "perf", "ndflow", "ftcov"])
+def test_every_lint_gates_on_its_selfcheck(module, selfcheck, argv, hint,
+                                           monkeypatch, capsys):
+    # `repro analyze` runs no standalone selfcheck step: the lint must
+    # fail on an unaccounted site by itself.
+    monkeypatch.setattr(importlib.import_module(module), selfcheck,
+                        lambda: (["boom"], {}))
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"run `{hint}`" in out and "boom" in out
 
 
 def test_audit_command(capsys):
