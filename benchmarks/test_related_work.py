@@ -7,9 +7,8 @@ while NiLiCon's backup merely buffers state (Table V: 0.07-0.40 cores).
 This bench measures both sides of that trade-off on the same workload.
 """
 
-from repro.baselines.colo import ColoDeployment
+from repro.experiments.common import build_deployment
 from repro.net import World
-from repro.replication import ReplicatedDeployment
 from repro.sim import ms, sec
 from repro.workloads.base import ClientStats
 from repro.workloads.microbench import EchoServer
@@ -18,12 +17,10 @@ from repro.workloads.microbench import EchoServer
 def _run_echo(system: str):
     world = World(seed=9)
     workload = EchoServer(name="echo", min_len=256, max_len=256, n_clients=4)
-    if system == "colo":
-        deployment = ColoDeployment(
-            world, workload.spec(), attach_workload=lambda c: workload.attach(world, c)
-        )
-    else:
-        deployment = ReplicatedDeployment(world, workload.spec())
+    deployment = build_deployment(
+        world, workload.spec(), system,
+        on_failover=lambda container: workload.attach(world, container),
+    )
     workload.attach(world, deployment.container)
     deployment.start()
     stats = ClientStats()
@@ -38,10 +35,7 @@ def _run_echo(system: str):
     assert stats.ok and stats.completed > 50, (system, stats.completed, stats.errors)
 
     median_latency = sorted(stats.latencies_us)[len(stats.latencies_us) // 2]
-    if system == "colo":
-        backup_cores = deployment.backup_core_utilization()
-    else:
-        backup_cores = deployment.metrics.backup_core_utilization()
+    backup_cores = deployment.metrics.backup_core_utilization()
     primary_cores = deployment.container.cgroup.read_cpuacct() / max(
         1, deployment.metrics.elapsed_us
     )

@@ -203,40 +203,32 @@ def run_instrumented(
     or replay mode) over the world's RNG streams and tie-break policy —
     the record→replay oracle in :mod:`repro.analysis.ndreplay` rides this.
     """
-    from repro.experiments.common import build_deployment
-    from repro.net import World
+    from repro.experiments.common import open_cell
     from repro.sim.trace import install_tracer
-    from repro.workloads.base import ClientStats, ServerWorkload
-    from repro.workloads.catalog import make_workload
+    from repro.workloads.base import ServerWorkload
 
-    world = World(seed=seed)
-    if tiebreak is not None:
-        world.engine.set_tiebreak(tiebreak)
-    if ndlog is not None:
-        from repro.sim.ndlog import attach_ndlog
+    detector = None
 
-        attach_ndlog(world, ndlog)
-    tracer = install_tracer(world.engine)
-    detector = install_detector(world.engine, max_findings) if detect else None
+    def instrument(world) -> None:
+        nonlocal detector
+        if tiebreak is not None:
+            world.engine.set_tiebreak(tiebreak)
+        if ndlog is not None:
+            from repro.sim.ndlog import attach_ndlog
 
-    workload = make_workload(workload_name)
-    deployment = build_deployment(
-        world, workload.spec(), "nilicon", config=config,
-        on_failover=lambda container: workload.attach(world, container),
-    )
+            attach_ndlog(world, ndlog)
+        install_tracer(world.engine)
+        if detect:
+            detector = install_detector(world.engine, max_findings)
+
+    cell = open_cell(workload_name, "nilicon", seed, config=config,
+                     instrument=instrument)
+    world, deployment, stats = cell.world, cell.deployment, cell.stats
+    tracer = world.engine.tracer
     plan = arm_plan(world, deployment) if arm_plan is not None else None
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-
-    stats = ClientStats()
-    if isinstance(workload, ServerWorkload):
-
-        def launch():
-            yield world.engine.timeout(ms(300))
-            workload.start_clients(world, stats, run_until_us=ms(run_ms))
-
-        world.engine.process(launch())
+    cell.start()
+    if isinstance(cell.workload, ServerWorkload):
+        cell.clients_at(ms(300), run_until_us=ms(run_ms))
     world.run(until=ms(run_ms))
     if ndlog is not None:
         from repro.sim.ndlog import detach_ndlog

@@ -84,38 +84,6 @@ class ProfiledRun:
     digest: str
 
 
-def _build_deployment(workload_name: str, seed: int, config=None):
-    """Fresh same-seed world + deployment, id counters rewound so pids and
-    inode numbers (and with them image byte counts) replay exactly."""
-    from repro.experiments.common import build_deployment
-    from repro.net import World
-    from repro.net.world import reset_id_counters
-    from repro.workloads.catalog import make_workload
-
-    reset_id_counters()
-    world = World(seed=seed)
-    workload = make_workload(workload_name)
-    deployment = build_deployment(world, workload.spec(), "nilicon", config=config)
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    return world, workload, deployment
-
-
-def _launch_clients(world, workload, run_ms: int) -> None:
-    from repro.workloads.base import ClientStats, ServerWorkload
-
-    if not isinstance(workload, ServerWorkload):
-        return
-    stats = ClientStats()
-
-    def launch():
-        yield world.engine.timeout(ms(300))
-        workload.start_clients(world, stats, run_until_us=ms(run_ms))
-
-    world.engine.process(launch())
-
-
 def _harvest_deployment(profiler, deployment) -> None:
     """Fold the always-on object counters into the profiler's set."""
     mm_written = mm_snapshotted = mm_faults = 0
@@ -147,18 +115,27 @@ def run_profiled_deployment(
     config=None,
 ) -> ProfiledRun:
     """Run one catalog workload under the profiler; returns the counters."""
-    world, workload, deployment = _build_deployment(workload_name, seed, config)
-    profiler = install_profiler(world.engine)
-    _launch_clients(world, workload, run_ms)
-    world.run(until=ms(run_ms))
-    deployment.stop()
-    _harvest_deployment(profiler, deployment)
+    from repro.experiments.common import open_cell
+    from repro.net.world import reset_id_counters
+    from repro.workloads.base import ServerWorkload
+
+    # Rewind the id counters so pids and inode numbers (and with them
+    # image byte counts) replay exactly.
+    reset_id_counters()
+    cell = open_cell(workload_name, "nilicon", seed, config=config)
+    cell.start()
+    profiler = install_profiler(cell.world.engine)
+    if isinstance(cell.workload, ServerWorkload):
+        cell.clients_at(ms(300), run_until_us=ms(run_ms))
+    cell.world.run(until=ms(run_ms))
+    cell.deployment.stop()
+    _harvest_deployment(profiler, cell.deployment)
     counters = profiler.snapshot()
     return ProfiledRun(
         workload=workload_name,
         seed=seed,
         run_ms=run_ms,
-        sim_us=world.now,
+        sim_us=cell.world.now,
         events=counters.get("engine.events", 0),
         counters=counters,
         digest=counter_digest(counters),

@@ -141,6 +141,10 @@ class ColoDeployment:
         )
 
     def stop(self) -> None:
+        if not self._stopped:
+            # The duplicate execution is the backup's load: the replica's
+            # CPU lands in the same counter every other mode reports.
+            self.metrics.charge_backup_cpu(self.replica.cgroup.read_cpuacct())
         self._stopped = True
         self.metrics.ended_at_us = self.world.engine.now
 
@@ -257,11 +261,3 @@ class ColoDeployment:
                 _token, pkt, _since = queue.popleft()
                 self._release(pkt)
         self._pending_backup.clear()
-
-    # ------------------------------------------------------------------ #
-    # Views                                                                #
-    # ------------------------------------------------------------------ #
-    def backup_core_utilization(self) -> float:
-        """Full-replica execution: the backup burns ~the workload's CPU."""
-        elapsed = max(1, self.metrics.elapsed_us)
-        return (self.replica.cgroup.read_cpuacct() + self.metrics.backup_cpu_us) / elapsed

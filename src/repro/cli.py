@@ -37,29 +37,22 @@ def _cmd_list_workloads(_args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.experiments.common import (
-        run_compute_benchmark,
-        run_server_benchmark,
-    )
-    from repro.experiments.suite import COMPUTE_BENCHMARKS, MC_PARAMS
+    from repro.experiments.common import run_overhead
 
-    mc_kwargs = MC_PARAMS.get(args.workload) if args.mode == "mc" else None
-    if args.workload in COMPUTE_BENCHMARKS:
-        result = run_compute_benchmark(
-            args.workload, args.mode, seed=args.seed, mc_kwargs=mc_kwargs
-        )
+    result = run_overhead(
+        args.workload, args.mode, ms(args.duration_ms), seed=args.seed
+    )
+    if result.completion_us is not None:
         print(f"{args.workload} [{args.mode}] completion: "
               f"{result.completion_us / 1000:.1f} ms")
     else:
-        result = run_server_benchmark(
-            args.workload, args.mode, duration_us=ms(args.duration_ms),
-            seed=args.seed, mc_kwargs=mc_kwargs,
-        )
-        print(f"{args.workload} [{args.mode}] throughput: "
-              f"{result.throughput:,.1f} ops/s "
-              f"({result.stats.completed} responses, "
-              f"{result.stats.errors} errors, "
-              f"{len(result.stats.validation_failures)} validation failures)")
+        line = (f"{args.workload} [{args.mode}] throughput: "
+                f"{result.throughput:,.1f} ops/s")
+        if result.stats is not None:
+            line += (f" ({result.stats.completed} responses, "
+                     f"{result.stats.errors} errors, "
+                     f"{len(result.stats.validation_failures)} validation failures)")
+        print(line)
     metrics = result.metrics
     if metrics.n_epochs > 1:
         print(f"  epochs: {metrics.n_epochs}  avg stop: "
@@ -142,42 +135,24 @@ def _cmd_scalability(args) -> int:
 
 def _cmd_trace(args) -> int:
     """Print the protocol event timeline of a short replicated run."""
-    from repro.experiments.common import build_deployment
-    from repro.net import World
+    from repro.experiments.common import open_cell
     from repro.sim.trace import install_tracer
-    from repro.workloads.base import ClientStats, ServerWorkload
-    from repro.workloads.catalog import make_workload
+    from repro.workloads.base import ServerWorkload
 
-    world = World(seed=args.seed)
-    tracer = install_tracer(world.engine)
-    workload = make_workload(args.workload)
-    deployment = build_deployment(
-        world, workload.spec(), "nilicon",
-        on_failover=lambda container: workload.attach(world, container),
+    cell = open_cell(
+        args.workload, "nilicon", args.seed,
+        instrument=lambda world: install_tracer(world.engine),
     )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    if isinstance(workload, ServerWorkload):
-        stats = ClientStats()
-
-        def launch():
-            yield world.engine.timeout(ms(300))
-            workload.start_clients(world, stats, run_until_us=ms(args.run_ms))
-
-        world.engine.process(launch())
+    tracer = cell.world.engine.tracer
+    cell.start()
+    if isinstance(cell.workload, ServerWorkload):
+        cell.clients_at(ms(300), run_until_us=ms(args.run_ms))
     if args.failover:
         # Inject only after the initial full checkpoint has committed and
         # armed the detector (otherwise there is nothing to recover from).
-        inject_at = max(ms(args.run_ms) // 2, ms(500))
-
-        def inject():
-            yield world.engine.timeout(inject_at)
-            deployment.inject_fail_stop()
-
-        world.engine.process(inject())
-    world.run(until=ms(args.run_ms) + (sec(3) if args.failover else 0))
-    deployment.stop()
+        cell.fail_stop_at(max(ms(args.run_ms) // 2, ms(500)))
+    cell.world.run(until=ms(args.run_ms) + (sec(3) if args.failover else 0))
+    cell.deployment.stop()
     print(tracer.timeline(args.category))
     if tracer.dropped:
         print(
@@ -709,38 +684,21 @@ def _cmd_races(args) -> int:
 
 def _cmd_audit(args) -> int:
     """Run a replicated epoch loop with the runtime state auditor enabled."""
-    from repro.experiments.common import build_deployment
-    from repro.net import World
-    from repro.workloads.base import ClientStats, ServerWorkload
-    from repro.workloads.catalog import make_workload
+    from repro.experiments.common import open_cell
+    from repro.replication.config import NiliconConfig
+    from repro.workloads.base import ServerWorkload
 
-    world = World(seed=args.seed)
-    workload = make_workload(args.workload)
-    deployment = build_deployment(world, workload.spec(), "nilicon")
-    deployment.config = deployment.config.with_(audit=True)
-    # build_deployment constructed the agents before the flag flip; install
-    # the auditor by hand the same way the manager does.
-    from repro.analysis.auditor import StateAuditor
-
-    auditor = StateAuditor(raise_on_violation=False)
-    auditor.attach_container(deployment.container)
-    deployment.auditor = auditor
-    deployment.primary_agent.auditor = auditor
-    deployment.backup_agent.auditor = auditor
-
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    if isinstance(workload, ServerWorkload):
-        stats = ClientStats()
-
-        def launch():
-            yield world.engine.timeout(ms(300))
-            workload.start_clients(world, stats, run_until_us=ms(args.run_ms))
-
-        world.engine.process(launch())
-    world.run(until=ms(args.run_ms))
-    deployment.stop()
+    cell = open_cell(
+        args.workload, "nilicon", args.seed,
+        config=NiliconConfig.nilicon().with_(audit=True),
+    )
+    auditor = cell.deployment.auditor
+    auditor.raise_on_violation = False
+    cell.start()
+    if isinstance(cell.workload, ServerWorkload):
+        cell.clients_at(ms(300), run_until_us=ms(args.run_ms))
+    cell.world.run(until=ms(args.run_ms))
+    cell.deployment.stop()
 
     print(f"{args.workload}: audited {auditor.epochs_audited} epoch(s), "
           f"{auditor.restores_audited} restore(s)")
@@ -944,6 +902,8 @@ def _add_bench_options(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.replication.modes import mode_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="NiLiCon reproduction: benchmarks and paper artifacts.",
@@ -955,8 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run one benchmark under one mode")
     bench.add_argument("workload")
-    bench.add_argument("--mode", choices=("stock", "nilicon", "hycor", "mc"),
-                       default="nilicon")
+    bench.add_argument("--mode", choices=mode_names(), default="nilicon")
     bench.add_argument("--duration-ms", type=int, default=2000)
 
     table = sub.add_parser("table", help="regenerate a paper table (1-6)")

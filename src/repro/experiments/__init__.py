@@ -22,8 +22,7 @@ module            paper artifact
 
 from repro.experiments.common import (
     RunResult,
-    overhead_from_throughput,
-    overhead_from_time,
+    overhead,
     run_compute_benchmark,
     run_server_benchmark,
 )
@@ -36,8 +35,7 @@ from repro.experiments.faultcampaign import (
 __all__ = [
     "PhaseCellResult",
     "RunResult",
-    "overhead_from_throughput",
-    "overhead_from_time",
+    "overhead",
     "run_compute_benchmark",
     "run_phase_campaign",
     "run_phase_injection",

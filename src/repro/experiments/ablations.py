@@ -17,15 +17,13 @@ experiments isolate additional design claims:
 from __future__ import annotations
 
 from repro.experiments.common import (
-    build_deployment,
-    overhead_from_time,
+    open_cell,
+    overhead,
     run_compute_benchmark,
+    run_server_benchmark,
 )
-from repro.net.world import World
 from repro.replication.config import NiliconConfig
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats
-from repro.workloads.catalog import make_workload
 
 __all__ = [
     "run_compression_ablation",
@@ -59,7 +57,7 @@ def run_leave_one_out(workload: str = "streamcluster", seed: int = 1) -> list[di
         rows.append(
             {
                 "variant": label,
-                "overhead_pct": 100 * overhead_from_time(stock, result),
+                "overhead_pct": 100 * overhead(stock, result),
                 "avg_stop_ms": result.metrics.avg_stop_us() / 1000,
             }
         )
@@ -81,7 +79,7 @@ def run_epoch_sweep(
         rows.append(
             {
                 "epoch_ms": epoch_ms,
-                "overhead_pct": 100 * overhead_from_time(stock, result),
+                "overhead_pct": 100 * overhead(stock, result),
                 "avg_stop_ms": result.metrics.avg_stop_us() / 1000,
                 "avg_dirty": result.metrics.avg_dirty_pages(),
             }
@@ -101,23 +99,10 @@ def _failover_run(
     through the restored sockets' retransmission timers, which is exactly
     the path §V-E's minimum-RTO patch accelerates.
     """
-    world = World(seed=seed)
-    workload = make_workload("net")
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        "nilicon",
-        config=config,
-        on_failover=lambda container: workload.attach(world, container),
-    )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    stats = ClientStats()
-
-    def launch():
-        yield world.engine.timeout(ms(400))
-        workload.start_clients(world, stats, run_until_us=sec(5), gap_us=ms(5))
+    cell = open_cell("net", "nilicon", seed, config=config)
+    world, deployment, stats = cell.world, cell.deployment, cell.stats
+    cell.start()
+    cell.clients_at(ms(400), run_until_us=sec(5), gap_us=ms(5))
 
     injected_at = []
 
@@ -130,7 +115,6 @@ def _failover_run(
         injected_at.append(world.now)
         deployment.inject_fail_stop()
 
-    world.engine.process(launch())
     world.engine.process(inject())
     world.run(until=sec(8))
     assert deployment.failed_over and stats.ok
@@ -157,8 +141,6 @@ def run_rto_patch_ablation(seed: int = 1) -> list[dict]:
 
 def run_compression_ablation(seed: int = 1) -> list[dict]:
     """Transfer compression on/off: pair-link bytes vs CPU (Remus-style)."""
-    from repro.experiments.common import run_server_benchmark
-
     rows = []
     for compressed in (False, True):
         config = NiliconConfig.nilicon().with_(compress_transfer=compressed)

@@ -1,45 +1,46 @@
-"""Shared experiment machinery: build, run and measure one deployment.
+"""Shared experiment machinery: stand up, run and measure one cell.
 
-Modes:
+A cell is one workload under one replication mode, any name in the
+:mod:`repro.replication.modes` registry:
 
-* ``stock``  — unreplicated container (the baseline denominator),
+* ``stock``   — unreplicated container (the baseline denominator),
 * ``nilicon`` — the full NiLiCon deployment (or any config variant),
-* ``mc``     — the Remus-on-KVM micro-checkpointing baseline.
+* ``hycor``   — HyCoR-style log-commit replication,
+* ``mc``      — the Remus-on-KVM micro-checkpointing baseline,
+* ``colo``    — COLO-style active replication (§VIII).
 
-Server benchmarks measure saturated throughput over a steady-state window
-(clients start only after the initial full checkpoint has seeded the
-backup, so startup cost doesn't pollute per-epoch statistics — matching the
-paper's steady-state methodology).  Compute benchmarks measure completion
-time of a fixed work quota.
+:func:`open_cell` is the one way to build a cell; :func:`run_overhead`
+measures one the way its workload type is measured.  Server benchmarks
+measure saturated throughput over a steady-state window (clients start
+only after the initial full checkpoint has seeded the backup, so startup
+cost doesn't pollute per-epoch statistics — matching the paper's
+steady-state methodology).  Compute benchmarks measure completion time of
+a fixed work quota.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from repro.baselines.mc import McDeployment
-from repro.baselines.stock import StockDeployment
 from repro.metrics.collector import RunMetrics
 from repro.net.world import World
 from repro.replication.config import NiliconConfig
-from repro.replication.manager import ReplicatedDeployment
 from repro.replication.modes import get_mode
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload
+from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload, Workload
 from repro.workloads.catalog import make_workload
 
 __all__ = [
-    "MODES",
+    "Cell",
     "RunResult",
     "build_deployment",
-    "overhead_from_throughput",
-    "overhead_from_time",
+    "open_cell",
+    "overhead",
     "run_compute_benchmark",
+    "run_overhead",
     "run_server_benchmark",
 ]
-
-MODES = ("stock", "nilicon", "hycor", "mc")
 
 
 @dataclass
@@ -59,14 +60,13 @@ class RunResult:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
-def overhead_from_throughput(stock: RunResult, repl: RunResult) -> float:
-    """Relative reduction in maximum throughput (paper's server metric)."""
+def overhead(stock: RunResult, repl: RunResult) -> float:
+    """The paper's overhead of *repl* over *stock*: the relative increase in
+    execution time for a compute cell, the relative reduction in maximum
+    throughput otherwise."""
+    if stock.completion_us is not None:
+        return repl.completion_us / stock.completion_us - 1.0
     return 1.0 - repl.throughput / stock.throughput
-
-
-def overhead_from_time(stock: RunResult, repl: RunResult) -> float:
-    """Relative increase in execution time (paper's compute metric)."""
-    return repl.completion_us / stock.completion_us - 1.0
 
 
 def build_deployment(
@@ -74,22 +74,74 @@ def build_deployment(
     spec,
     mode: str,
     config: NiliconConfig | None = None,
-    mc_kwargs: dict | None = None,
     on_failover=None,
 ):
-    if mode == "stock":
-        return StockDeployment(world, spec)
-    if mode == "mc":
-        return McDeployment(world, spec, **(mc_kwargs or {}))
-    # Every other mode is a pair-protocol strategy from the registry
-    # (repro.replication.modes); validate the name and make the config
-    # carry it so reprotect/repair re-establish the same strategy.
-    get_mode(mode)
-    if config is None:
-        config = NiliconConfig.nilicon()
-    if config.mode != mode:
-        config = config.with_(mode=mode)
-    return ReplicatedDeployment(world, spec, config=config, on_failover=on_failover)
+    """Deploy *spec* in *world* under the registered replication *mode*."""
+    return get_mode(mode).deploy(world, spec, config, on_failover)
+
+
+@dataclass
+class Cell:
+    """One workload deployed under one mode in its own world, warmed up
+    and not yet started."""
+
+    world: World
+    workload: Workload
+    deployment: Any
+    stats: ClientStats = field(default_factory=ClientStats)
+
+    def start(self) -> None:
+        """Attach the service processes and start the deployment."""
+        self.workload.attach(self.world, self.deployment.container)
+        self.deployment.start()
+
+    def clients_at(self, at_us: int, **client_kwargs) -> None:
+        """Start the workload's clients (recording into :attr:`stats`) at
+        simulated time *at_us*."""
+
+        def launch():
+            yield self.world.engine.timeout(at_us)
+            self.workload.start_clients(self.world, self.stats, **client_kwargs)
+
+        self.world.engine.process(launch())
+
+    def fail_stop_at(self, at_us: int) -> None:
+        """Fail-stop the primary host at simulated time *at_us*."""
+
+        def inject():
+            yield self.world.engine.timeout(at_us)
+            self.deployment.inject_fail_stop()
+
+        self.world.engine.process(inject())
+
+
+def open_cell(
+    workload_name: str,
+    mode: str,
+    seed: int = 1,
+    *,
+    config: NiliconConfig | None = None,
+    workload_kwargs: dict | None = None,
+    instrument: Callable[[World], None] | None = None,
+) -> Cell:
+    """Build one cell: a fresh world (handed to *instrument* before anything
+    else touches it), the catalog workload, its deployment (which
+    re-attaches the workload to the container a failover restores) and the
+    warmed-up container state."""
+    world = World(seed=seed)
+    if instrument is not None:
+        instrument(world)
+    workload = make_workload(workload_name, **(workload_kwargs or {}))
+    deployment = build_deployment(
+        world,
+        workload.spec(),
+        mode,
+        config=config,
+        on_failover=lambda container: workload.attach(world, container),
+    )
+    workload.warmup(world, deployment.container)
+    _absorb_warmup_faults(deployment)
+    return Cell(world, workload, deployment)
 
 
 def _wait_until_ready(world: World, deployment, floor_us: int):
@@ -99,7 +151,8 @@ def _wait_until_ready(world: World, deployment, floor_us: int):
     configuration makes it (seconds for the unoptimized Table I levels);
     measurements must start after it, or startup cost pollutes steady-state
     numbers.  Waits at least *floor_us*, then until the primary has
-    completed its first epoch (no-op for stock/MC deployments).
+    completed its first epoch (no-op for deployments without a pair
+    protocol).
     """
     yield world.engine.timeout(floor_us)
     agent = getattr(deployment, "primary_agent", None)
@@ -117,6 +170,41 @@ def _absorb_warmup_faults(deployment) -> None:
         process.mm.drain_fault_time()
 
 
+def run_overhead(
+    workload_name: str, mode: str, duration_us: int, seed: int = 1
+) -> RunResult:
+    """One overhead cell, measured the way its workload type is: completion
+    time of a compute quota, saturated throughput of a server over
+    *duration_us*, or — for a workload that drives itself from an
+    in-container loop (disk-rw) — operations completed over that window."""
+    probe = make_workload(workload_name)
+    if isinstance(probe, ComputeWorkload):
+        return run_compute_benchmark(workload_name, mode, seed=seed)
+    if isinstance(probe, ServerWorkload):
+        return run_server_benchmark(
+            workload_name, mode, duration_us=duration_us, seed=seed
+        )
+    cell = open_cell(workload_name, mode, seed)
+    workload, deployment = cell.workload, cell.deployment
+    cell.start()
+    settle = ms(400)
+    cell.world.run(until=settle)
+    ops_at_settle = workload.operations
+    cell.world.run(until=settle + duration_us)
+    deployment.stop()
+    if getattr(workload, "errors", None):
+        raise RuntimeError(
+            f"{workload_name}/{mode}: self-validation errors {workload.errors}"
+        )
+    ops = workload.operations - ops_at_settle
+    return RunResult(
+        workload=workload_name,
+        mode=mode,
+        throughput=ops * 1_000_000 / duration_us,
+        metrics=deployment.metrics,
+    )
+
+
 def run_server_benchmark(
     workload_name: str,
     mode: str,
@@ -126,48 +214,37 @@ def run_server_benchmark(
     config: NiliconConfig | None = None,
     workload_kwargs: dict | None = None,
     client_kwargs: dict | None = None,
-    mc_kwargs: dict | None = None,
 ) -> RunResult:
     """Measure saturated throughput of *workload_name* under *mode*."""
-    world = World(seed=seed)
-    workload = make_workload(workload_name, **(workload_kwargs or {}))
-    assert isinstance(workload, ServerWorkload), f"{workload_name} is not a server"
-
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        mode,
-        config=config,
-        mc_kwargs=mc_kwargs,
-        on_failover=lambda container: workload.attach(world, container),
+    cell = open_cell(
+        workload_name, mode, seed, config=config, workload_kwargs=workload_kwargs
     )
-    workload.warmup(world, deployment.container)
-    _absorb_warmup_faults(deployment)
-    workload.attach(world, deployment.container)
-    deployment.start()
+    world, workload, deployment = cell.world, cell.workload, cell.deployment
+    assert isinstance(workload, ServerWorkload), f"{workload_name} is not a server"
+    cell.start()
 
-    stats = ClientStats()
+    # Every mode that ships state or inputs to the backup host does so over
+    # the world's pair link.
+    link = world.pair_channel
     window: dict[str, int] = {}
-    cpu_at_settle: list[int] = []
 
     def launch_clients():
         yield from _wait_until_ready(world, deployment, settle_us)
         window["start"] = world.now
         window["end"] = world.now + duration_us
-        cpu_at_settle.append(deployment.container.cgroup.read_cpuacct())
+        window["cpu"] = deployment.container.cgroup.read_cpuacct()
+        window["link_bytes"] = link.bytes_sent
         workload.start_clients(
-            world, stats, run_until_us=window["end"], **(client_kwargs or {})
+            world, cell.stats, run_until_us=window["end"], **(client_kwargs or {})
         )
 
     world.engine.process(launch_clients())
     world.run(until=settle_us + duration_us)
     while "end" not in window or world.now < window["end"]:
         world.run(until=world.now + ms(50))
-    end_us = window["end"]
     deployment.stop()
-    cpu_used = deployment.container.cgroup.read_cpuacct() - (
-        cpu_at_settle[0] if cpu_at_settle else 0
-    )
+    cpu_used = deployment.container.cgroup.read_cpuacct() - window["cpu"]
+    link_bytes = link.bytes_sent - window["link_bytes"]
 
     if deployment.failed_over:
         raise RuntimeError(
@@ -176,20 +253,18 @@ def run_server_benchmark(
         )
     metrics = deployment.metrics
     metrics.window_start_us = window["start"]
-    metrics.window_end_us = end_us
+    metrics.window_end_us = window["end"]
     stopped = sum(e.stop_us for e in metrics.steady_epochs()) / max(1, duration_us)
     return RunResult(
         workload=workload_name,
         mode=mode,
-        throughput=stats.throughput(duration_us),
+        throughput=cell.stats.throughput(duration_us),
         metrics=metrics,
-        stats=stats,
+        stats=cell.stats,
         stopped_fraction=min(1.0, stopped),
         extra={
             "active_cores": cpu_used / duration_us,
-            "link_mb_per_s": getattr(
-                getattr(deployment, "channel", None), "bytes_sent", 0
-            ) / max(1, end_us) if hasattr(deployment, "channel") else 0.0,
+            "link_mb_per_s": link_bytes / duration_us,
         },
     )
 
@@ -200,27 +275,18 @@ def run_compute_benchmark(
     seed: int = 1,
     config: NiliconConfig | None = None,
     workload_kwargs: dict | None = None,
-    mc_kwargs: dict | None = None,
     timeout_us: int = sec(120),
 ) -> RunResult:
     """Measure completion time of *workload_name* under *mode*."""
-    world = World(seed=seed)
-    workload = make_workload(workload_name, **(workload_kwargs or {}))
-    assert isinstance(workload, ComputeWorkload), f"{workload_name} is not compute"
-
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        mode,
-        config=config,
-        mc_kwargs=mc_kwargs,
-        on_failover=lambda container: workload.attach(world, container),
+    cell = open_cell(
+        workload_name, mode, seed, config=config, workload_kwargs=workload_kwargs
     )
-    workload.warmup(world, deployment.container)
-    _absorb_warmup_faults(deployment)
+    world, workload, deployment = cell.world, cell.workload, cell.deployment
+    assert isinstance(workload, ComputeWorkload), f"{workload_name} is not compute"
+    # The workload attaches at settle, not at start: replicated modes let
+    # the initial full checkpoint finish before the work quota starts, so
+    # completion time measures steady-state overhead.
     deployment.start()
-    # Replicated modes: let the initial full checkpoint finish before the
-    # work quota starts, so completion time measures steady-state overhead.
     settle = ms(400) if mode != "stock" else 0
     completion: list[int] = []
     window: dict[str, int] = {}

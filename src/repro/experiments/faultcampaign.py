@@ -22,18 +22,16 @@ from pathlib import Path
 from typing import Iterable
 
 import repro
-from repro.experiments.common import build_deployment
+from repro.experiments.common import open_cell
 from repro.faultinject import SCENARIOS, Scenario, evaluate_oracles
 from repro.faultinject.points import (
     FAULT_POINTS,
     FLEET_FAULT_POINTS,
     verify_hook_coverage,
 )
-from repro.net.world import World
 from repro.replication.config import NiliconConfig
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats, ServerWorkload
-from repro.workloads.catalog import make_workload
+from repro.workloads.base import ServerWorkload
 
 __all__ = [
     "CAMPAIGN_SEEDS",
@@ -93,42 +91,25 @@ def run_phase_injection(
     """
     if isinstance(scenario, str):
         scenario = SCENARIOS[scenario]
-    world = World(seed=seed)
-    if instrument is not None:
-        instrument(world)
-    workload = make_workload(workload_name)
-    if not isinstance(workload, ServerWorkload):
+    cell = open_cell(
+        workload_name, scenario.mode, seed, config=config, instrument=instrument
+    )
+    if not isinstance(cell.workload, ServerWorkload):
         raise ValueError(
             f"phase campaign needs a server workload with validating "
             f"clients, got {workload_name!r}"
         )
-
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        scenario.mode,
-        config=config,
-        on_failover=lambda container: workload.attach(world, container),
-    )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    plan = scenario.arm(world, deployment)
-
-    stats = ClientStats()
-
-    def launch():
-        yield world.engine.timeout(_CLIENT_START_US)
-        workload.start_clients(world, stats, run_until_us=run_us)
-
-    world.engine.process(launch())
-    world.run(until=run_us + _TAIL_US)
+    deployment = cell.deployment
+    cell.start()
+    plan = scenario.arm(cell.world, deployment)
+    cell.clients_at(_CLIENT_START_US, run_until_us=run_us)
+    cell.world.run(until=run_us + _TAIL_US)
     deployment.stop()
     plan.disarm()
 
     violations = evaluate_oracles(
         deployment,
-        stats,
+        cell.stats,
         expect_failover=scenario.expect_failover,
         expect_liveness=scenario.expect_liveness,
     )
@@ -143,7 +124,7 @@ def run_phase_injection(
         failed_over=deployment.failed_over,
         committed_epoch=deployment.backup_agent.committed_epoch,
         recovered_from_epoch=deployment.backup_agent.recovered_from_epoch,
-        client_completed=stats.completed,
+        client_completed=cell.stats.completed,
         violations=violations,
         plan_log=list(plan.log),
     )

@@ -27,8 +27,8 @@ The headline claims this figure supports, which the assertions in
 
 from __future__ import annotations
 
-from repro.experiments.common import overhead_from_throughput, overhead_from_time
-from repro.experiments.suite import COMPUTE_BENCHMARKS, PAPER_BENCHMARKS, SuiteResults, run_suite
+from repro.experiments.common import overhead
+from repro.experiments.suite import PAPER_BENCHMARKS, SuiteResults, run_suite
 
 __all__ = ["PAPER_FIG3", "rows_from_suite", "run_fig3"]
 
@@ -43,21 +43,13 @@ PAPER_FIG3 = {
 }
 
 
-def _overhead(results: SuiteResults, name: str, mode: str) -> float:
-    stock = results[(name, "stock")]
-    repl = results[(name, mode)]
-    if name in COMPUTE_BENCHMARKS:
-        return overhead_from_time(stock, repl)
-    return overhead_from_throughput(stock, repl)
-
-
 def rows_from_suite(results: SuiteResults) -> list[dict]:
     """One row per benchmark: measured overheads + stop/runtime split."""
     rows = []
     for name in PAPER_BENCHMARKS:
         row = {"benchmark": name}
         for mode in ("mc", "nilicon"):
-            total = _overhead(results, name, mode)
+            total = overhead(results[(name, "stock")], results[(name, mode)])
             stopped = min(total, results[(name, mode)].stopped_fraction)
             row[f"{mode}_overhead_pct"] = 100 * total
             row[f"{mode}_stopped_pct"] = 100 * stopped

@@ -33,20 +33,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.experiments.common import (
-    RunResult,
-    build_deployment,
-    overhead_from_throughput,
-    overhead_from_time,
-    run_compute_benchmark,
-    run_server_benchmark,
-)
+from repro.experiments.common import open_cell, overhead, run_overhead
 from repro.faultinject import evaluate_oracles
 from repro.metrics import benchfile
-from repro.net.world import World, reset_id_counters
+from repro.net.world import reset_id_counters
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload
-from repro.workloads.catalog import WORKLOADS, make_workload
+from repro.workloads.catalog import WORKLOADS
 
 __all__ = [
     "COMPARISON_MODES",
@@ -78,64 +70,16 @@ _RECOVERY_TAIL_US = sec(3)
 # --------------------------------------------------------------------- #
 # Overhead cells                                                         #
 # --------------------------------------------------------------------- #
-def _run_generic_benchmark(
-    workload_name: str, mode: str, duration_us: int, seed: int
-) -> RunResult:
-    """Throughput runner for catalog workloads that are neither
-    ``ServerWorkload`` nor ``ComputeWorkload`` (disk-rw drives itself from
-    an in-container loop): operations completed over a fixed window."""
-    world = World(seed=seed)
-    workload = make_workload(workload_name)
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        mode,
-        on_failover=lambda container: workload.attach(world, container),
-    )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    settle = ms(400)
-    world.run(until=settle)
-    ops_at_settle = workload.operations
-    world.run(until=settle + duration_us)
-    deployment.stop()
-    if getattr(workload, "errors", None):
-        raise RuntimeError(
-            f"{workload_name}/{mode}: self-validation errors {workload.errors}"
-        )
-    ops = workload.operations - ops_at_settle
-    return RunResult(
-        workload=workload_name,
-        mode=mode,
-        throughput=ops * 1_000_000 / duration_us,
-    )
-
-
-def _run_overhead_cell(
-    workload_name: str, mode: str, duration_us: int, seed: int
-) -> RunResult:
-    reset_id_counters()
-    probe = make_workload(workload_name)
-    if isinstance(probe, ComputeWorkload):
-        return run_compute_benchmark(workload_name, mode, seed=seed)
-    if isinstance(probe, ServerWorkload):
-        return run_server_benchmark(
-            workload_name, mode, duration_us=duration_us, seed=seed
-        )
-    return _run_generic_benchmark(workload_name, mode, duration_us, seed)
-
-
 def run_overhead_row(
     workload_name: str,
     duration_us: int = _SERVER_DURATION_US,
     seed: int = 1,
 ) -> dict[str, Any]:
     """One comparison row: stock baseline + per-mode overhead (percent)."""
-    cells = {
-        mode: _run_overhead_cell(workload_name, mode, duration_us, seed)
-        for mode in COMPARISON_MODES
-    }
+    cells = {}
+    for mode in COMPARISON_MODES:
+        reset_id_counters()
+        cells[mode] = run_overhead(workload_name, mode, duration_us, seed)
     stock = cells["stock"]
     compute = stock.completion_us is not None
     row: dict[str, Any] = {
@@ -146,12 +90,7 @@ def run_overhead_row(
         ),
     }
     for mode in COMPARISON_MODES[1:]:
-        overhead = (
-            overhead_from_time(stock, cells[mode])
-            if compute
-            else overhead_from_throughput(stock, cells[mode])
-        )
-        row[f"{mode}_overhead_pct"] = round(100 * overhead, 2)
+        row[f"{mode}_overhead_pct"] = round(100 * overhead(stock, cells[mode]), 2)
     row["reduction_pct"] = round(
         row["nilicon_overhead_pct"] - row["hycor_overhead_pct"], 2
     )
@@ -170,35 +109,16 @@ def run_recovery_cell(
     acknowledged-write loss at the same time the breakdown is captured.
     """
     reset_id_counters()
-    world = World(seed=seed)
-    workload = make_workload(workload_name)
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        mode,
-        on_failover=lambda container: workload.attach(world, container),
-    )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-
-    stats = ClientStats()
+    cell = open_cell(workload_name, mode, seed)
+    deployment = cell.deployment
+    cell.start()
     run_until = _RECOVERY_CRASH_AT_US + _RECOVERY_TAIL_US
-
-    def launch():
-        yield world.engine.timeout(ms(120))
-        workload.start_clients(world, stats, run_until_us=run_until)
-
-    def crash():
-        yield world.engine.timeout(_RECOVERY_CRASH_AT_US)
-        deployment.inject_fail_stop()
-
-    world.engine.process(launch())
-    world.engine.process(crash())
-    world.run(until=run_until)
+    cell.clients_at(ms(120), run_until_us=run_until)
+    cell.fail_stop_at(_RECOVERY_CRASH_AT_US)
+    cell.world.run(until=run_until)
     deployment.stop()
 
-    violations = evaluate_oracles(deployment, stats, expect_failover=True)
+    violations = evaluate_oracles(deployment, cell.stats, expect_failover=True)
     recovery = deployment.metrics.recovery
     if recovery is None:
         violations.append(f"{workload_name}/{mode}: no recovery was recorded")

@@ -16,8 +16,7 @@ Paper reference shapes:
 from __future__ import annotations
 
 from repro.experiments.common import (
-    overhead_from_throughput,
-    overhead_from_time,
+    overhead,
     run_compute_benchmark,
     run_server_benchmark,
 )
@@ -51,7 +50,7 @@ def run_thread_sweep(thread_counts=(1, 2, 4, 8, 16, 32), seed: int = 1) -> list[
         rows.append(
             {
                 "threads": n,
-                "overhead_pct": 100 * overhead_from_time(stock, nil),
+                "overhead_pct": 100 * overhead(stock, nil),
                 "avg_stop_ms": nil.metrics.avg_stop_us() / 1000,
                 "avg_dirty": nil.metrics.avg_dirty_pages(),
             }
@@ -89,7 +88,7 @@ def run_client_sweep(client_counts=(2, 8, 32, 128), seed: int = 1) -> list[dict]
         rows.append(
             {
                 "clients": n,
-                "overhead_pct": 100 * overhead_from_throughput(stock, nil),
+                "overhead_pct": 100 * overhead(stock, nil),
                 "avg_stop_ms": nil.metrics.avg_stop_us() / 1000,
                 "socket_collect_ms": socket_ms,
             }
@@ -111,7 +110,7 @@ def run_process_sweep(process_counts=(1, 2, 4, 8), seed: int = 1) -> list[dict]:
         rows.append(
             {
                 "processes": n,
-                "overhead_pct": 100 * overhead_from_throughput(stock, nil),
+                "overhead_pct": 100 * overhead(stock, nil),
                 "avg_stop_ms": nil.metrics.avg_stop_us() / 1000,
                 "avg_dirty": nil.metrics.avg_dirty_pages(),
             }

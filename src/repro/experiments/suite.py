@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.experiments.common import (
-    RunResult,
-    run_compute_benchmark,
-    run_server_benchmark,
-)
+from repro.experiments.common import RunResult, run_overhead
 from repro.sim.units import sec
 
-__all__ = ["MC_PARAMS", "PAPER_BENCHMARKS", "SuiteResults", "run_suite"]
+__all__ = ["PAPER_BENCHMARKS", "SuiteResults", "run_suite"]
 
 PAPER_BENCHMARKS = (
     "swaptions",
@@ -28,27 +24,6 @@ PAPER_BENCHMARKS = (
     "lighttpd",
     "djcms",
 )
-
-COMPUTE_BENCHMARKS = {"swaptions", "streamcluster"}
-
-#: Per-benchmark MC model parameters.
-#:
-#: ``cpu_tax`` is the per-slice virtualization tax (I/O exits, interrupt and
-#: timer virtualization, shadow-MMU churn) and ``guest_kernel_dirty_per_epoch``
-#: the guest-kernel page dirtying MC must also ship.  Both are calibrated
-#: against Fig. 3's MC bars and Table III's MC dirty counts: the split
-#: between write-protect fault cost and general tax is not identifiable from
-#: the paper's data, so the fault cost is fixed globally
-#: (``vm_exit_fault_ns``) and the residual lands in the tax.
-MC_PARAMS: dict[str, dict] = {
-    "swaptions": {"cpu_tax": 0.04, "guest_kernel_dirty_per_epoch": 170},
-    "streamcluster": {"cpu_tax": 0.20, "guest_kernel_dirty_per_epoch": 165},
-    "redis": {"cpu_tax": 1.1, "guest_kernel_dirty_per_epoch": 100},
-    "ssdb": {"cpu_tax": 1.9, "guest_kernel_dirty_per_epoch": 520},
-    "node": {"cpu_tax": 0.0, "guest_kernel_dirty_per_epoch": 1000},
-    "lighttpd": {"cpu_tax": 0.06, "guest_kernel_dirty_per_epoch": 1300},
-    "djcms": {"cpu_tax": 0.55, "guest_kernel_dirty_per_epoch": 100},
-}
 
 SuiteResults = dict[tuple[str, str], RunResult]
 
@@ -68,14 +43,6 @@ def run_suite(
     results: SuiteResults = {}
     for name in benchmarks:
         for mode in modes:
-            mc_kwargs = MC_PARAMS.get(name) if mode == "mc" else None
-            if name in COMPUTE_BENCHMARKS:
-                results[(name, mode)] = run_compute_benchmark(
-                    name, mode, seed=seed, mc_kwargs=mc_kwargs
-                )
-            else:
-                results[(name, mode)] = run_server_benchmark(
-                    name, mode, duration_us=duration_us, seed=seed, mc_kwargs=mc_kwargs
-                )
+            results[(name, mode)] = run_overhead(name, mode, duration_us, seed)
     _cache[key] = results
     return results

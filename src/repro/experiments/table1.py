@@ -26,7 +26,7 @@ failure detector is disabled for these overhead-only measurements.
 
 from __future__ import annotations
 
-from repro.experiments.common import overhead_from_time, run_compute_benchmark
+from repro.experiments.common import overhead, run_compute_benchmark
 from repro.replication.config import TABLE1_LEVELS, NiliconConfig
 
 __all__ = ["PAPER_TABLE1", "run_table1"]
@@ -67,7 +67,7 @@ def run_table1(seed: int = 1, total_units: int = TOTAL_UNITS) -> list[dict]:
             {
                 "level": level,
                 "label": label,
-                "overhead_pct": 100 * overhead_from_time(stock, result),
+                "overhead_pct": 100 * overhead(stock, result),
                 "paper_pct": PAPER_TABLE1[label],
                 "avg_stop_ms": result.metrics.avg_stop_us() / 1000,
             }

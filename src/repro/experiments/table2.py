@@ -23,11 +23,8 @@ component small relative to the 1 s default.
 
 from __future__ import annotations
 
-from repro.experiments.common import build_deployment
-from repro.net.world import World
+from repro.experiments.common import open_cell
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats
-from repro.workloads.catalog import make_workload
 
 __all__ = ["PAPER_TABLE2", "run_table2"]
 
@@ -38,35 +35,16 @@ PAPER_TABLE2 = {
 
 
 def _measure(workload_name: str, seed: int) -> dict:
-    world = World(seed=seed)
-    workload = make_workload(workload_name)
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        "nilicon",
-        on_failover=lambda container: workload.attach(world, container),
-    )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-
-    stats = ClientStats()
+    cell = open_cell(workload_name, "nilicon", seed)
+    deployment, stats = cell.deployment, cell.stats
+    cell.start()
     fault_at = ms(900)
-
-    def launch_clients():
-        yield world.engine.timeout(ms(400))
-        if workload_name == "redis":
-            workload.start_clients(world, stats, batch_size=4, window=1, run_until_us=sec(6))
-        else:
-            workload.start_clients(world, stats, run_until_us=sec(6), gap_us=ms(5))
-
-    def inject():
-        yield world.engine.timeout(fault_at)
-        deployment.inject_fail_stop()
-
-    world.engine.process(launch_clients())
-    world.engine.process(inject())
-    world.run(until=sec(7))
+    if workload_name == "redis":
+        cell.clients_at(ms(400), batch_size=4, window=1, run_until_us=sec(6))
+    else:
+        cell.clients_at(ms(400), run_until_us=sec(6), gap_us=ms(5))
+    cell.fail_stop_at(fault_at)
+    cell.world.run(until=sec(7))
 
     assert deployment.failed_over, f"{workload_name}: no failover happened"
     assert stats.ok, f"{workload_name}: client errors {stats.errors} {stats.validation_failures[:2]}"

@@ -27,12 +27,9 @@ one commit cycle is the reproduced shape.
 
 from __future__ import annotations
 
-from repro.experiments.common import build_deployment
+from repro.experiments.common import open_cell
 from repro.metrics.stats import mean
-from repro.net.world import World
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats
-from repro.workloads.catalog import make_workload
 
 __all__ = ["PAPER_TABLE6", "run_table6"]
 
@@ -48,27 +45,17 @@ SERVER_BENCHMARKS = ("redis", "ssdb", "node", "lighttpd", "djcms")
 
 
 def _single_client_latency(name: str, mode: str, seed: int) -> float:
-    world = World(seed=seed)
-    workload = make_workload(name)
-    deployment = build_deployment(world, workload.spec(), mode)
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    stats = ClientStats()
-
-    def launch():
-        yield world.engine.timeout(ms(400))
-        if name in ("redis", "ssdb"):
-            # One client, one batch in flight (paper: "only one client").
-            workload.start_clients(world, stats, window=1, run_until_us=sec(3))
-        else:
-            workload.start_clients(world, stats, n_clients=1, run_until_us=sec(3))
-
-    world.engine.process(launch())
-    world.run(until=sec(3))
-    deployment.stop()
-    assert stats.latencies_us, f"{name}/{mode}: no responses"
-    return mean(stats.latencies_us) / 1000
+    cell = open_cell(name, mode, seed)
+    cell.start()
+    if name in ("redis", "ssdb"):
+        # One client, one batch in flight (paper: "only one client").
+        cell.clients_at(ms(400), window=1, run_until_us=sec(3))
+    else:
+        cell.clients_at(ms(400), n_clients=1, run_until_us=sec(3))
+    cell.world.run(until=sec(3))
+    cell.deployment.stop()
+    assert cell.stats.latencies_us, f"{name}/{mode}: no responses"
+    return mean(cell.stats.latencies_us) / 1000
 
 
 def run_table6(seed: int = 1) -> list[dict]:

@@ -25,11 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import build_deployment
-from repro.net.world import World
+from repro.experiments.common import open_cell
 from repro.sim.units import ms, sec
-from repro.workloads.base import ClientStats, ComputeWorkload, ServerWorkload
-from repro.workloads.catalog import make_workload
+from repro.workloads.base import ComputeWorkload, ServerWorkload
 from repro.workloads.microbench import DiskRwWorkload
 from repro.workloads.parsec import ParsecWorkload
 
@@ -62,51 +60,28 @@ class CampaignResult:
 
 
 def _golden_compute_signature(name: str, seed: int) -> dict:
-    world = World(seed=seed)
-    workload = make_workload(name)
-    deployment = build_deployment(world, workload.spec(), "stock")
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-    while not workload.is_complete(deployment.container):
+    cell = open_cell(name, "stock", seed)
+    world, workload, container = cell.world, cell.workload, cell.deployment.container
+    cell.start()
+    while not workload.is_complete(container):
         world.run(until=world.now + ms(20))
-    return workload.result_signature(deployment.container)
+    return workload.result_signature(container)
 
 
 def run_one_injection(name: str, seed: int, run_us: int = sec(3)) -> list[str]:
     """One fault-injection run; returns the list of failure descriptions."""
-    world = World(seed=seed)
-    workload = make_workload(name)
-    failures: list[str] = []
-
-    deployment = build_deployment(
-        world,
-        workload.spec(),
-        "nilicon",
-        on_failover=lambda container: workload.attach(world, container),
+    cell = open_cell(name, "nilicon", seed)
+    world, workload, deployment, stats = (
+        cell.world, cell.workload, cell.deployment, cell.stats
     )
-    workload.warmup(world, deployment.container)
-    workload.attach(world, deployment.container)
-    deployment.start()
-
-    stats = ClientStats()
+    failures: list[str] = []
+    cell.start()
     if isinstance(workload, ServerWorkload):
-
-        def launch():
-            yield world.engine.timeout(ms(400))
-            workload.start_clients(world, stats, run_until_us=run_us)
-
-        world.engine.process(launch())
+        cell.clients_at(ms(400), run_until_us=run_us)
 
     # Random injection in the middle 80% of the run.
     frac = 0.1 + 0.8 * world.rng.stream("fault-injection").random()
-    inject_at = max(ms(500), int(run_us * frac))
-
-    def inject():
-        yield world.engine.timeout(inject_at)
-        deployment.inject_fail_stop()
-
-    world.engine.process(inject())
+    cell.fail_stop_at(max(ms(500), int(run_us * frac)))
 
     if isinstance(workload, ComputeWorkload):
         deadline = sec(60)

@@ -1,7 +1,7 @@
 """Small statistics helpers (percentiles, means) used by reports.
 
-numpy is available, but these run on short lists in hot test paths where a
-dependency-free implementation is simpler and deterministic.
+These run on short lists in hot test paths, where a dependency-free
+implementation is simpler and deterministic.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Pluggable replication strategy backends (the ``ReplicationMode`` registry).
 
-:class:`~repro.replication.manager.ReplicatedDeployment` is mode-agnostic:
-it asks the registered :class:`ReplicationMode` named by
+Every deployment is built through this registry: a mode's :meth:`deploy`
+factory returns the deployment object for a container spec, and
+:func:`repro.experiments.common.build_deployment` does nothing but look the
+mode up by name and call it.  :class:`~repro.replication.manager.ReplicatedDeployment`
+is mode-agnostic: it asks the :class:`ReplicationMode` named by
 ``NiliconConfig.mode`` how to parameterize the network buffer and which
 agent classes to construct.  Everything above the deployment — the fleet
 controller, the experiment harnesses, the fault campaign — selects a
@@ -10,24 +13,25 @@ backup loss and migration all re-establish whatever mode the config names.
 
 Registered backends:
 
-* ``stock``   — no replication; the plain-container baseline.  Built via
-  :class:`repro.baselines.stock.StockDeployment` (it runs no pair
-  protocol, so :func:`repro.experiments.common.build_deployment` dispatches
-  it before ever consulting this registry's factories).
+* ``stock``   — no replication; the plain-container baseline
+  (:class:`repro.baselines.stock.StockDeployment`).
 * ``nilicon`` — the paper's output-commit-per-epoch protocol (default).
 * ``hycor``   — continuous nondeterminism-log shipping with log-commit
   release and backup-side replay (:mod:`repro.replication.hycor`).
 * ``mc``      — the Remus/MC-style whole-VM baseline
-  (:class:`repro.baselines.mc.McDeployment`; also not a pair-protocol
-  deployment).
+  (:class:`repro.baselines.mc.McDeployment`, with the per-workload
+  calibration in :data:`repro.baselines.mc.MC_PARAMS`).
+* ``colo``    — COLO-style active replication, the §VIII comparison point
+  (:class:`repro.baselines.colo.ColoDeployment`).
 
-New modes register with :func:`register_mode`; ``repro modes list``
-renders this registry.
+Only ``nilicon`` and ``hycor`` run the primary/backup pair protocol; the
+baselines build their own deployment classes.  New modes register with
+:func:`register_mode`; ``repro modes list`` renders this registry.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.replication.backup import BackupAgent
 from repro.replication.hycor import HycorBackupAgent, HycorPrimaryAgent, hycor_flush_seq
@@ -35,6 +39,8 @@ from repro.replication.primary import PrimaryAgent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.container.runtime import Container
+    from repro.container.spec import ContainerSpec
+    from repro.net.world import World
     from repro.replication.config import NiliconConfig
 
 __all__ = [
@@ -49,9 +55,11 @@ __all__ = [
 class ReplicationMode:
     """One replication strategy: how a deployment buffers, fences and ships.
 
-    Subclasses override the three factory hooks; a mode with
-    ``pair_protocol = False`` is a baseline built by its own deployment
-    class and must never reach :class:`ReplicatedDeployment`.
+    :meth:`deploy` builds a deployment of this mode.  Pair-protocol modes
+    override the three agent/buffer factory hooks that
+    :class:`ReplicatedDeployment` calls; a mode with ``pair_protocol =
+    False`` is a baseline whose :meth:`deploy` builds its own deployment
+    class, and must never reach :class:`ReplicatedDeployment`.
     """
 
     #: Registry key (``NiliconConfig.mode`` / ``FleetSpec.mode`` value).
@@ -59,11 +67,34 @@ class ReplicationMode:
     #: One-line summary for ``repro modes list``.
     description: str = ""
     #: Whether deployments of this mode run the primary/backup pair
-    #: protocol (False for the stock and MC baselines).
+    #: protocol (False for the stock, MC and COLO baselines).
     pair_protocol: bool = True
     #: When external output escapes: ``immediate`` (no buffering),
-    #: ``checkpoint-commit`` (NiLiCon) or ``log-commit`` (HyCoR).
+    #: ``checkpoint-commit`` (NiLiCon), ``log-commit`` (HyCoR) or
+    #: ``output-match`` (COLO: once both replicas produced it).
     release_rule: str = "checkpoint-commit"
+
+    def deploy(
+        self,
+        world: "World",
+        spec: "ContainerSpec",
+        config: "NiliconConfig | None",
+        on_failover: "Callable[[Container], None] | None",
+    ):
+        """Deploy *spec* in *world* under this mode.
+
+        The config is made to name this mode, so reprotect/repair
+        re-establish the same strategy; *on_failover* re-attaches the
+        workload to the restored container.
+        """
+        from repro.replication.config import NiliconConfig
+        from repro.replication.manager import ReplicatedDeployment
+
+        if config is None:
+            config = NiliconConfig.nilicon()
+        if config.mode != self.name:
+            config = config.with_(mode=self.name)
+        return ReplicatedDeployment(world, spec, config=config, on_failover=on_failover)
 
     def netbuffer_kwargs(
         self, config: "NiliconConfig", container: "Container", initial_epoch: int
@@ -111,6 +142,11 @@ class StockMode(ReplicationMode):
     description = "No replication: plain container, output escapes immediately."
     pair_protocol = False
     release_rule = "immediate"
+
+    def deploy(self, world, spec, config, on_failover):
+        from repro.baselines.stock import StockDeployment
+
+        return StockDeployment(world, spec)
 
 
 class NiliconMode(ReplicationMode):
@@ -163,8 +199,30 @@ class McMode(ReplicationMode):
     )
     pair_protocol = False
 
+    def deploy(self, world, spec, config, on_failover):
+        from repro.baselines.mc import MC_PARAMS, McDeployment
+
+        return McDeployment(world, spec, **MC_PARAMS.get(spec.name, {}))
+
+
+class ColoMode(ReplicationMode):
+    name = "colo"
+    description = (
+        "COLO-style active replication baseline: a full replica on the "
+        "backup executes forwarded inputs; output escapes once both "
+        "replicas produced it (own deployment class)."
+    )
+    pair_protocol = False
+    release_rule = "output-match"
+
+    def deploy(self, world, spec, config, on_failover):
+        from repro.baselines.colo import ColoDeployment
+
+        return ColoDeployment(world, spec, attach_workload=on_failover)
+
 
 register_mode(StockMode())
 register_mode(NiliconMode())
 register_mode(HycorMode())
 register_mode(McMode())
+register_mode(ColoMode())

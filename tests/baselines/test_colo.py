@@ -73,7 +73,7 @@ def test_backup_burns_a_full_workload_of_cpu(world):
     assert replica_cpu > 0.5 * primary_cpu
     # Dramatically above NiLiCon's backup (Table V: 0.07-0.40 cores while
     # active burns 1-4); here backup ~= active.
-    assert deployment.backup_core_utilization() > 0.3 * (
+    assert deployment.metrics.backup_core_utilization() > 0.3 * (
         primary_cpu / deployment.metrics.elapsed_us
     )
 

@@ -2,26 +2,30 @@
 
 import pytest
 
+from repro.baselines.mc import MC_PARAMS
 from repro.experiments.common import (
-    MODES,
     RunResult,
     build_deployment,
-    overhead_from_throughput,
-    overhead_from_time,
+    overhead,
     run_compute_benchmark,
     run_server_benchmark,
 )
-from repro.experiments.suite import MC_PARAMS, PAPER_BENCHMARKS
+from repro.experiments.suite import PAPER_BENCHMARKS
 from repro.net import World
+from repro.replication.modes import mode_names
 from repro.sim import ms
 from repro.workloads.catalog import make_workload
 
 
 def test_overhead_helpers():
-    stock = RunResult(workload="w", mode="stock", throughput=100.0, completion_us=1000)
-    repl = RunResult(workload="w", mode="nilicon", throughput=75.0, completion_us=1300)
-    assert overhead_from_throughput(stock, repl) == pytest.approx(0.25)
-    assert overhead_from_time(stock, repl) == pytest.approx(0.30)
+    # A server cell's overhead is its throughput loss, a compute cell's its
+    # completion-time increase: which field is set picks the formula.
+    stock = RunResult(workload="w", mode="stock", throughput=100.0)
+    repl = RunResult(workload="w", mode="nilicon", throughput=75.0)
+    assert overhead(stock, repl) == pytest.approx(0.25)
+    stock = RunResult(workload="w", mode="stock", completion_us=1000)
+    repl = RunResult(workload="w", mode="nilicon", completion_us=1300)
+    assert overhead(stock, repl) == pytest.approx(0.30)
 
 
 def test_build_deployment_rejects_unknown_mode():
@@ -32,11 +36,13 @@ def test_build_deployment_rejects_unknown_mode():
 
 
 def test_modes_constant_covers_all_builders():
-    world = World(seed=1)
-    for mode in MODES:
+    # Every registered mode deploys through the registry and reports its
+    # backup load through the same RunMetrics view.
+    for mode in mode_names():
         w = World(seed=1)
         deployment = build_deployment(w, make_workload("net").spec(), mode)
         assert deployment.container is not None
+        assert deployment.metrics.backup_core_utilization() >= 0
 
 
 def test_run_server_benchmark_smoke():
@@ -46,6 +52,14 @@ def test_run_server_benchmark_smoke():
     assert result.metrics.n_epochs > 5
     assert 0 < result.stopped_fraction < 1
     assert result.extra["active_cores"] >= 0
+
+
+@pytest.mark.parametrize("mode", ["mc", "colo"])
+def test_link_rate_counts_every_mode_pair_traffic(mode):
+    # MC ships epoch state and COLO forwards inputs over the pair link, so
+    # the window's link rate is nonzero for them too.
+    result = run_server_benchmark("net", mode, duration_us=ms(300))
+    assert result.extra["link_mb_per_s"] > 0
 
 
 def test_run_compute_benchmark_smoke():

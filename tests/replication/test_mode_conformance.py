@@ -64,11 +64,12 @@ def run_conformance_cell(mode: str, workload_name: str, seed: int = 31):
 
 
 def test_registry_exposes_all_strategies():
-    assert mode_names() == ["stock", "nilicon", "hycor", "mc"]
+    assert mode_names() == ["stock", "nilicon", "hycor", "mc", "colo"]
     assert set(PAIR_MODES) == {"nilicon", "hycor"}
     assert get_mode("nilicon").release_rule == "checkpoint-commit"
     assert get_mode("hycor").release_rule == "log-commit"
     assert get_mode("stock").release_rule == "immediate"
+    assert get_mode("colo").release_rule == "output-match"
     for name in PAIR_MODES:
         mode = get_mode(name)
         assert mode.description
