@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit perf-bench analyze golden-regen bench bench-full validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench hycor hycor-bench report examples clean
+.PHONY: install test lint audit perf-bench analyze golden-regen validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench hycor hycor-bench report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -23,8 +23,9 @@ perf-bench:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
 
 # All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) plus
-# the hycor tradeoff comparison and bench gate, as one gate with a merged
-# findings artifact; CI runs it (it also writes coverage-matrix.json).
+# the hycor tradeoff comparison and bench gate and the paper gate (every
+# table/figure's shape clauses against BENCH_paper.json), as one gate with
+# a merged findings artifact; CI runs it (it also writes coverage-matrix.json).
 # The step list is repro.analysis.aggregate.STEPS and nothing else: each
 # lint step runs its analyzer's inventory selfcheck first.  For the
 # full-depth passes run `PYTHONPATH=src python -m repro analyze --full`.
@@ -36,13 +37,6 @@ analyze:
 golden-regen:
 	PYTHONPATH=src $(PYTHON) -c "from repro.analysis.fuzz import write_golden; write_golden('tests/golden/digests.json')"
 	PYTHONPATH=src $(PYTHON) -c "from repro.analysis.ndreplay import write_ndlog_golden; write_ndlog_golden('tests/golden/ndlog_digests.json')"
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Paper-scale fault-injection campaign (50 runs per workload, slow).
-bench-full:
-	REPRO_VALIDATION_RUNS=50 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 validate:
 	$(PYTHON) -m repro validate --runs 5
@@ -109,11 +103,10 @@ report:
 
 examples:
 	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/replicated_kv_store.py
 	$(PYTHON) examples/checkpoint_anatomy.py
 	$(PYTHON) examples/live_migration.py
 	$(PYTHON) examples/nine_lives.py
 
 clean:
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .hypothesis .benchmarks build dist src/*.egg-info
+	rm -rf .pytest_cache .hypothesis build dist src/*.egg-info

@@ -5,8 +5,10 @@ Runs all six analyzer families — nlint (DET/CKPT/RACE/ORD), races
 oracle), perf (PERF + profiler + bench gate), ndflow (NDF +
 record→replay oracle), and ftcov (FTC + catalog coverage crossref) —
 plus the hycor bench gate (replication-mode tradeoff cells against
-BENCH_hycor.json) — through their real CLI entry points, so each step
-keeps its exact gate semantics (baselines, knob polarity, selfchecks).
+BENCH_hycor.json) and the paper gate (every table/figure's cells and
+shape clauses against BENCH_paper.json) — through their real CLI entry
+points, so each step keeps its exact gate semantics (baselines, knob
+polarity, selfchecks).
 ``STEPS`` is the only list of these steps: no make target repeats it,
 and each inventory selfcheck runs once, inside the lint step that gates
 on it.  The aggregate exit code is the max over steps, and the merged
@@ -69,6 +71,8 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
      ("ftcov", "record", "--knob", "drop-scenario")),
     ("hycor", ("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
      ("hycor", "bench", "--check", "BENCH_hycor.json")),
+    ("paper", ("paper", "bench", "--smoke", "--check", "BENCH_paper.json"),
+     ("paper", "bench", "--check", "BENCH_paper.json")),
 )
 
 

@@ -259,7 +259,6 @@ def run_ftcov_record(
 
     for name in pair_names:
         note(f"pair {name}")
-        reset_id_counters()
         cell = run_phase_injection(
             _PAIR_WORKLOAD, name, _PAIR_SEED, instrument=recorder.install
         )

@@ -55,12 +55,6 @@ DEFAULT_SEEDS = (1, 2)
 DEFAULT_RUN_MS = 600
 
 
-def _reset():
-    from repro.net.world import reset_id_counters
-
-    reset_id_counters()
-
-
 def run_roundtrip(
     workload: str,
     seed: int,
@@ -74,7 +68,6 @@ def run_roundtrip(
     serialized log alone) reproduced both digests, consumed every recorded
     draw, and re-folded the recorded log digest.
     """
-    _reset()
     record_log = NDLog(mode="record")
     tiebreak = PermutedTieBreak(seed) if permuted else None
     recorded = run_instrumented(
@@ -86,7 +79,6 @@ def run_roundtrip(
     # beyond seed + what a backup could have received on disk.
     replay_log = NDLog.from_dict(record_log.to_dict(), mode="replay")
 
-    _reset()
     divergence: str | None = None
     replayed = None
     try:
@@ -249,7 +241,6 @@ def run_record(
     all_counts: dict[str, int] = {}
     for workload in workloads:
         for seed in seeds:
-            _reset()
             log = NDLog(mode="record")
             probe = run_instrumented(
                 workload, seed, run_ms=run_ms,
@@ -288,7 +279,6 @@ def golden_ndlog_digests(
     out: dict[str, str] = {}
     for workload in workloads:
         for seed in seeds:
-            _reset()
             log = NDLog(mode="record")
             run_instrumented(
                 workload, seed, run_ms=run_ms,

@@ -116,12 +116,8 @@ def run_profiled_deployment(
 ) -> ProfiledRun:
     """Run one catalog workload under the profiler; returns the counters."""
     from repro.experiments.common import open_cell
-    from repro.net.world import reset_id_counters
     from repro.workloads.base import ServerWorkload
 
-    # Rewind the id counters so pids and inode numbers (and with them
-    # image byte counts) replay exactly.
-    reset_id_counters()
     cell = open_cell(workload_name, "nilicon", seed, config=config)
     cell.start()
     profiler = install_profiler(cell.world.engine)

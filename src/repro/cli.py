@@ -65,28 +65,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    import importlib
+
     n = args.number
-    if n == 1:
-        from repro.experiments.table1 import format_rows, run_table1
-        print(format_rows(run_table1(seed=args.seed)))
-    elif n == 2:
-        from repro.experiments.table2 import format_rows, run_table2
-        print(format_rows(run_table2(seed=args.seed)))
-    elif n == 3:
-        from repro.experiments.table3 import format_rows, run_table3
-        print(format_rows(run_table3(seed=args.seed)))
-    elif n == 4:
-        from repro.experiments.table4 import format_rows, run_table4
-        print(format_rows(run_table4(seed=args.seed)))
-    elif n == 5:
-        from repro.experiments.table5 import format_rows, run_table5
-        print(format_rows(run_table5(seed=args.seed)))
-    elif n == 6:
-        from repro.experiments.table6 import format_rows, run_table6
-        print(format_rows(run_table6(seed=args.seed)))
-    else:
+    if not 1 <= n <= 6:
         print(f"no such table: {n} (have 1-6)", file=sys.stderr)
         return 2
+    table = importlib.import_module(f"repro.experiments.table{n}")
+    print(table.format_rows(getattr(table, f"run_table{n}")(seed=args.seed)))
     return 0
 
 
@@ -497,7 +483,7 @@ def _cmd_perf(args) -> int:
 
 def _run_bench(report, args) -> int:
     """Print a bench report, write it with ``--out`` and gate it with
-    ``--check`` against a checked-in BENCH file (one schema for all four
+    ``--check`` against a checked-in BENCH file (one schema for all five
     benches).  Exit 1 when the report fails its own checks or the gate,
     2 when the ``--check`` file cannot be read."""
     import json
@@ -870,6 +856,17 @@ def _cmd_hycor(args) -> int:
     return _run_bench(run_hycor_bench(report), args)
 
 
+def _cmd_paper(args) -> int:
+    """Paper gate: run every table/figure once, print its tables, then
+    gate its cells and shape clauses against BENCH_paper.json."""
+    from repro.experiments.paper import format_paper, run_paper, run_paper_bench
+
+    results = run_paper(smoke=args.smoke, seed=args.seed)
+    if not args.json:
+        print(format_paper(results) + "\n")
+    return _run_bench(run_paper_bench(results, args.smoke, args.seed), args)
+
+
 def _add_finding_options(parser, family: str, debt: str) -> None:
     """The rule-selection, baseline and output options every analyzer
     subcommand shares (``repro <name> ... --baseline <name>-baseline.json``)."""
@@ -1132,16 +1129,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     modes.add_argument("action", choices=("list",))
 
-    hycor = sub.add_parser(
-        "hycor",
-        help="HyCoR bench: overhead-vs-recovery tradeoff comparison, its "
-             "cells + CI gate",
-    )
-    hycor.add_argument("action", choices=("bench",))
-    hycor.add_argument("--smoke", action="store_true",
-                       help="bench only the CI workload subset (cells are "
-                            "identical to the same cells of a full run)")
-    _add_bench_options(hycor)
+    for name, help_ in (
+        ("hycor", "HyCoR bench: overhead-vs-recovery tradeoff comparison, its "
+                  "cells + CI gate"),
+        ("paper", "paper gate: every table/figure's cells and shape claims"),
+    ):
+        gate = sub.add_parser(name, help=help_)
+        gate.add_argument("action", choices=("bench",))
+        gate.add_argument("--smoke", action="store_true",
+                          help="bench only the CI subset (cells are "
+                               "identical to the same cells of a full run)")
+        _add_bench_options(gate)
 
     return parser
 
@@ -1169,6 +1167,7 @@ _COMMANDS = {
     "traffic": _cmd_traffic,
     "modes": _cmd_modes,
     "hycor": _cmd_hycor,
+    "paper": _cmd_paper,
 }
 
 

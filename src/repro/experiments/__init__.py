@@ -1,7 +1,7 @@
 """Experiment drivers: one module per paper table/figure.
 
 Each module exposes a ``run_*`` function returning plain-dict rows (so
-benchmarks can print them and tests can assert on shapes) and carries the
+the paper gate can print them and check their shapes) and carries the
 paper's reference numbers alongside for EXPERIMENTS.md.
 
 ================  ==========================================================
@@ -17,6 +17,8 @@ module            paper artifact
 ``validation``    §VII-A — fault-injection recovery campaign
 ``faultcampaign`` protocol-phase fault matrix (every injection point)
 ``scalability``   §VII-C — threads / clients / processes sweeps
+``ablations``     leave-one-out, epoch/detection/RTO/compression, §VIII
+``paper``         the paper gate: every artifact's cells and shape clauses
 ================  ==========================================================
 """
 

@@ -11,27 +11,40 @@ experiments isolate additional design claims:
 * **detection-interval sweep** — heartbeat period vs detection latency
   (and the false-positive margin the keep-alive provides);
 * **repaired-socket RTO patch (§V-E)** — recovery latency with and without
-  the 2-line kernel patch.
+  the 2-line kernel patch;
+* **transfer compression** — pair-link bandwidth against backup CPU;
+* **warm spare vs active replication (§VIII)** — response latency against
+  backup CPU, NiLiCon vs a COLO-style pair.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import (
+    Cell,
+    build_deployment,
     open_cell,
     overhead,
     run_compute_benchmark,
     run_server_benchmark,
 )
+from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
 from repro.sim.units import ms, sec
+from repro.workloads.microbench import EchoServer
 
 __all__ = [
+    "DETECTION_INTERVALS_MS",
+    "LEAVE_ONE_OUT",
     "run_compression_ablation",
     "run_detection_sweep",
     "run_epoch_sweep",
     "run_leave_one_out",
+    "run_related_work",
     "run_rto_patch_ablation",
 ]
+
+#: The heartbeat-interval sweep's points.
+DETECTION_INTERVALS_MS = (10, 30, 90)
 
 #: Leave-one-out variants: label -> config transformer.
 LEAVE_ONE_OUT = {
@@ -158,7 +171,7 @@ def run_compression_ablation(seed: int = 1) -> list[dict]:
     return rows
 
 
-def run_detection_sweep(intervals_ms=(10, 30, 90), seed: int = 1) -> list[dict]:
+def run_detection_sweep(intervals_ms=DETECTION_INTERVALS_MS, seed: int = 1) -> list[dict]:
     rows = []
     for interval in intervals_ms:
         config = NiliconConfig.nilicon().with_(heartbeat_interval_us=ms(interval))
@@ -166,3 +179,36 @@ def run_detection_sweep(intervals_ms=(10, 30, 90), seed: int = 1) -> list[dict]:
         row["interval_ms"] = interval
         rows.append(row)
     return rows
+
+
+def _run_echo(system: str) -> dict:
+    """One §VIII cell, built by hand: the catalog has no fixed-length echo
+    service, so this is a non-catalog 256-byte EchoServer, four clients."""
+    reset_id_counters()
+    world = World(seed=9)
+    workload = EchoServer(name="echo", min_len=256, max_len=256, n_clients=4)
+    deployment = build_deployment(
+        world, workload.spec(), system,
+        on_failover=lambda container: workload.attach(world, container),
+    )
+    cell = Cell(world, workload, deployment)
+    cell.start()
+    cell.clients_at(ms(400), run_until_us=sec(2), gap_us=ms(2))
+    world.run(until=sec(2))
+    deployment.stop()
+    stats = cell.stats
+    return {
+        "system": system,
+        "completed": stats.completed,
+        "errors": stats.errors + len(stats.validation_failures),
+        "median_latency_ms": sorted(stats.latencies_us)[len(stats.latencies_us) // 2] / 1000,
+        "backup_cores": deployment.metrics.backup_core_utilization(),
+        "primary_cores": deployment.container.cgroup.read_cpuacct()
+        / max(1, deployment.metrics.elapsed_us),
+        "throughput": stats.throughput(sec(2) - ms(400)),
+    }
+
+
+def run_related_work() -> list[dict]:
+    """§VIII: the warm spare (NiLiCon) against active replication (COLO)."""
+    return [_run_echo("nilicon"), _run_echo("colo")]

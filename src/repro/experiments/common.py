@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.metrics.collector import RunMetrics
-from repro.net.world import World
+from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
 from repro.replication.modes import get_mode
 from repro.sim.units import ms, sec
@@ -124,10 +124,13 @@ def open_cell(
     workload_kwargs: dict | None = None,
     instrument: Callable[[World], None] | None = None,
 ) -> Cell:
-    """Build one cell: a fresh world (handed to *instrument* before anything
-    else touches it), the catalog workload, its deployment (which
-    re-attaches the workload to the container a failover restores) and the
-    warmed-up container state."""
+    """Build one cell: rewound identity counters (so its pids, and with
+    them its image bytes, do not depend on the cells run before it), a
+    fresh world (handed to *instrument* before anything else touches it),
+    the catalog workload, its deployment (which re-attaches the workload
+    to the container a failover restores) and the warmed-up container
+    state."""
+    reset_id_counters()
     world = World(seed=seed)
     if instrument is not None:
         instrument(world)

@@ -15,8 +15,8 @@ lighttpd       30.18     37.67
 djcms          52.66     54.67
 =============  ========  ========
 
-The headline claims this figure supports, which the assertions in
-``benchmarks/test_fig3_overhead.py`` check:
+The headline claims this figure supports, which the ``fig3.*`` clauses of
+:func:`repro.experiments.paper.paper_problems` check:
 
 * NiLiCon's overhead is the same order as MC's (competitive);
 * NiLiCon's *runtime* component is lower than MC's for every benchmark;
@@ -28,7 +28,7 @@ The headline claims this figure supports, which the assertions in
 from __future__ import annotations
 
 from repro.experiments.common import overhead
-from repro.experiments.suite import PAPER_BENCHMARKS, SuiteResults, run_suite
+from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
 
 __all__ = ["PAPER_FIG3", "rows_from_suite", "run_fig3"]
 
@@ -46,7 +46,7 @@ PAPER_FIG3 = {
 def rows_from_suite(results: SuiteResults) -> list[dict]:
     """One row per benchmark: measured overheads + stop/runtime split."""
     rows = []
-    for name in PAPER_BENCHMARKS:
+    for name in suite_benchmarks(results):
         row = {"benchmark": name}
         for mode in ("mc", "nilicon"):
             total = overhead(results[(name, "stock")], results[(name, mode)])
@@ -59,11 +59,8 @@ def rows_from_suite(results: SuiteResults) -> list[dict]:
     return rows
 
 
-def run_fig3(duration_us=None, seed: int = 1) -> list[dict]:
-    kwargs = {"seed": seed}
-    if duration_us is not None:
-        kwargs["duration_us"] = duration_us
-    return rows_from_suite(run_suite(**kwargs))
+def run_fig3(seed: int = 1) -> list[dict]:
+    return rows_from_suite(run_suite(seed=seed))
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -36,7 +36,6 @@ from typing import Any, Iterable
 from repro.experiments.common import open_cell, overhead, run_overhead
 from repro.faultinject import evaluate_oracles
 from repro.metrics import benchfile
-from repro.net.world import reset_id_counters
 from repro.sim.units import ms, sec
 from repro.workloads.catalog import WORKLOADS
 
@@ -78,7 +77,6 @@ def run_overhead_row(
     """One comparison row: stock baseline + per-mode overhead (percent)."""
     cells = {}
     for mode in COMPARISON_MODES:
-        reset_id_counters()
         cells[mode] = run_overhead(workload_name, mode, duration_us, seed)
     stock = cells["stock"]
     compute = stock.completion_us is not None
@@ -108,7 +106,6 @@ def run_recovery_cell(
     Clients run throughout, so the oracles audit the failover for
     acknowledged-write loss at the same time the breakdown is captured.
     """
-    reset_id_counters()
     cell = open_cell(workload_name, mode, seed)
     deployment = cell.deployment
     cell.start()

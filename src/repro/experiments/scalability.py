@@ -11,6 +11,8 @@ Paper reference shapes:
   increased time to checkpoint socket states: 1.2 ms → 13 ms".
 * **Lighttpd, 1→8 processes** — overhead 23% → 63%: per-process state
   retrieval 6.5 ms → 28.7 ms, more sockets, more dirty pages.
+
+``repro paper bench`` gates every point of each sweep's one point list.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.experiments.common import (
 from repro.sim.units import sec
 
 __all__ = [
+    "CLIENT_COUNTS",
     "PAPER_SCALABILITY",
     "run_client_sweep",
     "run_process_sweep",
@@ -34,6 +37,9 @@ PAPER_SCALABILITY = {
     "clients": {2: 34.0, 32: 34.0, 128: 45.0},
     "processes": {1: 23.0, 8: 63.0},
 }
+
+#: The client sweep's points (the paper gate bounds the overhead at each).
+CLIENT_COUNTS = (2, 8, 32, 128)
 
 
 def run_thread_sweep(thread_counts=(1, 2, 4, 8, 16, 32), seed: int = 1) -> list[dict]:
@@ -58,7 +64,7 @@ def run_thread_sweep(thread_counts=(1, 2, 4, 8, 16, 32), seed: int = 1) -> list[
     return rows
 
 
-def run_client_sweep(client_counts=(2, 8, 32, 128), seed: int = 1) -> list[dict]:
+def run_client_sweep(client_counts=CLIENT_COUNTS, seed: int = 1) -> list[dict]:
     """Lighttpd with 4 processes and 2..128 clients.
 
     Uses a lightweight request variant (approx. 3 ms instead of the

@@ -24,7 +24,7 @@ clients).
 
 from __future__ import annotations
 
-from repro.experiments.suite import PAPER_BENCHMARKS, SuiteResults, run_suite
+from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
 
 __all__ = ["PAPER_TABLE3", "rows_from_suite", "run_table3"]
 
@@ -41,7 +41,7 @@ PAPER_TABLE3 = {
 
 def rows_from_suite(results: SuiteResults) -> list[dict]:
     rows = []
-    for name in PAPER_BENCHMARKS:
+    for name in suite_benchmarks(results):
         mc = results[(name, "mc")].metrics
         nil = results[(name, "nilicon")].metrics
         rows.append(

@@ -22,7 +22,7 @@ state size (85%->95%+).
 
 from __future__ import annotations
 
-from repro.experiments.suite import PAPER_BENCHMARKS, SuiteResults, run_suite
+from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
 
 __all__ = ["PAPER_TABLE4", "rows_from_suite", "run_table4"]
 
@@ -41,8 +41,10 @@ PERCENTILES = (10, 50, 90)
 
 def rows_from_suite(results: SuiteResults) -> list[dict]:
     rows = []
-    for name in PAPER_BENCHMARKS:
+    for name in suite_benchmarks(results):
         metrics = results[(name, "nilicon")].metrics
+        epochs = metrics.steady_epochs()
+        page_bytes = sum(e.dirty_pages for e in epochs) * 4096
         rows.append(
             {
                 "benchmark": name,
@@ -50,6 +52,8 @@ def rows_from_suite(results: SuiteResults) -> list[dict]:
                 "state_mb": tuple(
                     metrics.state_bytes_percentile(p) / 1e6 for p in PERCENTILES
                 ),
+                # Share of the transferred state that is dirty pages.
+                "page_share": page_bytes / max(1, sum(e.state_bytes for e in epochs)),
                 "paper": PAPER_TABLE4[name],
             }
         )

@@ -22,7 +22,7 @@ arrives in many small chunks (socket dumps) costing more read() calls.
 
 from __future__ import annotations
 
-from repro.experiments.suite import PAPER_BENCHMARKS, SuiteResults, run_suite
+from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
 
 __all__ = ["PAPER_TABLE5", "rows_from_suite", "run_table5"]
 
@@ -39,7 +39,7 @@ PAPER_TABLE5 = {
 
 def rows_from_suite(results: SuiteResults) -> list[dict]:
     rows = []
-    for name in PAPER_BENCHMARKS:
+    for name in suite_benchmarks(results):
         # Active utilization: container cgroup CPU per wall second on an
         # unreplicated host (the paper measured it without replication).
         stock = results[(name, "stock")]

@@ -1,7 +1,7 @@
 """The one BENCH file format: named metrics, each with a direction.
 
-Every checked-in ``BENCH_*.json`` (engine, fleet, traffic, hycor) is one
-report of this shape::
+Every checked-in ``BENCH_*.json`` (engine, fleet, traffic, hycor, paper)
+is one report of this shape::
 
     {"schema": "repro.bench/v2", "bench": "traffic", "seed": 1,
      "smoke": false, "ok": true, "problems": [],

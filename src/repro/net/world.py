@@ -93,9 +93,11 @@ def reset_id_counters() -> None:
     fatal for replay comparison: serialized checkpoint images embed pids
     and inode numbers as decimal strings, so a counter crossing a digit
     boundary between two same-seed runs changes image byte counts — and
-    with them the trace digest.  Call this before building a World whose
-    digest will be compared against another run's (the fleet campaign
-    does).  Never call it while another live World is still in use.
+    with them the trace digest.  :func:`repro.experiments.common.open_cell`
+    calls it for every cell; call it yourself before building any other
+    World whose digest will be compared against another run's (the fleet
+    campaign does).  Never call it while another live World is still in
+    use.
     """
     import itertools
 

@@ -9,10 +9,10 @@ from repro.analysis.aggregate import STATIC_PASSES, STEPS, collect_findings
 from repro.cli import build_parser
 
 
-def test_steps_cover_all_six_analyzers_plus_hycor_gate():
+def test_steps_cover_all_six_analyzers_plus_hycor_and_paper_gates():
     analyzers = {analyzer for analyzer, _, _ in STEPS}
     assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
-                         "ftcov", "hycor"}
+                         "ftcov", "hycor", "paper"}
 
 
 def test_every_step_argv_is_a_real_command_run_once():
@@ -34,6 +34,14 @@ def test_hycor_steps_gate_the_comparison_against_the_bench_file():
             if analyzer == "hycor"] == [
         (("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
          ("hycor", "bench", "--check", "BENCH_hycor.json")),
+    ]
+
+
+def test_paper_steps_gate_every_artifact_against_the_bench_file():
+    assert [(smoke, full) for analyzer, smoke, full in STEPS
+            if analyzer == "paper"] == [
+        (("paper", "bench", "--smoke", "--check", "BENCH_paper.json"),
+         ("paper", "bench", "--check", "BENCH_paper.json")),
     ]
 
 
