@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit perf-bench analyze golden-regen validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench hycor hycor-bench report examples clean
+.PHONY: install test lint audit perf-bench analyze golden-regen validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -23,9 +23,9 @@ perf-bench:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
 
 # All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) plus
-# the hycor tradeoff comparison and bench gate and the paper gate (every
-# table/figure's shape clauses against BENCH_paper.json), as one gate with
-# a merged findings artifact; CI runs it (it also writes coverage-matrix.json).
+# the paper gate (every table/figure's shape clauses, the HyCoR tradeoff's
+# included, against BENCH_paper.json), as one gate with a merged findings
+# artifact; CI runs it (it also writes coverage-matrix.json).
 # The step list is repro.analysis.aggregate.STEPS and nothing else: each
 # lint step runs its analyzer's inventory selfcheck first.  For the
 # full-depth passes run `PYTHONPATH=src python -m repro analyze --full`.
@@ -86,20 +86,6 @@ traffic-smoke:
 # Regenerate the checked-in BENCH_traffic.json (review the diff!).
 traffic-bench:
 	PYTHONPATH=src $(PYTHON) -m repro traffic bench --out BENCH_traffic.json
-
-# Replication-mode comparison: the full 10-workload overhead-vs-recovery
-# tradeoff (HyCoR vs NiLiCon), printed and gated against the checked-in
-# BENCH_hycor.json in one run.  Its three-workload smoke subset runs
-# inside `make analyze`.
-hycor:
-	PYTHONPATH=src $(PYTHON) -m repro hycor bench --check BENCH_hycor.json
-
-# Regenerate the checked-in BENCH_hycor.json (review the diff!).
-hycor-bench:
-	PYTHONPATH=src $(PYTHON) -m repro hycor bench --out BENCH_hycor.json
-
-report:
-	$(PYTHON) -m repro report
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -4,11 +4,10 @@ Runs all six analyzer families — nlint (DET/CKPT/RACE/ORD), races
 (happens-before + schedule fuzz), ckptcov (CKPT1xx + differential
 oracle), perf (PERF + profiler + bench gate), ndflow (NDF +
 record→replay oracle), and ftcov (FTC + catalog coverage crossref) —
-plus the hycor bench gate (replication-mode tradeoff cells against
-BENCH_hycor.json) and the paper gate (every table/figure's cells and
-shape clauses against BENCH_paper.json) — through their real CLI entry
-points, so each step keeps its exact gate semantics (baselines, knob
-polarity, selfchecks).
+plus the paper gate (every table/figure's cells and shape clauses, the
+HyCoR tradeoff's included, against BENCH_paper.json) — through their
+real CLI entry points, so each step keeps its exact gate semantics
+(baselines, knob polarity, selfchecks).
 ``STEPS`` is the only list of these steps: no make target repeats it,
 and each inventory selfcheck runs once, inside the lint step that gates
 on it.  The aggregate exit code is the max over steps, and the merged
@@ -69,8 +68,6 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
      ("ftcov", "record", "--json-out", "coverage-matrix.json")),
     ("ftcov", ("ftcov", "record", "--knob", "drop-scenario"),
      ("ftcov", "record", "--knob", "drop-scenario")),
-    ("hycor", ("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
-     ("hycor", "bench", "--check", "BENCH_hycor.json")),
     ("paper", ("paper", "bench", "--smoke", "--check", "BENCH_paper.json"),
      ("paper", "bench", "--check", "BENCH_paper.json")),
 )
@@ -175,8 +172,9 @@ def run_all(smoke: bool = True) -> dict:
 
 
 def format_summary(report: dict) -> str:
+    analyzers = len({analyzer for analyzer, _, _ in STEPS})
     lines = [f"analyze ({report['mode']}): "
-             f"{len(report['steps'])} step(s) over 6 analyzers"]
+             f"{len(report['steps'])} step(s) over {analyzers} analyzers"]
     for step in report["steps"]:
         verdict = "ok" if step["exit"] == 0 else f"FAIL (exit {step['exit']})"
         lines.append(f"  {step['analyzer']:<8} {' '.join(step['argv']):<58} "

@@ -4,10 +4,9 @@ Examples::
 
     python -m repro list-workloads
     python -m repro bench redis --mode nilicon --duration-ms 2000
-    python -m repro table 1            # Table I ... Table VI
-    python -m repro fig3
+    python -m repro paper table1       # one artifact: table1..6, fig3, threads, hycor, ...
+    python -m repro paper bench --smoke --check BENCH_paper.json
     python -m repro validate --runs 5 --workload redis --workload disk-rw
-    python -m repro scalability threads
     python -m repro failover redis     # one instrumented failover, verbose
     python -m repro lint src/          # determinism/checkpoint-safety linter
     python -m repro audit redis        # epoch loop with invariant auditing
@@ -64,25 +63,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    import importlib
-
-    n = args.number
-    if not 1 <= n <= 6:
-        print(f"no such table: {n} (have 1-6)", file=sys.stderr)
-        return 2
-    table = importlib.import_module(f"repro.experiments.table{n}")
-    print(table.format_rows(getattr(table, f"run_table{n}")(seed=args.seed)))
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    from repro.experiments.fig3 import format_rows, run_fig3
-
-    print(format_rows(run_fig3(seed=args.seed)))
-    return 0
-
-
 def _cmd_validate(args) -> int:
     from repro.experiments.validation import (
         VALIDATION_WORKLOADS,
@@ -100,23 +80,6 @@ def _cmd_validate(args) -> int:
         for failure in campaign.failures[:5]:
             print(f"  {campaign.workload}: {failure}", file=sys.stderr)
     return 1 if failed else 0
-
-
-def _cmd_scalability(args) -> int:
-    from repro.experiments.scalability import (
-        format_sweep,
-        run_client_sweep,
-        run_process_sweep,
-        run_thread_sweep,
-    )
-
-    if args.dimension == "threads":
-        print(format_sweep(run_thread_sweep(seed=args.seed), "threads"))
-    elif args.dimension == "clients":
-        print(format_sweep(run_client_sweep(seed=args.seed), "clients"))
-    else:
-        print(format_sweep(run_process_sweep(seed=args.seed), "processes"))
-    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -147,112 +110,6 @@ def _cmd_trace(args) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _cmd_report(args) -> int:
-    """Regenerate the full evaluation as one markdown report."""
-    from repro.experiments.fig3 import rows_from_suite as fig3_rows
-    from repro.experiments.suite import run_suite
-    from repro.experiments.table3 import rows_from_suite as t3_rows
-    from repro.experiments.table4 import PERCENTILES
-    from repro.experiments.table4 import rows_from_suite as t4_rows
-    from repro.experiments.table5 import rows_from_suite as t5_rows
-    from repro.metrics.report import fig3_ascii, markdown_table
-
-    print("# NiLiCon reproduction — evaluation report\n")
-    print("Running the seven-benchmark suite (stock / NiLiCon / MC)...\n")
-    suite = run_suite(duration_us=ms(args.duration_ms), seed=args.seed)
-
-    print("## Figure 3 — performance overhead\n")
-    rows = fig3_rows(suite)
-    print("```\n" + fig3_ascii(rows) + "\n```\n")
-    print(markdown_table(
-        ["benchmark", "MC %", "MC paper", "NiLiCon %", "NiLiCon paper"],
-        [[r["benchmark"], r["mc_overhead_pct"], r["mc_paper_pct"],
-          r["nilicon_overhead_pct"], r["nilicon_paper_pct"]] for r in rows],
-    ))
-
-    print("\n## Table III — stop time & dirty pages per epoch\n")
-    rows = t3_rows(suite)
-    print(markdown_table(
-        ["benchmark", "MC stop ms", "NiLiCon stop ms", "MC dpages", "NiLiCon dpages"],
-        [[r["benchmark"], r["mc_stop_ms"], r["nilicon_stop_ms"],
-          int(r["mc_dpages"]), int(r["nilicon_dpages"])] for r in rows],
-    ))
-
-    print("\n## Table IV — stop/state percentiles (NiLiCon)\n")
-    rows = t4_rows(suite)
-    print(markdown_table(
-        ["benchmark"] + [f"stop P{p} ms" for p in PERCENTILES]
-        + [f"state P{p} MB" for p in PERCENTILES],
-        [[r["benchmark"], *r["stop_ms"], *r["state_mb"]] for r in rows],
-    ))
-
-    print("\n## Table V — core utilization\n")
-    rows = t5_rows(suite)
-    print(markdown_table(
-        ["benchmark", "active", "backup"],
-        [[r["benchmark"], r["active_cores"], r["backup_cores"]] for r in rows],
-    ))
-
-    print("\n## Fleet — smoke campaign (12 members, 6 hosts, "
-          "sequential + concurrent host loss)\n")
-    from repro.experiments.fleet import run_fleet_campaign
-
-    fleet_report = run_fleet_campaign(seed=args.seed, smoke=True)
-    print(fleet_report["table"])
-    verdict = ("all oracles held; replay digest identical"
-               if fleet_report["ok"]
-               else f"{len(fleet_report['violations'])} violation(s)")
-    print(f"\ncampaign: {verdict}")
-
-    print("\n## Traffic — client-visible SLOs behind the L7 proxy\n")
-    from repro.experiments.traffic import run_traffic_campaign
-
-    # Full scale on purpose: the open-loop steady profile must sustain
-    # >=1000 concurrent sessions for the tail to be representative.
-    traffic_report = run_traffic_campaign(seed=args.seed, smoke=False)
-    print(
-        f"Open-loop traffic against "
-        f"{traffic_report['fleet']['containers']} members on "
-        f"{traffic_report['fleet']['hosts']} hosts; peak "
-        f"{traffic_report['peak_sessions']} concurrent sessions.\n"
-    )
-    print(traffic_report["table"])
-    traffic_verdict = (
-        f"all oracles held; SLO table replay-identical "
-        f"(digest {traffic_report['slo_digest']})"
-        if traffic_report["ok"]
-        else f"{len(traffic_report['violations'])} violation(s)"
-    )
-    print(f"\ntraffic: {traffic_verdict}")
-
-    print("\n## Modes — overhead vs recovery latency (HyCoR vs NiLiCon)\n")
-    from repro.experiments.hycor import run_mode_comparison
-
-    modes_report = run_mode_comparison(smoke=True, seed=args.seed)
-    print(markdown_table(
-        ["workload", "NiLiCon %", "HyCoR %", "reduction (points)"],
-        [[r["workload"], r["nilicon_overhead_pct"], r["hycor_overhead_pct"],
-          r["reduction_pct"]] for r in modes_report["rows"]],
-    ))
-    print("\nRecovery breakdown (ms); `replay` is HyCoR's log-tail replay,"
-          " zero by construction under NiLiCon:\n")
-    print(markdown_table(
-        ["cell", "detection", "restore", "replay", "total"],
-        [[key, c["detection_us"] / 1000, c["restore_us"] / 1000,
-          c["replay_us"] / 1000, c["total_us"] / 1000]
-         for key, c in sorted(modes_report["recovery_by_cell"].items())],
-    ))
-    modes_verdict = (
-        "output released on log-commit beats checkpoint-commit on every "
-        "server workload; the cost is the replayed log tail at recovery"
-        if modes_report["ok"]
-        else f"{len(modes_report['problems'])} problem(s)"
-    )
-    print(f"\nmodes: {modes_verdict}")
-    return 0 if (fleet_report["ok"] and traffic_report["ok"]
-                 and modes_report["ok"]) else 1
 
 
 def _cmd_lint(args) -> int:
@@ -483,7 +340,7 @@ def _cmd_perf(args) -> int:
 
 def _run_bench(report, args) -> int:
     """Print a bench report, write it with ``--out`` and gate it with
-    ``--check`` against a checked-in BENCH file (one schema for all five
+    ``--check`` against a checked-in BENCH file (one schema for all four
     benches).  Exit 1 when the report fails its own checks or the gate,
     2 when the ``--check`` file cannot be read."""
     import json
@@ -841,26 +698,19 @@ def _cmd_modes(_args) -> int:
     return 0
 
 
-def _cmd_hycor(args) -> int:
-    """HyCoR bench: the overhead-vs-recovery tradeoff comparison, its
-    pinnable cells and the CI gate (the comparison runs once)."""
-    from repro.experiments.hycor import (
-        format_mode_comparison,
-        run_hycor_bench,
-        run_mode_comparison,
-    )
-
-    report = run_mode_comparison(smoke=args.smoke, seed=args.seed)
-    if not args.json:
-        print(format_mode_comparison(report) + "\n")
-    return _run_bench(run_hycor_bench(report), args)
-
-
 def _cmd_paper(args) -> int:
-    """Paper gate: run every table/figure once, print its tables, then
-    gate its cells and shape clauses against BENCH_paper.json."""
+    """Paper gate: run every artifact once, print its tables, then gate its
+    cells and shape clauses against BENCH_paper.json; or print one
+    artifact's table."""
     from repro.experiments.paper import format_paper, run_paper, run_paper_bench
 
+    if args.action != "bench":
+        if args.json or args.out or args.check:
+            print("repro paper: --json, --out and --check apply to bench only",
+                  file=sys.stderr)
+            return 2
+        print(format_paper(run_paper(args.smoke, args.seed, [args.action])))
+        return 0
     results = run_paper(smoke=args.smoke, seed=args.seed)
     if not args.json:
         print(format_paper(results) + "\n")
@@ -899,6 +749,7 @@ def _add_bench_options(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.paper import ARTIFACTS
     from repro.replication.modes import mode_names
 
     parser = argparse.ArgumentParser(
@@ -915,24 +766,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=mode_names(), default="nilicon")
     bench.add_argument("--duration-ms", type=int, default=2000)
 
-    table = sub.add_parser("table", help="regenerate a paper table (1-6)")
-    table.add_argument("number", type=int)
-
-    sub.add_parser("fig3", help="regenerate Figure 3 (overhead comparison)")
-
     validate = sub.add_parser("validate", help="run the fault-injection campaign")
     validate.add_argument("--runs", type=int, default=5)
     validate.add_argument("--workload", action="append", default=None)
 
-    scal = sub.add_parser("scalability", help="run a SSVII-C sweep")
-    scal.add_argument("dimension", choices=("threads", "clients", "processes"))
-
     failover = sub.add_parser("failover", help="one verbose fault injection")
     failover.add_argument("workload")
     failover.add_argument("--run-s", type=int, default=3)
-
-    report = sub.add_parser("report", help="full evaluation as a markdown report")
-    report.add_argument("--duration-ms", type=int, default=2000)
 
     tr = sub.add_parser("trace", help="print the protocol event timeline")
     tr.add_argument("workload", nargs="?", default="net")
@@ -1043,8 +883,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="run all six analyzer passes (nlint, races, ckptcov, perf, "
-             "ndflow, ftcov) as one gate",
+        help="run the six analyzers (nlint, races, ckptcov, perf, ndflow, "
+             "ftcov) and the paper gate as one gate (every step of "
+             "repro.analysis.aggregate.STEPS)",
     )
     analyze.add_argument("--full", action="store_true",
                          help="full-depth passes (default: CI smoke variants)")
@@ -1129,17 +970,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     modes.add_argument("action", choices=("list",))
 
-    for name, help_ in (
-        ("hycor", "HyCoR bench: overhead-vs-recovery tradeoff comparison, its "
-                  "cells + CI gate"),
-        ("paper", "paper gate: every table/figure's cells and shape claims"),
-    ):
-        gate = sub.add_parser(name, help=help_)
-        gate.add_argument("action", choices=("bench",))
-        gate.add_argument("--smoke", action="store_true",
-                          help="bench only the CI subset (cells are "
-                               "identical to the same cells of a full run)")
-        _add_bench_options(gate)
+    paper = sub.add_parser(
+        "paper", help="paper gate: every table/figure's cells and shape "
+                      "claims, or one artifact's table",
+    )
+    paper.add_argument("action", choices=("bench", *ARTIFACTS),
+                       help="bench: run, print and gate every artifact; "
+                            "an artifact name: print that one table")
+    paper.add_argument("--smoke", action="store_true",
+                       help="run only the CI subset (cells are identical "
+                            "to the same cells of a full run)")
+    _add_bench_options(paper)
 
     return parser
 
@@ -1147,12 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "list-workloads": _cmd_list_workloads,
     "bench": _cmd_bench,
-    "table": _cmd_table,
-    "fig3": _cmd_fig3,
     "validate": _cmd_validate,
-    "scalability": _cmd_scalability,
     "failover": _cmd_failover,
-    "report": _cmd_report,
     "trace": _cmd_trace,
     "lint": _cmd_lint,
     "ckptcov": _cmd_ckptcov,
@@ -1166,7 +1003,6 @@ _COMMANDS = {
     "fleet": _cmd_fleet,
     "traffic": _cmd_traffic,
     "modes": _cmd_modes,
-    "hycor": _cmd_hycor,
     "paper": _cmd_paper,
 }
 

@@ -2,7 +2,9 @@
 
 Each module exposes a ``run_*`` function returning plain-dict rows (so
 the paper gate can print them and check their shapes) and carries the
-paper's reference numbers alongside for EXPERIMENTS.md.
+paper's reference numbers alongside for EXPERIMENTS.md; Fig. 3 and
+Tables III–V instead derive their rows (``rows_from_suite``) from the
+suite cells the paper gate runs once per call.
 
 ================  ==========================================================
 module            paper artifact
@@ -18,7 +20,8 @@ module            paper artifact
 ``faultcampaign`` protocol-phase fault matrix (every injection point)
 ``scalability``   §VII-C — threads / clients / processes sweeps
 ``ablations``     leave-one-out, epoch/detection/RTO/compression, §VIII
-``paper``         the paper gate: every artifact's cells and shape clauses
+``hycor``         HyCoR vs NiLiCon — overhead, recovery and traffic cells
+``paper``         the paper gate: the artifact registry, cells and clauses
 ================  ==========================================================
 """
 

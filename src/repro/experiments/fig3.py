@@ -27,10 +27,9 @@ The headline claims this figure supports, which the ``fig3.*`` clauses of
 
 from __future__ import annotations
 
-from repro.experiments.common import overhead
-from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
+from repro.experiments.common import RunResult, overhead
 
-__all__ = ["PAPER_FIG3", "rows_from_suite", "run_fig3"]
+__all__ = ["PAPER_FIG3", "rows_from_suite"]
 
 PAPER_FIG3 = {
     "swaptions": {"mc": 12.54, "nilicon": 19.48},
@@ -43,24 +42,21 @@ PAPER_FIG3 = {
 }
 
 
-def rows_from_suite(results: SuiteResults) -> list[dict]:
-    """One row per benchmark: measured overheads + stop/runtime split."""
+def rows_from_suite(suite: dict[str, dict[str, RunResult]]) -> list[dict]:
+    """One row per benchmark of *suite* (benchmark -> mode -> run):
+    measured overheads + stop/runtime split."""
     rows = []
-    for name in suite_benchmarks(results):
+    for name, runs in suite.items():
         row = {"benchmark": name}
         for mode in ("mc", "nilicon"):
-            total = overhead(results[(name, "stock")], results[(name, mode)])
-            stopped = min(total, results[(name, mode)].stopped_fraction)
+            total = overhead(runs["stock"], runs[mode])
+            stopped = min(total, runs[mode].stopped_fraction)
             row[f"{mode}_overhead_pct"] = 100 * total
             row[f"{mode}_stopped_pct"] = 100 * stopped
             row[f"{mode}_runtime_pct"] = 100 * (total - stopped)
             row[f"{mode}_paper_pct"] = PAPER_FIG3[name][mode]
         rows.append(row)
     return rows
-
-
-def run_fig3(seed: int = 1) -> list[dict]:
-    return rows_from_suite(run_suite(seed=seed))
 
 
 def format_rows(rows: list[dict]) -> str:

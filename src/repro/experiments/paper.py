@@ -1,10 +1,13 @@
 """The paper gate: every artifact's cells and shape claims in one bench.
 
 The reproduction targets the paper's *shapes* — who wins in Fig. 3,
-Table I's monotone walk, the §VII-C trends — so those are what this
-gates.  ``repro paper bench`` runs every artifact once (:func:`run_paper`),
-prints its tables (:func:`format_paper`) and reports its cells in the one
-bench schema (:mod:`repro.metrics.benchfile`, :func:`run_paper_bench`).
+Table I's monotone walk, the §VII-C trends, HyCoR's overhead-vs-recovery
+tradeoff — so those are what this gates.  :data:`ARTIFACTS` is the one
+registry of simulated-result artifacts: each names its title, its table
+and its runner.  ``repro paper bench`` runs every artifact once
+(:func:`run_paper`), prints its tables (:func:`format_paper`) and reports
+its cells in the one bench schema (:mod:`repro.metrics.benchfile`,
+:func:`run_paper_bench`); ``repro paper <artifact>`` prints one table.
 
 * A cell is named ``<artifact>.<row>.<column>``
   (``fig3.redis.nilicon_overhead_pct``, ``validation.node.recovery_rate``)
@@ -14,8 +17,10 @@ bench schema (:mod:`repro.metrics.benchfile`, :func:`run_paper_bench`).
   failing ones into ``ok``.  A clause runs only when every cell it reads
   is present, and a full report in which one cannot run is a problem.
 * ``--smoke`` runs Tables I–II, Fig. 3 and Tables III–V on
-  :data:`SMOKE_SUITE`, §VIII and one §VII-A injection on each of
-  :data:`SMOKE_VALIDATION`.  Every cell is its own world behind an
+  :data:`SMOKE_SUITE`, §VIII, one §VII-A injection on each of
+  :data:`SMOKE_VALIDATION` and the HyCoR comparison on
+  :data:`repro.experiments.hycor.SMOKE_WORKLOADS` (with all four recovery
+  cells and the traffic cell).  Every cell is its own world behind an
   identity-counter reset (:func:`repro.experiments.common.open_cell`), so
   smoke cells equal the full run's.  The full run takes §VII-A at
   :data:`VALIDATION_RUNS` injections per workload; ``repro validate
@@ -24,19 +29,23 @@ bench schema (:mod:`repro.metrics.benchfile`, :func:`run_paper_bench`).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.experiments import (
-    ablations, fig3, scalability, table1, table2, table3, table4, table5, table6, validation,
+    ablations, fig3, hycor, scalability, table1, table2, table3, table4, table5, table6,
+    validation,
 )
-from repro.experiments.suite import PAPER_BENCHMARKS, run_suite
+from repro.experiments.common import RunResult, run_overhead
 from repro.metrics import benchfile
 from repro.replication.config import TABLE1_LEVELS
+from repro.sim.units import sec
+from repro.workloads.catalog import PAPER_BENCHMARKS, WORKLOADS
 
-__all__ = ["ARTIFACTS", "CLAUSES", "Clause", "SMOKE_SUITE", "SMOKE_VALIDATION", "VALIDATION_RUNS",
-           "format_paper", "paper_metrics", "paper_problems", "run_paper", "run_paper_bench",
-           "runnable_clauses"]
+__all__ = ["ARTIFACTS", "Artifact", "CLAUSES", "Clause", "PaperRun", "SMOKE_SUITE",
+           "SMOKE_VALIDATION", "VALIDATION_RUNS", "format_paper", "paper_metrics",
+           "paper_problems", "run_paper", "run_paper_bench", "runnable_clauses"]
 
 #: Fig. 3 and Tables III–V in the smoke run (swaptions, where MC wins, and
 #: ssdb, where NiLiCon wins): redis (31 s) and node (13.5 s) are full-only.
@@ -46,46 +55,115 @@ SMOKE_VALIDATION = tuple(n for n in validation.VALIDATION_WORKLOADS if n not in 
 #: §VII-A injections per workload in the full run.
 VALIDATION_RUNS = 5
 
-#: artifact -> (title, the row field that names a row, the table: a
-#: formatter of all rows or a per-row template), in print order.
-ARTIFACTS: dict[str, tuple[str, str, Callable[[list], str] | str]] = {
-    "table1": ("Table I — impact of NiLiCon's performance optimizations (streamcluster):",
-               "label", table1.format_rows),
-    "table2": ("Table II — recovery latency breakdown:", "benchmark", table2.format_rows),
-    "fig3": ("Figure 3 — performance overhead (percent):", "benchmark", fig3.format_rows),
-    "table3": ("Table III — average stop time and dirty pages per epoch:", "benchmark",
-               table3.format_rows),
-    "table4": ("Table IV — stop time and transferred state size (P10/P50/P90):", "benchmark",
-               table4.format_rows),
-    "table5": ("Table V — core utilization, active vs backup host:", "benchmark",
-               table5.format_rows),
-    "table6": ("Table VI — response latency with a single client:", "benchmark",
-               table6.format_rows),
-    "validation": ("§VII-A — fault-injection campaign:", "workload", validation.format_rows),
-    **{
-        sweep: (f"§VII-C — {title}:", sweep, partial(scalability.format_sweep, key=sweep))
-        for sweep, title in (("threads", "streamcluster thread sweep"),
-                             ("clients", "Lighttpd client sweep (4 processes)"),
-                             ("processes", "Lighttpd process sweep"))
-    },
-    "leave_one_out": ("Ablation — leave-one-out on the fully optimized system:", "variant",
-                      "  {variant:<20} overhead {overhead_pct:6.1f}%  "
-                      "stop {avg_stop_ms:6.1f} ms"),
-    "epoch": ("Ablation — epoch length sweep (streamcluster):", "epoch_ms",
-              "  epoch {epoch_ms:>4} ms: overhead {overhead_pct:6.1f}%  "
-              "stop {avg_stop_ms:5.1f} ms  dirty {avg_dirty:6.0f}"),
-    "rto": ("Ablation — §V-E repaired-socket minimum-RTO patch:", "rto_patch",
-            "  patch={rto_patch!s:<5} interruption {interruption_ms:7.0f} ms "
-            "(restore {restore_ms:.0f} ms)"),
-    "compression": ("Ablation — Remus-style transfer compression (redis):", "compressed",
-                    "  compressed={compressed!s:<5} link {link_mb_per_s:7.1f} MB/s  "
-                    "thr {throughput:9.0f} ops/s  backup {backup_cores:.3f} cores"),
-    "detection": ("Ablation — heartbeat interval vs detection latency:", "interval_ms",
-                  "  interval {interval_ms:>3} ms: detection {detection_ms:6.1f} ms, "
-                  "interruption {interruption_ms:6.0f} ms"),
-    "related": ("§VIII — warm spare (NiLiCon) vs active replication (COLO-style):", "system",
-                "  {system:<8} median latency {median_latency_ms:6.1f} ms   "
-                "backup {backup_cores:.3f} cores   primary {primary_cores:.3f} cores"),
+
+@dataclass
+class PaperRun:
+    """One :func:`run_paper` call: its seed, whether it runs the smoke
+    subset, and the suite cells Fig. 3 and Tables III–V all read (run on
+    first use, once per call)."""
+
+    smoke: bool
+    seed: int
+
+    @cached_property
+    def suite(self) -> dict[str, dict[str, RunResult]]:
+        """benchmark -> mode -> its overhead cell, in the paper's order."""
+        return {
+            name: {mode: run_overhead(name, mode, sec(2), self.seed)
+                   for mode in ("stock", "nilicon", "mc")}
+            for name in (SMOKE_SUITE if self.smoke else PAPER_BENCHMARKS)
+        }
+
+
+class Artifact(NamedTuple):
+    """One table or figure: its title, the row field that names a row, its
+    table (a formatter of all rows or a per-row template), its runner, and
+    whether the smoke run includes it."""
+
+    title: str
+    key: str
+    table: Callable[[list], str] | str
+    run: Callable[[PaperRun], list]
+    smoke: bool = True
+
+
+def _sweep(sweep: str, title: str, run: Callable[..., list]) -> Artifact:
+    return Artifact(f"§VII-C — {title}:", sweep, partial(scalability.format_sweep, key=sweep),
+                    lambda r: run(seed=r.seed), smoke=False)
+
+
+#: Every simulated-result artifact, in print order.
+ARTIFACTS: dict[str, Artifact] = {
+    "table1": Artifact("Table I — impact of NiLiCon's performance optimizations (streamcluster):",
+                       "label", table1.format_rows, lambda r: table1.run_table1(seed=r.seed)),
+    "table2": Artifact("Table II — recovery latency breakdown:", "benchmark", table2.format_rows,
+                       lambda r: table2.run_table2(seed=r.seed)),
+    "fig3": Artifact("Figure 3 — performance overhead (percent):", "benchmark", fig3.format_rows,
+                     lambda r: fig3.rows_from_suite(r.suite)),
+    "table3": Artifact("Table III — average stop time and dirty pages per epoch:", "benchmark",
+                       table3.format_rows, lambda r: table3.rows_from_suite(r.suite)),
+    "table4": Artifact("Table IV — stop time and transferred state size (P10/P50/P90):",
+                       "benchmark", table4.format_rows, lambda r: table4.rows_from_suite(r.suite)),
+    "table5": Artifact("Table V — core utilization, active vs backup host:", "benchmark",
+                       table5.format_rows, lambda r: table5.rows_from_suite(r.suite)),
+    "table6": Artifact("Table VI — response latency with a single client:", "benchmark",
+                       table6.format_rows, lambda r: table6.run_table6(seed=r.seed), smoke=False),
+    "validation": Artifact(
+        "§VII-A — fault-injection campaign:", "workload", validation.format_rows,
+        lambda r: validation.run_validation_campaign(
+            SMOKE_VALIDATION if r.smoke else validation.VALIDATION_WORKLOADS,
+            runs_per_workload=1 if r.smoke else VALIDATION_RUNS, base_seed=100,
+        ),
+    ),
+    "threads": _sweep("threads", "streamcluster thread sweep", scalability.run_thread_sweep),
+    "clients": _sweep("clients", "Lighttpd client sweep (4 processes)",
+                      scalability.run_client_sweep),
+    "processes": _sweep("processes", "Lighttpd process sweep", scalability.run_process_sweep),
+    "leave_one_out": Artifact(
+        "Ablation — leave-one-out on the fully optimized system:", "variant",
+        "  {variant:<20} overhead {overhead_pct:6.1f}%  stop {avg_stop_ms:6.1f} ms",
+        lambda r: ablations.run_leave_one_out(seed=r.seed), smoke=False),
+    "epoch": Artifact(
+        "Ablation — epoch length sweep (streamcluster):", "epoch_ms",
+        "  epoch {epoch_ms:>4} ms: overhead {overhead_pct:6.1f}%  "
+        "stop {avg_stop_ms:5.1f} ms  dirty {avg_dirty:6.0f}",
+        lambda r: ablations.run_epoch_sweep(seed=r.seed), smoke=False),
+    "rto": Artifact(
+        "Ablation — §V-E repaired-socket minimum-RTO patch:", "rto_patch",
+        "  patch={rto_patch!s:<5} interruption {interruption_ms:7.0f} ms "
+        "(restore {restore_ms:.0f} ms)",
+        lambda r: ablations.run_rto_patch_ablation(seed=r.seed), smoke=False),
+    "compression": Artifact(
+        "Ablation — Remus-style transfer compression (redis):", "compressed",
+        "  compressed={compressed!s:<5} link {link_mb_per_s:7.1f} MB/s  "
+        "thr {throughput:9.0f} ops/s  backup {backup_cores:.3f} cores",
+        lambda r: ablations.run_compression_ablation(seed=r.seed), smoke=False),
+    "detection": Artifact(
+        "Ablation — heartbeat interval vs detection latency:", "interval_ms",
+        "  interval {interval_ms:>3} ms: detection {detection_ms:6.1f} ms, "
+        "interruption {interruption_ms:6.0f} ms",
+        lambda r: ablations.run_detection_sweep(seed=r.seed), smoke=False),
+    "related": Artifact(
+        "§VIII — warm spare (NiLiCon) vs active replication (COLO-style):", "system",
+        "  {system:<8} median latency {median_latency_ms:6.1f} ms   "
+        "backup {backup_cores:.3f} cores   primary {primary_cores:.3f} cores",
+        lambda r: ablations.run_related_work()),
+    "hycor": Artifact(
+        "HyCoR vs NiLiCon — overhead (reduction in percentage points):", "workload",
+        "  {workload:<14} {kind:<8} nilicon {nilicon_overhead_pct:6.2f}%  "
+        "hycor {hycor_overhead_pct:6.2f}%  reduction {reduction_pct:6.2f}",
+        lambda r: [hycor.run_overhead_row(name, seed=r.seed)
+                   for name in (hycor.SMOKE_WORKLOADS if r.smoke else WORKLOADS)]),
+    "hycor_recovery": Artifact(
+        "HyCoR vs NiLiCon — recovery latency (replay: HyCoR's log-tail replay):", "cell",
+        "  {cell:<14} detection {detection_us:>6} us  restore {restore_us:>6} us  "
+        "replay {replay_us:>6} us  total {total_us:>6} us  violations {violations}",
+        lambda r: [hycor.run_recovery_cell(name, mode, seed=r.seed)
+                   for name in hycor.RECOVERY_WORKLOADS for mode in ("nilicon", "hycor")]),
+    "hycor_traffic": Artifact(
+        "HyCoR — the L7 traffic failover profile under hycor:", "profile",
+        "  {profile}: {requests} requests, p99 {p99_us} us, violations {violations}",
+        lambda r: [hycor.run_traffic_cell(seed=r.seed)]),
 }
 
 #: Row names of the two on/off ablations.
@@ -93,72 +171,58 @@ _SWITCH_ROWS = {"rto": {True: "patched", False: "unpatched"},
                 "compression": {True: "compressed", False: "uncompressed"}}
 
 
-def run_paper(smoke: bool = False, seed: int = 1) -> dict[str, list]:
-    """Run every artifact (the smoke subset with *smoke*); returns each
-    artifact's rows, keyed and ordered as :data:`ARTIFACTS`."""
-    suite = run_suite(benchmarks=SMOKE_SUITE if smoke else PAPER_BENCHMARKS, seed=seed)
-    results: dict[str, list] = {
-        "table1": table1.run_table1(seed=seed),
-        "table2": table2.run_table2(seed=seed),
-        "fig3": fig3.rows_from_suite(suite),
-        "table3": table3.rows_from_suite(suite),
-        "table4": table4.rows_from_suite(suite),
-        "table5": table5.rows_from_suite(suite),
-        "validation": validation.run_validation_campaign(
-            SMOKE_VALIDATION if smoke else validation.VALIDATION_WORKLOADS,
-            runs_per_workload=1 if smoke else VALIDATION_RUNS, base_seed=100,
-        ),
-        "related": ablations.run_related_work(),
-    }
-    if not smoke:
-        results.update(
-            table6=table6.run_table6(seed=seed),
-            threads=scalability.run_thread_sweep(seed=seed),
-            clients=scalability.run_client_sweep(seed=seed),
-            processes=scalability.run_process_sweep(seed=seed),
-            leave_one_out=ablations.run_leave_one_out(seed=seed),
-            epoch=ablations.run_epoch_sweep(seed=seed),
-            rto=ablations.run_rto_patch_ablation(seed=seed),
-            compression=ablations.run_compression_ablation(seed=seed),
-            detection=ablations.run_detection_sweep(seed=seed),
-        )
-    return {name: results[name] for name in ARTIFACTS if name in results}
+def run_paper(smoke: bool = False, seed: int = 1,
+              names: Sequence[str] | None = None) -> dict[str, list]:
+    """Run the artifacts *names* (default: every artifact, or the smoke
+    subset with *smoke*); returns each one's rows, in :data:`ARTIFACTS`
+    order."""
+    run = PaperRun(smoke, seed)
+    if names is None:
+        names = [name for name, artifact in ARTIFACTS.items() if artifact.smoke or not smoke]
+    return {name: ARTIFACTS[name].run(run) for name in ARTIFACTS if name in names}
 
 
 def format_paper(results: Mapping[str, list]) -> str:
     """Each artifact's table under its title, in paper order."""
     tables = []
     for name, rows in results.items():
-        title, _, table = ARTIFACTS[name]
+        artifact = ARTIFACTS[name]
+        table = artifact.table
         body = table(rows) if callable(table) else "\n".join(table.format(**r) for r in rows)
-        tables.append(f"{title}\n{body}")
+        tables.append(f"{artifact.title}\n{body}")
     return "\n\n".join(tables)
 
 
 _UNITS = (
-    ("_pct", "%"), ("_ms", "ms"), ("_mb", "MB"), ("_mb_per_s", "MB/s"), ("_cores", "cores"),
-    ("_dpages", "pages"), ("_dirty", "pages"), ("_share", "ratio"), ("_rate", "ratio"),
-    ("throughput", "ops/s"), ("completed", "requests"), ("errors", "errors"),
+    ("reduction_pct", "pp"), ("_pct", "%"), ("_ms", "ms"), ("_us", "us"), ("_mb", "MB"),
+    ("_mb_per_s", "MB/s"), ("_cores", "cores"), ("_dpages", "pages"), ("_dirty", "pages"),
+    ("_share", "ratio"), ("_rate", "ratio"), ("throughput", "ops/s"),
+    ("completed", "requests"), ("requests", "requests"), ("errors", "errors"),
+    ("violations", "violations"),
 )
 
 
 def paper_metrics(results: Mapping[str, list]) -> dict[str, dict[str, Any]]:
-    """Every measured cell of *results*: paper references and labels are
-    dropped and percentile triples split into one column per percentile.
-    Floats keep six decimals, which drops float-arithmetic noise and keeps
-    a one-microsecond change in any averaged time visible."""
+    """Every measured cell of *results*: paper references, labels and flags
+    are dropped, a list (of violations) counts its entries and percentile
+    triples split into one column per percentile.  Floats keep six
+    decimals, which drops float-arithmetic noise and keeps a
+    one-microsecond change in any averaged time visible."""
     metrics: dict[str, dict[str, Any]] = {}
     for artifact, rows in results.items():
-        key = ARTIFACTS[artifact][1]
+        key = ARTIFACTS[artifact].key
         if artifact == "validation":
             rows = [{"workload": c.workload, "recovery_rate": c.recovery_rate} for c in rows]
         for row in rows:
             name = _SWITCH_ROWS.get(artifact, {}).get(row[key], row[key])
             cells: dict[str, Any] = {}
             for column, value in row.items():
-                if column in (key, "label", "level", "paper") or column.endswith("paper_pct"):
+                if (column in (key, "level") or column.endswith("paper_pct")
+                        or isinstance(value, (str, bool, dict))):
                     continue
-                if isinstance(value, tuple):
+                if isinstance(value, list):
+                    cells[column] = len(value)
+                elif isinstance(value, tuple):
                     base, unit = column.rsplit("_", 1)
                     cells.update({f"{base}_p{p}_{unit}": v
                                   for p, v in zip(table4.PERCENTILES, value)})
@@ -214,6 +278,9 @@ _FAST = ("redis", "node")
 _T1 = _across("table1", TABLE1_LEVELS, "overhead_pct")
 _LOO = tuple(ablations.LEAVE_ONE_OUT)
 _FIG3_PAPER_CHEAPEST = _ranked(_B, [fig3.PAPER_FIG3[n]["nilicon"] for n in _B])[0]
+#: The catalog's servers: every workload but the two PARSEC compute ones.
+_HYCOR_SERVERS = tuple(n for n in WORKLOADS if n not in ("swaptions", "streamcluster"))
+_HYCOR_CELLS = tuple(f"{w}/{m}" for w in hycor.RECOVERY_WORKLOADS for m in ("nilicon", "hycor"))
 
 #: Single-cell bounds (the paper's value in parentheses where it has one).
 _BANDS = {
@@ -377,6 +444,25 @@ CLAUSES: tuple[Clause, ...] = (
              "related.nilicon.backup_cores", lambda colo, nilicon: colo > 5 * nilicon),
     *_clause("related.colo_backup_over_half_primary", "related.colo.backup_cores "
              "related.colo.primary_cores", lambda backup, primary: backup > 0.5 * primary),
+    # HyCoR: releasing output on the ~3 ms log commit never loses to the
+    # ~30 ms checkpoint commit on a server and wins over 10 points on some;
+    # recovery pays with a replayed log tail, which NiLiCon never replays;
+    # every fail-stop cell and the traffic failover hold their oracles.
+    *_clause("hycor.log_commit_never_loses[{}]", "hycor.{}.reduction_pct",
+             lambda reduction: reduction >= 0, _HYCOR_SERVERS),
+    *_clause("hycor.log_commit_wins_over_10", _across("hycor", _HYCOR_SERVERS, "reduction_pct"),
+             lambda *reductions: max(reductions) > 10),
+    *_clause("hycor_recovery.hycor_replays[{}]", "hycor_recovery.{}/hycor.replay_us",
+             lambda replay: replay > 0, hycor.RECOVERY_WORKLOADS),
+    *_clause("hycor_recovery.nilicon_replays_nothing[{}]", "hycor_recovery.{}/nilicon.replay_us",
+             lambda replay: replay == 0, hycor.RECOVERY_WORKLOADS),
+    *_clause("hycor_recovery.replay_costs_recovery[{}]", "hycor_recovery.{}/hycor.total_us "
+             "hycor_recovery.{}/nilicon.total_us", lambda hy, nil: hy >= nil,
+             hycor.RECOVERY_WORKLOADS),
+    *_clause("hycor_recovery.oracles_hold[{}]", "hycor_recovery.{}.violations",
+             lambda violations: violations == 0, _HYCOR_CELLS),
+    *_clause("hycor_traffic.oracles_hold", "hycor_traffic.failover.violations",
+             lambda violations: violations == 0),
 )
 
 

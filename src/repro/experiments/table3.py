@@ -24,9 +24,9 @@ clients).
 
 from __future__ import annotations
 
-from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
+from repro.experiments.common import RunResult
 
-__all__ = ["PAPER_TABLE3", "rows_from_suite", "run_table3"]
+__all__ = ["PAPER_TABLE3", "rows_from_suite"]
 
 PAPER_TABLE3 = {
     "swaptions": {"mc_stop_ms": 2.4, "nilicon_stop_ms": 5.1, "mc_dpages": 212, "nilicon_dpages": 46},
@@ -39,11 +39,11 @@ PAPER_TABLE3 = {
 }
 
 
-def rows_from_suite(results: SuiteResults) -> list[dict]:
+def rows_from_suite(suite: dict[str, dict[str, RunResult]]) -> list[dict]:
     rows = []
-    for name in suite_benchmarks(results):
-        mc = results[(name, "mc")].metrics
-        nil = results[(name, "nilicon")].metrics
+    for name, runs in suite.items():
+        mc = runs["mc"].metrics
+        nil = runs["nilicon"].metrics
         rows.append(
             {
                 "benchmark": name,
@@ -55,10 +55,6 @@ def rows_from_suite(results: SuiteResults) -> list[dict]:
             }
         )
     return rows
-
-
-def run_table3(seed: int = 1) -> list[dict]:
-    return rows_from_suite(run_suite(seed=seed))
 
 
 def format_rows(rows: list[dict]) -> str:

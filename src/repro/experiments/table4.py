@@ -22,9 +22,9 @@ state size (85%->95%+).
 
 from __future__ import annotations
 
-from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
+from repro.experiments.common import RunResult
 
-__all__ = ["PAPER_TABLE4", "rows_from_suite", "run_table4"]
+__all__ = ["PAPER_TABLE4", "rows_from_suite"]
 
 PAPER_TABLE4 = {
     "swaptions": {"stop_ms": (5.1, 5.1, 5.2), "state_mb": (0.189, 0.193, 0.201)},
@@ -39,10 +39,10 @@ PAPER_TABLE4 = {
 PERCENTILES = (10, 50, 90)
 
 
-def rows_from_suite(results: SuiteResults) -> list[dict]:
+def rows_from_suite(suite: dict[str, dict[str, RunResult]]) -> list[dict]:
     rows = []
-    for name in suite_benchmarks(results):
-        metrics = results[(name, "nilicon")].metrics
+    for name, runs in suite.items():
+        metrics = runs["nilicon"].metrics
         epochs = metrics.steady_epochs()
         page_bytes = sum(e.dirty_pages for e in epochs) * 4096
         rows.append(
@@ -58,10 +58,6 @@ def rows_from_suite(results: SuiteResults) -> list[dict]:
             }
         )
     return rows
-
-
-def run_table4(seed: int = 1) -> list[dict]:
-    return rows_from_suite(run_suite(seed=seed))
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -22,9 +22,9 @@ arrives in many small chunks (socket dumps) costing more read() calls.
 
 from __future__ import annotations
 
-from repro.experiments.suite import SuiteResults, run_suite, suite_benchmarks
+from repro.experiments.common import RunResult
 
-__all__ = ["PAPER_TABLE5", "rows_from_suite", "run_table5"]
+__all__ = ["PAPER_TABLE5", "rows_from_suite"]
 
 PAPER_TABLE5 = {
     "swaptions": {"active": 3.96, "backup": 0.07},
@@ -37,13 +37,13 @@ PAPER_TABLE5 = {
 }
 
 
-def rows_from_suite(results: SuiteResults) -> list[dict]:
+def rows_from_suite(suite: dict[str, dict[str, RunResult]]) -> list[dict]:
     rows = []
-    for name in suite_benchmarks(results):
+    for name, runs in suite.items():
         # Active utilization: container cgroup CPU per wall second on an
         # unreplicated host (the paper measured it without replication).
-        stock = results[(name, "stock")]
-        nil = results[(name, "nilicon")]
+        stock = runs["stock"]
+        nil = runs["nilicon"]
         rows.append(
             {
                 "benchmark": name,
@@ -53,10 +53,6 @@ def rows_from_suite(results: SuiteResults) -> list[dict]:
             }
         )
     return rows
-
-
-def run_table5(seed: int = 1) -> list[dict]:
-    return rows_from_suite(run_suite(seed=seed))
 
 
 def format_rows(rows: list[dict]) -> str:

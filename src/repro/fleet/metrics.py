@@ -4,7 +4,7 @@ Each member accumulates one :class:`~repro.metrics.collector.RunMetrics`
 per protection *generation* (initial deployment, then one per re-pair).
 :class:`FleetMetrics` rolls those up across the fleet — per-member overhead
 and recovery counters, plus the aggregates the experiments and the
-``repro report`` fleet table print.
+``repro fleet campaign`` table print.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class FleetMetrics:
         }
 
     def table(self) -> str:
-        """Markdown table for ``repro report``."""
+        """Markdown table for ``repro fleet campaign``."""
         lines = [
             "| member | state | primary | backup | gens | failovers | "
             "reprotects | avg stop (us) | reprotect lat (us) |",

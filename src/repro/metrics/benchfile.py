@@ -1,6 +1,6 @@
 """The one BENCH file format: named metrics, each with a direction.
 
-Every checked-in ``BENCH_*.json`` (engine, fleet, traffic, hycor, paper)
+Every checked-in ``BENCH_*.json`` (engine, fleet, traffic, paper)
 is one report of this shape::
 
     {"schema": "repro.bench/v2", "bench": "traffic", "seed": 1,
@@ -13,7 +13,7 @@ is one report of this shape::
 A metric with ``better`` is gated: ``"higher"`` or ``"lower"`` within a
 band, ``"exact"`` (a deterministic work counter) on any difference; one
 without it is recorded only.  ``info`` holds the non-numeric context a
-report carries (digests, fleet shape, workload kind, the engine's
+report carries (digests, fleet shape, clause counts, the engine's
 before/after optimization records).  A producer folds every check that
 needs no baseline into ``ok`` and lists each failure in ``problems``;
 :func:`check` is the one regression gate against a checked-in file, and a
@@ -31,8 +31,7 @@ __all__ = ["SCHEMA", "TOLERANCE", "check", "format", "load", "write"]
 SCHEMA = "repro.bench/v2"
 
 #: How far a gated metric may move in its worse direction, relative to
-#: the checked-in value.  A metric's ``min_band`` floors the band in
-#: absolute units (hycor's percentage-point metrics sit near zero).
+#: the checked-in value.
 TOLERANCE = 0.20
 
 _DIRECTIONS = ("higher", "lower", "exact")
@@ -94,7 +93,7 @@ def check(
                     f"checked-in {base['value']} (exact)"
                 )
             continue
-        band = max(TOLERANCE * abs(base["value"]), base.get("min_band", 0.0))
+        band = TOLERANCE * abs(base["value"])
         if base["better"] == "higher" and value < base["value"] - band:
             problems.append(
                 f"{name}: {value} {base['unit']} is below the checked-in "

@@ -1,15 +1,10 @@
-"""Markdown/ASCII rendering of the evaluation artifacts.
-
-Turns experiment rows into the forms a human reads: markdown tables for
-EXPERIMENTS-style reports and an ASCII stacked-bar rendering of Figure 3.
-Used by ``python -m repro report``.
-"""
+"""Markdown rendering of experiment tables (the traffic tier's SLO table)."""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["ascii_bars", "fig3_ascii", "markdown_table"]
+__all__ = ["markdown_table"]
 
 
 def markdown_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -33,37 +28,3 @@ def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def ascii_bars(
-    items: Sequence[tuple[str, float]], width: int = 50, unit: str = "%"
-) -> str:
-    """Horizontal bar chart; one row per (label, value)."""
-    if not items:
-        return "(no data)"
-    peak = max(value for _label, value in items) or 1.0
-    lines = []
-    for label, value in items:
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{label:<16} {bar} {value:.1f}{unit}")
-    return "\n".join(lines)
-
-
-def fig3_ascii(rows: list[dict], width: int = 44) -> str:
-    """Figure 3 as stacked ASCII bars: '#' = stopped, '+' = runtime."""
-    peak = max(
-        max(row["mc_overhead_pct"], row["nilicon_overhead_pct"]) for row in rows
-    ) or 1.0
-    lines = ["(each bar: '#' stop overhead, '+' runtime overhead)"]
-    for row in rows:
-        for system in ("mc", "nilicon"):
-            stopped = row[f"{system}_stopped_pct"]
-            runtime = row[f"{system}_runtime_pct"]
-            total = row[f"{system}_overhead_pct"]
-            n_stop = int(round(width * stopped / peak))
-            n_run = max(0, int(round(width * total / peak)) - n_stop)
-            bar = "#" * n_stop + "+" * n_run
-            label = f"{row['benchmark'][:11]:<11} {system.upper():<7}"
-            lines.append(f"{label} {bar or '.'} {total:.1f}% (paper {row[f'{system}_paper_pct']:.1f}%)")
-        lines.append("")
-    return "\n".join(lines).rstrip()

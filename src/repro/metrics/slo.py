@@ -2,7 +2,7 @@
 
 The traffic tier reduces each workload profile's request-latency and
 epoch-stall histograms to a :class:`SloRow`; :class:`SloTable` renders the
-markdown table ``repro report`` prints and produces the canonical digest
+markdown table ``repro traffic campaign`` prints and produces the canonical digest
 the determinism oracle compares across same-seed runs (PR 5's campaign
 convention, applied to client-visible numbers instead of trace events).
 

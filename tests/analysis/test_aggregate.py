@@ -5,14 +5,31 @@ paying for a full ``run_all`` (the individual steps are each covered by
 their own suites and by CI's ``make analyze``).
 """
 
-from repro.analysis.aggregate import STATIC_PASSES, STEPS, collect_findings
+from pathlib import Path
+
+from repro.analysis.aggregate import (
+    STATIC_PASSES, STEPS, collect_findings, format_summary,
+)
 from repro.cli import build_parser
+from repro.metrics import benchfile
+
+REPO = Path(__file__).resolve().parents[2]
 
 
-def test_steps_cover_all_six_analyzers_plus_hycor_and_paper_gates():
+def test_steps_cover_all_six_analyzers_plus_the_paper_gate():
     analyzers = {analyzer for analyzer, _, _ in STEPS}
     assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
-                         "ftcov", "hycor", "paper"}
+                         "ftcov", "paper"}
+    assert len(STEPS) == 17
+
+
+def test_summary_counts_the_analyzers_of_the_step_list():
+    report = {"mode": "smoke", "findings": [], "new_findings": 0, "ok": True,
+              "steps": [{"analyzer": analyzer, "argv": list(smoke), "exit": 0,
+                         "wall_s": 0.0, "output": ""}
+                        for analyzer, smoke, _ in STEPS]}
+    assert format_summary(report).splitlines()[0] == (
+        "analyze (smoke): 17 step(s) over 7 analyzers")
 
 
 def test_every_step_argv_is_a_real_command_run_once():
@@ -30,11 +47,17 @@ def test_every_step_argv_is_a_real_command_run_once():
 
 
 def test_hycor_steps_gate_the_comparison_against_the_bench_file():
-    assert [(smoke, full) for analyzer, smoke, full in STEPS
-            if analyzer == "hycor"] == [
-        (("hycor", "bench", "--smoke", "--check", "BENCH_hycor.json"),
-         ("hycor", "bench", "--check", "BENCH_hycor.json")),
-    ]
+    """The HyCoR comparison has no step of its own: its three artifacts
+    are cells of BENCH_paper.json, which the paper step gates."""
+    assert [step for step in STEPS if step[0] == "hycor"] == []
+    paper_argvs = [argv for analyzer, smoke, full in STEPS
+                   if analyzer == "paper" for argv in (smoke, full)]
+    assert paper_argvs
+    assert all(argv[-2:] == ("--check", "BENCH_paper.json")
+               for argv in paper_argvs)
+    pinned = benchfile.load(REPO / "BENCH_paper.json")
+    artifacts = {name.split(".", 1)[0] for name in pinned["metrics"]}
+    assert {"hycor", "hycor_recovery", "hycor_traffic"} <= artifacts
 
 
 def test_paper_steps_gate_every_artifact_against_the_bench_file():

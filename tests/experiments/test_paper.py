@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.hycor import SMOKE_WORKLOADS
 from repro.experiments.paper import (
     CLAUSES, SMOKE_SUITE, SMOKE_VALIDATION, paper_problems, runnable_clauses,
 )
@@ -34,8 +35,9 @@ def test_checked_in_report_holds_every_clause(metrics):
     assert len({clause.name for clause in CLAUSES}) == len(CLAUSES)
 
 
-#: One mutation per artifact: the cell, its new value (a literal or the
-#: value of another cell) and the clause it must fire.
+#: One mutation per artifact, and one per HyCoR tradeoff claim: the cell,
+#: its new value (a literal or the value of another cell) and the clause
+#: it must fire.
 MUTATIONS = {
     "table1": ("table1.+cache-infrequent-state.overhead_pct", 500.0, "table1.state_cache_cliff"),
     "table2": ("table2.redis.restore_ms", "table2.net.restore_ms", "table2.redis_restores_slower"),
@@ -50,6 +52,15 @@ MUTATIONS = {
                   "leave_one_out.state_cache_worst"),
     "related": ("related.colo.median_latency_ms", "related.nilicon.median_latency_ms",
                 "related.colo_answers_3x_faster"),
+    "server-reduction-below-1": ("hycor.net-echo.reduction_pct", -1.5,
+                                 "hycor.log_commit_never_loses[net-echo]"),
+    "hycor-unreplayed": ("hycor_recovery.redis/hycor.replay_us", 0,
+                         "hycor_recovery.hycor_replays[redis]"),
+    "nilicon-replayed": ("hycor_recovery.redis/nilicon.replay_us", 40,
+                         "hycor_recovery.nilicon_replays_nothing[redis]"),
+    "recovery-violation": ("hycor_recovery.redis/hycor.violations", 1,
+                           "hycor_recovery.oracles_hold[redis/hycor]"),
+    "broken-traffic": ("hycor_traffic.failover.violations", 3, "hycor_traffic.oracles_hold"),
 }
 
 
@@ -65,7 +76,8 @@ def test_one_mutation_per_artifact_fires_its_clause(metrics, artifact):
 def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
     rows = {"table1": None, "table2": None, "related": None, "fig3": SMOKE_SUITE,
             "table3": SMOKE_SUITE, "table4": SMOKE_SUITE, "table5": SMOKE_SUITE,
-            "validation": SMOKE_VALIDATION}
+            "validation": SMOKE_VALIDATION, "hycor": SMOKE_WORKLOADS,
+            "hycor_recovery": None, "hycor_traffic": None}
 
     def kept(name):
         artifact, row, _ = name.split(".")
@@ -78,10 +90,13 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
     }
     assert {"table1.monotone", "table2.arp_constant", "fig3.mc_wins[swaptions]",
             "fig3.nilicon_wins[ssdb]", "validation.full_recovery[net-echo]",
-            "related.colo_answers_3x_faster"} <= {c.name for c in runnable}
+            "related.colo_answers_3x_faster", "hycor.log_commit_never_loses[redis]",
+            "hycor_recovery.replay_costs_recovery[net]",
+            "hycor_traffic.oracles_hold"} <= {c.name for c in runnable}
     assert {"fig3.nilicon_wins[redis]", "fig3.stop_dominates", "table3.node_longest_stop",
             "table6.redis.stock_ms in (None, 10)", "validation.full_recovery[node]",
-            "threads.overhead_grows"} <= {c.name for c in skipped}
+            "threads.overhead_grows", "hycor.log_commit_wins_over_10"} <= {
+        c.name for c in skipped}
     assert paper_problems(smoke, smoke=True) == []
     as_full = paper_problems(smoke, smoke=False)
     assert len(as_full) == len(skipped) and all("cannot run" in p for p in as_full)

@@ -10,11 +10,10 @@ from repro.experiments.common import (
     run_compute_benchmark,
     run_server_benchmark,
 )
-from repro.experiments.suite import PAPER_BENCHMARKS
 from repro.net import World
 from repro.replication.modes import mode_names
 from repro.sim import ms
-from repro.workloads.catalog import make_workload
+from repro.workloads.catalog import PAPER_BENCHMARKS, make_workload
 
 
 def test_overhead_helpers():

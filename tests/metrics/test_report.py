@@ -1,6 +1,6 @@
-"""Tests for markdown/ASCII report rendering."""
+"""Tests for markdown table rendering."""
 
-from repro.metrics.report import ascii_bars, fig3_ascii, markdown_table
+from repro.metrics.report import markdown_table
 
 
 def test_markdown_table_shape():
@@ -20,31 +20,3 @@ def test_markdown_table_shape():
 def test_markdown_table_empty_rows():
     table = markdown_table(["a", "b"], [])
     assert table.splitlines()[0] == "| a | b |"
-
-
-def test_ascii_bars_scale_to_peak():
-    chart = ascii_bars([("small", 10.0), ("big", 100.0)], width=20)
-    lines = chart.splitlines()
-    assert lines[1].count("#") == 20
-    assert 1 <= lines[0].count("#") <= 3
-    assert "100.0%" in lines[1]
-
-
-def test_ascii_bars_empty():
-    assert ascii_bars([]) == "(no data)"
-
-
-def test_fig3_ascii_renders_both_systems():
-    rows = [
-        {
-            "benchmark": "redis",
-            "mc_overhead_pct": 67.0, "mc_stopped_pct": 20.0,
-            "mc_runtime_pct": 47.0, "mc_paper_pct": 67.32,
-            "nilicon_overhead_pct": 40.0, "nilicon_stopped_pct": 35.0,
-            "nilicon_runtime_pct": 5.0, "nilicon_paper_pct": 33.71,
-        }
-    ]
-    chart = fig3_ascii(rows)
-    assert "MC" in chart and "NILICON" in chart
-    assert "#" in chart and "+" in chart
-    assert "(paper 67.3" in chart

@@ -46,8 +46,53 @@ def test_bench_compute(capsys):
     assert "completion" in out
 
 
-def test_table_out_of_range(capsys):
-    assert main(["table", "9"]) == 2
+def test_paper_artifact_prints_only_its_table(monkeypatch, capsys):
+    """``repro paper table2`` runs that one artifact's runner and prints its
+    title and table (the runner is stubbed: no simulation)."""
+    from repro.experiments import paper, table2
+
+    row = {"benchmark": "net", "restore_ms": 230.0, "arp_ms": 28.0,
+           "tcp_ms": 40.0, "total_ms": 300.0, "paper": table2.PAPER_TABLE2["net"]}
+    runs = []
+
+    def run(paper_run):
+        runs.append((paper_run.smoke, paper_run.seed))
+        return [row]
+
+    artifact = paper.ARTIFACTS["table2"]
+    monkeypatch.setitem(paper.ARTIFACTS, "table2", artifact._replace(run=run))
+    assert main(["paper", "table2"]) == 0
+    assert runs == [(False, 1)]
+    assert capsys.readouterr().out == (
+        f"{artifact.title}\n{table2.format_rows([row])}\n")
+    assert main(["paper", "table2", "--out", "x.json"]) == 2
+
+
+def test_paper_bench_prints_every_table_then_gates_one_run(monkeypatch, capsys):
+    """``repro paper bench --smoke`` runs each smoke artifact once, all off
+    one shared run, prints every table, then the bench report (runners
+    stubbed with empty rows: no simulation)."""
+    from repro.experiments import paper
+
+    runs = []
+    for name, artifact in list(paper.ARTIFACTS.items()):
+        monkeypatch.setitem(paper.ARTIFACTS, name, artifact._replace(
+            run=lambda paper_run, name=name: runs.append((name, paper_run)) or []))
+    assert main(["paper", "bench", "--smoke"]) == 0
+    smoke = [name for name, artifact in paper.ARTIFACTS.items() if artifact.smoke]
+    assert [name for name, _ in runs] == smoke
+    assert {id(paper_run) for _, paper_run in runs} == {id(runs[0][1])}
+    assert "hycor" in smoke and "table6" not in smoke
+    tables, bench = capsys.readouterr().out.split("paper bench (seed 1, smoke) — ok")
+    assert all(paper.ARTIFACTS[name].title in tables for name in smoke)
+    assert paper.ARTIFACTS["table6"].title not in tables
+
+
+def test_paper_unknown_artifact_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper", "table9"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'table9'" in capsys.readouterr().err
 
 
 def test_failover_command(capsys):
