@@ -22,13 +22,10 @@ audit:
 perf-bench:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
 
-# All six analyzer passes (nlint, races, ckptcov, perf, ndflow, ftcov) plus
-# the paper gate (every table/figure's shape clauses, the HyCoR tradeoff's
-# included, against BENCH_paper.json), as one gate with a merged findings
-# artifact; CI runs it (it also writes coverage-matrix.json).
-# The step list is repro.analysis.aggregate.STEPS and nothing else: each
-# lint step runs its analyzer's inventory selfcheck first.  For the
-# full-depth passes run `PYTHONPATH=src python -m repro analyze --full`.
+# Every step of repro.analysis.aggregate.STEPS as one gate, with a merged
+# findings artifact; CI runs it (it also writes coverage-matrix.json).
+# STEPS is the only list of the steps.  For the full-depth passes run
+# `PYTHONPATH=src python -m repro analyze --full`.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json
 

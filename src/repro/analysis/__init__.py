@@ -64,7 +64,6 @@ from repro.analysis.coverage import (
     Inventory,
     analyze_coverage,
     build_inventory,
-    inventory_selfcheck,
 )
 from repro.analysis.linter import Finding, LintContext, Rule, all_rules, lint_paths, lint_source
 from repro.analysis.perf import (
@@ -73,7 +72,6 @@ from repro.analysis.perf import (
     PerfReport,
     analyze_perf,
     build_hot_map,
-    perf_selfcheck,
 )
 from repro.analysis.perfbench import (
     ProfiledRun,
@@ -118,11 +116,9 @@ __all__ = [
     "crossref",
     "fingerprint",
     "install_detector",
-    "inventory_selfcheck",
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "perf_selfcheck",
     "run_perf_bench",
     "run_profiled_deployment",
     "render_json",

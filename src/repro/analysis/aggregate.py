@@ -1,28 +1,23 @@
 """Consolidated analyzer gate (``repro analyze`` / ``make analyze``).
 
-Runs all six analyzer families — nlint (DET/CKPT/RACE/ORD), races
-(happens-before + schedule fuzz), ckptcov (CKPT1xx + differential
-oracle), perf (PERF + profiler + bench gate), ndflow (NDF +
-record→replay oracle), and ftcov (FTC + catalog coverage crossref) —
-plus the paper gate (every table/figure's cells and shape clauses, the
-HyCoR tradeoff's included, against BENCH_paper.json) — through their
-real CLI entry points, so each step keeps its exact gate semantics
-(baselines, knob polarity, selfchecks).
-``STEPS`` is the only list of these steps: no make target repeats it,
-and each inventory selfcheck runs once, inside the lint step that gates
-on it.  The aggregate exit code is the max over steps, and the merged
-findings artifact re-runs the five static passes once more to tag every
-finding with its analyzer and baseline disposition.
+Runs every step of :data:`STEPS` through the real ``repro`` CLI entry
+points, so each step keeps its exact gate semantics (baselines, knob
+polarity, selfchecks).  ``STEPS`` is the only list of these steps and of
+the baseline files they read: no make target, CI step or help text
+repeats it, and each inventory selfcheck runs inside the lint step that
+gates on it.  The aggregate exit code is the max over steps; the merged
+findings artifact is read from the JSON documents the lint steps already
+printed, each finding tagged with its analyzer and baseline disposition.
 """
 
 from __future__ import annotations
 
 import contextlib
-import importlib
 import io
+import json
 import time
 
-__all__ = ["STATIC_PASSES", "STEPS", "collect_findings", "format_summary",
+__all__ = ["STEPS", "collect_findings", "format_summary", "is_lint",
            "run_all"]
 
 
@@ -31,10 +26,11 @@ def _wall() -> float:
 
 #: (analyzer, smoke argv, full argv) — argv is what ``repro.cli.main``
 #: receives; ``repro analyze`` (CI) runs the smoke column, ``repro
-#: analyze --full`` the full one.  The full ckptcov step runs the oracle
-#: on every catalog workload.
+#: analyze --full`` the full one.  Every lint step prints one ``--json``
+#: document; the full ``ckptcov diff`` step runs the oracle on every
+#: catalog workload.
 STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
-    ("nlint", ("lint", "src"), ("lint", "src")),
+    ("nlint", ("lint", "src", "--json"), ("lint", "src", "--json")),
     ("races", ("races", "--check-access"), ("races", "--check-access")),
     ("races", ("races", "--smoke"), ("races",)),
     ("races", ("races", "--fuzz", "--smoke"), ("races", "--fuzz")),
@@ -43,27 +39,31 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("races", ("races", "--smoke", "--knob", "release-oldest"),
      ("races", "--knob", "release-oldest")),
     ("ckptcov",
-     ("ckptcov", "--baseline", "ckptcov-baseline.json", "--diff",
-      "--workload", "ssdb", "--workload", "net-echo"),
-     ("ckptcov", "--baseline", "ckptcov-baseline.json", "--diff",
+     ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--json"),
+     ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--json")),
+    ("ckptcov",
+     ("ckptcov", "diff", "--workload", "ssdb", "--workload", "net-echo"),
+     ("ckptcov", "diff",
       "--workload", "swaptions", "--workload", "streamcluster",
       "--workload", "redis", "--workload", "ssdb", "--workload", "node",
       "--workload", "lighttpd", "--workload", "djcms",
       "--workload", "disk-rw", "--workload", "net-echo",
       "--workload", "net")),
-    ("perf", ("perf", "lint", "--baseline", "perf-baseline.json"),
-     ("perf", "lint", "--baseline", "perf-baseline.json")),
+    ("perf", ("perf", "lint", "--baseline", "perf-baseline.json", "--json"),
+     ("perf", "lint", "--baseline", "perf-baseline.json", "--json")),
     ("perf", ("perf", "profile", "--smoke"), ("perf", "profile")),
     ("perf", ("perf", "bench", "--smoke", "--check", "BENCH_engine.json"),
      ("perf", "bench", "--check", "BENCH_engine.json")),
-    ("ndflow", ("ndflow", "lint", "--baseline", "ndflow-baseline.json"),
-     ("ndflow", "lint", "--baseline", "ndflow-baseline.json")),
+    ("ndflow",
+     ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json"),
+     ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json")),
     ("ndflow", ("ndflow", "replay", "--smoke"), ("ndflow", "replay")),
     ("ndflow",
      ("ndflow", "replay", "--smoke", "--knob", "unsafe-unlogged-draw"),
      ("ndflow", "replay", "--knob", "unsafe-unlogged-draw")),
-    ("ftcov", ("ftcov", "lint", "--baseline", "ftcov-baseline.json"),
-     ("ftcov", "lint", "--baseline", "ftcov-baseline.json")),
+    ("ftcov",
+     ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
+     ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json")),
     ("ftcov", ("ftcov", "record", "--json-out", "coverage-matrix.json"),
      ("ftcov", "record", "--json-out", "coverage-matrix.json")),
     ("ftcov", ("ftcov", "record", "--knob", "drop-scenario"),
@@ -73,62 +73,27 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
 )
 
 
-def _lint_src():
-    from repro.analysis.linter import all_rules, lint_paths
-
-    return lint_paths(["src"], all_rules())
-
-
-def _findings_of(module: str, analyze: str):
-    """``module.analyze().findings``, imported only when the pass runs."""
-    return lambda: getattr(importlib.import_module(module), analyze)().findings
+def is_lint(argv) -> bool:
+    """Whether *argv* is a static lint step (``lint ...`` or ``<analyzer>
+    lint ...``): the steps whose ``--json`` document lists findings."""
+    return "lint" in argv[:2]
 
 
-#: The static passes the merged findings cover: (analyzer, finding
-#: producer, checked-in baseline file or None).
-STATIC_PASSES = (
-    ("nlint", _lint_src, None),
-    ("ckptcov", _findings_of("repro.analysis.coverage", "analyze_coverage"),
-     "ckptcov-baseline.json"),
-    ("perf", _findings_of("repro.analysis.perf", "analyze_perf"),
-     "perf-baseline.json"),
-    ("ndflow", _findings_of("repro.analysis.ndflow", "analyze_ndflow"),
-     "ndflow-baseline.json"),
-    ("ftcov", _findings_of("repro.analysis.ftcov", "analyze_ftcov"),
-     "ftcov-baseline.json"),
-)
-
-
-def collect_findings() -> list[dict]:
-    """One merged record per static finding across all five lint passes,
-    tagged with its analyzer and whether the checked-in baseline already
-    accounts for it (the dynamic passes gate via their step exit codes)."""
-    from repro.analysis.baseline import apply_baseline, load_baseline
-
+def collect_findings(steps: list[dict]) -> list[dict]:
+    """One merged record per static finding the lint *steps* printed,
+    tagged with its analyzer and whether the step's baseline accounts for
+    it.  A lint step that printed no document has already failed on its
+    own exit status; the dynamic passes gate the same way."""
     merged: list[dict] = []
-    for analyzer, produce, baseline_file in STATIC_PASSES:
-        findings = produce()
-        baselined_ids: set[int] = set()
-        if baseline_file is not None:
-            try:
-                baseline = load_baseline(baseline_file)
-            except Exception:
-                baseline = {}
-            part = apply_baseline(
-                [f for f in findings if f.severity != "error"], baseline
-            )
-            baselined_ids = {id(f) for f in part.baselined}
-        for f in findings:
-            merged.append({
-                "analyzer": analyzer,
-                "rule": f.rule_id,
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "severity": f.severity,
-                "message": f.message,
-                "baselined": id(f) in baselined_ids,
-            })
+    for step in steps:
+        if not is_lint(step["argv"]):
+            continue
+        try:
+            document = json.loads(step["output"])
+        except ValueError:
+            continue
+        merged += [{"analyzer": step["analyzer"], **finding}
+                   for finding in document["findings"]]
     merged.sort(key=lambda r: (r["path"], r["line"], r["rule"]))
     return merged
 
@@ -157,7 +122,7 @@ def run_all(smoke: bool = True) -> dict:
             "output": buf.getvalue(),
         })
         worst = max(worst, code)
-    findings = collect_findings()
+    findings = collect_findings(steps)
     return {
         "mode": "smoke" if smoke else "full",
         "steps": steps,

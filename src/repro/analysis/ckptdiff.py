@@ -58,7 +58,7 @@ __all__ = [
     "ORACLE_WORKLOADS",
 ]
 
-#: Catalog entries the oracle (and ``repro ckptcov --diff``) cycles through.
+#: Catalog entries the oracle (and ``repro ckptcov diff``) cycles through.
 #: One per workload family: compute (parsec), KV with persistence (fs
 #: cache + heap), web (multi-process), echo (network stack), disk-rw.
 ORACLE_WORKLOADS = ("swaptions", "ssdb", "lighttpd", "net-echo", "disk-rw")
@@ -421,5 +421,6 @@ def run_oracle(
 def run_oracle_suite(
     workloads: Iterable[str] = ORACLE_WORKLOADS, **kwargs: Any
 ) -> list[OracleResult]:
-    """Run the oracle over several catalog workloads (CLI ``--diff``)."""
+    """Run the oracle over several catalog workloads (as ``repro ckptcov
+    diff`` does)."""
     return [run_oracle(name, **kwargs) for name in workloads]

@@ -90,7 +90,6 @@ __all__ = [
     "analyze_coverage",
     "analyze_source_set",
     "build_inventory",
-    "inventory_selfcheck",
     "load_source_set",
     "COVERAGE_RULE_IDS",
 ]
@@ -472,10 +471,16 @@ def _field_site_lines(node: ast.ClassDef, name: str) -> list[int]:
     return sorted(set(lines))
 
 
-def build_inventory(sources: Mapping[str, str]) -> Inventory:
-    """Layer 1: scan *sources* (display path -> text) for state classes."""
+def build_inventory(
+    sources: Mapping[str, str], problems: list[str] | None = None
+) -> Inventory:
+    """Layer 1: scan *sources* (display path -> text) for state classes.
+    Parse failures and ``# ckpt:`` annotations outside the vocabulary are
+    appended to *problems* when given."""
     inventory = Inventory()
-    for path, text, tree in parse_each(sources):
+    for path, text, tree in parse_each(sources, problems):
+        if problems is not None:
+            problems += _CKPT_ANNOTATION.problems(path, text)
         lines = text.splitlines()
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
@@ -503,48 +508,19 @@ _CKPT_ANNOTATION = Annotation(
 _KNOWN_CADENCES = frozenset({"epoch", "infrequent"})
 
 
-def inventory_selfcheck(
-    srcs: SourceSet | None = None,
-) -> tuple[list[str], dict[str, str]]:
-    """Prove every kernel/net class is accounted for by the inventory.
-
-    Returns ``(problems, dispositions)``: *problems* is empty when every
-    inventory source parses, every ``# ckpt:`` annotation uses the known
-    vocabulary, every ``__ckpt_ignore__`` field list names real fields,
-    every ``__ckpt_cadence__`` is a known cadence, and no two state
-    classes share a name (the oracle resolves classes by name).
-    *dispositions* maps each class to how the analyzer accounts for it.
-    """
-    if srcs is None:
-        srcs = load_source_set()
+def _selfcheck(inventory: Inventory) -> list[str]:
+    """Every ``__ckpt_ignore__`` field list names real fields, every
+    ``__ckpt_cadence__`` is a known cadence, and no two state classes
+    share a name (the oracle resolves classes by name)."""
     problems: list[str] = []
-    for path, text, _ in parse_each(srcs.inventory, problems):
-        problems += _CKPT_ANNOTATION.problems(path, text)
-
-    inventory = build_inventory(srcs.inventory)
-    dispositions: dict[str, str] = {}
+    seen: set[str] = set()
     for cls_info in inventory.classes:
-        if cls_info.name in dispositions:
+        if cls_info.name in seen:
             problems.append(
                 f"{cls_info.path}:{cls_info.line}: duplicate state class "
                 f"name {cls_info.name} (classes are resolved by name)"
             )
-        if cls_info.ignored:
-            disposition = "ignored (__ckpt_ignore__)"
-        elif cls_info.exempt:
-            disposition = "exempt (enum/exception)"
-        elif not cls_info.fields:
-            disposition = "stateless"
-        else:
-            by_kind: dict[str, int] = {}
-            for field_info in cls_info.fields.values():
-                by_kind[field_info.classification] = (
-                    by_kind.get(field_info.classification, 0) + 1
-                )
-            disposition = ", ".join(
-                f"{count} {kind}" for kind, count in sorted(by_kind.items())
-            )
-        dispositions[cls_info.name] = disposition
+        seen.add(cls_info.name)
         unknown = sorted(cls_info.ignore_list - set(cls_info.fields))
         if unknown:
             problems.append(
@@ -556,7 +532,7 @@ def inventory_selfcheck(
                 f"{cls_info.path}:{cls_info.line}: unknown __ckpt_cadence__ "
                 f"'{cls_info.cadence}' on {cls_info.name}"
             )
-    return problems, dispositions
+    return problems
 
 
 # --------------------------------------------------------------------------- #
@@ -710,6 +686,30 @@ class CoverageReport:
     findings: list[Finding]
     dump_names: frozenset[str]
     restore_names: frozenset[str]
+    #: The selfcheck: why the inventory cannot be trusted (empty = sound).
+    problems: list[str]
+
+    @property
+    def dispositions(self) -> dict[str, str]:
+        """Class name -> how the analyzer accounts for it, as the
+        selfcheck prints it."""
+        out: dict[str, str] = {}
+        for cls_info in self.inventory.classes:
+            if cls_info.ignored:
+                out[cls_info.name] = "ignored (__ckpt_ignore__)"
+            elif cls_info.exempt:
+                out[cls_info.name] = "exempt (enum/exception)"
+            elif not cls_info.fields:
+                out[cls_info.name] = "stateless"
+            else:
+                by_kind: dict[str, int] = {}
+                for field_info in cls_info.fields.values():
+                    kind = field_info.classification
+                    by_kind[kind] = by_kind.get(kind, 0) + 1
+                out[cls_info.name] = ", ".join(
+                    f"{count} {kind}" for kind, count in sorted(by_kind.items())
+                )
+        return out
 
     def uncovered(self) -> set[tuple[str, str]]:
         """(class, field) pairs the static pass could not prove covered.
@@ -850,13 +850,14 @@ def analyze_source_set(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
 ) -> CoverageReport:
-    """Run Layers 1+2 over an explicit :class:`SourceSet` (tests use this
-    with synthetic sources)."""
+    """Run Layers 1+2 and the inventory selfcheck over an explicit
+    :class:`SourceSet` (tests use this with synthetic sources)."""
     keep = {
         rule.rule_id
         for rule in family_rules(COVERAGE_RULE_IDS, select, ignore)
     }
-    inventory = build_inventory(srcs.inventory)
+    problems: list[str] = []
+    inventory = build_inventory(srcs.inventory, problems)
     dump = _close_over(
         [tree for _, _, tree in parse_each(srcs.dump)], inventory)
     restore = _close_over(
@@ -875,6 +876,7 @@ def analyze_source_set(
         findings=findings,
         dump_names=frozenset(dump.names()),
         restore_names=frozenset(restore.stores),
+        problems=problems + _selfcheck(inventory),
     )
 
 

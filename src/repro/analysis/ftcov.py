@@ -23,7 +23,7 @@ Three layers:
   or a catalog reference), or declared via a ``# ft: <class> -- why``
   trailing annotation (vocabulary in :data:`FT_CLASSES`, grammar
   matching the ``nd:`` / ``hot:`` / ``ckpt:`` families).
-* **Layer 1½ — selfcheck.**  :func:`ftcov_selfcheck` rejects unknown
+* **Layer 1½ — selfcheck.**  The report's ``problems`` reject unknown
   vocabulary, annotations attached to no inventoried site, unaccounted
   sites, ``fault_point()`` names missing from the registry, dynamic
   (non-literal) point names or state targets, ``_set_state`` targets no
@@ -70,7 +70,6 @@ from repro.analysis.inventory import (
     analyze_sites,
     assignments,
     call_name,
-    load_sources,
     parse_each,
 )
 from repro.analysis.linter import register
@@ -83,7 +82,6 @@ __all__ = [
     "FtSite",
     "analyze_ftcov",
     "build_ft_inventory",
-    "ftcov_selfcheck",
 ]
 
 #: The annotation vocabulary — every inventoried site must end up in
@@ -166,6 +164,53 @@ class FtInventory(SiteInventory):
     claimed_edges: set[str] = dc_field(default_factory=set)
 
     ANNOTATION: ClassVar[Annotation] = _FT_ANNOTATION
+
+    def site_problems(self) -> list[str]:
+        """Layer 1½: every site has a class (automatic or annotated), every
+        ``fault_point()`` name is registered, every ``_set_state`` target
+        is reached by a declared edge, every declared edge connects known
+        states, and every ``backlog`` annotation names its missing
+        scenario."""
+        problems: list[str] = []
+        to_states = {edge.split("->", 1)[1] for edge in self.declared_edges}
+        for site in self.sites:
+            if site.site_class is None:
+                problems.append(
+                    f"{site.path}:{site.line}: unaccounted failure-handling "
+                    f"site {site.label} — classify it with an 'ft:' "
+                    f"annotation or give it a dynamic witness (coverage "
+                    f"hook / catalog reference)"
+                )
+            if site.kind == "point-site" and site.registered is False:
+                problems.append(
+                    f"{site.path}:{site.line}: fault_point('{site.name}') is "
+                    f"not in the points.py registry — scenarios cannot arm "
+                    f"it and verify_hook_coverage would reject it"
+                )
+            if site.kind == "setstate" and to_states and (
+                site.name not in to_states
+            ):
+                problems.append(
+                    f"{site.path}:{site.line}: _set_state target "
+                    f"'{site.name}' is reached by no declared MEMBER_EDGES "
+                    f"entry — declare the edge or delete the transition"
+                )
+            if site.kind == "edge" and self.member_states:
+                src_state, dst_state = site.name.split("->", 1)
+                for state in (src_state, dst_state):
+                    if state not in self.member_states:
+                        problems.append(
+                            f"{site.path}:{site.line}: MEMBER_EDGES names "
+                            f"unknown state '{state}'"
+                        )
+            if site.annotated == "backlog" and (
+                site.why is None or "scenario:" not in site.why
+            ):
+                problems.append(
+                    f"{site.path}:{site.line}: 'backlog' annotation must "
+                    f"name the missing scenario ('-- scenario: <name>')"
+                )
+        return problems
 
 
 # --------------------------------------------------------------------------- #
@@ -439,72 +484,6 @@ def build_ft_inventory(sources: Mapping[str, str]) -> FtInventory:
 
 
 # --------------------------------------------------------------------------- #
-# Layer 1½ — selfcheck                                                        #
-# --------------------------------------------------------------------------- #
-
-
-def ftcov_selfcheck(
-    sources: Mapping[str, str] | None = None,
-) -> tuple[list[str], dict[str, str]]:
-    """Prove the inventory is complete and the vocabulary is sound.
-
-    Returns ``(problems, dispositions)``: *problems* is empty when every
-    source parses, every ``ft:`` annotation uses known vocabulary and
-    sits on an inventoried line, every site has a class (automatic or
-    annotated), every ``fault_point()`` name is registered, every
-    ``_set_state`` target is reached by a declared edge, every declared
-    edge connects known states, and every ``backlog`` annotation names
-    its missing scenario.  *dispositions* maps each site to its class —
-    the auditable inventory the CLI prints.
-    """
-    if sources is None:
-        sources = load_sources(FTCOV_SCOPE)
-    inv = build_ft_inventory(sources)
-    problems = inv.problems + inv.annotation_problems(sources)
-
-    to_states = {edge.split("->", 1)[1] for edge in inv.declared_edges}
-    for site in inv.sites:
-        if site.site_class is None:
-            problems.append(
-                f"{site.path}:{site.line}: unaccounted failure-handling "
-                f"site {site.label} — classify it with an 'ft:' annotation "
-                f"or give it a dynamic witness (coverage hook / catalog "
-                f"reference)"
-            )
-        if site.kind == "point-site" and site.registered is False:
-            problems.append(
-                f"{site.path}:{site.line}: fault_point('{site.name}') is "
-                f"not in the points.py registry — scenarios cannot arm it "
-                f"and verify_hook_coverage would reject it"
-            )
-        if site.kind == "setstate" and to_states and (
-            site.name not in to_states
-        ):
-            problems.append(
-                f"{site.path}:{site.line}: _set_state target "
-                f"'{site.name}' is reached by no declared MEMBER_EDGES "
-                f"entry — declare the edge or delete the transition"
-            )
-        if site.kind == "edge" and inv.member_states:
-            src_state, dst_state = site.name.split("->", 1)
-            for state in (src_state, dst_state):
-                if state not in inv.member_states:
-                    problems.append(
-                        f"{site.path}:{site.line}: MEMBER_EDGES names "
-                        f"unknown state '{state}'"
-                    )
-        if site.annotated == "backlog" and (
-            site.why is None or "scenario:" not in site.why
-        ):
-            problems.append(
-                f"{site.path}:{site.line}: 'backlog' annotation must name "
-                f"the missing scenario ('-- scenario: <name>')"
-            )
-
-    return problems, inv.dispositions()
-
-
-# --------------------------------------------------------------------------- #
 # Layer 2 — rules                                                             #
 # --------------------------------------------------------------------------- #
 
@@ -607,6 +586,7 @@ def analyze_ftcov(
     ignore: Sequence[str] | None = None,
     overrides: Mapping[str, str] | None = None,
 ) -> InventoryReport:
-    """Run Layers 1+2: inventory, then the FTC rules over every file."""
+    """Run Layers 1, 1½ and 2: inventory, selfcheck, then the FTC rules
+    over every file."""
     return analyze_sites(FTCOV_RULE_IDS, FTCOV_SCOPE, build_ft_inventory,
                          select, ignore, overrides)

@@ -2,11 +2,14 @@
 
 Each analyzer inventories one property of a fixed scope of the package
 with an AST pass, lets annotations next to the code classify what the
-pass cannot, proves those annotations sound with a selfcheck, and reports
-whole-program rules through the nlint :class:`~repro.analysis.linter.
-Finding` machinery.  This module holds everything that does not depend on
-the property: source loading, the annotation grammar and its selfcheck,
-the classified-site model, and the rule driver.
+pass cannot, proves those annotations sound with a selfcheck computed
+from the same pass, and reports whole-program rules through the nlint
+:class:`~repro.analysis.linter.Finding` machinery.  Every analyzer's
+report carries ``findings``, ``problems`` (the selfcheck: empty when the
+inventory is sound) and ``dispositions`` (how each site is classified).
+This module holds everything that does not depend on the property:
+source loading, the annotation grammar and its selfcheck, the
+classified-site model, and the rule driver.
 """
 
 from __future__ import annotations
@@ -255,6 +258,10 @@ class SiteInventory:
                 path, sources[path], inventoried.get(path, set()))
         return problems
 
+    def site_problems(self) -> list[str]:
+        """The analyzer's own soundness checks over the built sites."""
+        return []
+
     def dispositions(self) -> dict[str, str]:
         """``path:line  kind:name`` -> class, as the selfcheck prints it."""
         out: dict[str, str] = {}
@@ -319,6 +326,12 @@ class InventoryReport:
 
     findings: list[Finding]
     inventory: SiteInventory
+    #: The selfcheck: why the inventory cannot be trusted (empty = sound).
+    problems: list[str]
+
+    @property
+    def dispositions(self) -> dict[str, str]:
+        return self.inventory.dispositions()
 
 
 def analyze_sites(
@@ -329,9 +342,9 @@ def analyze_sites(
     ignore: Sequence[str] | None = None,
     overrides: Mapping[str, str] | None = None,
 ) -> InventoryReport:
-    """Build the inventory of *scope*, then lint every site with the
-    family's rules: ``rule.message(site, inventory)`` is the finding's
-    message, or None when the site is fine."""
+    """Build the inventory of *scope*, selfcheck it, then lint every site
+    with the family's rules: ``rule.message(site, inventory)`` is the
+    finding's message, or None when the site is fine."""
     rules = family_rules(rule_ids, select, ignore)
     sources = load_sources(scope, overrides)
     inventory = build(sources)
@@ -344,4 +357,7 @@ def analyze_sites(
                     yield rule.finding(ctx, site.node, message)
 
     findings = lint_by_path(sources, inventory.by_path, check)
-    return InventoryReport(findings=findings, inventory=inventory)
+    problems = (inventory.problems + inventory.annotation_problems(sources)
+                + inventory.site_problems())
+    return InventoryReport(findings=findings, inventory=inventory,
+                           problems=problems)

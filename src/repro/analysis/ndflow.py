@@ -23,7 +23,7 @@ Three layers:
   of the source line with an optional ``-- why``).  A class carrying
   ``__nd_exempt__ = True`` exempts everything it defines (the measuring
   instruments in ``sim/ndlog.py`` use this).
-* **Layer 1½ — selfcheck.**  :func:`ndflow_selfcheck` rejects unknown
+* **Layer 1½ — selfcheck.**  The report's ``problems`` reject unknown
   vocabulary, annotations attached to no source, *unaccounted* sources
   (no automatic class and no annotation), dynamic stream names that defeat
   the static inventory and carry no annotation, and — the drift guard for
@@ -70,7 +70,6 @@ from repro.analysis.inventory import (
     analyze_sites,
     assignments,
     attr_chain,
-    load_sources,
     parse_each,
 )
 from repro.analysis.linter import register
@@ -83,7 +82,6 @@ __all__ = [
     "NdSource",
     "analyze_ndflow",
     "build_nd_inventory",
-    "ndflow_selfcheck",
 ]
 
 #: The annotation vocabulary — every nondeterminism source must end up in
@@ -169,6 +167,33 @@ class NdInventory(SiteInventory):
     literal_streams: dict[str, set[str]] = dc_field(default_factory=dict)
 
     ANNOTATION: ClassVar[Annotation] = _ND_ANNOTATION
+
+    def site_problems(self) -> list[str]:
+        """Layer 1½: every source has a class (automatic or annotated), no
+        dynamic stream name is unannotated, and every module-level
+        ``itertools.count`` is rewound by ``reset_id_counters()`` (or
+        explicitly exempt)."""
+        problems: list[str] = []
+        for src in self.sites:
+            if src.site_class is None:
+                detail = " (dynamic stream name)" if src.dynamic else ""
+                problems.append(
+                    f"{src.path}:{src.line}: unaccounted nondeterminism "
+                    f"source {src.label}{detail} — classify it with an 'nd:' "
+                    f"annotation or route it through the registry"
+                )
+            if (
+                src.kind == "counter"
+                and src.registered is False
+                and src.annotated != "exempt"
+            ):
+                problems.append(
+                    f"{src.path}:{src.line}: module-level itertools.count "
+                    f"'{src.name}' is not rewound by reset_id_counters() — "
+                    f"unreset id streams leak into checkpoint digests across "
+                    f"same-process runs"
+                )
+        return problems
 
 
 # --------------------------------------------------------------------------- #
@@ -451,52 +476,6 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
 
 
 # --------------------------------------------------------------------------- #
-# Layer 1½ — selfcheck                                                        #
-# --------------------------------------------------------------------------- #
-
-
-def ndflow_selfcheck(
-    sources: Mapping[str, str] | None = None,
-) -> tuple[list[str], dict[str, str]]:
-    """Prove the inventory is complete and the vocabulary is sound.
-
-    Returns ``(problems, dispositions)``: *problems* is empty when every
-    source parses, every ``nd:`` annotation uses known vocabulary and sits
-    on an inventoried source line, every source has a class (automatic or
-    annotated), no dynamic stream name is unannotated, and every
-    module-level ``itertools.count`` is rewound by ``reset_id_counters()``
-    (or explicitly exempt).  *dispositions* maps each source to its class
-    — the auditable inventory the CLI prints.
-    """
-    if sources is None:
-        sources = load_sources(NDFLOW_SCOPE)
-    inv = build_nd_inventory(sources)
-    problems = inv.problems + inv.annotation_problems(sources)
-
-    for src in inv.sites:
-        if src.site_class is None:
-            detail = " (dynamic stream name)" if src.dynamic else ""
-            problems.append(
-                f"{src.path}:{src.line}: unaccounted nondeterminism source "
-                f"{src.label}{detail} — classify it with an 'nd:' "
-                f"annotation or route it through the registry"
-            )
-        if (
-            src.kind == "counter"
-            and src.registered is False
-            and src.annotated != "exempt"
-        ):
-            problems.append(
-                f"{src.path}:{src.line}: module-level itertools.count "
-                f"'{src.name}' is not rewound by reset_id_counters() — "
-                f"unreset id streams leak into checkpoint digests across "
-                f"same-process runs"
-            )
-
-    return problems, inv.dispositions()
-
-
-# --------------------------------------------------------------------------- #
 # Layer 2 — rules                                                             #
 # --------------------------------------------------------------------------- #
 
@@ -597,6 +576,7 @@ def analyze_ndflow(
     ignore: Sequence[str] | None = None,
     overrides: Mapping[str, str] | None = None,
 ) -> InventoryReport:
-    """Run Layers 1+2: inventory, then the NDF rules over every file."""
+    """Run Layers 1, 1½ and 2: inventory, selfcheck, then the NDF rules
+    over every file."""
     return analyze_sites(NDFLOW_RULE_IDS, NDFLOW_SCOPE, build_nd_inventory,
                          select, ignore, overrides)

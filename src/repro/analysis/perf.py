@@ -15,8 +15,8 @@ Three layers:
   (runs for every page written/digested/stored) or **per-epoch** (runs once
   per checkpoint epoch), by reachability from :data:`DEFAULT_ROOTS`.
   Hotness is recorded next to the code itself with the annotation
-  vocabulary below; :func:`perf_selfcheck` proves every root resolves and
-  every annotation agrees with the computed class.
+  vocabulary below; the report's selfcheck ``problems`` prove every root
+  resolves and every annotation agrees with the computed class.
 * **Layer 2 — PERF rules.**  The PERF001..PERF006 rules below run *only*
   inside hot functions, riding the standard nlint machinery:
   :class:`~repro.analysis.linter.Finding` objects, per-line
@@ -91,7 +91,6 @@ __all__ = [
     "PerfReport",
     "analyze_perf",
     "build_hot_map",
-    "perf_selfcheck",
 ]
 
 
@@ -488,14 +487,24 @@ def _header_lines(fn: ast.AST) -> range:
 def build_hot_map(
     sources: Mapping[str, str],
     roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS,
+    problems: list[str] | None = None,
 ) -> dict[str, HotFunction]:
     """Layer 1: discover every function in *sources* and classify it by
-    reachability from *roots* (plus ``# hot:`` header annotations)."""
+    reachability from *roots* (plus ``# hot:`` header annotations).
+    Parse failures and unsound annotations (unknown vocabulary, or not on
+    a def header) are appended to *problems* when given."""
     functions: dict[str, HotFunction] = {}
     by_name: dict[str, list[str]] = {}
 
-    for path, text, tree in parse_each(sources):
+    for path, text, tree in parse_each(sources, problems):
         lines = text.splitlines()
+        if problems is not None:
+            headers = {
+                line for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for line in _header_lines(node)
+            }
+            problems += _HOT_ANNOTATION.problems(path, text, headers)
 
         def add(node: ast.AST, qualname: str, exempt_class: bool) -> None:
             declared, why = _HOT_ANNOTATION.find(lines, _header_lines(node))
@@ -533,7 +542,7 @@ def build_hot_map(
             return
         r = HOTNESS_RANK.get(hotness)
         if r is None:
-            return  # unknown vocabulary — perf_selfcheck reports it
+            return  # unknown vocabulary — the selfcheck reports it
         if rank.get(qualname, 99) > r:
             rank[qualname] = r
             work.append((qualname, r))
@@ -561,32 +570,16 @@ def build_hot_map(
     return functions
 
 
-def perf_selfcheck(
-    sources: Mapping[str, str] | None = None,
-    roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS,
-) -> tuple[list[str], dict[str, str]]:
-    """Prove the classification is sound.  Returns ``(problems,
-    dispositions)``; *problems* is empty when every scope source parses,
-    every root resolves to a discovered function, every ``# hot:``
-    annotation uses the known vocabulary and sits on a def header, and no
-    annotation understates the computed hotness."""
-    if sources is None:
-        sources = load_sources(PERF_SCOPE_FILES)
-    problems: list[str] = []
-    for path, text, tree in parse_each(sources, problems):
-        spans: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                spans.update(_header_lines(node))
-        problems += _HOT_ANNOTATION.problems(path, text, spans)
-
-    hot_map = build_hot_map(sources, roots)
-    for qualname, hotness in roots:
-        if qualname not in hot_map:
-            problems.append(
-                f"root {qualname} ({hotness}) resolves to no function in "
-                f"the perf scope — the classifier cannot reach it"
-            )
+def _selfcheck(
+    hot_map: Mapping[str, HotFunction], roots: Sequence[tuple[str, str]]
+) -> list[str]:
+    """Every root resolves to a discovered function, and no annotation
+    understates the computed hotness."""
+    problems = [
+        f"root {qualname} ({hotness}) resolves to no function in the perf "
+        f"scope — the classifier cannot reach it"
+        for qualname, hotness in roots if qualname not in hot_map
+    ]
     for qualname, fn in sorted(hot_map.items()):
         if fn.declared is None or fn.hotness is None:
             continue
@@ -596,15 +589,7 @@ def perf_selfcheck(
                 f"'# hot: {fn.declared}' but the classifier computed "
                 f"{fn.hotness} — the annotation understates reality"
             )
-
-    dispositions: dict[str, str] = {}
-    for qualname, fn in sorted(hot_map.items()):
-        if fn.exempt:
-            dispositions[qualname] = "exempt"
-        elif fn.hotness is not None:
-            suffix = " (annotated)" if fn.declared else ""
-            dispositions[qualname] = f"{fn.hotness}{suffix}"
-    return problems, dispositions
+    return problems
 
 
 # --------------------------------------------------------------------------- #
@@ -618,13 +603,23 @@ class PerfReport:
 
     findings: list[Finding] = dc_field(default_factory=list)
     hot_map: dict[str, HotFunction] = dc_field(default_factory=dict)
+    #: The selfcheck: why the classification cannot be trusted (empty =
+    #: sound).
+    problems: list[str] = dc_field(default_factory=list)
 
     @property
-    def hot_functions(self) -> list[HotFunction]:
-        return sorted(
-            (f for f in self.hot_map.values() if f.hotness is not None),
-            key=lambda f: (f.path, f.line),
-        )
+    def dispositions(self) -> dict[str, str]:
+        """``path:line  qualname`` -> hotness of every classified or
+        exempt function, in source order, as the selfcheck prints it."""
+        out: dict[str, str] = {}
+        by_line = sorted(self.hot_map.values(), key=lambda f: (f.path, f.line))
+        for fn in by_line:
+            if fn.exempt:
+                out[f"{fn.path}:{fn.line}  {fn.qualname}"] = "exempt"
+            elif fn.hotness is not None:
+                suffix = " (annotated)" if fn.declared else ""
+                out[f"{fn.path}:{fn.line}  {fn.qualname}"] = fn.hotness + suffix
+        return out
 
 
 def analyze_perf(
@@ -633,10 +628,12 @@ def analyze_perf(
     overrides: Mapping[str, str] | None = None,
     roots: Sequence[tuple[str, str]] = DEFAULT_ROOTS,
 ) -> PerfReport:
-    """Run Layers 1+2: classify, then lint only the hot functions."""
+    """Run Layers 1+2: classify and selfcheck, then lint only the hot
+    functions."""
     rules = family_rules(PERF_RULE_IDS, select, ignore)
     sources = load_sources(PERF_SCOPE_FILES, overrides)
-    hot_map = build_hot_map(sources, roots)
+    problems: list[str] = []
+    hot_map = build_hot_map(sources, roots, problems)
 
     per_path: dict[str, list[HotFunction]] = {}
     for fn in hot_map.values():
@@ -653,4 +650,5 @@ def analyze_perf(
             for finding in rule.check(fn.node, ctx, fn.hotness)
         ),
     )
-    return PerfReport(findings=findings, hot_map=hot_map)
+    return PerfReport(findings=findings, hot_map=hot_map,
+                      problems=problems + _selfcheck(hot_map, roots))

@@ -8,7 +8,7 @@ Both renderings are byte-for-byte deterministic for a given finding list
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.analysis.linter import Finding
 
@@ -35,10 +35,21 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding]) -> str:
-    """JSON document: ``{"count": N, "findings": [...]}``."""
+def render_json(
+    findings: Sequence[Finding],
+    baselined: Collection[Finding] = (),
+    stale: Sequence[tuple[str, int]] = (),
+) -> str:
+    """JSON document: ``{"count": N, "findings": [...], "stale": [...]}``.
+    Each finding carries ``baselined``: whether it is one of *baselined*
+    (matched by identity); *stale* lists the baseline's ``(fingerprint,
+    unused)`` entries no finding matched."""
+    known = {id(f) for f in baselined}
     payload = {
         "count": len(findings),
-        "findings": [f.as_dict() for f in findings],
+        "findings": [
+            {**f.as_dict(), "baselined": id(f) in known} for f in findings
+        ],
+        "stale": [{"fingerprint": fp, "unused": n} for fp, n in stale],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

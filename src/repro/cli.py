@@ -130,57 +130,18 @@ def _cmd_lint(args) -> int:
     except FileNotFoundError as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    return _report_findings(findings, args, args.format == "json", "repro lint")
+    return _report_findings(findings, args, "repro lint")
 
 
-def _report_findings(findings, args, as_json, prog) -> int:
-    """Print *findings* and return the exit status: through the
-    ``--baseline`` gate when one is given, else plain — warnings (the
-    heuristic rules) report without failing the build; only
-    error-severity findings gate CI."""
-    from repro.analysis.report import render_json, render_text
+def _report_findings(findings, args, prog) -> int:
+    """Print *findings* and return the exit status.
 
-    render = render_json if as_json else render_text
-    if args.baseline is None:
-        print(render(findings))
-        return 1 if any(f.severity == "error" for f in findings) else 0
-    return _baseline_gate(
-        findings, args.baseline, args.update_baseline, render, prog
-    )
-
-
-def _print_selfcheck(problems, dispositions, name, accounted) -> int:
-    """Print a selfcheck's dispositions table and verdict; exit status."""
-    width = max((len(item) for item in dispositions), default=0)
-    for item in sorted(dispositions):
-        print(f"  {item:<{width}}  {dispositions[item]}")
-    if problems:
-        print(f"{name} self-check FAILED:")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print(f"{name} self-check: {len(dispositions)} {accounted} accounted for.")
-    return 0
-
-
-def _selfcheck_failed(selfcheck, command) -> bool:
-    """Run *selfcheck* ahead of a lint: an unaccounted site would silently
-    shrink the audited surface, so any problem fails the lint.  *command*
-    is the ``repro`` command that prints the full dispositions table."""
-    problems, _ = selfcheck()
-    if problems:
-        name = command.split()[0]
-        print(f"{name} self-check FAILED (run `repro {command}`):")
-        for problem in problems:
-            print(f"  - {problem}")
-    return bool(problems)
-
-
-def _baseline_gate(findings, baseline_file, update, render, prog) -> int:
-    """Shared --baseline semantics for every finding-producing command.
-
-    Errors always gate and are never baselined; warnings partition into
+    Without ``--baseline``, warnings (the heuristic rules) report without
+    failing the build; only error-severity findings gate CI.  With it,
+    errors always gate and are never baselined; warnings partition into
     new (fail) / baselined (report, pass) / stale entries (report, pass).
+    Under ``--json`` the one document printed lists every finding with
+    its ``baselined`` disposition.
     """
     from repro.analysis.baseline import (
         BaselineError,
@@ -188,84 +149,125 @@ def _baseline_gate(findings, baseline_file, update, render, prog) -> int:
         load_baseline,
         write_baseline,
     )
+    from repro.analysis.report import render_json, render_text
 
     errors = [f for f in findings if f.severity == "error"]
     warnings = [f for f in findings if f.severity != "error"]
-    if update:
-        entries = write_baseline(baseline_file, warnings)
+    if args.baseline is None:
+        print(render_json(findings) if args.json else render_text(findings))
+        return 1 if errors else 0
+    if args.update_baseline:
+        entries = write_baseline(args.baseline, warnings)
         print(
             f"{prog}: froze {len(warnings)} warning(s) "
-            f"({len(entries)} fingerprint(s)) into {baseline_file}"
+            f"({len(entries)} fingerprint(s)) into {args.baseline}"
         )
         if errors:
-            print(render(errors))
+            print(render_text(errors))
             print(f"{prog}: {len(errors)} error(s) cannot be baselined")
         return 1 if errors else 0
     try:
-        baseline = load_baseline(baseline_file)
+        baseline = load_baseline(args.baseline)
     except BaselineError as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
         return 2
     part = apply_baseline(warnings, baseline)
     gating = errors + part.new
-    print(render(gating))
+    if args.json:
+        print(render_json(findings, part.baselined, part.stale))
+        return 1 if gating else 0
+    print(render_text(gating))
     if part.new:
-        print(f"{prog}: {len(part.new)} new finding(s) not in {baseline_file}")
+        print(f"{prog}: {len(part.new)} new finding(s) not in {args.baseline}")
     if part.baselined:
         print(f"{prog}: {len(part.baselined)} known finding(s) baselined "
-              f"by {baseline_file}")
+              f"by {args.baseline}")
     for fp, unused in part.stale:
         print(f"{prog}: stale baseline entry (fixed? run --update-baseline): "
               f"{fp} (x{unused})")
     return 1 if gating else 0
 
 
+#: What each inventory analyzer's selfcheck accounts for.
+_ACCOUNTED = {
+    "ckptcov": "class(es)",
+    "perf": "hot/exempt function(s)",
+    "ndflow": "nondeterminism source(s)",
+    "ftcov": "failure-surface site(s)",
+}
+
+
+def _static_report(analyze, args):
+    """Run an inventory analyzer's static pass once and gate on the
+    selfcheck its report carries: ``(report, None)`` to go on with, or
+    ``(None, exit status)`` when the command is done.  ``selfcheck``
+    prints the dispositions table; every other action refuses to run on
+    an unsound inventory, which would silently shrink the audited
+    surface."""
+    name = args.command
+    try:
+        report = analyze(select=args.select, ignore=args.ignore)
+    except KeyError as exc:
+        print(f"repro {name}: {exc.args[0]}", file=sys.stderr)
+        return None, 2
+    dispositions = report.dispositions
+    if args.action == "selfcheck":
+        width = max((len(item) for item in dispositions), default=0)
+        for item, disposition in dispositions.items():
+            print(f"  {item:<{width}}  {disposition}")
+    if report.problems:
+        hint = ("" if args.action == "selfcheck"
+                else f" (run `repro {name} selfcheck`)")
+        print(f"{name} self-check FAILED{hint}:")
+        for problem in report.problems:
+            print(f"  - {problem}")
+        return None, 1
+    if args.action == "selfcheck":
+        print(f"{name} self-check: {len(dispositions)} {_ACCOUNTED[name]} "
+              f"accounted for.")
+        return None, 0
+    return report, None
+
+
 def _cmd_ckptcov(args) -> int:
-    """Checkpoint state-coverage analyzer (static CKPT1xx + oracle)."""
+    """Checkpoint state-coverage analyzer: CKPT1xx lint / oracle diff."""
     import json
 
-    from repro.analysis.coverage import analyze_coverage, inventory_selfcheck
+    from repro.analysis.coverage import analyze_coverage
 
-    if args.check_inventory:
-        return _print_selfcheck(*inventory_selfcheck(), "inventory", "class(es)")
-
-    # An unaccounted class would silently drop out of the static pass.
-    if _selfcheck_failed(inventory_selfcheck, "ckptcov --check-inventory"):
-        return 1
-    try:
-        report = analyze_coverage(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro ckptcov: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    status = _report_findings(report.findings, args, args.json, "repro ckptcov")
-    if args.baseline is None:
+    report, status = _static_report(analyze_coverage, args)
+    if report is None:
+        return status
+    if args.action == "lint":
+        status = _report_findings(report.findings, args, "repro ckptcov")
         uncovered = sorted(report.uncovered())
-        if uncovered:
+        if uncovered and args.baseline is None and not args.json:
             pairs = ", ".join(f"{c}.{f}" for c, f in uncovered)
             print(f"repro ckptcov: uncovered field(s): {pairs}")
+        return status
 
-    if args.diff and not args.update_baseline:
-        from repro.analysis.ckptdiff import ORACLE_WORKLOADS, run_oracle
+    # action == "diff": checkpoint -> restore -> deep-compare on live
+    # workloads, each diff judged against the static verdicts.
+    from repro.analysis.ckptdiff import ORACLE_WORKLOADS, run_oracle
 
-        workloads = tuple(args.workload) if args.workload else ORACLE_WORKLOADS
-        uncovered = report.uncovered()
-        for name in workloads:
-            result = run_oracle(
-                name, seed=args.seed, static_uncovered=uncovered
-            )
-            if args.json:
-                print(json.dumps(result.summary(), indent=2, sort_keys=True))
-            else:
-                verdict = "clean" if result.ok else f"{len(result.diffs)} diff(s)"
-                print(f"oracle {name}: {verdict} "
-                      f"({result.fields_compared} fields compared)")
-                for diff in result.confirmed_gaps:
-                    print(f"  confirmed gap (CKPT101): {diff}")
-                for diff in result.analyzer_bugs:
-                    print(f"  ANALYZER BUG: {diff}")
-            if not result.ok:
-                status = 1
+    workloads = tuple(args.workload) if args.workload else ORACLE_WORKLOADS
+    uncovered = report.uncovered()
+    status = 0
+    for name in workloads:
+        result = run_oracle(name, seed=args.seed, static_uncovered=uncovered,
+                            inventory=report.inventory)
+        if args.json:
+            print(json.dumps(result.summary(), indent=2, sort_keys=True))
+        else:
+            verdict = "clean" if result.ok else f"{len(result.diffs)} diff(s)"
+            print(f"oracle {name}: {verdict} "
+                  f"({result.fields_compared} fields compared)")
+            for diff in result.confirmed_gaps:
+                print(f"  confirmed gap (CKPT101): {diff}")
+            for diff in result.analyzer_bugs:
+                print(f"  ANALYZER BUG: {diff}")
+        if not result.ok:
+            status = 1
     return status
 
 
@@ -273,11 +275,7 @@ def _cmd_perf(args) -> int:
     """Hot-path performance analyzer: PERF lint / profile / bench."""
     import json
 
-    from repro.analysis.perf import analyze_perf, perf_selfcheck
-
-    if args.action == "selfcheck":
-        return _print_selfcheck(*perf_selfcheck(), "perf",
-                                "hot/exempt function(s)")
+    from repro.analysis.perf import analyze_perf
 
     if args.action == "bench":
         from repro.analysis.perfbench import run_perf_bench
@@ -285,57 +283,45 @@ def _cmd_perf(args) -> int:
         return _run_bench(run_perf_bench(smoke=args.smoke, seed=args.seed),
                           args)
 
-    # lint and profile both need the static pass; the selfcheck gates both
-    # (an unreachable root would silently shrink the linted surface).
-    if _selfcheck_failed(perf_selfcheck, "perf selfcheck"):
-        return 1
-    try:
-        report = analyze_perf(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro perf: {exc.args[0]}", file=sys.stderr)
-        return 2
+    # lint and profile both need the static pass and gate on its selfcheck.
+    report, status = _static_report(analyze_perf, args)
+    if report is None:
+        return status
+    if args.action == "lint":
+        return _report_findings(report.findings, args, "repro perf")
 
-    if args.action == "profile":
-        from repro.analysis.perfbench import (
-            crossref,
-            run_profiled_deployment,
-            work_counters,
-        )
+    # action == "profile"
+    from repro.analysis.perfbench import (
+        crossref,
+        run_profiled_deployment,
+        work_counters,
+    )
 
-        run_ms = 400 if args.smoke else args.run_ms
-        run = run_profiled_deployment(
-            args.workload, run_ms=run_ms, seed=args.seed
-        )
-        entries = crossref(report.findings, run.counters)
-        if args.json:
-            print(json.dumps(
-                {
-                    "workload": run.workload,
-                    "seed": run.seed,
-                    "run_ms": run.run_ms,
-                    "events": run.events,
-                    "counter_digest": run.digest,
-                    "counters": run.counters,
-                    "findings": entries,
-                },
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print(f"{run.workload}: {run.events} events dispatched in "
-                  f"{run.sim_us} simulated us; counter digest {run.digest}")
-            for site, n in work_counters(run.counters).items():
-                print(f"  {site:<28} {n}")
-            for entry in entries:
-                print(f"  {entry['status']:<13} {entry['rule']} "
-                      f"{entry['path']}:{entry['line']} ({entry['evidence']})")
-        return 0
-
-    # action == "lint"
-    if args.hot:
-        for fn in report.hot_functions:
-            mark = " (annotated)" if fn.declared else ""
-            print(f"  {fn.hotness:<9} {fn.path}:{fn.line} {fn.qualname}{mark}")
-    return _report_findings(report.findings, args, args.json, "repro perf")
+    run_ms = 400 if args.smoke else args.run_ms
+    run = run_profiled_deployment(args.workload, run_ms=run_ms, seed=args.seed)
+    entries = crossref(report.findings, run.counters)
+    if args.json:
+        print(json.dumps(
+            {
+                "workload": run.workload,
+                "seed": run.seed,
+                "run_ms": run.run_ms,
+                "events": run.events,
+                "counter_digest": run.digest,
+                "counters": run.counters,
+                "findings": entries,
+            },
+            indent=2, sort_keys=True,
+        ))
+    else:
+        print(f"{run.workload}: {run.events} events dispatched in "
+              f"{run.sim_us} simulated us; counter digest {run.digest}")
+        for site, n in work_counters(run.counters).items():
+            print(f"  {site:<28} {n}")
+        for entry in entries:
+            print(f"  {entry['status']:<13} {entry['rule']} "
+                  f"{entry['path']}:{entry['line']} ({entry['evidence']})")
+    return 0
 
 
 def _run_bench(report, args) -> int:
@@ -373,101 +359,77 @@ def _cmd_ndflow(args) -> int:
     """Nondeterminism-provenance analyzer: NDF lint / NDLog record / replay."""
     import json
 
-    from repro.analysis.ndflow import analyze_ndflow, ndflow_selfcheck
+    from repro.analysis.ndflow import analyze_ndflow
 
-    if args.action == "selfcheck":
-        return _print_selfcheck(*ndflow_selfcheck(), "ndflow",
-                                "nondeterminism source(s)")
+    if args.action in ("lint", "selfcheck"):
+        report, status = _static_report(analyze_ndflow, args)
+        if report is None:
+            return status
+        return _report_findings(report.findings, args, "repro ndflow")
 
-    if args.action in ("record", "replay"):
-        from repro.analysis.ndreplay import (
-            DEFAULT_SEEDS,
-            DEFAULT_WORKLOADS,
-            format_report,
-            run_oracle,
-            run_record,
-        )
+    from repro.analysis.ndreplay import (
+        DEFAULT_SEEDS,
+        DEFAULT_WORKLOADS,
+        format_report,
+        run_oracle,
+        run_record,
+    )
 
-        if args.smoke:
-            workloads, seeds = ("net",), (1, 2)
-        else:
-            workloads = tuple(args.workload) if args.workload else DEFAULT_WORKLOADS
-            seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
-        if args.action == "record":
-            report = run_record(workloads, seeds, run_ms=args.run_ms)
-        else:
-            report = run_oracle(workloads, seeds, run_ms=args.run_ms,
-                                knob=args.knob)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_report(report))
-        # With --knob the polarity is already folded into ok: every cell
-        # must have DIVERGED (the oracle proved it catches the regression).
-        return 0 if report["ok"] else 1
-
-    # action == "lint"
-    if _selfcheck_failed(ndflow_selfcheck, "ndflow selfcheck"):
-        return 1
-    try:
-        report = analyze_ndflow(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro ndflow: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.inventory:
-        for src in report.inventory.sites:
-            print(f"  {src.site_class or 'UNACCOUNTED':<11} {src.label}")
-    return _report_findings(report.findings, args, args.json, "repro ndflow")
+    if args.smoke:
+        workloads, seeds = ("net",), (1, 2)
+    else:
+        workloads = tuple(args.workload) if args.workload else DEFAULT_WORKLOADS
+        seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
+    if args.action == "record":
+        report = run_record(workloads, seeds, run_ms=args.run_ms)
+    else:
+        report = run_oracle(workloads, seeds, run_ms=args.run_ms,
+                            knob=args.knob)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(format_report(report))
+    # With --knob the polarity is already folded into ok: every cell
+    # must have DIVERGED (the oracle proved it catches the regression).
+    return 0 if report["ok"] else 1
 
 
 def _cmd_ftcov(args) -> int:
     """Recovery-path coverage analyzer: FTC lint / catalog coverage record."""
     import json
 
-    from repro.analysis.ftcov import analyze_ftcov, ftcov_selfcheck
+    from repro.analysis.ftcov import analyze_ftcov
 
-    if args.action == "selfcheck":
-        return _print_selfcheck(*ftcov_selfcheck(), "ftcov",
-                                "failure-surface site(s)")
+    if args.action in ("lint", "selfcheck"):
+        report, status = _static_report(analyze_ftcov, args)
+        if report is None:
+            return status
+        return _report_findings(report.findings, args, "repro ftcov")
 
-    if args.action in ("record", "report"):
-        from repro.analysis.ftreplay import format_report, run_ftcov_record
+    from repro.analysis.ftreplay import format_report, run_ftcov_record
 
-        try:
-            report = run_ftcov_record(knob=args.knob)
-        except KeyError as exc:
-            print(f"repro ftcov: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_report(report))
-        if args.json_out:
-            with open(args.json_out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"repro ftcov: wrote {args.json_out}")
-        # With --knob the polarity is already folded into ok: the seeded
-        # coverage gap must have been DETECTED.
-        return 0 if report["ok"] else 1
-
-    # action == "lint"
-    if _selfcheck_failed(ftcov_selfcheck, "ftcov selfcheck"):
-        return 1
     try:
-        report = analyze_ftcov(select=args.select, ignore=args.ignore)
+        report = run_ftcov_record(knob=args.knob)
     except KeyError as exc:
         print(f"repro ftcov: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.inventory:
-        for site in report.inventory.sites:
-            print(f"  {site.site_class or 'UNACCOUNTED':<11} "
-                  f"{site.path}:{site.line}  {site.label}")
-    return _report_findings(report.findings, args, args.json, "repro ftcov")
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(format_report(report))
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"repro ftcov: wrote {args.json_out}")
+    # With --knob the polarity is already folded into ok: the seeded
+    # coverage gap must have been DETECTED.
+    return 0 if report["ok"] else 1
 
 
 def _cmd_analyze(args) -> int:
-    """All six analyzer passes as one gate (see ``make analyze``)."""
+    """Every step of ``repro.analysis.aggregate.STEPS`` as one gate (see
+    ``make analyze``)."""
     import json
 
     from repro.analysis.aggregate import format_summary, run_all
@@ -717,22 +679,24 @@ def _cmd_paper(args) -> int:
     return _run_bench(run_paper_bench(results, args.smoke, args.seed), args)
 
 
-def _add_finding_options(parser, family: str, debt: str) -> None:
-    """The rule-selection, baseline and output options every analyzer
-    subcommand shares (``repro <name> ... --baseline <name>-baseline.json``)."""
-    name = parser.prog.rsplit(" ", 1)[-1]
+def _add_finding_options(parser) -> None:
+    """The rule-selection, baseline and output options ``lint`` and every
+    inventory analyzer share (``repro <name> lint --baseline
+    <name>-baseline.json``)."""
     parser.add_argument("--select", action="append", default=None,
                         metavar="RULE",
-                        help=f"emit only these {family} rule IDs (repeatable)")
+                        help="emit only these rule IDs (repeatable)")
     parser.add_argument("--ignore", action="append", default=None,
                         metavar="RULE",
-                        help=f"skip these {family} rule IDs (repeatable)")
+                        help="skip these rule IDs (repeatable)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help=f"{debt} baseline (see {name}-baseline.json)")
+                        help="freeze known warnings: new ones gate CI, "
+                             "baselined ones report without failing")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite --baseline FILE from current warnings")
     parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
+                        help="emit one JSON document (lint: every finding "
+                             "with its baselined disposition)")
 
 
 def _add_bench_options(parser) -> None:
@@ -744,8 +708,9 @@ def _add_bench_options(parser) -> None:
                              "(e.g. BENCH_<name>.json)")
     parser.add_argument("--check", default=None, metavar="FILE",
                         help="bench: gate against a checked-in BENCH file "
-                             "(fail when a gated metric moves more than 20%% "
-                             "the wrong way)")
+                             "(fail when an exact metric changes, a banded "
+                             "one moves more than 20%% the wrong way, or a "
+                             "full run lacks a gated metric)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -786,49 +751,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories (default: src)")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--select", action="append", default=None, metavar="RULE",
-                      help="run only these rule IDs (repeatable)")
-    lint.add_argument("--ignore", action="append", default=None, metavar="RULE",
-                      help="skip these rule IDs (repeatable)")
+    _add_finding_options(lint)
     lint.add_argument("--list-rules", action="store_true",
                       help="list registered rules and exit")
-    lint.add_argument("--baseline", metavar="FILE", default=None,
-                      help="freeze known warnings: new ones gate CI, "
-                           "baselined ones report without failing")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline FILE from current warnings")
 
     ckptcov = sub.add_parser(
         "ckptcov",
         help="checkpoint state-coverage analyzer (CKPT1xx + "
              "checkpoint/restore differential oracle)",
     )
-    _add_finding_options(ckptcov, "CKPT", "known-gap")
-    ckptcov.add_argument("--diff", action="store_true",
-                         help="also run the checkpoint->restore->deep-compare "
+    ckptcov.add_argument("action", nargs="?", default="lint",
+                         choices=("selfcheck", "lint", "diff"),
+                         help="diff: the checkpoint->restore->deep-compare "
                               "differential oracle on live workloads")
+    _add_finding_options(ckptcov)
     ckptcov.add_argument("--workload", action="append", default=None,
-                         help="oracle workload(s) (repeatable; default: one "
-                              "per workload family)")
+                         help="diff: oracle workload(s) (repeatable; "
+                              "default: one per workload family)")
     ckptcov.add_argument("--seed", type=int, default=1)
-    ckptcov.add_argument("--check-inventory", action="store_true",
-                         help="print how the inventory accounts for every "
-                              "kernel/net class and exit (every other run "
-                              "gates on the same check)")
 
     perf = sub.add_parser(
         "perf",
         help="hot-path performance analyzer: PERF lint rules, deterministic "
              "DES profiler, engine work-counter gate",
-        # --json comes from both option helpers; they define it alike.
+        # --json comes from both option helpers; both make it a flag.
         conflict_handler="resolve",
     )
     perf.add_argument("action", nargs="?", default="lint",
-                      choices=("lint", "profile", "bench", "selfcheck"))
-    _add_finding_options(perf, "PERF", "known-debt")
-    perf.add_argument("--hot", action="store_true",
-                      help="lint: also print the hot-function classification")
+                      choices=("selfcheck", "lint", "profile", "bench"))
+    _add_finding_options(perf)
     perf.add_argument("--workload", default="net",
                       help="profile: catalog workload to run (default: net)")
     perf.add_argument("--run-ms", type=int, default=800,
@@ -844,11 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
              "record mode, record->replay differential oracle",
     )
     ndflow.add_argument("action", nargs="?", default="lint",
-                        choices=("lint", "record", "replay", "selfcheck"))
-    _add_finding_options(ndflow, "NDF", "known-finding")
-    ndflow.add_argument("--inventory", action="store_true",
-                        help="lint: also print the classified nondeterminism"
-                             "-source inventory")
+                        choices=("selfcheck", "lint", "record", "replay"))
+    _add_finding_options(ndflow)
     ndflow.add_argument("--workload", action="append", default=None,
                         help="record/replay: catalog workload(s) (repeatable; "
                              "default: net, disk-rw)")
@@ -870,11 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
              "failure-surface inventory",
     )
     ftcov.add_argument("action", nargs="?", default="lint",
-                       choices=("lint", "record", "report", "selfcheck"))
-    _add_finding_options(ftcov, "FTC", "known-finding")
-    ftcov.add_argument("--inventory", action="store_true",
-                       help="lint: also print the classified failure-surface "
-                            "inventory")
+                       choices=("selfcheck", "lint", "record"))
+    _add_finding_options(ftcov)
     ftcov.add_argument("--knob", choices=("drop-scenario",), default=None,
                        help="record: drop UNSAFE_DROP_SCENARIO from the "
                             "catalog; exit 0 iff the coverage gap is caught")
@@ -883,9 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="run the six analyzers (nlint, races, ckptcov, perf, ndflow, "
-             "ftcov) and the paper gate as one gate (every step of "
-             "repro.analysis.aggregate.STEPS)",
+        help="run every step of repro.analysis.aggregate.STEPS as one "
+             "gate",
     )
     analyze.add_argument("--full", action="store_true",
                          help="full-depth passes (default: CI smoke variants)")

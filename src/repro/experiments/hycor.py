@@ -121,8 +121,9 @@ def run_recovery_cell(
              "replay_us", "total_us"), 0,
         )
     else:
+        detector = deployment.backup_agent.detector
         recovery_fields = {
-            "detection_us": recovery.detection_us,
+            "detection_us": detector.fired_at - _RECOVERY_CRASH_AT_US,
             "restore_us": recovery.restore_us,
             "arp_us": recovery.arp_us,
             "reconnect_us": recovery.reconnect_us,

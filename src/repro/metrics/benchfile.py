@@ -67,7 +67,8 @@ def check(
 ) -> list[str]:
     """The regression gate: *current* must run the baseline's seed and hold
     its own ``ok``, and every metric the *baseline* gates must stay inside
-    its band (or equal it, when exact) if *current* also has it.  Returns
+    its band (or equal it, when exact).  A smoke report may lack gated
+    metrics (it runs a subset); a full one must report them all.  Returns
     the problems (empty = gate passes)."""
     problems: list[str] = []
     if current["seed"] != baseline["seed"]:
@@ -81,6 +82,13 @@ def check(
             + "; ".join(current["problems"])
         )
     base_metrics = baseline["metrics"]
+    if not current["smoke"]:
+        problems += [
+            f"{name}: gated in the checked-in file but missing from this "
+            f"full run"
+            for name, base in sorted(base_metrics.items())
+            if "better" in base and name not in current["metrics"]
+        ]
     for name, metric in sorted(current["metrics"].items()):
         base = base_metrics.get(name)
         if base is None or "better" not in base:

@@ -42,9 +42,10 @@ class EpochRecord:
 
 @dataclass
 class RecoveryBreakdown:
-    """Table II components, microseconds."""
+    """Table II components, microseconds.  Detection is not one of them:
+    the backup cannot time its own heartbeat detector against the fault,
+    so the experiment that injected it reads ``detector.fired_at``."""
 
-    detection_us: int = 0
     restore_us: int = 0
     arp_us: int = 0
     reconnect_us: int = 0

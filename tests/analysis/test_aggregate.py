@@ -8,8 +8,10 @@ their own suites and by CI's ``make analyze``).
 from pathlib import Path
 
 from repro.analysis.aggregate import (
-    STATIC_PASSES, STEPS, collect_findings, format_summary,
+    STEPS, collect_findings, format_summary, is_lint,
 )
+from repro.analysis.linter import Finding
+from repro.analysis.report import render_json
 from repro.cli import build_parser
 from repro.metrics import benchfile
 
@@ -20,7 +22,7 @@ def test_steps_cover_all_six_analyzers_plus_the_paper_gate():
     analyzers = {analyzer for analyzer, _, _ in STEPS}
     assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
                          "ftcov", "paper"}
-    assert len(STEPS) == 17
+    assert len(STEPS) == 18
 
 
 def test_summary_counts_the_analyzers_of_the_step_list():
@@ -29,7 +31,7 @@ def test_summary_counts_the_analyzers_of_the_step_list():
                          "wall_s": 0.0, "output": ""}
                         for analyzer, smoke, _ in STEPS]}
     assert format_summary(report).splitlines()[0] == (
-        "analyze (smoke): 17 step(s) over 7 analyzers")
+        "analyze (smoke): 18 step(s) over 7 analyzers")
 
 
 def test_every_step_argv_is_a_real_command_run_once():
@@ -43,7 +45,6 @@ def test_every_step_argv_is_a_real_command_run_once():
         for argv in argvs:
             parser.parse_args(list(argv))
             assert "selfcheck" not in argv
-            assert "--check-inventory" not in argv
 
 
 def test_hycor_steps_gate_the_comparison_against_the_bench_file():
@@ -74,7 +75,7 @@ def test_ftcov_steps_lint_record_and_probe_the_knob():
     # The lint step runs the selfcheck; CI runs no separate ftcov step:
     # the record step writes the coverage matrix the workflow uploads.
     assert ftcov_smoke == [
-        ("ftcov", "lint", "--baseline", "ftcov-baseline.json"),
+        ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
         ("ftcov", "record", "--json-out", "coverage-matrix.json"),
         ("ftcov", "record", "--knob", "drop-scenario"),
     ]
@@ -84,24 +85,55 @@ def test_full_ckptcov_step_runs_the_oracle_on_every_catalog_workload():
     from repro.workloads.catalog import WORKLOADS
 
     (full,) = [full for analyzer, _, full in STEPS
-               if analyzer == "ckptcov"]
+               if full[:2] == ("ckptcov", "diff")]
     workloads = [full[i + 1] for i, arg in enumerate(full)
                  if arg == "--workload"]
     assert sorted(workloads) == sorted(WORKLOADS)
 
 
 def test_every_static_pass_has_a_baseline_entry():
-    baselines = {analyzer: baseline
-                 for analyzer, _, baseline in STATIC_PASSES}
-    assert set(baselines) == {"nlint", "ckptcov", "perf", "ndflow", "ftcov"}
-    assert baselines["nlint"] is None
-    for analyzer in ("ckptcov", "perf", "ndflow", "ftcov"):
-        assert baselines[analyzer] == f"{analyzer}-baseline.json"
+    """The lint steps are the only place a baseline file is named, and
+    each prints the JSON document the merged findings are read from."""
+    for column in (1, 2):
+        lints = {step[0]: step[column] for step in STEPS
+                 if is_lint(step[column])}
+        assert set(lints) == {"nlint", "ckptcov", "perf", "ndflow", "ftcov"}
+        for analyzer, argv in lints.items():
+            assert "--json" in argv
+            if analyzer == "nlint":
+                assert "--baseline" not in argv
+            else:
+                baseline = argv[argv.index("--baseline") + 1]
+                assert baseline == f"{analyzer}-baseline.json"
+
+
+def _finding(rule, path, line, severity="warning"):
+    return Finding(rule_id=rule, path=path, line=line, col=1,
+                   message="m", severity=severity)
 
 
 def test_merged_findings_tag_the_ftcov_knob_as_baselined():
-    merged = collect_findings()
-    ftcov = [f for f in merged if f["analyzer"] == "ftcov"]
-    assert [f["rule"] for f in ftcov] == ["FTC002"]
-    assert ftcov[0]["baselined"] is True
-    assert ftcov[0]["path"] == "src/repro/faultinject/scenarios.py"
+    knob = _finding("FTC002", "src/repro/faultinject/scenarios.py", 9)
+    new = _finding("FTC004", "src/repro/fleet/a.py", 3)
+    gap = _finding("CKPT100", "src/repro/kernel/b.py", 1, "error")
+    steps = [
+        {"analyzer": "nlint", "argv": ["lint", "src", "--json"],
+         "output": render_json([])},
+        {"analyzer": "races", "argv": ["races", "--smoke"],
+         "output": "not a findings document\n"},
+        # A lint step that failed before printing its document.
+        {"analyzer": "perf", "argv": ["perf", "lint", "--json"],
+         "output": "perf self-check FAILED\n"},
+        {"analyzer": "ckptcov", "argv": ["ckptcov", "lint", "--json"],
+         "output": render_json([gap])},
+        {"analyzer": "ftcov", "argv": ["ftcov", "lint", "--json"],
+         "output": render_json([knob, new], baselined=[knob])},
+    ]
+    merged = collect_findings(steps)
+    assert [(f["analyzer"], f["rule"], f["baselined"]) for f in merged] == [
+        ("ftcov", "FTC002", True),
+        ("ftcov", "FTC004", False),
+        ("ckptcov", "CKPT100", False),
+    ]
+    assert merged[0] == {"analyzer": "ftcov", **knob.as_dict(),
+                         "baselined": True}

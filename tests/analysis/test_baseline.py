@@ -112,6 +112,24 @@ def test_ckptcov_empty_baseline_gates_on_known_gap(tmp_path, capsys):
     assert "CKPT101" in out and "new" in out
 
 
+def test_lint_json_lists_every_finding_with_its_disposition(tmp_path,
+                                                           capsys):
+    # One document, the baselined finding included: `repro analyze`
+    # merges these documents instead of re-running the pass.
+    argv = ["ckptcov", "lint", "--json", "--baseline"]
+    assert main([*argv, "ckptcov-baseline.json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["baselined"]) for f in doc["findings"]] == [
+        ("CKPT101", True)]
+    assert doc["count"] == 1 and doc["stale"] == []
+    base = tmp_path / "empty.json"
+    base.write_text(json.dumps({"version": 1, "entries": {}}))
+    assert main([*argv, str(base)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["baselined"]) for f in doc["findings"]] == [
+        ("CKPT101", False)]
+
+
 def test_lint_accepts_baseline_flag(tmp_path, capsys):
     # The real tree lints clean, so any baseline gate passes trivially and
     # a stale-entry warning must surface without failing the run.

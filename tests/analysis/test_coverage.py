@@ -19,7 +19,6 @@ from repro.analysis.coverage import (
     analyze_coverage,
     analyze_source_set,
     build_inventory,
-    inventory_selfcheck,
     load_source_set,
 )
 
@@ -345,16 +344,21 @@ def test_rules_registered_with_linter_registry():
 # --------------------------------------------------------------------------- #
 
 
-def test_real_tree_only_known_gap():
-    report = analyze_coverage()
-    assert report.uncovered() == {("AddressSpace", "pending_fault_ns")}
-    assert [f.rule_id for f in report.findings] == ["CKPT101"]
-    assert report.findings[0].path == "src/repro/kernel/mm.py"
+@pytest.fixture(scope="module")
+def real():
+    """One static pass over the real tree, shared by its tests."""
+    return analyze_coverage()
 
 
-def test_real_tree_selfcheck_clean():
-    problems, dispositions = inventory_selfcheck()
-    assert problems == []
+def test_real_tree_only_known_gap(real):
+    assert real.uncovered() == {("AddressSpace", "pending_fault_ns")}
+    assert [f.rule_id for f in real.findings] == ["CKPT101"]
+    assert real.findings[0].path == "src/repro/kernel/mm.py"
+
+
+def test_real_tree_selfcheck_clean(real):
+    assert real.problems == []
+    dispositions = real.dispositions
     # Spot-check dispositions: infra ignored, kernel state inventoried.
     assert dispositions["Kernel"].startswith("ignored")
     assert dispositions["World"].startswith("ignored")
@@ -370,8 +374,7 @@ def test_selfcheck_flags_unknown_annotation_and_bad_ignore():
         "    def __init__(self):\n"
         "        self.x = 1  # ckpt: derrived -- typo\n",
     )
-    problems, _ = inventory_selfcheck(srcs)
-    text = "\n".join(problems)
+    text = "\n".join(analyze_source_set(srcs).problems)
     assert "derrived" in text
     assert "nonexistent field(s) nope" in text
     assert "sometimes" in text

@@ -11,11 +11,12 @@ the frozen ``UNSAFE_DROP_SCENARIO`` knob entry.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.ftcov import (
     FTCOV_SCOPE,
     analyze_ftcov,
     build_ft_inventory,
-    ftcov_selfcheck,
 )
 from repro.analysis.inventory import load_sources
 
@@ -35,9 +36,14 @@ def findings(code, select=None, path=_SCOPE):
 
 
 def selfcheck_problems(code, path=_SCOPE):
-    sources = load_sources(FTCOV_SCOPE, {path: textwrap.dedent(code)})
-    problems, _ = ftcov_selfcheck(sources)
-    return [p for p in problems if path in p]
+    report = analyze_ftcov(overrides={path: textwrap.dedent(code)})
+    return [p for p in report.problems if path in p]
+
+
+@pytest.fixture(scope="module")
+def real():
+    """One static pass over the real tree, shared by its tests."""
+    return analyze_ftcov()
 
 
 # --------------------------------------------------------------------------- #
@@ -354,40 +360,38 @@ def test_ftc005_coverage_hook_is_negative():
 # --------------------------------------------------------------------------- #
 
 
-def test_real_tree_selfcheck_is_clean():
-    problems, dispositions = ftcov_selfcheck()
-    assert problems == []
-    assert len(dispositions) >= 80  # points, edges, handlers, loops, ...
+def test_real_tree_selfcheck_is_clean(real):
+    assert real.problems == []
+    assert len(real.dispositions) >= 80  # points, edges, handlers, loops, ...
 
 
-def test_real_tree_every_point_site_is_registered():
-    inv = build_ft_inventory(load_sources(FTCOV_SCOPE))
+def test_real_tree_every_point_site_is_registered(real):
+    inv = real.inventory
     point_sites = [s for s in inv.sites if s.kind == "point-site"]
     assert len(point_sites) >= 13
     assert all(s.registered for s in point_sites)
     assert len(inv.registry) >= 13
 
 
-def test_real_tree_every_registered_point_is_armed():
-    inv = build_ft_inventory(load_sources(FTCOV_SCOPE))
+def test_real_tree_every_registered_point_is_armed(real):
+    inv = real.inventory
     registry_sites = [s for s in inv.sites if s.kind == "point"]
     assert {s.name for s in registry_sites} == inv.registry
     assert all(s.name in inv.armed_points for s in registry_sites)
 
 
-def test_real_tree_findings_are_exactly_the_knob():
-    report = analyze_ftcov()
-    assert [(f.rule_id, f.path) for f in report.findings] == [
+def test_real_tree_findings_are_exactly_the_knob(real):
+    assert [(f.rule_id, f.path) for f in real.findings] == [
         ("FTC002", "src/repro/faultinject/scenarios.py"),
     ]
 
 
-def test_real_tree_findings_match_checked_in_baseline():
+def test_real_tree_findings_match_checked_in_baseline(real):
     from repro.analysis.baseline import apply_baseline, load_baseline
 
     baseline_file = (
         Path(__file__).resolve().parents[2] / "ftcov-baseline.json")
     baseline = load_baseline(baseline_file)
-    part = apply_baseline(analyze_ftcov().findings, baseline)
+    part = apply_baseline(real.findings, baseline)
     assert part.new == [], "un-baselined FTC findings: run repro ftcov lint"
     assert part.stale == [], "stale ftcov-baseline.json entries: re-freeze"

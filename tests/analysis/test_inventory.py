@@ -1,9 +1,10 @@
 """Tests for the skeleton the four inventory analyzers share.
 
-The annotation selfcheck is one function for the whole family, so its
-two rejections — an unknown class and an annotation that classifies
-nothing — are pinned here once per analyzer; the checks specific to one
-analyzer stay in its own suite.  The loader's override rules are pinned
+The annotation selfcheck is one check for the whole family, carried in
+each analyzer's report as ``problems``, so its two rejections — an
+unknown class and an annotation that classifies nothing — are pinned
+here once per analyzer; the checks specific to one analyzer stay in its
+own suite.  The loader's override rules are pinned
 directly: every analyzer's synthetic-source tests rely on them.
 """
 
@@ -11,11 +12,11 @@ import textwrap
 
 import pytest
 
-from repro.analysis.coverage import SourceSet, inventory_selfcheck
-from repro.analysis.ftcov import FTCOV_SCOPE, ftcov_selfcheck
+from repro.analysis.coverage import SourceSet, analyze_source_set
+from repro.analysis.ftcov import analyze_ftcov
 from repro.analysis.inventory import load_sources
-from repro.analysis.ndflow import NDFLOW_SCOPE, ndflow_selfcheck
-from repro.analysis.perf import PERF_SCOPE_FILES, perf_selfcheck
+from repro.analysis.ndflow import analyze_ndflow
+from repro.analysis.perf import analyze_perf
 
 _SCOPE = "replication/zz_scope.py"
 
@@ -23,23 +24,22 @@ _SCOPE = "replication/zz_scope.py"
 def _ckptcov(code):
     srcs = SourceSet(inventory={"src/repro/kernel/zz.py": code},
                      dump={}, restore={}, wrappers={})
-    return inventory_selfcheck(srcs)[0]
+    return analyze_source_set(srcs).problems
 
 
 def _perf(code):
-    sources = load_sources(PERF_SCOPE_FILES, {"sim/engine.py": code})
-    return [p for p in perf_selfcheck(sources, roots=())[0]
-            if "sim/engine.py" in p]
+    report = analyze_perf(overrides={"sim/engine.py": code}, roots=())
+    return [p for p in report.problems if "sim/engine.py" in p]
 
 
 def _ndflow(code):
-    sources = load_sources(NDFLOW_SCOPE, {_SCOPE: code})
-    return [p for p in ndflow_selfcheck(sources)[0] if _SCOPE in p]
+    return [p for p in analyze_ndflow(overrides={_SCOPE: code}).problems
+            if _SCOPE in p]
 
 
 def _ftcov(code):
-    sources = load_sources(FTCOV_SCOPE, {_SCOPE: code})
-    return [p for p in ftcov_selfcheck(sources)[0] if _SCOPE in p]
+    return [p for p in analyze_ftcov(overrides={_SCOPE: code}).problems
+            if _SCOPE in p]
 
 
 @pytest.mark.parametrize("selfcheck, code, expected", [

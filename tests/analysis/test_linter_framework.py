@@ -88,7 +88,9 @@ def test_render_json_shape():
         "col": 0,
         "message": "m",
         "severity": "error",
+        "baselined": False,
     }
+    assert payload["stale"] == []
 
 
 def test_lint_paths_walks_directories(tmp_path):

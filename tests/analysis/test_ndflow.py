@@ -11,12 +11,13 @@ two frozen ``unsafe_unlogged_draw`` knob entries.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.inventory import load_sources
 from repro.analysis.ndflow import (
     NDFLOW_SCOPE,
     analyze_ndflow,
     build_nd_inventory,
-    ndflow_selfcheck,
 )
 
 _SCOPE = "replication/zz_scope.py"
@@ -35,9 +36,14 @@ def findings(code, select=None, path=_SCOPE):
 
 
 def selfcheck_problems(code, path=_SCOPE):
-    sources = load_sources(NDFLOW_SCOPE, {path: textwrap.dedent(code)})
-    problems, _ = ndflow_selfcheck(sources)
-    return [p for p in problems if path in p]
+    report = analyze_ndflow(overrides={path: textwrap.dedent(code)})
+    return [p for p in report.problems if path in p]
+
+
+@pytest.fixture(scope="module")
+def real():
+    """One static pass over the real tree, shared by its tests."""
+    return analyze_ndflow()
 
 
 # --------------------------------------------------------------------------- #
@@ -301,12 +307,12 @@ def test_ndf005_flags_shared_stream_without_owner():
     assert all("zz-shared" in f.message for f in hits)
 
 
-def test_ndf005_accepts_owned_shared_stream():
+def test_ndf005_accepts_owned_shared_stream(real):
     # 'fault-injection' is drawn from several modules but has a
     # STREAM_OWNERS entry — the real tree must stay clean.
-    report = analyze_ndflow(select=["NDF005"])
     assert not any(
-        "fault-injection" in f.message for f in report.findings
+        "fault-injection" in f.message
+        for f in real.findings if f.rule_id == "NDF005"
     )
 
 
@@ -327,33 +333,30 @@ def test_suppression_comment_silences_a_rule():
 # --------------------------------------------------------------------------- #
 
 
-def test_real_tree_selfcheck_is_clean():
-    problems, dispositions = ndflow_selfcheck()
-    assert problems == []
-    assert len(dispositions) >= 20  # streams, counters, knobs, tiebreaks
+def test_real_tree_selfcheck_is_clean(real):
+    assert real.problems == []
+    assert len(real.dispositions) >= 20  # streams, counters, knobs, tiebreaks
 
 
-def test_real_tree_every_counter_is_registered():
-    inv = build_nd_inventory(load_sources(NDFLOW_SCOPE))
-    counters = [s for s in inv.sites if s.kind == "counter"]
+def test_real_tree_every_counter_is_registered(real):
+    counters = [s for s in real.inventory.sites if s.kind == "counter"]
     assert len(counters) >= 7  # tid, pid, ino, ns, packet, seq, mac
     assert all(s.registered for s in counters)
 
 
-def test_real_tree_findings_are_exactly_the_knob():
-    report = analyze_ndflow()
-    assert [(f.rule_id, f.path) for f in report.findings] == [
+def test_real_tree_findings_are_exactly_the_knob(real):
+    assert [(f.rule_id, f.path) for f in real.findings] == [
         ("NDF001", "src/repro/replication/primary.py"),
         ("NDF003", "src/repro/replication/primary.py"),
     ]
 
 
-def test_real_tree_findings_match_checked_in_baseline():
+def test_real_tree_findings_match_checked_in_baseline(real):
     from repro.analysis.baseline import apply_baseline, load_baseline
 
     baseline_file = (
         Path(__file__).resolve().parents[2] / "ndflow-baseline.json")
     baseline = load_baseline(baseline_file)
-    part = apply_baseline(analyze_ndflow().findings, baseline)
+    part = apply_baseline(real.findings, baseline)
     assert part.new == [], "un-baselined NDF findings: run repro ndflow lint"
     assert part.stale == [], "stale ndflow-baseline.json entries: re-freeze"

@@ -9,13 +9,14 @@ on the actual package, including the regression probe: the
 
 import textwrap
 
+import pytest
+
 from repro.analysis.inventory import load_sources
 from repro.analysis.perf import (
     DEFAULT_ROOTS,
     PERF_SCOPE_FILES,
     analyze_perf,
     build_hot_map,
-    perf_selfcheck,
 )
 
 
@@ -35,9 +36,14 @@ def analyze(code, roots, select=None):
 
 
 def selfcheck(code, roots):
-    sources = load_sources(
-        PERF_SCOPE_FILES, {"sim/engine.py": textwrap.dedent(code)})
-    return perf_selfcheck(sources, roots)
+    return analyze_perf(overrides={"sim/engine.py": textwrap.dedent(code)},
+                        roots=roots).problems
+
+
+@pytest.fixture(scope="module")
+def real():
+    """One static pass over the real tree, shared by its tests."""
+    return analyze_perf()
 
 
 # --------------------------------------------------------------------------- #
@@ -179,13 +185,13 @@ def test_perf_exempt_class_attribute():
 
 
 def test_selfcheck_flags_unreachable_root():
-    problems, _ = selfcheck("def zz_fn():\n    pass\n",
-                            roots=(("zz_missing_root", "per-event"),))
+    problems = selfcheck("def zz_fn():\n    pass\n",
+                         roots=(("zz_missing_root", "per-event"),))
     assert any("zz_missing_root" in p for p in problems)
 
 
 def test_selfcheck_flags_understated_annotation():
-    problems, _ = selfcheck(
+    problems = selfcheck(
         """
         def zz_root():
             zz_understated()
@@ -198,9 +204,11 @@ def test_selfcheck_flags_understated_annotation():
     assert any("understates" in p for p in problems)
 
 
-def test_selfcheck_real_tree_is_clean():
-    problems, dispositions = perf_selfcheck()
-    assert problems == []
+def test_selfcheck_real_tree_is_clean(real):
+    assert real.problems == []
+    # Each row is "path:line  qualname"; look the functions up by name.
+    dispositions = {item.split()[-1]: cls
+                    for item, cls in real.dispositions.items()}
     # The documented roots are all classified.
     for qualname, hotness in DEFAULT_ROOTS:
         assert dispositions[qualname].startswith(hotness)
@@ -377,58 +385,56 @@ def test_perf006_transforming_loop_does_not_fire():
 # --------------------------------------------------------------------------- #
 
 
-def test_real_tree_digest_debt_is_paid():
+def _real_findings(report, rule_id, path):
+    return [f for f in report.findings
+            if f.rule_id == rule_id and f.path.endswith(path)]
+
+
+def test_real_tree_digest_debt_is_paid(real):
     # Both digest loops carry justified suppressions now: the dirty-page
     # loop hashes only what changed, and the re-hash-everything loop is
     # the perf_unoptimized_digest regression knob itself — the statecache
     # must stay clean under PERF002.
-    report = analyze_perf(select=["PERF002"])
-    assert not any(
-        f.path.endswith("replication/statecache.py") for f in report.findings
-    ), "statecache digest loop regressed to whole-buffer hashing"
+    assert not _real_findings(real, "PERF002", "replication/statecache.py"), (
+        "statecache digest loop regressed to whole-buffer hashing")
 
 
-def test_real_tree_disk_commit_scan_debt_is_paid():
+def test_real_tree_disk_commit_scan_debt_is_paid(real):
     # The per-epoch sum() over every drbd buffer was the last PERF006
     # debt; commit now pops a counter maintained at dispatch time.
-    report = analyze_perf(select=["PERF006"])
-    assert not any(
-        f.path.endswith("replication/backup.py") for f in report.findings
-    ), "backup commit regressed to rescanning the drbd buffers"
+    assert not _real_findings(real, "PERF006", "replication/backup.py"), (
+        "backup commit regressed to rescanning the drbd buffers")
 
 
-def test_real_tree_pair_count_scan_debt_is_paid():
+def test_real_tree_pair_count_scan_debt_is_paid(real):
     # pair_count used to be the documented PERF006 debt (a full member
     # scan per call); it is now an O(1) maintained index, with the scan
     # kept only as the exempt reference implementation for the
     # equivalence test — so pool.py must stay clean.
-    report = analyze_perf(select=["PERF006"])
-    assert not any(
-        f.path.endswith("fleet/pool.py") for f in report.findings
-    ), "HostPool.pair_count regressed to a full scan"
+    assert not _real_findings(real, "PERF006", "fleet/pool.py"), (
+        "HostPool.pair_count regressed to a full scan")
 
 
-def test_real_tree_engine_dispatch_loop_is_clean():
-    report = analyze_perf()
-    assert [f for f in report.findings if f.path.endswith("sim/engine.py")] == []
+def test_real_tree_engine_dispatch_loop_is_clean(real):
+    assert [f for f in real.findings if f.path.endswith("sim/engine.py")] == []
 
 
-def test_real_tree_call_later_is_per_event():
+def test_real_tree_call_later_is_per_event(real):
     # One Call per packet hop: call_later is a root like _schedule, so
     # PERF001..006 lint it as per-event code.
     assert ("Engine.call_later", "per-event") in DEFAULT_ROOTS
-    hot = build_hot_map(load_sources(PERF_SCOPE_FILES))
+    hot = real.hot_map
     assert hot["Engine.call_later"].hotness == "per-event"
     assert hot["Engine.call_later"].path.endswith("sim/engine.py")
 
 
-def test_real_tree_findings_match_checked_in_baseline():
+def test_real_tree_findings_match_checked_in_baseline(real):
     from pathlib import Path
 
     from repro.analysis.baseline import apply_baseline, load_baseline
 
     baseline_file = Path(__file__).resolve().parents[2] / "perf-baseline.json"
     baseline = load_baseline(baseline_file)
-    part = apply_baseline(analyze_perf().findings, baseline)
+    part = apply_baseline(real.findings, baseline)
     assert part.new == [], "un-baselined PERF findings: run repro perf lint"
     assert part.stale == [], "stale perf-baseline.json entries: re-freeze"

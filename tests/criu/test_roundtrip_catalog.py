@@ -1,6 +1,6 @@
 """Catalog-wide checkpoint round-trip: every workload deep-compares clean.
 
-This is the differential oracle (`repro ckptcov --diff`) as a test matrix:
+This is the differential oracle (`repro ckptcov diff`) as a test matrix:
 freeze a live catalog workload mid-run, take one full checkpoint, restore
 it into the backup host's pristine kernel, and require the inventory-guided
 deep comparison to find zero diverging fields.  Any diff here means a

@@ -39,6 +39,8 @@ def test_recovery_cells_split_on_replay():
     assert nilicon["replay_us"] == 0
     assert hycor["total_us"] >= nilicon["total_us"]
     assert hycor["restore_us"] > 0
+    # Detection is timed from the injected crash to the detector firing.
+    assert hycor["detection_us"] > 0 and nilicon["detection_us"] > 0
 
 
 def test_bench_json_roundtrip(tmp_path):
@@ -93,3 +95,5 @@ def test_checked_in_bench_claims_the_tradeoff():
         assert value[f"{cell}.replay_us"] > 0
         assert value[f"{cell}.total_us"] >= value[f"{twin}.total_us"]
         assert value[f"{twin}.replay_us"] == 0
+        assert value[f"{cell}.detection_us"] > 0
+        assert value[f"{twin}.detection_us"] > 0

@@ -33,12 +33,12 @@ SPECS = {
 }
 
 
-def _report(values, ok=True, seed=1):
+def _report(values, ok=True, seed=1, smoke=False):
     return {
         "schema": benchfile.SCHEMA,
         "bench": "test",
         "seed": seed,
-        "smoke": False,
+        "smoke": smoke,
         "ok": ok,
         "problems": [] if ok else ["an oracle failed"],
         "metrics": {
@@ -87,9 +87,14 @@ CASES = [
      {"steady.p99_us": 40_000, "steady.throughput_rps": 100.0},
      {}, "steady.throughput_rps"),
     ("traffic-new-profile-skipped", TRAFFIC,
-     {"novel.p99_us": 1, "novel.throughput_rps": 1.0}, {}, None),
+     {**TRAFFIC, "novel.p99_us": 1, "novel.throughput_rps": 1.0}, {}, None),
     ("traffic-current-not-ok", TRAFFIC, TRAFFIC_GOOD, NOT_OK,
      "failed its own checks"),
+    # A full run that drops a gated metric fails; a smoke run runs a subset.
+    ("full-run-missing-metric", TRAFFIC, {"steady.p99_us": 40_000}, {},
+     "steady.throughput_rps"),
+    ("smoke-run-missing-metric-skipped", TRAFFIC, {"steady.p99_us": 40_000},
+     {"smoke": True}, None),
     ("hycor-identical", HYCOR, HYCOR, {}, None),
     ("hycor-overhead-rise", HYCOR,
      {**HYCOR, "net-echo.hycor_overhead_pct": 90.0},

@@ -149,25 +149,35 @@ def test_analyzer_rejects_rule_ids_of_another_family(argv, capsys):
     assert "unknown rule id(s)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module, selfcheck, argv, hint", [
-    ("repro.analysis.coverage", "inventory_selfcheck", ["ckptcov"],
-     "repro ckptcov --check-inventory"),
-    ("repro.analysis.perf", "perf_selfcheck", ["perf", "lint"],
-     "repro perf selfcheck"),
-    ("repro.analysis.ndflow", "ndflow_selfcheck", ["ndflow", "lint"],
-     "repro ndflow selfcheck"),
-    ("repro.analysis.ftcov", "ftcov_selfcheck", ["ftcov", "lint"],
-     "repro ftcov selfcheck"),
+@pytest.mark.parametrize("module, analyze, argv", [
+    ("repro.analysis.coverage", "analyze_coverage", ["ckptcov", "lint"]),
+    ("repro.analysis.perf", "analyze_perf", ["perf", "lint"]),
+    ("repro.analysis.ndflow", "analyze_ndflow", ["ndflow", "lint"]),
+    ("repro.analysis.ftcov", "analyze_ftcov", ["ftcov", "lint"]),
 ], ids=["ckptcov", "perf", "ndflow", "ftcov"])
-def test_every_lint_gates_on_its_selfcheck(module, selfcheck, argv, hint,
+def test_every_lint_gates_on_its_selfcheck(module, analyze, argv,
                                            monkeypatch, capsys):
     # `repro analyze` runs no standalone selfcheck step: the lint must
-    # fail on an unaccounted site by itself.
-    monkeypatch.setattr(importlib.import_module(module), selfcheck,
-                        lambda: (["boom"], {}))
+    # refuse to run on the problems its own report carries.
+    mod = importlib.import_module(module)
+    real = getattr(mod, analyze)
+
+    def unsound(**kwargs):
+        report = real(**kwargs)
+        report.problems = ["boom"]
+        return report
+
+    monkeypatch.setattr(mod, analyze, unsound)
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert f"run `{hint}`" in out and "boom" in out
+    assert f"run `repro {argv[0]} selfcheck`" in out and "boom" in out
+    assert "nlint" not in out  # no findings were printed
+
+
+def test_ckptcov_diff_runs_the_oracle_against_the_static_pass(capsys):
+    assert main(["ckptcov", "diff", "--workload", "net-echo"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("oracle net-echo: clean (")
 
 
 def test_audit_command(capsys):
