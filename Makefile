@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit perf-bench analyze golden-regen validate faultcampaign faultcampaign-smoke fleet fleet-smoke fleet-bench traffic traffic-smoke traffic-bench examples clean
+.PHONY: install test lint audit perf-bench analyze golden-regen validate faultcampaign faultcampaign-smoke fleet fleet-smoke traffic examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -48,41 +48,22 @@ faultcampaign-smoke:
 
 # Fleet orchestration: every controller-fault scenario, then the full
 # acceptance campaign (12 members / 6 hosts, sequential + concurrent host
-# loss, replayed twice for digest determinism) and the scaling benches
-# gated against the checked-in BENCH_fleet.json.
+# loss, replayed twice for digest determinism).  The scaling sweeps are
+# the fleet_pair/fleet_pool artifacts of `repro paper bench`.
 fleet:
 	PYTHONPATH=src $(PYTHON) -m repro fleet scenario
 	PYTHONPATH=src $(PYTHON) -m repro fleet campaign
-	PYTHONPATH=src $(PYTHON) -m repro fleet bench --check BENCH_fleet.json
 
-# CI subset: all scenarios + the reduced campaign, and the first two cells
-# of each bench sweep (run at full-run parameters, so they equal the same
-# cells of BENCH_fleet.json) under the same gate.
+# CI subset: all scenarios + the reduced campaign.
 fleet-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fleet scenario
 	PYTHONPATH=src $(PYTHON) -m repro fleet campaign --smoke
-	PYTHONPATH=src $(PYTHON) -m repro fleet bench --smoke --check BENCH_fleet.json
-
-# Regenerate the checked-in BENCH_fleet.json (review the diff!).
-fleet-bench:
-	PYTHONPATH=src $(PYTHON) -m repro fleet bench --out BENCH_fleet.json
 
 # L7 traffic tier: full-scale open-loop SLO campaign (>=1000 concurrent
-# sessions, each profile replayed twice for digest determinism), then the
-# bench gated against the checked-in BENCH_traffic.json.
+# sessions, each profile replayed twice for digest determinism).  The
+# smoke-scale SLO cells are the traffic artifact of `repro paper bench`.
 traffic:
 	PYTHONPATH=src $(PYTHON) -m repro traffic campaign
-	PYTHONPATH=src $(PYTHON) -m repro traffic bench --check BENCH_traffic.json
-
-# CI subset: the SLO regression gate (p99 and throughput per profile, 20%
-# band).  The bench runs the reduced campaign once and fails on any of its
-# oracle violations, replay nondeterminism included.
-traffic-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro traffic bench --check BENCH_traffic.json
-
-# Regenerate the checked-in BENCH_traffic.json (review the diff!).
-traffic-bench:
-	PYTHONPATH=src $(PYTHON) -m repro traffic bench --out BENCH_traffic.json
 
 examples:
 	$(PYTHON) examples/quickstart.py

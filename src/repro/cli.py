@@ -326,7 +326,7 @@ def _cmd_perf(args) -> int:
 
 def _run_bench(report, args) -> int:
     """Print a bench report, write it with ``--out`` and gate it with
-    ``--check`` against a checked-in BENCH file (one schema for all four
+    ``--check`` against a checked-in BENCH file (one schema for both
     benches).  Exit 1 when the report fails its own checks or the gate,
     2 when the ``--check`` file cannot be read."""
     import json
@@ -351,7 +351,7 @@ def _run_bench(report, args) -> int:
         print(f"repro {name}: REGRESSION: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print(f"{name} bench gate: within tolerance of {args.check}")
+    print(f"{name} bench gate: matches {args.check} exactly")
     return 0
 
 
@@ -571,14 +571,10 @@ def _cmd_faultcampaign(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    """Cluster orchestration: scenarios, the acceptance campaign, benches."""
+    """Cluster orchestration: scenarios and the acceptance campaign."""
     import json
 
-    from repro.experiments.fleet import (
-        format_campaign,
-        run_fleet_bench,
-        run_fleet_campaign,
-    )
+    from repro.experiments.fleet import format_campaign, run_fleet_campaign
     from repro.fleet import FLEET_SCENARIOS, run_fleet_scenario
 
     if args.action == "list":
@@ -603,25 +599,21 @@ def _cmd_fleet(args) -> int:
             failed = failed or not result.ok
         return 1 if failed else 0
 
-    if args.action == "campaign":
-        report = run_fleet_campaign(seed=args.seed, smoke=args.smoke)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_campaign(report))
-        return 0 if report["ok"] else 1
-
-    # action == "bench"
-    return _run_bench(run_fleet_bench(seed=args.seed, smoke=args.smoke), args)
+    # action == "campaign"
+    report = run_fleet_campaign(seed=args.seed, smoke=args.smoke)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(format_campaign(report))
+    return 0 if report["ok"] else 1
 
 
 def _cmd_traffic(args) -> int:
-    """L7 traffic tier: open-loop SLO campaign, profiles, latency bench."""
+    """L7 traffic tier: open-loop SLO campaign and its profiles."""
     import json
 
     from repro.experiments.traffic import (
         format_traffic_campaign,
-        run_traffic_bench,
         run_traffic_campaign,
         traffic_profiles,
     )
@@ -637,16 +629,13 @@ def _cmd_traffic(args) -> int:
             )
         return 0
 
-    if args.action == "campaign":
-        report = run_traffic_campaign(seed=args.seed, smoke=args.smoke)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_traffic_campaign(report))
-        return 0 if report["ok"] else 1
-
-    # action == "bench"
-    return _run_bench(run_traffic_bench(seed=args.seed), args)
+    # action == "campaign"
+    report = run_traffic_campaign(seed=args.seed, smoke=args.smoke)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(format_traffic_campaign(report))
+    return 0 if report["ok"] else 1
 
 
 def _cmd_modes(_args) -> int:
@@ -708,9 +697,8 @@ def _add_bench_options(parser) -> None:
                              "(e.g. BENCH_<name>.json)")
     parser.add_argument("--check", default=None, metavar="FILE",
                         help="bench: gate against a checked-in BENCH file "
-                             "(fail when an exact metric changes, a banded "
-                             "one moves more than 20%% the wrong way, or a "
-                             "full run lacks a gated metric)")
+                             "(fail when a metric differs from it, or a "
+                             "full run lacks one of its metrics)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -888,26 +876,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="cluster orchestration: scenarios, acceptance campaign, benches",
+        help="cluster orchestration: scenarios and the acceptance campaign",
     )
-    fleet.add_argument("action",
-                       choices=("campaign", "bench", "scenario", "list"))
+    fleet.add_argument("action", choices=("campaign", "scenario", "list"))
     fleet.add_argument("--scenario", action="append", default=None,
                        help="fleet scenario(s) to run (repeatable; "
                             "default: all — see `fleet list`)")
     fleet.add_argument("--smoke", action="store_true",
-                       help="reduced CI variant of campaign/bench")
-    _add_bench_options(fleet)
+                       help="reduced CI variant of the campaign")
+    fleet.add_argument("--json", action="store_true",
+                       help="campaign: emit the full JSON report")
 
     traffic = sub.add_parser(
         "traffic",
-        help="L7 traffic tier: open-loop SLO campaign and latency bench",
+        help="L7 traffic tier: open-loop SLO campaign",
     )
-    traffic.add_argument("action",
-                         choices=("campaign", "bench", "profiles"))
+    traffic.add_argument("action", choices=("campaign", "profiles"))
     traffic.add_argument("--smoke", action="store_true",
                          help="reduced CI variant of campaign/profiles")
-    _add_bench_options(traffic)
+    traffic.add_argument("--json", action="store_true",
+                         help="campaign: emit the full JSON report")
 
     modes = sub.add_parser(
         "modes", help="replication strategies: registry listing",

@@ -21,6 +21,8 @@ module            paper artifact
 ``scalability``   §VII-C — threads / clients / processes sweeps
 ``ablations``     leave-one-out, epoch/detection/RTO/compression, §VIII
 ``hycor``         HyCoR vs NiLiCon — overhead, recovery and traffic cells
+``fleet``         fleet campaign; containers-per-pair and pool-size sweeps
+``traffic``       L7 SLO campaign; its smoke profiles are the traffic cells
 ``paper``         the paper gate: the artifact registry, cells and clauses
 ================  ==========================================================
 """

@@ -1,4 +1,4 @@
-"""Fleet-scale experiments: the seeded failure campaign and scaling benches.
+"""Fleet-scale experiments: the seeded failure campaign and scaling sweeps.
 
 The campaign is the fleet's end-to-end acceptance run: a 12-member fleet
 over a 6-host pool takes one *sequential* host fail-stop and then two
@@ -8,19 +8,23 @@ write is lost or replayed, no split brain, and two runs with the same seed
 produce byte-identical trace digests (the whole recovery pipeline is
 deterministic).
 
-The benches sweep the two cluster-shape dimensions the pool model makes
+The sweeps cover the two cluster-shape dimensions the pool model makes
 interesting:
 
-* **containers per pair** — many members replicating over one shared
-  10 GbE pair link contend for bandwidth, so per-epoch stop time grows
-  with fleet density on the pair;
-* **pool size** — the same 12 members over more hosts spread the failure
-  blast radius (fewer members per host) without changing re-protect
-  latency, which is controller-bound, not capacity-bound.
+* **containers per pair** (:func:`run_pair_cell`) — many members
+  replicating over one shared 10 GbE pair link contend for bandwidth: the
+  per-epoch stop time stays flat, but request latency grows with fleet
+  density on the pair;
+* **pool size** (:func:`run_pool_cell`) — the same 12 members over more
+  hosts spread the failure blast radius (fewer members per host).
+  Re-protect latency is detection/controller-bound, ~170–240 ms, not
+  capacity-bound.
 
-``python -m repro fleet campaign|bench`` drives both; ``make fleet-smoke``
-runs the reduced CI variant.  The bench report is in the one bench schema
-(:mod:`repro.metrics.benchfile`), gated against ``BENCH_fleet.json``.
+``python -m repro fleet campaign`` runs the campaign; ``make fleet-smoke``
+runs the reduced CI variant.  The sweeps are the ``fleet_pair`` and
+``fleet_pool`` artifacts of the paper gate (:mod:`repro.experiments.paper`),
+which pins every cell exactly in ``BENCH_paper.json`` and states their
+shape as clauses.
 """
 
 from __future__ import annotations
@@ -34,16 +38,19 @@ from repro.fleet.placement import PlacementDecision
 from repro.fleet.pool import HostPool
 from repro.fleet.service import FleetWorkload
 from repro.fleet.spec import FleetSpec
-from repro.metrics import benchfile
 from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
 from repro.sim.trace import install_tracer
 from repro.sim.units import ms, sec
 
 __all__ = [
+    "PAIR_SIZES",
+    "POOL_MEMBERS",
+    "POOL_SIZES",
     "format_campaign",
-    "run_fleet_bench",
     "run_fleet_campaign",
+    "run_pair_cell",
+    "run_pool_cell",
 ]
 
 #: The campaign fleet: 12 replicated members over a 6-host pool.  Ten
@@ -60,7 +67,7 @@ def _ring_decisions(fleet: FleetSpec) -> list[PlacementDecision]:
     members — the concurrent double fail-stop can always pick two hosts
     that no member spans, keeping the campaign 100% survivable by
     construction (the placement *policy* itself is exercised by the unit
-    tests and the pool-size bench, which use it unpinned)."""
+    tests and the pool-size sweep, which use it unpinned)."""
     h = fleet.n_hosts
     return [
         PlacementDecision(name, f"node{i % h}", f"node{(i + 1) % h}")
@@ -276,7 +283,7 @@ def format_campaign(report: dict[str, Any]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Benches                                                                #
+# Scaling sweeps                                                         #
 # --------------------------------------------------------------------- #
 def _run_steady(
     seed: int,
@@ -289,7 +296,7 @@ def _run_steady(
     fail_at_us: int = ms(600),
     touch_pages: int = 1,
 ) -> tuple[FleetMetrics, FleetWorkload, list[str]]:
-    """One bench cell: a fleet run, optionally with one host fail-stop."""
+    """One sweep cell: a fleet run, optionally with one host fail-stop."""
     reset_id_counters()
     world = World(seed=seed)
     pool = HostPool(world, fleet.n_hosts, slots_per_host=fleet.slots_per_host)
@@ -315,116 +322,74 @@ def _run_steady(
     return FleetMetrics.collect(controller), workload, violations
 
 
-#: Sweep sizes; a smoke bench runs the first two cells of each sweep at
-#: full-run parameters, so its cells equal the same cells of a full run.
+#: Sweep sizes: the paper gate's ``fleet_pair`` and ``fleet_pool`` rows.
+#: Its smoke run takes the first two of each at full-run parameters, so
+#: its cells equal the same cells of a full run.
 PAIR_SIZES = (1, 2, 4, 8)
 POOL_SIZES = (4, 6, 8, 12)
 POOL_MEMBERS = 12
 
-#: Per-cell metrics: (field, unit, gate).
-_PAIR_METRICS = (
-    ("mean_stop_us", "us", {}),
-    ("mean_request_latency_us", "us", {"better": "lower"}),
-    ("completed_requests", "requests", {}),
-    ("throughput_rps", "req/s", {"better": "higher"}),
-)
-_POOL_METRICS = (
-    ("members_disturbed", "members", {}),
-    ("failovers", "count", {}),
-    ("reprotects", "count", {}),
-    ("mean_reprotect_latency_us", "us", {"better": "lower"}),
-    ("protected_at_end", "members", {}),
-)
 
+def run_pair_cell(count: int, seed: int = 1) -> dict[str, Any]:
+    """*count* members stacked on ONE host pair.
 
-def run_fleet_bench(seed: int = 1, smoke: bool = False) -> dict[str, Any]:
-    """Both scaling sweeps; the result is what ``BENCH_fleet.json`` holds."""
+    Every member replicates node0 -> node1 over the same pooled 10 GbE
+    link, and every request dirties ~1000 heap pages (~4 MB of state per
+    epoch, ~3 ms of wire time), so transfers queue behind each other on
+    the shared link.  Stop time stays flat — the transfer is off the stop
+    path — but the backup's ack arrives later, so output commit and
+    client-observed request latency climb with fleet density on the pair.
+    """
     run_until_us = sec(2)
-    n_cells = 2 if smoke else None
-    metrics: dict[str, Any] = {}
-    problems: list[str] = []
-
-    # Sweep 1: members stacked on ONE host pair.  Every member replicates
-    # node0 -> node1 over the same pooled 10 GbE link, and every request
-    # dirties ~1000 heap pages (~4 MB of state per epoch, ~3 ms of wire
-    # time), so transfers queue behind each other on the shared link.
-    # Stop time stays flat — the transfer is off the stop path — but the
-    # backup's ack arrives later, so output commit and client-observed
-    # request latency climb with fleet density on the pair.
-    for count in PAIR_SIZES[:n_cells]:
-        fleet = FleetSpec(n_containers=count, n_hosts=2, slots_per_host=8,
-                          heap_pages=1024)
-        decisions = [
-            PlacementDecision(name, "node0", "node1")
-            for name in fleet.member_names()
-        ]
-        fleet_metrics, workload, violations = _run_steady(
-            seed, fleet, decisions,
-            n_requests=25, run_until_us=run_until_us,
-            touch_pages=1000,
-        )
-        latencies = [s.mean_latency_us() for s in workload.stats.values()
-                     if s.completed]
-        cell = {
-            "mean_stop_us": round(fleet_metrics.mean_stop_us(), 1),
-            "mean_request_latency_us": round(
-                sum(latencies) / len(latencies), 1
-            ) if latencies else 0.0,
-            "completed_requests": workload.total_completed(),
-            "throughput_rps": round(
-                workload.total_completed() / (run_until_us / 1e6), 1
-            ),
-        }
-        metrics.update({
-            f"pair{count}.{field}": {"value": cell[field], "unit": unit, **gate}
-            for field, unit, gate in _PAIR_METRICS
-        })
-        problems += [f"pair{count}: {v}" for v in violations]
-
-    # Sweep 2: the same 12-member fleet over growing pools.  One host
-    # fail-stop probes how re-protect latency and blast radius (members
-    # disturbed per host loss) change with pool size.
-    for n_hosts in POOL_SIZES[:n_cells]:
-        fleet = FleetSpec(
-            n_containers=POOL_MEMBERS, n_hosts=n_hosts, slots_per_host=10,
-        )
-        fleet_metrics, workload, violations = _run_steady(
-            seed, fleet, None,
-            n_requests=25, run_until_us=sec(3),
-            fail_host="node0",
-        )
-        cell = {
-            "members_disturbed": sum(
-                1 for m in fleet_metrics.members if m.failovers or m.reprotects
-            ),
-            "failovers": fleet_metrics.total_failovers,
-            "reprotects": fleet_metrics.total_reprotects,
-            "mean_reprotect_latency_us": round(
-                fleet_metrics.mean_reprotect_latency_us(), 1
-            ),
-            "protected_at_end": fleet_metrics.protected_members,
-        }
-        metrics.update({
-            f"hosts{n_hosts}.{field}": {"value": cell[field], "unit": unit, **gate}
-            for field, unit, gate in _POOL_METRICS
-        })
-        problems += [f"hosts{n_hosts}: {v}" for v in violations]
-        if fleet_metrics.dead_members:
-            problems.append(
-                f"hosts{n_hosts}: {fleet_metrics.dead_members} member(s) dead"
-            )
-
+    fleet = FleetSpec(n_containers=count, n_hosts=2, slots_per_host=8,
+                      heap_pages=1024)
+    decisions = [
+        PlacementDecision(name, "node0", "node1")
+        for name in fleet.member_names()
+    ]
+    fleet_metrics, workload, violations = _run_steady(
+        seed, fleet, decisions,
+        n_requests=25, run_until_us=run_until_us,
+        touch_pages=1000,
+    )
+    latencies = [s.mean_latency_us() for s in workload.stats.values()
+                 if s.completed]
     return {
-        "schema": benchfile.SCHEMA,
-        "bench": "fleet",
-        "seed": seed,
-        "smoke": smoke,
-        "ok": not problems,
-        "problems": problems,
-        "metrics": metrics,
-        "info": {
-            "containers_per_pair": list(PAIR_SIZES[:n_cells]),
-            "pool_hosts": list(POOL_SIZES[:n_cells]),
-            "pool_members": POOL_MEMBERS,
-        },
+        "containers": count,
+        "mean_stop_us": round(fleet_metrics.mean_stop_us(), 1),
+        "mean_request_latency_us": round(
+            sum(latencies) / len(latencies), 1
+        ) if latencies else 0.0,
+        "completed_requests": workload.total_completed(),
+        "throughput_rps": round(
+            workload.total_completed() / (run_until_us / 1e6), 1
+        ),
+        "violations": violations,
+    }
+
+
+def run_pool_cell(n_hosts: int, seed: int = 1) -> dict[str, Any]:
+    """The :data:`POOL_MEMBERS`-member fleet over *n_hosts* hosts.  One
+    host fail-stop probes how re-protect latency and blast radius (members
+    disturbed per host loss) change with pool size."""
+    fleet = FleetSpec(
+        n_containers=POOL_MEMBERS, n_hosts=n_hosts, slots_per_host=10,
+    )
+    fleet_metrics, workload, violations = _run_steady(
+        seed, fleet, None,
+        n_requests=25, run_until_us=sec(3),
+        fail_host="node0",
+    )
+    return {
+        "hosts": n_hosts,
+        "members_disturbed": sum(
+            1 for m in fleet_metrics.members if m.failovers or m.reprotects
+        ),
+        "failovers": fleet_metrics.total_failovers,
+        "reprotects": fleet_metrics.total_reprotects,
+        "mean_reprotect_latency_us": round(
+            fleet_metrics.mean_reprotect_latency_us(), 1
+        ),
+        "protected_at_end": fleet_metrics.protected_members,
+        "violations": violations,
     }

@@ -2,17 +2,20 @@
 
 The reproduction targets the paper's *shapes* — who wins in Fig. 3,
 Table I's monotone walk, the §VII-C trends, HyCoR's overhead-vs-recovery
-tradeoff — so those are what this gates.  :data:`ARTIFACTS` is the one
-registry of simulated-result artifacts: each names its title, its table
-and its runner.  ``repro paper bench`` runs every artifact once
-(:func:`run_paper`), prints its tables (:func:`format_paper`) and reports
-its cells in the one bench schema (:mod:`repro.metrics.benchfile`,
-:func:`run_paper_bench`); ``repro paper <artifact>`` prints one table.
+tradeoff, the fleet sweeps' flat stop and shrinking blast radius — so
+those are what this gates.  :data:`ARTIFACTS` is the one registry of
+simulated-result artifacts (the paper's tables and figures, the HyCoR
+comparison, the fleet sweeps and the L7 traffic SLO cells): each names
+its title, its table and its runner.  ``repro paper bench`` runs every
+artifact once (:func:`run_paper`), prints its tables
+(:func:`format_paper`) and reports its cells in the one bench schema
+(:mod:`repro.metrics.benchfile`, :func:`run_paper_bench`); ``repro paper
+<artifact>`` prints one table.
 
 * A cell is named ``<artifact>.<row>.<column>``
-  (``fig3.redis.nilicon_overhead_pct``, ``validation.node.recovery_rate``)
-  and is ``better: "exact"``: simulated results are deterministic, so
-  there is no band to choose.
+  (``fig3.redis.nilicon_overhead_pct``, ``fleet_pool.12.members_disturbed``,
+  ``traffic.failover.p99_us``) and is compared exactly: simulated results
+  are deterministic, so there is no band to choose.
 * :data:`CLAUSES` are the shape claims; :func:`paper_problems` folds the
   failing ones into ``ok``.  A clause runs only when every cell it reads
   is present, and a full report in which one cannot run is a problem.
@@ -20,7 +23,8 @@ its cells in the one bench schema (:mod:`repro.metrics.benchfile`,
   :data:`SMOKE_SUITE`, §VIII, one §VII-A injection on each of
   :data:`SMOKE_VALIDATION` and the HyCoR comparison on
   :data:`repro.experiments.hycor.SMOKE_WORKLOADS` (with all four recovery
-  cells and the traffic cell).  Every cell is its own world behind an
+  cells and the traffic cell), the first two rows of each fleet sweep and
+  every traffic profile.  Every cell is its own world behind an
   identity-counter reset (:func:`repro.experiments.common.open_cell`), so
   smoke cells equal the full run's.  The full run takes §VII-A at
   :data:`VALIDATION_RUNS` injections per workload; ``repro validate
@@ -34,8 +38,8 @@ from functools import cached_property, partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.experiments import (
-    ablations, fig3, hycor, scalability, table1, table2, table3, table4, table5, table6,
-    validation,
+    ablations, fig3, fleet, hycor, scalability, table1, table2, table3, table4, table5, table6,
+    traffic, validation,
 )
 from repro.experiments.common import RunResult, run_overhead
 from repro.metrics import benchfile
@@ -164,6 +168,26 @@ ARTIFACTS: dict[str, Artifact] = {
         "HyCoR — the L7 traffic failover profile under hycor:", "profile",
         "  {profile}: {requests} requests, p99 {p99_us} us, violations {violations}",
         lambda r: [hycor.run_traffic_cell(seed=r.seed)]),
+    "fleet_pair": Artifact(
+        "Fleet — members stacked on one host pair (one shared 10 GbE link):", "containers",
+        "  {containers} member(s): stop {mean_stop_us:7.1f} us  "
+        "latency {mean_request_latency_us:8.1f} us  {completed_requests:>3} requests  "
+        "{throughput_rps:5.1f} req/s  violations {violations}",
+        lambda r: [fleet.run_pair_cell(n, seed=r.seed)
+                   for n in fleet.PAIR_SIZES[:2 if r.smoke else None]]),
+    "fleet_pool": Artifact(
+        f"Fleet — {fleet.POOL_MEMBERS} members over growing pools, one host fail-stop:", "hosts",
+        "  {hosts:>2} hosts: {members_disturbed:>2} disturbed  {failovers} failovers  "
+        "{reprotects} re-protections  re-protect {mean_reprotect_latency_us:8.1f} us  "
+        "{protected_at_end} protected  violations {violations}",
+        lambda r: [fleet.run_pool_cell(n, seed=r.seed)
+                   for n in fleet.POOL_SIZES[:2 if r.smoke else None]]),
+    "traffic": Artifact(
+        "Traffic — L7 SLO campaign (smoke-scale profiles, each replayed):", "profile",
+        "  {profile:<9} p50 {p50_us:>6} us  p99 {p99_us:>6} us  p999 {p999_us:>6} us  "
+        "stall p99 {stall_p99_us:>6} us  {throughput_rps:5.1f} req/s  {requests:>3} requests  "
+        "violations {violations}",
+        lambda r: traffic.run_slo_rows(seed=r.seed)),
 }
 
 #: Row names of the two on/off ablations.
@@ -196,9 +220,10 @@ def format_paper(results: Mapping[str, list]) -> str:
 _UNITS = (
     ("reduction_pct", "pp"), ("_pct", "%"), ("_ms", "ms"), ("_us", "us"), ("_mb", "MB"),
     ("_mb_per_s", "MB/s"), ("_cores", "cores"), ("_dpages", "pages"), ("_dirty", "pages"),
-    ("_share", "ratio"), ("_rate", "ratio"), ("throughput", "ops/s"),
+    ("_share", "ratio"), ("_rate", "ratio"), ("_rps", "req/s"), ("throughput", "ops/s"),
     ("completed", "requests"), ("requests", "requests"), ("errors", "errors"),
-    ("violations", "violations"),
+    ("violations", "violations"), ("_disturbed", "members"), ("_at_end", "members"),
+    ("failovers", "count"), ("reprotects", "count"),
 )
 
 
@@ -232,7 +257,6 @@ def paper_metrics(results: Mapping[str, list]) -> dict[str, dict[str, Any]]:
                 metrics[f"{artifact}.{name}.{column}"] = {
                     "value": round(value, 6) if isinstance(value, float) else value,
                     "unit": next(u for suffix, u in _UNITS if column.endswith(suffix)),
-                    "better": "exact",
                 }
     return metrics
 
@@ -281,6 +305,8 @@ _FIG3_PAPER_CHEAPEST = _ranked(_B, [fig3.PAPER_FIG3[n]["nilicon"] for n in _B])[
 #: The catalog's servers: every workload but the two PARSEC compute ones.
 _HYCOR_SERVERS = tuple(n for n in WORKLOADS if n not in ("swaptions", "streamcluster"))
 _HYCOR_CELLS = tuple(f"{w}/{m}" for w in hycor.RECOVERY_WORKLOADS for m in ("nilicon", "hycor"))
+_POOLS = fleet.POOL_SIZES
+_PROFILES = tuple(scenario.profile.name for scenario in traffic.traffic_profiles(smoke=True))
 
 #: Single-cell bounds (the paper's value in parentheses where it has one).
 _BANDS = {
@@ -463,6 +489,27 @@ CLAUSES: tuple[Clause, ...] = (
              lambda violations: violations == 0, _HYCOR_CELLS),
     *_clause("hycor_traffic.oracles_hold", "hycor_traffic.failover.violations",
              lambda violations: violations == 0),
+    # Fleet: members stacked on one pair queue on its link, so the stop
+    # stays flat (the transfer is off the stop path) while request latency
+    # grows; a larger pool spreads a host loss over fewer members; every
+    # cell re-protects all its members and holds its oracles.
+    *_clause("fleet_pair.stop_flat[{}]", "fleet_pair.{}.mean_stop_us fleet_pair.1.mean_stop_us",
+             lambda stop, alone: abs(stop - alone) <= 0.01 * alone, fleet.PAIR_SIZES[1:]),
+    *_clause("fleet_pair.latency_grows", "fleet_pair.1.mean_request_latency_us "
+             "fleet_pair.8.mean_request_latency_us", lambda alone, eight: eight > 1.2 * alone),
+    *(Clause(f"fleet_pool.blast_radius_shrinks[{few}->{many}]",
+             (f"fleet_pool.{few}.members_disturbed", f"fleet_pool.{many}.members_disturbed"),
+             lambda on_few, on_many: on_many < on_few) for few, many in zip(_POOLS, _POOLS[1:])),
+    *_clause("fleet_pool.all_protected[{}]", "fleet_pool.{}.protected_at_end",
+             lambda protected: protected == fleet.POOL_MEMBERS, _POOLS),
+    *_clause("fleet_pair.oracles_hold[{}]", "fleet_pair.{}.violations",
+             lambda violations: violations == 0, fleet.PAIR_SIZES),
+    *_clause("fleet_pool.oracles_hold[{}]", "fleet_pool.{}.violations",
+             lambda violations: violations == 0, _POOLS),
+    # Traffic: every profile (failover and migration included) holds its
+    # SLO oracles and replays identically.
+    *_clause("traffic.oracles_hold[{}]", "traffic.{}.violations",
+             lambda violations: violations == 0, _PROFILES),
 )
 
 

@@ -1,4 +1,4 @@
-"""Traffic-tier experiments: open-loop SLO campaign and latency bench.
+"""Traffic-tier experiments: the open-loop SLO campaign.
 
 The campaign runs four workload profiles against a proxied fleet, each in
 its own world, each TWICE with the same seed (PR 5's determinism
@@ -21,10 +21,12 @@ Oracles per profile: zero client errors, zero request timeouts, zero
 validation failures, zero proxy drops, every routed request relayed, and
 (scenario profiles) the failover/migration actually happened.
 
-Because the clock is simulated, the bench's latency percentiles are exact
-and replayable — the ``BENCH_traffic.json`` gate (the one bench schema,
-:mod:`repro.metrics.benchfile`) compares them cell for cell and fails CI
-on a p99 regression beyond tolerance, with zero runner noise.
+Because the clock is simulated, every latency percentile is exact and
+replayable.  The smoke campaign is the paper gate's ``traffic`` artifact
+(:func:`run_slo_rows`, :mod:`repro.experiments.paper`): each profile's SLO
+cells are pinned exactly in ``BENCH_paper.json`` as
+``traffic.<profile>.<column>``, and its violations (replay mismatches
+included) must be zero.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.fleet.metrics import FleetMetrics
 from repro.fleet.pool import HostPool
 from repro.fleet.service import FleetWorkload
 from repro.fleet.spec import FleetSpec
-from repro.metrics import benchfile
 from repro.metrics.slo import SloRow, SloTable
 from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
@@ -48,8 +49,9 @@ from repro.traffic.openloop import OpenLoopTraffic, TrafficProfile
 from repro.traffic.proxy import TrafficProxy
 
 __all__ = [
+    "SLO_COLUMNS",
     "format_traffic_campaign",
-    "run_traffic_bench",
+    "run_slo_rows",
     "run_traffic_campaign",
     "traffic_profiles",
 ]
@@ -338,19 +340,22 @@ def run_traffic_campaign(
         )
         table.add(first["row"])
         replay_table.add(second["row"])
-        violations += first["violations"]
+        name = scenario.profile.name
+        profile_violations = list(first["violations"])
         if first["digest"] != second["digest"]:
-            violations.append(
-                f"{scenario.profile.name}: nondeterministic trace "
+            profile_violations.append(
+                f"{name}: nondeterministic trace "
                 f"({first['digest']} != {second['digest']})"
             )
+        if first["row"] != second["row"]:
+            profile_violations.append(f"{name}: SLO row not replay-identical")
         if second["violations"] and not first["violations"]:
-            violations.append(
-                f"{scenario.profile.name}: replay run violated oracles the "
-                f"first run passed"
+            profile_violations.append(
+                f"{name}: replay run violated oracles the first run passed"
             )
+        violations += profile_violations
         profiles.append({
-            "name": scenario.profile.name,
+            "name": name,
             "arrival": scenario.profile.arrival,
             "event": scenario.event,
             "digest": first["digest"],
@@ -359,13 +364,8 @@ def run_traffic_campaign(
             "events": first["events"],
             "client": first["client"],
             "proxy": first["proxy"],
-            "violations": first["violations"],
+            "violations": profile_violations,
         })
-    if table.digest() != replay_table.digest():
-        violations.append(
-            f"SLO table not replay-identical "
-            f"({table.digest()} != {replay_table.digest()})"
-        )
     deterministic = all(
         p["digest"] == p["replay_digest"] for p in profiles
     ) and table.digest() == replay_table.digest()
@@ -426,40 +426,19 @@ def format_traffic_campaign(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- #
-# Bench                                                                  #
-# --------------------------------------------------------------------- #
-#: Per-profile metrics: (field, unit, gate).
-_PROFILE_METRICS = (
-    ("p50_us", "us", {}),
-    ("p99_us", "us", {"better": "lower"}),
-    ("p999_us", "us", {}),
-    ("stall_p99_us", "us", {}),
-    ("throughput_rps", "req/s", {"better": "higher"}),
-    ("requests", "requests", {}),
-)
+#: The SLO columns the paper gate pins per profile.
+SLO_COLUMNS = ("p50_us", "p99_us", "p999_us", "stall_p99_us", "throughput_rps", "requests")
 
 
-def run_traffic_bench(seed: int = 1) -> dict[str, Any]:
-    """Smoke-scale SLO cells for the checked-in BENCH_traffic.json.
-
-    Simulated time makes every percentile exact and replayable, so the
-    gate compares cells directly — any drift is a real model change, not
-    runner noise."""
+def run_slo_rows(seed: int = 1) -> list[dict[str, Any]]:
+    """The smoke campaign as the paper gate's ``traffic`` rows: each
+    profile's :data:`SLO_COLUMNS` and its violations, replay mismatches
+    included."""
     report = run_traffic_campaign(seed=seed, smoke=True)
-    return {
-        "schema": benchfile.SCHEMA,
-        "bench": "traffic",
-        "seed": seed,
-        "smoke": False,
-        "ok": report["ok"],
-        "problems": report["violations"],
-        "metrics": {
-            f"{row['workload']}.{field}": {
-                "value": row[field], "unit": unit, **gate,
-            }
-            for row in report["slo"]["rows"]
-            for field, unit, gate in _PROFILE_METRICS
-        },
-        "info": {"slo_digest": report["slo_digest"]},
-    }
+    slo = {row["workload"]: row for row in report["slo"]["rows"]}
+    return [
+        {"profile": profile["name"],
+         **{column: slo[profile["name"]][column] for column in SLO_COLUMNS},
+         "violations": profile["violations"]}
+        for profile in report["profiles"]
+    ]

@@ -159,7 +159,7 @@ def test_engine_report_passes_its_own_gate():
     report = _engine_report(_measured())
     assert report["ok"], report["problems"]
     assert report["metrics"]["net.engine.events"] == {
-        "value": 2505, "unit": "count", "better": "exact",
+        "value": 2505, "unit": "count",
     }
     # One metric per one-dot counter; the per-kind breakdown stays out.
     assert sorted(report["metrics"]) == [

@@ -1,13 +1,13 @@
-"""The fleet acceptance campaign and scaling benches (smoke variants)."""
+"""The fleet acceptance campaign and scaling sweeps (smoke variants)."""
 
 from pathlib import Path
 
 from repro.experiments.fleet import (
     _survivable_victims,
     format_campaign,
-    run_fleet_bench,
     run_fleet_campaign,
 )
+from repro.experiments.paper import paper_metrics, paper_problems, run_paper
 from repro.metrics import benchfile
 
 
@@ -49,21 +49,21 @@ def test_campaign_digest_tracks_fleet_shape():
 
 
 def test_smoke_bench_shapes_and_oracles():
-    report = run_fleet_bench(seed=1, smoke=True)
-    assert report["ok"], report["problems"]
-    metrics = report["metrics"]
-    assert {name.split(".")[0] for name in metrics} == {
-        "pair1", "pair2", "hosts4", "hosts6",
+    results = run_paper(smoke=True, names=["fleet_pair", "fleet_pool"])
+    metrics = paper_metrics(results)
+    assert paper_problems(metrics, smoke=True) == []
+    assert {name.rsplit(".", 1)[0] for name in metrics} == {
+        "fleet_pair.1", "fleet_pair.2", "fleet_pool.4", "fleet_pool.6",
     }
     for hosts in (4, 6):
-        assert metrics[f"hosts{hosts}.failovers"]["value"] >= 1
+        assert metrics[f"fleet_pool.{hosts}.failovers"]["value"] >= 1
         # Smoke runs full-size pool cells: all 12 members re-protected.
-        assert metrics[f"hosts{hosts}.protected_at_end"]["value"] == 12
-    assert "req/s" in benchfile.format(report)
+        assert metrics[f"fleet_pool.{hosts}.protected_at_end"]["value"] == 12
+    assert metrics["fleet_pair.2.throughput_rps"]["unit"] == "req/s"
     # Smoke cells run at full-run parameters, so they equal the same
-    # cells of the checked-in full bench exactly.
+    # cells of the checked-in full paper bench exactly.
     pinned = benchfile.load(
-        Path(__file__).resolve().parents[2] / "BENCH_fleet.json"
+        Path(__file__).resolve().parents[2] / "BENCH_paper.json"
     )
     assert metrics == {name: pinned["metrics"][name] for name in metrics}
 

@@ -53,10 +53,10 @@ def test_bench_json_roundtrip(tmp_path):
         "problems": [],
         "metrics": {
             "hycor.net-echo.reduction_pct": {
-                "value": 30.29, "unit": "pp", "better": "exact",
+                "value": 30.29, "unit": "pp",
             },
             "hycor_recovery.redis/hycor.replay_us": {
-                "value": 16_500, "unit": "us", "better": "exact",
+                "value": 16_500, "unit": "us",
             },
         },
         "info": {"clauses_run": 2},

@@ -30,8 +30,8 @@ def test_checked_in_report_holds_every_clause(metrics):
     assert benchfile.load(BENCH)["ok"]
     assert paper_problems(metrics, smoke=False) == []
     assert runnable_clauses(metrics)[1] == []
-    assert {m["better"] for m in metrics.values()} == {"exact"}
-    assert {"fig3.redis.nilicon_overhead_pct", "validation.node.recovery_rate"} <= set(metrics)
+    assert {"fig3.redis.nilicon_overhead_pct", "validation.node.recovery_rate",
+            "fleet_pool.12.members_disturbed", "traffic.failover.p99_us"} <= set(metrics)
     assert len({clause.name for clause in CLAUSES}) == len(CLAUSES)
 
 
@@ -61,6 +61,10 @@ MUTATIONS = {
     "recovery-violation": ("hycor_recovery.redis/hycor.violations", 1,
                            "hycor_recovery.oracles_hold[redis/hycor]"),
     "broken-traffic": ("hycor_traffic.failover.violations", 3, "hycor_traffic.oracles_hold"),
+    "fleet_pool": ("fleet_pool.6.members_disturbed", "fleet_pool.4.members_disturbed",
+                   "fleet_pool.blast_radius_shrinks[4->6]"),
+    "fleet_pair": ("fleet_pair.4.mean_stop_us", 1.05 * 8254.2, "fleet_pair.stop_flat[4]"),
+    "traffic": ("traffic.migration.violations", 1, "traffic.oracles_hold[migration]"),
 }
 
 
@@ -77,7 +81,8 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
     rows = {"table1": None, "table2": None, "related": None, "fig3": SMOKE_SUITE,
             "table3": SMOKE_SUITE, "table4": SMOKE_SUITE, "table5": SMOKE_SUITE,
             "validation": SMOKE_VALIDATION, "hycor": SMOKE_WORKLOADS,
-            "hycor_recovery": None, "hycor_traffic": None}
+            "hycor_recovery": None, "hycor_traffic": None,
+            "fleet_pair": ("1", "2"), "fleet_pool": ("4", "6"), "traffic": None}
 
     def kept(name):
         artifact, row, _ = name.split(".")
@@ -92,10 +97,13 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
             "fig3.nilicon_wins[ssdb]", "validation.full_recovery[net-echo]",
             "related.colo_answers_3x_faster", "hycor.log_commit_never_loses[redis]",
             "hycor_recovery.replay_costs_recovery[net]",
-            "hycor_traffic.oracles_hold"} <= {c.name for c in runnable}
+            "hycor_traffic.oracles_hold", "fleet_pair.stop_flat[2]",
+            "fleet_pool.blast_radius_shrinks[4->6]", "fleet_pool.all_protected[6]",
+            "traffic.oracles_hold[failover]"} <= {c.name for c in runnable}
     assert {"fig3.nilicon_wins[redis]", "fig3.stop_dominates", "table3.node_longest_stop",
             "table6.redis.stock_ms in (None, 10)", "validation.full_recovery[node]",
-            "threads.overhead_grows", "hycor.log_commit_wins_over_10"} <= {
+            "threads.overhead_grows", "hycor.log_commit_wins_over_10",
+            "fleet_pair.latency_grows", "fleet_pool.blast_radius_shrinks[6->8]"} <= {
         c.name for c in skipped}
     assert paper_problems(smoke, smoke=True) == []
     as_full = paper_problems(smoke, smoke=False)

@@ -1,8 +1,8 @@
-"""The one bench schema: its loader, its regression gate and its printer.
+"""The one bench schema: its loader, its exact regression gate and its printer.
 
-Every case the three per-bench gates (engine, traffic, hycor) used to
-test is one input of :func:`test_check`; every checked-in BENCH file must
-load, hold its own checks and gate clean against itself.
+Every case of the gate is one input of :func:`test_check`; every
+checked-in BENCH file must load, hold its own checks and gate clean
+against itself.
 """
 
 import json
@@ -14,22 +14,22 @@ from repro.metrics import benchfile
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: Unit and gate of every metric the cases use.
-SPECS = {
-    "net.events_per_sec": ("events/s", {"better": "higher"}),
-    "zz_new.events_per_sec": ("events/s", {"better": "higher"}),
-    "steady.p99_us": ("us", {"better": "lower"}),
-    "steady.throughput_rps": ("req/s", {"better": "higher"}),
-    "novel.p99_us": ("us", {"better": "lower"}),
-    "novel.throughput_rps": ("req/s", {"better": "higher"}),
-    "net-echo.hycor_overhead_pct": ("%", {"better": "lower"}),
-    "net-echo.reduction_pct": ("pp", {"better": "higher"}),
-    "novel.hycor_overhead_pct": ("%", {"better": "lower"}),
-    "novel.reduction_pct": ("pp", {"better": "higher"}),
-    "redis/hycor.total_us": ("us", {"better": "lower"}),
-    "streamcluster.engine.events": ("count", {"better": "exact"}),
-    "redis/hycor.replay_us": ("us", {}),
-    "novel/hycor.total_us": ("us", {"better": "lower"}),
+#: Unit of every metric the cases use.
+UNITS = {
+    "net.engine.events": "count",
+    "zz_new.engine.events": "count",
+    "traffic.steady.p99_us": "us",
+    "traffic.steady.throughput_rps": "req/s",
+    "traffic.novel.p99_us": "us",
+    "traffic.novel.throughput_rps": "req/s",
+    "hycor.net-echo.hycor_overhead_pct": "%",
+    "hycor.net-echo.reduction_pct": "pp",
+    "hycor.novel.hycor_overhead_pct": "%",
+    "hycor.novel.reduction_pct": "pp",
+    "hycor_recovery.redis/hycor.total_us": "us",
+    "hycor_recovery.redis/hycor.replay_us": "us",
+    "hycor_recovery.novel/hycor.total_us": "us",
+    "streamcluster.engine.events": "count",
 }
 
 
@@ -42,21 +42,20 @@ def _report(values, ok=True, seed=1, smoke=False):
         "ok": ok,
         "problems": [] if ok else ["an oracle failed"],
         "metrics": {
-            name: {"value": value, "unit": SPECS[name][0], **SPECS[name][1]}
+            name: {"value": value, "unit": UNITS[name]}
             for name, value in values.items()
         },
         "info": {},
     }
 
 
-ENGINE = {"net.events_per_sec": 40_000}
-TRAFFIC = {"steady.p99_us": 40_000, "steady.throughput_rps": 150.0}
-TRAFFIC_GOOD = {"steady.p99_us": 44_000, "steady.throughput_rps": 140.0}
+ENGINE = {"net.engine.events": 2505}
+TRAFFIC = {"traffic.steady.p99_us": 43_882, "traffic.steady.throughput_rps": 177.5}
 HYCOR = {
-    "net-echo.hycor_overhead_pct": 66.0,
-    "net-echo.reduction_pct": 30.0,
-    "redis/hycor.total_us": 284_000,
-    "redis/hycor.replay_us": 16_500,
+    "hycor.net-echo.hycor_overhead_pct": 66.0,
+    "hycor.net-echo.reduction_pct": 30.0,
+    "hycor_recovery.redis/hycor.total_us": 284_000,
+    "hycor_recovery.redis/hycor.replay_us": 16_500,
 }
 
 WORK = {"streamcluster.engine.events": 12_401}
@@ -64,56 +63,50 @@ NOT_OK = {"ok": False}
 
 #: (id, baseline values, current values, the current report's other
 #: fields, the one problem's substring — None when the gate must pass).
+#: Every metric is compared exactly, whichever way it moves.
 CASES = [
-    ("engine-within-tolerance", ENGINE, {"net.events_per_sec": 33_000},
-     {}, None),
-    ("engine-throughput-drop", ENGINE, {"net.events_per_sec": 10_000},
-     {}, "net.events_per_sec"),
-    ("engine-new-workload-skipped", {"net.events_per_sec": 10_000},
-     {"net.events_per_sec": 10_000, "zz_new.events_per_sec": 1}, {}, None),
-    # A deterministic work counter has no band: any change fails.
+    ("engine-throughput-drop", ENGINE, {"net.engine.events": 2504},
+     {}, "net.engine.events"),
+    ("engine-new-workload-skipped", ENGINE,
+     {**ENGINE, "zz_new.engine.events": 1}, {}, None),
     ("exact-equal", WORK, WORK, {}, None),
     ("exact-one-more", WORK, {"streamcluster.engine.events": 12_402},
      {}, "streamcluster.engine.events"),
     ("exact-one-fewer", WORK, {"streamcluster.engine.events": 12_400},
      {}, "streamcluster.engine.events"),
-    # Any seeded metric from another seed means nothing, in range or not.
+    # Any seeded metric from another seed means nothing, equal or not.
     ("seed-differs", WORK, WORK, {"seed": 2}, "seed 2"),
-    ("traffic-within-tolerance", TRAFFIC, TRAFFIC_GOOD, {}, None),
-    ("traffic-p99-rise", TRAFFIC,
-     {"steady.p99_us": 50_000, "steady.throughput_rps": 150.0},
-     {}, "steady.p99_us"),
+    ("traffic-p99-rise", TRAFFIC, {**TRAFFIC, "traffic.steady.p99_us": 43_883},
+     {}, "traffic.steady.p99_us"),
     ("traffic-throughput-drop", TRAFFIC,
-     {"steady.p99_us": 40_000, "steady.throughput_rps": 100.0},
-     {}, "steady.throughput_rps"),
+     {**TRAFFIC, "traffic.steady.throughput_rps": 177.0},
+     {}, "traffic.steady.throughput_rps"),
     ("traffic-new-profile-skipped", TRAFFIC,
-     {**TRAFFIC, "novel.p99_us": 1, "novel.throughput_rps": 1.0}, {}, None),
-    ("traffic-current-not-ok", TRAFFIC, TRAFFIC_GOOD, NOT_OK,
+     {**TRAFFIC, "traffic.novel.p99_us": 1, "traffic.novel.throughput_rps": 1.0},
+     {}, None),
+    ("traffic-current-not-ok", TRAFFIC, TRAFFIC, NOT_OK,
      "failed its own checks"),
-    # A full run that drops a gated metric fails; a smoke run runs a subset.
-    ("full-run-missing-metric", TRAFFIC, {"steady.p99_us": 40_000}, {},
-     "steady.throughput_rps"),
-    ("smoke-run-missing-metric-skipped", TRAFFIC, {"steady.p99_us": 40_000},
-     {"smoke": True}, None),
+    # A full run that drops a metric fails; a smoke run runs a subset.
+    ("full-run-missing-metric", TRAFFIC, {"traffic.steady.p99_us": 43_882}, {},
+     "traffic.steady.throughput_rps"),
+    ("smoke-run-missing-metric-skipped", TRAFFIC,
+     {"traffic.steady.p99_us": 43_882}, {"smoke": True}, None),
     ("hycor-identical", HYCOR, HYCOR, {}, None),
+    # A move in the "better" direction fails as surely as one in the worse.
     ("hycor-overhead-rise", HYCOR,
-     {**HYCOR, "net-echo.hycor_overhead_pct": 90.0},
-     {}, "net-echo.hycor_overhead_pct"),
+     {**HYCOR, "hycor.net-echo.hycor_overhead_pct": 65.0},
+     {}, "hycor.net-echo.hycor_overhead_pct"),
     ("hycor-reduction-shrink", HYCOR,
-     {**HYCOR, "net-echo.reduction_pct": 5.0},
-     {}, "net-echo.reduction_pct"),
+     {**HYCOR, "hycor.net-echo.reduction_pct": 31.0},
+     {}, "hycor.net-echo.reduction_pct"),
     ("hycor-recovery-rise", HYCOR,
-     {**HYCOR, "redis/hycor.total_us": 500_000},
-     {}, "redis/hycor.total_us"),
+     {**HYCOR, "hycor_recovery.redis/hycor.total_us": 284_001},
+     {}, "hycor_recovery.redis/hycor.total_us"),
     ("hycor-new-cells-skipped", HYCOR,
-     {**HYCOR, "novel.hycor_overhead_pct": 99.0,
-      "novel.reduction_pct": -98.0, "novel/hycor.total_us": 10**9},
+     {**HYCOR, "hycor.novel.hycor_overhead_pct": 99.0,
+      "hycor.novel.reduction_pct": -98.0, "hycor_recovery.novel/hycor.total_us": 10**9},
      {}, None),
     ("hycor-current-not-ok", HYCOR, HYCOR, NOT_OK, "failed its own checks"),
-    ("hycor-drift-within-band", HYCOR,
-     {**HYCOR, "net-echo.hycor_overhead_pct": 67.5,
-      "redis/hycor.total_us": 300_000},
-     {}, None),
 ]
 
 
@@ -138,10 +131,11 @@ def test_check(baseline, current, fields, expected):
         ({"schema": benchfile.SCHEMA,
           "metrics": {"net.events_per_sec": {"unit": "events/s"}}},
          "has no value"),
+        # A v2 metric's direction has no place in a v3 file.
         ({"schema": benchfile.SCHEMA,
           "metrics": {"net.events_per_sec": {"value": 1, "unit": "events/s",
-                                             "better": "up"}}},
-         "unknown direction"),
+                                             "better": "higher"}}},
+         r"has keys \['better', 'unit', 'value'\]"),
     ],
     ids=["unknown-schema", "metric-without-value", "unknown-direction"],
 )
@@ -160,7 +154,7 @@ def test_checked_in_file_loads_and_gates_clean(path):
     report = benchfile.load(path)
     assert path.name == f"BENCH_{report['bench']}.json"
     assert report["ok"], report["problems"]
-    assert any("better" in m for m in report["metrics"].values())
+    assert report["metrics"]
     assert benchfile.check(report, report) == []
 
 
@@ -168,7 +162,6 @@ def test_format_prints_one_row_per_metric():
     text = benchfile.format(_report(TRAFFIC, ok=False))
     assert "FAILED" in text
     assert "problem: an oracle failed" in text
-    for name in TRAFFIC:
-        unit, gate = SPECS[name]
+    for name, value in TRAFFIC.items():
         row = next(line for line in text.splitlines() if name in line)
-        assert unit in row and gate["better"] in row
+        assert row.split() == [name, str(value), UNITS[name]]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import importlib
+import json
 
 import pytest
 
@@ -200,15 +201,13 @@ def _bench_args(**kwargs):
                                  **kwargs})
 
 
-def _bench_report(events_per_sec, ok=True):
+def _bench_report(events, ok=True):
     from repro.metrics import benchfile
 
     return {
         "schema": benchfile.SCHEMA, "bench": "engine", "seed": 1,
         "smoke": True, "ok": ok, "problems": [] if ok else ["diverged"],
-        "metrics": {"net.events_per_sec": {
-            "value": events_per_sec, "unit": "events/s", "better": "higher",
-        }},
+        "metrics": {"net.engine.events": {"value": events, "unit": "count"}},
         "info": {},
     }
 
@@ -217,20 +216,22 @@ def test_run_bench_exit_codes(tmp_path, capsys):
     from repro.cli import _run_bench
 
     pinned = tmp_path / "BENCH_engine.json"
-    assert _run_bench(_bench_report(40_000), _bench_args(out=str(pinned))) == 0
-    assert _run_bench(_bench_report(35_000), _bench_args(check=str(pinned))) == 0
-    assert "within tolerance" in capsys.readouterr().out
-    assert _run_bench(_bench_report(10_000), _bench_args(check=str(pinned))) == 1
-    assert _run_bench(_bench_report(40_000, ok=False), _bench_args()) == 1
-    stale = tmp_path / "BENCH_v1.json"
-    stale.write_text('{"schema": "repro.bench.engine/v1"}', encoding="utf-8")
-    assert _run_bench(_bench_report(40_000), _bench_args(check=str(stale))) == 2
+    assert _run_bench(_bench_report(2505), _bench_args(out=str(pinned))) == 0
+    assert _run_bench(_bench_report(2505), _bench_args(check=str(pinned))) == 0
+    assert "matches" in capsys.readouterr().out
+    assert _run_bench(_bench_report(2506), _bench_args(check=str(pinned))) == 1
+    assert _run_bench(_bench_report(2505, ok=False), _bench_args()) == 1
     assert "REGRESSION" in capsys.readouterr().err
-
-
-def test_fleet_bench_smoke_gates_against_checked_in_file(capsys):
-    from pathlib import Path
-
-    pinned = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
-    assert main(["fleet", "bench", "--smoke", "--check", str(pinned)]) == 0
-    assert "within tolerance" in capsys.readouterr().out
+    # A v1 file and a banded v2 file are both stale: neither is read.
+    stale_v1 = tmp_path / "BENCH_v1.json"
+    stale_v1.write_text('{"schema": "repro.bench.engine/v1"}', encoding="utf-8")
+    stale_v2 = tmp_path / "BENCH_v2.json"
+    stale_v2.write_text(json.dumps({
+        "schema": "repro.bench/v2", "bench": "engine", "seed": 1,
+        "smoke": False, "ok": True, "problems": [], "info": {},
+        "metrics": {"net.engine.events": {
+            "value": 2505, "unit": "count", "better": "exact"}},
+    }), encoding="utf-8")
+    for stale in (stale_v1, stale_v2):
+        assert _run_bench(_bench_report(2505), _bench_args(check=str(stale))) == 2
+        assert "cannot read" in capsys.readouterr().err

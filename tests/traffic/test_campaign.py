@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from repro.experiments.traffic import (
+    SLO_COLUMNS,
     SMOKE_FLEET,
     _run_scenario_once,
     run_traffic_campaign,
@@ -81,10 +82,14 @@ def test_smoke_campaign_green_and_deterministic():
     assert report["ok"], report["violations"]
     assert report["deterministic"]
     assert report["slo_digest"] == report["replay_slo_digest"]
-    # Pinned, not just self-consistent: BENCH_traffic.json records this
-    # same seed-1 smoke campaign, so any shift in simulated SLOs fails here.
-    pinned = benchfile.load(ROOT / "BENCH_traffic.json")
-    assert report["slo_digest"] == pinned["info"]["slo_digest"]
+    # Pinned, not just self-consistent: BENCH_paper.json's traffic.* cells
+    # record this same seed-1 smoke campaign, so any shift in simulated
+    # SLOs fails here.
+    pinned = benchfile.load(ROOT / "BENCH_paper.json")["metrics"]
+    for row in report["slo"]["rows"]:
+        for column in SLO_COLUMNS:
+            cell = pinned[f"traffic.{row['workload']}.{column}"]
+            assert row[column] == cell["value"], (row["workload"], column)
     assert {p["name"] for p in report["profiles"]} == {
         "steady", "bursty", "failover", "migration",
     }
