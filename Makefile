@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit perf-bench analyze golden-regen validate faultcampaign faultcampaign-smoke fleet fleet-smoke traffic examples clean
+.PHONY: install test lint audit perf-bench analyze golden-regen validate fleet traffic examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -38,26 +38,14 @@ golden-regen:
 validate:
 	$(PYTHON) -m repro validate --runs 5
 
-# Phase-aware fault campaign: every scenario x 2 workloads x 5 seeds (slow).
-faultcampaign:
-	PYTHONPATH=src $(PYTHON) -m repro faultcampaign
-
-# CI subset: every scenario (and thus every injection point) x net-echo x 3 seeds.
-faultcampaign-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro faultcampaign --smoke
-
-# Fleet orchestration: every controller-fault scenario, then the full
-# acceptance campaign (12 members / 6 hosts, sequential + concurrent host
-# loss, replayed twice for digest determinism).  The scaling sweeps are
-# the fleet_pair/fleet_pool artifacts of `repro paper bench`.
+# Fleet orchestration: the full acceptance campaign (12 members / 6
+# hosts, sequential + concurrent host loss, replayed twice for digest
+# determinism).  The fault catalogs (pair phase matrix and fleet
+# scenarios) run in the `ftcov record` step of `make analyze`, the
+# scaling sweeps are the fleet_pair/fleet_pool artifacts of
+# `repro paper bench`, and tier-1 runs the reduced campaign.
 fleet:
-	PYTHONPATH=src $(PYTHON) -m repro fleet scenario
 	PYTHONPATH=src $(PYTHON) -m repro fleet campaign
-
-# CI subset: all scenarios + the reduced campaign.
-fleet-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fleet scenario
-	PYTHONPATH=src $(PYTHON) -m repro fleet campaign --smoke
 
 # L7 traffic tier: full-scale open-loop SLO campaign (>=1000 concurrent
 # sessions, each profile replayed twice for digest determinism).  The

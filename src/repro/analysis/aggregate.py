@@ -64,10 +64,9 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("ftcov",
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json")),
-    ("ftcov", ("ftcov", "record", "--json-out", "coverage-matrix.json"),
+    ("ftcov",
+     ("ftcov", "record", "--smoke", "--json-out", "coverage-matrix.json"),
      ("ftcov", "record", "--json-out", "coverage-matrix.json")),
-    ("ftcov", ("ftcov", "record", "--knob", "drop-scenario"),
-     ("ftcov", "record", "--knob", "drop-scenario")),
     ("paper", ("paper", "bench", "--smoke", "--check", "BENCH_paper.json"),
      ("paper", "bench", "--check", "BENCH_paper.json")),
 )

@@ -25,7 +25,8 @@ Three layers:
   matching the ``nd:`` / ``hot:`` / ``ckpt:`` families).
 * **Layer 1½ — selfcheck.**  The report's ``problems`` reject unknown
   vocabulary, annotations attached to no inventoried site, unaccounted
-  sites, ``fault_point()`` names missing from the registry, dynamic
+  sites, ``fault_point()`` names missing from the registry, registered
+  points with no ``fault_point()`` site, dynamic
   (non-literal) point names or state targets, ``_set_state`` targets no
   declared edge reaches, edges naming unknown states, and ``backlog``
   annotations that do not name the missing scenario (``scenario:`` in
@@ -167,12 +168,15 @@ class FtInventory(SiteInventory):
 
     def site_problems(self) -> list[str]:
         """Layer 1½: every site has a class (automatic or annotated), every
-        ``fault_point()`` name is registered, every ``_set_state`` target
+        ``fault_point()`` name is registered and every registered point has
+        a ``fault_point()`` site, every ``_set_state`` target
         is reached by a declared edge, every declared edge connects known
         states, and every ``backlog`` annotation names its missing
         scenario."""
         problems: list[str] = []
         to_states = {edge.split("->", 1)[1] for edge in self.declared_edges}
+        hooked = {site.name for site in self.sites
+                  if site.kind == "point-site"}
         for site in self.sites:
             if site.site_class is None:
                 problems.append(
@@ -185,7 +189,13 @@ class FtInventory(SiteInventory):
                 problems.append(
                     f"{site.path}:{site.line}: fault_point('{site.name}') is "
                     f"not in the points.py registry — scenarios cannot arm "
-                    f"it and verify_hook_coverage would reject it"
+                    f"it"
+                )
+            if site.kind == "point" and site.name not in hooked:
+                problems.append(
+                    f"{site.path}:{site.line}: registered fault point "
+                    f"'{site.name}' has no fault_point() site — no scenario "
+                    f"can fire it; add the hook or delete the registry entry"
                 )
             if site.kind == "setstate" and to_states and (
                 site.name not in to_states

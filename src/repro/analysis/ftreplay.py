@@ -15,10 +15,12 @@ the same zero-cost discipline as the engine's observer slot.  The recorder only 
 simulated time and no trace events, so armed runs keep their golden
 digests.
 
-:func:`run_ftcov_record` drives the full catalogs — every pair-level
-fault-injection scenario, every fleet scenario, and the traffic
-failover/migration profiles — under one shared recorder, then
-cross-references the merged counters against the static inventory:
+:func:`run_ftcov_record` is the one driver of the scenario catalogs —
+every pair-level fault-injection scenario over the campaign's workloads
+and seeds, every fleet scenario at both fleet seeds, and the traffic
+failover/migration profiles.  Each cell runs in its own world under its
+own recorder; the merged counters are cross-referenced against the
+static inventory:
 
 * every registered fault point must be **reached** (the hook executed)
   and **fired** (some scenario's rule triggered there);
@@ -33,36 +35,29 @@ ROADMAP "scenario diversity" item asks for.  The coverage matrix digest
 is a CRC32 over the sorted counters (:func:`~repro.sim.profiler.
 counter_digest`), so two same-catalog runs must agree bit-for-bit.
 
-The ``drop-scenario`` knob (``UNSAFE_DROP_SCENARIO``) silently removes
-the only scenario arming ``backup.mid_commit`` from the pair catalog;
-the knob run *passes* only if the crossref reports exactly that fired
-gap — the dynamic witness paired with the FTC002 baseline entry.
+The drop-scenario probe (``UNSAFE_DROP_SCENARIO``) needs no second run:
+the merged counters of every run but that scenario's are the catalog
+without it, and their crossref must add exactly the seeded
+``point-unfired`` gap — the dynamic witness paired with the FTC002
+baseline entry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.sim.profiler import counter_digest
 
 __all__ = [
-    "FTCOV_KNOBS",
+    "CatalogCell",
     "FtcovRecorder",
+    "catalog_cells",
     "crossref_coverage",
     "format_report",
+    "merge_counters",
+    "probe_drop_scenario",
     "run_ftcov_record",
 ]
-
-#: Knob name -> what the seeded gap must look like.
-FTCOV_KNOBS = ("drop-scenario",)
-
-#: Campaign constants: one deterministic cell per pair scenario (the
-#: campaign's own first seed and workload), the fleet default seed, the
-#: traffic default seed.
-_PAIR_WORKLOAD = "net-echo"
-_PAIR_SEED = 101
-_FLEET_SEED = 7
-_TRAFFIC_SEED = 1
 
 
 class FtcovRecorder:
@@ -98,19 +93,13 @@ class FtcovRecorder:
 
 def crossref_coverage(
     counters: Mapping[str, int],
-    inventory: Any = None,
+    inventory: Any,
 ) -> dict[str, Any]:
     """Cross-reference recorded *counters* against the L1 inventory.
 
-    Pure on its inputs (the inventory is built fresh only when not
-    passed), so the gap logic is unit-testable on synthetic counters.
+    Pure on its inputs, so the gap logic is unit-testable on synthetic
+    counters and inventories.
     """
-    if inventory is None:
-        from repro.analysis.ftcov import FTCOV_SCOPE, build_ft_inventory
-        from repro.analysis.inventory import load_sources
-
-        inventory = build_ft_inventory(load_sources(FTCOV_SCOPE))
-
     gaps: list[str] = []
     missing_scenarios: list[dict[str, str]] = []
     points: dict[str, dict[str, int]] = {}
@@ -195,135 +184,149 @@ def crossref_coverage(
     }
 
 
-def _pair_point_names() -> set[str]:
-    from repro.faultinject.points import FAULT_POINTS, FLEET_FAULT_POINTS
-
-    return set(FAULT_POINTS) - set(FLEET_FAULT_POINTS)
-
-
 # --------------------------------------------------------------------- #
-# The catalog runner                                                     #
+# The catalog pass                                                       #
 # --------------------------------------------------------------------- #
+
+
+class CatalogCell(NamedTuple):
+    """One run of the record pass: a pair scenario on a server workload,
+    a fleet scenario, or the traffic profile carrying event *name*."""
+
+    kind: str
+    name: str
+    seed: int
+    workload: str | None = None
+
+
+#: Every fleet scenario runs at each of these seeds; both event-carrying
+#: traffic profiles run at ``_TRAFFIC_SEED``.
+FLEET_SEEDS = (1, 7)
+TRAFFIC_EVENTS = ("failover", "migration")
+_TRAFFIC_SEED = 1
+
+
+def catalog_cells(smoke: bool = False) -> list[CatalogCell]:
+    """Every cell of the record pass, in run order.
+
+    Pair cells sweep every scenario over ``CAMPAIGN_WORKLOADS x
+    CAMPAIGN_SEEDS``; ``smoke`` shrinks that to net-echo x the first three
+    seeds, still every scenario and so every pair fault point.  The fleet
+    and traffic cells are the same in both.
+    """
+    from repro.experiments.faultcampaign import (
+        CAMPAIGN_SEEDS,
+        CAMPAIGN_WORKLOADS,
+    )
+    from repro.faultinject.scenarios import SCENARIOS
+    from repro.fleet.scenarios import FLEET_SCENARIOS
+
+    workloads = CAMPAIGN_WORKLOADS[:1] if smoke else CAMPAIGN_WORKLOADS
+    seeds = CAMPAIGN_SEEDS[:3] if smoke else CAMPAIGN_SEEDS
+    return (
+        [CatalogCell("pair", name, seed, workload)
+         for name in SCENARIOS for workload in workloads for seed in seeds]
+        + [CatalogCell("fleet", name, seed)
+           for name in FLEET_SCENARIOS for seed in FLEET_SEEDS]
+        + [CatalogCell("traffic", event, _TRAFFIC_SEED)
+           for event in TRAFFIC_EVENTS]
+    )
+
+
+def _run_cell(cell: CatalogCell, instrument: Any) -> list[str]:
+    """Run *cell* in its own world; return its oracles' violations."""
+    if cell.kind == "pair":
+        from repro.experiments.faultcampaign import run_phase_injection
+
+        return run_phase_injection(cell.workload, cell.name, cell.seed,
+                                   instrument=instrument).violations
+    if cell.kind == "fleet":
+        from repro.fleet.scenarios import run_fleet_scenario
+
+        return run_fleet_scenario(cell.name, seed=cell.seed,
+                                  instrument=instrument).violations
+    from repro.experiments.traffic import run_traffic_event
+
+    return list(run_traffic_event(cell.name, seed=cell.seed,
+                                  instrument=instrument)["violations"])
+
+
+def merge_counters(runs: Iterable[Mapping[str, Any]]) -> dict[str, int]:
+    """The sum of the *runs*' per-cell counters, sorted by key."""
+    merged: dict[str, int] = {}
+    for run in runs:
+        for key, count in run["counters"].items():
+            merged[key] = merged.get(key, 0) + count
+    return dict(sorted(merged.items()))
+
+
+def probe_drop_scenario(
+    runs: Iterable[Mapping[str, Any]],
+    gaps: Iterable[str],
+    inventory: Any,
+) -> dict[str, Any]:
+    """The drop-scenario probe, derived from runs already made.
+
+    Every cell has its own recorder, so the catalog without
+    ``UNSAFE_DROP_SCENARIO`` has exactly the merged counters of the other
+    runs.  Their crossref must add one gap to *gaps* — the seeded
+    ``point-unfired`` of the point only that scenario arms — and no
+    other; a second scenario arming the point hides it (``MISSING``).
+    """
+    from repro.faultinject.scenarios import UNSAFE_DROP_SCENARIO
+
+    kept = merge_counters(
+        run for run in runs
+        if (run["kind"], run["name"]) != ("pair", UNSAFE_DROP_SCENARIO)
+    )
+    expected = f"point-unfired:{UNSAFE_DROP_SCENARIO.split('@', 1)[1]}"
+    known = set(gaps)
+    added = [gap for gap in crossref_coverage(kept, inventory)["gaps"]
+             if gap not in known]
+    detected = any(gap.split(" ", 1)[0] == expected for gap in added)
+    unexpected = [gap for gap in added if gap.split(" ", 1)[0] != expected]
+    return {
+        "expected_gap": expected,
+        "seeded_gap_detected": detected,
+        "unexpected_gaps": unexpected,
+        "ok": detected and not unexpected,
+    }
 
 
 def run_ftcov_record(
-    knob: str | None = None,
-    pair_scenarios: Iterable[str] | None = None,
-    fleet_scenarios: Iterable[str] | None = None,
-    traffic_events: Iterable[str] | None = None,
-    progress: Callable[[str], None] | None = None,
+    smoke: bool = False,
+    cells: Iterable[CatalogCell] | None = None,
 ) -> dict[str, Any]:
-    """Run the catalogs under one coverage recorder and gate on crossref.
+    """Run every catalog cell under its own recorder and gate on the
+    crossref of the merged counters.
 
-    Default (no *knob*): the full pair catalog, the full fleet catalog
-    and both event-carrying traffic profiles; the gate requires every
-    run's own oracles green AND zero coverage gaps.
-
-    ``knob="drop-scenario"``: the pair catalog minus
-    ``UNSAFE_DROP_SCENARIO`` (fleet/traffic skipped — the seeded gap
-    lives in the pair registry); the gate *passes* only when the
-    crossref reports exactly the dropped scenario's fired gap.
-
-    The scenario subsets exist for the determinism test (same subset
-    twice -> identical digest), not for production use.
+    The gate requires every run's own oracles green, zero coverage gaps
+    and a passing drop-scenario probe.  *cells* (default:
+    :func:`catalog_cells`) exists for the tests' small subsets.
     """
-    if knob is not None and knob not in FTCOV_KNOBS:
-        raise KeyError(f"unknown ftcov knob {knob!r} (use {FTCOV_KNOBS})")
+    from repro.analysis.ftcov import FTCOV_SCOPE, build_ft_inventory
+    from repro.analysis.inventory import load_sources
 
-    from repro.experiments.faultcampaign import run_phase_injection
-    from repro.experiments.traffic import run_traffic_event
-    from repro.faultinject.scenarios import (
-        UNSAFE_DROP_SCENARIO,
-        scenario_names,
-    )
-    from repro.fleet.scenarios import FLEET_SCENARIOS, run_fleet_scenario
-    from repro.net.world import reset_id_counters
-
-    recorder = FtcovRecorder()
     runs: list[dict[str, Any]] = []
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    pair_names = (list(pair_scenarios) if pair_scenarios is not None
-                  else scenario_names())
-    fleet_names = (list(fleet_scenarios) if fleet_scenarios is not None
-                   else list(FLEET_SCENARIOS))
-    events = (list(traffic_events) if traffic_events is not None
-              else ["failover", "migration"])
-    if knob == "drop-scenario":
-        pair_names = [n for n in pair_names if n != UNSAFE_DROP_SCENARIO]
-        fleet_names = []
-        events = []
-
-    for name in pair_names:
-        note(f"pair {name}")
-        cell = run_phase_injection(
-            _PAIR_WORKLOAD, name, _PAIR_SEED, instrument=recorder.install
-        )
-        runs.append({
-            "kind": "pair", "name": name, "ok": cell.ok,
-            "violations": list(cell.violations),
-        })
-    for name in fleet_names:
-        note(f"fleet {name}")
-        reset_id_counters()
-        result = run_fleet_scenario(
-            name, seed=_FLEET_SEED, instrument=recorder.install
-        )
-        runs.append({
-            "kind": "fleet", "name": name, "ok": result.ok,
-            "violations": list(result.violations),
-        })
-    for event in events:
-        note(f"traffic {event}")
-        result = run_traffic_event(
-            event, seed=_TRAFFIC_SEED, instrument=recorder.install
-        )
-        violations = list(result["violations"])
-        runs.append({
-            "kind": "traffic", "name": event, "ok": not violations,
-            "violations": violations,
-        })
-
-    crossref = crossref_coverage(recorder.counters)
+    for cell in catalog_cells(smoke) if cells is None else cells:
+        recorder = FtcovRecorder()
+        violations = _run_cell(cell, recorder.install)
+        runs.append({**cell._asdict(), "ok": not violations,
+                     "violations": violations,
+                     "counters": recorder.counters})
+    counters = merge_counters(runs)
+    inventory = build_ft_inventory(load_sources(FTCOV_SCOPE))
+    crossref = crossref_coverage(counters, inventory)
+    probe = probe_drop_scenario(runs, crossref["gaps"], inventory)
     runs_ok = all(run["ok"] for run in runs)
-
-    if knob == "drop-scenario":
-        # Polarity gate: with the catalog mutilated, the *absence* of the
-        # seeded gap is the failure.  Only pair-registry gaps count (the
-        # fleet/traffic catalogs were deliberately not run).
-        pair_points = _pair_point_names()
-        pair_gaps = sorted(
-            g for g in crossref["gaps"]
-            if g.split(":", 1)[0] in ("point-unreached", "point-unfired")
-            and g.split(":", 2)[1].split(" ")[0] in pair_points
-        )
-        expected = (
-            f"point-unfired:{UNSAFE_DROP_SCENARIO.split('@', 1)[1]}"
-        )
-        seeded = [g for g in pair_gaps if g.startswith(expected)]
-        unexpected = [g for g in pair_gaps if not g.startswith(expected)]
-        ok = runs_ok and bool(seeded) and not unexpected
-        verdict = {
-            "expected_gap": expected,
-            "seeded_gap_detected": bool(seeded),
-            "unexpected_gaps": unexpected,
-        }
-    else:
-        ok = runs_ok and not crossref["gaps"]
-        verdict = {}
-
     return {
-        "mode": "knob" if knob else "record",
-        "knob": knob,
+        "smoke": smoke,
         "runs": runs,
         "runs_ok": runs_ok,
-        "counters": dict(sorted(recorder.counters.items())),
-        "digest": recorder.digest(),
-        "ok": ok,
-        **verdict,
+        "counters": counters,
+        "digest": counter_digest(counters),
+        "drop_probe": probe,
+        "ok": runs_ok and not crossref["gaps"] and probe["ok"],
         **crossref,
     }
 
@@ -333,11 +336,14 @@ def format_report(report: dict[str, Any]) -> str:
     lines: list[str] = []
     failed = [r for r in report["runs"] if not r["ok"]]
     lines.append(
-        f"ftcov {report['mode']}: {len(report['runs'])} catalog run(s), "
-        f"{len(failed)} failed, digest {report['digest']}"
+        f"ftcov record{' --smoke' if report['smoke'] else ''}: "
+        f"{len(report['runs'])} catalog run(s), {len(failed)} failed, "
+        f"{len(report['gaps'])} gap(s), digest {report['digest']}"
     )
     for run in failed:
-        lines.append(f"  FAIL {run['kind']}:{run['name']}")
+        where = f"{run['workload']} " if run["workload"] else ""
+        lines.append(f"  FAIL {run['kind']}:{run['name']} {where}"
+                     f"seed {run['seed']}")
         for violation in run["violations"]:
             lines.append(f"    - {violation}")
     lines.append("fault points (reached/fired):")
@@ -355,16 +361,15 @@ def format_report(report: dict[str, Any]) -> str:
     lines.append("inject entry points:")
     for name, count in sorted(report["injects"].items()):
         lines.append(f"  {name:<38} {count:>6}")
-    if report["mode"] == "knob":
-        lines.append(
-            f"knob gate: expected {report['expected_gap']} — "
-            f"{'detected' if report['seeded_gap_detected'] else 'MISSING'}"
-        )
-        for gap in report.get("unexpected_gaps", ()):
-            lines.append(f"  unexpected gap: {gap}")
-    else:
-        for gap in report["gaps"]:
-            lines.append(f"  GAP: {gap}")
+    for gap in report["gaps"]:
+        lines.append(f"  GAP: {gap}")
+    probe = report["drop_probe"]
+    lines.append(
+        f"drop-scenario probe: expected {probe['expected_gap']} — "
+        f"{'detected' if probe['seeded_gap_detected'] else 'MISSING'}"
+    )
+    for gap in probe["unexpected_gaps"]:
+        lines.append(f"  unexpected gap: {gap}")
     if report["missing_scenarios"]:
         lines.append("missing-scenario backlog (annotated, not gating):")
         for entry in report["missing_scenarios"]:

@@ -408,11 +408,7 @@ def _cmd_ftcov(args) -> int:
 
     from repro.analysis.ftreplay import format_report, run_ftcov_record
 
-    try:
-        report = run_ftcov_record(knob=args.knob)
-    except KeyError as exc:
-        print(f"repro ftcov: {exc.args[0]}", file=sys.stderr)
-        return 2
+    report = run_ftcov_record(smoke=args.smoke)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -422,8 +418,8 @@ def _cmd_ftcov(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"repro ftcov: wrote {args.json_out}")
-    # With --knob the polarity is already folded into ok: the seeded
-    # coverage gap must have been DETECTED.
+    # The drop-scenario probe is folded into ok: the seeded coverage gap
+    # must have been DETECTED.
     return 0 if report["ok"] else 1
 
 
@@ -530,76 +526,13 @@ def _cmd_failover(args) -> int:
     return 0
 
 
-def _cmd_faultcampaign(args) -> int:
-    import json
-
-    from repro.experiments.faultcampaign import format_campaign, run_phase_campaign
-    from repro.faultinject import SCENARIOS, verify_hook_coverage
-
-    if args.list:
-        for name, scenario in SCENARIOS.items():
-            print(f"  {name:<36} {scenario.description}")
-        return 0
-    if args.check_points:
-        import repro
-        from pathlib import Path
-
-        problems = verify_hook_coverage(Path(repro.__file__).resolve().parent)
-        for problem in problems:
-            print(f"  - {problem}")
-        if not problems:
-            print("every declared fault point is reachable from a hook site")
-        return 1 if problems else 0
-
-    kwargs = {}
-    if args.workload:
-        kwargs["workloads"] = args.workload
-    if args.scenario:
-        unknown = [s for s in args.scenario if s not in SCENARIOS]
-        if unknown:
-            print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        kwargs["scenarios"] = args.scenario
-    if args.seeds:
-        kwargs["seeds"] = tuple(args.seeds)
-    report = run_phase_campaign(smoke=args.smoke, **kwargs)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_campaign(report))
-    return 0 if report["ok"] else 1
-
-
 def _cmd_fleet(args) -> int:
-    """Cluster orchestration: scenarios and the acceptance campaign."""
+    """Cluster orchestration: the acceptance campaign (the fleet scenario
+    catalog runs in ``repro ftcov record``)."""
     import json
 
     from repro.experiments.fleet import format_campaign, run_fleet_campaign
-    from repro.fleet import FLEET_SCENARIOS, run_fleet_scenario
 
-    if args.action == "list":
-        for name, scenario in FLEET_SCENARIOS.items():
-            print(f"  {name:<36} {scenario.description.splitlines()[0]}")
-        return 0
-
-    if args.action == "scenario":
-        names = tuple(args.scenario) if args.scenario else tuple(FLEET_SCENARIOS)
-        unknown = [n for n in names if n not in FLEET_SCENARIOS]
-        if unknown:
-            print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        failed = False
-        for name in names:
-            result = run_fleet_scenario(name, seed=args.seed)
-            verdict = "ok" if result.ok else "FAILED"
-            print(f"  {name:<36} {verdict}  "
-                  f"({result.completed} requests validated)")
-            for violation in result.violations:
-                print(f"    - {violation}")
-            failed = failed or not result.ok
-        return 1 if failed else 0
-
-    # action == "campaign"
     report = run_fleet_campaign(seed=args.seed, smoke=args.smoke)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -808,9 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     ftcov.add_argument("action", nargs="?", default="lint",
                        choices=("selfcheck", "lint", "record"))
     _add_finding_options(ftcov)
-    ftcov.add_argument("--knob", choices=("drop-scenario",), default=None,
-                       help="record: drop UNSAFE_DROP_SCENARIO from the "
-                            "catalog; exit 0 iff the coverage gap is caught")
+    ftcov.add_argument("--smoke", action="store_true",
+                       help="record: reduced CI matrix, pair scenarios on "
+                            "one workload x 3 seeds")
     ftcov.add_argument("--json-out", default=None, metavar="FILE",
                        help="record: also write the coverage matrix here")
 
@@ -856,34 +789,13 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("workload", nargs="?", default="net")
     audit.add_argument("--run-ms", type=int, default=600)
 
-    campaign = sub.add_parser(
-        "faultcampaign",
-        help="protocol-phase fault matrix: scenario x workload x seed",
-    )
-    campaign.add_argument("--smoke", action="store_true",
-                          help="reduced CI matrix: one workload, 3 seeds")
-    campaign.add_argument("--workload", action="append", default=None,
-                          help="workload(s) to sweep (repeatable)")
-    campaign.add_argument("--scenario", action="append", default=None,
-                          help="scenario(s) to run (repeatable; see --list)")
-    campaign.add_argument("--seeds", type=int, nargs="+", default=None)
-    campaign.add_argument("--json", action="store_true",
-                          help="emit the full JSON report")
-    campaign.add_argument("--list", action="store_true",
-                          help="list the scenario catalog and exit")
-    campaign.add_argument("--check-points", action="store_true",
-                          help="verify every declared fault point has a hook")
-
     fleet = sub.add_parser(
         "fleet",
-        help="cluster orchestration: scenarios and the acceptance campaign",
+        help="cluster orchestration: the acceptance campaign",
     )
-    fleet.add_argument("action", choices=("campaign", "scenario", "list"))
-    fleet.add_argument("--scenario", action="append", default=None,
-                       help="fleet scenario(s) to run (repeatable; "
-                            "default: all — see `fleet list`)")
+    fleet.add_argument("action", choices=("campaign",))
     fleet.add_argument("--smoke", action="store_true",
-                       help="reduced CI variant of the campaign")
+                       help="reduced variant of the campaign")
     fleet.add_argument("--json", action="store_true",
                        help="campaign: emit the full JSON report")
 
@@ -931,7 +843,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "races": _cmd_races,
     "audit": _cmd_audit,
-    "faultcampaign": _cmd_faultcampaign,
     "fleet": _cmd_fleet,
     "traffic": _cmd_traffic,
     "modes": _cmd_modes,

@@ -17,7 +17,7 @@ module            paper artifact
 ``table5``        Table V — core utilization, active vs backup host
 ``table6``        Table VI — single-client response latency
 ``validation``    §VII-A — fault-injection recovery campaign
-``faultcampaign`` protocol-phase fault matrix (every injection point)
+``faultcampaign`` one protocol-phase fault cell (``repro ftcov record``)
 ``scalability``   §VII-C — threads / clients / processes sweeps
 ``ablations``     leave-one-out, epoch/detection/RTO/compression, §VIII
 ``hycor``         HyCoR vs NiLiCon — overhead, recovery and traffic cells
@@ -35,7 +35,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.faultcampaign import (
     PhaseCellResult,
-    run_phase_campaign,
     run_phase_injection,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "RunResult",
     "overhead",
     "run_compute_benchmark",
-    "run_phase_campaign",
     "run_phase_injection",
     "run_server_benchmark",
 ]

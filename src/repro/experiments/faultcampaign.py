@@ -1,34 +1,28 @@
-"""The protocol-phase fault-injection campaign.
+"""One cell of the protocol-phase fault-injection campaign.
 
 Where :mod:`repro.experiments.validation` (§VII-A) injects fail-stop at
-*random* times, this campaign sweeps the :data:`~repro.faultinject.SCENARIOS`
+*random* times, the campaign sweeps the :data:`~repro.faultinject.SCENARIOS`
 catalog — a fault pinned to every named injection point of the epoch
 protocol, plus drop/duplicate/reorder/delay races on acks, state transfers
 and heartbeats — across workloads and seeds, and evaluates the correctness
 oracles (output commit, committed-epoch durability, client-session
 consistency) after every cell.
 
-The full matrix (`every scenario × ≥2 workloads × ≥5 seeds`) must report
-zero violations; the reduced smoke matrix (one workload, every scenario,
-3 seeds) runs in CI via ``make faultcampaign-smoke``.  Regression tests
-re-run the sensitive cells with the ``unsafe_*`` config knobs to prove the
-campaign catches the races the fixes removed.
+:func:`run_phase_injection` runs one cell; the matrix itself (every
+scenario × :data:`CAMPAIGN_WORKLOADS` × :data:`CAMPAIGN_SEEDS`, or
+net-echo × the first three seeds with ``--smoke``) is part of the one
+catalog pass, ``repro ftcov record`` (:mod:`repro.analysis.ftreplay`),
+which must report zero violations.  Regression tests re-run the
+sensitive cells with the ``unsafe_*`` config knobs to prove the campaign
+catches the races the fixes removed.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Iterable
+from dataclasses import dataclass, field
 
-import repro
 from repro.experiments.common import open_cell
 from repro.faultinject import SCENARIOS, Scenario, evaluate_oracles
-from repro.faultinject.points import (
-    FAULT_POINTS,
-    FLEET_FAULT_POINTS,
-    verify_hook_coverage,
-)
 from repro.replication.config import NiliconConfig
 from repro.sim.units import ms, sec
 from repro.workloads.base import ServerWorkload
@@ -37,8 +31,6 @@ __all__ = [
     "CAMPAIGN_SEEDS",
     "CAMPAIGN_WORKLOADS",
     "PhaseCellResult",
-    "format_campaign",
-    "run_phase_campaign",
     "run_phase_injection",
 ]
 
@@ -128,81 +120,3 @@ def run_phase_injection(
         violations=violations,
         plan_log=list(plan.log),
     )
-
-
-def run_phase_campaign(
-    workloads: Iterable[str] = CAMPAIGN_WORKLOADS,
-    scenarios: Iterable[str] | None = None,
-    seeds: Iterable[int] = CAMPAIGN_SEEDS,
-    config: NiliconConfig | None = None,
-    smoke: bool = False,
-) -> dict:
-    """Sweep the scenario × workload × seed matrix; return a JSON-able report.
-
-    ``smoke=True`` shrinks the matrix to one workload and three seeds (the
-    CI subset) while still covering every scenario — and therefore every
-    declared injection point.
-    """
-    workload_list = [CAMPAIGN_WORKLOADS[0]] if smoke else list(workloads)
-    seed_list = list(seeds)[:3] if smoke else list(seeds)
-    scenario_list = list(scenarios) if scenarios is not None else list(SCENARIOS)
-
-    cells: list[PhaseCellResult] = []
-    for scenario_name in scenario_list:
-        for workload_name in workload_list:
-            for seed in seed_list:
-                cells.append(
-                    run_phase_injection(workload_name, scenario_name, seed, config=config)
-                )
-
-    covered = {
-        point
-        for name in scenario_list
-        for point in SCENARIOS[name].points
-    }
-    source_root = Path(repro.__file__).resolve().parent
-    # Fleet-controller points are exercised by the fleet campaign
-    # (``repro fleet campaign``), not by the pair-level scenario catalog.
-    pair_points = set(FAULT_POINTS) - set(FLEET_FAULT_POINTS)
-    coverage_problems = verify_hook_coverage(source_root) + [
-        f"registered point {name!r} exercised by no scenario in this run"
-        for name in sorted(pair_points - covered)
-        if scenarios is None  # partial sweeps legitimately skip points
-    ]
-
-    failed = [cell for cell in cells if not cell.ok]
-    return {
-        "matrix": {
-            "scenarios": scenario_list,
-            "workloads": workload_list,
-            "seeds": seed_list,
-            "smoke": smoke,
-        },
-        "cells": [asdict(cell) for cell in cells],
-        "total": len(cells),
-        "passed": len(cells) - len(failed),
-        "failed": len(failed),
-        "hook_coverage_problems": coverage_problems,
-        "ok": not failed and not coverage_problems,
-    }
-
-
-def format_campaign(report: dict) -> str:
-    """Human-readable summary of a :func:`run_phase_campaign` report."""
-    lines = [
-        f"{'scenario':<36}{'workload':<10}{'seed':>6}  result",
-    ]
-    for cell in report["cells"]:
-        status = "ok" if not cell["violations"] else "FAIL"
-        lines.append(
-            f"{cell['scenario']:<36}{cell['workload']:<10}{cell['seed']:>6}  {status}"
-        )
-        for violation in cell["violations"]:
-            lines.append(f"    - {violation}")
-    for problem in report["hook_coverage_problems"]:
-        lines.append(f"coverage: {problem}")
-    lines.append(
-        f"{report['passed']}/{report['total']} cells passed"
-        + ("" if report["ok"] else " — CAMPAIGN FAILED")
-    )
-    return "\n".join(lines)

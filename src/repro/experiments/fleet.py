@@ -20,8 +20,8 @@ interesting:
   Re-protect latency is detection/controller-bound, ~170–240 ms, not
   capacity-bound.
 
-``python -m repro fleet campaign`` runs the campaign; ``make fleet-smoke``
-runs the reduced CI variant.  The sweeps are the ``fleet_pair`` and
+``python -m repro fleet campaign`` runs the campaign (``make fleet``);
+``--smoke`` runs the reduced variant, which a tier-1 test pins.  The sweeps are the ``fleet_pair`` and
 ``fleet_pool`` artifacts of the paper gate (:mod:`repro.experiments.paper`),
 which pins every cell exactly in ``BENCH_paper.json`` and states their
 shape as clauses.

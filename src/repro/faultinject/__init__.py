@@ -5,8 +5,8 @@ it cannot reliably hit the microsecond-wide protocol windows where a
 replication implementation is actually wrong.  This package pins faults to
 *named protocol phases* instead:
 
-* :mod:`~repro.faultinject.points` — the injection-point registry and the
-  AST-based check that every declared point has a live hook site;
+* :mod:`~repro.faultinject.points` — the injection-point registry (the
+  ftcov selfcheck proves every registered point has a live hook site);
 * :mod:`~repro.faultinject.plan` — :class:`FaultPlan` /
   :class:`PointFault` / :class:`LinkFault`, the deterministic rule engine
   consulted from :func:`repro.sim.faults.fault_point` hooks and from
@@ -18,8 +18,10 @@ replication implementation is actually wrong.  This package pins faults to
 * :mod:`~repro.faultinject.scenarios` — the campaign catalog: one cell per
   protocol window plus link-level message races.
 
-The campaign runner lives in :mod:`repro.experiments.faultcampaign`
-(``repro faultcampaign`` on the command line).
+One campaign cell is
+:func:`repro.experiments.faultcampaign.run_phase_injection`; the one
+catalog pass that runs every cell is :mod:`repro.analysis.ftreplay`
+(``repro ftcov record`` on the command line).
 """
 
 from repro.faultinject.actions import crash_primary, spurious_redetect
@@ -29,8 +31,6 @@ from repro.faultinject.points import (
     FAULT_POINTS,
     FLEET_FAULT_POINTS,
     LINK_MESSAGE_KINDS,
-    hooked_points,
-    verify_hook_coverage,
 )
 from repro.faultinject.scenarios import SCENARIOS, Scenario, TARGET_EPOCH
 
@@ -46,7 +46,5 @@ __all__ = [
     "TARGET_EPOCH",
     "crash_primary",
     "evaluate_oracles",
-    "hooked_points",
     "spurious_redetect",
-    "verify_hook_coverage",
 ]

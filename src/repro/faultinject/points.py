@@ -1,25 +1,19 @@
-"""The injection-point registry and the hook-coverage checker.
+"""The injection-point registry.
 
 Every named :func:`~repro.sim.faults.fault_point` site in the protocol is
 declared here, with the protocol phase it interrupts.  The registry is the
 single source of truth: scenario construction validates point names against
-it, and :func:`verify_hook_coverage` walks the source tree's ASTs to prove
-that every declared point is actually reachable from a hook site (and that
-no hook site uses an undeclared name) — the check wired into
-``repro faultcampaign --check-points`` and the campaign smoke run.
+it, and the ftcov selfcheck (``repro ftcov selfcheck``, run by every
+``repro ftcov lint``) proves that every registered point has a hook site
+and that no hook site uses an unregistered name.
 """
 
 from __future__ import annotations
-
-import ast
-from pathlib import Path
 
 __all__ = [
     "FAULT_POINTS",
     "FLEET_FAULT_POINTS",
     "LINK_MESSAGE_KINDS",
-    "hooked_points",
-    "verify_hook_coverage",
 ]
 
 #: name -> description of the protocol window the point sits in.
@@ -73,10 +67,9 @@ FAULT_POINTS: dict[str, str] = {
 }
 
 #: Fleet-controller injection points (the control plane above the pair
-#: protocol).  Kept in their own registry so the pair-level campaign's
-#: "every point exercised" check can exclude them — pair scenarios cannot
-#: reach controller decisions — while plan validation and the AST hook
-#: coverage check (which merge both) still cover them.
+#: protocol).  Kept in their own registry because pair scenarios cannot
+#: reach controller decisions — the fleet scenarios arm these — while plan
+#: validation and the ftcov hook-site check (which merge both) cover them.
 FLEET_FAULT_POINTS: dict[str, str] = {
     "fleet.pre_reprotect": (
         "A failover completed and the controller is about to pick a "
@@ -113,45 +106,3 @@ LINK_MESSAGE_KINDS = (
     # HyCoR-mode pair-channel traffic (repro.replication.hycor).
     "ndlog", "log_ack",
 )
-
-
-def hooked_points(root: str | Path) -> set[str]:
-    """Names passed as string literals to ``fault_point(...)`` under *root*.
-
-    AST-based, so commented-out or string-mentioned names don't count —
-    only real call sites do.
-    """
-    found: set[str] = set()
-    for path in sorted(Path(root).rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:  # ft: defensive -- tooling scan; an unparseable file holds no hook sites
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name != "fault_point" or len(node.args) < 2:
-                continue
-            point = node.args[1]
-            if isinstance(point, ast.Constant) and isinstance(point.value, str):
-                found.add(point.value)
-    return found
-
-
-def verify_hook_coverage(root: str | Path) -> list[str]:
-    """Cross-check the registry against real hook sites under *root*.
-
-    Returns a list of problems (empty = every declared point is reachable
-    and every hook site is declared).
-    """
-    hooked = hooked_points(root)
-    problems = []
-    for name in sorted(set(FAULT_POINTS) - hooked):
-        problems.append(f"declared fault point {name!r} has no fault_point() hook site")
-    for name in sorted(hooked - set(FAULT_POINTS)):
-        problems.append(f"hook site uses undeclared fault point {name!r}")
-    return problems

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.world import World
     from repro.replication.manager import ReplicatedDeployment
 
-__all__ = ["SCENARIOS", "Scenario", "TARGET_EPOCH", "scenario_names"]
+__all__ = ["SCENARIOS", "Scenario", "TARGET_EPOCH"]
 
 #: Epoch the scenarios target (~`TARGET_EPOCH` * 31 ms into the run, with
 #: clients attached and traffic flowing).
@@ -364,14 +364,11 @@ _register(Scenario(
 ))
 
 
-def scenario_names() -> list[str]:
-    return list(SCENARIOS)
-
-
-#: Regression knob for the ftcov gate (``repro ftcov record --knob
-#: drop-scenario``): the catalog run silently skips this scenario, which
-#: is the *only* one arming ``backup.mid_commit`` — so the coverage
-#: crossref must report that point as never fired, and the FTC002 lint
-#: finding below stays frozen in ``ftcov-baseline.json``.  Two witnesses,
-#: one seeded gap, same discipline as ``unsafe_unlogged_draw``.
+#: Regression knob for the ftcov gate (the drop-scenario probe of
+#: ``repro ftcov record``): the probe takes this scenario's runs out of
+#: the merged counters.  It is the *only* one arming ``backup.mid_commit``
+#: — so the coverage crossref must report that point as never fired, and
+#: the FTC002 lint finding below stays frozen in ``ftcov-baseline.json``.
+#: Two witnesses, one seeded gap, same discipline as
+#: ``unsafe_unlogged_draw``.
 UNSAFE_DROP_SCENARIO = "crash@backup.mid_commit"  # ft: unsafe -- ftcov drop-scenario knob; see docs/ftcov.md

@@ -20,7 +20,7 @@ from repro.fleet.placement import PlacementDecision
 from repro.fleet.pool import HostPool
 from repro.fleet.service import FleetWorkload
 from repro.fleet.spec import FleetSpec
-from repro.net.world import World
+from repro.net.world import World, reset_id_counters
 from repro.replication.config import NiliconConfig
 from repro.sim.units import ms, sec
 
@@ -83,11 +83,14 @@ def run_fleet_scenario(
 ) -> FleetScenarioResult:
     """Run one fleet scenario end to end and evaluate all its oracles.
 
-    *instrument* (if given) is called with the freshly built :class:`World`
-    before anything runs — the ftcov coverage recorder installs itself
-    through this hook.
+    The identity counters are rewound first, as ``open_cell`` does, so a
+    scenario's numbers do not depend on what ran before it in the
+    process.  *instrument* (if given) is called with the freshly built
+    :class:`World` before anything runs — the ftcov coverage recorder
+    installs itself through this hook.
     """
     scenario = FLEET_SCENARIOS[name]
+    reset_id_counters()
     world = World(seed=seed)
     if instrument is not None:
         instrument(world)

@@ -22,7 +22,7 @@ def test_steps_cover_all_six_analyzers_plus_the_paper_gate():
     analyzers = {analyzer for analyzer, _, _ in STEPS}
     assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
                          "ftcov", "paper"}
-    assert len(STEPS) == 18
+    assert len(STEPS) == 17
 
 
 def test_summary_counts_the_analyzers_of_the_step_list():
@@ -31,7 +31,7 @@ def test_summary_counts_the_analyzers_of_the_step_list():
                          "wall_s": 0.0, "output": ""}
                         for analyzer, smoke, _ in STEPS]}
     assert format_summary(report).splitlines()[0] == (
-        "analyze (smoke): 18 step(s) over 7 analyzers")
+        "analyze (smoke): 17 step(s) over 7 analyzers")
 
 
 def test_every_step_argv_is_a_real_command_run_once():
@@ -73,11 +73,11 @@ def test_ftcov_steps_lint_record_and_probe_the_knob():
     ftcov_smoke = [smoke for analyzer, smoke, _ in STEPS
                    if analyzer == "ftcov"]
     # The lint step runs the selfcheck; CI runs no separate ftcov step:
-    # the record step writes the coverage matrix the workflow uploads.
+    # the one record pass runs every catalog, derives the drop-scenario
+    # probe and writes the coverage matrix the workflow uploads.
     assert ftcov_smoke == [
         ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
-        ("ftcov", "record", "--json-out", "coverage-matrix.json"),
-        ("ftcov", "record", "--knob", "drop-scenario"),
+        ("ftcov", "record", "--smoke", "--json-out", "coverage-matrix.json"),
     ]
 
 

@@ -371,6 +371,8 @@ def test_real_tree_every_point_site_is_registered(real):
     assert len(point_sites) >= 13
     assert all(s.registered for s in point_sites)
     assert len(inv.registry) >= 13
+    # ... and every registered point has a site (the selfcheck's converse).
+    assert {s.name for s in point_sites} == inv.registry
 
 
 def test_real_tree_every_registered_point_is_armed(real):

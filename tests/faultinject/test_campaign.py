@@ -7,7 +7,7 @@ its sensitive campaign cell fail its oracles again.
 
 import pytest
 
-from repro.experiments.faultcampaign import run_phase_campaign, run_phase_injection
+from repro.experiments.faultcampaign import run_phase_injection
 from repro.faultinject import SCENARIOS
 from repro.faultinject.points import FAULT_POINTS, FLEET_FAULT_POINTS
 from repro.replication.config import NiliconConfig
@@ -60,16 +60,3 @@ def test_release_oldest_race_reproduced_by_legacy_knob(scenario):
     config = NiliconConfig.nilicon().with_(unsafe_release_oldest_barrier=True)
     cell = run_phase_injection(WORKLOAD, scenario, SEED, config=config)
     assert not cell.ok, cell.plan_log
-
-
-def test_campaign_report_shape():
-    report = run_phase_campaign(
-        scenarios=["crash@primary.pre_send"], workloads=[WORKLOAD], seeds=[SEED]
-    )
-    assert report["total"] == 1
-    assert report["passed"] == 1
-    assert report["hook_coverage_problems"] == []
-    assert report["ok"]
-    (cell,) = report["cells"]
-    assert cell["scenario"] == "crash@primary.pre_send"
-    assert cell["failed_over"]

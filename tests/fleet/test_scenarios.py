@@ -5,6 +5,8 @@ import pytest
 
 from repro.faultinject.points import FAULT_POINTS
 from repro.fleet import FLEET_SCENARIOS, run_fleet_scenario
+from repro.net.world import reset_id_counters
+from repro.sim.trace import install_tracer
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_SCENARIOS))
@@ -12,6 +14,27 @@ def test_scenario_passes_all_oracles(name):
     result = run_fleet_scenario(name, seed=7)
     assert result.ok, result.violations
     assert result.completed > 0
+
+
+def _traced(name):
+    tracers = []
+    result = run_fleet_scenario(
+        name, seed=7,
+        instrument=lambda world: tracers.append(install_tracer(world.engine)))
+    return result, tracers[0].timeline()
+
+
+def test_scenario_after_others_equals_the_scenario_alone():
+    """A scenario rewinds the identity counters itself, so any order or
+    subset of fleet cells gives the same numbers.  Checkpoint images embed
+    pids as decimal strings: without the rewind, the runs in between push
+    the ids far enough to change image byte counts in the trace."""
+    reset_id_counters()  # start where a fresh process starts
+    alone = _traced("fleet.controller_crash_mid_reprotect")
+    for name in FLEET_SCENARIOS:
+        if name != "fleet.controller_crash_mid_reprotect":
+            run_fleet_scenario(name, seed=7)
+    assert _traced("fleet.controller_crash_mid_reprotect") == alone
 
 
 def test_catalog_covers_every_fleet_fault_point():
