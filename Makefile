@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit perf-bench analyze golden-regen validate fleet traffic examples clean
+.PHONY: install test lint audit analyze golden-regen validate fleet traffic examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -16,16 +16,13 @@ lint:
 audit:
 	PYTHONPATH=src $(PYTHON) -m repro audit
 
-# Regenerate the checked-in BENCH_engine.json (review the diff!).  It
-# gates the engine's exact work counters, not time; the simulator's wall
-# time is measured by `python3 -m bench` (bench/README.md).
-perf-bench:
-	PYTHONPATH=src $(PYTHON) -m repro perf bench --out BENCH_engine.json
-
 # Every step of repro.analysis.aggregate.STEPS as one gate, with a merged
 # findings artifact; CI runs it (it also writes coverage-matrix.json).
 # STEPS is the only list of the steps.  For the full-depth passes run
-# `PYTHONPATH=src python -m repro analyze --full`.
+# `PYTHONPATH=src python -m repro analyze --full`.  Its paper step gates
+# every simulated number (paper tables, fleet, traffic and the engine's
+# work counters) against BENCH_paper.json; after an intentional change,
+# regenerate that file with `repro paper bench --out BENCH_paper.json`.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json
 

@@ -33,7 +33,8 @@ This package provides the enforcement layers:
   pass classifying functions per-event/per-page/per-epoch, the
   PERF001..PERF006 rules linting only that hot surface, a deterministic
   profiler (:mod:`repro.sim.profiler`) cross-referencing every finding,
-  and the exact work-counter gate behind ``BENCH_engine.json``.
+  and the profiled runs whose work counters are the paper gate's
+  ``engine`` cells (:mod:`repro.experiments.engine`).
 * :mod:`repro.analysis.baseline` — finding baselines shared by ``lint``,
   ``ckptcov`` and ``perf``: known findings are frozen in a checked-in
   file, new ones gate CI.
@@ -76,7 +77,6 @@ from repro.analysis.perf import (
 from repro.analysis.perfbench import (
     ProfiledRun,
     crossref,
-    run_perf_bench,
     run_profiled_deployment,
 )
 from repro.analysis.races import (
@@ -119,7 +119,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "run_perf_bench",
     "run_profiled_deployment",
     "render_json",
     "render_text",

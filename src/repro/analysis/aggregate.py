@@ -52,8 +52,6 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("perf", ("perf", "lint", "--baseline", "perf-baseline.json", "--json"),
      ("perf", "lint", "--baseline", "perf-baseline.json", "--json")),
     ("perf", ("perf", "profile", "--smoke"), ("perf", "profile")),
-    ("perf", ("perf", "bench", "--smoke", "--check", "BENCH_engine.json"),
-     ("perf", "bench", "--check", "BENCH_engine.json")),
     ("ndflow",
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json"),
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json")),

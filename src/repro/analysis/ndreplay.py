@@ -1,4 +1,4 @@
-"""Record→replay differential oracle (``repro ndflow record|replay``).
+"""Record→replay differential oracle (``repro ndflow replay``).
 
 Layer 3 of the nondeterminism-provenance analyzer: the runtime
 cross-reference that proves the static inventory's central claim — *the
@@ -16,6 +16,9 @@ NDLog captures every nondeterministic input*.  For each catalog workload:
    the same log digest.  Any unlogged nondeterminism source surfaces as a
    :class:`~repro.sim.ndlog.ReplayDivergence` (naming the stream and
    sequence number) or as a digest mismatch.
+4. **Cross-reference** — every stream the record halves drew from must
+   map back to a static inventory site (:func:`crossref_streams`); an
+   unmatched stream is a logged source the NDF rules never saw.
 
 The ``unsafe-unlogged-draw`` knob re-enables a consumer that bypasses the
 log (``replication/primary.py``); with it armed the oracle must *fail* on
@@ -39,7 +42,6 @@ __all__ = [
     "crossref_streams",
     "golden_ndlog_digests",
     "run_oracle",
-    "run_record",
     "run_roundtrip",
     "write_ndlog_golden",
 ]
@@ -123,13 +125,15 @@ def run_oracle(
     run_ms: int = DEFAULT_RUN_MS,
     knob: str | None = None,
 ) -> dict:
-    """The full oracle sweep.
+    """The full oracle sweep, with the stream cross-reference over every
+    cell's recorded draw counts.
 
     Without a knob, ``ok`` means every cell replayed identical.  With a
     knob armed, the polarity flips: ``ok`` means the sweep *diverged
     somewhere* — the oracle proved it can catch the regression (any-cell,
     like ``repro races --knob``: the unlogged draw is OS entropy, so a
-    single lucky cell may still happen to replay clean).
+    single lucky cell may still happen to replay clean).  Under either
+    polarity an unmatched stream fails ``ok``.
     """
     from repro.replication.config import NiliconConfig
 
@@ -148,6 +152,11 @@ def run_oracle(
         ok = all(cell["identical"] for cell in cells)
     else:
         ok = any(not cell["identical"] for cell in cells)
+    draws: dict[str, int] = {}
+    for cell in cells:
+        for name, n in cell["streams"].items():
+            draws[name] = draws.get(name, 0) + n
+    crossref = crossref_streams(draws)
     return {
         "mode": "replay-oracle",
         "workloads": list(workloads),
@@ -155,12 +164,13 @@ def run_oracle(
         "run_ms": run_ms,
         "knob": knob,
         "cells": cells,
-        "ok": ok,
+        "crossref": crossref,
+        "ok": ok and not crossref["unmatched"],
     }
 
 
 # --------------------------------------------------------------------------- #
-# Record mode + static cross-reference                                        #
+# Static cross-reference                                                      #
 # --------------------------------------------------------------------------- #
 
 
@@ -230,63 +240,11 @@ def crossref_streams(draw_counts: dict[str, int], inventory=None) -> dict:
     return {"matched": matched, "unmatched": unmatched}
 
 
-def run_record(
-    workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    run_ms: int = DEFAULT_RUN_MS,
-) -> dict:
-    """Record-mode sweep: per-stream draw counts, NDLog digests, and the
-    runtime↔static stream cross-reference."""
-    runs = []
-    all_counts: dict[str, int] = {}
-    for workload in workloads:
-        for seed in seeds:
-            log = NDLog(mode="record")
-            probe = run_instrumented(
-                workload, seed, run_ms=run_ms,
-                tiebreak=PermutedTieBreak(seed),
-                schedule_name="ndlog-record", detect=False, ndlog=log,
-            )
-            counts = log.draw_counts()
-            for name, n in counts.items():
-                all_counts[name] = all_counts.get(name, 0) + n
-            runs.append({
-                "workload": workload,
-                "seed": seed,
-                "streams": counts,
-                "n_draws": log.n_draws,
-                "ndlog_digest": log.digest(),
-                "trace_digest": probe.trace_digest,
-            })
-    crossref = crossref_streams(all_counts)
-    return {
-        "mode": "ndlog-record",
-        "workloads": list(workloads),
-        "seeds": list(seeds),
-        "run_ms": run_ms,
-        "runs": runs,
-        "crossref": crossref,
-        "ok": not crossref["unmatched"],
-    }
-
-
-def golden_ndlog_digests(
-    workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    run_ms: int = DEFAULT_RUN_MS,
-) -> dict[str, str]:
-    """Per-cell NDLog digests for the golden file (``tests/golden/``)."""
-    out: dict[str, str] = {}
-    for workload in workloads:
-        for seed in seeds:
-            log = NDLog(mode="record")
-            run_instrumented(
-                workload, seed, run_ms=run_ms,
-                tiebreak=PermutedTieBreak(seed),
-                schedule_name="ndlog-record", detect=False, ndlog=log,
-            )
-            out[f"{workload}:{seed}"] = log.digest()
-    return out
+def golden_ndlog_digests(report: dict) -> dict[str, str]:
+    """Per-cell NDLog digests of a :func:`run_oracle` *report*, keyed
+    ``workload:seed``: the cells of the golden file (``tests/golden/``)."""
+    return {f"{cell['workload']}:{cell['seed']}": cell["ndlog_digest"]
+            for cell in report["cells"]}
 
 
 def write_ndlog_golden(path: str) -> None:
@@ -294,7 +252,7 @@ def write_ndlog_golden(path: str) -> None:
     import json
 
     doc: dict = {"run_ms": DEFAULT_RUN_MS}
-    doc.update(golden_ndlog_digests())
+    doc.update(golden_ndlog_digests(run_oracle()))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -303,38 +261,28 @@ def write_ndlog_golden(path: str) -> None:
 def format_report(report: dict) -> str:
     """Human-readable rendering for the CLI."""
     lines: list[str] = []
-    if report["mode"] == "ndlog-record":
-        for run in report["runs"]:
-            lines.append(
-                f"{run['workload']} seed={run['seed']}: "
-                f"{run['n_draws']} draws over {len(run['streams'])} "
-                f"streams, ndlog {run['ndlog_digest']}"
-            )
-            for name in sorted(run["streams"]):
-                lines.append(f"    {name:<40} {run['streams'][name]:>7}")
-        crossref = report["crossref"]
-        lines.append("stream -> static site:")
-        for name in sorted(crossref["matched"]):
-            lines.append(f"    {name:<40} {crossref['matched'][name]}")
-        for name in crossref["unmatched"]:
-            lines.append(f"    {name:<40} UNMATCHED — static inventory gap")
-    else:
-        for cell in report["cells"]:
-            verdict = "replay-identical" if cell["identical"] else "DIVERGED"
-            lines.append(
-                f"{cell['workload']} seed={cell['seed']}: {verdict} "
-                f"({cell['n_draws']} draws, ndlog {cell['ndlog_digest']})"
-            )
-            if cell["divergence"]:
-                lines.append(f"    {cell['divergence']}")
-            elif not cell["identical"]:
-                if cell.get("replay_trace_digest") != cell["record_trace_digest"]:
-                    lines.append(
-                        f"    trace digest {cell['record_trace_digest']} -> "
-                        f"{cell.get('replay_trace_digest')}"
-                    )
-                if cell["unconsumed"]:
-                    lines.append(f"    unconsumed draws: {cell['unconsumed']}")
+    for cell in report["cells"]:
+        verdict = "replay-identical" if cell["identical"] else "DIVERGED"
+        lines.append(
+            f"{cell['workload']} seed={cell['seed']}: {verdict} "
+            f"({cell['n_draws']} draws, ndlog {cell['ndlog_digest']})"
+        )
+        if cell["divergence"]:
+            lines.append(f"    {cell['divergence']}")
+        elif not cell["identical"]:
+            if cell.get("replay_trace_digest") != cell["record_trace_digest"]:
+                lines.append(
+                    f"    trace digest {cell['record_trace_digest']} -> "
+                    f"{cell.get('replay_trace_digest')}"
+                )
+            if cell["unconsumed"]:
+                lines.append(f"    unconsumed draws: {cell['unconsumed']}")
+    crossref = report["crossref"]
+    lines.append(f"stream -> static site ({len(crossref['matched'])} matched):")
+    for name in sorted(crossref["matched"]):
+        lines.append(f"    {name:<40} {crossref['matched'][name]}")
+    for name in crossref["unmatched"]:
+        lines.append(f"    {name:<40} UNMATCHED — static inventory gap")
     status = "OK" if report["ok"] else "FAIL"
     if report.get("knob"):
         status += f" (knob {report['knob']}: divergence expected)"

@@ -32,7 +32,7 @@ Three layers:
 Annotation vocabulary (on the ``def`` header, like ``# ckpt:``)::
 
     def store_page(...):  # hot: per-page -- every committed page lands here
-    def _load_scan(...):  # hot: exempt -- bench/test reference, never hot
+    def _load_scan(...):  # hot: exempt -- test reference, never hot
 
     class SimProfiler:
         __perf_exempt__ = True   # the measuring instrument is not measured

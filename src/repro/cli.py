@@ -272,16 +272,10 @@ def _cmd_ckptcov(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    """Hot-path performance analyzer: PERF lint / profile / bench."""
+    """Hot-path performance analyzer: PERF lint / profile."""
     import json
 
     from repro.analysis.perf import analyze_perf
-
-    if args.action == "bench":
-        from repro.analysis.perfbench import run_perf_bench
-
-        return _run_bench(run_perf_bench(smoke=args.smoke, seed=args.seed),
-                          args)
 
     # lint and profile both need the static pass and gate on its selfcheck.
     report, status = _static_report(analyze_perf, args)
@@ -324,39 +318,8 @@ def _cmd_perf(args) -> int:
     return 0
 
 
-def _run_bench(report, args) -> int:
-    """Print a bench report, write it with ``--out`` and gate it with
-    ``--check`` against a checked-in BENCH file (one schema for both
-    benches).  Exit 1 when the report fails its own checks or the gate,
-    2 when the ``--check`` file cannot be read."""
-    import json
-
-    from repro.metrics import benchfile
-
-    name = report["bench"]
-    print(json.dumps(report, indent=2, sort_keys=True) if args.json
-          else benchfile.format(report))
-    if args.out:
-        benchfile.write(report, args.out)
-        print(f"repro {name}: wrote {args.out}")
-    if not args.check:
-        return 0 if report["ok"] else 1
-    try:
-        baseline = benchfile.load(args.check)
-    except (OSError, ValueError) as exc:
-        print(f"repro {name}: cannot read {args.check}: {exc}", file=sys.stderr)
-        return 2
-    problems = benchfile.check(report, baseline)
-    for problem in problems:
-        print(f"repro {name}: REGRESSION: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    print(f"{name} bench gate: matches {args.check} exactly")
-    return 0
-
-
 def _cmd_ndflow(args) -> int:
-    """Nondeterminism-provenance analyzer: NDF lint / NDLog record / replay."""
+    """Nondeterminism-provenance analyzer: NDF lint / record->replay oracle."""
     import json
 
     from repro.analysis.ndflow import analyze_ndflow
@@ -372,7 +335,6 @@ def _cmd_ndflow(args) -> int:
         DEFAULT_WORKLOADS,
         format_report,
         run_oracle,
-        run_record,
     )
 
     if args.smoke:
@@ -380,17 +342,14 @@ def _cmd_ndflow(args) -> int:
     else:
         workloads = tuple(args.workload) if args.workload else DEFAULT_WORKLOADS
         seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
-    if args.action == "record":
-        report = run_record(workloads, seeds, run_ms=args.run_ms)
-    else:
-        report = run_oracle(workloads, seeds, run_ms=args.run_ms,
-                            knob=args.knob)
+    report = run_oracle(workloads, seeds, run_ms=args.run_ms, knob=args.knob)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(format_report(report))
-    # With --knob the polarity is already folded into ok: every cell
-    # must have DIVERGED (the oracle proved it catches the regression).
+    # With --knob the polarity is already folded into ok: some cell must
+    # have DIVERGED (the oracle proved it catches the regression); either
+    # way every recorded stream must map to a static inventory site.
     return 0 if report["ok"] else 1
 
 
@@ -585,8 +544,12 @@ def _cmd_modes(_args) -> int:
 def _cmd_paper(args) -> int:
     """Paper gate: run every artifact once, print its tables, then gate its
     cells and shape clauses against BENCH_paper.json; or print one
-    artifact's table."""
+    artifact's table.  Exit 1 when the report fails its own clauses or the
+    ``--check`` gate, 2 when the ``--check`` file cannot be read."""
+    import json
+
     from repro.experiments.paper import format_paper, run_paper, run_paper_bench
+    from repro.metrics import benchfile
 
     if args.action != "bench":
         if args.json or args.out or args.check:
@@ -598,7 +561,26 @@ def _cmd_paper(args) -> int:
     results = run_paper(smoke=args.smoke, seed=args.seed)
     if not args.json:
         print(format_paper(results) + "\n")
-    return _run_bench(run_paper_bench(results, args.smoke, args.seed), args)
+    report = run_paper_bench(results, args.smoke, args.seed)
+    print(json.dumps(report, indent=2, sort_keys=True) if args.json
+          else benchfile.format(report))
+    if args.out:
+        benchfile.write(report, args.out)
+        print(f"repro paper: wrote {args.out}")
+    if not args.check:
+        return 0 if report["ok"] else 1
+    try:
+        baseline = benchfile.load(args.check)
+    except (OSError, ValueError) as exc:
+        print(f"repro paper: cannot read {args.check}: {exc}", file=sys.stderr)
+        return 2
+    problems = benchfile.check(report, baseline)
+    for problem in problems:
+        print(f"repro paper: REGRESSION: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"paper bench gate: matches {args.check} exactly")
+    return 0
 
 
 def _add_finding_options(parser) -> None:
@@ -619,19 +601,6 @@ def _add_finding_options(parser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON document (lint: every finding "
                              "with its baselined disposition)")
-
-
-def _add_bench_options(parser) -> None:
-    """The output and gate options every ``<name> bench`` shares."""
-    parser.add_argument("--json", action="store_true",
-                        help="emit the full JSON report")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="bench: also write the report here "
-                             "(e.g. BENCH_<name>.json)")
-    parser.add_argument("--check", default=None, metavar="FILE",
-                        help="bench: gate against a checked-in BENCH file "
-                             "(fail when a metric differs from it, or a "
-                             "full run lacks one of its metrics)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,41 +663,38 @@ def build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf",
         help="hot-path performance analyzer: PERF lint rules, deterministic "
-             "DES profiler, engine work-counter gate",
-        # --json comes from both option helpers; both make it a flag.
-        conflict_handler="resolve",
+             "DES profiler",
     )
     perf.add_argument("action", nargs="?", default="lint",
-                      choices=("selfcheck", "lint", "profile", "bench"))
+                      choices=("selfcheck", "lint", "profile"))
     _add_finding_options(perf)
     perf.add_argument("--workload", default="net",
                       help="profile: catalog workload to run (default: net)")
     perf.add_argument("--run-ms", type=int, default=800,
                       help="profile: simulated run length")
     perf.add_argument("--smoke", action="store_true",
-                      help="reduced CI variant of profile/bench")
-    _add_bench_options(perf)
+                      help="profile: a 400 ms run")
     perf.add_argument("--seed", type=int, default=1)
 
     ndflow = sub.add_parser(
         "ndflow",
-        help="nondeterminism-provenance analyzer: NDF taint rules, NDLog "
-             "record mode, record->replay differential oracle",
+        help="nondeterminism-provenance analyzer: NDF taint rules, "
+             "record->replay differential oracle with a stream crossref",
     )
     ndflow.add_argument("action", nargs="?", default="lint",
-                        choices=("selfcheck", "lint", "record", "replay"))
+                        choices=("selfcheck", "lint", "replay"))
     _add_finding_options(ndflow)
     ndflow.add_argument("--workload", action="append", default=None,
-                        help="record/replay: catalog workload(s) (repeatable; "
+                        help="replay: catalog workload(s) (repeatable; "
                              "default: net, disk-rw)")
     ndflow.add_argument("--seeds", type=int, nargs="+", default=None,
-                        help="record/replay: seeds (default: 1 2)")
+                        help="replay: seeds (default: 1 2)")
     ndflow.add_argument("--run-ms", type=int, default=600,
-                        help="record/replay: simulated run length per cell")
+                        help="replay: simulated run length per cell")
     ndflow.add_argument("--knob", choices=("unsafe-unlogged-draw",),
                         default=None,
                         help="replay: re-enable an unlogged draw; exit 0 iff "
-                             "every cell diverges")
+                             "some cell diverges")
     ndflow.add_argument("--smoke", action="store_true",
                         help="reduced CI matrix: net workload, seeds 1 2")
 
@@ -824,7 +790,14 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument("--smoke", action="store_true",
                        help="run only the CI subset (cells are identical "
                             "to the same cells of a full run)")
-    _add_bench_options(paper)
+    paper.add_argument("--json", action="store_true",
+                       help="bench: emit the full JSON report")
+    paper.add_argument("--out", default=None, metavar="FILE",
+                       help="bench: also write the report here")
+    paper.add_argument("--check", default=None, metavar="FILE",
+                       help="bench: gate against a checked-in BENCH file "
+                            "(fail when a cell differs from it, or a full "
+                            "run lacks one of its cells)")
 
     return parser
 

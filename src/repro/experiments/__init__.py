@@ -23,6 +23,7 @@ module            paper artifact
 ``hycor``         HyCoR vs NiLiCon — overhead, recovery and traffic cells
 ``fleet``         fleet campaign; containers-per-pair and pool-size sweeps
 ``traffic``       L7 SLO campaign; its smoke profiles are the traffic cells
+``engine``        the engine's exact work counters (§VI state cache's saving)
 ``paper``         the paper gate: the artifact registry, cells and clauses
 ================  ==========================================================
 """

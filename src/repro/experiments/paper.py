@@ -5,7 +5,8 @@ Table I's monotone walk, the §VII-C trends, HyCoR's overhead-vs-recovery
 tradeoff, the fleet sweeps' flat stop and shrinking blast radius — so
 those are what this gates.  :data:`ARTIFACTS` is the one registry of
 simulated-result artifacts (the paper's tables and figures, the HyCoR
-comparison, the fleet sweeps and the L7 traffic SLO cells): each names
+comparison, the fleet sweeps, the L7 traffic SLO cells and the engine's
+work counters): each names
 its title, its table and its runner.  ``repro paper bench`` runs every
 artifact once (:func:`run_paper`), prints its tables
 (:func:`format_paper`) and reports its cells in the one bench schema
@@ -23,8 +24,9 @@ artifact once (:func:`run_paper`), prints its tables
   :data:`SMOKE_SUITE`, §VIII, one §VII-A injection on each of
   :data:`SMOKE_VALIDATION` and the HyCoR comparison on
   :data:`repro.experiments.hycor.SMOKE_WORKLOADS` (with all four recovery
-  cells and the traffic cell), the first two rows of each fleet sweep and
-  every traffic profile.  Every cell is its own world behind an
+  cells and the traffic cell), the first two rows of each fleet sweep,
+  every traffic profile and the engine rows of streamcluster with and
+  without the page-digest cache.  Every cell is its own world behind an
   identity-counter reset (:func:`repro.experiments.common.open_cell`), so
   smoke cells equal the full run's.  The full run takes §VII-A at
   :data:`VALIDATION_RUNS` injections per workload; ``repro validate
@@ -38,8 +40,8 @@ from functools import cached_property, partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.experiments import (
-    ablations, fig3, fleet, hycor, scalability, table1, table2, table3, table4, table5, table6,
-    traffic, validation,
+    ablations, engine, fig3, fleet, hycor, scalability, table1, table2, table3, table4, table5,
+    table6, traffic, validation,
 )
 from repro.experiments.common import RunResult, run_overhead
 from repro.metrics import benchfile
@@ -188,6 +190,9 @@ ARTIFACTS: dict[str, Artifact] = {
         "stall p99 {stall_p99_us:>6} us  {throughput_rps:5.1f} req/s  {requests:>3} requests  "
         "violations {violations}",
         lambda r: traffic.run_slo_rows(seed=r.seed)),
+    "engine": Artifact(
+        f"Engine — exact work counters of one {engine.RUN_MS} ms profiled run:", "workload",
+        engine.format_rows, lambda r: engine.run_rows(r.smoke, seed=r.seed)),
 }
 
 #: Row names of the two on/off ablations.
@@ -256,7 +261,9 @@ def paper_metrics(results: Mapping[str, list]) -> dict[str, dict[str, Any]]:
             for column, value in cells.items():
                 metrics[f"{artifact}.{name}.{column}"] = {
                     "value": round(value, 6) if isinstance(value, float) else value,
-                    "unit": next(u for suffix, u in _UNITS if column.endswith(suffix)),
+                    # The engine's columns are profiler counters, all counts.
+                    "unit": "count" if artifact == "engine" else
+                    next(u for suffix, u in _UNITS if column.endswith(suffix)),
                 }
     return metrics
 
@@ -510,6 +517,12 @@ CLAUSES: tuple[Clause, ...] = (
     # SLO oracles and replays identically.
     *_clause("traffic.oracles_hold[{}]", "traffic.{}.violations",
              lambda violations: violations == 0, _PROFILES),
+    # §VI: the page-digest generation cache hashes only dirty pages, under
+    # a tenth of what re-hashing the resident set every epoch digests.
+    *_clause("engine.digest_cache_saves_work", (
+        "engine.streamcluster.digest_pages_digested",
+        f"engine.{engine.UNOPTIMIZED}.digest_pages_digested"),
+        lambda cached, rehashed: cached < 0.1 * rehashed),
 )
 
 

@@ -97,10 +97,10 @@ class HostPool:
                       site="pool.load")
         return self._load.get(name, 0)
 
-    def _load_scan(self, name: str) -> int:  # hot: exempt -- bench/test reference implementation, never on the hot path
+    def _load_scan(self, name: str) -> int:  # hot: exempt -- reference implementation for the equivalence test, never on the hot path
         """Reference implementation of :meth:`load`: the O(allocations)
-        scan the index replaced.  Kept for the equivalence test and the
-        perf bench's before/after measurement; never on the hot path."""
+        scan the index replaced.  Kept for the equivalence test; never on
+        the hot path."""
         return sum(1 for host in self.allocations.values() if host == name)
 
     def free_slots(self, name: str) -> int:

@@ -83,8 +83,8 @@ class NiliconConfig:
     #: instead of hashing only the dirty pages and reusing clean pages'
     #: cached CRCs.  Exists so ``repro perf`` can prove the analyzer flags
     #: the re-hash-everything loop (PERF002) and the profiler confirms it
-    #: hot, and so BENCH_engine.json can record the pages the cache saves;
-    #: never enable outside tests and benches.
+    #: hot, and so the paper gate's ``engine`` artifact can pin the pages
+    #: the cache saves; never enable outside tests and that artifact.
     perf_unoptimized_digest: bool = False
     #: REGRESSION KNOB — one RNG consumer bypassing the NDLog: the primary
     #: perturbs its checkpoint timing with a draw from an unseeded,

@@ -543,9 +543,6 @@ class Engine:
         self.tracer: Any = None
         self.fault_plan: Any = None
         self._ftcov: Any = None
-        #: Lifetime count of events dispatched (always on: the perf bench's
-        #: engine micro-benches derive events/sec from it without a profiler).
-        self.n_dispatched: int = 0
 
     # -- instruments -------------------------------------------------------
     def observe(self, observer: _O) -> _O:
@@ -665,7 +662,6 @@ class Engine:
         if when < self._now:  # pragma: no cover - heap invariant guard
             raise SimulationError("event heap went backwards in time")
         self._now = when
-        self.n_dispatched += 1
         observer = self._observer
         if observer is not None:
             observer.on_event_begin(event)
@@ -696,7 +692,7 @@ class Engine:
             # The step()-based loop cost two head scans per event (peek in
             # the loop condition, peek again inside step) plus re-resolved
             # attribute lookups; hoisting the heap and heappop is the
-            # PERF004 fix measured in BENCH_engine.json.
+            # PERF004 fix.
             heap = self._heap
             pop = heapq.heappop
             dispatch = self._dispatch

@@ -19,7 +19,6 @@ from repro.analysis.ndreplay import (
     crossref_streams,
     golden_ndlog_digests,
     run_oracle,
-    run_record,
     run_roundtrip,
 )
 from repro.replication.config import NiliconConfig
@@ -111,7 +110,8 @@ def test_unknown_knob_is_rejected():
 
 
 def test_record_mode_crossrefs_every_stream():
-    report = run_record(("ssdb",), (1,), run_ms=500)
+    # The oracle's record halves feed the crossref: no second pass.
+    report = run_oracle(("ssdb",), (1,), run_ms=500)
     assert report["ok"]
     crossref = report["crossref"]
     assert crossref["unmatched"] == []
@@ -136,6 +136,31 @@ def test_crossref_reports_inventory_gaps():
     assert result["matched"]["zz-known"] == "src/repro/zz_mod.py:2"
 
 
+@pytest.mark.parametrize("knob", [None, "unsafe-unlogged-draw"])
+def test_unmatched_stream_fails_the_oracle_under_both_polarities(monkeypatch, knob):
+    # Cells stubbed with the verdict each polarity wants; only the
+    # crossref, against an inventory holding one literal site, can fail.
+    from functools import partial
+
+    from repro.analysis import ndreplay
+    from repro.analysis.ndflow import build_nd_inventory
+
+    inv = build_nd_inventory({
+        "src/repro/zz_mod.py":
+            "def a(w):\n    return w.rng.stream('zz-known')\n",
+    })
+    monkeypatch.setattr(ndreplay, "crossref_streams",
+                        partial(crossref_streams, inventory=inv))
+    streams = {"zz-known": 2}
+    monkeypatch.setattr(ndreplay, "run_roundtrip", lambda *a, **k: {
+        "identical": knob is None, "streams": dict(streams)})
+    assert run_oracle(("net",), (1,), knob=knob)["ok"]
+    streams["zz-stream-nobody-mints"] = 1
+    report = run_oracle(("net",), (1,), knob=knob)
+    assert not report["ok"]
+    assert report["crossref"]["unmatched"] == ["zz-stream-nobody-mints"]
+
+
 def test_crossref_wildcard_site_claims_caller_chosen_names():
     # openloop's rng_name parameter can mint any name, so unknown streams
     # legitimately map there against the real tree — most-specific literal
@@ -150,7 +175,7 @@ def test_golden_ndlog_digests_match_checked_in_file():
     protocol/draw change (regenerate with `make golden-regen`) or an
     accidental nondeterminism regression in the recorded streams."""
     on_disk = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    recomputed = golden_ndlog_digests()
+    recomputed = golden_ndlog_digests(run_oracle())
     assert on_disk["run_ms"] == DEFAULT_RUN_MS
     cells = [k for k in on_disk if k != "run_ms"]
     assert len(cells) == len(DEFAULT_WORKLOADS) * len(DEFAULT_SEEDS)

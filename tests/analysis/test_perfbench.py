@@ -1,6 +1,6 @@
 """Tests for perf Layer 3: deterministic profiling, the L2<->L3
-cross-reference, the engine bench's exact work metrics, and the checks
-it folds into its ``ok``.
+cross-reference, and the work counters the paper gate pins as its
+``engine`` cells.
 
 The load-bearing property is ISSUE acceptance: two same-seed profiled
 runs must produce *identical* counter digests.  The cross-reference tests
@@ -12,14 +12,9 @@ downgrades pool findings whose counters stayed cold.
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.linter import Finding
 from repro.analysis.perfbench import (
     HOT_THRESHOLD,
-    _bench_callback_timers,
-    _bench_pool_index,
-    _engine_report,
     crossref,
     run_profiled_deployment,
     work_counters,
@@ -62,18 +57,22 @@ def test_profiled_counters_cover_every_subsystem():
 
 
 def test_streamcluster_counters_match_the_checked_in_bench():
-    """The engine gate's streamcluster rows are this run's work counters,
-    so a change to the work it does must come with a regenerated
-    BENCH_engine.json."""
+    """The paper gate's ``engine.streamcluster.*`` cells are this run's
+    work counters, so a change to the work it does must come with a
+    regenerated BENCH_paper.json.  The counter digest also covers the
+    per-kind breakdowns (``engine.events.Call``) the cells omit."""
     run = run_profiled_deployment("streamcluster", run_ms=1500, seed=1)
-    report = benchfile.load(ROOT / "BENCH_engine.json")
+    report = benchfile.load(ROOT / "BENCH_paper.json")
     pinned = {
-        name.removeprefix("streamcluster."): metric["value"]
+        name.removeprefix("engine.streamcluster."): metric
         for name, metric in report["metrics"].items()
-        if name.startswith("streamcluster.")
+        if name.startswith("engine.streamcluster.")
     }
-    assert work_counters(run.counters) == pinned
-    assert report["info"]["counter_digests"]["streamcluster"] == run.digest
+    assert pinned == {
+        site.replace(".", "_"): {"value": n, "unit": "count"}
+        for site, n in work_counters(run.counters).items()
+    }
+    assert run.digest == "0a1510f9"
 
 
 def test_unoptimized_digest_knob_is_confirmed_hot():
@@ -126,108 +125,3 @@ def test_crossref_downgrades_cold_findings():
     hot = crossref([finding], {"pool.slot_ops": 40, "pool.load_queries": 30})
     assert hot[0]["status"] == "confirmed-hot"
     assert hot[0]["observed"] == 70
-
-
-def _measured():
-    """One engine bench's raw measurements, every check passing."""
-    return {
-        "seed": 1,
-        "smoke": True,
-        "run_ms": 1500,
-        "workloads": {
-            name: {
-                "counters": {
-                    "digest.pages_digested": 31,
-                    "engine.events": 2505,
-                    "engine.events.Call": 900,
-                },
-                "counter_digest": "68cdfcb0",
-                "deterministic": True,
-            }
-            for name in ("net", "streamcluster")
-        },
-        "optimizations": {
-            "engine_run_fast_path": {"speedup": 1.1},
-            "callback_timers": {"speedup": 1.3},
-            "page_digest_cache": {"work_reduction": 0.967},
-            "pool_load_index": {"equivalent": True, "speedup": 4.9},
-        },
-    }
-
-
-def test_engine_report_passes_its_own_gate():
-    report = _engine_report(_measured())
-    assert report["ok"], report["problems"]
-    assert report["metrics"]["net.engine.events"] == {
-        "value": 2505, "unit": "count",
-    }
-    # One metric per one-dot counter; the per-kind breakdown stays out.
-    assert sorted(report["metrics"]) == [
-        f"{name}.{site}"
-        for name in ("net", "streamcluster")
-        for site in ("digest.pages_digested", "engine.events")
-    ]
-    assert not any(
-        name.endswith(("_per_sec", "wall_s")) for name in report["metrics"]
-    )
-    assert benchfile.check(report, report) == []
-
-
-def test_check_bench_flags_fast_path_regression():
-    # Gated relative to the legacy loop in the same process, so the check
-    # needs no baseline and holds on hosts of any speed.
-    measured = _measured()
-    measured["optimizations"]["engine_run_fast_path"]["speedup"] = 0.5
-    report = _engine_report(measured)
-    assert not report["ok"]
-    assert len(report["problems"]) == 1
-    assert "engine_run_fast_path" in report["problems"][0]
-    assert benchfile.check(report, _engine_report(_measured()))
-
-
-def _nondeterministic_workload(measured):
-    measured["workloads"]["streamcluster"]["deterministic"] = False
-
-
-def _inequivalent_pool_index(measured):
-    measured["optimizations"]["pool_load_index"]["equivalent"] = False
-
-
-def _slow_callback_timers(measured):
-    measured["optimizations"]["callback_timers"]["speedup"] = 0.7
-
-
-@pytest.mark.parametrize(
-    "breakage, culprit",
-    [
-        (_nondeterministic_workload, "streamcluster"),
-        (_inequivalent_pool_index, "pool_load_index"),
-        (_slow_callback_timers, "callback_timers"),
-    ],
-    ids=["workload", "pool-index", "callback-timers"],
-)
-def test_engine_gate_fails_on_a_baseline_free_check(breakage, culprit):
-    """Counters equal to the baseline do not save a report whose same-seed
-    repeats diverged or whose optimized path disagrees with its
-    reference."""
-    measured = _measured()
-    breakage(measured)
-    report = _engine_report(measured)
-    assert not report["ok"]
-    assert len(report["problems"]) == 1 and culprit in report["problems"][0]
-    problems = benchfile.check(report, _engine_report(_measured()))
-    assert len(problems) == 1 and culprit in problems[0]
-
-
-def test_callback_timer_bench_fires_every_timer():
-    result = _bench_callback_timers(n_timers=8_000)
-    assert result["events"] == 8_000
-    assert set(result) == {
-        "events", "before_events_per_sec", "after_events_per_sec", "speedup",
-    }
-
-
-def test_pool_index_matches_scan_and_wins():
-    result = _bench_pool_index(queries=20_000, seed=1)
-    assert result["equivalent"] is True
-    assert result["speedup"] > 1.0

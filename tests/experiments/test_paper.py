@@ -31,7 +31,8 @@ def test_checked_in_report_holds_every_clause(metrics):
     assert paper_problems(metrics, smoke=False) == []
     assert runnable_clauses(metrics)[1] == []
     assert {"fig3.redis.nilicon_overhead_pct", "validation.node.recovery_rate",
-            "fleet_pool.12.members_disturbed", "traffic.failover.p99_us"} <= set(metrics)
+            "fleet_pool.12.members_disturbed", "traffic.failover.p99_us",
+            "engine.redis.engine_events"} <= set(metrics)
     assert len({clause.name for clause in CLAUSES}) == len(CLAUSES)
 
 
@@ -65,6 +66,8 @@ MUTATIONS = {
                    "fleet_pool.blast_radius_shrinks[4->6]"),
     "fleet_pair": ("fleet_pair.4.mean_stop_us", 1.05 * 8254.2, "fleet_pair.stop_flat[4]"),
     "traffic": ("traffic.migration.violations", 1, "traffic.oracles_hold[migration]"),
+    "engine": ("engine.streamcluster/unoptimized.digest_pages_digested",
+               "engine.streamcluster.digest_pages_digested", "engine.digest_cache_saves_work"),
 }
 
 
@@ -82,7 +85,8 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
             "table3": SMOKE_SUITE, "table4": SMOKE_SUITE, "table5": SMOKE_SUITE,
             "validation": SMOKE_VALIDATION, "hycor": SMOKE_WORKLOADS,
             "hycor_recovery": None, "hycor_traffic": None,
-            "fleet_pair": ("1", "2"), "fleet_pool": ("4", "6"), "traffic": None}
+            "fleet_pair": ("1", "2"), "fleet_pool": ("4", "6"), "traffic": None,
+            "engine": ("streamcluster", "streamcluster/unoptimized")}
 
     def kept(name):
         artifact, row, _ = name.split(".")
@@ -99,7 +103,8 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
             "hycor_recovery.replay_costs_recovery[net]",
             "hycor_traffic.oracles_hold", "fleet_pair.stop_flat[2]",
             "fleet_pool.blast_radius_shrinks[4->6]", "fleet_pool.all_protected[6]",
-            "traffic.oracles_hold[failover]"} <= {c.name for c in runnable}
+            "traffic.oracles_hold[failover]", "engine.digest_cache_saves_work"} <= {
+        c.name for c in runnable}
     assert {"fig3.nilicon_wins[redis]", "fig3.stop_dominates", "table3.node_longest_stop",
             "table6.redis.stock_ms in (None, 10)", "validation.full_recovery[node]",
             "threads.overhead_grows", "hycor.log_commit_wins_over_10",

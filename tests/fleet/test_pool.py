@@ -114,6 +114,28 @@ def test_pair_index_matches_scan_through_every_mutation(pool):
     assert pool.pair_count("node1", "node2") == 0
 
 
+def test_load_index_matches_scan_on_a_campaign_shaped_pool(world):
+    """The O(1) occupancy index must agree with the ``_load_scan``
+    reference on the fleet campaign's shape (12 members on 6 hosts),
+    again after a release and after a failover's ``promote_backup``."""
+    pool = HostPool(world, 6, slots_per_host=10)
+    names = sorted(pool.hosts)
+    for i in range(12):
+        pool.allocate(f"m{i:02d}", "primary", pool.host(names[i % 6]))
+        pool.allocate(f"m{i:02d}", "backup", pool.host(names[(i + 1) % 6]))
+
+    def check():
+        assert [pool.load(n) for n in names] == [pool._load_scan(n) for n in names]
+
+    check()
+    assert [pool.load(n) for n in names] == [4] * 6
+    pool.release("m03", "primary")
+    check()
+    pool.promote_backup("m03")
+    check()
+    assert pool.load("node3") == 3 and pool.load("node4") == 4
+
+
 def test_channel_between_is_cached_and_symmetric(pool):
     a, b = pool.host("node0"), pool.host("node1")
     channel = pool.channel_between(a, b)

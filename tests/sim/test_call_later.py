@@ -36,6 +36,26 @@ def test_call_passes_its_arguments():
     assert seen == [(1, "two")]
 
 
+def test_self_rearming_chains_fire_every_timer():
+    # The bridge-hop / retransmit shape: each call arms the next one from
+    # inside its own dispatch.
+    eng = Engine()
+    prof = install_profiler(eng)
+    left = [100] * 8
+
+    def fire(chain):
+        left[chain] -= 1
+        if left[chain]:
+            eng.call_later(7, fire, chain)
+
+    for chain in range(8):
+        eng.call_later(7, fire, chain)
+    eng.run()
+    assert left == [0] * 8
+    assert prof.counters["engine.events.Call"] == 800
+    assert eng.now == 700
+
+
 def _cancelled_setup():
     eng = Engine()
     fired = []
@@ -132,7 +152,6 @@ def test_profiler_counts_a_call_once():
     assert prof.counters["engine.events"] == 1
     assert prof.counters["engine.events.Call"] == 1
     assert prof.counters["engine.heap_push"] == 1
-    assert eng.n_dispatched == 1
 
 
 def test_call_from_a_process_happens_after_it():

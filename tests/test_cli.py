@@ -194,44 +194,40 @@ def test_traffic_profiles_lists_all_four(capsys):
         assert name in out
 
 
-def _bench_args(**kwargs):
-    import argparse
-
-    return argparse.Namespace(**{"json": False, "out": None, "check": None,
-                                 **kwargs})
-
-
-def _bench_report(events, ok=True):
+def _paper_bench(monkeypatch, events, ok=True, *options):
+    """``repro paper bench`` over a stub report: no artifact runs."""
+    from repro.experiments import paper
     from repro.metrics import benchfile
 
-    return {
-        "schema": benchfile.SCHEMA, "bench": "engine", "seed": 1,
+    report = {
+        "schema": benchfile.SCHEMA, "bench": "paper", "seed": 1,
         "smoke": True, "ok": ok, "problems": [] if ok else ["diverged"],
-        "metrics": {"net.engine.events": {"value": events, "unit": "count"}},
+        "metrics": {"engine.net.engine_events": {"value": events, "unit": "count"}},
         "info": {},
     }
+    monkeypatch.setattr(paper, "run_paper", lambda **kwargs: {})
+    monkeypatch.setattr(paper, "run_paper_bench", lambda *args: report)
+    return main(["paper", "bench", "--smoke", *options])
 
 
-def test_run_bench_exit_codes(tmp_path, capsys):
-    from repro.cli import _run_bench
-
-    pinned = tmp_path / "BENCH_engine.json"
-    assert _run_bench(_bench_report(2505), _bench_args(out=str(pinned))) == 0
-    assert _run_bench(_bench_report(2505), _bench_args(check=str(pinned))) == 0
+def test_run_bench_exit_codes(tmp_path, capsys, monkeypatch):
+    pinned = tmp_path / "BENCH_paper.json"
+    assert _paper_bench(monkeypatch, 2505, True, "--out", str(pinned)) == 0
+    assert _paper_bench(monkeypatch, 2505, True, "--check", str(pinned)) == 0
     assert "matches" in capsys.readouterr().out
-    assert _run_bench(_bench_report(2506), _bench_args(check=str(pinned))) == 1
-    assert _run_bench(_bench_report(2505, ok=False), _bench_args()) == 1
+    assert _paper_bench(monkeypatch, 2506, True, "--check", str(pinned)) == 1
+    assert _paper_bench(monkeypatch, 2505, False) == 1
     assert "REGRESSION" in capsys.readouterr().err
     # A v1 file and a banded v2 file are both stale: neither is read.
     stale_v1 = tmp_path / "BENCH_v1.json"
     stale_v1.write_text('{"schema": "repro.bench.engine/v1"}', encoding="utf-8")
     stale_v2 = tmp_path / "BENCH_v2.json"
     stale_v2.write_text(json.dumps({
-        "schema": "repro.bench/v2", "bench": "engine", "seed": 1,
+        "schema": "repro.bench/v2", "bench": "paper", "seed": 1,
         "smoke": False, "ok": True, "problems": [], "info": {},
-        "metrics": {"net.engine.events": {
+        "metrics": {"engine.net.engine_events": {
             "value": 2505, "unit": "count", "better": "exact"}},
     }), encoding="utf-8")
     for stale in (stale_v1, stale_v2):
-        assert _run_bench(_bench_report(2505), _bench_args(check=str(stale))) == 2
+        assert _paper_bench(monkeypatch, 2505, True, "--check", str(stale)) == 2
         assert "cannot read" in capsys.readouterr().err
