@@ -22,7 +22,8 @@ This package provides the enforcement layers:
 * :mod:`repro.analysis.races` / :mod:`repro.analysis.fuzz` — a dynamic
   happens-before race detector (vector clocks over process wake-ups and
   message edges) plus a tie-break schedule fuzzer proving end-to-end
-  schedule independence, run via ``python -m repro races`` and in CI.
+  schedule independence, one pass with the ordering-bug regression
+  probes, run via ``python -m repro races`` and in CI.
 * :mod:`repro.analysis.coverage` / :mod:`repro.analysis.ckptdiff` — the
   checkpoint state-coverage analyzer (``python -m repro ckptcov``): a
   field inventory of the simulated kernel, the CKPT100..CKPT104

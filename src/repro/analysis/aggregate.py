@@ -1,11 +1,11 @@
 """Consolidated analyzer gate (``repro analyze`` / ``make analyze``).
 
 Runs every step of :data:`STEPS` through the real ``repro`` CLI entry
-points, so each step keeps its exact gate semantics (baselines, knob
-polarity, selfchecks).  ``STEPS`` is the only list of these steps and of
-the baseline files they read: no make target, CI step or help text
-repeats it, and each inventory selfcheck runs inside the lint step that
-gates on it.  The aggregate exit code is the max over steps; the merged
+points, so each step keeps its exact gate semantics (baselines,
+selfchecks, the regression probes inside each dynamic pass).  ``STEPS``
+is the only list of these steps and of the baseline files they read: no
+make target, CI step or help text repeats it, and each inventory
+selfcheck runs inside the step that gates on it.  The aggregate exit code is the max over steps; the merged
 findings artifact is read from the JSON documents the lint steps already
 printed, each finding tagged with its analyzer and baseline disposition.
 """
@@ -27,28 +27,15 @@ def _wall() -> float:
 #: (analyzer, smoke argv, full argv) — argv is what ``repro.cli.main``
 #: receives; ``repro analyze`` (CI) runs the smoke column, ``repro
 #: analyze --full`` the full one.  Every lint step prints one ``--json``
-#: document; the full ``ckptcov diff`` step runs the oracle on every
-#: catalog workload.
+#: document, and every dynamic step is one pass shaped by ``--smoke``
+#: alone.
 STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("nlint", ("lint", "src", "--json"), ("lint", "src", "--json")),
-    ("races", ("races", "--check-access"), ("races", "--check-access")),
     ("races", ("races", "--smoke"), ("races",)),
-    ("races", ("races", "--fuzz", "--smoke"), ("races", "--fuzz")),
-    ("races", ("races", "--smoke", "--knob", "ack-before-commit"),
-     ("races", "--knob", "ack-before-commit")),
-    ("races", ("races", "--smoke", "--knob", "release-oldest"),
-     ("races", "--knob", "release-oldest")),
     ("ckptcov",
      ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--json"),
      ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--json")),
-    ("ckptcov",
-     ("ckptcov", "diff", "--workload", "ssdb", "--workload", "net-echo"),
-     ("ckptcov", "diff",
-      "--workload", "swaptions", "--workload", "streamcluster",
-      "--workload", "redis", "--workload", "ssdb", "--workload", "node",
-      "--workload", "lighttpd", "--workload", "djcms",
-      "--workload", "disk-rw", "--workload", "net-echo",
-      "--workload", "net")),
+    ("ckptcov", ("ckptcov", "diff", "--smoke"), ("ckptcov", "diff")),
     ("perf", ("perf", "lint", "--baseline", "perf-baseline.json", "--json"),
      ("perf", "lint", "--baseline", "perf-baseline.json", "--json")),
     ("perf", ("perf", "profile", "--smoke"), ("perf", "profile")),
@@ -56,9 +43,6 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json"),
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json")),
     ("ndflow", ("ndflow", "replay", "--smoke"), ("ndflow", "replay")),
-    ("ndflow",
-     ("ndflow", "replay", "--smoke", "--knob", "unsafe-unlogged-draw"),
-     ("ndflow", "replay", "--knob", "unsafe-unlogged-draw")),
     ("ftcov",
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
      ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json")),

@@ -56,12 +56,17 @@ __all__ = [
     "compare_containers",
     "run_oracle",
     "ORACLE_WORKLOADS",
+    "SMOKE_WORKLOADS",
 ]
 
-#: Catalog entries the oracle (and ``repro ckptcov diff``) cycles through.
+#: Catalog entries :func:`run_oracle_suite` cycles through by default.
 #: One per workload family: compute (parsec), KV with persistence (fs
 #: cache + heap), web (multi-process), echo (network stack), disk-rw.
 ORACLE_WORKLOADS = ("swaptions", "ssdb", "lighttpd", "net-echo", "disk-rw")
+
+#: ``repro ckptcov diff --smoke``; without ``--smoke`` it runs every
+#: catalog workload.
+SMOKE_WORKLOADS = ("ssdb", "net-echo")
 
 _MISSING = object()
 
@@ -421,6 +426,5 @@ def run_oracle(
 def run_oracle_suite(
     workloads: Iterable[str] = ORACLE_WORKLOADS, **kwargs: Any
 ) -> list[OracleResult]:
-    """Run the oracle over several catalog workloads (as ``repro ckptcov
-    diff`` does)."""
+    """Run the oracle over several catalog workloads."""
     return [run_oracle(name, **kwargs) for name in workloads]

@@ -294,19 +294,18 @@ def probe_drop_scenario(
 
 
 def run_ftcov_record(
+    inventory: Any,
     smoke: bool = False,
     cells: Iterable[CatalogCell] | None = None,
 ) -> dict[str, Any]:
     """Run every catalog cell under its own recorder and gate on the
-    crossref of the merged counters.
+    crossref of the merged counters against the static *inventory* (the
+    one ``analyze_ftcov`` built and selfchecked).
 
     The gate requires every run's own oracles green, zero coverage gaps
     and a passing drop-scenario probe.  *cells* (default:
     :func:`catalog_cells`) exists for the tests' small subsets.
     """
-    from repro.analysis.ftcov import FTCOV_SCOPE, build_ft_inventory
-    from repro.analysis.inventory import load_sources
-
     runs: list[dict[str, Any]] = []
     for cell in catalog_cells(smoke) if cells is None else cells:
         recorder = FtcovRecorder()
@@ -315,7 +314,6 @@ def run_ftcov_record(
                      "violations": violations,
                      "counters": recorder.counters})
     counters = merge_counters(runs)
-    inventory = build_ft_inventory(load_sources(FTCOV_SCOPE))
     crossref = crossref_coverage(counters, inventory)
     probe = probe_drop_scenario(runs, crossref["gaps"], inventory)
     runs_ok = all(run["ok"] for run in runs)

@@ -1,20 +1,25 @@
-"""Tie-break schedule fuzzing and the race-probe harness (``repro races``).
+"""Tie-break schedule fuzzing and the race pass (``repro races``).
 
 The engine orders same-timestamp events by insertion sequence — a default
-the protocol must not *depend* on.  This module proves that mechanically,
-from two directions:
+the protocol must not *depend* on.  :func:`run_races` proves that
+mechanically in one pass, from every direction at once:
 
+* the ``record_access`` coverage check
+  (:func:`~repro.analysis.races.verify_access_coverage`): every tracked
+  shared field really is instrumented, so the detector sees it;
 * :func:`run_race_probe` replays short replicated runs with the
   happens-before detector installed (and a phase-pinned duplicate-ack link
   race armed, so the dangerous reorder window of the pop-oldest release
   bug is actually exercised) and reports every unordered conflicting
-  access.  ``knob=`` re-enables the historical
-  ``unsafe_ack_before_commit`` / ``unsafe_release_oldest_barrier``
-  regressions so tests can prove the detector flags each pre-fix race.
+  access;
 * :func:`run_fuzz` replays each workload under N seeded deterministic
   tie-break permutations (plus a reversal) of same-timestamp orderings
   and diffs trace + metrics digests against the insertion-order baseline:
-  identical digests == end-to-end schedule independence.
+  identical digests == end-to-end schedule independence;
+* the regression probes re-enable the historical
+  ``unsafe_ack_before_commit`` / ``unsafe_release_oldest_barrier`` races,
+  and the detector must flag each — the proof that a clean probe is clean
+  because the protocol is, not because the detector is blind.
 
 Permutations are context-grouped: events scheduled by one callback keep
 their relative order (preserving legitimate FIFO guarantees like
@@ -31,7 +36,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.analysis.races import RaceFinding, install_detector
+from repro.analysis.races import (
+    RaceFinding,
+    install_detector,
+    verify_access_coverage,
+)
 from repro.sim.units import ms
 
 __all__ = [
@@ -42,6 +51,7 @@ __all__ = [
     "format_report",
     "run_fuzz",
     "run_race_probe",
+    "run_races",
     "trace_digest",
 ]
 
@@ -268,35 +278,26 @@ def run_instrumented(
 
 
 # --------------------------------------------------------------------------- #
-# Probe mode (happens-before detection, optional regression knobs)            #
+# Probe mode (happens-before detection)                                       #
 # --------------------------------------------------------------------------- #
-
-#: ``--knob`` name -> NiliconConfig override re-enabling a pre-fix race.
-KNOBS = {
-    "ack-before-commit": {"unsafe_ack_before_commit": True},
-    "release-oldest": {"unsafe_release_oldest_barrier": True},
-}
 
 
 def run_race_probe(
     workloads: tuple[str, ...] = ("net",),
     seeds: tuple[int, ...] = (1, 2, 3),
     run_ms: int = 900,
-    knob: str | None = None,
+    config=None,
 ) -> dict:
-    """Detector sweep: each workload x seed with the reorder window armed.
+    """Detector sweep: each workload x seed with the reorder window armed,
+    under *config* (default: ``NiliconConfig.nilicon()``).
 
     Returns a report dict; ``ok`` is True when no unordered conflicting
     access (and no output-commit audit violation) was observed.
     """
     from repro.replication.config import NiliconConfig
 
-    config = NiliconConfig.nilicon()
-    if knob is not None:
-        if knob not in KNOBS:
-            raise KeyError(f"unknown knob {knob!r}; have {sorted(KNOBS)}")
-        config = config.with_(**KNOBS[knob])
-
+    if config is None:
+        config = NiliconConfig.nilicon()
     runs = []
     for workload in workloads:
         for seed in seeds:
@@ -309,8 +310,6 @@ def run_race_probe(
     findings = [f for r in runs for f in r.findings]
     audit = [v for r in runs for v in r.audit_violations]
     return {
-        "mode": "probe",
-        "knob": knob,
         "ok": not findings and not audit,
         "runs": [r.as_dict() for r in runs],
         "findings": [f.as_dict() for f in findings],
@@ -369,7 +368,6 @@ def run_fuzz(
                         "alt_metrics": alt.metrics,
                     })
     return {
-        "mode": "fuzz",
         "ok": not divergences and not findings,
         "workloads": list(workloads),
         "seeds": list(seeds),
@@ -377,6 +375,57 @@ def run_fuzz(
         "cells": cells,
         "divergences": divergences,
         "findings": [f.as_dict() for f in findings],
+    }
+
+
+# --------------------------------------------------------------------------- #
+# The race pass                                                               #
+# --------------------------------------------------------------------------- #
+
+#: NiliconConfig overrides that each re-enable one historical
+#: output-commit race; every pass runs the probe under each and the
+#: detector must flag it.
+_REGRESSIONS = {
+    "ack-before-commit": {"unsafe_ack_before_commit": True},
+    "release-oldest": {"unsafe_release_oldest_barrier": True},
+}
+
+
+def run_races(smoke: bool = False) -> dict:
+    """The one race pass: the access-coverage check, the clean probe, the
+    schedule fuzz and both regression probes.
+
+    ``smoke`` runs net x seed 1 (a 3-schedule fuzz); the full pass runs
+    seeds 1-3 and fuzzes net and disk-rw over 8 schedules.  ``ok`` holds
+    only when the coverage check, the probe and the fuzz are clean and
+    every regression probe has at least one finding; ``missed`` names the
+    regressions the detector did not flag.
+    """
+    from repro.replication.config import NiliconConfig
+
+    seeds = (1,) if smoke else (1, 2, 3)
+    problems = verify_access_coverage()
+    probe = run_race_probe(seeds=seeds)
+    fuzz = run_fuzz(
+        workloads=("net",) if smoke else FUZZ_WORKLOADS,
+        seeds=seeds,
+        permutations=3 if smoke else 8,
+    )
+    regressions = {
+        name: run_race_probe(
+            seeds=seeds, config=NiliconConfig.nilicon().with_(**override))
+        for name, override in _REGRESSIONS.items()
+    }
+    missed = [name for name, report in regressions.items()
+              if not report["findings"]]
+    return {
+        "smoke": smoke,
+        "problems": problems,
+        "probe": probe,
+        "fuzz": fuzz,
+        "regressions": regressions,
+        "missed": missed,
+        "ok": not problems and probe["ok"] and fuzz["ok"] and not missed,
     }
 
 
@@ -427,42 +476,54 @@ def write_golden(path: str) -> None:
 # --------------------------------------------------------------------------- #
 
 
+def _race_lines(report: dict) -> list[str]:
+    return ([f"  RACE {f['check']}: {f['message']}" for f in report["findings"]]
+            + [f"  AUDIT {v}" for v in report.get("audit_violations", ())])
+
+
 def format_report(report: dict) -> str:
-    lines = []
-    if report["mode"] == "probe":
-        knob = f" (knob: {report['knob']})" if report.get("knob") else ""
+    """Human-readable rendering of one :func:`run_races` pass."""
+    lines = [
+        "record_access coverage: every tracked field is instrumented."
+        if not report["problems"] else "record_access coverage check FAILED:"
+    ]
+    lines += [f"  - {problem}" for problem in report["problems"]]
+    probe = report["probe"]
+    lines.append(f"race probe: {len(probe['runs'])} run(s), "
+                 f"{probe['accesses_recorded']} accesses tracked")
+    lines += _race_lines(probe)
+    lines.append(
+        "no unordered conflicting accesses." if probe["ok"]
+        else f"{len(probe['findings'])} race finding(s), "
+             f"{len(probe['audit_violations'])} audit violation(s)."
+    )
+    fuzz = report["fuzz"]
+    lines.append(
+        f"schedule fuzz: {len(fuzz['cells'])} permuted run(s) over "
+        f"{'/'.join(fuzz['workloads'])} x seeds {fuzz['seeds']} "
+        f"({fuzz['permutations']} schedules each)"
+    )
+    for d in fuzz["divergences"]:
         lines.append(
-            f"race probe{knob}: {len(report['runs'])} run(s), "
-            f"{report['accesses_recorded']} accesses tracked"
+            f"  DIVERGED {d['workload']} seed={d['seed']} "
+            f"schedule={d['schedule']}: trace {d['base_trace']} -> "
+            f"{d['alt_trace']}; metrics {d['base_metrics']} -> "
+            f"{d['alt_metrics']}"
         )
-        for f in report["findings"]:
-            lines.append(f"  RACE {f['check']}: {f['message']}")
-        for v in report["audit_violations"]:
-            lines.append(f"  AUDIT {v}")
+    lines += _race_lines(fuzz)
+    lines.append(
+        "all digests identical; no races under any schedule."
+        if fuzz["ok"] else
+        f"{len(fuzz['divergences'])} divergence(s), "
+        f"{len(fuzz['findings'])} race finding(s)."
+    )
+    for name, regression in report["regressions"].items():
+        verdict = "MISSED" if name in report["missed"] else "detected"
         lines.append(
-            "no unordered conflicting accesses." if report["ok"]
-            else f"{len(report['findings'])} race finding(s), "
-                 f"{len(report['audit_violations'])} audit violation(s)."
+            f"regression {name}: {len(regression['findings'])} race "
+            f"finding(s), {len(regression['audit_violations'])} audit "
+            f"violation(s) — {verdict}"
         )
-    else:
-        lines.append(
-            f"schedule fuzz: {len(report['cells'])} permuted run(s) over "
-            f"{'/'.join(report['workloads'])} x seeds {report['seeds']} "
-            f"({report['permutations']} schedules each)"
-        )
-        for d in report["divergences"]:
-            lines.append(
-                f"  DIVERGED {d['workload']} seed={d['seed']} "
-                f"schedule={d['schedule']}: trace {d['base_trace']} -> "
-                f"{d['alt_trace']}; metrics {d['base_metrics']} -> "
-                f"{d['alt_metrics']}"
-            )
-        for f in report["findings"]:
-            lines.append(f"  RACE {f['check']}: {f['message']}")
-        lines.append(
-            "all digests identical; no races under any schedule."
-            if report["ok"] else
-            f"{len(report['divergences'])} divergence(s), "
-            f"{len(report['findings'])} race finding(s)."
-        )
+        lines += _race_lines(regression)
+    lines.append("races: OK" if report["ok"] else "races: FAIL")
     return "\n".join(lines)

@@ -20,11 +20,12 @@ NDLog captures every nondeterministic input*.  For each catalog workload:
    map back to a static inventory site (:func:`crossref_streams`); an
    unmatched stream is a logged source the NDF rules never saw.
 
-The ``unsafe-unlogged-draw`` knob re-enables a consumer that bypasses the
-log (``replication/primary.py``); with it armed the oracle must *fail* on
-every cell — the dynamic witness confirming the static NDF001/NDF003
-findings, exactly how ``repro races --knob`` and ``repro perf crossref``
-pair their static and dynamic layers.
+Every pass (:func:`run_oracle`) also runs its grid with
+``unsafe_unlogged_draw`` set, which re-enables a consumer that bypasses
+the log (``replication/primary.py``): some of those regression cells must
+diverge — the dynamic witness confirming the static NDF001/NDF003
+findings, as the regression probes of ``repro races`` pair the race
+detector with the historical races it must flag.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.analysis.ndflow import NDFLOW_SCOPE, build_nd_inventory
 from repro.sim.ndlog import NDLog, ReplayDivergence, TIEBREAK_STREAM
 
 __all__ = [
-    "KNOBS",
     "crossref_streams",
     "golden_ndlog_digests",
     "run_oracle",
@@ -46,12 +46,13 @@ __all__ = [
     "write_ndlog_golden",
 ]
 
-#: ``--knob`` name -> NiliconConfig override re-enabling an unlogged draw.
-KNOBS = {
-    "unsafe-unlogged-draw": {"unsafe_unlogged_draw": True},
-}
+#: NiliconConfig override of the regression cells: a draw the log never
+#: sees, so some regression cell must diverge.
+_REGRESSION = {"unsafe_unlogged_draw": True}
 
-#: Catalog cells the smoke/golden paths use (full catalog in tests).
+#: The pass's grid (also the golden file's cells); the full catalog runs
+#: in the tests.  The smoke pass keeps both workloads at one seed, so the
+#: crossref sees a registry stream (``net`` draws only the tie-break).
 DEFAULT_WORKLOADS = ("net", "disk-rw")
 DEFAULT_SEEDS = (1, 2)
 DEFAULT_RUN_MS = 600
@@ -119,53 +120,44 @@ def run_roundtrip(
     return result
 
 
-def run_oracle(
-    workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    run_ms: int = DEFAULT_RUN_MS,
-    knob: str | None = None,
-) -> dict:
-    """The full oracle sweep, with the stream cross-reference over every
-    cell's recorded draw counts.
+def run_oracle(smoke: bool = False, inventory=None) -> dict:
+    """The one replay pass: the clean cells and the regression cells over
+    the same grid, with the stream cross-reference over every cell's
+    recorded draw counts (against *inventory*, default: a fresh static
+    pass).
 
-    Without a knob, ``ok`` means every cell replayed identical.  With a
-    knob armed, the polarity flips: ``ok`` means the sweep *diverged
-    somewhere* — the oracle proved it can catch the regression (any-cell,
-    like ``repro races --knob``: the unlogged draw is OS entropy, so a
-    single lucky cell may still happen to replay clean).  Under either
-    polarity an unmatched stream fails ``ok``.
+    ``ok`` needs every clean cell replay-identical, some regression cell
+    diverged (any-cell: the unlogged draw is OS entropy, so a single lucky
+    cell may still happen to replay clean) and no unmatched stream.
     """
     from repro.replication.config import NiliconConfig
 
-    config = NiliconConfig.nilicon()
-    if knob is not None:
-        if knob not in KNOBS:
-            raise KeyError(f"unknown knob {knob!r}; have {sorted(KNOBS)}")
-        config = config.with_(**KNOBS[knob])
+    seeds = DEFAULT_SEEDS[:1] if smoke else DEFAULT_SEEDS
+    clean = NiliconConfig.nilicon()
 
-    cells = [
-        run_roundtrip(workload, seed, run_ms=run_ms, config=config)
-        for workload in workloads
-        for seed in seeds
-    ]
-    if knob is None:
-        ok = all(cell["identical"] for cell in cells)
-    else:
-        ok = any(not cell["identical"] for cell in cells)
+    def grid(config) -> list[dict]:
+        return [run_roundtrip(workload, seed, config=config)
+                for workload in DEFAULT_WORKLOADS for seed in seeds]
+
+    cells = grid(clean)
+    regression = grid(clean.with_(**_REGRESSION))
     draws: dict[str, int] = {}
-    for cell in cells:
+    for cell in cells + regression:
         for name, n in cell["streams"].items():
             draws[name] = draws.get(name, 0) + n
-    crossref = crossref_streams(draws)
+    crossref = crossref_streams(draws, inventory)
+    diverged = any(not cell["identical"] for cell in regression)
     return {
-        "mode": "replay-oracle",
-        "workloads": list(workloads),
+        "smoke": smoke,
+        "workloads": list(DEFAULT_WORKLOADS),
         "seeds": list(seeds),
-        "run_ms": run_ms,
-        "knob": knob,
+        "run_ms": DEFAULT_RUN_MS,
         "cells": cells,
+        "regression": regression,
+        "regression_diverged": diverged,
         "crossref": crossref,
-        "ok": ok and not crossref["unmatched"],
+        "ok": (all(cell["identical"] for cell in cells) and diverged
+               and not crossref["unmatched"]),
     }
 
 
@@ -240,11 +232,11 @@ def crossref_streams(draw_counts: dict[str, int], inventory=None) -> dict:
     return {"matched": matched, "unmatched": unmatched}
 
 
-def golden_ndlog_digests(report: dict) -> dict[str, str]:
-    """Per-cell NDLog digests of a :func:`run_oracle` *report*, keyed
+def golden_ndlog_digests() -> dict[str, str]:
+    """Per-cell NDLog digests of the pass's clean grid, keyed
     ``workload:seed``: the cells of the golden file (``tests/golden/``)."""
-    return {f"{cell['workload']}:{cell['seed']}": cell["ndlog_digest"]
-            for cell in report["cells"]}
+    return {f"{workload}:{seed}": run_roundtrip(workload, seed)["ndlog_digest"]
+            for workload in DEFAULT_WORKLOADS for seed in DEFAULT_SEEDS}
 
 
 def write_ndlog_golden(path: str) -> None:
@@ -252,39 +244,44 @@ def write_ndlog_golden(path: str) -> None:
     import json
 
     doc: dict = {"run_ms": DEFAULT_RUN_MS}
-    doc.update(golden_ndlog_digests(run_oracle()))
+    doc.update(golden_ndlog_digests())
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _cell_lines(cell: dict) -> list[str]:
+    verdict = "replay-identical" if cell["identical"] else "DIVERGED"
+    lines = [f"{cell['workload']} seed={cell['seed']}: {verdict} "
+             f"({cell['n_draws']} draws, ndlog {cell['ndlog_digest']})"]
+    if cell["divergence"]:
+        lines.append(f"    {cell['divergence']}")
+    elif not cell["identical"]:
+        if cell.get("replay_trace_digest") != cell["record_trace_digest"]:
+            lines.append(
+                f"    trace digest {cell['record_trace_digest']} -> "
+                f"{cell.get('replay_trace_digest')}"
+            )
+        if cell["unconsumed"]:
+            lines.append(f"    unconsumed draws: {cell['unconsumed']}")
+    return lines
 
 
 def format_report(report: dict) -> str:
     """Human-readable rendering for the CLI."""
     lines: list[str] = []
     for cell in report["cells"]:
-        verdict = "replay-identical" if cell["identical"] else "DIVERGED"
-        lines.append(
-            f"{cell['workload']} seed={cell['seed']}: {verdict} "
-            f"({cell['n_draws']} draws, ndlog {cell['ndlog_digest']})"
-        )
-        if cell["divergence"]:
-            lines.append(f"    {cell['divergence']}")
-        elif not cell["identical"]:
-            if cell.get("replay_trace_digest") != cell["record_trace_digest"]:
-                lines.append(
-                    f"    trace digest {cell['record_trace_digest']} -> "
-                    f"{cell.get('replay_trace_digest')}"
-                )
-            if cell["unconsumed"]:
-                lines.append(f"    unconsumed draws: {cell['unconsumed']}")
+        lines += _cell_lines(cell)
+    lines.append("unlogged-draw regression (some cell must diverge):")
+    for cell in report["regression"]:
+        lines += ["  " + line for line in _cell_lines(cell)]
+    if not report["regression_diverged"]:
+        lines.append("  MISSED: every regression cell replayed identical")
     crossref = report["crossref"]
     lines.append(f"stream -> static site ({len(crossref['matched'])} matched):")
     for name in sorted(crossref["matched"]):
         lines.append(f"    {name:<40} {crossref['matched'][name]}")
     for name in crossref["unmatched"]:
         lines.append(f"    {name:<40} UNMATCHED — static inventory gap")
-    status = "OK" if report["ok"] else "FAIL"
-    if report.get("knob"):
-        status += f" (knob {report['knob']}: divergence expected)"
-    lines.append(status)
+    lines.append("OK" if report["ok"] else "FAIL")
     return "\n".join(lines)

@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable, Mapping
 
+from repro.analysis.inventory import load_sources, parse_each
 from repro.sim.engine import Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -454,19 +454,16 @@ TRACKED_STATE: dict[str, tuple[str, ...]] = {
 }
 
 
-def recorded_fields(root: str | Path) -> dict[str, set[tuple[str, str]]]:
+def recorded_fields(
+    overrides: Mapping[str, str] | None = None,
+) -> dict[str, set[tuple[str, str]]]:
     """``module suffix -> {(field, kind)}`` for every ``record_access``
-    call with a string-literal field under *root* (AST-based, so comments
-    and docstrings don't count)."""
+    call with a string-literal field in the package sources (AST-based, so
+    comments and docstrings don't count).  *overrides* replaces or adds
+    sources as in :func:`~repro.analysis.inventory.load_sources`."""
     found: dict[str, set[tuple[str, str]]] = {}
-    for path in sorted(Path(root).rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:
-            continue
-        suffix = "/".join(path.parts[-2:])
+    for path, _, tree in parse_each(load_sources(("",), overrides)):
+        suffix = "/".join(path.split("/")[-2:])
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -482,14 +479,17 @@ def recorded_fields(root: str | Path) -> dict[str, set[tuple[str, str]]]:
     return found
 
 
-def verify_access_coverage(root: str | Path) -> list[str]:
+def verify_access_coverage(
+    overrides: Mapping[str, str] | None = None,
+) -> list[str]:
     """Cross-check :data:`TRACKED_STATE` against real call sites.
 
     Returns a list of problems (empty = every declared field is written via
     ``record_access`` in its declaring module, and every call site in a
-    declaring module uses a declared field).
+    declaring module uses a declared field).  The sources are the installed
+    package's, whatever the working directory.
     """
-    found = recorded_fields(root)
+    found = recorded_fields(overrides)
     all_declared = {f for fields in TRACKED_STATE.values() for f in fields}
     problems: list[str] = []
     for module, fields in sorted(TRACKED_STATE.items()):

@@ -248,13 +248,13 @@ def _cmd_ckptcov(args) -> int:
 
     # action == "diff": checkpoint -> restore -> deep-compare on live
     # workloads, each diff judged against the static verdicts.
-    from repro.analysis.ckptdiff import ORACLE_WORKLOADS, run_oracle
+    from repro.analysis.ckptdiff import SMOKE_WORKLOADS, run_oracle
+    from repro.workloads.catalog import WORKLOADS
 
-    workloads = tuple(args.workload) if args.workload else ORACLE_WORKLOADS
     uncovered = report.uncovered()
     status = 0
-    for name in workloads:
-        result = run_oracle(name, seed=args.seed, static_uncovered=uncovered,
+    for name in SMOKE_WORKLOADS if args.smoke else WORKLOADS:
+        result = run_oracle(name, static_uncovered=uncovered,
                             inventory=report.inventory)
         if args.json:
             print(json.dumps(result.summary(), indent=2, sort_keys=True))
@@ -324,33 +324,20 @@ def _cmd_ndflow(args) -> int:
 
     from repro.analysis.ndflow import analyze_ndflow
 
-    if args.action in ("lint", "selfcheck"):
-        report, status = _static_report(analyze_ndflow, args)
-        if report is None:
-            return status
+    report, status = _static_report(analyze_ndflow, args)
+    if report is None:
+        return status
+    if args.action == "lint":
         return _report_findings(report.findings, args, "repro ndflow")
 
-    from repro.analysis.ndreplay import (
-        DEFAULT_SEEDS,
-        DEFAULT_WORKLOADS,
-        format_report,
-        run_oracle,
-    )
+    from repro.analysis.ndreplay import format_report, run_oracle
 
-    if args.smoke:
-        workloads, seeds = ("net",), (1, 2)
-    else:
-        workloads = tuple(args.workload) if args.workload else DEFAULT_WORKLOADS
-        seeds = tuple(args.seeds) if args.seeds else DEFAULT_SEEDS
-    report = run_oracle(workloads, seeds, run_ms=args.run_ms, knob=args.knob)
+    result = run_oracle(smoke=args.smoke, inventory=report.inventory)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        print(format_report(report))
-    # With --knob the polarity is already folded into ok: some cell must
-    # have DIVERGED (the oracle proved it catches the regression); either
-    # way every recorded stream must map to a static inventory site.
-    return 0 if report["ok"] else 1
+        print(format_report(result))
+    return 0 if result["ok"] else 1
 
 
 def _cmd_ftcov(args) -> int:
@@ -359,27 +346,27 @@ def _cmd_ftcov(args) -> int:
 
     from repro.analysis.ftcov import analyze_ftcov
 
-    if args.action in ("lint", "selfcheck"):
-        report, status = _static_report(analyze_ftcov, args)
-        if report is None:
-            return status
+    report, status = _static_report(analyze_ftcov, args)
+    if report is None:
+        return status
+    if args.action == "lint":
         return _report_findings(report.findings, args, "repro ftcov")
 
     from repro.analysis.ftreplay import format_report, run_ftcov_record
 
-    report = run_ftcov_record(smoke=args.smoke)
+    result = run_ftcov_record(report.inventory, smoke=args.smoke)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        print(format_report(report))
+        print(format_report(result))
     if args.json_out:
         with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"repro ftcov: wrote {args.json_out}")
     # The drop-scenario probe is folded into ok: the seeded coverage gap
     # must have been DETECTED.
-    return 0 if report["ok"] else 1
+    return 0 if result["ok"] else 1
 
 
 def _cmd_analyze(args) -> int:
@@ -400,45 +387,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_races(args) -> int:
-    """Happens-before race detection / tie-break schedule fuzzing."""
+    """The race pass: access coverage, happens-before probe, tie-break
+    schedule fuzz and the regression probes the detector must flag."""
     import json
 
-    from repro.analysis.fuzz import format_report, run_fuzz, run_race_probe
-    from repro.analysis.races import verify_access_coverage
+    from repro.analysis.fuzz import format_report, run_races
 
-    if args.check_access:
-        problems = verify_access_coverage("src")
-        if problems:
-            print("record_access coverage check FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print("record_access coverage: every tracked field is instrumented.")
-        return 0
-
-    workloads = tuple(args.workload) if args.workload else None
-    seeds = tuple(args.seeds) if args.seeds else None
-    if args.fuzz:
-        report = run_fuzz(
-            workloads=workloads or (("net",) if args.smoke else ("net", "disk-rw")),
-            seeds=seeds or ((1,) if args.smoke else (1, 2, 3)),
-            permutations=args.permutations or (3 if args.smoke else 8),
-            run_ms=args.run_ms,
-        )
-    else:
-        report = run_race_probe(
-            workloads=workloads or ("net",),
-            seeds=seeds or ((1,) if args.smoke else (1, 2, 3)),
-            run_ms=max(args.run_ms, 900),
-            knob=args.knob,
-        )
+    report = run_races(smoke=args.smoke)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(format_report(report))
-    if args.knob:
-        # Regression probe: the detector MUST flag the re-enabled race.
-        return 0 if report["findings"] else 1
     return 0 if report["ok"] else 1
 
 
@@ -655,10 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="diff: the checkpoint->restore->deep-compare "
                               "differential oracle on live workloads")
     _add_finding_options(ckptcov)
-    ckptcov.add_argument("--workload", action="append", default=None,
-                         help="diff: oracle workload(s) (repeatable; "
-                              "default: one per workload family)")
-    ckptcov.add_argument("--seed", type=int, default=1)
+    ckptcov.add_argument("--smoke", action="store_true",
+                         help="diff: ssdb and net-echo only (default: every "
+                              "catalog workload)")
 
     perf = sub.add_parser(
         "perf",
@@ -684,19 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     ndflow.add_argument("action", nargs="?", default="lint",
                         choices=("selfcheck", "lint", "replay"))
     _add_finding_options(ndflow)
-    ndflow.add_argument("--workload", action="append", default=None,
-                        help="replay: catalog workload(s) (repeatable; "
-                             "default: net, disk-rw)")
-    ndflow.add_argument("--seeds", type=int, nargs="+", default=None,
-                        help="replay: seeds (default: 1 2)")
-    ndflow.add_argument("--run-ms", type=int, default=600,
-                        help="replay: simulated run length per cell")
-    ndflow.add_argument("--knob", choices=("unsafe-unlogged-draw",),
-                        default=None,
-                        help="replay: re-enable an unlogged draw; exit 0 iff "
-                             "some cell diverges")
     ndflow.add_argument("--smoke", action="store_true",
-                        help="reduced CI matrix: net workload, seeds 1 2")
+                        help="replay: seed 1 only (default: seeds 1 2)")
 
     ftcov = sub.add_parser(
         "ftcov",
@@ -725,25 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     races = sub.add_parser(
         "races",
-        help="happens-before race detection and tie-break schedule fuzzing",
+        help="race pass: record_access coverage, happens-before probe, "
+             "tie-break schedule fuzz and the historical-race regressions",
     )
-    races.add_argument("--fuzz", action="store_true",
-                       help="replay under permuted same-timestamp orderings "
-                            "and diff trace/metrics digests")
-    races.add_argument("--knob", choices=("ack-before-commit", "release-oldest"),
-                       default=None,
-                       help="re-enable a historical race; exit 0 iff the "
-                            "detector flags it")
-    races.add_argument("--check-access", action="store_true",
-                       help="verify every tracked shared field has "
-                            "record_access instrumentation and exit")
-    races.add_argument("--workload", action="append", default=None,
-                       help="workload(s) to run (repeatable)")
-    races.add_argument("--seeds", type=int, nargs="+", default=None)
-    races.add_argument("--run-ms", type=int, default=700)
-    races.add_argument("--permutations", type=int, default=None,
-                       help="alternate schedules per fuzz cell (default 8, "
-                            "smoke 3)")
     races.add_argument("--smoke", action="store_true",
                        help="reduced CI matrix: net workload, seed 1")
     races.add_argument("--json", action="store_true",

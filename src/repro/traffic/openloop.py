@@ -111,8 +111,6 @@ class OpenLoopTraffic:
         proxy_ip: str,
         proxy_port: int,
         profile: TrafficProfile,
-        *,
-        rng_name: str | None = None,
     ) -> None:
         self.world = world
         self.engine = world.engine
@@ -121,8 +119,7 @@ class OpenLoopTraffic:
         self.profile = profile
         self.stats = OpenLoopStats()
         self.rng = world.rng.stream(
-            # nd: logged -- caller-chosen name; a registry stream either way
-            rng_name or f"traffic.{profile.name}"
+            f"traffic.{profile.name}"  # nd: logged -- one registry stream per profile
         )
         self._stacks: list[TcpStack] = []
 

@@ -43,10 +43,9 @@ class DiskRwWorkload(Workload):
 
     name = "disk-rw"
 
-    def __init__(self, n_regions: int = 64, op_cpu_us: int = 150, seed_stream: str = "disk-rw"):
+    def __init__(self, n_regions: int = 64, op_cpu_us: int = 150):
         self.n_regions = n_regions
         self.op_cpu_us = op_cpu_us
-        self.seed_stream = seed_stream
         self.path = "/data/disk-rw.dat"
         #: Errors observed by the in-container validator.
         self.errors: list[str] = []
@@ -78,10 +77,7 @@ class DiskRwWorkload(Workload):
     def _loop(self, world: "World", container: "Container"):
         process = container.processes[0]
         fs = container.mounted_filesystems()[0]
-        rng = world.rng.stream(
-            self.seed_stream,  # nd: logged -- name pinned by the workload spec
-            owner="repro.workloads.microbench",
-        )
+        rng = world.rng.stream("disk-rw", owner="repro.workloads.microbench")
         flush_tick = 0
         while not container.dead:
             region = rng.randrange(self.n_regions)

@@ -22,7 +22,7 @@ def test_steps_cover_all_six_analyzers_plus_the_paper_gate():
     analyzers = {analyzer for analyzer, _, _ in STEPS}
     assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
                          "ftcov", "paper"}
-    assert len(STEPS) == 16
+    assert len(STEPS) == 11
 
 
 def test_summary_counts_the_analyzers_of_the_step_list():
@@ -31,7 +31,7 @@ def test_summary_counts_the_analyzers_of_the_step_list():
                          "wall_s": 0.0, "output": ""}
                         for analyzer, smoke, _ in STEPS]}
     assert format_summary(report).splitlines()[0] == (
-        "analyze (smoke): 16 step(s) over 7 analyzers")
+        "analyze (smoke): 11 step(s) over 7 analyzers")
 
 
 def test_every_step_argv_is_a_real_command_run_once():
@@ -86,16 +86,38 @@ def test_ftcov_steps_lint_record_and_probe_the_knob():
     ]
 
 
-def test_full_ckptcov_step_runs_the_oracle_on_every_catalog_workload():
+def test_full_ckptcov_step_runs_the_oracle_on_every_catalog_workload(
+        monkeypatch, capsys):
+    from repro.analysis import ckptdiff
+    from repro.analysis.ckptdiff import OracleResult
+    from repro.cli import main
     from repro.workloads.catalog import WORKLOADS
 
-    (full,) = [full for analyzer, _, full in STEPS
+    (step,) = [(smoke, full) for analyzer, smoke, full in STEPS
                if full[:2] == ("ckptcov", "diff")]
-    workloads = [full[i + 1] for i, arg in enumerate(full)
-                 if arg == "--workload"]
-    assert sorted(workloads) == sorted(WORKLOADS)
+    assert step == (("ckptcov", "diff", "--smoke"), ("ckptcov", "diff"))
+    ran = []
+
+    def oracle(name, **kwargs):
+        ran.append(name)
+        return OracleResult(workload=name, seed=1, froze_at_us=0,
+                            fields_compared=0, diffs=[])
+
+    monkeypatch.setattr(ckptdiff, "run_oracle", oracle)
+    for argv, expected in zip(step, (["ssdb", "net-echo"], list(WORKLOADS))):
+        ran.clear()
+        assert main(list(argv)) == 0
+        assert ran == expected
+    capsys.readouterr()
 
 
+def test_dynamic_steps_take_only_smoke():
+    """Every dynamic pass is shaped by ``--smoke`` alone: the smoke argv
+    is the full one plus ``--smoke`` (and the ftcov matrix output)."""
+    for analyzer, smoke, full in STEPS:
+        if is_lint(full) or analyzer == "paper":
+            continue
+        assert [a for a in smoke if a != "--smoke"] == list(full), analyzer
 def test_every_static_pass_has_a_baseline_entry():
     """The lint steps are the only place a baseline file is named, and
     each prints the JSON document the merged findings are read from."""

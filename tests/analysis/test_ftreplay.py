@@ -10,7 +10,7 @@ two-witness story.
 
 import pytest
 
-from repro.analysis.ftcov import FtInventory, FtSite
+from repro.analysis.ftcov import FtInventory, FtSite, analyze_ftcov
 from repro.analysis.ftreplay import (
     CatalogCell,
     FtcovRecorder,
@@ -161,8 +161,13 @@ _SUBSET = [
 
 
 @pytest.fixture(scope="module")
-def subset_report():
-    return run_ftcov_record(cells=_SUBSET)
+def inventory():
+    return analyze_ftcov().inventory
+
+
+@pytest.fixture(scope="module")
+def subset_report(inventory):
+    return run_ftcov_record(inventory, cells=_SUBSET)
 
 
 def test_record_report_shape(subset_report):
@@ -182,8 +187,8 @@ def test_record_report_shape(subset_report):
     assert not subset_report["ok"]
 
 
-def test_record_subset_is_deterministic(subset_report):
-    second = run_ftcov_record(cells=_SUBSET)
+def test_record_subset_is_deterministic(subset_report, inventory):
+    second = run_ftcov_record(inventory, cells=_SUBSET)
     assert second["runs_ok"]
     assert second["counters"] == subset_report["counters"]
     assert second["digest"] == subset_report["digest"]
@@ -201,10 +206,10 @@ def test_per_cell_recorders_sum_to_one_shared_recorder(subset_report):
     assert subset_report["digest"] == shared.digest()
 
 
-def test_drop_scenario_knob_detects_the_seeded_gap():
+def test_drop_scenario_knob_detects_the_seeded_gap(inventory):
     cells = [c for c in catalog_cells(smoke=True)
              if c.kind == "pair" and c.seed == 101]
-    report = run_ftcov_record(cells=cells)
+    report = run_ftcov_record(inventory, cells=cells)
     assert len(report["runs"]) == len(SCENARIOS)
     assert report["runs_ok"]
     probe = report["drop_probe"]

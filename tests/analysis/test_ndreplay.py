@@ -1,8 +1,8 @@
 """Record→replay oracle tests (ndflow Layer 3).
 
-The ISSUE acceptance criteria live here: with the knob off, every
-catalog workload replays digest-identical from seed + NDLog alone; with
-``unsafe_unlogged_draw`` armed, the oracle detects the divergence — the
+With the knob off, every catalog workload replays digest-identical from
+seed + NDLog alone; the regression cells of every pass arm
+``unsafe_unlogged_draw`` and the oracle must detect the divergence — the
 dynamic half of the two-witness pattern (the static half is the frozen
 NDF001/NDF003 baseline, pinned in test_ndflow.py).
 """
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import ndreplay
 from repro.analysis.ndreplay import (
     DEFAULT_RUN_MS,
     DEFAULT_SEEDS,
@@ -61,20 +62,26 @@ def test_replay_consumes_serialized_log_only():
     assert replay_log.unconsumed() == {}
 
 
-def test_oracle_smoke_matrix_is_clean():
-    report = run_oracle(("net",), (1,), run_ms=500)
-    assert report["ok"]
-    assert all(cell["identical"] for cell in report["cells"])
+@pytest.fixture(scope="module")
+def smoke():
+    return run_oracle(smoke=True)
 
 
-def test_knob_divergence_is_detected():
-    # The dynamic witness: with the unlogged draw armed the sweep must
+def test_oracle_smoke_matrix_is_clean(smoke):
+    assert smoke["ok"]
+    assert [(c["workload"], c["seed"]) for c in smoke["cells"]] == [
+        ("net", 1), ("disk-rw", 1)]
+    assert all(cell["identical"] for cell in smoke["cells"])
+
+
+def test_knob_divergence_is_detected(smoke):
+    # The dynamic witness: with the unlogged draw armed the same grid must
     # diverge somewhere (any-cell — the draw is OS entropy).
-    report = run_oracle(("net", "disk-rw"), (1, 2), run_ms=600,
-                        knob="unsafe-unlogged-draw")
-    assert report["knob"] == "unsafe-unlogged-draw"
-    assert report["ok"], "oracle failed to catch the unlogged-draw knob"
-    diverged = [c for c in report["cells"] if not c["identical"]]
+    regression = smoke["regression"]
+    assert [(c["workload"], c["seed"]) for c in regression] == [
+        ("net", 1), ("disk-rw", 1)]
+    assert smoke["regression_diverged"]
+    diverged = [c for c in regression if not c["identical"]]
     assert diverged
     for cell in diverged:
         # Divergence is actionable: either the exact decision is named or
@@ -85,6 +92,17 @@ def test_knob_divergence_is_detected():
             or cell["unconsumed"]
             or cell.get("replay_ndlog_digest") != cell["ndlog_digest"]
         )
+
+
+def test_neutralised_regression_fails_the_pass(monkeypatch):
+    # With the override emptied the regression cells replay clean, so the
+    # pass has not shown it can catch an unlogged draw: it must fail.
+    monkeypatch.setattr(ndreplay, "_REGRESSION", {})
+    report = run_oracle(smoke=True)
+    assert all(cell["identical"] for cell in report["cells"])
+    assert not report["regression_diverged"]
+    assert not report["ok"]
+    assert "MISSED" in ndreplay.format_report(report)
 
 
 def test_knob_divergence_names_the_stream_when_log_exhausts():
@@ -104,21 +122,18 @@ def test_knob_divergence_names_the_stream_when_log_exhausts():
     pytest.fail("knob never diverged in 5 attempts")
 
 
-def test_unknown_knob_is_rejected():
-    with pytest.raises(KeyError):
-        run_oracle(("net",), (1,), knob="zz-no-such-knob")
-
-
-def test_record_mode_crossrefs_every_stream():
-    # The oracle's record halves feed the crossref: no second pass.
-    report = run_oracle(("ssdb",), (1,), run_ms=500)
-    assert report["ok"]
-    crossref = report["crossref"]
+def test_record_mode_crossrefs_every_stream(smoke):
+    # The oracle's record halves feed the crossref: no second pass.  At
+    # smoke, disk-rw draws a registry stream besides the tie-break.
+    crossref = smoke["crossref"]
     assert crossref["unmatched"] == []
-    # The tie-break stream maps to the built-in; the kv client stream maps
-    # to its static call site.
     assert "engine.tiebreak" in crossref["matched"]
-    assert any(name.startswith("kv-client") for name in crossref["matched"])
+    assert "microbench.py" in crossref["matched"]["disk-rw"]
+    # The kv client stream maps to its static call site.
+    cell = run_roundtrip("ssdb", 1, run_ms=500)
+    kv = crossref_streams(cell["streams"])
+    assert kv["unmatched"] == []
+    assert any(name.startswith("kv-client") for name in kv["matched"])
 
 
 def test_crossref_reports_inventory_gaps():
@@ -138,11 +153,10 @@ def test_crossref_reports_inventory_gaps():
 
 @pytest.mark.parametrize("knob", [None, "unsafe-unlogged-draw"])
 def test_unmatched_stream_fails_the_oracle_under_both_polarities(monkeypatch, knob):
-    # Cells stubbed with the verdict each polarity wants; only the
-    # crossref, against an inventory holding one literal site, can fail.
-    from functools import partial
-
-    from repro.analysis import ndreplay
+    # Cells stubbed with the verdict each half wants (clean identical,
+    # regression diverged); only the crossref, against an inventory holding
+    # one literal site, can fail — whichever half (*knob*) drew the stray
+    # stream.
     from repro.analysis.ndflow import build_nd_inventory
 
     inv = build_nd_inventory({
@@ -150,24 +164,41 @@ def test_unmatched_stream_fails_the_oracle_under_both_polarities(monkeypatch, kn
             "def a(w):\n    return w.rng.stream('zz-known')\n",
     })
     monkeypatch.setattr(ndreplay, "crossref_streams",
-                        partial(crossref_streams, inventory=inv))
-    streams = {"zz-known": 2}
-    monkeypatch.setattr(ndreplay, "run_roundtrip", lambda *a, **k: {
-        "identical": knob is None, "streams": dict(streams)})
-    assert run_oracle(("net",), (1,), knob=knob)["ok"]
-    streams["zz-stream-nobody-mints"] = 1
-    report = run_oracle(("net",), (1,), knob=knob)
+                        lambda draws, _inventory: crossref_streams(draws, inv))
+    stray: dict[str, int] = {}
+
+    def cell(workload, seed, config):
+        armed = config.unsafe_unlogged_draw
+        streams = {"zz-known": 2}
+        if armed == (knob is not None):
+            streams.update(stray)
+        return {"identical": not armed, "streams": streams}
+
+    monkeypatch.setattr(ndreplay, "run_roundtrip", cell)
+    assert run_oracle(smoke=True)["ok"]
+    stray["zz-stream-nobody-mints"] = 1
+    report = run_oracle(smoke=True)
     assert not report["ok"]
     assert report["crossref"]["unmatched"] == ["zz-stream-nobody-mints"]
 
 
-def test_crossref_wildcard_site_claims_caller_chosen_names():
-    # openloop's rng_name parameter can mint any name, so unknown streams
-    # legitimately map there against the real tree — most-specific literal
-    # and f-string sites still win for the names they match.
-    result = crossref_streams({"zz-stream-nobody-mints": 3})
-    assert result["unmatched"] == []
-    assert "openloop" in result["matched"]["zz-stream-nobody-mints"]
+def test_crossref_real_tree_leaves_unknown_streams_unmatched():
+    # No stream or spawn site of the real tree can mint an arbitrary name,
+    # so a stream nobody mints is an inventory gap, and each real stream
+    # maps to the site that mints it.
+    from repro.analysis.ndflow import analyze_ndflow
+    from repro.analysis.ndreplay import _site_patterns
+
+    result = crossref_streams(
+        {"totally.bogus": 1, "traffic.steady": 1, "disk-rw": 1})
+    assert result["unmatched"] == ["totally.bogus"]
+    assert "traffic/openloop.py" in result["matched"]["traffic.steady"]
+    assert "workloads/microbench.py" in result["matched"]["disk-rw"]
+    sites = [src for src in analyze_ndflow().inventory.sites
+             if src.kind in ("stream", "spawn")]
+    assert sites
+    for src in sites:
+        assert r".+\Z" not in _site_patterns(src), f"{src.path}:{src.line}"
 
 
 def test_golden_ndlog_digests_match_checked_in_file():
@@ -175,9 +206,10 @@ def test_golden_ndlog_digests_match_checked_in_file():
     protocol/draw change (regenerate with `make golden-regen`) or an
     accidental nondeterminism regression in the recorded streams."""
     on_disk = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    recomputed = golden_ndlog_digests(run_oracle())
+    recomputed = golden_ndlog_digests()
     assert on_disk["run_ms"] == DEFAULT_RUN_MS
     cells = [k for k in on_disk if k != "run_ms"]
     assert len(cells) == len(DEFAULT_WORKLOADS) * len(DEFAULT_SEEDS)
+    assert sorted(recomputed) == sorted(cells)
     for cell in cells:
         assert on_disk[cell] == recomputed[cell], cell

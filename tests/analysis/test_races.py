@@ -424,11 +424,18 @@ def test_object_labels_are_stable_and_distinct():
 
 
 def test_repo_access_coverage_is_complete():
-    assert verify_access_coverage("src") == []
+    assert verify_access_coverage() == []
+
+
+def test_access_coverage_reads_the_package_from_any_directory(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert verify_access_coverage() == []
+    assert ("egress_barrier", "w") in recorded_fields()["replication/netbuffer.py"]
 
 
 def test_recorded_fields_sees_real_sites():
-    found = recorded_fields("src")
+    found = recorded_fields()
     assert ("egress_barrier", "w") in found["replication/netbuffer.py"]
     assert ("epoch_commit", "w") in found["replication/backup.py"]
     # The HyCoR log path owns the flush-durability ledger and the backup's
@@ -440,29 +447,24 @@ def test_recorded_fields_sees_real_sites():
     assert ("log_store", "w") in found["replication/hycor.py"]
 
 
-def test_coverage_check_catches_missing_write(tmp_path, monkeypatch):
-    pkg = tmp_path / "replication"
-    pkg.mkdir()
-    (pkg / "netbuffer.py").write_text(
-        "def f(engine):\n"
-        "    record_access(engine, 'x', 'egress_barrier', 'r')\n",
-        encoding="utf-8",
-    )
-    problems = verify_access_coverage(tmp_path)
+def test_coverage_check_catches_missing_write():
+    problems = verify_access_coverage({
+        "replication/netbuffer.py":
+            "def f(engine):\n"
+            "    record_access(engine, 'x', 'egress_barrier', 'r')\n",
+        # A declaring module left with no sites at all.
+        "fleet/controller.py": "def f(engine):\n    return engine\n",
+    })
     assert any("no record_access(..., 'w')" in p for p in problems)
-    # Other declared modules have no sites at all under tmp_path.
     assert any("no record_access sites" in p for p in problems)
 
 
-def test_coverage_check_catches_undeclared_field(tmp_path):
-    pkg = tmp_path / "somewhere"
-    pkg.mkdir()
-    (pkg / "mod.py").write_text(
-        "def f(engine):\n"
-        "    record_access(engine, 'x', 'not_a_declared_field', 'w')\n",
-        encoding="utf-8",
-    )
-    problems = verify_access_coverage(tmp_path)
+def test_coverage_check_catches_undeclared_field():
+    problems = verify_access_coverage({
+        "somewhere/mod.py":
+            "def f(engine):\n"
+            "    record_access(engine, 'x', 'not_a_declared_field', 'w')\n",
+    })
     assert any("undeclared field 'not_a_declared_field'" in p for p in problems)
 
 

@@ -150,6 +150,19 @@ def test_analyzer_rejects_rule_ids_of_another_family(argv, capsys):
     assert "unknown rule id(s)" in capsys.readouterr().err
 
 
+def _make_unsound(monkeypatch, module, analyze):
+    """Make *module*'s ``analyze`` report carry a selfcheck problem."""
+    mod = importlib.import_module(module)
+    real = getattr(mod, analyze)
+
+    def unsound(**kwargs):
+        report = real(**kwargs)
+        report.problems = ["boom"]
+        return report
+
+    monkeypatch.setattr(mod, analyze, unsound)
+
+
 @pytest.mark.parametrize("module, analyze, argv", [
     ("repro.analysis.coverage", "analyze_coverage", ["ckptcov", "lint"]),
     ("repro.analysis.perf", "analyze_perf", ["perf", "lint"]),
@@ -160,25 +173,35 @@ def test_every_lint_gates_on_its_selfcheck(module, analyze, argv,
                                            monkeypatch, capsys):
     # `repro analyze` runs no standalone selfcheck step: the lint must
     # refuse to run on the problems its own report carries.
-    mod = importlib.import_module(module)
-    real = getattr(mod, analyze)
-
-    def unsound(**kwargs):
-        report = real(**kwargs)
-        report.problems = ["boom"]
-        return report
-
-    monkeypatch.setattr(mod, analyze, unsound)
+    _make_unsound(monkeypatch, module, analyze)
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert f"run `repro {argv[0]} selfcheck`" in out and "boom" in out
     assert "nlint" not in out  # no findings were printed
 
 
-def test_ckptcov_diff_runs_the_oracle_against_the_static_pass(capsys):
-    assert main(["ckptcov", "diff", "--workload", "net-echo"]) == 0
+@pytest.mark.parametrize("module, analyze, argv", [
+    ("repro.analysis.coverage", "analyze_coverage", ["ckptcov", "diff"]),
+    ("repro.analysis.perf", "analyze_perf", ["perf", "profile"]),
+    ("repro.analysis.ndflow", "analyze_ndflow", ["ndflow", "replay"]),
+    ("repro.analysis.ftcov", "analyze_ftcov", ["ftcov", "record"]),
+], ids=["ckptcov", "perf", "ndflow", "ftcov"])
+def test_every_dynamic_action_gates_on_its_selfcheck(module, analyze, argv,
+                                                     monkeypatch, capsys):
+    # Each dynamic action reads its inventory from the static pass, so an
+    # unsound inventory stops it before any cell runs.
+    _make_unsound(monkeypatch, module, analyze)
+    assert main([*argv, "--smoke"]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("oracle net-echo: clean (")
+    assert f"run `repro {argv[0]} selfcheck`" in out and "boom" in out
+
+
+def test_ckptcov_diff_runs_the_oracle_against_the_static_pass(capsys):
+    assert main(["ckptcov", "diff", "--smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "oracle ssdb", "oracle net-echo"]
+    assert all(": clean (" in line for line in lines)
 
 
 def test_audit_command(capsys):
