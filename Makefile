@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit analyze golden-regen validate fleet traffic examples clean
+.PHONY: install test lint audit analyze golden-regen validate examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -20,9 +20,11 @@ audit:
 # findings artifact; CI runs it (it also writes coverage-matrix.json).
 # STEPS is the only list of the steps.  For the full-depth passes run
 # `PYTHONPATH=src python -m repro analyze --full`.  Its paper step gates
-# every simulated number (paper tables, fleet, traffic and the engine's
-# work counters) against BENCH_paper.json; after an intentional change,
-# regenerate that file with `repro paper bench --out BENCH_paper.json`.
+# every simulated number (paper tables, the fleet campaign and sweeps, the
+# traffic profiles and the engine's work counters) against
+# BENCH_paper.json; the full run adds the full-scale traffic profiles.
+# After an intentional change, regenerate that file with
+# `repro paper bench --out BENCH_paper.json`.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --json-out analyze-report.json
 
@@ -34,21 +36,6 @@ golden-regen:
 
 validate:
 	$(PYTHON) -m repro validate --runs 5
-
-# Fleet orchestration: the full acceptance campaign (12 members / 6
-# hosts, sequential + concurrent host loss, replayed twice for digest
-# determinism).  The fault catalogs (pair phase matrix and fleet
-# scenarios) run in the `ftcov record` step of `make analyze`, the
-# scaling sweeps are the fleet_pair/fleet_pool artifacts of
-# `repro paper bench`, and tier-1 runs the reduced campaign.
-fleet:
-	PYTHONPATH=src $(PYTHON) -m repro fleet campaign
-
-# L7 traffic tier: full-scale open-loop SLO campaign (>=1000 concurrent
-# sessions, each profile replayed twice for digest determinism).  The
-# smoke-scale SLO cells are the traffic artifact of `repro paper bench`.
-traffic:
-	PYTHONPATH=src $(PYTHON) -m repro traffic campaign
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -444,51 +444,6 @@ def _cmd_failover(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    """Cluster orchestration: the acceptance campaign (the fleet scenario
-    catalog runs in ``repro ftcov record``)."""
-    import json
-
-    from repro.experiments.fleet import format_campaign, run_fleet_campaign
-
-    report = run_fleet_campaign(seed=args.seed, smoke=args.smoke)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_campaign(report))
-    return 0 if report["ok"] else 1
-
-
-def _cmd_traffic(args) -> int:
-    """L7 traffic tier: open-loop SLO campaign and its profiles."""
-    import json
-
-    from repro.experiments.traffic import (
-        format_traffic_campaign,
-        run_traffic_campaign,
-        traffic_profiles,
-    )
-
-    if args.action == "profiles":
-        for scenario in traffic_profiles(smoke=args.smoke):
-            profile = scenario.profile
-            event = f"  [{scenario.event}]" if scenario.event else ""
-            print(
-                f"  {profile.name:<10} {profile.arrival:<8} "
-                f"{profile.rate_rps:7.0f} sess/s x {profile.duration_us // 1000} ms, "
-                f"{profile.requests_per_session} req/session{event}"
-            )
-        return 0
-
-    # action == "campaign"
-    report = run_traffic_campaign(seed=args.seed, smoke=args.smoke)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_traffic_campaign(report))
-    return 0 if report["ok"] else 1
-
-
 def _cmd_modes(_args) -> int:
     """Replication strategy registry: list the backends."""
     from repro.replication.modes import MODE_REGISTRY
@@ -570,25 +525,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="NiLiCon reproduction: benchmarks and paper artifacts.",
     )
-    parser.add_argument("--seed", type=int, default=1, help="experiment seed")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Only the commands that read a seed take --seed; any other rejects it.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=1, help="experiment seed")
 
     sub.add_parser("list-workloads", help="list the workload catalog")
 
-    bench = sub.add_parser("bench", help="run one benchmark under one mode")
+    bench = sub.add_parser("bench", parents=[seeded],
+                           help="run one benchmark under one mode")
     bench.add_argument("workload")
     bench.add_argument("--mode", choices=mode_names(), default="nilicon")
     bench.add_argument("--duration-ms", type=int, default=2000)
 
-    validate = sub.add_parser("validate", help="run the fault-injection campaign")
+    validate = sub.add_parser("validate", parents=[seeded],
+                              help="run the fault-injection campaign")
     validate.add_argument("--runs", type=int, default=5)
     validate.add_argument("--workload", action="append", default=None)
 
-    failover = sub.add_parser("failover", help="one verbose fault injection")
+    failover = sub.add_parser("failover", parents=[seeded],
+                              help="one verbose fault injection")
     failover.add_argument("workload")
     failover.add_argument("--run-s", type=int, default=3)
 
-    tr = sub.add_parser("trace", help="print the protocol event timeline")
+    tr = sub.add_parser("trace", parents=[seeded],
+                        help="print the protocol event timeline")
     tr.add_argument("workload", nargs="?", default="net")
     tr.add_argument("--run-ms", type=int, default=400)
     tr.add_argument("--failover", action="store_true")
@@ -622,6 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help="hot-path performance analyzer: PERF lint rules, deterministic "
              "DES profiler",
+        parents=[seeded],
     )
     perf.add_argument("action", nargs="?", default="lint",
                       choices=("selfcheck", "lint", "profile"))
@@ -632,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="profile: simulated run length")
     perf.add_argument("--smoke", action="store_true",
                       help="profile: a 400 ms run")
-    perf.add_argument("--seed", type=int, default=1)
 
     ndflow = sub.add_parser(
         "ndflow",
@@ -681,30 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the full JSON report")
 
     audit = sub.add_parser(
-        "audit", help="run an epoch loop with runtime invariant auditing"
+        "audit", help="run an epoch loop with runtime invariant auditing",
+        parents=[seeded],
     )
     audit.add_argument("workload", nargs="?", default="net")
     audit.add_argument("--run-ms", type=int, default=600)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="cluster orchestration: the acceptance campaign",
-    )
-    fleet.add_argument("action", choices=("campaign",))
-    fleet.add_argument("--smoke", action="store_true",
-                       help="reduced variant of the campaign")
-    fleet.add_argument("--json", action="store_true",
-                       help="campaign: emit the full JSON report")
-
-    traffic = sub.add_parser(
-        "traffic",
-        help="L7 traffic tier: open-loop SLO campaign",
-    )
-    traffic.add_argument("action", choices=("campaign", "profiles"))
-    traffic.add_argument("--smoke", action="store_true",
-                         help="reduced CI variant of campaign/profiles")
-    traffic.add_argument("--json", action="store_true",
-                         help="campaign: emit the full JSON report")
 
     modes = sub.add_parser(
         "modes", help="replication strategies: registry listing",
@@ -714,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     paper = sub.add_parser(
         "paper", help="paper gate: every table/figure's cells and shape "
                       "claims, or one artifact's table",
+        parents=[seeded],
     )
     paper.add_argument("action", choices=("bench", *ARTIFACTS),
                        help="bench: run, print and gate every artifact; "
@@ -747,8 +690,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "races": _cmd_races,
     "audit": _cmd_audit,
-    "fleet": _cmd_fleet,
-    "traffic": _cmd_traffic,
     "modes": _cmd_modes,
     "paper": _cmd_paper,
 }

@@ -21,8 +21,8 @@ module            paper artifact
 ``scalability``   §VII-C — threads / clients / processes sweeps
 ``ablations``     leave-one-out, epoch/detection/RTO/compression, §VIII
 ``hycor``         HyCoR vs NiLiCon — overhead, recovery and traffic cells
-``fleet``         fleet campaign; containers-per-pair and pool-size sweeps
-``traffic``       L7 SLO campaign; its smoke profiles are the traffic cells
+``fleet``         acceptance campaign, containers-per-pair and pool-size sweeps
+``traffic``       L7 SLO profiles at smoke and at full scale
 ``engine``        the engine's exact work counters (§VI state cache's saving)
 ``paper``         the paper gate: the artifact registry, cells and clauses
 ================  ==========================================================

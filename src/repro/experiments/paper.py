@@ -5,8 +5,8 @@ Table I's monotone walk, the §VII-C trends, HyCoR's overhead-vs-recovery
 tradeoff, the fleet sweeps' flat stop and shrinking blast radius — so
 those are what this gates.  :data:`ARTIFACTS` is the one registry of
 simulated-result artifacts (the paper's tables and figures, the HyCoR
-comparison, the fleet sweeps, the L7 traffic SLO cells and the engine's
-work counters): each names
+comparison, the fleet campaign and sweeps, the L7 traffic SLO cells at
+both scales and the engine's work counters): each names
 its title, its table and its runner.  ``repro paper bench`` runs every
 artifact once (:func:`run_paper`), prints its tables
 (:func:`format_paper`) and reports its cells in the one bench schema
@@ -24,13 +24,16 @@ artifact once (:func:`run_paper`), prints its tables
   :data:`SMOKE_SUITE`, §VIII, one §VII-A injection on each of
   :data:`SMOKE_VALIDATION` and the HyCoR comparison on
   :data:`repro.experiments.hycor.SMOKE_WORKLOADS` (with all four recovery
-  cells and the traffic cell), the first two rows of each fleet sweep,
-  every traffic profile and the engine rows of streamcluster with and
-  without the page-digest cache.  Every cell is its own world behind an
-  identity-counter reset (:func:`repro.experiments.common.open_cell`), so
-  smoke cells equal the full run's.  The full run takes §VII-A at
-  :data:`VALIDATION_RUNS` injections per workload; ``repro validate
-  --runs 50`` is the paper-scale campaign.
+  cells and the traffic cell), the fleet campaign, the first two rows of
+  each fleet sweep, every smoke-scale traffic profile and the engine rows
+  of streamcluster with and without the page-digest cache.  Every cell is
+  its own world behind an identity-counter reset
+  (:func:`repro.experiments.common.open_cell`,
+  :func:`repro.fleet.service.open_fleet`), so smoke cells equal the full
+  run's.  The full run takes §VII-A at :data:`VALIDATION_RUNS` injections
+  per workload and adds the full-scale traffic profiles
+  (``traffic_full``); ``repro validate --runs 50`` is the paper-scale
+  campaign.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ def _sweep(sweep: str, title: str, run: Callable[..., list]) -> Artifact:
     return Artifact(f"§VII-C — {title}:", sweep, partial(scalability.format_sweep, key=sweep),
                     lambda r: run(seed=r.seed), smoke=False)
 
+
+#: The one row template of both traffic artifacts.
+_SLO_ROW = ("  {profile:<9} p50 {p50_us:>6} us  p99 {p99_us:>6} us  p999 {p999_us:>6} us  "
+            "stall p99 {stall_p99_us:>6} us  {throughput_rps:6.1f} req/s  {requests:>4} requests  "
+            "peak {peak_sessions:>4} sessions  violations {violations}")
 
 #: Every simulated-result artifact, in print order.
 ARTIFACTS: dict[str, Artifact] = {
@@ -184,12 +192,20 @@ ARTIFACTS: dict[str, Artifact] = {
         "{protected_at_end} protected  violations {violations}",
         lambda r: [fleet.run_pool_cell(n, seed=r.seed)
                    for n in fleet.POOL_SIZES[:2 if r.smoke else None]]),
-    "traffic": Artifact(
-        "Traffic — L7 SLO campaign (smoke-scale profiles, each replayed):", "profile",
-        "  {profile:<9} p50 {p50_us:>6} us  p99 {p99_us:>6} us  p999 {p999_us:>6} us  "
-        "stall p99 {stall_p99_us:>6} us  {throughput_rps:5.1f} req/s  {requests:>3} requests  "
+    "fleet_campaign": Artifact(
+        f"Fleet — acceptance campaign ({fleet.CAMPAIGN_FLEET.n_containers} members, "
+        f"sequential then concurrent host fail-stops, replayed):", "fleet",
+        "  {fleet}: fail-stops {phases}; {failovers} failovers  {reprotects} re-protections  "
+        "re-protect {mean_reprotect_latency_us:8.1f} us  {protected_at_end} protected  "
+        "{completed_requests} requests  digest {digest} (replay {replay_digest})  "
         "violations {violations}",
+        lambda r: [fleet.run_fleet_campaign(seed=r.seed)]),
+    "traffic": Artifact(
+        "Traffic — L7 SLO profiles (smoke scale, each replayed):", "profile", _SLO_ROW,
         lambda r: traffic.run_slo_rows(seed=r.seed)),
+    "traffic_full": Artifact(
+        "Traffic — L7 SLO profiles (full scale, each replayed):", "profile", _SLO_ROW,
+        lambda r: traffic.run_slo_rows(seed=r.seed, smoke=False), smoke=False),
     "engine": Artifact(
         f"Engine — exact work counters of one {engine.RUN_MS} ms profiled run:", "workload",
         engine.format_rows, lambda r: engine.run_rows(r.smoke, seed=r.seed)),
@@ -228,7 +244,8 @@ _UNITS = (
     ("_share", "ratio"), ("_rate", "ratio"), ("_rps", "req/s"), ("throughput", "ops/s"),
     ("completed", "requests"), ("requests", "requests"), ("errors", "errors"),
     ("violations", "violations"), ("_disturbed", "members"), ("_at_end", "members"),
-    ("failovers", "count"), ("reprotects", "count"),
+    ("failovers", "count"), ("reprotects", "count"), ("_events", "count"),
+    ("_sessions", "sessions"),
 )
 
 
@@ -314,6 +331,7 @@ _HYCOR_SERVERS = tuple(n for n in WORKLOADS if n not in ("swaptions", "streamclu
 _HYCOR_CELLS = tuple(f"{w}/{m}" for w in hycor.RECOVERY_WORKLOADS for m in ("nilicon", "hycor"))
 _POOLS = fleet.POOL_SIZES
 _PROFILES = tuple(scenario.profile.name for scenario in traffic.traffic_profiles(smoke=True))
+_CAMPAIGN = f"fleet_campaign.{fleet.CAMPAIGN_ROW}"
 
 #: Single-cell bounds (the paper's value in parentheses where it has one).
 _BANDS = {
@@ -513,10 +531,25 @@ CLAUSES: tuple[Clause, ...] = (
              lambda violations: violations == 0, fleet.PAIR_SIZES),
     *_clause("fleet_pool.oracles_hold[{}]", "fleet_pool.{}.violations",
              lambda violations: violations == 0, _POOLS),
+    # §VII-A at fleet scale: a sequential and then a concurrent host loss
+    # are both recovered (two or more failovers), every failover is
+    # re-protected, and the campaign holds its oracles and replays.
+    *_clause("fleet_campaign.oracles_hold", f"{_CAMPAIGN}.violations",
+             lambda violations: violations == 0),
+    *_clause("fleet_campaign.recovers_concurrently", f"{_CAMPAIGN}.failovers",
+             lambda failovers: failovers >= 2),
+    *_clause("fleet_campaign.reprotects_every_failover",
+             f"{_CAMPAIGN}.reprotects {_CAMPAIGN}.failovers",
+             lambda reprotects, failovers: reprotects >= failovers),
     # Traffic: every profile (failover and migration included) holds its
-    # SLO oracles and replays identically.
+    # SLO oracles and replays identically, at both scales; full scale
+    # sustains over 1000 concurrent sessions on the steady profile.
     *_clause("traffic.oracles_hold[{}]", "traffic.{}.violations",
              lambda violations: violations == 0, _PROFILES),
+    *_clause("traffic_full.oracles_hold[{}]", "traffic_full.{}.violations",
+             lambda violations: violations == 0, _PROFILES),
+    *_clause("traffic_full.sustains_1000_sessions", "traffic_full.steady.peak_sessions",
+             lambda peak: peak >= 1000),
     # §VI: the page-digest generation cache hashes only dirty pages, under
     # a tenth of what re-hashing the resident set every epoch digests.
     *_clause("engine.digest_cache_saves_work", (

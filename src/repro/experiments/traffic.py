@@ -1,13 +1,13 @@
-"""Traffic-tier experiments: the open-loop SLO campaign.
+"""Traffic-tier experiments: the open-loop SLO profiles.
 
-The campaign runs four workload profiles against a proxied fleet, each in
-its own world, each TWICE with the same seed (PR 5's determinism
-convention — the replay must reproduce both the trace digest *and* every
-cell of the SLO table):
+Four workload profiles run against a proxied fleet, each in its own
+:func:`~repro.fleet.service.open_fleet` world, each TWICE with the same
+seed (:func:`repro.experiments.fleet.replayed`: the replay must reproduce
+both the trace digest *and* the profile's SLO row):
 
-* **steady** — constant-rate Poisson arrivals at full scale: the
-  baseline client-visible cost of output commit (latency quantized to
-  epoch boundaries shows up as the p99/p999 plateau).
+* **steady** — constant-rate Poisson arrivals: the baseline
+  client-visible cost of output commit (latency quantized to epoch
+  boundaries shows up as the p99/p999 plateau).
 * **bursty** — on/off arrivals; bursts land inside single epochs, so the
   stall distribution widens while p50 barely moves.
 * **failover** — steady arrivals across a host fail-stop: requests in
@@ -17,52 +17,53 @@ cell of the SLO table):
   ``migrate_container``, wrapped in proxy drain/undrain so the cutover
   happens with zero requests in flight on the moving member.
 
-Oracles per profile: zero client errors, zero request timeouts, zero
-validation failures, zero proxy drops, every routed request relayed, and
-(scenario profiles) the failover/migration actually happened.
+Oracles per profile: the shared fleet oracles
+(:meth:`~repro.fleet.service.FleetCell.violations`), zero client errors,
+zero request timeouts, zero validation failures, zero proxy drops, every
+routed request relayed, and (scenario profiles) the failover/migration
+actually happened.
 
 Because the clock is simulated, every latency percentile is exact and
-replayable.  The smoke campaign is the paper gate's ``traffic`` artifact
-(:func:`run_slo_rows`, :mod:`repro.experiments.paper`): each profile's SLO
-cells are pinned exactly in ``BENCH_paper.json`` as
-``traffic.<profile>.<column>``, and its violations (replay mismatches
-included) must be zero.
+replayable.  :func:`run_slo_rows` is two artifacts of the paper gate
+(:mod:`repro.experiments.paper`): the smoke-scale profiles are
+``traffic`` (in the smoke run too) and the full-scale ones, whose steady
+profile sustains over 1000 concurrent sessions, are ``traffic_full``
+(full run only).  Each profile's :data:`SLO_COLUMNS` are pinned exactly in
+``BENCH_paper.json`` as ``<artifact>.<profile>.<column>``, and its
+violations (replay mismatches included) must be zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Generator
 
 from repro.analysis.fuzz import trace_digest
+from repro.experiments.fleet import replayed
 from repro.fleet.controller import FleetController
 from repro.fleet.metrics import FleetMetrics
-from repro.fleet.pool import HostPool
-from repro.fleet.service import FleetWorkload
+from repro.fleet.service import open_fleet
 from repro.fleet.spec import FleetSpec
-from repro.metrics.slo import SloRow, SloTable
-from repro.net.world import World, reset_id_counters
-from repro.replication.config import NiliconConfig
-from repro.sim.trace import install_tracer
+from repro.metrics.slo import SloRow
 from repro.sim.units import ms, sec
 from repro.traffic.openloop import OpenLoopTraffic, TrafficProfile
 from repro.traffic.proxy import TrafficProxy
 
 __all__ = [
     "SLO_COLUMNS",
-    "format_traffic_campaign",
     "run_slo_rows",
-    "run_traffic_campaign",
+    "run_traffic_event",
     "traffic_profiles",
 ]
 
-#: The campaign fleet: same shape as the fleet campaign's (12 members on
-#: 6 hosts), so the SLO table describes the cluster the rest of the
+#: The full-scale fleet: same shape as the fleet campaign's (12 members on
+#: 6 hosts), so the SLO rows describe the cluster the rest of the
 #: evaluation uses.
 TRAFFIC_FLEET = FleetSpec(n_containers=12, n_hosts=6, slots_per_host=10)
 SMOKE_FLEET = FleetSpec(n_containers=6, n_hosts=6, slots_per_host=8)
 
-#: Traffic starts after protection settles so the SLO table measures the
+#: Traffic starts after protection settles so the SLO rows measure the
 #: protected steady state, not deployment transients.
 WARMUP_US = ms(300)
 
@@ -78,7 +79,7 @@ class _Scenario:
 
 
 def traffic_profiles(smoke: bool = False) -> list[_Scenario]:
-    """The campaign's four workload scenarios.
+    """The four workload scenarios, at smoke or full scale.
 
     Full scale sustains >=1000 concurrent sessions on the steady profile:
     ~1100 sessions/s arriving for 2 s, each session alive ~1.5 s (three
@@ -145,31 +146,16 @@ def _run_scenario_once(
     tail_us: int,
     trace_limit: int,
     instrument=None,
-    config: NiliconConfig | None = None,
 ) -> dict[str, Any]:
     """One profile in a fresh world; returns the flat result record.
 
     The replication strategy comes from ``fleet.mode`` (the controller
-    folds it into its config), so a HyCoR campaign passes a fleet spec
-    with ``mode="hycor"`` rather than a different config object.
+    folds it into its config), so a HyCoR run passes a fleet spec with
+    ``mode="hycor"`` rather than a different config object.
     """
-    reset_id_counters()
-    world = World(seed=seed)
-    if instrument is not None:
-        instrument(world)
-    tracer = install_tracer(world.engine, limit=trace_limit)
-    pool = HostPool(world, fleet.n_hosts, slots_per_host=fleet.slots_per_host)
-    controller = FleetController(
-        world, pool, fleet_spec=fleet,
-        config=config if config is not None else NiliconConfig.nilicon(),
-        seed=seed,
-    )
-    controller.deploy()
     # Services only: the proxy's open-loop sessions ARE the clients.
-    workload = FleetWorkload(world, controller)
-    workload.attach_services()
-    controller.start()
-
+    cell = open_fleet(seed, fleet, instrument=instrument, trace_limit=trace_limit)
+    world, pool, controller = cell.world, cell.pool, cell.controller
     proxy = TrafficProxy(world, controller)
     proxy.start()
     profile = scenario.profile
@@ -207,17 +193,14 @@ def _run_scenario_once(
 
     world.engine.process(timeline(), name=f"traffic-timeline-{profile.name}")
     run_until = WARMUP_US + profile.duration_us + tail_us
-    world.run(until=run_until)
+    cell.run(run_until)
     proxy.stop()
-    controller.stop()
 
     stats = traffic.stats
     counters = proxy.counters
     metrics = FleetMetrics.collect(controller)
 
-    violations: list[str] = []
-    violations += workload.violations()
-    violations += controller.audit()
+    violations = cell.violations()
     if stats.errors:
         violations.append(f"{profile.name}: {stats.errors} client error(s)")
     if stats.timeouts:
@@ -261,11 +244,6 @@ def _run_scenario_once(
                 f"(drained_dry={done[0]['drained_dry']}, "
                 f"migrated={done[0]['migrated']})"
             )
-    if tracer.dropped:
-        violations.append(
-            f"{profile.name}: tracer dropped {tracer.dropped} event(s): "
-            f"digest is poisoned, raise trace_limit"
-        )
 
     row = SloRow.from_histograms(
         profile.name,
@@ -281,8 +259,8 @@ def _run_scenario_once(
     )
     return {
         "row": row,
-        "digest": trace_digest(tracer),
-        "trace_events": len(tracer.events),
+        "digest": trace_digest(cell.tracer),
+        "trace_events": len(cell.tracer.events),
         "events": event_log,
         "client": stats.to_dict(),
         "proxy": proxy.to_dict(),
@@ -294,9 +272,9 @@ def run_traffic_event(
     event: str, seed: int = 1, instrument=None, mode: str = "nilicon"
 ) -> dict[str, Any]:
     """Run the one smoke profile carrying *event* ("failover" or
-    "migration") once — the ftcov coverage runner drives the traffic
-    tier's fault/maintenance paths through this without paying for the
-    full determinism campaign."""
+    "migration") once, without its replay: the ftcov coverage runner
+    drives the traffic tier's fault/maintenance paths through this, and
+    the HyCoR comparison runs its failover under ``mode="hycor"``."""
     matches = [
         s for s in traffic_profiles(smoke=True) if s.event == event
     ]
@@ -311,134 +289,22 @@ def run_traffic_event(
     )
 
 
-def run_traffic_campaign(
-    seed: int = 1, smoke: bool = False, mode: str = "nilicon"
-) -> dict[str, Any]:
-    """All four profiles, each run twice with the same seed.
-
-    The replay must reproduce the trace digest AND the SLO table digest —
-    the client-visible numbers themselves are part of the determinism
-    contract, not just the event order behind them.  *mode* selects the
-    replication strategy fleet-wide (``nilicon`` or ``hycor``).
-    """
-    fleet = SMOKE_FLEET if smoke else TRAFFIC_FLEET
-    if fleet.mode != mode:
-        fleet = replace(fleet, mode=mode)
-    tail_us = sec(2) if smoke else sec(3)
-    trace_limit = 2_000_000 if smoke else 6_000_000
-
-    table = SloTable()
-    replay_table = SloTable()
-    profiles: list[dict[str, Any]] = []
-    violations: list[str] = []
-    for scenario in traffic_profiles(smoke):
-        first = _run_scenario_once(
-            seed, fleet, scenario, tail_us=tail_us, trace_limit=trace_limit
-        )
-        second = _run_scenario_once(
-            seed, fleet, scenario, tail_us=tail_us, trace_limit=trace_limit
-        )
-        table.add(first["row"])
-        replay_table.add(second["row"])
-        name = scenario.profile.name
-        profile_violations = list(first["violations"])
-        if first["digest"] != second["digest"]:
-            profile_violations.append(
-                f"{name}: nondeterministic trace "
-                f"({first['digest']} != {second['digest']})"
-            )
-        if first["row"] != second["row"]:
-            profile_violations.append(f"{name}: SLO row not replay-identical")
-        if second["violations"] and not first["violations"]:
-            profile_violations.append(
-                f"{name}: replay run violated oracles the first run passed"
-            )
-        violations += profile_violations
-        profiles.append({
-            "name": name,
-            "arrival": scenario.profile.arrival,
-            "event": scenario.event,
-            "digest": first["digest"],
-            "replay_digest": second["digest"],
-            "trace_events": first["trace_events"],
-            "events": first["events"],
-            "client": first["client"],
-            "proxy": first["proxy"],
-            "violations": profile_violations,
-        })
-    deterministic = all(
-        p["digest"] == p["replay_digest"] for p in profiles
-    ) and table.digest() == replay_table.digest()
-    return {
-        "ok": not violations,
-        "smoke": smoke,
-        "seed": seed,
-        "mode": mode,
-        "fleet": {
-            "containers": fleet.n_containers,
-            "hosts": fleet.n_hosts,
-            "slots_per_host": fleet.slots_per_host,
-        },
-        "profiles": profiles,
-        "slo": table.to_dict(),
-        "slo_digest": table.digest(),
-        "replay_slo_digest": replay_table.digest(),
-        "deterministic": deterministic,
-        "peak_sessions": max(
-            (row.peak_sessions for row in table.rows), default=0
-        ),
-        "violations": violations,
-        "table": table.table(),
-    }
-
-
-def format_traffic_campaign(report: dict[str, Any]) -> str:
-    lines = [
-        f"traffic campaign — {report['fleet']['containers']} members over "
-        f"{report['fleet']['hosts']} hosts behind the L7 proxy "
-        f"(seed {report['seed']}{', smoke' if report['smoke'] else ''})",
-    ]
-    for profile in report["profiles"]:
-        event = f", {profile['event']}" if profile["event"] else ""
-        client = profile["client"]
-        lines.append(
-            f"  {profile['name']}: {client['sessions_started']} sessions "
-            f"(peak {client['peak_concurrent']} concurrent), "
-            f"{client['completed']} requests{event} — "
-            f"digest {profile['digest']} "
-            f"({'replay OK' if profile['digest'] == profile['replay_digest'] else 'DIVERGED'})"
-        )
-    lines.append(
-        f"  SLO digest {report['slo_digest']} — replay "
-        f"{'IDENTICAL' if report['deterministic'] else 'DIVERGED'} "
-        f"({report['replay_slo_digest']})"
-    )
-    if report["violations"]:
-        lines.append(f"  {len(report['violations'])} violation(s):")
-        lines += [f"    - {v}" for v in report["violations"]]
-    else:
-        lines.append(
-            "  all oracles held: zero client errors, zero dropped requests, "
-            "drains ran dry"
-        )
-    lines.append("")
-    lines.append(report["table"])
-    return "\n".join(lines)
-
-
 #: The SLO columns the paper gate pins per profile.
-SLO_COLUMNS = ("p50_us", "p99_us", "p999_us", "stall_p99_us", "throughput_rps", "requests")
+SLO_COLUMNS = ("p50_us", "p99_us", "p999_us", "stall_p99_us", "throughput_rps", "requests",
+               "peak_sessions")
 
 
-def run_slo_rows(seed: int = 1) -> list[dict[str, Any]]:
-    """The smoke campaign as the paper gate's ``traffic`` rows: each
-    profile's :data:`SLO_COLUMNS` and its violations, replay mismatches
-    included."""
-    report = run_traffic_campaign(seed=seed, smoke=True)
-    slo = {row["workload"]: row for row in report["slo"]["rows"]}
-    return [
-        {"profile": profile["name"],
-         **{column: slo[profile["name"]][column] for column in SLO_COLUMNS},
-         "violations": profile["violations"]}
-        for profile in report["profiles"]
-    ]
+def run_slo_rows(seed: int = 1, smoke: bool = True) -> list[dict[str, Any]]:
+    """The four profiles at smoke or full scale, each replayed: the paper
+    gate's ``traffic`` (*smoke*) or ``traffic_full`` rows, each profile's
+    :data:`SLO_COLUMNS` and its violations, replay mismatches included."""
+    fleet = SMOKE_FLEET if smoke else TRAFFIC_FLEET
+    knobs = dict(tail_us=sec(2) if smoke else sec(3),
+                 trace_limit=2_000_000 if smoke else 6_000_000)
+    rows = []
+    for scenario in traffic_profiles(smoke):
+        record = replayed(partial(_run_scenario_once, seed, fleet, scenario, **knobs), "row")
+        rows.append({"profile": scenario.profile.name,
+                     **{column: getattr(record["row"], column) for column in SLO_COLUMNS},
+                     "violations": record["violations"]})
+    return rows

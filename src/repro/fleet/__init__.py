@@ -4,6 +4,8 @@ Many replicated containers on a capacity-tracked host pool: deterministic
 placement, failure-detector-driven failover pickup, automatic
 re-protection (including degraded mode when spares run out), and planned
 live rebalancing via CRIU migration with output-commit-safe cutover.
+:func:`open_fleet` stands up one fleet world and :class:`FleetCell` holds
+it, with the oracles every fleet experiment applies.
 """
 
 from repro.fleet.controller import FleetController, FleetMember
@@ -16,12 +18,13 @@ from repro.fleet.scenarios import (
     FleetScenarioResult,
     run_fleet_scenario,
 )
-from repro.fleet.service import CounterService, FleetWorkload
+from repro.fleet.service import CounterService, FleetCell, FleetWorkload, open_fleet
 from repro.fleet.spec import FleetSpec
 
 __all__ = [
     "FLEET_SCENARIOS",
     "CounterService",
+    "FleetCell",
     "FleetController",
     "FleetMember",
     "FleetMetrics",
@@ -33,6 +36,7 @@ __all__ = [
     "MemberSummary",
     "PlacementDecision",
     "PoolExhausted",
+    "open_fleet",
     "place",
     "replacement_backup",
     "run_fleet_scenario",

@@ -3,8 +3,8 @@
 Each member accumulates one :class:`~repro.metrics.collector.RunMetrics`
 per protection *generation* (initial deployment, then one per re-pair).
 :class:`FleetMetrics` rolls those up across the fleet — per-member overhead
-and recovery counters, plus the aggregates the experiments and the
-``repro fleet campaign`` table print.
+and recovery counters, plus the aggregates the fleet experiments report
+(the ``fleet_campaign`` and ``fleet_pool`` cells of the paper gate).
 """
 
 from __future__ import annotations
@@ -151,30 +151,3 @@ class FleetMetrics:
             "mean_reprotect_latency_us": round(self.mean_reprotect_latency_us(), 1),
             "mean_stop_us": round(self.mean_stop_us(), 1),
         }
-
-    def table(self) -> str:
-        """Markdown table for ``repro fleet campaign``."""
-        lines = [
-            "| member | state | primary | backup | gens | failovers | "
-            "reprotects | avg stop (us) | reprotect lat (us) |",
-            "|---|---|---|---|---|---|---|---|---|",
-        ]
-        for m in self.members:
-            latency = (
-                f"{mean(m.reprotect_latencies_us):.0f}"
-                if m.reprotect_latencies_us else "-"
-            )
-            lines.append(
-                f"| {m.name} | {m.state} | {m.primary or '-'} | "
-                f"{m.backup or '-'} | {m.generations} | {m.failovers} | "
-                f"{m.reprotects} | {m.avg_stop_us:.0f} | {latency} |"
-            )
-        lines.append(
-            f"\nfleet: {self.protected_members} protected, "
-            f"{self.degraded_members} degraded, {self.dead_members} dead; "
-            f"{self.total_failovers} failovers, {self.total_reprotects} "
-            f"re-protections, {self.controller_restarts} controller restarts; "
-            f"hosts {self.hosts_total - self.hosts_failed}/{self.hosts_total} "
-            f"alive, {self.free_slots} free slots"
-        )
-        return "\n".join(lines)

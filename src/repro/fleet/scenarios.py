@@ -17,10 +17,9 @@ from typing import Any, Callable, Generator
 from repro.faultinject.plan import FaultPlan, PointFault
 from repro.fleet.controller import FleetController
 from repro.fleet.placement import PlacementDecision
-from repro.fleet.pool import HostPool
-from repro.fleet.service import FleetWorkload
+from repro.fleet.service import open_fleet
 from repro.fleet.spec import FleetSpec
-from repro.net.world import World, reset_id_counters
+from repro.net.world import World
 from repro.replication.config import NiliconConfig
 from repro.sim.units import ms, sec
 
@@ -83,52 +82,23 @@ def run_fleet_scenario(
 ) -> FleetScenarioResult:
     """Run one fleet scenario end to end and evaluate all its oracles.
 
-    The identity counters are rewound first, as ``open_cell`` does, so a
-    scenario's numbers do not depend on what ran before it in the
-    process.  *instrument* (if given) is called with the freshly built
-    :class:`World` before anything runs — the ftcov coverage recorder
-    installs itself through this hook.
+    The world comes from :func:`~repro.fleet.service.open_fleet`, which
+    rewinds the identity counters first, so a scenario's numbers do not
+    depend on what ran before it in the process.  *instrument* (if given)
+    is called with the freshly built :class:`World` before anything runs —
+    the ftcov coverage recorder installs itself through this hook.
     """
     scenario = FLEET_SCENARIOS[name]
-    reset_id_counters()
-    world = World(seed=seed)
-    if instrument is not None:
-        instrument(world)
-    pool = HostPool(world, scenario.fleet.n_hosts,
-                    slots_per_host=scenario.fleet.slots_per_host)
-    controller = FleetController(
-        world, pool, fleet_spec=scenario.fleet,
-        config=config if config is not None else NiliconConfig.nilicon(),
-        seed=seed,
-    )
-    controller.deploy(
-        decisions=list(scenario.decisions) if scenario.decisions else None
-    )
-    workload = FleetWorkload(world, controller)
-    workload.attach_services()
-    workload.start_clients(n_requests=scenario.n_requests)
-    controller.start()
+    cell = open_fleet(seed, scenario.fleet, config=config,
+                      decisions=scenario.decisions, instrument=instrument,
+                      n_requests=scenario.n_requests)
+    world, controller = cell.world, cell.controller
     plan = scenario.make_plan(world, controller).arm(world.engine)
     scenario.schedule(world, controller)
-    world.run(until=scenario.run_until_us)
-    controller.stop()
+    cell.run(scenario.run_until_us)
     plan.disarm()
 
-    violations: list[str] = []
-    violations += workload.violations()
-    violations += controller.audit()
-    for member_name in sorted(controller.members):
-        member = controller.members[member_name]
-        if member_name in scenario.expect_dead:
-            if member.state != "dead":
-                violations.append(
-                    f"{member_name}: expected dead, is {member.state}"
-                )
-            continue
-        if member.state != "protected":
-            violations.append(
-                f"{member_name}: ended {member.state}, expected protected"
-            )
+    violations = cell.violations(expect_dead=scenario.expect_dead)
     if scenario.points and not plan.log:
         violations.append("fault plan never fired")
     violations += scenario.check(controller, plan)
@@ -140,7 +110,7 @@ def run_fleet_scenario(
         violations=violations,
         plan_log=list(plan.log),
         states={n: m.state for n, m in sorted(controller.members.items())},
-        completed=workload.total_completed(),
+        completed=cell.workload.total_completed(),
     )
 
 

@@ -1,4 +1,5 @@
-"""Acknowledged-write validation workload for fleet experiments.
+"""Acknowledged-write validation workload for fleet experiments, and the
+one way to stand up a fleet world (:func:`open_fleet`).
 
 Each member runs the counter service the failover tests use: an 8-byte
 ``PINGxxxx`` request increments a counter page in checkpointed container
@@ -7,22 +8,33 @@ output-commit barrier until the backup commits, so *any count a client
 observed* is state the fleet must never lose — across failovers,
 re-protections and migrations the per-member count sequence must stay
 strictly increasing with no repeats.
+
+:func:`open_fleet` builds a fleet cell in one fixed order (identity
+counters, world, instrument, tracer, pool, controller, deploy, services,
+clients, start), and :meth:`FleetCell.violations` is the one oracle list
+every fleet experiment applies: the clients' observations, the
+controller's audit, every member's end state and the tracer's
+completeness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Any, Callable, Collection, Generator, Sequence
 
+from repro.fleet.controller import FleetController
+from repro.fleet.placement import PlacementDecision
+from repro.fleet.pool import HostPool
+from repro.fleet.spec import FleetSpec
 from repro.kernel.netdev import NetDevice
 from repro.kernel.tcp import TcpStack
+from repro.net.world import World, reset_id_counters
+from repro.replication.config import NiliconConfig
 from repro.sim import Interrupt, ms
+from repro.sim.trace import Tracer, install_tracer
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.controller import FleetController
-    from repro.net.world import World
-
-__all__ = ["CounterService", "FleetWorkload", "MemberClientStats", "PORT"]
+__all__ = ["CounterService", "FleetCell", "FleetWorkload", "MemberClientStats",
+           "PORT", "open_fleet"]
 
 PORT = 7777
 
@@ -216,3 +228,106 @@ class FleetWorkload:
 
     def total_completed(self) -> int:
         return sum(s.completed for s in self.stats.values())
+
+
+@dataclass
+class FleetCell:
+    """One fleet world, stood up by :func:`open_fleet`."""
+
+    world: World
+    pool: HostPool
+    controller: FleetController
+    workload: FleetWorkload
+    #: Installed only when :func:`open_fleet` was given a ``trace_limit``.
+    tracer: Tracer | None = None
+    #: ``(at_us, hosts)`` of every fail-stop :meth:`fail_host_at` injected.
+    failstops: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
+
+    def fail_host_at(self, at_us: int,
+                     hosts: str | Callable[[], Sequence[str]]) -> None:
+        """Fail-stop *hosts* at simulated time *at_us*, all in the same
+        instant: one host name, or a callable that picks the names when
+        the time comes."""
+        engine = self.world.engine
+
+        def timeline() -> Generator[Any, Any, None]:
+            yield engine.timeout(at_us - engine.now)
+            names = (hosts,) if isinstance(hosts, str) else tuple(hosts())
+            self.failstops.append((engine.now, names))
+            for name in names:
+                self.controller.inject_host_failstop(self.pool.host(name))
+
+        engine.process(timeline(), name=f"failstop-at-{at_us}")
+
+    def run(self, until_us: int) -> None:
+        """Run the world to *until_us*, then stop the controller."""
+        self.world.run(until=until_us)
+        self.controller.stop()
+
+    def violations(self, expect_dead: Collection[str] = ()) -> list[str]:
+        """The shared fleet oracles (empty = pass): no acknowledged write
+        lost or replayed, the controller's audit, every member ends
+        ``protected`` (``dead`` for the members in *expect_dead*) and a
+        tracer, when installed, dropped no event."""
+        problems = self.workload.violations() + self.controller.audit()
+        for name in sorted(self.controller.members):
+            state = self.controller.members[name].state
+            if name in expect_dead:
+                if state != "dead":
+                    problems.append(f"{name}: expected dead, is {state}")
+            elif state != "protected":
+                problems.append(f"{name}: ended {state}, expected protected")
+        if self.tracer is not None and self.tracer.dropped:
+            problems.append(
+                f"tracer dropped {self.tracer.dropped} event(s): digest is "
+                f"poisoned, raise trace_limit"
+            )
+        return problems
+
+
+def open_fleet(
+    seed: int,
+    fleet: FleetSpec,
+    *,
+    config: NiliconConfig | None = None,
+    decisions: Sequence[PlacementDecision] | None = None,
+    instrument: Callable[[World], None] | None = None,
+    trace_limit: int | None = None,
+    n_requests: int | None = None,
+    gap_us: int = ms(10),
+    touch_pages: int = 1,
+) -> FleetCell:
+    """Stand up one fleet cell, started and ready to run.
+
+    The identity counters are rewound first: serialized checkpoint images
+    embed process-global ids (pids, inode numbers), so a same-seed replay
+    in the same process is byte-identical, not just behaviourally
+    identical.  *instrument* is called with the fresh :class:`World`
+    before anything else is built (the ftcov recorder installs itself
+    there); a tracer is installed only when *trace_limit* is given;
+    *decisions* pins the placement (``None`` runs the policy).  Every
+    member gets a counter service, and a validating client sending
+    *n_requests* requests *gap_us* apart unless *n_requests* is ``None``
+    (the traffic tier's proxied sessions are then the clients).
+    """
+    reset_id_counters()
+    world = World(seed=seed)
+    if instrument is not None:
+        instrument(world)
+    tracer = None
+    if trace_limit is not None:
+        tracer = install_tracer(world.engine, limit=trace_limit)
+    pool = HostPool(world, fleet.n_hosts, slots_per_host=fleet.slots_per_host)
+    controller = FleetController(
+        world, pool, fleet_spec=fleet,
+        config=config if config is not None else NiliconConfig.nilicon(),
+        seed=seed,
+    )
+    controller.deploy(decisions=None if decisions is None else list(decisions))
+    workload = FleetWorkload(world, controller, gap_us=gap_us,
+                             touch_pages=touch_pages)
+    workload.attach_services()
+    if n_requests is not None:
+        workload.start_clients(n_requests=n_requests)
+    controller.start()
+    return FleetCell(world, pool, controller, workload, tracer)

@@ -8,7 +8,7 @@ breakdown.  :mod:`~repro.metrics.report` renders markdown tables.
 
 from repro.metrics.collector import EpochRecord, RecoveryBreakdown, RunMetrics
 from repro.metrics.histogram import LatencyHistogram
-from repro.metrics.slo import SloRow, SloTable
+from repro.metrics.slo import SloRow
 from repro.metrics.stats import percentile
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "RecoveryBreakdown",
     "RunMetrics",
     "SloRow",
-    "SloTable",
     "percentile",
 ]

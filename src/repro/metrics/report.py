@@ -1,4 +1,4 @@
-"""Markdown rendering of experiment tables (the traffic tier's SLO table)."""
+"""Markdown rendering of experiment tables."""
 
 from __future__ import annotations
 

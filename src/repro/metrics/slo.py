@@ -1,10 +1,11 @@
-"""SLO rollup: per-workload latency/stall percentiles as one table.
+"""SLO rollup: one workload profile's latency/stall percentiles.
 
 The traffic tier reduces each workload profile's request-latency and
-epoch-stall histograms to a :class:`SloRow`; :class:`SloTable` renders the
-markdown table ``repro traffic campaign`` prints and produces the canonical digest
-the determinism oracle compares across same-seed runs (PR 5's campaign
-convention, applied to client-visible numbers instead of trace events).
+epoch-stall histograms to a :class:`SloRow`.  The paper gate pins its
+columns (``repro paper traffic`` and ``repro paper traffic_full``), and
+the replay check compares two same-seed rows field by field: the
+determinism oracle applied to client-visible numbers, not only to trace
+events.
 
 Latency columns report p50/p99/p999 — the paper's client-visible
 output-commit cost lives in the tail, and p999 is where a single epoch
@@ -13,15 +14,11 @@ stall or failover shows up even when p50 looks healthy.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass
 
 from repro.metrics.histogram import LatencyHistogram
-from repro.metrics.report import markdown_table
 
-__all__ = ["SloRow", "SloTable"]
+__all__ = ["SloRow"]
 
 
 @dataclass(frozen=True)
@@ -80,44 +77,3 @@ class SloRow:
             drains=drains,
             ok=ok,
         )
-
-
-class SloTable:
-    """Ordered collection of :class:`SloRow` with rendering + digest."""
-
-    def __init__(self, rows: Sequence[SloRow] = ()) -> None:
-        self.rows: list[SloRow] = list(rows)
-
-    def add(self, row: SloRow) -> None:
-        self.rows.append(row)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rows": [asdict(row) for row in self.rows]}
-
-    def digest(self) -> str:
-        """Canonical digest of every cell: two same-seed runs must match."""
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
-
-    def table(self) -> str:
-        def fmt_ms(us: int | float) -> str:
-            return f"{us / 1000:.1f}"
-
-        headers = [
-            "workload", "req/s", "requests", "errors", "peak sess",
-            "p50 ms", "p99 ms", "p999 ms", "max ms",
-            "stall p50 ms", "stall p99 ms", "stall max ms",
-            "evict", "drain", "ok",
-        ]
-        return markdown_table(headers, [
-            [
-                row.workload, row.throughput_rps, row.requests, row.errors,
-                row.peak_sessions,
-                fmt_ms(row.p50_us), fmt_ms(row.p99_us), fmt_ms(row.p999_us),
-                fmt_ms(row.max_us),
-                fmt_ms(row.stall_p50_us), fmt_ms(row.stall_p99_us),
-                fmt_ms(row.stall_max_us),
-                row.evictions, row.drains, "yes" if row.ok else "NO",
-            ]
-            for row in self.rows
-        ])

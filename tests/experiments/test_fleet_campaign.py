@@ -1,33 +1,34 @@
-"""The fleet acceptance campaign and scaling sweeps (smoke variants)."""
+"""The fleet acceptance campaign and scaling sweeps (the paper gate's fleet cells)."""
 
 from pathlib import Path
 
-from repro.experiments.fleet import (
-    _survivable_victims,
-    format_campaign,
-    run_fleet_campaign,
-)
+from repro.analysis.fuzz import trace_digest
+from repro.experiments.fleet import _ring_decisions, _survivable_victims, replayed
 from repro.experiments.paper import paper_metrics, paper_problems, run_paper
+from repro.fleet import FleetSpec, open_fleet
 from repro.metrics import benchfile
+from repro.sim.units import ms, sec
+
+BENCH = Path(__file__).resolve().parents[2] / "BENCH_paper.json"
 
 
 def test_smoke_campaign_passes_and_replays_identically():
-    report = run_fleet_campaign(seed=1, smoke=True)
-    assert report["ok"], report["violations"]
-    assert report["deterministic"]
-    assert report["digest"] == report["replay_digest"]
+    """The campaign runs at its full parameters in the smoke gate too, so
+    its cells equal the checked-in full report's."""
+    results = run_paper(smoke=True, names=["fleet_campaign"])
+    (row,) = results["fleet_campaign"]
+    assert row["violations"] == []
     # Seeded, so the trace digest is pinned: a change to the campaign's
     # simulated behaviour must update it here on purpose.
-    assert report["digest"] == "2625ef0c"
-    assert report["metrics"]["protected_members"] == 12
-    assert report["metrics"]["dead_members"] == 0
-    assert report["metrics"]["total_failovers"] >= 2
+    assert row["digest"] == row["replay_digest"] == "cc43ab4c"
+    assert row["protected_at_end"] == 12
+    assert (row["completed_requests"], row["failovers"], row["reprotects"]) == (540, 6, 14)
     # Phase shape: one sequential single-host loss, one concurrent double.
-    assert [p["phase"] for p in report["phases"]] == [
-        "sequential", "concurrent",
-    ]
-    assert len(report["phases"][1]["hosts"]) == 2
-    assert "IDENTICAL" in format_campaign(report)
+    assert row["phases"] == "600 ms node0; 2000 ms node2+node4"
+    metrics = paper_metrics(results)
+    assert paper_problems(metrics, smoke=True) == []
+    pinned = benchfile.load(BENCH)["metrics"]
+    assert metrics == {name: pinned[name] for name in metrics}
 
 
 def test_campaign_digest_tracks_fleet_shape():
@@ -35,17 +36,29 @@ def test_campaign_digest_tracks_fleet_shape():
     must change it.  (Different *seeds* legitimately may not: the counter
     pipeline draws nothing from the world RNG, and the digest is
     timestamp-free by design.)"""
-    from repro.fleet import FleetSpec
+    digests = []
+    for fleet in (FleetSpec(n_containers=12, n_hosts=6, slots_per_host=10),
+                  FleetSpec(n_containers=6, n_hosts=6, slots_per_host=10)):
+        cell = open_fleet(1, fleet, decisions=_ring_decisions(fleet),
+                          trace_limit=2_000_000, n_requests=12, gap_us=ms(25))
+        cell.fail_host_at(ms(600), "node0")
+        cell.run(sec(2))
+        assert cell.violations() == []
+        digests.append((trace_digest(cell.tracer), len(cell.tracer.events)))
+    (a, a_events), (b, b_events) = digests
+    assert a != b
+    assert a_events > b_events > 1000
 
-    a = run_fleet_campaign(seed=1, smoke=True)
-    b = run_fleet_campaign(
-        seed=1, smoke=True,
-        fleet=FleetSpec(n_containers=6, n_hosts=6, slots_per_host=10),
-    )
-    assert a["ok"], a["violations"]
-    assert b["ok"], b["violations"]
-    assert a["digest"] != b["digest"]
-    assert a["trace_events"] > b["trace_events"] > 1000
+
+def test_replayed_flags_every_mismatch():
+    runs = iter([{"digest": "a", "row": 1, "violations": []},
+                 {"digest": "b", "row": 2, "violations": ["late"]}])
+    record = replayed(lambda: next(runs), "row")
+    assert record["replay_digest"] == "b"
+    assert [v.split(" ", 3)[2] for v in record["violations"][:2]] == ["digest", "row"]
+    assert record["violations"][2] == "replay run violated oracles the first run passed"
+    same = replayed(lambda: {"digest": "a", "violations": []})
+    assert same["violations"] == [] and same["replay_digest"] == "a"
 
 
 def test_smoke_bench_shapes_and_oracles():
@@ -62,9 +75,7 @@ def test_smoke_bench_shapes_and_oracles():
     assert metrics["fleet_pair.2.throughput_rps"]["unit"] == "req/s"
     # Smoke cells run at full-run parameters, so they equal the same
     # cells of the checked-in full paper bench exactly.
-    pinned = benchfile.load(
-        Path(__file__).resolve().parents[2] / "BENCH_paper.json"
-    )
+    pinned = benchfile.load(BENCH)
     assert metrics == {name: pinned["metrics"][name] for name in metrics}
 
 

@@ -32,13 +32,14 @@ def test_checked_in_report_holds_every_clause(metrics):
     assert runnable_clauses(metrics)[1] == []
     assert {"fig3.redis.nilicon_overhead_pct", "validation.node.recovery_rate",
             "fleet_pool.12.members_disturbed", "traffic.failover.p99_us",
+            "fleet_campaign.12x6.failovers", "traffic_full.steady.peak_sessions",
             "engine.redis.engine_events"} <= set(metrics)
     assert len({clause.name for clause in CLAUSES}) == len(CLAUSES)
 
 
-#: One mutation per artifact, and one per HyCoR tradeoff claim: the cell,
-#: its new value (a literal or the value of another cell) and the clause
-#: it must fire.
+#: One mutation per artifact, and one per HyCoR tradeoff claim and per
+#: fleet-campaign or full-scale traffic clause: the cell, its new value (a
+#: literal or the value of another cell) and the clause it must fire.
 MUTATIONS = {
     "table1": ("table1.+cache-infrequent-state.overhead_pct", 500.0, "table1.state_cache_cliff"),
     "table2": ("table2.redis.restore_ms", "table2.net.restore_ms", "table2.redis_restores_slower"),
@@ -65,7 +66,16 @@ MUTATIONS = {
     "fleet_pool": ("fleet_pool.6.members_disturbed", "fleet_pool.4.members_disturbed",
                    "fleet_pool.blast_radius_shrinks[4->6]"),
     "fleet_pair": ("fleet_pair.4.mean_stop_us", 1.05 * 8254.2, "fleet_pair.stop_flat[4]"),
+    "fleet_campaign": ("fleet_campaign.12x6.violations", 1, "fleet_campaign.oracles_hold"),
+    "sequential-loss-only": ("fleet_campaign.12x6.failovers", 1,
+                             "fleet_campaign.recovers_concurrently"),
+    "failover-left-unprotected": ("fleet_campaign.12x6.reprotects", 5,
+                                  "fleet_campaign.reprotects_every_failover"),
     "traffic": ("traffic.migration.violations", 1, "traffic.oracles_hold[migration]"),
+    "traffic_full": ("traffic_full.failover.violations", 2,
+                     "traffic_full.oracles_hold[failover]"),
+    "under-1000-sessions": ("traffic_full.steady.peak_sessions", 999,
+                            "traffic_full.sustains_1000_sessions"),
     "engine": ("engine.streamcluster/unoptimized.digest_pages_digested",
                "engine.streamcluster.digest_pages_digested", "engine.digest_cache_saves_work"),
 }
@@ -85,7 +95,8 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
             "table3": SMOKE_SUITE, "table4": SMOKE_SUITE, "table5": SMOKE_SUITE,
             "validation": SMOKE_VALIDATION, "hycor": SMOKE_WORKLOADS,
             "hycor_recovery": None, "hycor_traffic": None,
-            "fleet_pair": ("1", "2"), "fleet_pool": ("4", "6"), "traffic": None,
+            "fleet_campaign": None, "fleet_pair": ("1", "2"), "fleet_pool": ("4", "6"),
+            "traffic": None,
             "engine": ("streamcluster", "streamcluster/unoptimized")}
 
     def kept(name):
@@ -103,12 +114,14 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
             "hycor_recovery.replay_costs_recovery[net]",
             "hycor_traffic.oracles_hold", "fleet_pair.stop_flat[2]",
             "fleet_pool.blast_radius_shrinks[4->6]", "fleet_pool.all_protected[6]",
-            "traffic.oracles_hold[failover]", "engine.digest_cache_saves_work"} <= {
+            "traffic.oracles_hold[failover]", "fleet_campaign.oracles_hold",
+            "fleet_campaign.recovers_concurrently", "engine.digest_cache_saves_work"} <= {
         c.name for c in runnable}
     assert {"fig3.nilicon_wins[redis]", "fig3.stop_dominates", "table3.node_longest_stop",
             "table6.redis.stock_ms in (None, 10)", "validation.full_recovery[node]",
             "threads.overhead_grows", "hycor.log_commit_wins_over_10",
-            "fleet_pair.latency_grows", "fleet_pool.blast_radius_shrinks[6->8]"} <= {
+            "fleet_pair.latency_grows", "fleet_pool.blast_radius_shrinks[6->8]",
+            "traffic_full.oracles_hold[steady]", "traffic_full.sustains_1000_sessions"} <= {
         c.name for c in skipped}
     assert paper_problems(smoke, smoke=True) == []
     as_full = paper_problems(smoke, smoke=False)

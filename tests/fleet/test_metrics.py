@@ -54,13 +54,3 @@ def test_to_dict_is_json_serializable(world):
     assert payload["protected_members"] == 2
     assert len(payload["members"]) == 2
     assert payload["members"][0]["name"] == "svc0"
-
-
-def test_table_renders_one_row_per_member_plus_summary(world):
-    table = FleetMetrics.collect(run_small_fleet(world)).table()
-    lines = table.splitlines()
-    header_cells = lines[0].count("|") - 1
-    for row in lines[1:4]:
-        assert row.count("|") - 1 == header_cells
-    assert "svc0" in table and "svc1" in table
-    assert "2 protected" in table

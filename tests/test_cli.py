@@ -210,11 +210,55 @@ def test_audit_command(capsys):
     assert "invariants held" in out and "epoch(s)" in out
 
 
-def test_traffic_profiles_lists_all_four(capsys):
-    assert main(["traffic", "profiles"]) == 0
-    out = capsys.readouterr().out
-    for name in ("steady", "bursty", "failover", "migration"):
-        assert name in out
+@pytest.mark.parametrize("argv", [["fleet", "campaign"], ["traffic", "campaign"],
+                                  ["traffic", "profiles"]], ids="-".join)
+def test_removed_campaign_commands_exit_two(argv, capsys):
+    # The fleet campaign and the traffic profiles are paper artifacts now
+    # (`repro paper fleet_campaign`, `traffic`, `traffic_full`).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+
+def test_seed_reaches_the_command_that_reads_it(capsys):
+    assert main(["perf", "profile", "--smoke", "--seed", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+@pytest.mark.parametrize("argv", [["races", "--seed", "5"], ["--seed", "5", "races"],
+                                  ["--seed", "5", "perf", "profile"],
+                                  ["ftcov", "record", "--seed", "5"], ["list-workloads", "--seed", "5"]],
+                         ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_a_command_that_reads_no_seed_rejects_it(argv):
+    # Before the command (the old global option) or after it, alike.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def _repro_commands(text):
+    """The argv of every ``python -m repro ...`` / ``$(PYTHON) -m repro
+    ...`` command in *text*, recipes and comments alike (a comment's
+    command ends at a closing backquote)."""
+    import re
+    import shlex
+
+    return [shlex.split(match) for match in
+            re.findall(r"(?:python3?|\$\(PYTHON\)) -m repro\b([^&|;`\n]*)", text)]
+
+
+def test_every_make_and_ci_command_parses():
+    """A deleted subcommand or option cannot linger in a make target or a
+    CI step."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    commands = [argv for name in ("Makefile", ".github/workflows/ci.yml")
+                for argv in _repro_commands((root / name).read_text())]
+    assert {argv[0] for argv in commands} >= {"lint", "audit", "analyze", "validate"}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def _paper_bench(monkeypatch, events, ok=True, *options):

@@ -1,4 +1,4 @@
-"""Traffic campaign oracles: zero drops across faults, replay-identical SLOs."""
+"""Traffic profile oracles: zero drops across faults, replay-identical SLOs."""
 
 from pathlib import Path
 
@@ -6,7 +6,7 @@ from repro.experiments.traffic import (
     SLO_COLUMNS,
     SMOKE_FLEET,
     _run_scenario_once,
-    run_traffic_campaign,
+    run_slo_rows,
     traffic_profiles,
 )
 from repro.metrics import benchfile
@@ -59,8 +59,8 @@ def test_migration_drains_dry_and_drops_nothing():
 
 
 def test_same_seed_scenarios_replay_identically():
-    """PR 5's campaign convention applied to client-visible numbers: the
-    trace digest AND every SLO cell must reproduce under the same seed."""
+    """The replay convention applied to client-visible numbers: the trace
+    digest AND every SLO cell must reproduce under the same seed."""
     first = _run("steady")
     second = _run("steady")
     assert first["digest"] == second["digest"]
@@ -78,20 +78,19 @@ def test_different_seeds_diverge():
 
 
 def test_smoke_campaign_green_and_deterministic():
-    report = run_traffic_campaign(seed=1, smoke=True)
-    assert report["ok"], report["violations"]
-    assert report["deterministic"]
-    assert report["slo_digest"] == report["replay_slo_digest"]
+    rows = run_slo_rows(seed=1)
+    assert [row["profile"] for row in rows] == [
+        "steady", "bursty", "failover", "migration",
+    ]
+    # Each profile ran twice: a replay mismatch would be a violation.
+    assert [row["violations"] for row in rows] == [[], [], [], []]
     # Pinned, not just self-consistent: BENCH_paper.json's traffic.* cells
-    # record this same seed-1 smoke campaign, so any shift in simulated
+    # record these same seed-1 smoke profiles, so any shift in simulated
     # SLOs fails here.
     pinned = benchfile.load(ROOT / "BENCH_paper.json")["metrics"]
-    for row in report["slo"]["rows"]:
+    for row in rows:
         for column in SLO_COLUMNS:
-            cell = pinned[f"traffic.{row['workload']}.{column}"]
-            assert row[column] == cell["value"], (row["workload"], column)
-    assert {p["name"] for p in report["profiles"]} == {
-        "steady", "bursty", "failover", "migration",
-    }
+            cell = pinned[f"traffic.{row['profile']}.{column}"]
+            assert row[column] == cell["value"], (row["profile"], column)
     # The open-loop generator actually sustained concurrent sessions.
-    assert report["peak_sessions"] >= 30
+    assert max(row["peak_sessions"] for row in rows) >= 30
