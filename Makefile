@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint audit analyze golden-regen validate examples clean
+.PHONY: install test lint audit analyze golden-regen examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -33,9 +33,6 @@ analyze:
 golden-regen:
 	PYTHONPATH=src $(PYTHON) -c "from repro.analysis.fuzz import write_golden; write_golden('tests/golden/digests.json')"
 	PYTHONPATH=src $(PYTHON) -c "from repro.analysis.ndreplay import write_ndlog_golden; write_ndlog_golden('tests/golden/ndlog_digests.json')"
-
-validate:
-	$(PYTHON) -m repro validate --runs 5
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -44,86 +44,8 @@ See ``docs/determinism.md`` for the rule catalogue and invariant list,
 ``docs/races.md`` for the race-detection machinery,
 ``docs/checkpoint-coverage.md`` for the coverage analyzer, and
 ``docs/perf.md`` for the performance analyzer.
+
+The package re-exports nothing: callers import the submodule they use, so
+the simulator, which loads :mod:`repro.analysis.auditor` only for an
+``audit=True`` deployment, never pays for the analyzers it does not run.
 """
-
-from repro.analysis.auditor import InvariantViolation, StateAuditor, Violation
-from repro.analysis.baseline import (
-    BaselinedReport,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.ckptdiff import (
-    OracleResult,
-    StateDiff,
-    compare_containers,
-    run_oracle,
-)
-from repro.analysis.coverage import (
-    COVERAGE_RULE_IDS,
-    CoverageReport,
-    Inventory,
-    analyze_coverage,
-    build_inventory,
-)
-from repro.analysis.linter import Finding, LintContext, Rule, all_rules, lint_paths, lint_source
-from repro.analysis.perf import (
-    PERF_RULE_IDS,
-    HotFunction,
-    PerfReport,
-    analyze_perf,
-    build_hot_map,
-)
-from repro.analysis.perfbench import (
-    ProfiledRun,
-    crossref,
-    run_profiled_deployment,
-)
-from repro.analysis.races import (
-    RaceDetector,
-    RaceFinding,
-    install_detector,
-    verify_access_coverage,
-)
-from repro.analysis.report import render_json, render_text
-
-__all__ = [
-    "BaselinedReport",
-    "COVERAGE_RULE_IDS",
-    "CoverageReport",
-    "Finding",
-    "HotFunction",
-    "InvariantViolation",
-    "Inventory",
-    "LintContext",
-    "OracleResult",
-    "PERF_RULE_IDS",
-    "PerfReport",
-    "ProfiledRun",
-    "RaceDetector",
-    "RaceFinding",
-    "Rule",
-    "StateAuditor",
-    "StateDiff",
-    "Violation",
-    "all_rules",
-    "analyze_coverage",
-    "analyze_perf",
-    "apply_baseline",
-    "build_hot_map",
-    "build_inventory",
-    "compare_containers",
-    "crossref",
-    "fingerprint",
-    "install_detector",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "run_profiled_deployment",
-    "render_json",
-    "render_text",
-    "run_oracle",
-    "verify_access_coverage",
-    "write_baseline",
-]

@@ -6,7 +6,6 @@ Examples::
     python -m repro bench redis --mode nilicon --duration-ms 2000
     python -m repro paper table1       # one artifact: table1..6, fig3, threads, hycor, ...
     python -m repro paper bench --smoke --check BENCH_paper.json
-    python -m repro validate --runs 5 --workload redis --workload disk-rw
     python -m repro failover redis     # one instrumented failover, verbose
     python -m repro lint src/          # determinism/checkpoint-safety linter
     python -m repro audit redis        # epoch loop with invariant auditing
@@ -61,25 +60,6 @@ def _cmd_bench(args) -> int:
         print(f"  stopped fraction: {result.stopped_fraction:.1%}  "
               f"backup core: {metrics.backup_core_utilization():.3f}")
     return 0
-
-
-def _cmd_validate(args) -> int:
-    from repro.experiments.validation import (
-        VALIDATION_WORKLOADS,
-        format_rows,
-        run_validation_campaign,
-    )
-
-    workloads = tuple(args.workload) if args.workload else VALIDATION_WORKLOADS
-    results = run_validation_campaign(
-        workloads=workloads, runs_per_workload=args.runs, base_seed=args.seed
-    )
-    print(format_rows(results))
-    failed = [r for r in results if r.recovery_rate < 1.0]
-    for campaign in failed:
-        for failure in campaign.failures[:5]:
-            print(f"  {campaign.workload}: {failure}", file=sys.stderr)
-    return 1 if failed else 0
 
 
 def _cmd_trace(args) -> int:
@@ -538,11 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=mode_names(), default="nilicon")
     bench.add_argument("--duration-ms", type=int, default=2000)
 
-    validate = sub.add_parser("validate", parents=[seeded],
-                              help="run the fault-injection campaign")
-    validate.add_argument("--runs", type=int, default=5)
-    validate.add_argument("--workload", action="append", default=None)
-
     failover = sub.add_parser("failover", parents=[seeded],
                               help="one verbose fault injection")
     failover.add_argument("workload")
@@ -679,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "list-workloads": _cmd_list_workloads,
     "bench": _cmd_bench,
-    "validate": _cmd_validate,
     "failover": _cmd_failover,
     "trace": _cmd_trace,
     "lint": _cmd_lint,

@@ -34,16 +34,10 @@ from repro.experiments.common import (
     run_compute_benchmark,
     run_server_benchmark,
 )
-from repro.experiments.faultcampaign import (
-    PhaseCellResult,
-    run_phase_injection,
-)
 
 __all__ = [
-    "PhaseCellResult",
     "RunResult",
     "overhead",
     "run_compute_benchmark",
-    "run_phase_injection",
     "run_server_benchmark",
 ]

@@ -32,8 +32,9 @@ artifact once (:func:`run_paper`), prints its tables
   :func:`repro.fleet.service.open_fleet`), so smoke cells equal the full
   run's.  The full run takes §VII-A at :data:`VALIDATION_RUNS` injections
   per workload and adds the full-scale traffic profiles
-  (``traffic_full``); ``repro validate --runs 50`` is the paper-scale
-  campaign.
+  (``traffic_full``);
+  ``validation.run_validation_campaign(runs_per_workload=50)`` is the
+  paper-scale campaign.
 """
 
 from __future__ import annotations

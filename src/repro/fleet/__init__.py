@@ -12,24 +12,15 @@ from repro.fleet.controller import FleetController, FleetMember
 from repro.fleet.metrics import FleetMetrics, MemberSummary
 from repro.fleet.placement import PlacementDecision, place, replacement_backup
 from repro.fleet.pool import HostPool, PoolExhausted
-from repro.fleet.scenarios import (
-    FLEET_SCENARIOS,
-    FleetScenario,
-    FleetScenarioResult,
-    run_fleet_scenario,
-)
 from repro.fleet.service import CounterService, FleetCell, FleetWorkload, open_fleet
 from repro.fleet.spec import FleetSpec
 
 __all__ = [
-    "FLEET_SCENARIOS",
     "CounterService",
     "FleetCell",
     "FleetController",
     "FleetMember",
     "FleetMetrics",
-    "FleetScenario",
-    "FleetScenarioResult",
     "FleetSpec",
     "FleetWorkload",
     "HostPool",
@@ -39,5 +30,4 @@ __all__ = [
     "open_fleet",
     "place",
     "replacement_backup",
-    "run_fleet_scenario",
 ]

@@ -24,9 +24,8 @@ stack's callers.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim.engine import Engine
@@ -37,12 +36,14 @@ __all__ = ["Bridge", "NetDevice", "Packet", "PlugQdisc"]
 #: Ethernet + IP + TCP header bytes added to every segment for sizing.
 HEADER_BYTES = 66
 
-_packet_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(slots=True, eq=False)
 class Packet:
-    """A TCP/IP packet.  ``flags`` is a set of {SYN, ACK, FIN, RST, PSH}."""
+    """A TCP/IP packet.  ``flags`` is a set of {SYN, ACK, FIN, RST, PSH}.
+
+    Slotted, and compared by identity: two packets with the same headers
+    and payload are still two packets.
+    """
 
     #: In-flight wire data, not container state: packets buffered at freeze
     #: are either released by output commit or legitimately lost (TCP
@@ -57,7 +58,6 @@ class Packet:
     seq: int = 0
     ack: int = 0
     payload: bytes = b""
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
 
     @property
     def size(self) -> int:

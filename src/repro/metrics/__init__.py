@@ -3,7 +3,7 @@
 :class:`~repro.metrics.collector.RunMetrics` accumulates the per-epoch
 series the paper reports (stop time, dirty pages, transferred state size),
 agent CPU time for the utilization table, and the recovery-latency
-breakdown.  :mod:`~repro.metrics.report` renders markdown tables.
+breakdown.
 """
 
 from repro.metrics.collector import EpochRecord, RecoveryBreakdown, RunMetrics

@@ -86,10 +86,10 @@ class World:
 def reset_id_counters() -> None:
     """Rewind the process-global identity counters to their boot values.
 
-    Pids, tids, inode numbers, namespace ids, MACs, packet ids, client
-    IPs and TCP initial sequence numbers come from module-level counter
-    streams, so a second :class:`World` built in the same process hands
-    out larger ids than the first.  That is harmless for correctness but
+    Pids, tids, inode numbers, namespace ids, MACs, client IPs and TCP
+    initial sequence numbers come from module-level counter streams, so a
+    second :class:`World` built in the same process hands out larger ids
+    than the first.  That is harmless for correctness but
     fatal for replay comparison: serialized checkpoint images embed pids
     and inode numbers as decimal strings, so a counter crossing a digit
     boundary between two same-seed runs changes image byte counts — and
@@ -104,7 +104,6 @@ def reset_id_counters() -> None:
     from repro.container import runtime as _runtime
     from repro.kernel import fs as _fs
     from repro.kernel import namespaces as _namespaces
-    from repro.kernel import netdev as _netdev
     from repro.kernel import task as _task
     from repro.kernel import tcp as _tcp
     from repro.workloads import clients as _clients
@@ -113,7 +112,6 @@ def reset_id_counters() -> None:
     _task._pid_counter = itertools.count(100)
     _fs._ino_counter = itertools.count(2)
     _namespaces._ns_ids = itertools.count(0x1000)
-    _netdev._packet_ids = itertools.count(1)
     _tcp._initial_seq = itertools.count(10_000, 7_777)
     _runtime._mac_counter = itertools.count(1)
     _clients._client_ips = 0

@@ -17,9 +17,8 @@ the "nine lives" the system is named for.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.analysis.auditor import StateAuditor
 from repro.container.runtime import Container, ContainerRuntime
 from repro.container.spec import ContainerSpec
 from repro.metrics.collector import RunMetrics
@@ -32,6 +31,9 @@ from repro.replication.heartbeat import HeartbeatSender
 from repro.replication.modes import get_mode
 from repro.replication.netbuffer import NetworkBuffer
 from repro.sim.faults import coverage_mark
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.auditor import StateAuditor
 
 __all__ = ["ReplicatedDeployment", "scoped_fs_name"]
 
@@ -163,6 +165,8 @@ class ReplicatedDeployment:
         #: Runtime invariant checks at epoch/restore boundaries (opt-in).
         self.auditor: StateAuditor | None = None
         if self.config.audit:
+            from repro.analysis.auditor import StateAuditor
+
             self.auditor = StateAuditor()
             self.auditor.attach_container(self.container)
         self.netbuffer = NetworkBuffer(

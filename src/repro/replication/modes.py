@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.replication.backup import BackupAgent
-from repro.replication.hycor import HycorBackupAgent, HycorPrimaryAgent, hycor_flush_seq
 from repro.replication.primary import PrimaryAgent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,6 +169,8 @@ class HycorMode(ReplicationMode):
     def netbuffer_kwargs(
         self, config: "NiliconConfig", container: "Container", initial_epoch: int
     ) -> dict:
+        from repro.replication.hycor import hycor_flush_seq
+
         # Barriers are flush-sequence fences: the ledger floor and acked
         # watermark continue the adopted container's flush numbering (a
         # fresh container starts at flush 1), asserting against the
@@ -183,10 +184,14 @@ class HycorMode(ReplicationMode):
         }
 
     def make_primary_agent(self, **kwargs) -> PrimaryAgent:
+        from repro.replication.hycor import HycorPrimaryAgent
+
         return HycorPrimaryAgent(**kwargs)
 
     def make_backup_agent(self, primary_container: "Container | None" = None,
                           **kwargs) -> BackupAgent:
+        from repro.replication.hycor import HycorBackupAgent, hycor_flush_seq
+
         start_seq = 0 if primary_container is None else hycor_flush_seq(primary_container)
         return HycorBackupAgent(initial_log_seq=start_seq, **kwargs)
 

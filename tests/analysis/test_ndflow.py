@@ -340,7 +340,7 @@ def test_real_tree_selfcheck_is_clean(real):
 
 def test_real_tree_every_counter_is_registered(real):
     counters = [s for s in real.inventory.sites if s.kind == "counter"]
-    assert len(counters) >= 7  # tid, pid, ino, ns, packet, seq, mac
+    assert len(counters) >= 6  # tid, pid, ino, ns, seq, mac
     assert all(s.registered for s in counters)
 
 

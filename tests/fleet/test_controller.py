@@ -101,7 +101,7 @@ def test_migration_moves_primary_and_reprotects(world):
 def test_degraded_path_is_deterministic_across_seeds():
     """Spare-pool exhaustion -> degraded -> capacity returns -> re-protect
     must replay identically for every seed (states, counters, requests)."""
-    from repro.fleet import run_fleet_scenario
+    from repro.fleet.scenarios import run_fleet_scenario
 
     for seed in (1, 2, 3):
         first = run_fleet_scenario("fleet.pool_exhausted_degraded", seed=seed)

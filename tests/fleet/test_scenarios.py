@@ -4,7 +4,7 @@ and together they cover every declared fleet fault point."""
 import pytest
 
 from repro.faultinject.points import FAULT_POINTS
-from repro.fleet import FLEET_SCENARIOS, run_fleet_scenario
+from repro.fleet.scenarios import FLEET_SCENARIOS, run_fleet_scenario
 from repro.net.world import reset_id_counters
 from repro.sim.trace import install_tracer
 

@@ -102,12 +102,6 @@ def test_failover_command(capsys):
     assert "recovered" in out
 
 
-def test_validate_single_workload(capsys):
-    assert main(["validate", "--runs", "1", "--workload", "net-echo"]) == 0
-    out = capsys.readouterr().out
-    assert "net-echo" in out and "100%" in out
-
-
 def test_lint_clean_tree_exits_zero(capsys):
     assert main(["lint", "src"]) == 0
     assert "no findings" in capsys.readouterr().out
@@ -211,10 +205,12 @@ def test_audit_command(capsys):
 
 
 @pytest.mark.parametrize("argv", [["fleet", "campaign"], ["traffic", "campaign"],
-                                  ["traffic", "profiles"]], ids="-".join)
+                                  ["traffic", "profiles"], ["validate", "--runs", "5"]],
+                         ids="-".join)
 def test_removed_campaign_commands_exit_two(argv, capsys):
-    # The fleet campaign and the traffic profiles are paper artifacts now
-    # (`repro paper fleet_campaign`, `traffic`, `traffic_full`).
+    # The fleet campaign, the traffic profiles and the §VII-A campaign are
+    # paper artifacts now (`repro paper fleet_campaign`, `traffic`,
+    # `traffic_full`, `validation`).
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -256,7 +252,7 @@ def test_every_make_and_ci_command_parses():
     root = Path(__file__).resolve().parents[1]
     commands = [argv for name in ("Makefile", ".github/workflows/ci.yml")
                 for argv in _repro_commands((root / name).read_text())]
-    assert {argv[0] for argv in commands} >= {"lint", "audit", "analyze", "validate"}
+    assert {argv[0] for argv in commands} >= {"lint", "audit", "analyze"}
     for argv in commands:
         build_parser().parse_args(argv)
 
