@@ -12,7 +12,7 @@ state-machine edge), and the other :func:`~repro.sim.faults.coverage_mark`
 calls in recovery handlers and ``inject_*`` entry points — all go through
 ``coverage_mark``, a single attribute check when no recorder is armed,
 the same zero-cost discipline as the engine's observer slot.  The recorder only counts; it adds no
-simulated time and no trace events, so armed runs keep their golden
+simulated time and no trace events, so armed runs keep their pinned
 digests.
 
 :func:`run_ftcov_record` is the one driver of the scenario catalogs —

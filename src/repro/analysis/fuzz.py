@@ -55,8 +55,9 @@ __all__ = [
     "trace_digest",
 ]
 
-#: Workloads used by the fuzzer and the golden-digest tests.  Both are
-#: chosen for digest stability: ``net`` issues fixed-size echo requests
+#: Workloads used by the fuzzer (and, as ``ndreplay.DEFAULT_WORKLOADS``,
+#: by the paper gate's ``determinism`` cells).  Both are chosen for
+#: digest stability: ``net`` issues fixed-size echo requests
 #: (no RNG draw in the request path, so no shared-stream draw-order
 #: sensitivity) and ``disk-rw`` is a single process with its own stream.
 FUZZ_WORKLOADS = ("net", "disk-rw")
@@ -428,48 +429,6 @@ def run_races(smoke: bool = False) -> dict:
         "missed": missed,
         "ok": not problems and probe["ok"] and fuzz["ok"] and not missed,
     }
-
-
-# --------------------------------------------------------------------------- #
-# Golden digests                                                              #
-# --------------------------------------------------------------------------- #
-
-#: Parameters pinned for the golden-digest regression baseline
-#: (``tests/golden/digests.json``).  Changing them invalidates the file —
-#: regenerate with ``make golden-regen`` and review the diff.
-GOLDEN_RUN_MS = 600
-GOLDEN_SEEDS = (1, 2)
-
-
-def golden_digests(
-    workloads: tuple[str, ...] = FUZZ_WORKLOADS,
-    seeds: tuple[int, ...] = GOLDEN_SEEDS,
-    run_ms: int = GOLDEN_RUN_MS,
-) -> dict:
-    """Per-(workload, seed) trace/metrics digests at the pinned parameters.
-
-    The committed copy under ``tests/golden/`` makes *any* behavioral
-    change to the replication pipeline visible in review: an innocent
-    refactor must reproduce these digests bit-for-bit; an intentional
-    change regenerates them and the diff shows exactly which cells moved.
-    """
-    out: dict = {"run_ms": run_ms}
-    for workload in workloads:
-        for seed in seeds:
-            result = run_instrumented(workload, seed, run_ms=run_ms, detect=False)
-            out[f"{workload}/seed{seed}"] = {
-                "trace": result.trace_digest,
-                "metrics": result.metrics_digest,
-                "metrics_detail": result.metrics,
-            }
-    return out
-
-
-def write_golden(path: str) -> None:
-    """Regenerate the golden digest file (the ``make golden-regen`` target)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(golden_digests(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # --------------------------------------------------------------------------- #

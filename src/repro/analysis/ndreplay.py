@@ -38,19 +38,14 @@ from repro.analysis.inventory import load_sources
 from repro.analysis.ndflow import NDFLOW_SCOPE, build_nd_inventory
 from repro.sim.ndlog import NDLog, ReplayDivergence, TIEBREAK_STREAM
 
-__all__ = [
-    "crossref_streams",
-    "golden_ndlog_digests",
-    "run_oracle",
-    "run_roundtrip",
-    "write_ndlog_golden",
-]
+__all__ = ["crossref_streams", "run_oracle", "run_roundtrip"]
 
 #: NiliconConfig override of the regression cells: a draw the log never
 #: sees, so some regression cell must diverge.
 _REGRESSION = {"unsafe_unlogged_draw": True}
 
-#: The pass's grid (also the golden file's cells); the full catalog runs
+#: The pass's grid (also the paper gate's ``determinism`` cells, which pin
+#: each one's trace, metrics and NDLog digests); the full catalog runs
 #: in the tests.  The smoke pass keeps both workloads at one seed, so the
 #: crossref sees a registry stream (``net`` draws only the tie-break).
 DEFAULT_WORKLOADS = ("net", "disk-rw")
@@ -230,24 +225,6 @@ def crossref_streams(draw_counts: dict[str, int], inventory=None) -> dict:
         else:
             matched[name] = best[1]
     return {"matched": matched, "unmatched": unmatched}
-
-
-def golden_ndlog_digests() -> dict[str, str]:
-    """Per-cell NDLog digests of the pass's clean grid, keyed
-    ``workload:seed``: the cells of the golden file (``tests/golden/``)."""
-    return {f"{workload}:{seed}": run_roundtrip(workload, seed)["ndlog_digest"]
-            for workload in DEFAULT_WORKLOADS for seed in DEFAULT_SEEDS}
-
-
-def write_ndlog_golden(path: str) -> None:
-    """Regenerate the golden NDLog digest file (``make golden-regen``)."""
-    import json
-
-    doc: dict = {"run_ms": DEFAULT_RUN_MS}
-    doc.update(golden_ndlog_digests())
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cell_lines(cell: dict) -> list[str]:

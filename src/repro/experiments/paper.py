@@ -6,7 +6,8 @@ tradeoff, the fleet sweeps' flat stop and shrinking blast radius — so
 those are what this gates.  :data:`ARTIFACTS` is the one registry of
 simulated-result artifacts (the paper's tables and figures, the HyCoR
 comparison, the fleet campaign and sweeps, the L7 traffic SLO cells at
-both scales and the engine's work counters): each names
+both scales, the engine's work counters and the replay grid's trace,
+metrics and NDLog digests): each names
 its title, its table and its runner.  ``repro paper bench`` runs every
 artifact once (:func:`run_paper`), prints its tables
 (:func:`format_paper`) and reports its cells in the one bench schema
@@ -16,7 +17,10 @@ artifact once (:func:`run_paper`), prints its tables
 * A cell is named ``<artifact>.<row>.<column>``
   (``fig3.redis.nilicon_overhead_pct``, ``fleet_pool.12.members_disturbed``,
   ``traffic.failover.p99_us``) and is compared exactly: simulated results
-  are deterministic, so there is no band to choose.
+  are deterministic, so there is no band to choose.  A column whose name
+  ends in ``digest`` is a cell too, a string with unit ``digest``: this
+  file is the one place a simulated output is pinned, and ``repro paper
+  bench --out BENCH_paper.json`` the one way to re-pin it.
 * :data:`CLAUSES` are the shape claims; :func:`paper_problems` folds the
   failing ones into ``ok``.  A clause runs only when every cell it reads
   is present, and a full report in which one cannot run is a problem.
@@ -25,10 +29,10 @@ artifact once (:func:`run_paper`), prints its tables
   :data:`SMOKE_VALIDATION` and the HyCoR comparison on
   :data:`repro.experiments.hycor.SMOKE_WORKLOADS` (with all four recovery
   cells and the traffic cell), the fleet campaign, the first two rows of
-  each fleet sweep, every smoke-scale traffic profile and the engine rows
-  of streamcluster with and without the page-digest cache.  Every cell is
-  its own world behind an identity-counter reset
-  (:func:`repro.experiments.common.open_cell`,
+  each fleet sweep, every smoke-scale traffic profile, the engine rows
+  of streamcluster with and without the page-digest cache and the
+  determinism grid.  Every cell is its own world behind an
+  identity-counter reset (:func:`repro.experiments.common.open_cell`,
   :func:`repro.fleet.service.open_fleet`), so smoke cells equal the full
   run's.  The full run takes §VII-A at :data:`VALIDATION_RUNS` injections
   per workload and adds the full-scale traffic profiles
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
+from repro.analysis import fuzz, ndreplay
 from repro.experiments import (
     ablations, engine, fig3, fleet, hycor, scalability, table1, table2, table3, table4, table5,
     table6, traffic, validation,
@@ -106,6 +111,16 @@ def _sweep(sweep: str, title: str, run: Callable[..., list]) -> Artifact:
 _SLO_ROW = ("  {profile:<9} p50 {p50_us:>6} us  p99 {p99_us:>6} us  p999 {p999_us:>6} us  "
             "stall p99 {stall_p99_us:>6} us  {throughput_rps:6.1f} req/s  {requests:>4} requests  "
             "peak {peak_sessions:>4} sessions  violations {violations}")
+
+
+def _determinism_row(workload: str, seed: int) -> dict[str, Any]:
+    """One cell of the replay grid: the trace and metrics digests of a
+    plain traced run and the NDLog digest of its record->replay round trip."""
+    run = fuzz.run_instrumented(workload, seed, run_ms=ndreplay.DEFAULT_RUN_MS, detect=False)
+    return {"cell": f"{workload}/seed{seed}", "trace_digest": run.trace_digest,
+            "metrics_digest": run.metrics_digest,
+            "ndlog_digest": ndreplay.run_roundtrip(workload, seed)["ndlog_digest"]}
+
 
 #: Every simulated-result artifact, in print order.
 ARTIFACTS: dict[str, Artifact] = {
@@ -210,6 +225,12 @@ ARTIFACTS: dict[str, Artifact] = {
     "engine": Artifact(
         f"Engine — exact work counters of one {engine.RUN_MS} ms profiled run:", "workload",
         engine.format_rows, lambda r: engine.run_rows(r.smoke, seed=r.seed)),
+    "determinism": Artifact(
+        f"Determinism — digests of one {ndreplay.DEFAULT_RUN_MS} ms run and its NDLog replay:",
+        "cell", "  {cell:<14} trace {trace_digest}  metrics {metrics_digest}  "
+        "ndlog {ndlog_digest}",
+        lambda r: [_determinism_row(w, s) for w in ndreplay.DEFAULT_WORKLOADS
+                   for s in ndreplay.DEFAULT_SEEDS]),
 }
 
 #: Row names of the two on/off ablations.
@@ -252,10 +273,11 @@ _UNITS = (
 
 def paper_metrics(results: Mapping[str, list]) -> dict[str, dict[str, Any]]:
     """Every measured cell of *results*: paper references, labels and flags
-    are dropped, a list (of violations) counts its entries and percentile
-    triples split into one column per percentile.  Floats keep six
-    decimals, which drops float-arithmetic noise and keeps a
-    one-microsecond change in any averaged time visible."""
+    are dropped (strings too, but for digests), a list (of violations)
+    counts its entries and percentile triples split into one column per
+    percentile.  Floats keep six decimals, which drops float-arithmetic
+    noise and keeps a one-microsecond change in any averaged time
+    visible."""
     metrics: dict[str, dict[str, Any]] = {}
     for artifact, rows in results.items():
         key = ARTIFACTS[artifact].key
@@ -266,7 +288,8 @@ def paper_metrics(results: Mapping[str, list]) -> dict[str, dict[str, Any]]:
             cells: dict[str, Any] = {}
             for column, value in row.items():
                 if (column in (key, "level") or column.endswith("paper_pct")
-                        or isinstance(value, (str, bool, dict))):
+                        or isinstance(value, (bool, dict))
+                        or isinstance(value, str) and not column.endswith("digest")):
                     continue
                 if isinstance(value, list):
                     cells[column] = len(value)
@@ -279,8 +302,9 @@ def paper_metrics(results: Mapping[str, list]) -> dict[str, dict[str, Any]]:
             for column, value in cells.items():
                 metrics[f"{artifact}.{name}.{column}"] = {
                     "value": round(value, 6) if isinstance(value, float) else value,
-                    # The engine's columns are profiler counters, all counts.
-                    "unit": "count" if artifact == "engine" else
+                    # The engine's other columns are profiler counters, all counts.
+                    "unit": "digest" if isinstance(value, str) else
+                    "count" if artifact == "engine" else
                     next(u for suffix, u in _UNITS if column.endswith(suffix)),
                 }
     return metrics

@@ -1,19 +1,19 @@
 """The one BENCH file format: named metrics, each compared exactly.
 
-Every checked-in ``BENCH_*.json`` (engine, paper) is one report of this
-shape::
+``BENCH_paper.json`` is the one checked-in report, of this shape::
 
     {"schema": "repro.bench/v3", "bench": "paper", "seed": 1,
      "smoke": false, "ok": true, "problems": [],
      "metrics": {"traffic.steady.p99_us": {"value": 43882, "unit": "us"},
-                 "fig3.redis.nilicon_overhead_pct": {"value": 48.568608,
-                                                     "unit": "%"}, ...},
+                 "determinism.net/seed1.trace_digest": {"value": "1adbc5ea",
+                                                        "unit": "digest"},
+                 ...},
      "info": {"clauses_run": 217}}
 
-Every metric is a simulated result or a deterministic work counter, so
-:func:`check` fails on any difference from the checked-in value.
-``info`` holds the non-numeric context a report carries (digests, clause
-counts, the engine's before/after optimization records).  A producer
+A metric's value is a number (a simulated result or a deterministic work
+counter) or a digest string, and :func:`check` fails on any difference
+from the checked-in value.  ``info`` holds the context a report carries
+that is not compared (clause counts, validation failures).  A producer
 folds every check that needs no baseline into ``ok`` and lists each
 failure in ``problems``; :func:`check` is the one regression gate against
 a checked-in file, and a smoke report gates against the full file's

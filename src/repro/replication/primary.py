@@ -230,7 +230,7 @@ class PrimaryAgent:
         trace(self.engine, "epoch", "collected", epoch=epoch,
               dirty=image.dirty_page_count)
         # Digest the shipped pages so the backup can verify the transfer.
-        # Host CPU only — zero simulated time, no trace events — so golden
+        # Host CPU only — zero simulated time, no trace events — so pinned
         # digests are unaffected (same contract as the auditor above).
         page_digests = self.digest_cache.digest_image(
             image, processes=self.container.processes

@@ -20,7 +20,7 @@ infrequent-state cache — only re-derives what the epoch actually touched.
 Soft-dirty tracking already tells us which pages changed; a clean page's
 digest from the generation that last shipped it is still valid.  Digesting
 is *host-side analysis work* (like the auditor): it charges zero simulated
-time and emits no trace events, so golden trace digests are unaffected.
+time and emits no trace events, so pinned trace digests are unaffected.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class PageDigestCache:
     must flag (PERF002) and the profiler must confirm hot.
 
     Host-side only: no simulated time is charged and no trace events are
-    emitted, so installing the digest path changes no golden digest.
+    emitted, so installing the digest path changes no pinned digest.
     """
 
     def __init__(self, unoptimized: bool = False) -> None:

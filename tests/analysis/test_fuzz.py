@@ -1,20 +1,18 @@
-"""Schedule fuzzer, digests, and golden-file pinning."""
+"""Schedule fuzzer, digests, and the pinned digests of the replay grid."""
 
-import json
 from pathlib import Path
 
 from repro.analysis.fuzz import (
-    GOLDEN_RUN_MS,
-    GOLDEN_SEEDS,
     ReversedTieBreak,
-    golden_digests,
     run_fuzz,
     run_instrumented,
     trace_digest,
 )
+from repro.experiments.paper import paper_metrics, run_paper
+from repro.metrics import benchfile
 from repro.sim.trace import Tracer
 
-GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "digests.json"
+BENCH = Path(__file__).resolve().parents[2] / "BENCH_paper.json"
 
 
 # --------------------------------------------------------------------------- #
@@ -98,20 +96,22 @@ def test_run_fuzz_small_grid_converges():
 
 
 # --------------------------------------------------------------------------- #
-# Golden digests                                                              #
+# Pinned digests                                                              #
 # --------------------------------------------------------------------------- #
 
 
 def test_golden_digests_match_checked_in_file():
-    """Pin per-seed digests: a diff here means either a deliberate protocol
-    change (regenerate with `make golden-regen`) or an accidental
-    nondeterminism regression."""
-    on_disk = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    recomputed = golden_digests()
-    assert on_disk["run_ms"] == GOLDEN_RUN_MS
-    assert recomputed["run_ms"] == GOLDEN_RUN_MS
-    cells = [k for k in recomputed if k != "run_ms"]
-    assert len(cells) == len(GOLDEN_SEEDS) * 2  # two pinned workloads
-    for cell in cells:
-        assert on_disk[cell]["trace"] == recomputed[cell]["trace"], cell
-        assert on_disk[cell]["metrics"] == recomputed[cell]["metrics"], cell
+    """The trace and metrics digests of every replay-grid cell are the
+    paper gate's ``determinism.*.{trace,metrics}_digest`` cells: a diff
+    here means either a deliberate protocol change (re-pin with ``repro
+    paper bench --out BENCH_paper.json``) or an accidental nondeterminism
+    regression.  The NDLog digests of the same cells are compared in
+    test_ndreplay.py."""
+    kinds = (".trace_digest", ".metrics_digest")
+    metrics = {name: metric for name, metric in
+               paper_metrics(run_paper(smoke=True, names=["determinism"])).items()
+               if name.endswith(kinds)}
+    pinned = {name: metric for name, metric in benchfile.load(BENCH)["metrics"].items()
+              if name.startswith("determinism.") and name.endswith(kinds)}
+    assert len(pinned) == 8  # net and disk-rw x seeds 1, 2 x two digests
+    assert metrics == pinned

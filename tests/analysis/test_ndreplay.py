@@ -18,15 +18,15 @@ from repro.analysis.ndreplay import (
     DEFAULT_SEEDS,
     DEFAULT_WORKLOADS,
     crossref_streams,
-    golden_ndlog_digests,
     run_oracle,
     run_roundtrip,
 )
+from repro.experiments.paper import paper_metrics, run_paper
+from repro.metrics import benchfile
 from repro.replication.config import NiliconConfig
 from repro.workloads.catalog import WORKLOADS
 
-GOLDEN_PATH = (
-    Path(__file__).resolve().parents[1] / "golden" / "ndlog_digests.json")
+BENCH = Path(__file__).resolve().parents[2] / "BENCH_paper.json"
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -202,14 +202,15 @@ def test_crossref_real_tree_leaves_unknown_streams_unmatched():
 
 
 def test_golden_ndlog_digests_match_checked_in_file():
-    """Pin the NDLog digests: a diff here means either a deliberate
-    protocol/draw change (regenerate with `make golden-regen`) or an
-    accidental nondeterminism regression in the recorded streams."""
-    on_disk = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    recomputed = golden_ndlog_digests()
-    assert on_disk["run_ms"] == DEFAULT_RUN_MS
-    cells = [k for k in on_disk if k != "run_ms"]
-    assert len(cells) == len(DEFAULT_WORKLOADS) * len(DEFAULT_SEEDS)
-    assert sorted(recomputed) == sorted(cells)
-    for cell in cells:
-        assert on_disk[cell] == recomputed[cell], cell
+    """The NDLog digest of every replay-grid cell is the paper gate's
+    ``determinism.*.ndlog_digest`` cell: a diff here means either a
+    deliberate protocol/draw change (re-pin with ``repro paper bench --out
+    BENCH_paper.json``) or an accidental nondeterminism regression in the
+    recorded streams."""
+    metrics = {name: metric for name, metric in
+               paper_metrics(run_paper(smoke=True, names=["determinism"])).items()
+               if name.endswith(".ndlog_digest")}
+    pinned = {name: metric for name, metric in benchfile.load(BENCH)["metrics"].items()
+              if name.startswith("determinism.") and name.endswith(".ndlog_digest")}
+    assert len(pinned) == len(DEFAULT_WORKLOADS) * len(DEFAULT_SEEDS)
+    assert metrics == pinned

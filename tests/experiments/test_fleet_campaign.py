@@ -14,15 +14,11 @@ BENCH = Path(__file__).resolve().parents[2] / "BENCH_paper.json"
 
 def test_smoke_campaign_passes_and_replays_identically():
     """The campaign runs at its full parameters in the smoke gate too, so
-    its cells equal the checked-in full report's."""
+    its cells (the trace digest and its replay's among them) equal the
+    checked-in full report's."""
     results = run_paper(smoke=True, names=["fleet_campaign"])
     (row,) = results["fleet_campaign"]
     assert row["violations"] == []
-    # Seeded, so the trace digest is pinned: a change to the campaign's
-    # simulated behaviour must update it here on purpose.
-    assert row["digest"] == row["replay_digest"] == "cc43ab4c"
-    assert row["protected_at_end"] == 12
-    assert (row["completed_requests"], row["failovers"], row["reprotects"]) == (540, 6, 14)
     # Phase shape: one sequential single-host loss, one concurrent double.
     assert row["phases"] == "600 ms node0; 2000 ms node2+node4"
     metrics = paper_metrics(results)

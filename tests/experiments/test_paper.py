@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.hycor import SMOKE_WORKLOADS
 from repro.experiments.paper import (
-    CLAUSES, SMOKE_SUITE, SMOKE_VALIDATION, paper_problems, runnable_clauses,
+    CLAUSES, SMOKE_SUITE, SMOKE_VALIDATION, paper_metrics, paper_problems, runnable_clauses,
 )
 from repro.metrics import benchfile
 
@@ -35,6 +35,25 @@ def test_checked_in_report_holds_every_clause(metrics):
             "fleet_campaign.12x6.failovers", "traffic_full.steady.peak_sessions",
             "engine.redis.engine_events"} <= set(metrics)
     assert len({clause.name for clause in CLAUSES}) == len(CLAUSES)
+
+
+def test_paper_metrics_keeps_digests_and_drops_other_strings():
+    results = {
+        "fleet_campaign": [{"fleet": "12x6", "phases": "600 ms node0", "failovers": 6,
+                            "digest": "fleet-trace", "replay_digest": "fleet-trace",
+                            "violations": []}],
+        "hycor": [{"workload": "redis", "kind": "server", "reduction_pct": 3.5}],
+        "engine": [{"workload": "net", "counter_digest": "net-counters", "engine_events": 2505}],
+    }
+    assert paper_metrics(results) == {
+        "fleet_campaign.12x6.failovers": {"value": 6, "unit": "count"},
+        "fleet_campaign.12x6.digest": {"value": "fleet-trace", "unit": "digest"},
+        "fleet_campaign.12x6.replay_digest": {"value": "fleet-trace", "unit": "digest"},
+        "fleet_campaign.12x6.violations": {"value": 0, "unit": "violations"},
+        "hycor.redis.reduction_pct": {"value": 3.5, "unit": "pp"},
+        "engine.net.counter_digest": {"value": "net-counters", "unit": "digest"},
+        "engine.net.engine_events": {"value": 2505, "unit": "count"},
+    }
 
 
 #: One mutation per artifact, and one per HyCoR tradeoff claim and per
@@ -97,7 +116,7 @@ def test_smoke_subset_skips_exactly_the_clauses_it_cannot_read(metrics):
             "hycor_recovery": None, "hycor_traffic": None,
             "fleet_campaign": None, "fleet_pair": ("1", "2"), "fleet_pool": ("4", "6"),
             "traffic": None,
-            "engine": ("streamcluster", "streamcluster/unoptimized")}
+            "engine": ("streamcluster", "streamcluster/unoptimized"), "determinism": None}
 
     def kept(name):
         artifact, row, _ = name.split(".")

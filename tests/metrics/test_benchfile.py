@@ -30,6 +30,7 @@ UNITS = {
     "hycor_recovery.redis/hycor.replay_us": "us",
     "hycor_recovery.novel/hycor.total_us": "us",
     "streamcluster.engine.events": "count",
+    "determinism.net/seed1.trace_digest": "digest",
 }
 
 
@@ -59,6 +60,7 @@ HYCOR = {
 }
 
 WORK = {"streamcluster.engine.events": 12_401}
+DIGESTS = {**WORK, "determinism.net/seed1.trace_digest": "trace-a"}
 NOT_OK = {"ok": False}
 
 #: (id, baseline values, current values, the current report's other
@@ -107,6 +109,9 @@ CASES = [
       "hycor.novel.reduction_pct": -98.0, "hycor_recovery.novel/hycor.total_us": 10**9},
      {}, None),
     ("hycor-current-not-ok", HYCOR, HYCOR, NOT_OK, "failed its own checks"),
+    # A digest is a string metric, compared exactly like a number.
+    ("digest-differs", DIGESTS, {**DIGESTS, "determinism.net/seed1.trace_digest": "trace-b"},
+     {}, "determinism.net/seed1.trace_digest"),
 ]
 
 
