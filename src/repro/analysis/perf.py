@@ -391,11 +391,14 @@ PERF_RULE_IDS = ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
 # Layer 1 — hot classification                                                #
 # --------------------------------------------------------------------------- #
 
-#: The hot subsystems: the DES core, the page paths, and slot bookkeeping.
+#: The hot subsystems: the DES core, the per-packet chain, the page paths,
+#: and slot bookkeeping.
 PERF_SCOPE_FILES = (
     "sim/engine.py",
     "sim/trace.py",
     "sim/profiler.py",
+    "kernel/tcp.py",
+    "kernel/netdev.py",
     "kernel/mm.py",
     "criu/collect.py",
     "criu/pagestore.py",
@@ -418,6 +421,10 @@ DEFAULT_ROOTS = (
     ("Engine.call_later", "per-event"),
     ("Process._resume", "per-event"),
     ("trace", "per-event"),
+    # per-event: every packet's send, bridge hop and demux.
+    ("TcpSocket._send_packet", "per-event"),
+    ("TcpStack.demux", "per-event"),
+    ("Bridge.forward", "per-event"),
     # per-event: slot bookkeeping (rebalancer + controller query per tick).
     ("HostPool.load", "per-event"),
     ("HostPool.allocate", "per-event"),

@@ -149,19 +149,10 @@ class PlugQdisc:
         actually requires (a duplicated or reordered ack must not pop a
         *later* epoch's barrier).
         """
-        if not any(isinstance(item, _Barrier) for item in self._queue):
+        barrier_at, barrier_epoch = self._oldest_barrier()
+        if barrier_at is None:
             return None, 0
-        released = 0
-        epoch: int | None = None
-        while self._queue:
-            item = self._queue.popleft()
-            if isinstance(item, _Barrier):
-                epoch = item.epoch
-                break
-            released += 1
-            self.released_total += 1
-            self._deliver(item)
-        return epoch, released
+        return barrier_epoch, self._release_to_barrier(barrier_at)
 
     def release_epoch(self) -> int:
         """Release packets up to the oldest barrier; returns packets sent.
@@ -182,22 +173,28 @@ class PlugQdisc:
         """
         out: list[tuple[int, int]] = []
         while True:
-            barrier_at = None
-            barrier_epoch = None
-            for i, item in enumerate(self._queue):
-                if isinstance(item, _Barrier):
-                    barrier_at, barrier_epoch = i, item.epoch
-                    break
+            barrier_at, barrier_epoch = self._oldest_barrier()
             if barrier_at is None or barrier_epoch > epoch:
                 return out
-            released = 0
-            for _ in range(barrier_at):
-                packet = self._queue.popleft()
-                released += 1
-                self.released_total += 1
-                self._deliver(packet)
-            self._queue.popleft()  # the barrier itself
-            out.append((barrier_epoch, released))
+            out.append((barrier_epoch, self._release_to_barrier(barrier_at)))
+
+    def _oldest_barrier(self) -> tuple[int, int] | tuple[None, None]:
+        """``(index, epoch)`` of the oldest queued barrier, found in one
+        pass; ``(None, None)`` when no barrier is queued."""
+        for i, item in enumerate(self._queue):
+            if isinstance(item, _Barrier):
+                return i, item.epoch
+        return None, None
+
+    def _release_to_barrier(self, barrier_at: int) -> int:
+        """Deliver the *barrier_at* packets ahead of the oldest barrier and
+        drop the barrier itself; returns the packets delivered."""
+        for _ in range(barrier_at):
+            packet = self._queue.popleft()
+            self.released_total += 1
+            self._deliver(packet)
+        self._queue.popleft()  # the barrier itself
+        return barrier_at
 
     def enqueue(self, packet: Packet) -> None:
         """Packet arrives at the qdisc: pass through or buffer."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import deque
+import zlib
 from typing import Any, Optional
 
 from repro.kernel.costmodel import CostModel
@@ -43,6 +43,14 @@ __all__ = ["TcpSocket", "TcpStack", "TcpState", "MSS"]
 #: Max segment payload bytes (1500 MTU minus headers).
 MSS = 1448
 
+# Flag sets, built once: every packet carries one of these.
+_SYN = frozenset({"SYN"})
+_SYN_ACK = frozenset({"SYN", "ACK"})
+_ACK = frozenset({"ACK"})
+_ACK_PSH = frozenset({"ACK", "PSH"})
+_FIN_ACK = frozenset({"FIN", "ACK"})
+_RST = frozenset({"RST"})
+
 _initial_seq = itertools.count(10_000, 7_777)
 
 
@@ -54,8 +62,6 @@ def _server_iss(local_ip: str, local_port: int, remote_ip: str, remote_port: int
     the same client — and so runs are reproducible regardless of socket
     creation order.
     """
-    import zlib
-
     seed = f"{local_ip}:{local_port}>{remote_ip}:{remote_port}".encode()
     return 20_000 + (zlib.crc32(seed) & 0x3FFF_FFFF)
 
@@ -87,17 +93,20 @@ class TcpSocket:
         #: Next expected incoming sequence number.
         self.rcv_nxt: int = 0
         #: Transmitted-but-unacked segments: (seq, payload).
-        self.write_queue: deque[tuple[int, bytes]] = deque()
+        #: Lists, not deques: a socket's queues hold a few entries at most,
+        #: and an empty list costs a tenth of an empty deque.
+        self.write_queue: list[tuple[int, bytes]] = []
         #: Received-but-unread bytes.
         self.recv_buffer: bytearray = bytearray()
-        self._recv_waiters: deque[tuple[Event, int]] = deque()  # ckpt: ephemeral -- blocked readers die with the host
-        self._avail_waiters: deque[Event] = deque()  # ckpt: ephemeral
+        self._recv_waiters: list[tuple[Event, int]] = []  # ckpt: ephemeral -- blocked readers die with the host
+        #: (event, min_bytes) of each data_available() waiter.
+        self._avail_waiters: list[tuple[Event, int]] = []  # ckpt: ephemeral
         #: Established-but-unaccepted children.  The sockets themselves are
         #: checkpointed via stack.connections; backlog membership is app
         #: state the restart-safe handlers re-derive by re-accepting every
         #: known connection after restore.
-        self._accept_queue: deque["TcpSocket"] = deque()  # ckpt: ephemeral
-        self._accept_waiters: deque[Event] = deque()  # ckpt: ephemeral
+        self._accept_queue: list["TcpSocket"] = []  # ckpt: ephemeral
+        self._accept_waiters: list[Event] = []  # ckpt: ephemeral
         self._connect_event: Event | None = None  # ckpt: ephemeral
         #: Socket repair mode (kernel get/set of protected state).
         self.repair = False  # ckpt: ephemeral -- toggled around the dump itself
@@ -150,7 +159,7 @@ class TcpSocket:
             raise SocketError(f"accept() in state {self.state}")
         event = Event(self.stack.engine)
         if self._accept_queue:
-            event.succeed(self._accept_queue.popleft())
+            event.succeed(self._accept_queue.pop(0))
         else:
             self._accept_waiters.append(event)
         return event
@@ -166,7 +175,7 @@ class TcpSocket:
         self.state = TcpState.SYN_SENT
         self.stack.register_connection(self)
         self._connect_event = Event(self.stack.engine)
-        self._send_packet(frozenset({"SYN"}), seq=self.snd_nxt)
+        self._send_packet(_SYN, seq=self.snd_nxt)
         self._arm_syn_retry()
         return self._connect_event
 
@@ -180,7 +189,7 @@ class TcpSocket:
             seq = self.snd_nxt
             self.snd_nxt += len(payload)
             self.write_queue.append((seq, payload))
-            self._send_packet(frozenset({"ACK", "PSH"}), seq=seq, payload=payload)
+            self._send_packet(_ACK_PSH, seq=seq, payload=payload)
             offset += len(payload)
         self._arm_retransmit()
         return len(data)
@@ -245,7 +254,7 @@ class TcpSocket:
             self.state = TcpState.CLOSED
             return
         if self.state in (TcpState.ESTABLISHED, TcpState.PEER_CLOSED):
-            self._send_packet(frozenset({"FIN", "ACK"}), seq=self.snd_nxt)
+            self._send_packet(_FIN_ACK, seq=self.snd_nxt)
             self.snd_nxt += 1  # FIN consumes a sequence number
             self.state = TcpState.FIN_WAIT
         else:
@@ -283,7 +292,7 @@ class TcpSocket:
             return
 
         if self.state is TcpState.SYN_SENT:
-            if pkt.flags >= {"SYN", "ACK"}:
+            if pkt.flags >= _SYN_ACK:
                 self.rcv_nxt = pkt.seq + 1
                 self.snd_nxt += 1  # our SYN consumed one sequence number
                 self.snd_una = self.snd_nxt
@@ -291,7 +300,7 @@ class TcpSocket:
                 if self._syn_timer is not None:
                     self._syn_timer.cancel()
                     self._syn_timer = None
-                self._send_packet(frozenset({"ACK"}))
+                self._send_packet(_ACK)
                 if self._connect_event is not None and not self._connect_event.triggered:
                     self._connect_event.succeed(self)
             return
@@ -305,10 +314,10 @@ class TcpSocket:
             self.rcv_nxt = max(self.rcv_nxt, pkt.seq + len(pkt.payload) + 1)
             if self.state is TcpState.ESTABLISHED:
                 self.state = TcpState.PEER_CLOSED
-            self._send_packet(frozenset({"ACK"}))
+            self._send_packet(_ACK)
             # Wake readers blocked on an empty buffer: end-of-stream.
             while self._recv_waiters and not self.recv_buffer:
-                event, _max = self._recv_waiters.popleft()
+                event, _max = self._recv_waiters.pop(0)
                 event.succeed(b"")
             self._wake_avail()
 
@@ -324,11 +333,11 @@ class TcpSocket:
         )
         child.state = TcpState.ESTABLISHED
         self.stack.register_connection(child)
-        child._send_packet(frozenset({"SYN", "ACK"}), seq=child.snd_nxt)
+        child._send_packet(_SYN_ACK, seq=child.snd_nxt)
         child.snd_nxt += 1
         child.snd_una = child.snd_nxt
         if self._accept_waiters:
-            self._accept_waiters.popleft().succeed(child)
+            self._accept_waiters.pop(0).succeed(child)
         else:
             self._accept_queue.append(child)
 
@@ -340,14 +349,18 @@ class TcpSocket:
         # the RTO to its minimum, and any retransmit backoff resets.
         self.rto = min(self.rto, self.stack.costs.tcp_rto_min)
         self._retx_backoff = 1
-        while self.write_queue and self.write_queue[0][0] + len(self.write_queue[0][1]) <= ack:
-            self.write_queue.popleft()
+        queue = self.write_queue
+        acked = 0
+        for seq, payload in queue:
+            if seq + len(payload) > ack:
+                break
+            acked += 1
+        del queue[:acked]
         # Partial ack of the head segment: trim it.
-        if self.write_queue and self.write_queue[0][0] < ack:
-            seq, payload = self.write_queue.popleft()
-            keep = payload[ack - seq :]
-            self.write_queue.appendleft((ack, keep))
-        if not self.write_queue and self._retx_timer is not None:
+        if queue and queue[0][0] < ack:
+            seq, payload = queue[0]
+            queue[0] = (ack, payload[ack - seq :])
+        if not queue and self._retx_timer is not None:
             self._retx_timer.cancel()
             self._retx_timer = None
 
@@ -356,29 +369,31 @@ class TcpSocket:
         end = seq + len(payload)
         if end <= self.rcv_nxt:
             # Pure duplicate (failover retransmission): re-ack.
-            self._send_packet(frozenset({"ACK"}))
+            self._send_packet(_ACK)
             return
         if seq > self.rcv_nxt:
             # Out-of-order: drop; sender's retransmit recovers. Re-ack so the
             # sender learns our position quickly.
-            self._send_packet(frozenset({"ACK"}))
+            self._send_packet(_ACK)
             return
         fresh = payload[self.rcv_nxt - seq :]
         self.rcv_nxt = end
         self.recv_buffer += fresh
-        self._send_packet(frozenset({"ACK"}))
+        self._send_packet(_ACK)
         while self._recv_waiters and self.recv_buffer:
-            event, max_bytes = self._recv_waiters.popleft()
+            event, max_bytes = self._recv_waiters.pop(0)
             take = bytes(self.recv_buffer[:max_bytes])
             del self.recv_buffer[:max_bytes]
             event.succeed(take)
         self._wake_avail()
 
     def _wake_avail(self) -> None:
+        waiters = self._avail_waiters
+        if not waiters:
+            return
         ended = self.state in (TcpState.PEER_CLOSED, TcpState.RESET)
-        still_waiting: deque[tuple[Event, int]] = deque()
-        while self._avail_waiters:
-            event, min_bytes = self._avail_waiters.popleft()
+        still_waiting: list[tuple[Event, int]] = []
+        for event, min_bytes in waiters:
             if ended or len(self.recv_buffer) >= min_bytes:
                 event.succeed(None)
             else:
@@ -390,7 +405,7 @@ class TcpSocket:
         self._cancel_timers()
         self.stack.unregister_connection(self)
         while self._recv_waiters:
-            event, _max = self._recv_waiters.popleft()
+            event, _max = self._recv_waiters.pop(0)
             event.fail(ConnectionReset(f"{self!r} reset by peer"))
         self._wake_avail()
         if self._connect_event is not None and not self._connect_event.triggered:
@@ -434,7 +449,7 @@ class TcpSocket:
             return
         for seq, payload in list(self.write_queue):
             self.retransmits += 1
-            self._send_packet(frozenset({"ACK", "PSH"}), seq=seq, payload=payload)
+            self._send_packet(_ACK_PSH, seq=seq, payload=payload)
         # Exponential backoff until an ack shows progress.
         self._retx_backoff = min(self._retx_backoff * 2, 16)
         self._arm_retransmit()
@@ -453,7 +468,7 @@ class TcpSocket:
             if self._connect_event is not None and not self._connect_event.triggered:
                 self._connect_event.fail(ConnectionReset("connect timed out"))
             return
-        self._send_packet(frozenset({"SYN"}), seq=self.snd_una)
+        self._send_packet(_SYN, seq=self.snd_una)
         self._arm_syn_retry()
 
     # ------------------------------------------------------------------ #
@@ -501,7 +516,7 @@ class TcpSocket:
         self.snd_nxt = state["snd_nxt"]
         self.snd_una = state["snd_una"]
         self.rcv_nxt = state["rcv_nxt"]
-        self.write_queue = deque((seq, payload) for seq, payload in state["write_queue"])
+        self.write_queue = [(seq, payload) for seq, payload in state["write_queue"]]
         self.recv_buffer = bytearray(state["recv_buffer"])
         self.restored_via_repair = True
         self.rto = self.stack.costs.tcp_rto_min if rto_patch else self.stack.costs.tcp_rto_default
@@ -600,7 +615,7 @@ class TcpStack:
             src_port=pkt.dst_port,
             dst_ip=pkt.src_ip,
             dst_port=pkt.src_port,
-            flags=frozenset({"RST"}),
+            flags=_RST,
             seq=pkt.ack,
             ack=pkt.seq + len(pkt.payload),
         )

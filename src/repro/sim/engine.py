@@ -8,6 +8,10 @@ proven coroutine protocol but is intentionally smaller: no real-time mixing,
 no environment subclassing, integer-microsecond time only.  A timer nothing
 waits on skips the event altogether: :meth:`Engine.call_later` puts a
 :class:`Call` (the callback and its arguments) in the heap entry instead.
+A triggered :class:`AnyOf`/:class:`AllOf` releases the constituents that
+have not fired yet: each keeps a bare defusing callback instead of one that
+holds the condition, so a losing timeout left in the heap does not keep the
+condition, its events and their values alive.
 
 Determinism guarantees
 ----------------------
@@ -429,6 +433,12 @@ class Process(Event):
             observer.on_resume_end(self)
 
 
+def _defuse(event: Event) -> None:
+    """A released condition's callback on a constituent that fired late."""
+    if not event._ok:
+        event._defused = True
+
+
 class _Condition(Event):
     """Base for :class:`AnyOf` / :class:`AllOf`."""
 
@@ -442,14 +452,33 @@ class _Condition(Event):
             if ev.engine is not engine:
                 raise SimulationError("condition mixes events from different engines")
         # Register after validation so a raise leaves no dangling callbacks.
+        # Once triggered, a later constituent gets _defuse, as _release
+        # would have left it.
         for ev in self.events:
             if ev.callbacks is None:
                 self._check(ev)
             else:
-                ev.callbacks.append(self._check)
+                ev.callbacks.append(_defuse if self.triggered else self._check)
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _release(self) -> None:
+        """Let go of the constituents still pending once this triggered.
+
+        Each keeps one callback, :func:`_defuse` in place of ``_check``, so
+        a late firing still runs one callback context (the same context
+        serials and observer hooks) and still defuses a late failure (a
+        losing process interrupted afterwards); but nothing pending refers
+        back to the condition, its ``events`` or their values any more.
+        """
+        check = self._check
+        for ev in self.events:
+            callbacks = ev.callbacks
+            if callbacks is not None:
+                for i, callback in enumerate(callbacks):
+                    if callback == check:
+                        callbacks[i] = _defuse
 
     def _note_clock(self, event: Event) -> None:
         """Fold *event*'s causal clock into the pending condition clock.
@@ -489,6 +518,7 @@ class AnyOf(_Condition):
             self.fail(event._value)
         else:
             self.succeed(self._collect())
+        self._release()
 
 
 class AllOf(_Condition):
@@ -510,6 +540,7 @@ class AllOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._release()
             return
         self._n_done += 1
         if self._n_done == len(self.events):

@@ -118,3 +118,59 @@ def test_repair_state_is_deep_copied():
     snapshot = bytes(state["recv_buffer"])
     child.recv_nowait(6)  # live socket consumes
     assert state["recv_buffer"] == snapshot
+
+
+def _ack_from(peer, sock, ack):
+    """An ACK from *peer* to *sock* acknowledging up to *ack*."""
+    return Packet(src_ip=peer.local_ip, src_port=peer.local_port,
+                  dst_ip=sock.local_ip, dst_port=sock.local_port,
+                  flags=frozenset({"ACK"}), seq=peer.snd_nxt, ack=ack)
+
+
+def test_partial_ack_trims_head_segment():
+    net = Net()
+    client, child, _listener = connect(net)
+    data = bytes(range(256)) * 8  # 2048 bytes: a full MSS and a 600-byte tail
+    seq = client.snd_nxt
+    client.send(data)
+    first, second = client.write_queue
+    assert first == (seq, data[:1448]) and second == (seq + 1448, data[1448:])
+    # Acks arrive before the in-flight segments reach the server.
+    client.on_packet(_ack_from(child, client, seq + 100))
+    assert list(client.write_queue) == [(seq + 100, data[100:1448]), second]
+    assert client.unacked_bytes == len(data) - 100
+    client.on_packet(_ack_from(child, client, seq + 1500))
+    assert list(client.write_queue) == [(seq + 1500, data[1500:])]
+    assert client.unacked_bytes == len(data) - 1500
+    net.engine.run(until=net.engine.now + ms(5))
+    assert not client.write_queue and client.unacked_bytes == 0
+
+
+def test_data_available_wakes_each_waiter_at_its_threshold():
+    net = Net()
+    client, child, _listener = connect(net)
+    small = child.data_available(4)
+    large = child.data_available(12)
+    client.send(b"12345678")
+    net.engine.run(until=net.engine.now + ms(5))
+    assert small.processed and not large.triggered
+    client.send(b"9abc")
+    net.engine.run(until=net.engine.now + ms(5))
+    assert large.processed
+    assert child.recv_nowait(64) == b"123456789abc"
+
+
+def test_syns_before_accept_are_accepted_in_order():
+    net = Net()
+    listener = net.server.socket()
+    listener.listen(80)
+    first = net.client.socket()
+    first.connect("10.0.0.2", 80)
+    second = net.client.socket()
+    second.connect("10.0.0.2", 80)
+    net.engine.run(until=ms(5))
+    assert first.state is second.state is TcpState.ESTABLISHED
+    accepted = [listener.accept().value, listener.accept().value]
+    assert [child.remote_port for child in accepted] == [
+        first.local_port, second.local_port]
+    assert listener.accept().triggered is False  # backlog drained

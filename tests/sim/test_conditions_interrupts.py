@@ -1,5 +1,9 @@
-"""Engine edge cases: conditions over settled events, interrupting
-condition waiters, and same-timestamp URGENT/NORMAL ordering."""
+"""Engine edge cases: conditions over settled events, conditions releasing
+their losing constituents, interrupting condition waiters, and
+same-timestamp URGENT/NORMAL ordering."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -99,6 +103,104 @@ def test_allof_fails_fast_on_constituent_failure():
 def _fail_later(eng, event, exc, at):
     yield eng.timeout(at)
     event.fail(exc)
+
+
+# --------------------------------------------------------------------------- #
+# A triggered condition releases the constituents that have not fired         #
+# --------------------------------------------------------------------------- #
+
+
+class _WeakAnyOf(AnyOf):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakAllOf(AllOf):
+    __slots__ = ("__weakref__",)
+
+
+def _queued(eng, event):
+    return any(entry[4] is event for entry in eng._heap)
+
+
+def _tracked(refs, condition):
+    # No local of the waiter holds the condition: a failure's traceback
+    # keeps the waiter's frame, and with it its locals, alive.
+    refs.append(weakref.ref(condition))
+    return condition
+
+
+def test_anyof_is_freed_while_losing_timeout_stays_queued():
+    eng = Engine()
+    ev = Event(eng)
+    deadline = eng.timeout(10**6)
+    refs = []
+
+    def waiter():
+        yield _tracked(refs, _WeakAnyOf(eng, [ev, deadline]))
+
+    eng.process(waiter())
+    eng.call_later(10, ev.succeed, "reply")
+    eng.run(until=100)
+    gc.collect()
+    assert refs[0]() is None
+    assert _queued(eng, deadline) and not deadline.processed
+
+
+def test_losing_process_failing_later_does_not_surface():
+    eng = Engine()
+    log = []
+
+    def loser():
+        yield eng.timeout(1_000)  # dies of the interrupt below
+
+    slow = eng.process(loser())
+
+    def waiter():
+        got = yield eng.any_of([slow, eng.timeout(10, value="timed out")])
+        log.append((eng.now, list(got.values())))
+
+    eng.process(waiter())
+    eng.call_later(50, slow.interrupt, "cancel")
+    eng.run()  # the loser's Interrupt is defused, not raised here
+    assert log == [(10, ["timed out"])]
+    assert not slow.ok and isinstance(slow.value, Interrupt)
+
+
+def test_losing_constituent_fires_in_one_callback_context():
+    eng = Engine()
+    late = eng.timeout(100)
+
+    def waiter():
+        yield eng.any_of([eng.timeout(10), late])
+
+    eng.process(waiter())
+    eng.run(until=50)
+    before = eng._ctx_serial
+    eng.run()
+    assert late.processed
+    assert eng._ctx_serial - before == 1
+
+
+def test_allof_failing_fast_releases_the_other_constituents():
+    eng = Engine()
+    failing = Event(eng)
+    slow = eng.timeout(10**6)
+    refs = []
+    caught = []
+
+    def waiter():
+        try:
+            yield _tracked(refs, _WeakAllOf(eng, [failing, slow]))
+        except ValueError:
+            caught.append(eng.now)
+
+    eng.process(waiter())
+    eng.call_later(50, failing.fail, ValueError("nope"))
+    eng.run(until=100)
+    gc.collect()
+    assert caught == [50]
+    assert refs[0]() is None
+    assert _queued(eng, slow) and not slow.processed
 
 
 # --------------------------------------------------------------------------- #
