@@ -67,9 +67,11 @@ class RadixTreePageStore:
         self.pages_stored = 0
         #: Allocated interior nodes (diagnostics; shows the tree is real).
         self.nodes_allocated = 0
-        #: Undo log of the open checkpoint: (pid, page_idx, prior content or
-        #: None) per slot overwritten since begin_checkpoint.
-        self._undo: list[tuple[int, int, bytes | None]] = []
+        #: Undo log of the open checkpoint, flat: ``pid, page_idx, prior
+        #: content or None`` per slot stored since begin_checkpoint, three
+        #: entries a page so a commit of the whole resident set allocates no
+        #: object per page.
+        self._undo: list[int | bytes | None] = []
         self._open = False
 
     @property
@@ -93,13 +95,16 @@ class RadixTreePageStore:
         """Roll the tree back to the last committed checkpoint."""
         if not self._open:
             return
-        for pid, page_idx, prior in reversed(self._undo):
+        undo = self._undo
+        # Newest first, so a slot stored twice ends at its oldest prior.
+        for at in range(len(undo) - 3, -1, -3):
+            pid, page_idx, prior = undo[at:at + 3]
             i0, i1, i2, i3 = self._indices(page_idx)
             node = self._roots[pid]
             for idx in (i0, i1, i2):
                 node = node[idx]
             node[i3] = prior
-        self._undo.clear()
+        undo.clear()
         self._open = False
         self.checkpoints_taken -= 1
 
@@ -126,7 +131,7 @@ class RadixTreePageStore:
                 child = node[idx] = self._new_node()
             node = child
         if self._open:
-            self._undo.append((pid, page_idx, node[i3]))
+            self._undo += (pid, page_idx, node[i3])
         node[i3] = content
         return self.costs.pagestore_radix_per_page
 

@@ -25,6 +25,7 @@ with the namespace detached from the bridge, reattach, gratuitous ARP.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.container.spec import ContainerSpec
@@ -326,14 +327,15 @@ class BackupAgent:
         record_access(self.engine, self.page_store, "open_checkpoint", "w",
                       site="backup.commit_begin")
         self.page_store.begin_checkpoint()
-        pages = [
+        # Streamed straight from the image: nothing writes an image's pages
+        # once it is collected, so the stream stays valid across the yields.
+        pages = (
             (pimage.pid, page_idx, content)
             for pimage in image.processes
             for page_idx, content in pimage.pages.items()
-        ]
-        half = len(pages) // 2
+        )
         store_cost = 0
-        for pid, page_idx, content in pages[:half]:
+        for pid, page_idx, content in islice(pages, image.dirty_page_count // 2):
             store_cost += self.page_store.store_page(pid, page_idx, content)
         if store_cost:
             yield self._charge(store_cost)
@@ -341,7 +343,7 @@ class BackupAgent:
         if stall:
             yield self.engine.timeout(stall)
         store_cost = 0
-        for pid, page_idx, content in pages[half:]:
+        for pid, page_idx, content in pages:
             store_cost += self.page_store.store_page(pid, page_idx, content)
         if store_cost:
             yield self._charge(store_cost)

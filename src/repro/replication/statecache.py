@@ -16,10 +16,11 @@ benchmarks".
 The same never-recompute-what-didn't-change principle drives
 :class:`PageDigestCache`: the primary ships a CRC per page with every
 state transfer so the backup can verify transfer integrity, and — like the
-infrequent-state cache — only re-derives what the epoch actually touched.
-Soft-dirty tracking already tells us which pages changed; a clean page's
-digest from the generation that last shipped it is still valid.  Digesting
-is *host-side analysis work* (like the auditor): it charges zero simulated
+infrequent-state cache — only derives what the epoch actually touched.
+Soft-dirty tracking decides what is hashed: the checkpoint image holds
+exactly the dirty pages, so those are hashed and nothing else; a clean
+page shipped no bytes this epoch and needs no digest.  Digesting is
+*host-side analysis work* (like the auditor): it charges zero simulated
 time and emits no trace events, so pinned trace digests are unaffected.
 """
 
@@ -107,18 +108,21 @@ class InfrequentStateCache:
 
 
 class PageDigestCache:
-    """Per-page content CRCs, cached across epochs by soft-dirty generation.
+    """Per-page content CRCs of each epoch's shipped pages.
 
     Every checkpoint transfer carries a ``page_digests`` map so the backup
-    can verify each received page (:func:`verify_page_digests`).  The
-    checkpoint image already contains exactly the dirty set, so only those
-    pages are hashed; a clean page was byte-identical to the generation
-    that last shipped it, and its cached CRC is still the truth.
+    can verify each received page (:func:`verify_page_digests`).  The map
+    is ``{pid: {page index: crc}}``, keyed by the image's own ints.
+    Soft-dirty tracking decides what is hashed: the checkpoint image holds
+    exactly the dirty set, so only those pages are hashed, and
+    ``cache_hits`` counts the clean resident pages that were not re-hashed.
+    No CRC outlives the epoch that shipped it: nothing reads one back.
 
     ``unoptimized=True`` (the ``perf_unoptimized_digest`` regression knob)
-    disables the cache and re-hashes the container's entire resident set
-    every epoch — the re-hash-everything hot loop that ``repro perf``
-    must flag (PERF002) and the profiler must confirm hot.
+    re-hashes the container's entire resident set every epoch into a
+    per-call table and takes the shipped pages' CRCs from it — the
+    re-hash-everything hot loop that ``repro perf`` must flag (PERF002) and
+    the profiler must confirm hot.
 
     Host-side only: no simulated time is charged and no trace events are
     emitted, so installing the digest path changes no pinned digest.
@@ -126,8 +130,6 @@ class PageDigestCache:
 
     def __init__(self, unoptimized: bool = False) -> None:
         self.unoptimized = unoptimized
-        #: (pid, page index) -> CRC32 of the page token.
-        self._crc: dict[tuple[int, int], int] = {}
         #: Checkpoint generations digested so far.
         self.generation = 0
         #: Perf-profiler harvest counters (always on).
@@ -137,50 +139,53 @@ class PageDigestCache:
 
     def digest_image(
         self, image: "CheckpointImage", processes: Iterable[Any] = ()
-    ) -> dict[str, int]:  # hot: per-page -- runs over the dirty set every epoch
-        """Digest one epoch's checkpoint; returns ``"pid:idx" -> crc``.
+    ) -> dict[int, dict[int, int]]:  # hot: per-page -- runs over the dirty set every epoch
+        """Digest one epoch's checkpoint; returns ``{pid: {idx: crc}}``.
 
         *processes* is the container's live process list; the optimized
         path only uses it to count the clean pages it did NOT re-hash,
         the unoptimized path walks it to re-hash everything resident.
         """
         self.generation += 1
-        crc_cache = self._crc
+        unoptimized = self.unoptimized
         resident = 0
-        if self.unoptimized:
-            # Re-hash-everything mode: every resident page of every
-            # process, clean or not, every epoch.
-            for process in processes:
-                pid = process.pid
-                pages = process.mm.pages
-                resident += len(pages)
+        # Knob only: pid -> {idx: crc} of every resident page, this call.
+        rehashed: dict[int, dict[int, int]] = {}
+        for process in processes:
+            pages = process.mm.pages
+            resident += len(pages)
+            if unoptimized:
+                # Re-hash-everything mode: every resident page of every
+                # process, clean or not, every epoch.
+                crcs = rehashed[process.pid] = {}
                 for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
-                    crc_cache[(pid, idx)] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- the 'unoptimized' regression knob IS the re-hash-everything baseline the profiler must still observe
+                    crcs[idx] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- the 'unoptimized' regression knob IS the re-hash-everything baseline the profiler must still observe
                     self.pages_digested += 1
                     self.bytes_hashed += PAGE_SIZE
-        else:
-            for process in processes:
-                resident += len(process.mm.pages)
-        digests: dict[str, int] = {}
+        digests: dict[int, dict[int, int]] = {}
         in_image = 0
         for pimage in image.processes:
-            pid = pimage.pid
             pages = pimage.pages
             in_image += len(pages)
+            crcs = digests[pimage.pid] = {}
+            if unoptimized:
+                resident_crcs = rehashed[pimage.pid]
+                for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
+                    crcs[idx] = resident_crcs[idx]
+                continue
             for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
-                key = (pid, idx)
-                if not self.unoptimized:
-                    crc_cache[key] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- dirty pages only; clean pages reuse the cached generation
-                    self.pages_digested += 1
-                    self.bytes_hashed += PAGE_SIZE
-                digests[f"{pid}:{idx}"] = crc_cache[key]
-        if not self.unoptimized:
-            # Clean resident pages whose cached digest was reused unhashed.
+                crcs[idx] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- dirty pages only; soft-dirty tracking already skipped every clean page
+                self.pages_digested += 1
+                self.bytes_hashed += PAGE_SIZE
+        if not unoptimized:
+            # Clean resident pages that were not re-hashed.
             self.cache_hits += max(0, resident - in_image)
         return digests
 
 
-def verify_page_digests(image: "CheckpointImage", digests: dict[str, int]) -> int:
+def verify_page_digests(
+    image: "CheckpointImage", digests: dict[int, dict[int, int]]
+) -> int:
     """Backup-side check: re-hash received pages against the primary's CRCs.
 
     Returns the number of mismatched pages (0 on an intact transfer).
@@ -188,9 +193,11 @@ def verify_page_digests(image: "CheckpointImage", digests: dict[str, int]) -> in
     """
     mismatches = 0
     for pimage in image.processes:
-        pid = pimage.pid
+        crcs = digests.get(pimage.pid)
+        if crcs is None:
+            continue
         for idx, content in pimage.pages.items():
-            expected = digests.get(f"{pid}:{idx}")
+            expected = crcs.get(idx)
             if expected is not None and zlib.crc32(content) != expected:  # nlint: disable=PERF002 -- integrity check must hash exactly the received bytes
                 mismatches += 1
     return mismatches

@@ -1,9 +1,10 @@
 """Tests for the per-page digest cache (statecache.PageDigestCache).
 
 Unit tests drive the cache with fake images/processes to pin the contract
-— optimized mode hashes exactly the dirty (in-image) pages and counts the
-clean remainder as cache hits; the ``perf_unoptimized_digest`` regression
-knob re-hashes the whole resident set — and the end-to-end test asserts
+— optimized mode hashes exactly the dirty (in-image) pages, counts the
+clean remainder as cache hits and keeps no CRC past the call; the
+``perf_unoptimized_digest`` regression knob re-hashes the whole resident
+set into the same map — and the end-to-end test asserts
 the backup verifies every transfer of a live deployment with zero
 mismatches.
 """
@@ -11,6 +12,7 @@ mismatches.
 import zlib
 from types import SimpleNamespace
 
+from repro.kernel.costmodel import PAGE_SIZE
 from repro.replication.config import NiliconConfig
 from repro.replication.statecache import PageDigestCache, verify_page_digests
 from repro.sim.units import ms
@@ -40,25 +42,24 @@ def test_optimized_mode_hashes_only_image_pages():
     dirty = {7: {1: b"bbbb", 3: b"dddd"}}
     digests = cache.digest_image(fake_image(dirty), fake_processes(resident))
     assert digests == {
-        "7:1": zlib.crc32(b"bbbb"),
-        "7:3": zlib.crc32(b"dddd"),
+        7: {1: zlib.crc32(b"bbbb"), 3: zlib.crc32(b"dddd")},
     }
     assert cache.pages_digested == 2
     # The two clean resident pages were served without hashing.
     assert cache.cache_hits == 2
 
 
-def test_optimized_mode_reuses_cached_digest_for_clean_pages():
+def test_optimized_mode_never_rehashes_clean_pages():
     cache = PageDigestCache()
     resident = {7: {0: b"aaaa", 1: b"bbbb"}}
     # Epoch 1: both pages dirty.
     cache.digest_image(fake_image(resident), fake_processes(resident))
-    # Epoch 2: only page 1 dirty — but the transfer still carries page 1's
-    # digest freshly and page 0's digest stays available in the cache.
+    # Epoch 2: only page 1 dirty — the transfer carries page 1's digest
+    # freshly and page 0, clean, is neither shipped nor re-hashed.
     second = cache.digest_image(
         fake_image({7: {1: b"b2b2"}}), fake_processes(resident)
     )
-    assert second == {"7:1": zlib.crc32(b"b2b2")}
+    assert second == {7: {1: zlib.crc32(b"b2b2")}}
     assert cache.pages_digested == 3  # 2 + 1, page 0 never re-hashed
     assert cache.generation == 2
 
@@ -69,7 +70,7 @@ def test_unoptimized_knob_rehashes_entire_resident_set():
     dirty = {7: {1: b"bbbb"}}
     digests = cache.digest_image(fake_image(dirty), fake_processes(resident))
     # The transfer map still covers exactly the image pages...
-    assert set(digests) == {"7:1"}
+    assert digests == {7: {1: zlib.crc32(b"bbbb")}}
     # ...but all three resident pages were hashed, and nothing was cached.
     assert cache.pages_digested == 3
     assert cache.cache_hits == 0
@@ -79,7 +80,48 @@ def test_digests_cover_multiple_processes():
     cache = PageDigestCache()
     dirty = {1: {0: b"p1"}, 2: {0: b"p2", 5: b"p2x"}}
     digests = cache.digest_image(fake_image(dirty), fake_processes(dirty))
-    assert set(digests) == {"1:0", "2:0", "2:5"}
+    assert digests == {
+        1: {0: zlib.crc32(b"p1")},
+        2: {0: zlib.crc32(b"p2"), 5: zlib.crc32(b"p2x")},
+    }
+
+
+def test_digest_calls_keep_no_per_page_state_on_the_cache():
+    cache = PageDigestCache()
+    before = dict(vars(cache))
+    resident = {7: {0: b"aaaa", 1: b"bbbb", 2: b"cccc"}, 8: {4: b"eeee"}}
+    cache.digest_image(fake_image(resident), fake_processes(resident))
+    cache.digest_image(
+        fake_image({7: {1: b"b2b2"}}), fake_processes(resident)
+    )
+    after = vars(cache)
+    # Only the counters and the generation moved; every attribute is a
+    # scalar, so no container can be pinning a digest per page.
+    assert after.keys() == before.keys()
+    changed = {name for name in after if after[name] != before[name]}
+    assert changed == {
+        "generation", "pages_digested", "bytes_hashed", "cache_hits",
+    }
+    assert all(isinstance(value, int) for value in after.values())
+    assert (cache.generation, cache.pages_digested, cache.cache_hits) == (2, 5, 3)
+    assert cache.bytes_hashed == 5 * PAGE_SIZE
+
+
+def test_knob_and_optimized_paths_return_equal_maps():
+    resident = {
+        3: {0: b"a", 1: b"b", 9: b"c"},
+        5: {2: b"d", 700: b"e", 1 << 20: b"f"},
+    }
+    dirty = {3: {9: b"c", 0: b"a"}, 5: {700: b"e"}}
+    fast = PageDigestCache().digest_image(
+        fake_image(dirty), fake_processes(resident)
+    )
+    knob = PageDigestCache(unoptimized=True).digest_image(
+        fake_image(dirty), fake_processes(resident)
+    )
+    assert fast == knob
+    # Both walk each process's pages in address order.
+    assert list(fast[3]) == list(knob[3]) == [0, 9]
 
 
 def test_verify_page_digests_intact_and_corrupted():
