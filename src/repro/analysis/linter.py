@@ -87,8 +87,6 @@ class LintContext:
         self.function_stack: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         #: Parallel stack of "is a generator" flags.
         self._generator_stack: list[bool] = []
-        #: Parallel-ish stack of enclosing class definitions.
-        self.class_stack: list[ast.ClassDef] = []
 
         self._collect_imports()
         self._collect_suppressions()
@@ -106,10 +104,6 @@ class LintContext:
     def in_generator(self) -> bool:
         """True when the innermost enclosing function is a generator."""
         return bool(self._generator_stack) and self._generator_stack[-1]
-
-    @property
-    def current_class(self) -> ast.ClassDef | None:
-        return self.class_stack[-1] if self.class_stack else None
 
     # -- name resolution -------------------------------------------------
     def qualified_name(self, node: ast.AST) -> str | None:
@@ -307,13 +301,6 @@ class _Walker(ast.NodeVisitor):
         finally:
             self.ctx.function_stack.pop()
             self.ctx._generator_stack.pop()
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.ctx.class_stack.append(node)
-        try:
-            self.generic_visit(node)
-        finally:
-            self.ctx.class_stack.pop()
 
 
 def lint_source(

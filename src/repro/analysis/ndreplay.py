@@ -64,7 +64,7 @@ def run_roundtrip(
 
     ``identical`` is True only when the replayed run (fed from the
     serialized log alone) reproduced both digests, consumed every recorded
-    draw, and re-folded the recorded log digest.
+    draw, and served draws whose digest equals the recorded log's.
     """
     record_log = NDLog(mode="record")
     tiebreak = PermutedTieBreak(seed) if permuted else None
@@ -110,7 +110,7 @@ def run_roundtrip(
         and replayed.trace_digest == recorded.trace_digest
         and replayed.metrics_digest == recorded.metrics_digest
         and not unconsumed
-        and replay_log.digest() == record_log.digest()
+        and result["replay_ndlog_digest"] == result["ndlog_digest"]
     )
     return result
 

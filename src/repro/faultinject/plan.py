@@ -147,15 +147,6 @@ class FaultPlan:
         #: and test assertions).
         self.log: list[str] = []
 
-    # -- construction -----------------------------------------------------
-    def add_point(self, rule: PointFault) -> "FaultPlan":
-        self.points.append(rule)
-        return self
-
-    def add_link(self, rule: LinkFault) -> "FaultPlan":
-        self.links.append(rule)
-        return self
-
     # -- lifecycle --------------------------------------------------------
     def arm(self, engine: "Engine") -> "FaultPlan":
         self._engine = engine

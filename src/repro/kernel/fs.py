@@ -294,12 +294,6 @@ class FileSystem:
                 page.dnc = False
         return inode_entries, page_entries
 
-    def dnc_counts(self) -> tuple[int, int]:
-        """(#DNC inodes, #DNC pages) without clearing — for sizing/metrics."""
-        inodes = sum(1 for i in self._inodes.values() if i.dnc)
-        pages = sum(1 for p in self._cache.values() if p.dnc)
-        return inodes, pages
-
     def apply_fc_checkpoint(
         self, inode_entries: list[dict], page_entries: list[tuple[str, int, bytes]]
     ) -> None:

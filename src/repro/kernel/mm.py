@@ -208,14 +208,6 @@ class AddressSpace:
         self.pages_written += 1
         self.pages[page_idx] = token
 
-    def write_range(self, start: int, tokens: Iterable[bytes]) -> int:
-        """Write consecutive pages starting at *start*; returns pages written."""
-        count = 0
-        for offset, token in enumerate(tokens):
-            self.write(start + offset, token)
-            count += 1
-        return count
-
     def read(self, page_idx: int) -> bytes:
         self.find_vma(page_idx)
         try:

@@ -136,11 +136,6 @@ class Process:
         self.fds[entry.fd] = entry
         return entry
 
-    def close_fd(self, fd: int) -> None:
-        if fd not in self.fds:
-            raise KernelError(f"{self.comm}: close of unknown fd {fd}")
-        del self.fds[fd]
-
     def fd_entries(self, kind: str | None = None) -> list[FdEntry]:
         entries = sorted(self.fds.values(), key=lambda e: e.fd)
         if kind is not None:

@@ -55,10 +55,6 @@ class NiliconConfig:
     #: Backup committed-page store: radix tree vs linked directory list
     #: (SSV-A, the most important CRIU optimization).
     page_store: Literal["radix", "list"] = "radix"
-    #: Take a full (non-incremental) checkpoint every N epochs; 0 = only the
-    #: first checkpoint is full.  NiLiCon uses soft-dirty incrementals
-    #: throughout.
-    full_checkpoint_every: int = 0
     #: Compress the state stream before transfer (Remus's checkpoint
     #: compression: dirty pages change little between epochs, so delta+RLE
     #: compresses well).  Trades primary/backup CPU per page for pair-link

@@ -12,12 +12,13 @@ re-reach the state whose output already escaped, before going live.
 Three pieces, all driven by :mod:`repro.replication.modes`:
 
 * :class:`LogShipper` — installs an :class:`~repro.kernel.mm.AddressSpace`
-  ``capture_hook`` per process, so every page write lands in a per-process
-  stream (``mm<i>``) of an :class:`~repro.sim.ndlog.NDLog`; a flush loop
-  closes the open window every ``hycor_log_flush_us``, inserts a
-  flush-sequence egress barrier, and ships the window (entries + per-stream
-  digest) to the backup.  Checkpoints close *epoch segments* in the same
-  log, bounding the replay tail.
+  ``capture_hook`` per process, so every page write lands in the open
+  window of a per-process stream (``mm<i>``); a flush loop closes the
+  window every ``hycor_log_flush_us``, inserts a flush-sequence egress
+  barrier, and ships the window (entries + their
+  :func:`~repro.sim.ndlog.entries_digest`) to the backup.  The shipper
+  keeps nothing past the open window: the checkpoint's frozen flush
+  sequence is what bounds the replay tail.
 * :class:`HycorPrimaryAgent` — checkpoints exactly like NiLiCon but inserts
   no epoch barriers and treats checkpoint acks as replay-truncation info
   only; output release happens on ``log_ack``.
@@ -38,7 +39,6 @@ their next segment hits a demux miss and draws an RST.
 
 from __future__ import annotations
 
-import zlib
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.replication.backup import BackupAgent
@@ -46,7 +46,7 @@ from repro.replication.primary import PrimaryAgent
 from repro.sim.access import record_access
 from repro.sim.engine import Interrupt
 from repro.sim.faults import coverage_mark, fault_point
-from repro.sim.ndlog import NDLog
+from repro.sim.ndlog import entries_digest
 from repro.sim.trace import trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +56,6 @@ __all__ = [
     "HycorBackupAgent",
     "HycorPrimaryAgent",
     "LogShipper",
-    "flush_digest",
     "hycor_flush_seq",
 ]
 
@@ -72,40 +71,27 @@ def hycor_flush_seq(container: "Container") -> int:
     return getattr(container, "_hycor_flush_seq", 0)
 
 
-def flush_digest(entries: list) -> str:
-    """Per-stream CRC digest of one flush window's entries.
-
-    Mirrors :meth:`repro.sim.ndlog.NDLog.window_digest` exactly (global
-    per-stream sequence numbers folded per stream, streams combined in
-    sorted order) so the backup can verify a shipped window without
-    rebuilding an NDLog — ``tests/replication/test_hycor.py`` pins the two
-    implementations together.
-    """
-    crcs: dict[str, int] = {}
-    for stream, seq, method, value in entries:
-        crcs[stream] = zlib.crc32(
-            f"{seq}|{method}|{value!r}".encode("utf-8"), crcs.get(stream, 0)
-        )
-    combined = 0
-    for name in sorted(crcs):
-        combined = zlib.crc32(f"{name}|{crcs[name]:08x}".encode("utf-8"), combined)
-    return format(combined, "08x")
-
-
 class _WriteCapture:
-    """Per-process mm observer feeding one log stream by value."""
+    """Per-process mm observer feeding one stream of the shipper's open
+    window by value."""
 
     #: Host-side recording machinery: invisible to the nondeterminism-flow
     #: analyzer and never part of checkpointed state.
     __nd_exempt__ = True
     __ckpt_ignore__ = True
 
-    def __init__(self, log: NDLog, stream: str) -> None:
-        self.log = log
+    def __init__(self, window: dict[str, list[list]], totals: dict[str, int],
+                 stream: str) -> None:
+        self.window = window
+        self.totals = totals
         self.stream = stream
 
     def page_written(self, page_idx: int, token: bytes) -> None:  # hot: per-page -- every protected write funnels through here in hycor mode
-        self.log.record(self.stream, "write", (page_idx, token))
+        stream = self.stream
+        seq = self.totals.get(stream, 0)
+        self.totals[stream] = seq + 1
+        self.window.setdefault(stream, []).append(
+            [stream, seq, "write", (page_idx, token)])
 
 
 class LogShipper:
@@ -134,12 +120,14 @@ class LogShipper:
         self.endpoint = endpoint
         self.netbuffer = netbuffer
         self.flush_us = flush_us
-        self.log = NDLog(mode="record")
         #: Global monotonic flush sequence; continues an adopted
         #: container's numbering (see :func:`hycor_flush_seq`).
         self.seq = hycor_flush_seq(container)
-        #: Per-stream draw counts as of the last closed flush.
-        self._flushed_counts: dict[str, int] = {}
+        #: The open window: stream -> ``[stream, seq, "write", (page,
+        #: token)]`` entries captured since the last flush.
+        self._window: dict[str, list[list]] = {}
+        #: Entries ever captured per stream, so ``seq`` is global per stream.
+        self._totals: dict[str, int] = {}
         self.flushes_sent = 0
         self.entries_shipped = 0
         self._attached = False
@@ -149,7 +137,8 @@ class LogShipper:
         """Install the per-process write-capture hooks."""
         self._attached = True
         for pidx, process in enumerate(self.container.processes):
-            process.mm.capture_hook = _WriteCapture(self.log, f"mm{pidx}")
+            process.mm.capture_hook = _WriteCapture(
+                self._window, self._totals, f"mm{pidx}")
 
     def detach(self) -> None:
         if not self._attached:
@@ -157,12 +146,6 @@ class LogShipper:
         self._attached = False
         for process in self.container.processes:
             process.mm.capture_hook = None
-
-    def on_epoch(self, epoch: int) -> None:
-        """Close epoch *epoch*'s segment at checkpoint freeze: everything
-        recorded so far is inside the checkpoint, so this marks where a
-        replay from it may start."""
-        self.log.begin_segment(epoch)
 
     # -- flushing ---------------------------------------------------------
     def flush_loop(self) -> Generator[Any, Any, None]:
@@ -184,19 +167,14 @@ class LogShipper:
         advances, so output generated without memory writes — pure packet
         traffic — is released on the same cadence.
         """
-        log = self.log
-        counts = log.draw_counts()
-        prev = self._flushed_counts
-        entries = [
-            [stream, seq, method, value]
-            for stream, seq, method, value in log.window_entries(prev, counts)
-        ]
-        crc = log.window_digest(prev, counts)
+        window = self._window
+        entries = [entry for stream in sorted(window) for entry in window[stream]]
+        window.clear()
+        crc = entries_digest(entries)
         self.seq += 1
         seq = self.seq
         # Persist for adoption: a successor pairing must fence above this.
         self.container._hycor_flush_seq = seq
-        self._flushed_counts = counts
         # Fence first: every packet buffered so far depends only on writes
         # at or before this window, so the flush's durability may release it.
         self.netbuffer.insert_epoch_barrier(seq)
@@ -206,7 +184,6 @@ class LogShipper:
                 "kind": "ndlog",
                 "seq": seq,
                 "entries": entries,
-                "counts": counts,
                 "crc": crc,
             },
             size_bytes=self.FLUSH_WIRE_BYTES + self.ENTRY_WIRE_BYTES * len(entries),
@@ -254,11 +231,10 @@ class HycorPrimaryAgent(PrimaryAgent):
     # -- strategy hooks ---------------------------------------------------
     def _insert_output_barrier(self, epoch: int) -> None:
         # No per-epoch egress fence: release authority lives with the log
-        # flushes.  The freeze instead closes the epoch's log segment and
-        # pins the flush sequence this checkpoint supersedes — every entry
-        # at or below it is captured by the frozen image.
+        # flushes.  The freeze instead pins the flush sequence this
+        # checkpoint supersedes — every entry at or below it is captured by
+        # the frozen image, so a replay from it starts past that flush.
         self._frozen_log_seq = self.shipper.seq
-        self.shipper.on_epoch(epoch)
 
     def _state_extra(self, epoch: int) -> dict:
         return {"log_seq": self._frozen_log_seq}
@@ -346,7 +322,7 @@ class HycorBackupAgent(BackupAgent):
                 break
 
     def _accept_flush(self, seq: int, message: dict) -> bool:
-        if flush_digest(message["entries"]) != message["crc"]:
+        if entries_digest(message["entries"]) != message["crc"]:
             # A window that fails verification is never made durable or
             # acknowledged, so no released output can come to depend on it.
             self.log_crc_mismatches += 1
@@ -425,7 +401,7 @@ class HycorBackupAgent(BackupAgent):
             message = self._log_store.get(seq)
             if message is None:
                 break  # below the store floor (already superseded)
-            if flush_digest(message["entries"]) != message["crc"]:
+            if entries_digest(message["entries"]) != message["crc"]:
                 # Stored window fails re-verification: replay diverged from
                 # what was shipped.  Promote from the last flush that
                 # verifies rather than apply state we cannot trust.

@@ -8,7 +8,9 @@ diverge from the one whose output already escaped.  This module is the
 runtime half of the proof (:mod:`repro.analysis.ndflow` is the static
 half): an :class:`NDLog` wraps every :class:`~repro.sim.rng.RngRegistry`
 stream and the engine's tie-break policy, stamping each decision with a
-per-stream sequence number and folding it into a CRC32 log digest.
+per-stream sequence number.  :func:`entries_digest` is the log's one
+CRC32 digest: :meth:`NDLog.digest` computes it over the whole log, and
+HyCoR's shipper (:mod:`repro.replication.hycor`) over each flush window.
 
 Two modes:
 
@@ -33,7 +35,7 @@ consume the log in lockstep by construction.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.world import World
@@ -46,6 +48,7 @@ __all__ = [
     "TIEBREAK_STREAM",
     "attach_ndlog",
     "detach_ndlog",
+    "entries_digest",
 ]
 
 #: The engine's same-timestamp tie-break decisions ride the log as a
@@ -69,6 +72,23 @@ class ReplayDivergence(RuntimeError):
         super().__init__(f"replay divergence at {stream}#{seq}: {reason}")
 
 
+def entries_digest(entries: Iterable[tuple[str, int, str, Any]]) -> str:
+    """CRC32 digest of ``(stream, seq, method, value)`` draws, as 8 hex
+    digits: each stream's draws are folded as ``"{seq}|{method}|{value!r}"``
+    in the order given, then the per-stream CRCs are combined in sorted
+    stream order.  Interleaving *across* streams is scheduling, not
+    provenance, so it does not enter the digest.  The one CRC of the log:
+    :meth:`NDLog.digest` and HyCoR's flush windows both use it."""
+    crcs: dict[str, int] = {}
+    for stream, seq, method, value in entries:
+        crcs[stream] = zlib.crc32(
+            f"{seq}|{method}|{value!r}".encode("utf-8"), crcs.get(stream, 0))
+    combined = 0
+    for name in sorted(crcs):
+        combined = zlib.crc32(f"{name}|{crcs[name]:08x}".encode("utf-8"), combined)
+    return format(combined, "08x")
+
+
 class NDLog:
     """Per-stream, sequence-numbered log of nondeterministic decisions."""
 
@@ -85,35 +105,30 @@ class NDLog:
         self._entries: dict[str, list[tuple[str, Any]]] = {}
         #: replay cursors: stream name -> next sequence number to serve.
         self._cursors: dict[str, int] = {}
-        #: running CRC32 per stream, folded in sequence order.
-        self._stream_crcs: dict[str, int] = {}
-        self.n_draws = 0
-        #: Epoch segmentation marks (:meth:`begin_segment`): each entry is
-        #: ``(epoch, per-stream draw counts at the mark)``.  Draws recorded
-        #: after a mark belong to that mark's segment.
-        self._segment_marks: list[tuple[int, dict[str, int]]] = []
-        #: Set by :meth:`from_segmented_dict` when the open tail segment
-        #: arrived short of its declared draw count (mid-epoch crash).
-        self.truncated_tail = False
 
     # -- digest -------------------------------------------------------- #
-    def _fold(self, stream: str, seq: int, method: str, value: Any) -> None:
-        line = f"{seq}|{method}|{value!r}"
-        self._stream_crcs[stream] = zlib.crc32(
-            line.encode("utf-8"), self._stream_crcs.get(stream, 0))
-        self.n_draws += 1
+    def _logged(self) -> Iterator[tuple[str, int, str, Any]]:
+        """The draws recorded (record mode) or served so far (replay mode)
+        as ``(stream, seq, method, value)``."""
+        replaying = self.mode == "replay"
+        for name, draws in self._entries.items():
+            served = self._cursors.get(name, 0) if replaying else len(draws)
+            for seq in range(served):
+                method, value = draws[seq]
+                yield name, seq, method, value
+
+    @property
+    def n_draws(self) -> int:
+        if self.mode == "replay":
+            return sum(self._cursors.values())
+        return sum(len(draws) for draws in self._entries.values())
 
     def digest(self) -> str:
-        """CRC32 combining each stream's sequence-ordered draw CRC, as 8
-        hex digits.  Per-stream order is what replay fidelity requires
-        (interleaving *across* streams is scheduling, not provenance), so
-        a record log and a fully-consumed faithful replay produce the same
-        digest; any skipped, extra or altered draw changes it."""
-        crc = 0
-        for name in sorted(self._stream_crcs):
-            line = f"{name}|{self._stream_crcs[name]:08x}"
-            crc = zlib.crc32(line.encode("utf-8"), crc)
-        return format(crc, "08x")
+        """:func:`entries_digest` of the draws recorded (record mode) or
+        served so far (replay mode), so a record log and a fully-consumed
+        faithful replay produce the same digest; any skipped, extra or
+        altered draw changes it."""
+        return entries_digest(self._logged())
 
     # -- record -------------------------------------------------------- #
     def record(self, stream: str, method: str, value: Any) -> Any:
@@ -123,9 +138,7 @@ class NDLog:
                 f"unlogged {method}() draw during replay — this consumer "
                 f"bypasses the NDLog",
             )
-        draws = self._entries.setdefault(stream, [])
-        self._fold(stream, len(draws), method, value)
-        draws.append((method, value))
+        self._entries.setdefault(stream, []).append((method, value))
         return value
 
     # -- replay -------------------------------------------------------- #
@@ -148,7 +161,6 @@ class NDLog:
                 f"method mismatch: recorded {recorded_method}(), replay "
                 f"drew {method}()")
         self._cursors[stream] = seq + 1
-        self._fold(stream, seq, method, value)
         return value
 
     # -- introspection -------------------------------------------------- #
@@ -191,173 +203,16 @@ class NDLog:
         for name in sorted(data.get("streams", {})):
             for method, value in data["streams"][name]:
                 log.record(name, method, value)
-        log.mode = mode
+        # Checked while still in record mode, where the digest covers every
+        # entry: a corrupted/edited log is refused before any replay begins.
         declared = data.get("digest")
-        if declared is not None and declared != log.digest():
-            # A corrupted/edited log is refused before any replay begins.
+        computed = log.digest()
+        if declared is not None and declared != computed:
             raise ReplayDivergence(
                 "<log>", 0,
                 f"log digest mismatch: file says {declared}, entries hash "
-                f"to {log.digest()}")
-        if mode == "replay":
-            log._stream_crcs = {}  # replay re-folds as it consumes
-            log.n_draws = 0
-        return log
-
-    # -- epoch segmentation (HyCoR log shipping) ------------------------- #
-    def begin_segment(self, epoch: int) -> None:
-        """Open epoch *epoch*'s segment: draws recorded from here on belong
-        to it.  HyCoR ships the open segment continuously and closes it at
-        each checkpoint, so a failover can replay exactly the tail past the
-        last committed checkpoint."""
-        self._segment_marks.append((epoch, self.draw_counts()))
-
-    def segment_epochs(self) -> list[int]:
-        return [epoch for epoch, _counts in self._segment_marks]
-
-    def _marks(self) -> list[tuple[int, dict[str, int]]]:
-        # An unmarked log is one implicit whole-log segment (epoch 0).
-        return self._segment_marks or [(0, {})]
-
-    def _segment_window(self, index: int) -> tuple[dict[str, int], dict[str, int]]:
-        marks = self._marks()
-        start = marks[index][1]
-        end = marks[index + 1][1] if index + 1 < len(marks) else self.draw_counts()
-        return start, end
-
-    def _segment_crc(
-        self, start: dict[str, int], end: dict[str, int]
-    ) -> tuple[str, bool]:
-        """``(digest, complete)`` for the draw window [start, end).
-
-        Folds exactly like :meth:`_fold` (global per-stream sequence
-        numbers, so a shifted draw changes every later segment's digest),
-        then combines streams like :meth:`digest`.  *complete* is False
-        when some stream holds fewer draws than *end* declares — a
-        truncated window whose digest cannot be meaningful."""
-        complete = True
-        crcs: dict[str, int] = {}
-        for name in sorted(set(start) | set(end)):
-            lo = start.get(name, 0)
-            hi = end.get(name, 0)
-            draws = self._entries.get(name, [])
-            if len(draws) < hi:
-                complete = False
-                hi = len(draws)
-            crc = 0
-            for seq in range(lo, hi):
-                method, value = draws[seq]
-                crc = zlib.crc32(
-                    f"{seq}|{method}|{value!r}".encode("utf-8"), crc)
-            if hi > lo:
-                crcs[name] = crc
-        combined = 0
-        for name in sorted(crcs):
-            combined = zlib.crc32(
-                f"{name}|{crcs[name]:08x}".encode("utf-8"), combined)
-        return format(combined, "08x"), complete
-
-    def segment_digest(self, index: int) -> str:
-        start, end = self._segment_window(index)
-        digest, _complete = self._segment_crc(start, end)
-        return digest
-
-    def segment_digests(self) -> list[str]:
-        return [self.segment_digest(i) for i in range(len(self._marks()))]
-
-    def segment_entries(
-        self, index: int
-    ) -> Iterator[tuple[str, int, str, Any]]:
-        """The segment's draws as ``(stream, seq, method, value)``, in
-        per-stream sequence order (cross-stream interleaving is scheduling,
-        not provenance — same doctrine as :meth:`digest`)."""
-        start, end = self._segment_window(index)
-        yield from self.window_entries(start, end)
-
-    def window_entries(
-        self, start: dict[str, int], end: dict[str, int]
-    ) -> Iterator[tuple[str, int, str, Any]]:
-        """:meth:`segment_entries` for an arbitrary draw-count window
-        ``[start, end)`` — the HyCoR shipper flushes sub-segment windows
-        between checkpoint marks."""
-        for name in sorted(set(start) | set(end)):
-            draws = self._entries.get(name, [])
-            for seq in range(start.get(name, 0),
-                             min(end.get(name, 0), len(draws))):
-                method, value = draws[seq]
-                yield name, seq, method, value
-
-    def window_digest(self, start: dict[str, int], end: dict[str, int]) -> str:
-        """Digest of the draw window ``[start, end)`` in the same per-stream
-        CRC discipline as :meth:`segment_digest` (global sequence numbers,
-        streams combined in sorted order)."""
-        digest, _complete = self._segment_crc(start, end)
-        return digest
-
-    def to_segmented_dict(self) -> dict:
-        """Serialized form carrying per-epoch segment digests, so a reader
-        can verify every *closed* segment independently and tolerate a
-        truncated open tail (:meth:`from_segmented_dict`)."""
-        marks = self._marks()
-        return {
-            "format": "ndlog-segments/1",
-            "digest": self.digest(),
-            "n_draws": self.n_draws,
-            "marks": [[epoch, dict(counts)] for epoch, counts in marks],
-            "segment_digests": self.segment_digests(),
-            "counts": self.draw_counts(),
-            "streams": {
-                name: [[method, value] for method, value in draws]
-                for name, draws in self._entries.items()
-            },
-        }
-
-    @classmethod
-    def from_segmented_dict(
-        cls, data: dict, mode: str = "replay",
-        tolerate_truncated_tail: bool = True,
-    ) -> "NDLog":
-        """Load a segmented log, verifying per-segment digests.
-
-        Every closed segment must be complete and hash-identical, or the
-        load refuses with :exc:`ReplayDivergence` naming the epoch.  The
-        final (open) segment may arrive short of its declared draw counts
-        — a primary that crashed mid-epoch shipped only a prefix — and is
-        accepted with ``truncated_tail=True`` when
-        *tolerate_truncated_tail* is set; a complete tail is verified like
-        any closed segment."""
-        log = cls(mode="record")
-        for name in sorted(data.get("streams", {})):
-            for method, value in data["streams"][name]:
-                log.record(name, method, value)
-        log._segment_marks = [
-            (epoch, dict(counts)) for epoch, counts in data.get("marks", [])
-        ]
-        declared_counts = dict(data.get("counts", {}))
-        declared_digests = list(data.get("segment_digests", []))
-        marks = log._marks()
-        for index, (epoch, start) in enumerate(marks):
-            is_tail = index == len(marks) - 1
-            end = marks[index + 1][1] if not is_tail else declared_counts
-            computed, complete = log._segment_crc(start, end)
-            if not complete:
-                if is_tail and tolerate_truncated_tail:
-                    log.truncated_tail = True
-                    continue
-                raise ReplayDivergence(
-                    f"<segment:{epoch}>", 0,
-                    f"segment for epoch {epoch} is truncated "
-                    f"{'' if is_tail else '(not the tail) '}and cannot be "
-                    f"verified")
-            if index < len(declared_digests) and declared_digests[index] != computed:
-                raise ReplayDivergence(
-                    f"<segment:{epoch}>", 0,
-                    f"segment digest mismatch for epoch {epoch}: log says "
-                    f"{declared_digests[index]}, entries hash to {computed}")
+                f"to {computed}")
         log.mode = mode
-        if mode == "replay":
-            log._stream_crcs = {}  # replay re-folds as it consumes
-            log.n_draws = 0
         return log
 
 
@@ -539,9 +394,3 @@ def detach_ndlog(world: "World") -> None:
     elif isinstance(tiebreak, ReplayTieBreak):
         engine.set_tiebreak(None)
 
-
-def iter_draws(log: NDLog) -> Iterator[tuple[str, int, str, Any]]:
-    """All recorded draws as ``(stream, seq, method, value)`` tuples."""
-    for name in log.streams():
-        for seq, (method, value) in enumerate(log._entries[name]):
-            yield name, seq, method, value

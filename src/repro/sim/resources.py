@@ -92,10 +92,6 @@ class Lock:
         self._locked = False
         self._waiters: deque[Event] = deque()
 
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
     def acquire(self) -> Event:
         event = Event(self.engine)
         if not self._locked:

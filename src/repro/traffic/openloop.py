@@ -53,14 +53,6 @@ class TrafficProfile:
     #: the run's drain tail.
     duration_us: int = sec(2)
 
-    def expected_sessions(self) -> int:
-        if self.arrival == "onoff":
-            cycle = self.on_us + self.off_us
-            on_fraction = self.on_us / cycle if cycle else 0.0
-        else:
-            on_fraction = 1.0
-        return int(self.rate_rps * self.duration_us / 1e6 * on_fraction)
-
 
 @dataclass
 class OpenLoopStats:

@@ -169,6 +169,23 @@ def test_digest_is_per_stream_order_only():
     assert c.digest() != a.digest()
 
 
+def test_replay_digest_covers_only_the_draws_served():
+    log = NDLog(mode="record")
+    for value in (0.1, 0.2):
+        log.record("zz-x", "random", value)
+    log.record("zz-y", "randrange", 7)
+    replay_log = NDLog.from_dict(log.to_dict(), mode="replay")
+    assert replay_log.n_draws == 0
+    replay_log.replay("zz-x", "random")
+    replay_log.replay("zz-y", "randrange")
+    assert replay_log.n_draws == 2
+    assert replay_log.digest() != log.digest()
+    replay_log.replay("zz-x", "random")
+    assert replay_log.unconsumed() == {}
+    assert replay_log.n_draws == log.n_draws == 3
+    assert replay_log.digest() == log.digest()
+
+
 def test_attach_and_detach_on_a_world():
     world = World(seed=3)
     log = NDLog(mode="record")

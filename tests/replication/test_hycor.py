@@ -1,21 +1,22 @@
-"""HyCoR mode unit behaviors: flush digests, log shipping, replay.
+"""HyCoR mode unit behaviors: flush windows, log shipping, replay.
 
 The end-to-end failure windows (log gap at failover, replay divergence,
 crash mid-ship) live in the fault-injection campaign; these tests pin the
-building blocks — the wire digest against the NDLog's own window digest,
-the shipper's fence-then-ship ordering, and the backup's durable-sequence
-bookkeeping — at unit scale.
+building blocks — the shipper's windows and their digest, its
+fence-then-ship ordering, and the backup's durable-sequence bookkeeping —
+at unit scale.
 """
 
 import pytest
 
+from repro.container import ProcessSpec
 from repro.net import World
-from repro.replication import NiliconConfig
-from repro.replication.hycor import flush_digest, hycor_flush_seq
+from repro.replication import NiliconConfig, ReplicatedDeployment
+from repro.replication.hycor import LogShipper, hycor_flush_seq
 from repro.sim import ms, sec
-from repro.sim.ndlog import NDLog
+from repro.sim.ndlog import NDLog, entries_digest
 
-from .conftest import make_deployment
+from .conftest import make_deployment, make_spec
 
 
 def make_hycor(world, **kwargs):
@@ -23,41 +24,127 @@ def make_hycor(world, **kwargs):
 
 
 # --------------------------------------------------------------------- #
-# flush_digest == NDLog.window_digest (the docstring's promised pin)     #
+# The shipper's open window and its digest                               #
 # --------------------------------------------------------------------- #
+class _Sink:
+    """Endpoint and netbuffer stand-in: keeps what the shipper sends."""
+
+    def __init__(self):
+        self.sent = []
+        self.barriers = []
+
+    def send(self, message, size_bytes):
+        self.sent.append(message)
+
+    def insert_epoch_barrier(self, seq):
+        self.barriers.append(seq)
+
+
+def _attached_shipper(seed):
+    """A shipper over a two-process container, its hooks installed."""
+    world = World(seed=seed)
+    spec = make_spec()
+    spec.processes.append(ProcessSpec(comm="aux", heap_pages=64))
+    container = ReplicatedDeployment(
+        world, spec, config=NiliconConfig.hycor()).container
+    sink = _Sink()
+    shipper = LogShipper(world.engine, container, sink, sink, flush_us=ms(3))
+    shipper.attach()
+    return container, shipper, sink
+
+
+def test_log_shipper_ships_each_window_once():
+    container, shipper, sink = _attached_shipper(seed=10)
+    first, second = container.processes
+    page_a = container.heap_vma_of(first).start
+    page_b = container.heap_vma_of(second).start
+
+    second.mm.write(page_b, b"b0")
+    first.mm.write(page_a, b"a0")
+    first.mm.write(page_a + 1, b"a1")
+    shipper._flush()
+    first.mm.write(page_a, b"a2")
+    second.mm.write(page_b + 1, b"b1")
+    shipper._flush()
+    shipper._flush()
+    shipper.detach()
+
+    windows = [message["entries"] for message in sink.sent]
+    # Streams in sorted order; seq is global per stream across flushes.
+    assert windows == [
+        [["mm0", 0, "write", (page_a, b"a0")],
+         ["mm0", 1, "write", (page_a + 1, b"a1")],
+         ["mm1", 0, "write", (page_b, b"b0")]],
+        [["mm0", 2, "write", (page_a, b"a2")],
+         ["mm1", 1, "write", (page_b + 1, b"b1")]],
+        [],
+    ]
+    for message in sink.sent:
+        assert message["crc"] == entries_digest(message["entries"])
+    # The empty window's digest is a constant, the empty log's.
+    assert sink.sent[2]["crc"] == NDLog().digest() == "00000000"
+    assert [message["seq"] for message in sink.sent] == [1, 2, 3]
+    # One netbuffer fence per flush, numbered like the flush.
+    assert sink.barriers == [1, 2, 3]
+
+
 def test_flush_digest_matches_ndlog_window_digest():
+    # A flush's wire CRC is the NDLog's own digest: a log that recorded the
+    # same writes hashes to it, window for window.
+    container, shipper, sink = _attached_shipper(seed=14)
+    first, second = container.processes
+    page_a = container.heap_vma_of(first).start
+    page_b = container.heap_vma_of(second).start
     log = NDLog()
-    start = log.draw_counts()
-    log.record("mm0", "write", (3, "tok-a"))
-    log.record("mm0", "write", (7, "tok-b"))
-    log.record("mm1", "write", (1, "tok-c"))
-    end = log.draw_counts()
-    entries = [list(e) for e in log.window_entries(start, end)]
-    assert flush_digest(entries) == log.window_digest(start, end)
-    # And for a later window, where the global per-stream sequence numbers
-    # have advanced: the digests must stay aligned window-for-window.
-    log.record("mm1", "write", (2, "tok-d"))
-    later = log.draw_counts()
-    tail = [list(e) for e in log.window_entries(end, later)]
-    assert flush_digest(tail) == log.window_digest(end, later)
-    assert flush_digest(tail) != flush_digest(entries)
+
+    first.mm.write(page_a, b"a0")
+    second.mm.write(page_b, b"b0")
+    log.record("mm0", "write", (page_a, b"a0"))
+    log.record("mm1", "write", (page_b, b"b0"))
+    shipper._flush()
+    assert sink.sent[0]["crc"] == log.digest()
+
+    # A later window, where the per-stream sequence numbers have advanced:
+    # the windows shipped so far, taken together, still hash to the log.
+    first.mm.write(page_a + 1, b"a1")
+    log.record("mm0", "write", (page_a + 1, b"a1"))
+    shipper._flush()
+    shipper.detach()
+    shipped = [entry for message in sink.sent for entry in message["entries"]]
+    assert entries_digest(shipped) == log.digest()
+    assert sink.sent[1]["crc"] != sink.sent[0]["crc"]
+    # And a faithful replay of the log, fully consumed, agrees too.
+    replay = NDLog.from_dict(log.to_dict(), mode="replay")
+    for stream, method, count in [("mm0", "write", 2), ("mm1", "write", 1)]:
+        for _ in range(count):
+            replay.replay(stream, method)
+    assert replay.digest() == entries_digest(shipped)
 
 
 def test_flush_digest_detects_any_entry_mutation():
-    log = NDLog()
-    start = log.draw_counts()
-    log.record("mm0", "write", (3, "tok-a"))
-    end = log.draw_counts()
-    entries = [list(e) for e in log.window_entries(start, end)]
-    good = flush_digest(entries)
-    entries[0][2] = "corrupted-write"
-    assert flush_digest(entries) != good
+    entries = [["mm0", 0, "write", (3, "tok-a")],
+               ["mm1", 0, "write", (1, "tok-c")]]
+    good = entries_digest(entries)
+    for index, field, value in [(0, 0, "mm2"), (0, 1, 1),
+                                (0, 2, "corrupted-write"), (1, 3, (1, "tok-x"))]:
+        mutated = [list(entry) for entry in entries]
+        mutated[index][field] = value
+        assert entries_digest(mutated) != good
 
 
 def test_empty_window_digest_is_stable():
-    log = NDLog()
-    counts = log.draw_counts()
-    assert flush_digest([]) == log.window_digest(counts, counts)
+    # An empty window hashes to the empty log's digest, a constant, on
+    # every shipper and after a JSON round trip of the log.
+    assert entries_digest([]) == NDLog().digest() == "00000000"
+    assert NDLog.from_dict(NDLog().to_dict()).digest() == "00000000"
+    crcs = []
+    for seed in (15, 16):
+        _, shipper, sink = _attached_shipper(seed=seed)
+        shipper._flush()
+        shipper.detach()
+        assert sink.sent[0]["entries"] == []
+        crcs.append(sink.sent[0]["crc"])
+    assert crcs == ["00000000", "00000000"]
 
 
 # --------------------------------------------------------------------- #
@@ -152,7 +239,7 @@ def test_backup_parks_past_gap_and_heals_on_checkpoint_supersede():
     durable = backup.durable_seq
     hole, after = durable + 1, durable + 2
     # A flush arrives past a hole: it must park, not commit.
-    backup._on_ndlog({"seq": after, "entries": [], "counts": {}, "crc": flush_digest([])})
+    backup._on_ndlog({"seq": after, "entries": [], "crc": entries_digest([])})
     assert backup.durable_seq == durable
     assert after in backup._future_flushes
     # A checkpoint whose frozen log_seq covers the hole supersedes it:
@@ -174,7 +261,6 @@ def test_backup_refuses_flush_with_bad_digest():
     backup._on_ndlog({
         "seq": durable + 1,
         "entries": [["mm0", 0, "write", (1, "tok")]],
-        "counts": {"mm0": 1},
         "crc": "ffffffff",
     })
     assert backup.durable_seq == durable

@@ -1,107 +1,52 @@
-"""Epoch-segmented NDLog: per-segment digests and truncation-tolerant
-tail replay (the HyCoR log-shipping format)."""
+"""Epoch windows of an NDLog: the draws between two ``draw_counts()``
+snapshots, the span one HyCoR flush ships."""
 
-import pytest
-
-from repro.sim.ndlog import NDLog, ReplayDivergence
+from repro.sim.ndlog import NDLog, entries_digest
 
 
-def _record_three_epochs() -> NDLog:
+def _record_three_epochs():
+    """A log of three epochs, with the ``draw_counts()`` taken at each
+    epoch boundary."""
     log = NDLog(mode="record")
+    bounds = [log.draw_counts()]
     for epoch in range(3):
-        log.begin_segment(epoch)
         for i in range(4):
             log.record("svc.mm0", "write", (epoch * 10 + i, f"v{epoch}.{i}"))
         log.record("svc.clock", "tick", epoch)
-    return log
+        bounds.append(log.draw_counts())
+    return log, bounds
 
 
-def test_segment_digests_are_stable_and_per_epoch():
-    a = _record_three_epochs()
-    b = _record_three_epochs()
-    assert a.segment_epochs() == [0, 1, 2]
-    assert a.segment_digests() == b.segment_digests()
-    # Segments with different draws hash differently.
-    assert len(set(a.segment_digests())) == 3
+def _window(log, start, end):
+    """``(stream, seq, method, value)`` of the draws in ``[start, end)``."""
+    streams = log.to_dict()["streams"]
+    return [
+        (name, seq, method, value)
+        for name in sorted(streams)
+        for seq, (method, value) in enumerate(streams[name])
+        if start.get(name, 0) <= seq < end.get(name, 0)
+    ]
 
 
 def test_segment_entries_cover_exactly_the_window():
-    log = _record_three_epochs()
-    middle = list(log.segment_entries(1))
+    log, bounds = _record_three_epochs()
+    middle = _window(log, bounds[1], bounds[2])
     assert len(middle) == 5
     assert all(seq in range(4, 8) for s, seq, m, v in middle
                if s == "svc.mm0")
     assert ("svc.clock", 1, "tick", 1) in middle
-
-
-def test_segmented_roundtrip_replays_identically():
-    log = _record_three_epochs()
-    loaded = NDLog.from_segmented_dict(log.to_segmented_dict(), mode="replay")
-    assert not loaded.truncated_tail
-    for epoch in range(3):
-        for i in range(4):
-            assert loaded.replay("svc.mm0", "write") == \
-                (epoch * 10 + i, f"v{epoch}.{i}")
-        assert loaded.replay("svc.clock", "tick") == epoch
-    assert loaded.unconsumed() == {}
-
-
-def test_mid_epoch_crash_truncation_of_tail_is_tolerated():
-    log = _record_three_epochs()
-    data = log.to_segmented_dict()
-    # Crash mid-epoch 2: only a prefix of the open segment shipped.
-    data["streams"]["svc.mm0"] = data["streams"]["svc.mm0"][:-2]
-    data["streams"]["svc.clock"] = data["streams"]["svc.clock"][:-1]
-    loaded = NDLog.from_segmented_dict(data, mode="replay")
-    assert loaded.truncated_tail
-    # Closed segments replay in full; the tail replays its prefix...
+    # The windows tile the log: together they are every draw, once.
+    windows = [_window(log, a, b) for a, b in zip(bounds, bounds[1:])]
+    assert sorted(e for w in windows for e in w) == sorted(
+        _window(log, bounds[0], bounds[-1]))
+    assert entries_digest(e for w in windows for e in w) == log.digest()
+    # A replay stopped at a window's end has served exactly the windows
+    # before it.
+    replay = NDLog.from_dict(log.to_dict(), mode="replay")
     for epoch in range(2):
         for i in range(4):
-            assert loaded.replay("svc.mm0", "write") == \
+            assert replay.replay("svc.mm0", "write") == \
                 (epoch * 10 + i, f"v{epoch}.{i}")
-        assert loaded.replay("svc.clock", "tick") == epoch
-    for i in range(2):
-        assert loaded.replay("svc.mm0", "write") == (20 + i, f"v2.{i}")
-    # ...and drawing past the truncation point is a named divergence.
-    with pytest.raises(ReplayDivergence) as exc:
-        loaded.replay("svc.mm0", "write")
-    assert "log exhausted" in str(exc.value)
-
-
-def test_truncation_inside_a_closed_segment_is_refused():
-    log = _record_three_epochs()
-    data = log.to_segmented_dict()
-    # Chop into epoch 1's window: a *closed* segment can't be partial.
-    data["streams"]["svc.mm0"] = data["streams"]["svc.mm0"][:6]
-    with pytest.raises(ReplayDivergence) as exc:
-        NDLog.from_segmented_dict(data, mode="replay")
-    assert "truncated" in str(exc.value)
-
-
-def test_corrupted_closed_segment_digest_is_refused():
-    log = _record_three_epochs()
-    data = log.to_segmented_dict()
-    data["streams"]["svc.mm0"][5] = ["write", [999, "corrupt"]]
-    with pytest.raises(ReplayDivergence) as exc:
-        NDLog.from_segmented_dict(data, mode="replay")
-    assert "digest mismatch" in str(exc.value)
-    assert "epoch 1" in str(exc.value)
-
-
-def test_corrupted_complete_tail_is_still_verified():
-    log = _record_three_epochs()
-    data = log.to_segmented_dict()
-    data["streams"]["svc.clock"][2] = ["tick", 99]
-    with pytest.raises(ReplayDivergence):
-        NDLog.from_segmented_dict(data, mode="replay")
-
-
-def test_unsegmented_log_acts_as_one_implicit_segment():
-    log = NDLog(mode="record")
-    log.record("s", "draw", 1)
-    log.record("s", "draw", 2)
-    assert len(log.segment_digests()) == 1
-    assert list(log.segment_entries(0)) == [
-        ("s", 0, "draw", 1), ("s", 1, "draw", 2)]
-    loaded = NDLog.from_segmented_dict(log.to_segmented_dict())
-    assert loaded.replay("s", "draw") == 1
+        assert replay.replay("svc.clock", "tick") == epoch
+    assert replay.digest() == entries_digest(windows[0] + windows[1])
+    assert replay.unconsumed() == {"svc.mm0": 4, "svc.clock": 1}
