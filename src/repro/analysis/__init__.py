@@ -29,13 +29,12 @@ This package provides the enforcement layers:
   field inventory of the simulated kernel, the CKPT100..CKPT104
   dump/restore cross-reference, and a checkpoint->restore->deep-compare
   differential oracle over live catalog workloads.
-* :mod:`repro.analysis.perf` / :mod:`repro.analysis.perfbench` — the
-  hot-path performance analyzer (``python -m repro perf``): a call-graph
-  pass classifying functions per-event/per-page/per-epoch, the
-  PERF001..PERF006 rules linting only that hot surface, a deterministic
-  profiler (:mod:`repro.sim.profiler`) cross-referencing every finding,
-  and the profiled runs whose work counters are the paper gate's
-  ``engine`` cells (:mod:`repro.experiments.engine`).
+* :mod:`repro.analysis.perf` — the hot-path performance analyzer
+  (``python -m repro perf``): a call-graph pass classifying functions
+  per-event/per-page/per-epoch and the PERF001..PERF006 rules linting
+  only that hot surface.  The deterministic profiler's work counters
+  (:mod:`repro.sim.profiler`) are the paper gate's ``engine`` cells
+  (:mod:`repro.experiments.engine`).
 * :mod:`repro.analysis.baseline` — finding baselines shared by ``lint``,
   ``ckptcov`` and ``perf``: known findings are frozen in a checked-in
   file, new ones gate CI.

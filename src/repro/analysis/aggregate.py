@@ -38,7 +38,6 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
     ("ckptcov", ("ckptcov", "diff", "--smoke"), ("ckptcov", "diff")),
     ("perf", ("perf", "lint", "--baseline", "perf-baseline.json", "--json"),
      ("perf", "lint", "--baseline", "perf-baseline.json", "--json")),
-    ("perf", ("perf", "profile", "--smoke"), ("perf", "profile")),
     ("ndflow",
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json"),
      ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json")),

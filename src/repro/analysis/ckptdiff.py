@@ -68,6 +68,11 @@ ORACLE_WORKLOADS = ("swaptions", "ssdb", "lighttpd", "net-echo", "disk-rw")
 #: catalog workload.
 SMOKE_WORKLOADS = ("ssdb", "net-echo")
 
+#: The oracle freezes the live container here, mid client traffic (clients
+#: run until ``CLIENT_RUN_US``).
+FREEZE_AT_US = 150_000
+CLIENT_RUN_US = 400_000
+
 _MISSING = object()
 
 
@@ -309,8 +314,6 @@ def compare_containers(
 def run_oracle(
     workload_name: str,
     seed: int = 1,
-    freeze_at_us: int = 150_000,
-    client_run_us: int = 400_000,
     config: "Any | None" = None,
     static_uncovered: "set[tuple[str, str]] | None" = None,
     inventory: Inventory | None = None,
@@ -349,14 +352,14 @@ def run_oracle(
 
         def clients():
             yield world.engine.timeout(1_000)
-            workload.start_clients(world, stats, run_until_us=client_run_us)
+            workload.start_clients(world, stats, run_until_us=CLIENT_RUN_US)
 
         world.engine.process(clients())
 
     outcome: dict[str, Any] = {}
 
     def probe():
-        yield world.engine.timeout(freeze_at_us)
+        yield world.engine.timeout(FREEZE_AT_US)
         # Block input before freezing (SSIII): packets landing after the
         # socket dump would mutate the original mid-comparison.
         container.veth.ingress_plug.plug()

@@ -58,7 +58,6 @@ def run_roundtrip(
     seed: int,
     run_ms: int = DEFAULT_RUN_MS,
     config=None,
-    permuted: bool = True,
 ) -> dict:
     """One record→replay cell; returns a verdict dict.
 
@@ -67,9 +66,9 @@ def run_roundtrip(
     draw, and served draws whose digest equals the recorded log's.
     """
     record_log = NDLog(mode="record")
-    tiebreak = PermutedTieBreak(seed) if permuted else None
     recorded = run_instrumented(
-        workload, seed, run_ms=run_ms, config=config, tiebreak=tiebreak,
+        workload, seed, run_ms=run_ms, config=config,
+        tiebreak=PermutedTieBreak(seed),
         schedule_name="ndlog-record", detect=False, ndlog=record_log,
     )
 

@@ -7,7 +7,7 @@ surfaces in their own right.  This module statically answers "is this code
 allowed to be slow?" the same way :mod:`repro.analysis.coverage` answers
 "is the checkpoint complete?".
 
-Three layers:
+Two static layers, plus the work counters:
 
 * **Layer 1 — hot classification.**  A name-based call-graph pass over the
   hot subsystems (:data:`PERF_SCOPE_FILES`) classifies every function as
@@ -22,12 +22,10 @@ Three layers:
   :class:`~repro.analysis.linter.Finding` objects, per-line
   ``# nlint: disable=PERF002 -- why`` suppressions, ``--select/--ignore``
   filtering and the shared baseline gate (``perf-baseline.json``).
-* **Layer 3 — profiler cross-reference.**  :mod:`repro.analysis.perfbench`
-  runs a deterministic profiled workload (:mod:`repro.sim.profiler`) and
-  cross-references the counters against the Layer-2 findings: a finding
-  whose subsystem actually ran hot is **confirmed-hot**; one whose counters
-  stayed cold is downgraded — a static rule may not cry wolf about code the
-  profiler shows is cold.
+* **Work counters.**  The deterministic profiler
+  (:mod:`repro.sim.profiler`) counts the work a same-seed run does; the
+  paper gate's ``engine`` cells (:mod:`repro.experiments.engine`) pin
+  those counters exactly.
 
 Annotation vocabulary (on the ``def`` header, like ``# ckpt:``)::
 
@@ -56,9 +54,7 @@ PERF006   warning  aggregate recomputed by a full scan of a collection on
 
 Like the CKPT1xx pass, the call graph is *name-based* (a call to ``x.f()``
 reaches every in-scope function named ``f``), trading per-receiver
-precision for zero false "cold" verdicts; the Layer-3 profiler is the
-semantic backstop that separates truly-hot findings from the
-over-approximation.
+precision for zero false "cold" verdicts.
 """
 
 from __future__ import annotations

@@ -35,6 +35,8 @@ from repro.sim.engine import Interrupt, Process
 __all__ = ["MC_PARAMS", "McDeployment"]
 
 PAGE = 4096
+#: MC's execute phase: the same 30 ms epoch as NiLiCon's (§VI).
+EPOCH_EXECUTE_US = 30_000
 
 #: Per-benchmark MC model parameters (``McDeployment`` keyword arguments),
 #: keyed by workload name; the ``mc`` mode deploys a spec with its entry.
@@ -64,13 +66,11 @@ class McDeployment:
         self,
         world: World,
         spec: ContainerSpec,
-        epoch_execute_us: int = 30_000,
         cpu_tax: float = 0.02,
         guest_kernel_dirty_per_epoch: int = 150,
     ) -> None:
         self.world = world
         self.spec = spec
-        self.epoch_execute_us = epoch_execute_us
         self.guest_kernel_dirty_per_epoch = guest_kernel_dirty_per_epoch
         self.metrics = RunMetrics()
 
@@ -122,7 +122,7 @@ class McDeployment:
         cpu = self.container.cgroup.read_cpuacct()
         busy_us = cpu - self._activity_prev_cpu
         self._activity_prev_cpu = cpu
-        busy_frac = min(1.0, busy_us / self.epoch_execute_us)
+        busy_frac = min(1.0, busy_us / EPOCH_EXECUTE_US)
         # Even an idle guest kernel dirties some pages (timers, slab).
         return int(self.guest_kernel_dirty_per_epoch * max(0.15, busy_frac))
 
@@ -131,7 +131,7 @@ class McDeployment:
         engine = self.world.engine
         try:
             while not self._stopped:
-                yield engine.timeout(self.epoch_execute_us)
+                yield engine.timeout(EPOCH_EXECUTE_US)
                 if self._stopped:
                     return
                 epoch = self.epoch

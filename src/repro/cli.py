@@ -252,50 +252,13 @@ def _cmd_ckptcov(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    """Hot-path performance analyzer: PERF lint / profile."""
-    import json
-
+    """Hot-path performance analyzer: PERF lint."""
     from repro.analysis.perf import analyze_perf
 
-    # lint and profile both need the static pass and gate on its selfcheck.
     report, status = _static_report(analyze_perf, args)
     if report is None:
         return status
-    if args.action == "lint":
-        return _report_findings(report.findings, args, "repro perf")
-
-    # action == "profile"
-    from repro.analysis.perfbench import (
-        crossref,
-        run_profiled_deployment,
-        work_counters,
-    )
-
-    run_ms = 400 if args.smoke else args.run_ms
-    run = run_profiled_deployment(args.workload, run_ms=run_ms, seed=args.seed)
-    entries = crossref(report.findings, run.counters)
-    if args.json:
-        print(json.dumps(
-            {
-                "workload": run.workload,
-                "seed": run.seed,
-                "run_ms": run.run_ms,
-                "events": run.events,
-                "counter_digest": run.digest,
-                "counters": run.counters,
-                "findings": entries,
-            },
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(f"{run.workload}: {run.events} events dispatched in "
-              f"{run.sim_us} simulated us; counter digest {run.digest}")
-        for site, n in work_counters(run.counters).items():
-            print(f"  {site:<28} {n}")
-        for entry in entries:
-            print(f"  {entry['status']:<13} {entry['rule']} "
-                  f"{entry['path']}:{entry['line']} ({entry['evidence']})")
-    return 0
+    return _report_findings(report.findings, args, "repro perf")
 
 
 def _cmd_ndflow(args) -> int:
@@ -556,19 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="hot-path performance analyzer: PERF lint rules, deterministic "
-             "DES profiler",
-        parents=[seeded],
+        help="hot-path performance analyzer: PERF lint rules over the "
+             "per-event/per-page/per-epoch surface",
     )
     perf.add_argument("action", nargs="?", default="lint",
-                      choices=("selfcheck", "lint", "profile"))
+                      choices=("selfcheck", "lint"))
     _add_finding_options(perf)
-    perf.add_argument("--workload", default="net",
-                      help="profile: catalog workload to run (default: net)")
-    perf.add_argument("--run-ms", type=int, default=800,
-                      help="profile: simulated run length")
-    perf.add_argument("--smoke", action="store_true",
-                      help="profile: a 400 ms run")
 
     ndflow = sub.add_parser(
         "ndflow",

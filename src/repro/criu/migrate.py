@@ -36,6 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["LiveMigration", "MigrationStats"]
 
+#: Pre-copy round budget, and the dirty-set size (pages) at which pre-copy
+#: has converged and stop-and-copy begins.
+MAX_PRECOPY_ROUNDS = 8
+DIRTY_THRESHOLD_PAGES = 32
+
 
 @dataclass
 class MigrationStats:
@@ -61,8 +66,6 @@ class LiveMigration:
         source_endpoint: Endpoint,
         dest_endpoint: Endpoint,
         config: CriuConfig | None = None,
-        max_precopy_rounds: int = 8,
-        dirty_threshold_pages: int = 32,
         plug_egress_on_restore: bool = False,
     ) -> None:
         self.source_runtime = source_runtime
@@ -70,8 +73,6 @@ class LiveMigration:
         self.source_endpoint = source_endpoint
         self.dest_endpoint = dest_endpoint
         self.config = config if config is not None else CriuConfig.nilicon()
-        self.max_precopy_rounds = max_precopy_rounds
-        self.dirty_threshold_pages = dirty_threshold_pages
         #: Close the restored container's egress plug before it can run a
         #: single slice.  Set when migrating an output-committed (NiLiCon
         #: replicated) container: its output must stay fenced until the new
@@ -144,12 +145,12 @@ class LiveMigration:
         stats.rounds.append(shipped)
         yield self._transfer(shipment, shipped)
 
-        for _round in range(self.max_precopy_rounds):
+        for _round in range(MAX_PRECOPY_ROUNDS):
             shipment = yield from self._dirty_round(container)
             shipped = absorb(shipment)
             stats.rounds.append(shipped)
             yield self._transfer(shipment, shipped)
-            if shipped <= self.dirty_threshold_pages:
+            if shipped <= DIRTY_THRESHOLD_PAGES:
                 stats.converged = True
                 break
 

@@ -42,6 +42,10 @@ __all__ = [
     "run_server_benchmark",
 ]
 
+#: Warm-up before a measurement window opens; replicated modes also wait
+#: out their initial full checkpoint (:func:`_wait_until_ready`).
+SETTLE_US = ms(400)
+
 
 @dataclass
 class RunResult:
@@ -190,10 +194,9 @@ def run_overhead(
     cell = open_cell(workload_name, mode, seed)
     workload, deployment = cell.workload, cell.deployment
     cell.start()
-    settle = ms(400)
-    cell.world.run(until=settle)
+    cell.world.run(until=SETTLE_US)
     ops_at_settle = workload.operations
-    cell.world.run(until=settle + duration_us)
+    cell.world.run(until=SETTLE_US + duration_us)
     deployment.stop()
     if getattr(workload, "errors", None):
         raise RuntimeError(
@@ -212,11 +215,9 @@ def run_server_benchmark(
     workload_name: str,
     mode: str,
     duration_us: int = sec(3),
-    settle_us: int = ms(400),
     seed: int = 1,
     config: NiliconConfig | None = None,
     workload_kwargs: dict | None = None,
-    client_kwargs: dict | None = None,
 ) -> RunResult:
     """Measure saturated throughput of *workload_name* under *mode*."""
     cell = open_cell(
@@ -232,17 +233,15 @@ def run_server_benchmark(
     window: dict[str, int] = {}
 
     def launch_clients():
-        yield from _wait_until_ready(world, deployment, settle_us)
+        yield from _wait_until_ready(world, deployment, SETTLE_US)
         window["start"] = world.now
         window["end"] = world.now + duration_us
         window["cpu"] = deployment.container.cgroup.read_cpuacct()
         window["link_bytes"] = link.bytes_sent
-        workload.start_clients(
-            world, cell.stats, run_until_us=window["end"], **(client_kwargs or {})
-        )
+        workload.start_clients(world, cell.stats, run_until_us=window["end"])
 
     world.engine.process(launch_clients())
-    world.run(until=settle_us + duration_us)
+    world.run(until=SETTLE_US + duration_us)
     while "end" not in window or world.now < window["end"]:
         world.run(until=world.now + ms(50))
     deployment.stop()
@@ -290,7 +289,7 @@ def run_compute_benchmark(
     # the initial full checkpoint finish before the work quota starts, so
     # completion time measures steady-state overhead.
     deployment.start()
-    settle = ms(400) if mode != "stock" else 0
+    settle = SETTLE_US if mode != "stock" else 0
     completion: list[int] = []
     window: dict[str, int] = {}
 

@@ -269,7 +269,7 @@ _register(Scenario(
 
 
 # -- HyCoR-mode scenarios ---------------------------------------------------
-# Flush fences tick every NiliconConfig.hycor_log_flush_us (3 ms), so flush
+# Flush fences tick every LogShipper.FLUSH_US (3 ms), so flush
 # ordinals ~= run time / 3 ms; these land between the clients' start
 # (~120 ms) and the nilicon scenarios' TARGET_EPOCH crash (~epoch 12).
 _FLUSH_TARGET = 120

@@ -58,6 +58,13 @@ __all__ = [
     "FleetController", "FleetMember", "MEMBER_EDGES", "MEMBER_STATES",
 ]
 
+#: Control-loop period: one scan + converge pass per interval; the
+#: supervisor checks the loop every two.
+SCAN_INTERVAL_US = ms(10)
+#: Longest a migration waits for buffered output to drain through the last
+#: acknowledged barrier before it tears replication down.
+MIGRATION_DRAIN_US = ms(500)
+
 MEMBER_STATES = (
     "deploying",
     "protected",
@@ -145,31 +152,24 @@ class FleetController:
         self,
         world: World,
         pool: HostPool,
-        fleet_spec: FleetSpec | None = None,
-        specs: list[ContainerSpec] | None = None,
+        fleet_spec: FleetSpec,
         config: NiliconConfig | None = None,
         seed: int = 0,
-        scan_interval_us: int = ms(10),
     ) -> None:
-        if specs is None:
-            if fleet_spec is None:
-                raise ValueError("pass fleet_spec or specs")
-            fleet_spec.validate()
-            specs = fleet_spec.container_specs()
+        fleet_spec.validate()
         self.world = world
         self.engine = world.engine
         self.pool = pool
-        self.specs = specs
-        self.strategy = fleet_spec.strategy if fleet_spec is not None else "spread"
+        self.specs = fleet_spec.container_specs()
+        self.strategy = fleet_spec.strategy
         self.config = config if config is not None else NiliconConfig.nilicon()
         # The fleet spec's replication mode wins: every deployment this
         # controller builds (deploy, reprotect, repair, migrate) derives
         # its strategy from self.config, so folding it in here is what
         # makes topology changes re-establish the same mode.
-        if fleet_spec is not None and self.config.mode != fleet_spec.mode:
+        if self.config.mode != fleet_spec.mode:
             self.config = self.config.with_(mode=fleet_spec.mode)
         self.seed = seed
-        self.scan_interval_us = scan_interval_us
         self.members: dict[str, FleetMember] = {}
         #: Per-member service re-attach hooks (run on failover/migration).
         self._service_attach: dict[str, Callable[[Container], None]] = {}
@@ -298,7 +298,7 @@ class FleetController:
     def _control_loop(self) -> Generator[Any, Any, None]:
         try:
             while not self._stopped:  # ft: bounded -- stop() flips _stopped; each pass sleeps one scan interval
-                yield self.engine.timeout(self.scan_interval_us)
+                yield self.engine.timeout(SCAN_INTERVAL_US)
                 if self._stopped:
                     return
                 self._scan()
@@ -314,7 +314,7 @@ class FleetController:
         """Restart the control loop if it dies — the controller itself is
         fail-stop, and the fleet must survive its failures too."""
         while not self._stopped:  # ft: bounded -- stop() flips _stopped; each pass sleeps two scan intervals
-            yield self.engine.timeout(self.scan_interval_us * 2)
+            yield self.engine.timeout(SCAN_INTERVAL_US * 2)
             if self._stopped:
                 return
             if self._control_process is None or not self._control_process.is_alive:
@@ -578,7 +578,6 @@ class FleetController:
         name: str,
         dest: Host,
         abort_timeout_us: int = ms(2000),
-        drain_timeout_us: int = ms(500),
     ) -> Generator[Any, Any, MigrationStats | None]:
         """Move member *name*'s primary to *dest* (planned rebalancing).
 
@@ -622,7 +621,7 @@ class FleetController:
         yield from old.primary_agent.quiesce()
         # 2. Drain: let in-flight acks release already-committed output.
         plug = member.container.veth.egress_plug
-        deadline = engine.now + drain_timeout_us
+        deadline = engine.now + MIGRATION_DRAIN_US
         while plug.barrier_epochs() and engine.now < deadline:
             yield engine.timeout(ms(5))
         # 3. Tear down replication — detector before heartbeat sender.
@@ -637,9 +636,7 @@ class FleetController:
         initial_epoch = old.primary_agent.epoch
 
         channel = self.pool.channel_between(source, dest)
-        source_end, dest_end = channel.a, channel.b
-        if any(ep is channel.b for ep in source.endpoints.values()):
-            source_end, dest_end = channel.b, channel.a
+        source_end, dest_end = channel.ends_for(source, dest)
         source_port = EndpointRouter.attach(source_end, engine).port(
             f"{name}:migrate"
         )

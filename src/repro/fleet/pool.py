@@ -39,12 +39,10 @@ class HostPool:
         world: World,
         n_hosts: int,
         slots_per_host: int = 8,
-        name_prefix: str = "node",
     ) -> None:
         self.world = world
         self.engine = world.engine
         self.slots_per_host = slots_per_host
-        self.name_prefix = name_prefix
         self.hosts: dict[str, Host] = {}
         #: ``(member_name, role)`` -> host name, role in {"primary", "backup"}.
         self.allocations: dict[tuple[str, str], str] = {}
@@ -73,7 +71,7 @@ class HostPool:
     def add_host(self, name: str | None = None) -> Host:
         """Grow the pool (also how a degraded fleet gets un-stuck)."""
         if name is None:
-            name = f"{self.name_prefix}{len(self.hosts)}"
+            name = f"node{len(self.hosts)}"
         if name in self.hosts:
             raise ValueError(f"host {name!r} already pooled")
         host = self.world.add_host(name)

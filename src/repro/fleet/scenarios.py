@@ -17,7 +17,7 @@ from typing import Any, Callable, Generator
 from repro.faultinject.plan import FaultPlan, PointFault
 from repro.fleet.controller import FleetController
 from repro.fleet.placement import PlacementDecision
-from repro.fleet.service import open_fleet
+from repro.fleet.service import FleetCell, open_fleet
 from repro.fleet.spec import FleetSpec
 from repro.net.world import World
 from repro.replication.config import NiliconConfig
@@ -37,8 +37,9 @@ class FleetScenario:
     #: Fault points this scenario exercises (for coverage accounting).
     points: tuple[str, ...]
     make_plan: Callable[[World, FleetController], FaultPlan]
-    #: Spawns the scenario's failure/migration timeline on the engine.
-    schedule: Callable[[World, FleetController], None]
+    #: Spawns the scenario's failure/migration timeline on the cell's
+    #: engine; every fail-stop goes through :meth:`FleetCell.fail_host_at`.
+    schedule: Callable[[FleetCell], None]
     #: Scenario-specific assertions; returns violations (empty = pass).
     check: Callable[[FleetController, FaultPlan], list[str]]
     #: Fixed placement override (None = run the placement policy).
@@ -94,7 +95,7 @@ def run_fleet_scenario(
                       n_requests=scenario.n_requests)
     world, controller = cell.world, cell.controller
     plan = scenario.make_plan(world, controller).arm(world.engine)
-    scenario.schedule(world, controller)
+    scenario.schedule(cell)
     cell.run(scenario.run_until_us)
     plan.disarm()
 
@@ -117,14 +118,35 @@ def run_fleet_scenario(
 # --------------------------------------------------------------------- #
 # Schedule helpers                                                       #
 # --------------------------------------------------------------------- #
-def _failstop_primary_of(world: World, controller: FleetController,
-                         member: str, at_us: int) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(at_us)
-        host = controller.pool.host(controller.members[member].primary)
-        controller.inject_host_failstop(host)
+def _failstop_svc0_primary(cell: FleetCell) -> None:
+    """Fail-stop svc0's primary host (whichever it is by then) at 600 ms."""
+    cell.fail_host_at(
+        ms(600), lambda: (cell.controller.members["svc0"].primary,))
 
-    world.engine.process(timeline(), name=f"failstop-{member}")
+
+def _failstop_then_grow(host: str) -> Callable[[FleetCell], None]:
+    """Fail-stop *host* at 600 ms; capacity returns at 1.5 s, and the
+    control loop must re-protect on its own."""
+
+    def schedule(cell: FleetCell) -> None:
+        cell.fail_host_at(ms(600), host)
+        cell.world.engine.call_later(ms(1500), cell.pool.add_host)
+
+    return schedule
+
+
+def _migrate_svc0_to_node2(cell: FleetCell) -> None:
+    """Start a planned migration of svc0 onto node2 at 600 ms."""
+    engine = cell.world.engine
+
+    def timeline() -> Generator[Any, Any, None]:
+        yield engine.timeout(ms(600))
+        dest = cell.pool.host("node2")
+        yield from cell.controller.migrate_container(
+            "svc0", dest, abort_timeout_us=ms(300)
+        )
+
+    engine.process(timeline(), name="migrate-svc0")
 
 
 def _expect(cond: bool, message: str) -> list[str]:
@@ -157,9 +179,7 @@ _register(FleetScenario(
     make_plan=lambda world, controller: FaultPlan(
         points=[PointFault(point="fleet.mid_reprotect", kill=True)]
     ),
-    schedule=lambda world, controller: _failstop_primary_of(
-        world, controller, "svc0", at_us=ms(600)
-    ),
+    schedule=_failstop_svc0_primary,
     check=_crash_check,
     edges=(
         "deploying->protected",
@@ -194,9 +214,7 @@ _register(FleetScenario(
     make_plan=lambda world, controller: FaultPlan(
         points=[PointFault(point="fleet.pre_reprotect", stall_us=ms(200))]
     ),
-    schedule=lambda world, controller: _failstop_primary_of(
-        world, controller, "svc0", at_us=ms(600)
-    ),
+    schedule=_failstop_svc0_primary,
     check=_stall_check,
     edges=(
         "deploying->protected",
@@ -210,18 +228,6 @@ _register(FleetScenario(
 # --------------------------------------------------------------------- #
 # 3. Spare pool exhausted -> degraded -> capacity returns                #
 # --------------------------------------------------------------------- #
-def _exhausted_schedule(world: World, controller: FleetController) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(ms(600))
-        # Kill the host backing *both* members: repairs find no candidate.
-        controller.inject_host_failstop(controller.pool.host("node1"))
-        yield world.engine.timeout(ms(900))
-        # Capacity returns; the control loop must re-protect on its own.
-        controller.pool.add_host()
-
-    world.engine.process(timeline(), name="exhaust-timeline")
-
-
 def _exhausted_check(controller: FleetController, plan: FaultPlan) -> list[str]:
     problems = []
     for member in controller.members.values():
@@ -248,7 +254,8 @@ _register(FleetScenario(
     make_plan=lambda world, controller: FaultPlan(
         points=[PointFault(point="fleet.pool_exhausted")]
     ),
-    schedule=_exhausted_schedule,
+    # node1 backs *both* members: repairs find no candidate.
+    schedule=_failstop_then_grow("node1"),
     check=_exhausted_check,
     run_until_us=sec(4),
     edges=(
@@ -264,22 +271,6 @@ _register(FleetScenario(
 # --------------------------------------------------------------------- #
 # 3b. Failover into an exhausted pool -> degraded -> capacity returns    #
 # --------------------------------------------------------------------- #
-def _failover_exhausted_schedule(world: World,
-                                 controller: FleetController) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(ms(600))
-        # Both primaries live on node0; killing it makes both members fail
-        # over onto node1 — whose slots their backups already occupy.  The
-        # re-protection path (not the repair path) then finds the pool
-        # exhausted.
-        controller.inject_host_failstop(controller.pool.host("node0"))
-        yield world.engine.timeout(ms(900))
-        # Capacity returns; the control loop must re-protect on its own.
-        controller.pool.add_host()
-
-    world.engine.process(timeline(), name="failover-exhaust-timeline")
-
-
 def _failover_exhausted_check(controller: FleetController,
                               plan: FaultPlan) -> list[str]:
     problems = []
@@ -318,7 +309,11 @@ _register(FleetScenario(
     make_plan=lambda world, controller: FaultPlan(
         points=[PointFault(point="fleet.pool_exhausted")]
     ),
-    schedule=_failover_exhausted_schedule,
+    # Both primaries live on node0; killing it makes both members fail
+    # over onto node1 — whose slots their backups already occupy.  The
+    # re-protection path (not the repair path) then finds the pool
+    # exhausted.
+    schedule=_failstop_then_grow("node0"),
     check=_failover_exhausted_check,
     run_until_us=sec(4),
     edges=(
@@ -334,17 +329,6 @@ _register(FleetScenario(
 # --------------------------------------------------------------------- #
 # 4. Migration link cut mid-transfer                                     #
 # --------------------------------------------------------------------- #
-def _migration_cut_schedule(world: World, controller: FleetController) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(ms(600))
-        dest = controller.pool.host("node2")
-        yield from controller.migrate_container(
-            "svc0", dest, abort_timeout_us=ms(300)
-        )
-
-    world.engine.process(timeline(), name="migrate-timeline")
-
-
 def _migration_cut_plan(world: World, controller: FleetController) -> FaultPlan:
     def cut_migration_link(engine) -> None:
         member = controller.members["svc0"]
@@ -388,7 +372,7 @@ _register(FleetScenario(
         PlacementDecision("svc1", "node1", "node2"),
     ),
     make_plan=_migration_cut_plan,
-    schedule=_migration_cut_schedule,
+    schedule=_migrate_svc0_to_node2,
     check=_migration_cut_check,
     run_until_us=sec(4),
     edges=(
@@ -404,16 +388,6 @@ _register(FleetScenario(
 # --------------------------------------------------------------------- #
 # 5. Two simultaneous primary fail-stops sharing one backup host         #
 # --------------------------------------------------------------------- #
-def _double_schedule(world: World, controller: FleetController) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(ms(600))
-        # Same instant: both primaries die; both detectors live on node2.
-        controller.inject_host_failstop(controller.pool.host("node0"))
-        controller.inject_host_failstop(controller.pool.host("node1"))
-
-    world.engine.process(timeline(), name="double-failstop")
-
-
 def _double_check(controller: FleetController, plan: FaultPlan) -> list[str]:
     problems = []
     for name in ("svc0", "svc1"):
@@ -442,7 +416,8 @@ _register(FleetScenario(
         PlacementDecision("svc1", "node1", "node2"),
     ),
     make_plan=lambda world, controller: FaultPlan(),
-    schedule=_double_schedule,
+    # Same instant: both primaries die; both detectors live on node2.
+    schedule=lambda cell: cell.fail_host_at(ms(600), lambda: ("node0", "node1")),
     check=_double_check,
     run_until_us=sec(4),
     edges=(
@@ -505,9 +480,7 @@ _register(FleetScenario(
         PlacementDecision("svc1", "node2", "node3"),
     ),
     make_plan=_reprotect_backup_killer,
-    schedule=lambda world, controller: _failstop_primary_of(
-        world, controller, "svc0", at_us=ms(600)
-    ),
+    schedule=_failstop_svc0_primary,
     check=_backup_failstop_check,
     run_until_us=sec(4),
     edges=(
@@ -525,17 +498,6 @@ _register(FleetScenario(
 # --------------------------------------------------------------------- #
 # 7. Migration destination fail-stops after the slot reservation         #
 # --------------------------------------------------------------------- #
-def _dest_failstop_schedule(world: World, controller: FleetController) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(ms(600))
-        dest = controller.pool.host("node2")
-        yield from controller.migrate_container(
-            "svc0", dest, abort_timeout_us=ms(300)
-        )
-
-    world.engine.process(timeline(), name="dest-failstop-migrate")
-
-
 def _dest_failstop_plan(world: World, controller: FleetController) -> FaultPlan:
     def kill_dest(engine) -> None:
         # The primary-next reservation just committed; the destination dies
@@ -584,7 +546,7 @@ _register(FleetScenario(
         PlacementDecision("svc1", "node1", "node2"),
     ),
     make_plan=_dest_failstop_plan,
-    schedule=_dest_failstop_schedule,
+    schedule=_migrate_svc0_to_node2,
     check=_dest_failstop_check,
     run_until_us=sec(4),
     edges=(
@@ -600,18 +562,6 @@ _register(FleetScenario(
 # --------------------------------------------------------------------- #
 # 8. Both hosts of one pair fail-stop inside a detection window          #
 # --------------------------------------------------------------------- #
-def _both_hosts_schedule(world: World, controller: FleetController) -> None:
-    def timeline() -> Generator[Any, Any, None]:
-        yield world.engine.timeout(ms(900))
-        # Same instant: primary and backup die before the detector can
-        # fire.  No copy of svc0 survives — by design, this is the one
-        # failure mode NiLiCon does not mask.
-        controller.inject_host_failstop(controller.pool.host("node0"))
-        controller.inject_host_failstop(controller.pool.host("node1"))
-
-    world.engine.process(timeline(), name="both-hosts-failstop")
-
-
 def _both_hosts_check(controller: FleetController, plan: FaultPlan) -> list[str]:
     svc0 = controller.members["svc0"]
     svc1 = controller.members["svc1"]
@@ -643,7 +593,10 @@ _register(FleetScenario(
         PlacementDecision("svc1", "node2", "node3"),
     ),
     make_plan=lambda world, controller: FaultPlan(),
-    schedule=_both_hosts_schedule,
+    # Same instant: primary and backup die before the detector can fire.
+    # No copy of svc0 survives — by design, this is the one failure mode
+    # NiLiCon does not mask.
+    schedule=lambda cell: cell.fail_host_at(ms(900), lambda: ("node0", "node1")),
     check=_both_hosts_check,
     n_requests=12,
     expect_dead=("svc0",),

@@ -40,10 +40,9 @@ class FleetSpec:
     #: Every member mounts one namespaced data filesystem (exercises the
     #: per-container DRBD path at fleet scale).
     with_disk: bool = True
-    name_prefix: str = "svc"
 
     def member_names(self) -> list[str]:
-        return [f"{self.name_prefix}{i}" for i in range(self.n_containers)]
+        return [f"svc{i}" for i in range(self.n_containers)]
 
     def member_ip(self, index: int) -> str:
         # 10.0.2.x is reserved for fleet members (the single-pair tests use

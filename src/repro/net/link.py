@@ -14,12 +14,15 @@ backup CPU than Redis's bulk pages (paper Table V discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.engine import Engine
 from repro.sim.faults import link_fault
 from repro.sim.resources import Queue
 from repro.sim.units import SECOND
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.host import Host
 
 __all__ = ["Channel", "Endpoint", "Delivery"]
 
@@ -96,6 +99,21 @@ class Channel:
     @property
     def b(self) -> Endpoint:
         return self.ends[1]
+
+    def ends_for(self, near: "Host", far: "Host") -> tuple[Endpoint, Endpoint]:
+        """``(near_end, far_end)``: the ends terminating at *near* and *far*.
+
+        A pooled channel may have been provisioned in either direction
+        (host A's end is ``.a`` for one pair and ``.b`` for another), so
+        orient by which end each host holds; two transfers in opposite
+        directions then contend on opposite link directions, as they
+        physically would.
+        """
+        if any(ep is self.b for ep in near.endpoints.values()) or any(
+            ep is self.a for ep in far.endpoints.values()
+        ):
+            return self.b, self.a
+        return self.a, self.b
 
     def cut(self) -> None:
         """Fail-stop: silence the channel in both directions."""

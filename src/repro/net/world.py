@@ -16,6 +16,13 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["World", "reset_id_counters"]
 
+#: The client-facing bridged network (§VI: 1 GbE).
+CLIENT_BANDWIDTH_BPS = 1_000_000_000
+CLIENT_LATENCY_US = 150
+#: Every dedicated replication link between two hosts (§VI: 10 GbE).
+PAIR_BANDWIDTH_BPS = 10_000_000_000
+PAIR_LATENCY_US = 50
+
 
 class World:
     """Container for everything one experiment run needs."""
@@ -23,25 +30,17 @@ class World:
     #: Experiment scaffolding (hosts, bridge, channel); outlives failures.
     __ckpt_ignore__ = True
 
-    def __init__(
-        self,
-        seed: int = 1,
-        costs: CostModel | None = None,
-        client_bandwidth_bps: int = 1_000_000_000,
-        client_latency_us: int = 150,
-        pair_bandwidth_bps: int = 10_000_000_000,
-        pair_latency_us: int = 50,
-    ) -> None:
+    def __init__(self, seed: int = 1) -> None:
         self.engine = Engine()
-        self.costs = costs if costs is not None else CostModel()
+        self.costs = CostModel()
         self.rng = RngRegistry(seed)
 
         #: The client-facing switched network (1 GbE).
         self.bridge = Bridge(
             self.engine,
             name="client-net",
-            bandwidth_bps=client_bandwidth_bps,
-            latency_us=client_latency_us,
+            bandwidth_bps=CLIENT_BANDWIDTH_BPS,
+            latency_us=CLIENT_LATENCY_US,
         )
 
         self.primary = Host(self.engine, self.costs, "primary")
@@ -52,8 +51,8 @@ class World:
         self.pair_channel = Channel(
             self.engine,
             name="pair-10g",
-            bandwidth_bps=pair_bandwidth_bps,
-            latency_us=pair_latency_us,
+            bandwidth_bps=PAIR_BANDWIDTH_BPS,
+            latency_us=PAIR_LATENCY_US,
         )
         self.primary.attach_endpoint("pair", self.pair_channel.a, self.pair_channel)
         self.backup.attach_endpoint("pair", self.pair_channel.b, self.pair_channel)
@@ -75,8 +74,8 @@ class World:
         channel = Channel(
             self.engine,
             name=f"{a.name}-{b.name}-10g",
-            bandwidth_bps=10_000_000_000,
-            latency_us=50,
+            bandwidth_bps=PAIR_BANDWIDTH_BPS,
+            latency_us=PAIR_LATENCY_US,
         )
         a.attach_endpoint(logical_name, channel.a, channel)
         b.attach_endpoint(logical_name, channel.b, channel)

@@ -90,7 +90,6 @@ class BackupAgent:
             engine,
             on_failure=self._on_failure_detected,
             interval_us=config.heartbeat_interval_us,
-            miss_threshold=config.heartbeat_miss_threshold,
         )
 
         #: Latest committed in-kernel component state.

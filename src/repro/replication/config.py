@@ -34,10 +34,10 @@ class NiliconConfig:
 
     #: Execution-phase length (paper: 30 ms).
     epoch_execute_us: int = ms(30)
-    #: Failure detector: heartbeat period and miss threshold (paper: 30 ms,
-    #: 3 consecutive misses => ~90 ms mean detection latency).
+    #: Failure-detector heartbeat period (paper: 30 ms; with
+    #: :data:`~repro.replication.heartbeat.MISS_THRESHOLD` consecutive
+    #: misses => ~90 ms mean detection latency).
     heartbeat_interval_us: int = ms(30)
-    heartbeat_miss_threshold: int = 3
     #: Arm the failure detector.  Disabled for overhead-only measurements of
     #: unoptimized configurations whose stop times exceed the detection
     #: window (the paper's 90 ms detector is only compatible with the
@@ -60,7 +60,6 @@ class NiliconConfig:
     #: compresses well).  Trades primary/backup CPU per page for pair-link
     #: bytes.  Off in the paper's NiLiCon; provided for the ablation study.
     compress_transfer: bool = False
-    compression_ratio: float = 0.30
     #: Run the runtime state auditor (:mod:`repro.analysis.auditor`) at
     #: every epoch boundary and after every restore.  Costs real (host) CPU
     #: but zero simulated time; off by default, on in property tests.
@@ -104,11 +103,6 @@ class NiliconConfig:
     #: nondeterminism log continuously and releases output on log commit,
     #: replaying the shipped tail on the backup at failover.
     mode: str = "nilicon"
-    #: HyCoR log-flush period: the primary closes and ships the open
-    #: nondeterminism-log window every this many microseconds, so released
-    #: output waits roughly one flush interval plus the log-commit round
-    #: trip instead of up to a whole epoch.
-    hycor_log_flush_us: int = ms(3)
 
     @classmethod
     def nilicon(cls) -> "NiliconConfig":

@@ -17,7 +17,10 @@ from repro.net.link import Endpoint
 from repro.sim.access import record_access
 from repro.sim.engine import Engine, Process
 
-__all__ = ["FailureDetector", "HeartbeatSender"]
+__all__ = ["FailureDetector", "HeartbeatSender", "MISS_THRESHOLD"]
+
+#: Consecutive empty heartbeat intervals that declare the primary failed.
+MISS_THRESHOLD = 3
 
 
 class HeartbeatSender:
@@ -69,8 +72,8 @@ class FailureDetector:
 
     The backup agent feeds heartbeat arrivals in via :meth:`on_heartbeat`;
     the detector's own loop checks, every interval, whether any heartbeat
-    arrived.  After ``miss_threshold`` consecutive empty intervals it fires
-    ``on_failure`` once.
+    arrived.  After :data:`MISS_THRESHOLD` consecutive empty intervals it
+    fires ``on_failure`` once.
     """
 
     def __init__(
@@ -78,12 +81,10 @@ class FailureDetector:
         engine: Engine,
         on_failure: Callable[[], None],
         interval_us: int = 30_000,
-        miss_threshold: int = 3,
     ) -> None:
         self.engine = engine
         self.on_failure = on_failure
         self.interval_us = interval_us
-        self.miss_threshold = miss_threshold
         self._last_beat_at: int | None = None
         self._misses = 0
         self.fired = False
@@ -135,7 +136,7 @@ class FailureDetector:
                 self._misses = 0
                 continue
             self._misses += 1
-            if self._misses >= self.miss_threshold:
+            if self._misses >= MISS_THRESHOLD:
                 self.fired = True
                 self.fired_at = self.engine.now
                 self.on_failure()

@@ -14,8 +14,8 @@ Three pieces, all driven by :mod:`repro.replication.modes`:
 * :class:`LogShipper` — installs an :class:`~repro.kernel.mm.AddressSpace`
   ``capture_hook`` per process, so every page write lands in the open
   window of a per-process stream (``mm<i>``); a flush loop closes the
-  window every ``hycor_log_flush_us``, inserts a flush-sequence egress
-  barrier, and ships the window (entries + their
+  window every :attr:`LogShipper.FLUSH_US` (3 ms), inserts a
+  flush-sequence egress barrier, and ships the window (entries + their
   :func:`~repro.sim.ndlog.entries_digest`) to the backup.  The shipper
   keeps nothing past the open window: the checkpoint's frozen flush
   sequence is what bounds the replay tail.
@@ -48,6 +48,7 @@ from repro.sim.engine import Interrupt
 from repro.sim.faults import coverage_mark, fault_point
 from repro.sim.ndlog import entries_digest
 from repro.sim.trace import trace
+from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.container.runtime import Container
@@ -112,14 +113,16 @@ class LogShipper:
     ENTRY_WIRE_BYTES = 48
     #: Fixed framing bytes per flush message.
     FLUSH_WIRE_BYTES = 64
+    #: Log-flush period: the open window closes and ships every this many
+    #: microseconds, so released output waits roughly one flush interval
+    #: plus the log-commit round trip instead of up to a whole epoch.
+    FLUSH_US = ms(3)
 
-    def __init__(self, engine, container: "Container", endpoint, netbuffer,
-                 flush_us: int) -> None:
+    def __init__(self, engine, container: "Container", endpoint, netbuffer) -> None:
         self.engine = engine
         self.container = container
         self.endpoint = endpoint
         self.netbuffer = netbuffer
-        self.flush_us = flush_us
         #: Global monotonic flush sequence; continues an adopted
         #: container's numbering (see :func:`hycor_flush_seq`).
         self.seq = hycor_flush_seq(container)
@@ -151,7 +154,7 @@ class LogShipper:
     def flush_loop(self) -> Generator[Any, Any, None]:
         try:
             while not self.container.dead:  # ft: bounded -- exits on container death each period; stop/crash interrupt it
-                yield self.engine.timeout(self.flush_us)
+                yield self.engine.timeout(self.FLUSH_US)
                 if self.container.dead:
                     return
                 self._flush()
@@ -203,7 +206,6 @@ class HycorPrimaryAgent(PrimaryAgent):
             container=self.container,
             endpoint=self.endpoint,
             netbuffer=self.netbuffer,
-            flush_us=self.config.hycor_log_flush_us,
         )
         #: Highest checkpoint epoch the backup has committed.  Replay-
         #: truncation bookkeeping only: under HyCoR a checkpoint ack

@@ -116,16 +116,7 @@ class ReplicatedDeployment:
         # replicated containers coexist on one host pair (multi-tenancy).
         from repro.net.router import EndpointRouter
 
-        # A pooled channel may have been provisioned in either direction
-        # (host A's end is ``.a`` for one member's pair and ``.b`` for
-        # another's); orient by which end terminates at which host, so two
-        # members replicating in opposite directions contend on opposite
-        # link directions, as they physically would.
-        primary_end, backup_end = channel.a, channel.b
-        if any(
-            ep is channel.b for ep in self.primary_host.endpoints.values()
-        ) or any(ep is channel.a for ep in self.backup_host.endpoints.values()):
-            primary_end, backup_end = channel.b, channel.a
+        primary_end, backup_end = channel.ends_for(self.primary_host, self.backup_host)
         primary_endpoint = EndpointRouter.attach(primary_end, engine).port(spec.name)
         backup_endpoint = EndpointRouter.attach(backup_end, engine).port(spec.name)
 

@@ -45,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["PrimaryAgent"]
 
+#: Wire size of a compressed state stream relative to its raw size
+#: (``compress_transfer``): dirty pages change little between epochs, so
+#: delta+RLE shrinks them to about this share.
+COMPRESSION_RATIO = 0.30
+
 # REGRESSION GENERATOR for NiliconConfig.unsafe_unlogged_draw: unseeded
 # (OS entropy) and invisible to both the RngRegistry and the NDLog, so a
 # record-mode run and its replay draw different values — exactly the bug
@@ -340,7 +345,7 @@ class PrimaryAgent:
         size = image.size_bytes()
         compressed = self.config.compress_transfer
         if compressed:
-            size = max(1024, int(size * self.config.compression_ratio))
+            size = max(1024, int(size * COMPRESSION_RATIO))
         message = {
             "kind": "state",
             "epoch": epoch,

@@ -1,12 +1,12 @@
-"""Deterministic hot-path profiler (the perf analyzer's Layer 3).
+"""Deterministic hot-path profiler: the paper gate's work counters.
 
 The profiler is a pure *counter* instrument: it counts simulation work —
 events dispatched (by event class), heap pushes, process resumptions (by
 process name), trace emissions (by category), pages written/digested/
 stored, bytes hashed — and never reads the wall clock, so two same-seed
-runs produce byte-identical counter sets.  ``repro perf --profile`` relies
-on that: its output digest is a replay check the same way the fleet
-campaign's trace digest is.
+runs produce byte-identical counter sets.  The paper gate's ``engine``
+artifact (:mod:`repro.experiments.engine`) relies on that: it compares
+the counters and their digest exactly, as a replay check.
 
 The profiler is an engine :class:`~repro.sim.engine.Observer`, installed
 in the engine's one observer slot like the race detector (see
@@ -25,11 +25,6 @@ Counter vocabulary (dotted sites; see ``docs/perf.md``)::
     mm.pages_written             mm.pages_snapshotted    mm.faults
     digest.pages_digested        digest.bytes_hashed     digest.cache_hits
     pagestore.pages_stored       pool.slot_ops           pool.load_queries
-
-The L2↔L3 cross-reference (:func:`repro.analysis.perfbench.crossref`) maps these
-sites back onto the static call graph: a PERF finding is *confirmed-hot*
-only if a profiled counter proves its enclosing function's root actually
-ran hot.
 """
 
 from __future__ import annotations

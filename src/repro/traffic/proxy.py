@@ -13,8 +13,8 @@ The pieces the fault-tolerance story needs:
   count sequence on one member) and are re-pinned round-robin when their
   member is evicted, draining or dead.
 * **Health checks** — a prober per member sends a probe request every
-  ``health_interval_us``; ``probes_to_evict`` consecutive misses (no
-  reply within ``health_timeout_us``) evict the upstream, the first
+  :data:`HEALTH_INTERVAL_US`; :data:`PROBES_TO_EVICT` consecutive misses
+  (no reply within :data:`HEALTH_TIMEOUT_US`) evict the upstream, the first
   subsequent reply readmits it.  Output-commit makes even healthy replies
   arrive in epoch bursts, so the timeout must sit well above an epoch.
 * **Controller signals** — the proxy subscribes to
@@ -65,6 +65,18 @@ __all__ = ["ProxyCounters", "TrafficProxy", "PROXY_PORT", "REQUEST_BYTES",
 PROXY_PORT = 8088
 REQUEST_BYTES = 8
 REPLY_BYTES = 12
+
+#: Pooled upstream connections per member.
+CONNS_PER_MEMBER = 2
+#: Health checks: a probe every interval; this many consecutive misses (no
+#: reply within the timeout, which sits well above an epoch) evict.
+HEALTH_INTERVAL_US = ms(120)
+HEALTH_TIMEOUT_US = ms(900)
+PROBES_TO_EVICT = 2
+#: Draining polls the member's in-flight count at this period, for at most
+#: the timeout.
+DRAIN_POLL_US = ms(5)
+DRAIN_TIMEOUT_US = ms(1500)
 
 #: Member states the router considers assignable (controller signal).
 _ROUTABLE_STATES = frozenset((
@@ -273,23 +285,12 @@ class TrafficProxy:
         *,
         ip: str = "10.0.8.1",
         port: int = PROXY_PORT,
-        conns_per_member: int = 2,
-        health_interval_us: int = ms(120),
-        health_timeout_us: int = ms(900),
-        probes_to_evict: int = 2,
-        drain_poll_us: int = ms(5),
-        drain_timeout_us: int = ms(1500),
     ) -> None:
         self.world = world
         self.engine = world.engine
         self.controller = controller
         self.ip = ip
         self.port = port
-        self.health_interval_us = health_interval_us
-        self.health_timeout_us = health_timeout_us
-        self.probes_to_evict = probes_to_evict
-        self.drain_poll_us = drain_poll_us
-        self.drain_timeout_us = drain_timeout_us
         self.counters = ProxyCounters()
         self.stopped = False
         self._probe_serial = 0
@@ -304,7 +305,7 @@ class TrafficProxy:
         for name in sorted(controller.members):
             member = controller.members[name]
             self.upstreams[name] = _Upstream(
-                self, name, member.spec.ip, conns_per_member
+                self, name, member.spec.ip, CONNS_PER_MEMBER
             )
         controller.state_listeners.append(self._on_member_state)
 
@@ -344,7 +345,7 @@ class TrafficProxy:
     # -- draining ------------------------------------------------------- #
     def drain(self, member: str) -> Generator[Any, Any, bool]:
         """Stop routing new requests to *member*, then wait for its
-        in-flight count to reach zero (bounded by ``drain_timeout_us``).
+        in-flight count to reach zero (bounded by :data:`DRAIN_TIMEOUT_US`).
         Returns True when the member drained dry."""
         upstream = self.upstreams[member]
         if not upstream.draining:
@@ -352,9 +353,9 @@ class TrafficProxy:
             trace(self.engine, "traffic", "drain_begin", member=member,
                   reason="explicit")
         self.counters.drains += 1
-        deadline = self.engine.now + self.drain_timeout_us
+        deadline = self.engine.now + DRAIN_TIMEOUT_US
         while upstream.inflight() and self.engine.now < deadline:
-            yield self.engine.timeout(self.drain_poll_us)
+            yield self.engine.timeout(DRAIN_POLL_US)
         return upstream.inflight() == 0
 
     def undrain(self, member: str) -> None:
@@ -443,14 +444,14 @@ class TrafficProxy:
         engine = self.engine
         try:
             while not self.stopped:  # ft: bounded -- exits when the proxy stops; every pass sleeps one probe interval
-                yield engine.timeout(self.health_interval_us)
+                yield engine.timeout(HEALTH_INTERVAL_US)
                 if self.stopped or upstream.dead:
                     continue
                 self._probe_serial += 1
                 payload = f"HC{self._probe_serial:06d}".encode()[:REQUEST_BYTES]
                 reply_ev = upstream.pick_conn().submit(payload)
                 self.counters.routed += 1
-                timeout_ev = engine.timeout(self.health_timeout_us)
+                timeout_ev = engine.timeout(HEALTH_TIMEOUT_US)
                 fired = yield engine.any_of([reply_ev, timeout_ev])
                 if reply_ev in fired:
                     upstream.probe_misses = 0
@@ -460,7 +461,7 @@ class TrafficProxy:
                 self.counters.probe_misses += 1
                 trace(engine, "traffic", "probe_miss", member=upstream.member,
                       misses=upstream.probe_misses)
-                if upstream.probe_misses >= self.probes_to_evict:
+                if upstream.probe_misses >= PROBES_TO_EVICT:
                     upstream.evict("probe_timeout")
                 # Wait for the stale probe to land (or the member to make
                 # any progress) before probing again, so misses measure
@@ -471,7 +472,7 @@ class TrafficProxy:
                     upstream._progress = engine.event()
                     fired = yield engine.any_of([
                         reply_ev, upstream._progress,
-                        engine.timeout(self.health_interval_us),
+                        engine.timeout(HEALTH_INTERVAL_US),
                     ])
         except Interrupt:  # ft: teardown -- proxy stop interrupts the probe loop
             return

@@ -31,6 +31,9 @@ __all__ = ["DiskRwWorkload", "EchoServer", "region_content"]
 
 JOURNAL_BASE = 8
 REGION_BYTES = 4096
+#: CPU per disk-rw operation, and echo CPU per KB of request body.
+OP_CPU_US = 150
+ECHO_CPU_PER_KB_US = 6
 
 
 def region_content(region: int, version: int, length: int) -> bytes:
@@ -43,9 +46,8 @@ class DiskRwWorkload(Workload):
 
     name = "disk-rw"
 
-    def __init__(self, n_regions: int = 64, op_cpu_us: int = 150):
+    def __init__(self, n_regions: int = 64):
         self.n_regions = n_regions
-        self.op_cpu_us = op_cpu_us
         self.path = "/data/disk-rw.dat"
         #: Errors observed by the in-container validator.
         self.errors: list[str] = []
@@ -104,7 +106,7 @@ class DiskRwWorkload(Workload):
                 self.operations += 1
 
             try:
-                yield from container.run_slice(process, self.op_cpu_us, mutate=mutate)
+                yield from container.run_slice(process, OP_CPU_US, mutate=mutate)
             except (Interrupt, KernelError):
                 return
             flush_tick += 1
@@ -125,14 +127,12 @@ class EchoServer(ServerWorkload):
         name: str = "net-echo",
         min_len: int = 1,
         max_len: int = 65536,
-        cpu_per_kb_us: int = 6,
         stack_pages: int = 64,
         n_clients: int = 2,
     ) -> None:
         self.name = name
         self.min_len = min_len
         self.max_len = max_len
-        self.cpu_per_kb_us = cpu_per_kb_us
         self.stack_pages = stack_pages
         self.n_clients = n_clients
 
@@ -151,7 +151,7 @@ class EchoServer(ServerWorkload):
         )
 
     def request_cpu_us(self, body_len: int) -> int:
-        return 20 + (body_len * self.cpu_per_kb_us) // 1024
+        return 20 + (body_len * ECHO_CPU_PER_KB_US) // 1024
 
     def handle_request(self, container, process, body: bytes, outcome: dict):
         # "the server saves it on its stack": dirty pages proportional to size.

@@ -37,7 +37,6 @@ class ParsecWorkload(ComputeWorkload):
         unit_cpu_us: int = 300,
         total_units: int = 4000,
         mapped_files: int = 35,
-        epoch_us: int = 30_000,
     ) -> None:
         self.name = name
         self.n_workers = n_threads
@@ -46,8 +45,8 @@ class ParsecWorkload(ComputeWorkload):
         self.total_units = total_units
         self.mapped_files = mapped_files
         # Calibration: pages dirtied per work unit so that the per-epoch
-        # dirty total matches the target at full thread parallelism.
-        units_per_epoch = max(1, n_threads * (epoch_us // unit_cpu_us))
+        # (30 ms) dirty total matches the target at full thread parallelism.
+        units_per_epoch = max(1, n_threads * (30_000 // unit_cpu_us))
         self.pages_per_unit = dirty_pages_per_epoch / units_per_epoch
 
     def spec(self) -> ContainerSpec:

@@ -22,7 +22,7 @@ def test_steps_cover_all_six_analyzers_plus_the_paper_gate():
     analyzers = {analyzer for analyzer, _, _ in STEPS}
     assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
                          "ftcov", "paper"}
-    assert len(STEPS) == 11
+    assert len(STEPS) == 10
 
 
 def test_summary_counts_the_analyzers_of_the_step_list():
@@ -31,7 +31,7 @@ def test_summary_counts_the_analyzers_of_the_step_list():
                          "wall_s": 0.0, "output": ""}
                         for analyzer, smoke, _ in STEPS]}
     assert format_summary(report).splitlines()[0] == (
-        "analyze (smoke): 11 step(s) over 7 analyzers")
+        "analyze (smoke): 10 step(s) over 7 analyzers")
 
 
 def test_every_step_argv_is_a_real_command_run_once():

@@ -1,24 +1,14 @@
-"""Tests for perf Layer 3: deterministic profiling, the L2<->L3
-cross-reference, and the work counters the paper gate pins as its
-``engine`` cells.
+"""Tests for the deterministic profiled runs whose work counters the
+paper gate pins as its ``engine`` cells (:mod:`repro.experiments.engine`).
 
-The load-bearing property is ISSUE acceptance: two same-seed profiled
-runs must produce *identical* counter digests.  The cross-reference tests
-pin the knob regression end to end — ``perf_unoptimized_digest`` re-hashes
-every resident page, so on a memory-heavy workload the statecache PERF002
-finding is confirmed-hot; a short run of the page-light ``net`` workload
-downgrades pool findings whose counters stayed cold.
+The load-bearing property: two same-seed profiled runs must produce
+*identical* counter digests, and the ``perf_unoptimized_digest`` knob
+must re-hash more pages than the page-digest cache does.
 """
 
 from pathlib import Path
 
-from repro.analysis.linter import Finding
-from repro.analysis.perfbench import (
-    HOT_THRESHOLD,
-    crossref,
-    run_profiled_deployment,
-    work_counters,
-)
+from repro.experiments.engine import run_profiled_deployment, work_counters
 from repro.metrics import benchfile
 from repro.replication.config import NiliconConfig
 
@@ -75,28 +65,6 @@ def test_streamcluster_counters_match_the_checked_in_bench():
     }
 
 
-def test_unoptimized_digest_knob_is_confirmed_hot():
-    # The statecache PERF002 debt is paid (the real tree lints clean), so
-    # the L2<->L3 contract is pinned with a synthetic finding at the same
-    # site: under the knob, the profiler's digest counters must confirm a
-    # statecache finding as hot.
-    finding = Finding(
-        rule_id="PERF002",
-        path="src/repro/replication/statecache.py",
-        line=1,
-        col=0,
-        message="synthetic",
-        severity="warning",
-    )
-    config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    run = run_profiled_deployment("lighttpd", run_ms=400, seed=1,
-                                  config=config)
-    entries = crossref([finding], run.counters)
-    assert all(e["status"] == "confirmed-hot" for e in entries)
-    assert all(e["observed"] >= HOT_THRESHOLD for e in entries)
-    assert all("digest.pages_digested" in e["evidence"] for e in entries)
-
-
 def test_knob_rehashes_more_pages_than_default():
     config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
     unopt = run_profiled_deployment("lighttpd", run_ms=400, seed=1,
@@ -106,22 +74,3 @@ def test_knob_rehashes_more_pages_than_default():
         unopt.counters["digest.pages_digested"]
         > opt.counters["digest.pages_digested"]
     )
-
-
-def test_crossref_downgrades_cold_findings():
-    finding = Finding(
-        rule_id="PERF006",
-        path="src/repro/fleet/pool.py",
-        line=1,
-        col=0,
-        message="synthetic",
-        severity="warning",
-    )
-    entries = crossref([finding], {"pool.slot_ops": 0})
-    assert entries[0]["status"] == "downgraded"
-    assert entries[0]["observed"] == 0
-    assert entries[0]["rule"] == "PERF006"
-
-    hot = crossref([finding], {"pool.slot_ops": 40, "pool.load_queries": 30})
-    assert hot[0]["status"] == "confirmed-hot"
-    assert hot[0]["observed"] == 70

@@ -199,7 +199,7 @@ class TestHeartbeat:
         eng = Engine()
         fired = []
         det = FailureDetector(eng, on_failure=lambda: fired.append(eng.now),
-                              interval_us=ms(30), miss_threshold=3)
+                              interval_us=ms(30))
         det.start()
         det.on_heartbeat()  # arm
         eng.run(until=ms(500))
@@ -220,7 +220,7 @@ class TestHeartbeat:
         eng = Engine()
         fired = []
         det = FailureDetector(eng, on_failure=lambda: fired.append(eng.now),
-                              interval_us=ms(30), miss_threshold=3)
+                              interval_us=ms(30))
         det.start()
 
         def beats():

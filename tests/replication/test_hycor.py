@@ -48,7 +48,7 @@ def _attached_shipper(seed):
     container = ReplicatedDeployment(
         world, spec, config=NiliconConfig.hycor()).container
     sink = _Sink()
-    shipper = LogShipper(world.engine, container, sink, sink, flush_us=ms(3))
+    shipper = LogShipper(world.engine, container, sink, sink)
     shipper.attach()
     return container, shipper, sink
 

@@ -176,10 +176,9 @@ def test_every_lint_gates_on_its_selfcheck(module, analyze, argv,
 
 @pytest.mark.parametrize("module, analyze, argv", [
     ("repro.analysis.coverage", "analyze_coverage", ["ckptcov", "diff"]),
-    ("repro.analysis.perf", "analyze_perf", ["perf", "profile"]),
     ("repro.analysis.ndflow", "analyze_ndflow", ["ndflow", "replay"]),
     ("repro.analysis.ftcov", "analyze_ftcov", ["ftcov", "record"]),
-], ids=["ckptcov", "perf", "ndflow", "ftcov"])
+], ids=["ckptcov", "ndflow", "ftcov"])
 def test_every_dynamic_action_gates_on_its_selfcheck(module, analyze, argv,
                                                      monkeypatch, capsys):
     # Each dynamic action reads its inventory from the static pass, so an
@@ -205,25 +204,34 @@ def test_audit_command(capsys):
 
 
 @pytest.mark.parametrize("argv", [["fleet", "campaign"], ["traffic", "campaign"],
-                                  ["traffic", "profiles"], ["validate", "--runs", "5"]],
+                                  ["traffic", "profiles"], ["validate", "--runs", "5"],
+                                  ["perf", "profile"]],
                          ids="-".join)
 def test_removed_campaign_commands_exit_two(argv, capsys):
     # The fleet campaign, the traffic profiles and the §VII-A campaign are
     # paper artifacts now (`repro paper fleet_campaign`, `traffic`,
-    # `traffic_full`, `validation`).
+    # `traffic_full`, `validation`); the profiled counters `perf profile`
+    # printed are the paper gate's `engine` cells.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert any(f"invalid choice: '{word}'" in err for word in argv[:2])
 
 
-def test_seed_reaches_the_command_that_reads_it(capsys):
-    assert main(["perf", "profile", "--smoke", "--seed", "5", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 5
+def test_seed_reaches_the_command_that_reads_it(monkeypatch):
+    from repro.experiments import paper
+
+    seeds = []
+    artifact = paper.ARTIFACTS["table2"]
+    monkeypatch.setitem(paper.ARTIFACTS, "table2", artifact._replace(
+        run=lambda paper_run: seeds.append(paper_run.seed) or []))
+    assert main(["paper", "table2", "--seed", "5"]) == 0
+    assert seeds == [5]
 
 
 @pytest.mark.parametrize("argv", [["races", "--seed", "5"], ["--seed", "5", "races"],
-                                  ["--seed", "5", "perf", "profile"],
+                                  ["perf", "lint", "--seed", "5"],
                                   ["ftcov", "record", "--seed", "5"], ["list-workloads", "--seed", "5"]],
                          ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_a_command_that_reads_no_seed_rejects_it(argv):

@@ -10,7 +10,9 @@ from repro.kernel.netdev import NetDevice
 from repro.net import World
 from repro.replication import NiliconConfig
 from repro.sim.units import ms, sec
-from repro.traffic.proxy import REPLY_BYTES, REQUEST_BYTES, TrafficProxy
+from repro.traffic.proxy import (
+    PROBES_TO_EVICT, REPLY_BYTES, REQUEST_BYTES, TrafficProxy,
+)
 
 SMALL_FLEET = FleetSpec(n_containers=3, n_hosts=3, slots_per_host=8)
 
@@ -174,7 +176,7 @@ def test_probe_eviction_and_readmission_on_silent_member(world):
     world.engine.process(attach_late(), name="attach-late")
     world.run(until=sec(6))
     controller.stop()
-    assert proxy.counters.probe_misses >= proxy.probes_to_evict
+    assert proxy.counters.probe_misses >= PROBES_TO_EVICT
     assert proxy.counters.evictions >= len(controller.members)
     assert proxy.counters.readmissions >= len(controller.members)
     assert all(u.healthy for u in proxy.upstreams.values())
