@@ -8,9 +8,10 @@ install:
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
-# Determinism / checkpoint-safety linter (nlint); non-zero exit on findings.
+# The one static lint (nlint plus the ckptcov, perf, ndflow and ftcov rule
+# families) under the same baseline gate as the lint step of `make analyze`.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint src/
+	PYTHONPATH=src $(PYTHON) -m repro lint --baseline lint-baseline.json
 
 # Epoch loop with runtime kernel-state invariant auditing enabled.
 audit:

@@ -13,9 +13,11 @@ enforce by themselves:
 This package provides the enforcement layers:
 
 * :mod:`repro.analysis.linter` / :mod:`repro.analysis.rules` — ``nlint``,
-  an AST-based linter with codebase-specific rules (DET001..CKPT001 as
-  errors, RACE001/RACE002/ORD001 as warnings), run via
-  ``python -m repro lint src/`` and in CI.
+  an AST-based linter with codebase-specific per-file rules (DET001..EXC001
+  as errors, RACE001/RACE002/ORD001 as warnings).  ``python -m repro lint
+  --baseline lint-baseline.json`` (CI's lint step) runs them together with
+  the whole-program rule families of the four inventory analyzers below
+  (:mod:`repro.analysis.inventory`), each gated on its selfcheck.
 * :mod:`repro.analysis.auditor` — a runtime state auditor invoked at epoch
   boundaries and after restore, raising :class:`InvariantViolation` with a
   state diff when kernel bookkeeping goes inconsistent.
@@ -35,9 +37,9 @@ This package provides the enforcement layers:
   only that hot surface.  The deterministic profiler's work counters
   (:mod:`repro.sim.profiler`) are the paper gate's ``engine`` cells
   (:mod:`repro.experiments.engine`).
-* :mod:`repro.analysis.baseline` — finding baselines shared by ``lint``,
-  ``ckptcov`` and ``perf``: known findings are frozen in a checked-in
-  file, new ones gate CI.
+* :mod:`repro.analysis.baseline` — the finding baseline ``repro lint``
+  gates on: known findings are frozen in the checked-in
+  ``lint-baseline.json``, new ones gate CI.
 
 See ``docs/determinism.md`` for the rule catalogue and invariant list,
 ``docs/races.md`` for the race-detection machinery,

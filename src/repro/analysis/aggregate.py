@@ -1,13 +1,14 @@
 """Consolidated analyzer gate (``repro analyze`` / ``make analyze``).
 
 Runs every step of :data:`STEPS` through the real ``repro`` CLI entry
-points, so each step keeps its exact gate semantics (baselines,
+points, so each step keeps its exact gate semantics (the baseline, the
 selfchecks, the regression probes inside each dynamic pass).  ``STEPS``
-is the only list of these steps and of the baseline files they read: no
-make target, CI step or help text repeats it, and each inventory
-selfcheck runs inside the step that gates on it.  The aggregate exit code is the max over steps; the merged
-findings artifact is read from the JSON documents the lint steps already
-printed, each finding tagged with its analyzer and baseline disposition.
+is the only list of these steps and of the baseline file: no make target,
+CI step or help text repeats it, and each inventory selfcheck runs inside
+the steps that gate on it.  The aggregate exit code is the max over
+steps; the findings artifact is the document the one lint step already
+printed, each finding tagged with the analyzer of its rule family and its
+baseline disposition.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import io
 import json
 import time
 
-__all__ = ["STEPS", "collect_findings", "format_summary", "is_lint",
-           "run_all"]
+from repro.analysis.inventory import ANALYZERS, analyzer_of
+
+__all__ = ["STEPS", "collect_findings", "format_summary", "run_all"]
 
 
 def _wall() -> float:
@@ -26,25 +28,15 @@ def _wall() -> float:
 
 #: (analyzer, smoke argv, full argv) — argv is what ``repro.cli.main``
 #: receives; ``repro analyze`` (CI) runs the smoke column, ``repro
-#: analyze --full`` the full one.  Every lint step prints one ``--json``
-#: document, and every dynamic step is one pass shaped by ``--smoke``
-#: alone.
+#: analyze --full`` the full one.  The one ``lint`` step runs every static
+#: rule family against one baseline and prints one ``--json`` document;
+#: every dynamic step is one pass shaped by ``--smoke`` alone.
 STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
-    ("nlint", ("lint", "src", "--json"), ("lint", "src", "--json")),
+    ("lint", ("lint", "--baseline", "lint-baseline.json", "--json"),
+     ("lint", "--baseline", "lint-baseline.json", "--json")),
     ("races", ("races", "--smoke"), ("races",)),
-    ("ckptcov",
-     ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--json"),
-     ("ckptcov", "lint", "--baseline", "ckptcov-baseline.json", "--json")),
     ("ckptcov", ("ckptcov", "diff", "--smoke"), ("ckptcov", "diff")),
-    ("perf", ("perf", "lint", "--baseline", "perf-baseline.json", "--json"),
-     ("perf", "lint", "--baseline", "perf-baseline.json", "--json")),
-    ("ndflow",
-     ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json"),
-     ("ndflow", "lint", "--baseline", "ndflow-baseline.json", "--json")),
     ("ndflow", ("ndflow", "replay", "--smoke"), ("ndflow", "replay")),
-    ("ftcov",
-     ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
-     ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json")),
     ("ftcov",
      ("ftcov", "record", "--smoke", "--json-out", "coverage-matrix.json"),
      ("ftcov", "record", "--json-out", "coverage-matrix.json")),
@@ -53,27 +45,16 @@ STEPS: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
 )
 
 
-def is_lint(argv) -> bool:
-    """Whether *argv* is a static lint step (``lint ...`` or ``<analyzer>
-    lint ...``): the steps whose ``--json`` document lists findings."""
-    return "lint" in argv[:2]
-
-
-def collect_findings(steps: list[dict]) -> list[dict]:
-    """One merged record per static finding the lint *steps* printed,
-    tagged with its analyzer and whether the step's baseline accounts for
-    it.  A lint step that printed no document has already failed on its
-    own exit status; the dynamic passes gate the same way."""
-    merged: list[dict] = []
-    for step in steps:
-        if not is_lint(step["argv"]):
-            continue
-        try:
-            document = json.loads(step["output"])
-        except ValueError:
-            continue
-        merged += [{"analyzer": step["analyzer"], **finding}
-                   for finding in document["findings"]]
+def collect_findings(output: str) -> list[dict]:
+    """One record per finding of the lint step's ``--json`` *output*,
+    tagged with the analyzer of its rule family.  A lint that printed no
+    document has already failed on its own exit status."""
+    try:
+        document = json.loads(output)
+    except ValueError:
+        return []
+    merged = [{"analyzer": analyzer_of(finding["rule"]), **finding}
+              for finding in document["findings"]]
     merged.sort(key=lambda r: (r["path"], r["line"], r["rule"]))
     return merged
 
@@ -102,7 +83,8 @@ def run_all(smoke: bool = True) -> dict:
             "output": buf.getvalue(),
         })
         worst = max(worst, code)
-    findings = collect_findings(steps)
+    findings = collect_findings(
+        next(step["output"] for step in steps if step["analyzer"] == "lint"))
     return {
         "mode": "smoke" if smoke else "full",
         "steps": steps,
@@ -117,7 +99,9 @@ def run_all(smoke: bool = True) -> dict:
 
 
 def format_summary(report: dict) -> str:
-    analyzers = len({analyzer for analyzer, _, _ in STEPS})
+    # The lint step runs nlint and every inventory analyzer's rules.
+    analyzers = len({analyzer for analyzer, _, _ in STEPS} - {"lint"}
+                    | {"nlint", *ANALYZERS})
     lines = [f"analyze ({report['mode']}): "
              f"{len(report['steps'])} step(s) over {analyzers} analyzers"]
     for step in report["steps"]:

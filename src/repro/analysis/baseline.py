@@ -1,8 +1,8 @@
 """Finding baselines: freeze known findings so only *new* ones gate CI.
 
-A baseline is a checked-in JSON file of finding *fingerprints*.  Running a
-linter (``repro lint`` or ``repro ckptcov``) against a baseline partitions
-its findings three ways:
+A baseline is a checked-in JSON file of finding *fingerprints*; the one
+the repo gates on is ``lint-baseline.json``.  Running ``repro lint``
+against a baseline partitions its findings three ways:
 
 * **new** — findings whose fingerprint is absent from (or exceeds its
   allowance in) the baseline.  These fail CI: somebody introduced a gap.
@@ -31,7 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.linter import Finding
 
@@ -83,9 +83,13 @@ def load_baseline(path: str | Path) -> dict[str, int]:
     return dict(entries)
 
 
-def write_baseline(path: str | Path, findings: Iterable[Finding]) -> dict[str, int]:
-    """Freeze *findings* into a baseline file; returns the entry map."""
-    counts = Counter(fingerprint(f) for f in findings)
+def write_baseline(
+    path: str | Path, findings: Iterable[Finding],
+    keep: Mapping[str, int] | None = None,
+) -> dict[str, int]:
+    """Freeze *findings*, plus the *keep* entries of rules the run did not
+    select, into a baseline file; returns the entry map."""
+    counts = Counter(fingerprint(f) for f in findings) + Counter(keep or {})
     entries = dict(sorted(counts.items()))
     payload = {"version": _FORMAT_VERSION, "entries": entries}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

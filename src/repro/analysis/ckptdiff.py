@@ -40,7 +40,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.analysis.coverage import (
-    ClassInfo,
     Inventory,
     analyze_coverage,
     build_inventory,

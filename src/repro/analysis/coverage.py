@@ -53,9 +53,9 @@ CKPT104   warning   field written between epochs with no soft-dirty or
 
 Findings use the standard nlint machinery: :class:`~repro.analysis.linter.
 Finding` objects, ``# nlint: disable=CKPT104 -- why`` suppressions, and
-``--select/--ignore`` filtering.  Known gaps are frozen in a baseline file
-(:mod:`repro.analysis.baseline`) so new gaps fail CI while old ones burn
-down.
+``repro lint``'s rule selection.  Known gaps are frozen in
+``lint-baseline.json`` (:mod:`repro.analysis.baseline`) so new gaps fail
+CI while old ones burn down.
 
 The cross-reference is *name-based* (a field counts as dumped if an
 attribute of the same name is read anywhere in the dump closure), which
@@ -97,7 +97,7 @@ __all__ = [
 
 # --------------------------------------------------------------------------- #
 # Rule registration (ids, summaries, severities — shared with `repro lint    #
-# --list-rules` and `--select/--ignore`).  The rules need whole-program      #
+# --list-rules`, `--select` and `--ignore`).  The rules need whole-program   #
 # context, so they never fire during per-file linting: the ckptcov driver    #
 # constructs their findings directly.                                        #
 # --------------------------------------------------------------------------- #

@@ -33,8 +33,8 @@ Three layers:
   the why-text) — the gap backlog cannot rot into vagueness.
 * **Layer 2 — FTC rules.**  FTC001–FTC005 below ride the standard
   nlint machinery (:class:`~repro.analysis.linter.Finding`, per-line
-  suppressions, ``--select``/``--ignore``, the shared baseline gate
-  with ``ftcov-baseline.json``).  An accounted site is not flagged; a
+  suppressions, and ``repro lint``'s rule selection and baseline gate
+  with ``lint-baseline.json``).  An accounted site is not flagged; a
   site annotated ``unsafe`` stays flagged — that is how the
   ``UNSAFE_DROP_SCENARIO`` regression knob keeps a frozen baseline
   entry without failing the selfcheck.

@@ -8,8 +8,10 @@ from the same pass, and reports whole-program rules through the nlint
 report carries ``findings``, ``problems`` (the selfcheck: empty when the
 inventory is sound) and ``dispositions`` (how each site is classified).
 This module holds everything that does not depend on the property:
-source loading, the annotation grammar and its selfcheck, the
-classified-site model, and the rule driver.
+the table of the analyzers (:data:`ANALYZERS`, which ``repro lint`` runs
+and ``repro analyze`` tags findings by), source loading, the annotation
+grammar and its selfcheck, the classified-site model, and the rule
+driver.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 from repro.analysis.linter import Finding, LintContext, Rule, all_rules
 
 __all__ = [
+    "ANALYZERS",
     "Annotation",
     "InventoryReport",
     "InventoryRule",
     "Site",
     "SiteInventory",
     "analyze_sites",
+    "analyzer_of",
     "assignments",
     "attr_chain",
     "call_name",
@@ -37,6 +41,26 @@ __all__ = [
     "load_sources",
     "parse_each",
 ]
+
+#: The inventory analyzers: name -> (module, static-pass function, rule-id
+#: prefix of its rule family, what its selfcheck accounts for).
+ANALYZERS: dict[str, tuple[str, str, str, str]] = {
+    "ckptcov": ("repro.analysis.coverage", "analyze_coverage", "CKPT",
+                "class(es)"),
+    "perf": ("repro.analysis.perf", "analyze_perf", "PERF",
+             "hot/exempt function(s)"),
+    "ndflow": ("repro.analysis.ndflow", "analyze_ndflow", "NDF",
+               "nondeterminism source(s)"),
+    "ftcov": ("repro.analysis.ftcov", "analyze_ftcov", "FTC",
+              "failure-surface site(s)"),
+}
+
+
+def analyzer_of(rule_id: str) -> str:
+    """The analyzer whose rule family *rule_id* belongs to: one of
+    :data:`ANALYZERS`, or ``nlint`` for the per-file rules."""
+    return next((name for name, (_, _, prefix, _) in ANALYZERS.items()
+                 if rule_id.startswith(prefix)), "nlint")
 
 
 def load_sources(

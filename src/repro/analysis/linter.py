@@ -3,8 +3,11 @@
 Design: one :class:`ast` walk per file.  Rules declare the node types they
 care about (:attr:`Rule.interests`); the walker dispatches each node to
 every interested rule exactly once, so adding a rule never adds a tree
-traversal.  Rules that need whole-file context (e.g. CKPT001's field
-cross-check) can do their own scoped sub-walk from the node they receive.
+traversal.  Rules that need whole-file context (e.g. RACE001's per-class
+mutation map) can do their own scoped sub-walk from the node they receive.
+``repro lint`` runs these per-file rules over the package next to the
+inventory analyzers' whole-program rule families (:mod:`repro.analysis.
+inventory`), all under one baseline.
 
 Suppression is per line, mirroring the repo's determinism doc::
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -28,8 +30,6 @@ __all__ = [
     "LintContext",
     "Rule",
     "all_rules",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "register",
 ]
@@ -325,30 +325,3 @@ def lint_source(
     walker = _Walker(rules, ctx)
     walker.visit(tree)
     return sorted(walker.findings, key=Finding.sort_key)
-
-
-def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
-    return lint_source(path.read_text(encoding="utf-8"), str(path), rules)
-
-
-def lint_paths(
-    paths: Sequence[str | Path], rules: Sequence[Rule] | None = None
-) -> list[Finding]:
-    """Lint files and directories (recursively); deterministic ordering."""
-    if rules is None:
-        rules = all_rules()
-    files: list[Path] = []
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            files.extend(
-                f for f in sorted(p.rglob("*.py")) if "__pycache__" not in f.parts
-            )
-        elif p.is_file():
-            files.append(p)
-        else:
-            raise FileNotFoundError(f"no such file or directory: {p}")
-    findings: list[Finding] = []
-    for f in files:
-        findings.extend(lint_file(f, rules))
-    return sorted(findings, key=Finding.sort_key)

@@ -31,8 +31,8 @@ Three layers:
   that is not rewound by ``reset_id_counters()`` (``net/world.py``).
 * **Layer 2 — NDF rules.**  NDF001–NDF005 below ride the standard nlint
   machinery (:class:`~repro.analysis.linter.Finding`, per-line
-  suppressions, ``--select``/``--ignore``, the shared baseline gate with
-  ``ndflow-baseline.json``).  A source annotated with an accepted class is
+  suppressions, and ``repro lint``'s rule selection and baseline gate with
+  ``lint-baseline.json``).  A source annotated with an accepted class is
   *accounted* and not flagged; one annotated ``unsafe`` stays flagged —
   that is how the ``unsafe_unlogged_draw`` regression knob keeps a frozen
   baseline entry without failing the selfcheck.
@@ -72,7 +72,7 @@ from repro.analysis.inventory import (
     attr_chain,
     parse_each,
 )
-from repro.analysis.linter import register
+from repro.analysis.linter import LintContext, register
 
 __all__ = [
     "ND_CLASSES",
@@ -328,16 +328,6 @@ def _stream_derived_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def _random_aliases(tree: ast.Module) -> set[str]:
-    """Local names bound to members of the ``random`` module by import."""
-    out: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
-            for alias in node.names:
-                out.add(alias.asname or alias.name)
-    return out
-
-
 def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
     """Layer 1: enumerate and classify every nondeterminism source."""
     inv = NdInventory()
@@ -352,7 +342,7 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
         lines = text.splitlines()
         spans = _exempt_spans(tree)
         stream_bound = _stream_derived_names(tree)
-        random_imports = _random_aliases(tree)
+        ctx = LintContext(path, text, tree)
         is_rng_module = path.endswith("sim/rng.py")
         in_control = any(d in path for d in _CONTROL_DIRS)
 
@@ -441,16 +431,14 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
                 if not dynamic and func.attr == "stream":
                     inv.literal_streams.setdefault(name, set()).add(path)
 
-            # Raw entropy: random.Random(...) / random.<fn>(...) or names
-            # imported from the random module.
-            chain = attr_chain(func)
-            bare = func.id if isinstance(func, ast.Name) else None
-            if not is_rng_module and (
-                (chain is not None and chain.split(".", 1)[0] == "random"
-                 and "." in chain)
-                or (bare is not None and bare in random_imports)
-            ):
-                add("global-random", node, chain or bare)
+            # Raw entropy: any call that resolves, through the file's import
+            # bindings, into the random module (``random.Random(...)``,
+            # ``rnd.random()`` after ``import random as rnd``, ``choice()``
+            # after ``from random import choice``).
+            qualified = ctx.qualified_name(func)
+            if (not is_rng_module and qualified is not None
+                    and qualified.startswith("random.")):
+                add("global-random", node, qualified)
 
             # Draws off non-stream generators in control paths.
             elif (
@@ -466,7 +454,7 @@ def build_nd_inventory(sources: Mapping[str, str]) -> NdInventory:
                     and sub.func.attr in ("stream", "spawn")
                     for sub in ast.walk(receiver)
                 )
-                if not derived and rchain != "random":
+                if not derived:
                     add(
                         "draw", node,
                         f"{rchain or '<expr>'}.{func.attr}",

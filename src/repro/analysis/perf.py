@@ -20,8 +20,8 @@ Two static layers, plus the work counters:
 * **Layer 2 — PERF rules.**  The PERF001..PERF006 rules below run *only*
   inside hot functions, riding the standard nlint machinery:
   :class:`~repro.analysis.linter.Finding` objects, per-line
-  ``# nlint: disable=PERF002 -- why`` suppressions, ``--select/--ignore``
-  filtering and the shared baseline gate (``perf-baseline.json``).
+  ``# nlint: disable=PERF002 -- why`` suppressions, and ``repro lint``'s
+  rule selection and baseline gate (``lint-baseline.json``).
 * **Work counters.**  The deterministic profiler
   (:mod:`repro.sim.profiler`) counts the work a same-seed run does; the
   paper gate's ``engine`` cells (:mod:`repro.experiments.engine`) pin

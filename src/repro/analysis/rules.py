@@ -11,9 +11,6 @@ checkpoint-completeness guarantees the reproduction rests on (see
 * **SIM001** — blocking calls inside simulation generator processes.
 * **EXC001** — broad ``except`` clauses that can swallow
   :class:`repro.sim.engine.Interrupt`.
-* **CKPT001** — mutable state of checkpointable ``kernel/`` classes not
-  covered by their serializer (``describe``/``metadata``/
-  ``get_repair_state``), or restore paths reading keys never serialized.
 
 Race-surface rules (warnings — heuristic companions to the dynamic
 happens-before detector in :mod:`repro.analysis.races`, see
@@ -49,7 +46,6 @@ from repro.analysis.linter import (
 __all__ = [
     "BlockingCallInProcess",
     "BroadExceptSwallowsInterrupt",
-    "CheckpointFieldCoverage",
     "CheckThenActAcrossYield",
     "IdentityHashOrdering",
     "LiveWaiterIteration",
@@ -67,7 +63,10 @@ _DETERMINISM_DIRS = ("sim", "kernel", "replication")
 # --------------------------------------------------------------------------- #
 @register
 class WallClockEntropy(Rule):
-    """Wall-clock or OS-entropy consultation outside the seeded RNG."""
+    """Wall-clock or OS-entropy consultation outside the seeded RNG.
+
+    Draws from the ``random`` module are ndflow's NDF001, which resolves
+    them through the same import bindings."""
 
     rule_id = "DET001"
     summary = (
@@ -96,26 +95,6 @@ class WallClockEntropy(Rule):
             "uuid.uuid4",
         }
     )
-    #: Module-level functions of the (unseeded) global ``random`` instance.
-    GLOBAL_RANDOM = frozenset(
-        {
-            "random",
-            "randint",
-            "randrange",
-            "randbytes",
-            "getrandbits",
-            "choice",
-            "choices",
-            "sample",
-            "shuffle",
-            "uniform",
-            "gauss",
-            "normalvariate",
-            "expovariate",
-            "betavariate",
-            "seed",
-        }
-    )
 
     def visit(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
         if ctx.norm_path.endswith("sim/rng.py"):
@@ -134,13 +113,6 @@ class WallClockEntropy(Rule):
         elif name.startswith("secrets."):
             yield self.finding(
                 ctx, node, f"call to {name}() uses OS entropy; use RngRegistry"
-            )
-        elif name.startswith("random.") and name.split(".", 1)[1] in self.GLOBAL_RANDOM:
-            yield self.finding(
-                ctx,
-                node,
-                f"call to {name}() uses the unseeded global random instance; "
-                "use a named RngRegistry stream",
             )
 
 
@@ -397,185 +369,6 @@ class BroadExceptSwallowsInterrupt(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# CKPT001                                                                     #
-# --------------------------------------------------------------------------- #
-_SERIALIZERS = ("describe", "metadata", "get_repair_state")
-_RESTORERS = ("restore_from", "from_description", "set_repair_state")
-_MUTABLE_ROOTS = frozenset(
-    {"dict", "list", "set", "deque", "bytearray", "defaultdict", "OrderedDict"}
-)
-
-
-def _dict_keys_of_returns(fn: ast.FunctionDef) -> set[str] | None:
-    """String keys of dict literals returned by *fn*; None if *fn* never
-    returns a dict display (serializer shape we can't analyse)."""
-    keys: set[str] = set()
-    saw_dict = False
-    for node in _own_nodes(fn):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            saw_dict = True
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.add(key.value)
-    return keys if saw_dict else None
-
-
-def _annotation_root(annotation: ast.AST | None) -> str | None:
-    if annotation is None:
-        return None
-    root = annotation
-    while isinstance(root, ast.Subscript):
-        root = root.value
-    if isinstance(root, ast.Name):
-        return root.id
-    if isinstance(root, ast.Attribute):
-        return root.attr
-    return None
-
-
-def _value_is_mutable(value: ast.AST | None) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call):
-        func = value.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in _MUTABLE_ROOTS:
-            return True
-        if name == "field":
-            return any(kw.arg == "default_factory" for kw in value.keywords)
-    return False
-
-
-@register
-class CheckpointFieldCoverage(Rule):
-    """Unserialized mutable state on checkpointable ``kernel/`` classes.
-
-    A class is *checkpointable* when it defines a serializer method
-    (``describe`` / ``metadata`` / ``get_repair_state``) returning a dict
-    literal — the shape every checkpoint collector in ``criu/collect.py``
-    consumes.  Every public field holding a mutable container must then
-    appear among the serialized keys, or a checkpoint/restore round-trip
-    silently drops it.  The companion check: restore methods must only read
-    keys the serializer actually produces.
-    """
-
-    rule_id = "CKPT001"
-    summary = (
-        "mutable field of a checkpointable kernel class is absent from its "
-        "serializer; checkpoints would silently drop it"
-    )
-    interests = (ast.ClassDef,)
-
-    def visit(self, cls: ast.ClassDef, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.in_dirs("kernel"):
-            return
-        serializer: ast.FunctionDef | None = None
-        restorers: list[ast.FunctionDef] = []
-        init: ast.FunctionDef | None = None
-        for stmt in cls.body:
-            if isinstance(stmt, ast.FunctionDef):
-                if stmt.name in _SERIALIZERS and serializer is None:
-                    serializer = stmt
-                elif stmt.name in _RESTORERS:
-                    restorers.append(stmt)
-                elif stmt.name == "__init__":
-                    init = stmt
-        if serializer is None:
-            return
-        keys = _dict_keys_of_returns(serializer)
-        if keys is None:
-            return  # serializer doesn't return a dict literal; out of scope
-
-        # Field inventory: dataclass-style class-level annotations plus
-        # ``self.x = ...`` bindings in __init__.
-        fields: list[tuple[str, int, int, bool]] = []  # (name, line, col, mutable)
-        for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                mutable = (
-                    _annotation_root(stmt.annotation) in _MUTABLE_ROOTS
-                    or _value_is_mutable(stmt.value)
-                )
-                fields.append((stmt.target.id, stmt.lineno, stmt.col_offset, mutable))
-        if init is not None:
-            for node in _own_nodes(init):
-                target = None
-                annotation = None
-                value = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign):
-                    target, annotation, value = node.target, node.annotation, node.value
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    mutable = (
-                        _annotation_root(annotation) in _MUTABLE_ROOTS
-                        or _value_is_mutable(value)
-                    )
-                    fields.append((target.attr, node.lineno, node.col_offset, mutable))
-
-        for name, line, col, mutable in fields:
-            if not mutable or name.startswith("_") or name in keys:
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                path=ctx.path,
-                line=line,
-                col=col,
-                message=(
-                    f"{cls.name}.{name} is mutable state not covered by "
-                    f"{cls.name}.{serializer.name}(); a checkpoint/restore "
-                    "round-trip silently drops it — serialize it or mark it "
-                    "runtime-only with a suppression explaining why"
-                ),
-            )
-
-        # Restore-side cross-check: keys read must have been serialized.
-        for restorer in restorers:
-            params = [a.arg for a in restorer.args.args if a.arg != "self"]
-            if not params:
-                continue
-            desc_param = params[0]
-            for node in _own_nodes(restorer):
-                read_key = None
-                if (
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == desc_param
-                    and isinstance(node.slice, ast.Constant)
-                    and isinstance(node.slice.value, str)
-                ):
-                    read_key = node.slice.value
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == desc_param
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)
-                ):
-                    read_key = node.args[0].value
-                if read_key is not None and read_key not in keys:
-                    yield Finding(
-                        rule_id=self.rule_id,
-                        path=ctx.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"{cls.name}.{restorer.name}() reads key "
-                            f"{read_key!r} that {serializer.name}() never "
-                            "serializes; restores would KeyError or default"
-                        ),
-                    )
-
-
-# --------------------------------------------------------------------------- #
 # RACE001 / RACE002 / ORD001 — race-surface heuristics                        #
 # --------------------------------------------------------------------------- #
 
@@ -814,7 +607,8 @@ class LiveWaiterIteration(Rule):
 
 # The whole-program rule families live with their analyzers; importing the
 # modules registers them so --select/--ignore and --list-rules see the full
-# catalog.  (The CKPT coverage rules register through repro.analysis.)
+# catalog.
+from repro.analysis import coverage as _coverage  # noqa: E402,F401  (registration import)
 from repro.analysis import ftcov as _ftcov  # noqa: E402,F401  (registration import)
 from repro.analysis import ndflow as _ndflow  # noqa: E402,F401  (registration import)
 from repro.analysis import perf as _perf  # noqa: E402,F401  (registration import)

@@ -7,7 +7,7 @@ Examples::
     python -m repro paper table1       # one artifact: table1..6, fig3, threads, hycor, ...
     python -m repro paper bench --smoke --check BENCH_paper.json
     python -m repro failover redis     # one instrumented failover, verbose
-    python -m repro lint src/          # determinism/checkpoint-safety linter
+    python -m repro lint --baseline lint-baseline.json   # the one static lint
     python -m repro audit redis        # epoch loop with invariant auditing
 """
 
@@ -93,8 +93,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    """Run nlint (the determinism/checkpoint-safety linter) over paths."""
-    from repro.analysis.linter import all_rules, lint_paths
+    """The one static lint: every inventory analyzer's rule family, each
+    gated on its selfcheck, then nlint's per-file rules over the package.
+    An analyzer none of whose rules is selected does not run."""
+    from repro.analysis.inventory import ANALYZERS, analyzer_of, load_sources
+    from repro.analysis.linter import Finding, all_rules, lint_source
 
     if args.list_rules:
         for rule in all_rules():
@@ -105,23 +108,32 @@ def _cmd_lint(args) -> int:
     except KeyError as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    try:
-        findings = lint_paths(args.paths, rules)
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return _report_findings(findings, args, "repro lint")
+    selected = {rule.rule_id for rule in rules}
+    families = {analyzer_of(rule_id) for rule_id in selected}
+    reports = [_inventory_pass(name) for name in ANALYZERS if name in families]
+    if any(report is None for report in reports):
+        return 1
+    findings = [finding for report in reports for finding in report.findings
+                if finding.rule_id in selected]
+    per_file = [rule for rule in rules if analyzer_of(rule.rule_id) == "nlint"]
+    if per_file:
+        for path, text in load_sources(("",)).items():
+            findings += lint_source(text, path, per_file)
+    findings.sort(key=Finding.sort_key)
+    skipped = {rule.rule_id for rule in all_rules()} - selected
+    return _report_findings(findings, skipped, args)
 
 
-def _report_findings(findings, args, prog) -> int:
+def _report_findings(findings, skipped, args) -> int:
     """Print *findings* and return the exit status.
 
     Without ``--baseline``, warnings (the heuristic rules) report without
     failing the build; only error-severity findings gate CI.  With it,
     errors always gate and are never baselined; warnings partition into
     new (fail) / baselined (report, pass) / stale entries (report, pass).
-    Under ``--json`` the one document printed lists every finding with
-    its ``baselined`` disposition.
+    Entries of the *skipped* rules (those ``--select``/``--ignore`` left
+    out) take no part, and ``--update-baseline`` keeps them.  Under ``--json`` the one document
+    printed lists every finding with its ``baselined`` disposition.
     """
     from repro.analysis.baseline import (
         BaselineError,
@@ -136,98 +148,88 @@ def _report_findings(findings, args, prog) -> int:
     if args.baseline is None:
         print(render_json(findings) if args.json else render_text(findings))
         return 1 if errors else 0
+    try:
+        baseline = load_baseline(args.baseline)
+    except BaselineError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
+    kept = {fp: n for fp, n in baseline.items()
+            if fp.split("::", 1)[0] in skipped}
     if args.update_baseline:
-        entries = write_baseline(args.baseline, warnings)
+        entries = write_baseline(args.baseline, warnings, keep=kept)
         print(
-            f"{prog}: froze {len(warnings)} warning(s) "
+            f"repro lint: froze {len(warnings)} warning(s) "
             f"({len(entries)} fingerprint(s)) into {args.baseline}"
         )
         if errors:
             print(render_text(errors))
-            print(f"{prog}: {len(errors)} error(s) cannot be baselined")
+            print(f"repro lint: {len(errors)} error(s) cannot be baselined")
         return 1 if errors else 0
-    try:
-        baseline = load_baseline(args.baseline)
-    except BaselineError as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
-        return 2
-    part = apply_baseline(warnings, baseline)
+    part = apply_baseline(
+        warnings, {fp: n for fp, n in baseline.items() if fp not in kept})
     gating = errors + part.new
     if args.json:
         print(render_json(findings, part.baselined, part.stale))
         return 1 if gating else 0
     print(render_text(gating))
     if part.new:
-        print(f"{prog}: {len(part.new)} new finding(s) not in {args.baseline}")
+        print(f"repro lint: {len(part.new)} new finding(s) not in "
+              f"{args.baseline}")
     if part.baselined:
-        print(f"{prog}: {len(part.baselined)} known finding(s) baselined "
+        print(f"repro lint: {len(part.baselined)} known finding(s) baselined "
               f"by {args.baseline}")
     for fp, unused in part.stale:
-        print(f"{prog}: stale baseline entry (fixed? run --update-baseline): "
-              f"{fp} (x{unused})")
+        print(f"repro lint: stale baseline entry (fixed? run "
+              f"--update-baseline): {fp} (x{unused})")
     return 1 if gating else 0
 
 
-#: What each inventory analyzer's selfcheck accounts for.
-_ACCOUNTED = {
-    "ckptcov": "class(es)",
-    "perf": "hot/exempt function(s)",
-    "ndflow": "nondeterminism source(s)",
-    "ftcov": "failure-surface site(s)",
-}
+def _inventory_pass(name, selfcheck=False):
+    """Run inventory analyzer *name*'s static pass and gate on the
+    selfcheck its report carries: the report, or None when the selfcheck
+    failed (printed with a pointer to ``repro <name> selfcheck``, since an
+    unsound inventory would silently shrink the audited surface).
+    *selfcheck* prints the dispositions table and the verdict."""
+    import importlib
 
+    from repro.analysis.inventory import ANALYZERS
 
-def _static_report(analyze, args):
-    """Run an inventory analyzer's static pass once and gate on the
-    selfcheck its report carries: ``(report, None)`` to go on with, or
-    ``(None, exit status)`` when the command is done.  ``selfcheck``
-    prints the dispositions table; every other action refuses to run on
-    an unsound inventory, which would silently shrink the audited
-    surface."""
-    name = args.command
-    try:
-        report = analyze(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro {name}: {exc.args[0]}", file=sys.stderr)
-        return None, 2
+    module, function, _, accounted = ANALYZERS[name]
+    report = getattr(importlib.import_module(module), function)()
     dispositions = report.dispositions
-    if args.action == "selfcheck":
+    if selfcheck:
         width = max((len(item) for item in dispositions), default=0)
         for item, disposition in dispositions.items():
             print(f"  {item:<{width}}  {disposition}")
     if report.problems:
-        hint = ("" if args.action == "selfcheck"
-                else f" (run `repro {name} selfcheck`)")
+        hint = "" if selfcheck else f" (run `repro {name} selfcheck`)"
         print(f"{name} self-check FAILED{hint}:")
         for problem in report.problems:
             print(f"  - {problem}")
-        return None, 1
-    if args.action == "selfcheck":
-        print(f"{name} self-check: {len(dispositions)} {_ACCOUNTED[name]} "
+        return None
+    if selfcheck:
+        print(f"{name} self-check: {len(dispositions)} {accounted} "
               f"accounted for.")
-        return None, 0
-    return report, None
+    return report
 
 
-def _cmd_ckptcov(args) -> int:
-    """Checkpoint state-coverage analyzer: CKPT1xx lint / oracle diff."""
+def _cmd_inventory(args) -> int:
+    """``repro ckptcov|perf|ndflow|ftcov``: the selfcheck, or the dynamic
+    action, which takes its inventory from the static pass and refuses to
+    run on an unsound one."""
+    report = _inventory_pass(args.command, args.action == "selfcheck")
+    if report is None:
+        return 1
+    if args.action == "selfcheck":
+        return 0
+    return _DYNAMIC[args.command](report, args)
+
+
+def _ckptcov_diff(report, args) -> int:
+    """Checkpoint -> restore -> deep-compare on live workloads, each diff
+    judged against the static verdicts."""
     import json
 
-    from repro.analysis.coverage import analyze_coverage
-
-    report, status = _static_report(analyze_coverage, args)
-    if report is None:
-        return status
-    if args.action == "lint":
-        status = _report_findings(report.findings, args, "repro ckptcov")
-        uncovered = sorted(report.uncovered())
-        if uncovered and args.baseline is None and not args.json:
-            pairs = ", ".join(f"{c}.{f}" for c, f in uncovered)
-            print(f"repro ckptcov: uncovered field(s): {pairs}")
-        return status
-
-    # action == "diff": checkpoint -> restore -> deep-compare on live
-    # workloads, each diff judged against the static verdicts.
     from repro.analysis.ckptdiff import SMOKE_WORKLOADS, run_oracle
     from repro.workloads.catalog import WORKLOADS
 
@@ -251,27 +253,9 @@ def _cmd_ckptcov(args) -> int:
     return status
 
 
-def _cmd_perf(args) -> int:
-    """Hot-path performance analyzer: PERF lint."""
-    from repro.analysis.perf import analyze_perf
-
-    report, status = _static_report(analyze_perf, args)
-    if report is None:
-        return status
-    return _report_findings(report.findings, args, "repro perf")
-
-
-def _cmd_ndflow(args) -> int:
-    """Nondeterminism-provenance analyzer: NDF lint / record->replay oracle."""
+def _ndflow_replay(report, args) -> int:
+    """The record->replay differential oracle with its stream crossref."""
     import json
-
-    from repro.analysis.ndflow import analyze_ndflow
-
-    report, status = _static_report(analyze_ndflow, args)
-    if report is None:
-        return status
-    if args.action == "lint":
-        return _report_findings(report.findings, args, "repro ndflow")
 
     from repro.analysis.ndreplay import format_report, run_oracle
 
@@ -283,17 +267,9 @@ def _cmd_ndflow(args) -> int:
     return 0 if result["ok"] else 1
 
 
-def _cmd_ftcov(args) -> int:
-    """Recovery-path coverage analyzer: FTC lint / catalog coverage record."""
+def _ftcov_record(report, args) -> int:
+    """The catalog coverage record crossed against the static inventory."""
     import json
-
-    from repro.analysis.ftcov import analyze_ftcov
-
-    report, status = _static_report(analyze_ftcov, args)
-    if report is None:
-        return status
-    if args.action == "lint":
-        return _report_findings(report.findings, args, "repro ftcov")
 
     from repro.analysis.ftreplay import format_report, run_ftcov_record
 
@@ -310,6 +286,14 @@ def _cmd_ftcov(args) -> int:
     # The drop-scenario probe is folded into ok: the seeded coverage gap
     # must have been DETECTED.
     return 0 if result["ok"] else 1
+
+
+#: The dynamic action of each inventory analyzer that has one.
+_DYNAMIC = {
+    "ckptcov": _ckptcov_diff,
+    "ndflow": _ndflow_replay,
+    "ftcov": _ftcov_record,
+}
 
 
 def _cmd_analyze(args) -> int:
@@ -440,26 +424,6 @@ def _cmd_paper(args) -> int:
     return 0
 
 
-def _add_finding_options(parser) -> None:
-    """The rule-selection, baseline and output options ``lint`` and every
-    inventory analyzer share (``repro <name> lint --baseline
-    <name>-baseline.json``)."""
-    parser.add_argument("--select", action="append", default=None,
-                        metavar="RULE",
-                        help="emit only these rule IDs (repeatable)")
-    parser.add_argument("--ignore", action="append", default=None,
-                        metavar="RULE",
-                        help="skip these rule IDs (repeatable)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="freeze known warnings: new ones gate CI, "
-                             "baselined ones report without failing")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from current warnings")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one JSON document (lint: every finding "
-                             "with its baselined disposition)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.paper import ARTIFACTS
     from repro.replication.modes import mode_names
@@ -495,57 +459,69 @@ def build_parser() -> argparse.ArgumentParser:
                     help="filter: epoch | backup | recovery")
 
     lint = sub.add_parser(
-        "lint", help="run nlint (determinism/checkpoint-safety rules)"
+        "lint", help="the one static lint: nlint's per-file rules and the "
+                     "ckptcov, perf, ndflow and ftcov rule families over "
+                     "the package, each family gated on its selfcheck",
     )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories (default: src)")
-    _add_finding_options(lint)
+    lint.add_argument("--select", action="append", default=None,
+                      metavar="RULE",
+                      help="emit only these rule IDs (repeatable)")
+    lint.add_argument("--ignore", action="append", default=None,
+                      metavar="RULE", help="skip these rule IDs (repeatable)")
+    lint.add_argument("--baseline", metavar="FILE", default=None,
+                      help="freeze known warnings: new ones gate CI, "
+                           "baselined ones report without failing")
+    lint.add_argument("--update-baseline", action="store_true",
+                      help="rewrite --baseline FILE from current warnings")
+    lint.add_argument("--json", action="store_true",
+                      help="emit one JSON document: every finding with its "
+                           "baselined disposition")
     lint.add_argument("--list-rules", action="store_true",
                       help="list registered rules and exit")
 
+    # The inventory analyzers: their static rules run in `repro lint`;
+    # here each has its selfcheck and its dynamic action, if any.
     ckptcov = sub.add_parser(
         "ckptcov",
-        help="checkpoint state-coverage analyzer (CKPT1xx + "
-             "checkpoint/restore differential oracle)",
+        help="checkpoint state-coverage analyzer: selfcheck, or the "
+             "checkpoint/restore differential oracle",
     )
-    ckptcov.add_argument("action", nargs="?", default="lint",
-                         choices=("selfcheck", "lint", "diff"),
+    ckptcov.add_argument("action", choices=("selfcheck", "diff"),
                          help="diff: the checkpoint->restore->deep-compare "
                               "differential oracle on live workloads")
-    _add_finding_options(ckptcov)
+    ckptcov.add_argument("--json", action="store_true",
+                         help="diff: emit each oracle result as JSON")
     ckptcov.add_argument("--smoke", action="store_true",
                          help="diff: ssdb and net-echo only (default: every "
                               "catalog workload)")
 
     perf = sub.add_parser(
         "perf",
-        help="hot-path performance analyzer: PERF lint rules over the "
+        help="hot-path performance analyzer: selfcheck of the "
              "per-event/per-page/per-epoch surface",
     )
-    perf.add_argument("action", nargs="?", default="lint",
-                      choices=("selfcheck", "lint"))
-    _add_finding_options(perf)
+    perf.add_argument("action", choices=("selfcheck",))
 
     ndflow = sub.add_parser(
         "ndflow",
-        help="nondeterminism-provenance analyzer: NDF taint rules, "
+        help="nondeterminism-provenance analyzer: selfcheck, or the "
              "record->replay differential oracle with a stream crossref",
     )
-    ndflow.add_argument("action", nargs="?", default="lint",
-                        choices=("selfcheck", "lint", "replay"))
-    _add_finding_options(ndflow)
+    ndflow.add_argument("action", choices=("selfcheck", "replay"))
+    ndflow.add_argument("--json", action="store_true",
+                        help="replay: emit the full JSON report")
     ndflow.add_argument("--smoke", action="store_true",
                         help="replay: seed 1 only (default: seeds 1 2)")
 
     ftcov = sub.add_parser(
         "ftcov",
-        help="recovery-path coverage analyzer: FTC lint rules plus a "
-             "catalog coverage recorder crossed against the static "
-             "failure-surface inventory",
+        help="recovery-path coverage analyzer: selfcheck, or a catalog "
+             "coverage recorder crossed against the static failure-surface "
+             "inventory",
     )
-    ftcov.add_argument("action", nargs="?", default="lint",
-                       choices=("selfcheck", "lint", "record"))
-    _add_finding_options(ftcov)
+    ftcov.add_argument("action", choices=("selfcheck", "record"))
+    ftcov.add_argument("--json", action="store_true",
+                       help="record: emit the full JSON report")
     ftcov.add_argument("--smoke", action="store_true",
                        help="record: reduced CI matrix, pair scenarios on "
                             "one workload x 3 seeds")
@@ -613,10 +589,10 @@ _COMMANDS = {
     "failover": _cmd_failover,
     "trace": _cmd_trace,
     "lint": _cmd_lint,
-    "ckptcov": _cmd_ckptcov,
-    "perf": _cmd_perf,
-    "ndflow": _cmd_ndflow,
-    "ftcov": _cmd_ftcov,
+    "ckptcov": _cmd_inventory,
+    "perf": _cmd_inventory,
+    "ndflow": _cmd_inventory,
+    "ftcov": _cmd_inventory,
     "analyze": _cmd_analyze,
     "races": _cmd_races,
     "audit": _cmd_audit,

@@ -4,7 +4,7 @@ Every named :func:`~repro.sim.faults.fault_point` site in the protocol is
 declared here, with the protocol phase it interrupts.  The registry is the
 single source of truth: scenario construction validates point names against
 it, and the ftcov selfcheck (``repro ftcov selfcheck``, run by every
-``repro ftcov lint``) proves that every registered point has a hook site
+``repro lint``) proves that every registered point has a hook site
 and that no hook site uses an unregistered name.
 """
 

@@ -368,7 +368,7 @@ _register(Scenario(
 #: ``repro ftcov record``): the probe takes this scenario's runs out of
 #: the merged counters.  It is the *only* one arming ``backup.mid_commit``
 #: — so the coverage crossref must report that point as never fired, and
-#: the FTC002 lint finding below stays frozen in ``ftcov-baseline.json``.
+#: the FTC002 lint finding below stays frozen in ``lint-baseline.json``.
 #: Two witnesses, one seeded gap, same discipline as
 #: ``unsafe_unlogged_draw``.
 UNSAFE_DROP_SCENARIO = "crash@backup.mid_commit"  # ft: unsafe -- ftcov drop-scenario knob; see docs/ftcov.md

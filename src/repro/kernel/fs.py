@@ -43,7 +43,7 @@ class Inode:
     #: Deliberately absent from metadata(): block placement is host-local
     #: (the backup's writeback allocates its own blocks); logical content
     #: reaches the backup via DNC pages + DRBD, not the block map.
-    block_map: dict[int, int] = field(default_factory=dict)  # ckpt: derived  # nlint: disable=CKPT001
+    block_map: dict[int, int] = field(default_factory=dict)  # ckpt: derived
 
     def metadata(self) -> dict:
         return {

@@ -126,7 +126,7 @@ class AddressSpace:
         self.capture_hook: object | None = None  # ckpt: ephemeral -- observer, reinstalled by the shipper
         #: Nanoseconds of fault overhead accrued but not yet charged as
         #: simulated time; the workload driver drains this (see module doc).
-        #: KNOWN GAP (ckptcov baseline): fault time accrued but not yet
+        #: KNOWN GAP (lint-baseline.json): fault time accrued but not yet
         #: charged at freeze is lost at failover — bounded by one slice.
         self.pending_fault_ns: int = 0
         #: Lifetime fault counter (metrics).

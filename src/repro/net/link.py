@@ -67,6 +67,11 @@ class Endpoint:
         return self._channel.ends[1 - self._index]
 
 
+#: Every dedicated replication link between two hosts (§VI: 10 GbE).
+PAIR_BANDWIDTH_BPS = 10_000_000_000
+PAIR_LATENCY_US = 50
+
+
 class Channel:
     """A bidirectional reliable link (the dedicated 10 GbE pair link)."""
 
@@ -77,8 +82,8 @@ class Channel:
         self,
         engine: Engine,
         name: str = "chan",
-        bandwidth_bps: int = 10_000_000_000,
-        latency_us: int = 50,
+        bandwidth_bps: int = PAIR_BANDWIDTH_BPS,
+        latency_us: int = PAIR_LATENCY_US,
     ) -> None:
         self.engine = engine
         self.name = name

@@ -19,9 +19,6 @@ __all__ = ["World", "reset_id_counters"]
 #: The client-facing bridged network (§VI: 1 GbE).
 CLIENT_BANDWIDTH_BPS = 1_000_000_000
 CLIENT_LATENCY_US = 150
-#: Every dedicated replication link between two hosts (§VI: 10 GbE).
-PAIR_BANDWIDTH_BPS = 10_000_000_000
-PAIR_LATENCY_US = 50
 
 
 class World:
@@ -47,13 +44,9 @@ class World:
         self.backup = Host(self.engine, self.costs, "backup")
         self.client = Host(self.engine, self.costs, "client")
 
-        #: Dedicated replication link between the pair (10 GbE).
-        self.pair_channel = Channel(
-            self.engine,
-            name="pair-10g",
-            bandwidth_bps=PAIR_BANDWIDTH_BPS,
-            latency_us=PAIR_LATENCY_US,
-        )
+        #: Dedicated replication link between the pair (10 GbE: a
+        #: Channel's figures are the pair link's).
+        self.pair_channel = Channel(self.engine, name="pair-10g")
         self.primary.attach_endpoint("pair", self.pair_channel.a, self.pair_channel)
         self.backup.attach_endpoint("pair", self.pair_channel.b, self.pair_channel)
 
@@ -71,12 +64,7 @@ class World:
 
     def connect_pair(self, a: Host, b: Host, logical_name: str = "pair") -> Channel:
         """Join two hosts with a dedicated replication link (10 GbE)."""
-        channel = Channel(
-            self.engine,
-            name=f"{a.name}-{b.name}-10g",
-            bandwidth_bps=PAIR_BANDWIDTH_BPS,
-            latency_us=PAIR_LATENCY_US,
-        )
+        channel = Channel(self.engine, name=f"{a.name}-{b.name}-10g")
         a.attach_endpoint(logical_name, channel.a, channel)
         b.attach_endpoint(logical_name, channel.b, channel)
         return channel

@@ -85,7 +85,7 @@ class NiliconConfig:
     #: perturbs its checkpoint timing with a draw from an unseeded,
     #: unlogged module-level generator (``replication/primary.py``).  The
     #: ndflow analyzer must flag the site statically (NDF001/NDF003,
-    #: frozen in ``ndflow-baseline.json``) and the record→replay oracle
+    #: frozen in ``lint-baseline.json``) and the record→replay oracle
     #: must independently report a replay divergence — the same
     #: two-witness pattern the races/perf knobs use.  Never enable outside
     #: tests.

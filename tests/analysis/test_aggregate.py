@@ -7,9 +7,7 @@ their own suites and by CI's ``make analyze``).
 
 from pathlib import Path
 
-from repro.analysis.aggregate import (
-    STEPS, collect_findings, format_summary, is_lint,
-)
+from repro.analysis.aggregate import STEPS, collect_findings, format_summary
 from repro.analysis.linter import Finding
 from repro.analysis.report import render_json
 from repro.cli import build_parser
@@ -19,10 +17,12 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def test_steps_cover_all_six_analyzers_plus_the_paper_gate():
+    # The one lint step runs nlint and the ckptcov, perf, ndflow and ftcov
+    # rule families; the other steps are the dynamic passes and the gate.
     analyzers = {analyzer for analyzer, _, _ in STEPS}
-    assert analyzers == {"nlint", "races", "ckptcov", "perf", "ndflow",
-                         "ftcov", "paper"}
-    assert len(STEPS) == 10
+    assert analyzers == {"lint", "races", "ckptcov", "ndflow", "ftcov",
+                         "paper"}
+    assert len(STEPS) == 6
 
 
 def test_summary_counts_the_analyzers_of_the_step_list():
@@ -31,13 +31,13 @@ def test_summary_counts_the_analyzers_of_the_step_list():
                          "wall_s": 0.0, "output": ""}
                         for analyzer, smoke, _ in STEPS]}
     assert format_summary(report).splitlines()[0] == (
-        "analyze (smoke): 10 step(s) over 7 analyzers")
+        "analyze (smoke): 6 step(s) over 7 analyzers")
 
 
 def test_every_step_argv_is_a_real_command_run_once():
     """``STEPS`` is the only list of analyzer steps, so each argv must
     parse as a ``repro`` command, none may repeat, and no selfcheck runs
-    on its own: every lint step already gates on it."""
+    on its own: the lint step and each dynamic step already gate on it."""
     parser = build_parser()
     for column in (1, 2):
         argvs = [step[column] for step in STEPS]
@@ -77,11 +77,11 @@ def test_paper_steps_gate_every_artifact_against_the_bench_file():
 def test_ftcov_steps_lint_record_and_probe_the_knob():
     ftcov_smoke = [smoke for analyzer, smoke, _ in STEPS
                    if analyzer == "ftcov"]
-    # The lint step runs the selfcheck; CI runs no separate ftcov step:
-    # the one record pass runs every catalog, derives the drop-scenario
-    # probe and writes the coverage matrix the workflow uploads.
+    # The lint step runs the FTC rules and the selfcheck; CI runs no other
+    # ftcov step: the one record pass runs every catalog, derives the
+    # drop-scenario probe and writes the coverage matrix the workflow
+    # uploads.
     assert ftcov_smoke == [
-        ("ftcov", "lint", "--baseline", "ftcov-baseline.json", "--json"),
         ("ftcov", "record", "--smoke", "--json-out", "coverage-matrix.json"),
     ]
 
@@ -115,23 +115,17 @@ def test_dynamic_steps_take_only_smoke():
     """Every dynamic pass is shaped by ``--smoke`` alone: the smoke argv
     is the full one plus ``--smoke`` (and the ftcov matrix output)."""
     for analyzer, smoke, full in STEPS:
-        if is_lint(full) or analyzer == "paper":
+        if analyzer in ("lint", "paper"):
             continue
         assert [a for a in smoke if a != "--smoke"] == list(full), analyzer
 def test_every_static_pass_has_a_baseline_entry():
-    """The lint steps are the only place a baseline file is named, and
-    each prints the JSON document the merged findings are read from."""
+    """The one lint step is the only place the baseline file is named, and
+    it prints the JSON document the findings are read from."""
     for column in (1, 2):
-        lints = {step[0]: step[column] for step in STEPS
-                 if is_lint(step[column])}
-        assert set(lints) == {"nlint", "ckptcov", "perf", "ndflow", "ftcov"}
-        for analyzer, argv in lints.items():
-            assert "--json" in argv
-            if analyzer == "nlint":
-                assert "--baseline" not in argv
-            else:
-                baseline = argv[argv.index("--baseline") + 1]
-                assert baseline == f"{analyzer}-baseline.json"
+        argvs = [step[column] for step in STEPS
+                 if "--baseline" in step[column]]
+        assert argvs == [
+            ("lint", "--baseline", "lint-baseline.json", "--json")]
 
 
 def _finding(rule, path, line, severity="warning"):
@@ -143,24 +137,17 @@ def test_merged_findings_tag_the_ftcov_knob_as_baselined():
     knob = _finding("FTC002", "src/repro/faultinject/scenarios.py", 9)
     new = _finding("FTC004", "src/repro/fleet/a.py", 3)
     gap = _finding("CKPT100", "src/repro/kernel/b.py", 1, "error")
-    steps = [
-        {"analyzer": "nlint", "argv": ["lint", "src", "--json"],
-         "output": render_json([])},
-        {"analyzer": "races", "argv": ["races", "--smoke"],
-         "output": "not a findings document\n"},
-        # A lint step that failed before printing its document.
-        {"analyzer": "perf", "argv": ["perf", "lint", "--json"],
-         "output": "perf self-check FAILED\n"},
-        {"analyzer": "ckptcov", "argv": ["ckptcov", "lint", "--json"],
-         "output": render_json([gap])},
-        {"analyzer": "ftcov", "argv": ["ftcov", "lint", "--json"],
-         "output": render_json([knob, new], baselined=[knob])},
-    ]
-    merged = collect_findings(steps)
+    race = _finding("RACE001", "src/repro/kernel/b.py", 5)
+    merged = collect_findings(
+        render_json([gap, race, knob, new], baselined=[knob]))
+    # Each finding is tagged with the analyzer of its rule family.
     assert [(f["analyzer"], f["rule"], f["baselined"]) for f in merged] == [
         ("ftcov", "FTC002", True),
         ("ftcov", "FTC004", False),
         ("ckptcov", "CKPT100", False),
+        ("nlint", "RACE001", False),
     ]
     assert merged[0] == {"analyzer": "ftcov", **knob.as_dict(),
                          "baselined": True}
+    # A lint that failed before printing its document has no findings.
+    assert collect_findings("perf self-check FAILED\n") == []

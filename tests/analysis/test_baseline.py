@@ -1,4 +1,4 @@
-"""Tests for finding baselines (shared by ``repro lint`` and ``repro ckptcov``)."""
+"""Tests for finding baselines (``repro lint --baseline lint-baseline.json``)."""
 
 import json
 
@@ -11,7 +11,8 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.linter import Finding
+from repro.analysis.inventory import analyzer_of
+from repro.analysis.linter import Finding, all_rules
 from repro.cli import main
 
 
@@ -87,27 +88,33 @@ def test_empty_everything_is_ok():
 
 
 # --------------------------------------------------------------------------- #
-# CLI integration (`repro ckptcov` / `repro lint` with --baseline)            #
+# CLI integration (`repro lint --baseline`)                                   #
 # --------------------------------------------------------------------------- #
 
 
 def test_ckptcov_update_then_gate(tmp_path, capsys):
-    base = tmp_path / "ckptcov.json"
-    # Bootstrap: freeze the tree's current findings.
-    assert main(["ckptcov", "--baseline", str(base), "--update-baseline"]) == 0
+    base = tmp_path / "lint.json"
+    other = "FTC002::src/repro/x.py::an entry of a rule the run skips"
+    base.write_text(json.dumps({"version": 1, "entries": {other: 1}}))
+    # Bootstrap: freeze the tree's current CKPT101 findings; the entries
+    # of rules the run did not select stay as they were.
+    argv = ["lint", "--select", "CKPT101", "--baseline", str(base)]
+    assert main([*argv, "--update-baseline"]) == 0
     entries = load_baseline(base)
-    assert len(entries) == 1 and next(iter(entries)).startswith("CKPT101::")
+    assert len(entries) == 2 and other in entries
+    assert any(fp.startswith("CKPT101::") for fp in entries)
     capsys.readouterr()
-    # Gated: the known finding is baselined, exit 0.
-    assert main(["ckptcov", "--baseline", str(base)]) == 0
+    # Gated: the known finding is baselined, exit 0, and the skipped
+    # rule's entry is not reported stale.
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "baselined" in out
+    assert "baselined" in out and "stale" not in out
 
 
 def test_ckptcov_empty_baseline_gates_on_known_gap(tmp_path, capsys):
     base = tmp_path / "empty.json"
     base.write_text(json.dumps({"version": 1, "entries": {}}))
-    assert main(["ckptcov", "--baseline", str(base)]) == 1
+    assert main(["lint", "--select", "CKPT101", "--baseline", str(base)]) == 1
     out = capsys.readouterr().out
     assert "CKPT101" in out and "new" in out
 
@@ -115,9 +122,9 @@ def test_ckptcov_empty_baseline_gates_on_known_gap(tmp_path, capsys):
 def test_lint_json_lists_every_finding_with_its_disposition(tmp_path,
                                                            capsys):
     # One document, the baselined finding included: `repro analyze`
-    # merges these documents instead of re-running the pass.
-    argv = ["ckptcov", "lint", "--json", "--baseline"]
-    assert main([*argv, "ckptcov-baseline.json"]) == 0
+    # reads its findings from it instead of re-running the pass.
+    argv = ["lint", "--select", "CKPT101", "--json", "--baseline"]
+    assert main([*argv, "lint-baseline.json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [(f["rule"], f["baselined"]) for f in doc["findings"]] == [
         ("CKPT101", True)]
@@ -131,17 +138,34 @@ def test_lint_json_lists_every_finding_with_its_disposition(tmp_path,
 
 
 def test_lint_accepts_baseline_flag(tmp_path, capsys):
-    # The real tree lints clean, so any baseline gate passes trivially and
-    # a stale-entry warning must surface without failing the run.
+    # The tree has no RACE001 finding, so the gate passes and a
+    # stale-entry warning must surface without failing the run.
     base = tmp_path / "lint.json"
     fp = "RACE001::src/repro/kernel/task.py::stale demo entry"
     base.write_text(json.dumps({"version": 1, "entries": {fp: 1}}))
-    assert main(["lint", "src", "--baseline", str(base)]) == 0
+    assert main(["lint", "--select", "RACE001", "--baseline", str(base)]) == 0
     out = capsys.readouterr().out
     assert "stale" in out
 
 
 def test_checked_in_ckptcov_baseline_matches_tree(capsys):
+    """ckptcov's entries of the repo-root baseline match its findings: the
+    known gap is baselined and none of its entries is stale."""
+    ckptcov = [rule.rule_id for rule in all_rules()
+               if analyzer_of(rule.rule_id) == "ckptcov"]
+    argv = ["lint", "--json", "--baseline", "lint-baseline.json"]
+    assert main([*argv, *(f"--select={rid}" for rid in ckptcov)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["baselined"]) for f in doc["findings"]] == [
+        ("CKPT101", True)]
+    assert doc["stale"] == []
+
+
+def test_checked_in_lint_baseline_matches_tree(capsys):
     """The repo-root baseline must stay in sync with the tree (CI runs this
-    same gate as a step of `make analyze`)."""
-    assert main(["ckptcov", "--baseline", "ckptcov-baseline.json"]) == 0
+    same gate as the lint step of `make analyze`): every finding of every
+    rule family is baselined, and no entry is stale."""
+    assert main(["lint", "--json", "--baseline", "lint-baseline.json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["findings"] and all(f["baselined"] for f in doc["findings"])
+    assert doc["stale"] == []

@@ -143,17 +143,49 @@ def test_ckpt100_class_never_dumped():
     assert "Orphan" in report.findings[0].message
 
 
-def test_ckpt101_field_mutated_never_dumped():
-    srcs = make_srcs(
+#: Fields a serializer leaves out, each with the class's dump and restore
+#: paths; ``default-factory`` and ``init-list`` are the dataclass and
+#: ``__init__`` shapes of unserialized mutable state.
+_UNDUMPED = {
+    "widget": (
         _WIDGET,
-        dump="def dump(w):\n    return w.describe()\n",
-        restore="def restore(w, d):\n    w.restore_from(d)\n",
-    )
-    report = analyze_source_set(srcs)
-    assert rule_ids(report) == ["CKPT101"]
-    assert "Widget.beta" in report.findings[0].message
-    assert ("Widget", "beta") in report.uncovered()
-    assert ("Widget", "alpha") not in report.uncovered()
+        "def dump(w):\n    return w.describe()\n",
+        "def restore(w, d):\n    w.restore_from(d)\n",
+        ("Widget", "beta"), ("Widget", "alpha"),
+    ),
+    "default-factory": (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Widget:\n"
+        "    name: str = 'w'\n"
+        "    queue: list = field(default_factory=list)\n"
+        "    def describe(self):\n"
+        "        return {'name': self.name}\n",
+        "def dump(w):\n    return w.describe()\n",
+        "def restore(w, d):\n    w.name = d['name']\n",
+        ("Widget", "queue"), ("Widget", "name"),
+    ),
+    "init-list": (
+        "class Sock:\n"
+        "    def __init__(self):\n"
+        "        self.seq = 0\n"
+        "        self.queue = []\n"
+        "    def get_repair_state(self):\n"
+        "        return {'seq': self.seq}\n",
+        "def dump(s):\n    return s.get_repair_state()\n",
+        "def restore(s, d):\n    s.seq = d['seq']\n",
+        ("Sock", "queue"), ("Sock", "seq"),
+    ),
+}
+
+
+def test_ckpt101_field_mutated_never_dumped():
+    for shape, (inventory, dump, restore, gap, covered) in _UNDUMPED.items():
+        report = analyze_source_set(make_srcs(inventory, dump, restore))
+        assert rule_ids(report) == ["CKPT101"], shape
+        assert ".".join(gap) in report.findings[0].message
+        assert gap in report.uncovered()
+        assert covered not in report.uncovered()
 
 
 def test_ckpt102_dumped_never_restored():
@@ -168,7 +200,7 @@ def test_ckpt102_dumped_never_restored():
 
 
 def test_ckpt103_restored_never_dumped():
-    srcs = make_srcs(
+    widget = make_srcs(
         _WIDGET,
         dump="def dump(w):\n    return {'alpha': w.alpha}\n",
         restore=(
@@ -177,9 +209,23 @@ def test_ckpt103_restored_never_dumped():
             "    w.beta = d.get('beta', 0)\n"
         ),
     )
-    report = analyze_source_set(srcs)
-    assert rule_ids(report) == ["CKPT103"]
-    assert "Widget.beta" in report.findings[0].message
+    # A restorer that reads a key its serializer never writes.
+    gadget = make_srcs(
+        "class Gadget:\n"
+        "    def __init__(self):\n"
+        "        self.name = 'w'\n"
+        "    def describe(self):\n"
+        "        return {'name': self.name}\n"
+        "    def restore_from(self, desc):\n"
+        "        self.name = desc['name']\n"
+        "        self.extra = desc['missing']\n",
+        dump="def dump(w):\n    return w.describe()\n",
+        restore="def restore(w, d):\n    w.restore_from(d)\n",
+    )
+    for srcs, label in ((widget, "Widget.beta"), (gadget, "Gadget.extra")):
+        report = analyze_source_set(srcs)
+        assert rule_ids(report) == ["CKPT103"]
+        assert label in report.findings[0].message
 
 
 def test_restore_via_constructor_kwargs_counts():

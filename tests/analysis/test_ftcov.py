@@ -390,10 +390,12 @@ def test_real_tree_findings_are_exactly_the_knob(real):
 
 def test_real_tree_findings_match_checked_in_baseline(real):
     from repro.analysis.baseline import apply_baseline, load_baseline
+    from repro.analysis.inventory import analyzer_of
 
     baseline_file = (
-        Path(__file__).resolve().parents[2] / "ftcov-baseline.json")
-    baseline = load_baseline(baseline_file)
+        Path(__file__).resolve().parents[2] / "lint-baseline.json")
+    baseline = {fp: n for fp, n in load_baseline(baseline_file).items()
+                if analyzer_of(fp.split("::", 1)[0]) == "ftcov"}
     part = apply_baseline(real.findings, baseline)
-    assert part.new == [], "un-baselined FTC findings: run repro ftcov lint"
-    assert part.stale == [], "stale ftcov-baseline.json entries: re-freeze"
+    assert part.new == [], "un-baselined FTC findings: run repro lint"
+    assert part.stale == [], "stale ftcov entries in lint-baseline.json"

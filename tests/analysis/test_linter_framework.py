@@ -1,21 +1,20 @@
 """Tests for the nlint framework: registry, suppressions, reporters."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.linter import REGISTRY, Finding, all_rules, lint_paths, lint_source
+from repro.analysis.inventory import load_sources
+from repro.analysis.linter import REGISTRY, Finding, all_rules, lint_source
 from repro.analysis.report import render_json, render_text
-
-SRC_ROOT = Path(__file__).parents[2] / "src"
 
 
 def test_registry_has_at_least_six_rules():
     rules = all_rules()
     ids = {rule.rule_id for rule in rules}
     assert len(ids) >= 6
-    assert {"DET001", "DET002", "DET003", "SIM001", "EXC001", "CKPT001"} <= ids
+    assert {"DET001", "DET002", "DET003", "SIM001", "EXC001", "RACE001"} <= ids
+    assert "CKPT001" not in ids  # ckptcov's CKPT101/CKPT103 check it
 
 
 def test_all_rules_select_subset_and_unknown():
@@ -93,16 +92,9 @@ def test_render_json_shape():
     assert payload["stale"] == []
 
 
-def test_lint_paths_walks_directories(tmp_path):
-    bad = tmp_path / "sim" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text("import time\ndef f():\n    return time.time()\n")
-    (tmp_path / "sim" / "__pycache__").mkdir()
-    findings = lint_paths([tmp_path])
-    assert [f.rule_id for f in findings] == ["DET001"]
-
-
 def test_source_tree_is_clean():
-    """The self-clean guarantee: the shipped tree has zero findings, so the
-    CI gate (`python -m repro lint src/` exiting non-zero) stays meaningful."""
-    assert lint_paths([SRC_ROOT]) == []
+    """The self-clean guarantee: the package has zero per-file findings,
+    so the CI gate (`python -m repro lint`) stays meaningful."""
+    rules = all_rules()
+    assert [finding for path, text in load_sources(("",)).items()
+            for finding in lint_source(text, path, rules)] == []

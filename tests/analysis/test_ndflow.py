@@ -100,6 +100,24 @@ def test_bare_random_is_unaccounted_by_default():
     assert src.site_class is None
 
 
+@pytest.mark.parametrize("binding, call", [
+    ("import random as rnd", "rnd.choice(xs)"),
+    ("from random import choice", "choice(xs)"),
+], ids=["module-alias", "from-import"])
+def test_random_draws_resolve_through_import_bindings(binding, call):
+    # Outside the control paths, so NDF003's receiver check cannot see it.
+    path = "metrics/zz_scope.py"
+    report = analyze_ndflow(overrides={
+        path: f"{binding}\n\ndef zz_pick(xs):\n    return {call}\n"})
+    sites = [(s.kind, s.name) for s in report.inventory.sites
+             if s.path.endswith(path)]
+    assert sites == [("global-random", "random.choice")]
+    assert [f.rule_id for f in report.findings
+            if f.path.endswith(path)] == ["NDF001"]
+    assert any("unaccounted nondeterminism source global-random" in p
+               for p in report.problems if path in p)
+
+
 def test_nd_exempt_class_spans_are_skipped():
     assert inventory(
         """
@@ -187,16 +205,19 @@ def test_selfcheck_accepts_annotated_unsafe():
 
 
 def test_ndf001_flags_bare_entropy():
-    hits = findings(
-        """
-        import random
+    # The global instance's draw, in a control path and in the engine.
+    for path in (_SCOPE, "sim/zz_scope.py"):
+        hits = findings(
+            """
+            import random
 
-        def zz_jitter():
-            return random.random()
-        """,
-        select=["NDF001"],
-    )
-    assert [f.rule_id for f in hits] == ["NDF001"]
+            def zz_jitter():
+                return random.random()
+            """,
+            select=["NDF001"],
+            path=path,
+        )
+        assert [f.rule_id for f in hits] == ["NDF001"], path
 
 
 def test_ndf001_respects_seed_annotation():
@@ -353,10 +374,12 @@ def test_real_tree_findings_are_exactly_the_knob(real):
 
 def test_real_tree_findings_match_checked_in_baseline(real):
     from repro.analysis.baseline import apply_baseline, load_baseline
+    from repro.analysis.inventory import analyzer_of
 
     baseline_file = (
-        Path(__file__).resolve().parents[2] / "ndflow-baseline.json")
-    baseline = load_baseline(baseline_file)
+        Path(__file__).resolve().parents[2] / "lint-baseline.json")
+    baseline = {fp: n for fp, n in load_baseline(baseline_file).items()
+                if analyzer_of(fp.split("::", 1)[0]) == "ndflow"}
     part = apply_baseline(real.findings, baseline)
-    assert part.new == [], "un-baselined NDF findings: run repro ndflow lint"
-    assert part.stale == [], "stale ndflow-baseline.json entries: re-freeze"
+    assert part.new == [], "un-baselined NDF findings: run repro lint"
+    assert part.stale == [], "stale ndflow entries in lint-baseline.json"

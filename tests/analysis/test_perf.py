@@ -8,6 +8,7 @@ on the actual package, including the regression probe: the
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -429,12 +430,13 @@ def test_real_tree_call_later_is_per_event(real):
 
 
 def test_real_tree_findings_match_checked_in_baseline(real):
-    from pathlib import Path
-
     from repro.analysis.baseline import apply_baseline, load_baseline
+    from repro.analysis.inventory import analyzer_of
 
-    baseline_file = Path(__file__).resolve().parents[2] / "perf-baseline.json"
-    baseline = load_baseline(baseline_file)
+    baseline_file = (
+        Path(__file__).resolve().parents[2] / "lint-baseline.json")
+    baseline = {fp: n for fp, n in load_baseline(baseline_file).items()
+                if analyzer_of(fp.split("::", 1)[0]) == "perf"}
     part = apply_baseline(real.findings, baseline)
-    assert part.new == [], "un-baselined PERF findings: run repro perf lint"
-    assert part.stale == [], "stale perf-baseline.json entries: re-freeze"
+    assert part.new == [], "un-baselined PERF findings: run repro lint"
+    assert part.stale == [], "stale perf entries in lint-baseline.json"

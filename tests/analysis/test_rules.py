@@ -1,7 +1,9 @@
 """Per-rule fixture tests: each rule flags its seeded violation and spares
 the documented exemptions."""
 
+from repro.analysis.coverage import analyze_coverage
 from repro.analysis.linter import all_rules, lint_source
+from repro.analysis.ndflow import analyze_ndflow
 
 
 def run_rule(rule_id: str, source: str, path: str):
@@ -27,14 +29,20 @@ class TestDet001:
         assert [f.line for f in findings] == [4, 5, 6, 7, 8]
 
     def test_flags_global_random_but_not_seeded_instances(self):
+        # DET001 leaves the random module to ndflow's NDF001, which flags
+        # the global instance's draw and spares an instance whose seed is
+        # declared with an ``nd: seed`` annotation.
         src = (
             "import random\n"
             "def f():\n"
             "    bad = random.random()\n"
-            "    ok = random.Random(7).random()\n"
+            "    ok = random.Random(7).random()  # nd: seed -- fixed seed\n"
         )
-        findings = run_rule("DET001", src, "src/repro/sim/x.py")
-        assert [f.line for f in findings] == [3]
+        assert run_rule("DET001", src, "src/repro/sim/x.py") == []
+        report = analyze_ndflow(
+            select=["NDF001"], overrides={"src/repro/sim/x.py": src})
+        assert [(f.rule_id, f.line) for f in report.findings
+                if f.path == "src/repro/sim/x.py"] == [("NDF001", 3)]
 
     def test_rng_module_is_exempt(self):
         src = "import os\ndef seed_material():\n    return os.urandom(8)\n"
@@ -217,9 +225,19 @@ class TestExc001:
 
 
 # --------------------------------------------------------------------------- #
-# CKPT001 — checkpoint field coverage                                         #
+# CKPT001's shapes — unserialized checkpoint state, now caught by ckptcov     #
 # --------------------------------------------------------------------------- #
 class TestCkpt001:
+    """The shapes the retired per-file rule CKPT001 flagged, placed in
+    ``kernel/`` next to the real dump and restore paths: ckptcov's
+    CKPT101 and CKPT103 flag each one."""
+
+    PATH = "src/repro/kernel/zz_fixture.py"
+
+    def ckptcov(self, src: str):
+        report = analyze_coverage(overrides={self.PATH: src})
+        return [f for f in report.findings if f.path == self.PATH]
+
     def test_flags_unserialized_mutable_field(self):
         src = (
             "from dataclasses import dataclass, field\n"
@@ -230,22 +248,9 @@ class TestCkpt001:
             "    def describe(self):\n"
             "        return {'name': self.name}\n"
         )
-        findings = run_rule("CKPT001", src, "src/repro/kernel/x.py")
-        assert [f.line for f in findings] == [5]
-        assert "queue" in findings[0].message
-
-    def test_private_and_immutable_fields_exempt(self):
-        src = (
-            "from dataclasses import dataclass, field\n"
-            "@dataclass\n"
-            "class Widget:\n"
-            "    name: str = 'w'\n"
-            "    count: int = 0\n"
-            "    _cache: dict = field(default_factory=dict)\n"
-            "    def describe(self):\n"
-            "        return {'name': self.name, 'count': self.count}\n"
-        )
-        assert run_rule("CKPT001", src, "src/repro/kernel/x.py") == []
+        findings = self.ckptcov(src)
+        assert [f.rule_id for f in findings] == ["CKPT101"]
+        assert "Widget.queue" in findings[0].message
 
     def test_init_assigned_mutable_fields_checked(self):
         src = (
@@ -256,8 +261,8 @@ class TestCkpt001:
             "    def get_repair_state(self):\n"
             "        return {'seq': self.seq}\n"
         )
-        findings = run_rule("CKPT001", src, "src/repro/kernel/x.py")
-        assert len(findings) == 1 and "queue" in findings[0].message
+        gaps = [f.message for f in self.ckptcov(src) if f.rule_id == "CKPT101"]
+        assert len(gaps) == 1 and "Sock.queue" in gaps[0]
 
     def test_restore_reading_unserialized_key_flagged(self):
         src = (
@@ -270,23 +275,6 @@ class TestCkpt001:
             "        self.name = desc['name']\n"
             "        self.extra = desc['missing']\n"
         )
-        findings = run_rule("CKPT001", src, "src/repro/kernel/x.py")
-        assert len(findings) == 1 and "missing" in findings[0].message
-
-    def test_class_without_serializer_skipped(self):
-        src = (
-            "class Helper:\n"
-            "    def __init__(self):\n"
-            "        self.scratch = []\n"
-        )
-        assert run_rule("CKPT001", src, "src/repro/kernel/x.py") == []
-
-    def test_non_kernel_dirs_skipped(self):
-        src = (
-            "class W:\n"
-            "    def __init__(self):\n"
-            "        self.items = []\n"
-            "    def describe(self):\n"
-            "        return {'n': 1}\n"
-        )
-        assert run_rule("CKPT001", src, "src/repro/metrics/x.py") == []
+        findings = self.ckptcov(src)
+        assert [f.rule_id for f in findings] == ["CKPT103"]
+        assert "Widget.extra" in findings[0].message

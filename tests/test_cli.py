@@ -103,20 +103,27 @@ def test_failover_command(capsys):
 
 
 def test_lint_clean_tree_exits_zero(capsys):
-    assert main(["lint", "src"]) == 0
-    assert "no findings" in capsys.readouterr().out
+    # Every finding of the package is one of lint-baseline.json's entries.
+    assert main(["lint", "--baseline", "lint-baseline.json"]) == 0
+    out = capsys.readouterr().out
+    assert "nlint: no findings" in out
+    assert "4 known finding(s) baselined by lint-baseline.json" in out
 
 
-def test_lint_findings_exit_nonzero(tmp_path, capsys):
-    bad = tmp_path / "kernel" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text("import time\ndef f():\n    return time.time()\n")
-    assert main(["lint", str(tmp_path)]) == 1
-    assert "DET001" in capsys.readouterr().out
+def test_lint_findings_exit_nonzero(monkeypatch, capsys):
+    # `repro lint` lints the package; put a violation into it.
+    from repro.analysis import inventory
+
+    real = inventory.load_sources
+    monkeypatch.setattr(inventory, "load_sources", lambda scope: real(
+        scope, {"src/repro/kernel/zz_bad.py":
+                "import time\ndef f():\n    return time.time()\n"}))
+    assert main(["lint", "--select", "DET001"]) == 1
+    assert "src/repro/kernel/zz_bad.py:3:11: DET001" in capsys.readouterr().out
 
 
 def test_lint_unknown_rule_exits_two(capsys):
-    assert main(["lint", "--select", "NOPE999", "src"]) == 2
+    assert main(["lint", "--select", "NOPE999"]) == 2
 
 
 def test_lint_list_rules_covers_every_analyzer_family(capsys):
@@ -130,18 +137,7 @@ def test_lint_list_rules_covers_every_analyzer_family(capsys):
     for ids in (COVERAGE_RULE_IDS, PERF_RULE_IDS, NDFLOW_RULE_IDS,
                 FTCOV_RULE_IDS):
         assert set(ids) <= listed
-
-
-@pytest.mark.parametrize("argv", [
-    ["ckptcov", "--select", "PERF001"],
-    ["perf", "lint", "--select", "NDF001"],
-    ["ndflow", "lint", "--select", "PERF001"],
-    ["ftcov", "lint", "--select", "PERF001"],
-], ids=["ckptcov", "perf", "ndflow", "ftcov"])
-def test_analyzer_rejects_rule_ids_of_another_family(argv, capsys):
-    # Another analyzer's rule would otherwise silently lint nothing.
-    assert main(argv) == 2
-    assert "unknown rule id(s)" in capsys.readouterr().err
+    assert "CKPT001" not in listed
 
 
 def _make_unsound(monkeypatch, module, analyze):
@@ -157,20 +153,20 @@ def _make_unsound(monkeypatch, module, analyze):
     monkeypatch.setattr(mod, analyze, unsound)
 
 
-@pytest.mark.parametrize("module, analyze, argv", [
-    ("repro.analysis.coverage", "analyze_coverage", ["ckptcov", "lint"]),
-    ("repro.analysis.perf", "analyze_perf", ["perf", "lint"]),
-    ("repro.analysis.ndflow", "analyze_ndflow", ["ndflow", "lint"]),
-    ("repro.analysis.ftcov", "analyze_ftcov", ["ftcov", "lint"]),
+@pytest.mark.parametrize("module, analyze, name", [
+    ("repro.analysis.coverage", "analyze_coverage", "ckptcov"),
+    ("repro.analysis.perf", "analyze_perf", "perf"),
+    ("repro.analysis.ndflow", "analyze_ndflow", "ndflow"),
+    ("repro.analysis.ftcov", "analyze_ftcov", "ftcov"),
 ], ids=["ckptcov", "perf", "ndflow", "ftcov"])
-def test_every_lint_gates_on_its_selfcheck(module, analyze, argv,
+def test_every_lint_gates_on_its_selfcheck(module, analyze, name,
                                            monkeypatch, capsys):
     # `repro analyze` runs no standalone selfcheck step: the lint must
-    # refuse to run on the problems its own report carries.
+    # refuse to run on the problems an analyzer's own report carries.
     _make_unsound(monkeypatch, module, analyze)
-    assert main(argv) == 1
+    assert main(["lint"]) == 1
     out = capsys.readouterr().out
-    assert f"run `repro {argv[0]} selfcheck`" in out and "boom" in out
+    assert f"run `repro {name} selfcheck`" in out and "boom" in out
     assert "nlint" not in out  # no findings were printed
 
 
@@ -231,7 +227,7 @@ def test_seed_reaches_the_command_that_reads_it(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["races", "--seed", "5"], ["--seed", "5", "races"],
-                                  ["perf", "lint", "--seed", "5"],
+                                  ["lint", "--seed", "5"],
                                   ["ftcov", "record", "--seed", "5"], ["list-workloads", "--seed", "5"]],
                          ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_a_command_that_reads_no_seed_rejects_it(argv):
@@ -263,6 +259,13 @@ def test_every_make_and_ci_command_parses():
     assert {argv[0] for argv in commands} >= {"lint", "audit", "analyze"}
     for argv in commands:
         build_parser().parse_args(argv)
+    # `make lint` applies the gate of the analyze step's lint, which only
+    # adds the JSON document the findings artifact is read from.
+    from repro.analysis.aggregate import STEPS
+
+    (lint,) = [argv for argv in commands if argv[0] == "lint"]
+    (step,) = [smoke for analyzer, smoke, _ in STEPS if analyzer == "lint"]
+    assert [*lint, "--json"] == list(step)
 
 
 def _paper_bench(monkeypatch, events, ok=True, *options):
