@@ -161,7 +161,14 @@ _RESTORE_FILES = ("criu/restore.py",)
 #: Scanned for ftrace-hooked mutation wrappers (CKPT104 evidence).
 _WRAPPER_FILES = ("container/runtime.py",)
 
-_CKPT_ANNOT_RE = re.compile(r"#\s*ckpt:\s*(derived|ephemeral)\b")
+_CKPT_ANNOTATION = Annotation(
+    pattern=re.compile(r"#\s*ckpt:\s*([A-Za-z_-]+)(?:\s*--\s*([^#]*))?"),
+    vocabulary=frozenset({"derived", "ephemeral"}),
+    noun="ckpt annotation",
+    hint="derived or ephemeral",
+    tag="'# ckpt:'",
+    site="a field-assignment line",
+)
 
 #: Methods whose writes are the restore path itself (exempt from CKPT104).
 _RESTORER_METHODS = frozenset(
@@ -383,7 +390,10 @@ def _self_reads(fn: ast.AST) -> set[str]:
     return out
 
 
-def _scan_class(node: ast.ClassDef, path: str, source_lines: list[str]) -> ClassInfo:
+def _scan_class(
+    node: ast.ClassDef, path: str, source_lines: list[str], field_lines: set[int]
+) -> ClassInfo:
+    """Scan one class; adds the lines that assign its fields to *field_lines*."""
     info = ClassInfo(name=node.name, path=path, line=node.lineno)
     info.exempt = _is_exempt(node)
     ignored_fields: set[str] = set()
@@ -439,15 +449,14 @@ def _scan_class(node: ast.ClassDef, path: str, source_lines: list[str]) -> Class
 
     # Classification from annotations / per-field ignores.
     for field_info in info.fields.values():
+        site_lines = _field_site_lines(node, field_info.name)
+        field_lines.update(site_lines)
         if field_info.name in ignored_fields:
             field_info.classification = "ignored"
             continue
-        for line_no in _field_site_lines(node, field_info.name):
-            if line_no <= len(source_lines):
-                match = _CKPT_ANNOT_RE.search(source_lines[line_no - 1])
-                if match:
-                    field_info.classification = match.group(1)
-                    break
+        annotated, _why = _CKPT_ANNOTATION.find(source_lines, site_lines)
+        if annotated in _CKPT_ANNOTATION.vocabulary:
+            field_info.classification = annotated
     return info
 
 
@@ -475,23 +484,25 @@ def build_inventory(
     sources: Mapping[str, str], problems: list[str] | None = None
 ) -> Inventory:
     """Layer 1: scan *sources* (display path -> text) for state classes.
-    Parse failures and ``# ckpt:`` annotations outside the vocabulary are
-    appended to *problems* when given."""
+    Parse failures, ``# ckpt:`` annotations outside the vocabulary and
+    annotations on no field-assignment line are appended to *problems*
+    when given."""
     inventory = Inventory()
     for path, text, tree in parse_each(sources, problems):
-        if problems is not None:
-            problems += _CKPT_ANNOTATION.problems(path, text)
         lines = text.splitlines()
+        field_lines: set[int] = set()
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            info = _scan_class(node, path, lines)
+            info = _scan_class(node, path, lines, field_lines)
             inventory.classes.append(info)
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     inventory.method_index.setdefault(stmt.name, []).append(
                         (info, stmt)
                     )
+        if problems is not None:
+            problems += _CKPT_ANNOTATION.problems(path, text, field_lines)
     return inventory
 
 
@@ -499,12 +510,6 @@ def build_inventory(
 # Inventory self-check (gates every `repro ckptcov` run)                       #
 # --------------------------------------------------------------------------- #
 
-_CKPT_ANNOTATION = Annotation(
-    pattern=re.compile(r"#\s*ckpt:\s*([A-Za-z_-]+)"),
-    vocabulary=frozenset({"derived", "ephemeral"}),
-    noun="ckpt annotation",
-    hint="derived or ephemeral",
-)
 _KNOWN_CADENCES = frozenset({"epoch", "infrequent"})
 
 

@@ -74,7 +74,9 @@ def load_sources(
     so finding fingerprints are stable.  *overrides* maps a path to
     replacement text: a key replaces the scope file it equals or ends with
     (``kernel/cgroup.py`` or ``src/repro/kernel/cgroup.py``), and a key
-    matching no scope file is added as a synthetic source.
+    matching no scope file is added as a synthetic source under the same
+    display-path form (``kernel/zz.py`` becomes ``src/repro/kernel/zz.py``),
+    so it falls in the same path-scoped corpora and rules as a real file.
     """
     import repro
 
@@ -102,7 +104,7 @@ def load_sources(
         out[f"src/repro/{rel}"] = (root / rel).read_text() if text is None else text
     for key, text in keys.items():
         if not any(matches(key, rel) for rel in rels):
-            out[key] = text
+            out[key if key.startswith("src/repro/") else f"src/repro/{key}"] = text
     return out
 
 

@@ -116,7 +116,7 @@ _ND_ANNOTATION = Annotation(
 #: The whole package — provenance has no "cold" files.
 NDFLOW_SCOPE = ("",)
 
-#: Draw methods of :class:`random.Random` (and the NDLog stream wrappers).
+#: Draw methods of :class:`random.Random`.
 _DRAW_METHODS = frozenset(
     {"random", "randrange", "randint", "choice", "choices", "sample",
      "shuffle", "uniform", "expovariate", "gauss", "normalvariate",

@@ -21,8 +21,8 @@ vector clock.  Happens-before edges come from the event graph itself:
 * **resume** — a process joins the clock of the event that resumed it and
   increments its own component.  Link delivery is a chain of these edges
   (send -> timer event -> ``rx.put`` -> receiver resume).
-* **conditions** — ``AnyOf``/``AllOf`` fold every constituent's clock into
-  the condition event, so a waiter happens-after *all* joined events.
+* **conditions** — an ``AnyOf`` folds the clock of the constituent that
+  triggered it into the condition event, so its waiter happens-after it.
 
 Protocol code reports accesses to shared structures via
 :func:`repro.sim.access.record_access`.  Two checks run over them:

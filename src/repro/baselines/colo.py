@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ColoDeployment"]
 
+#: An output left unmatched this long means the replicas diverged.
+SYNC_TIMEOUT_US = 20_000
+
 #: Flow key for output comparison.
 FlowKey = tuple[str, int, int]
 
@@ -60,12 +63,10 @@ class ColoDeployment:
         world: World,
         spec: ContainerSpec,
         attach_workload: Callable[[Container], None] | None = None,
-        sync_timeout_us: int = 20_000,
     ) -> None:
         self.world = world
         self.spec = spec
         self.attach_workload = attach_workload
-        self.sync_timeout_us = sync_timeout_us
         self.metrics = RunMetrics()
         #: Output divergences that forced a state synchronization.
         self.syncs = 0
@@ -226,12 +227,12 @@ class ColoDeployment:
         """Outputs stuck unmatched beyond the timeout mean the replicas
         diverged: synchronize state (the expensive COLO fallback)."""
         while not self._stopped:
-            yield self.world.engine.timeout(self.sync_timeout_us // 2)
+            yield self.world.engine.timeout(SYNC_TIMEOUT_US // 2)
             if self._stopped:
                 return
             now = self.world.engine.now
             stuck = any(
-                queue and now - queue[0][2] > self.sync_timeout_us
+                queue and now - queue[0][2] > SYNC_TIMEOUT_US
                 for queue in self._pending_primary.values()
             )
             if stuck:

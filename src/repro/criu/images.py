@@ -15,7 +15,6 @@ TCP read/write queues the next largest component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.kernel.costmodel import PAGE_SIZE
 
@@ -125,13 +124,3 @@ class CheckpointImage:
             + len(self.fs_page_entries)
         )
         return bulk_chunks + small_items
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "incremental": self.incremental,
-            "dirty_pages": self.dirty_page_count,
-            "size_bytes": self.size_bytes(),
-            "sockets": len(self.sockets),
-            "fs_pages": len(self.fs_page_entries),
-        }

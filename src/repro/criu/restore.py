@@ -50,10 +50,6 @@ class FullState:
     def total_pages(self) -> int:
         return sum(len(p["pages"]) for p in self.processes)
 
-    @property
-    def total_threads(self) -> int:
-        return sum(len(p["threads"]) for p in self.processes)
-
 
 class RestoreEngine:
     """Restores containers on one (backup) host."""

@@ -8,12 +8,8 @@ stored, epochs traced.  Counters are never wall-clock readings, so two
 same-seed runs produce identical counter digests; the simulator's own
 speed is measured by ``python3 -m bench``.  A column is the counter's
 name with ``_`` for its dot (``digest.pages_digested`` ->
-``digest_pages_digested``).  The :data:`UNOPTIMIZED` row runs streamcluster
-under ``perf_unoptimized_digest``, which re-hashes the whole resident set
-every epoch: against it the generation cache's saving is a page count,
-not a timing, so the paper gate pins it on any host.  The counter digest
-covers the per-kind breakdowns (``engine.events.Call``) the columns omit;
-the table prints it.
+``digest_pages_digested``).  The counter digest covers the per-kind
+breakdowns (``engine.events.Call``) the columns omit; the table prints it.
 """
 
 from __future__ import annotations
@@ -22,20 +18,17 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.experiments.common import open_cell
-from repro.replication.config import NiliconConfig
 from repro.sim.profiler import counter_digest, install_profiler
 from repro.sim.units import ms
 from repro.workloads.base import ServerWorkload
 
-__all__ = ["RUN_MS", "SMOKE_WORKLOADS", "UNOPTIMIZED", "WORKLOADS", "ProfiledRun",
+__all__ = ["RUN_MS", "SMOKE_WORKLOADS", "WORKLOADS", "ProfiledRun",
            "format_rows", "run_profiled_deployment", "run_rows", "work_counters"]
 
 WORKLOADS = ("net", "redis", "streamcluster")
 #: streamcluster has the catalog's largest resident set (55k pages) with a
 #: small per-epoch dirty set: the shape the generation cache exists for.
 SMOKE_WORKLOADS = ("streamcluster",)
-#: The knob row's name: streamcluster without the page-digest cache.
-UNOPTIMIZED = "streamcluster/unoptimized"
 RUN_MS = 1500
 
 
@@ -74,11 +67,9 @@ def _harvest_deployment(profiler, deployment) -> None:
     )
 
 
-def run_profiled_deployment(
-    workload_name: str, run_ms: int, seed: int = 1, config=None
-) -> ProfiledRun:
+def run_profiled_deployment(workload_name: str, run_ms: int, seed: int = 1) -> ProfiledRun:
     """Run one catalog workload under the profiler; returns the counters."""
-    cell = open_cell(workload_name, "nilicon", seed, config=config)
+    cell = open_cell(workload_name, "nilicon", seed)
     cell.start()
     profiler = install_profiler(cell.world.engine)
     if isinstance(cell.workload, ServerWorkload):
@@ -98,19 +89,16 @@ def work_counters(counters: Mapping[str, int]) -> dict[str, int]:
     return {site: n for site, n in counters.items() if site.count(".") == 1}
 
 
-def _row(name: str, workload: str, seed: int, config=None) -> dict:
-    run = run_profiled_deployment(workload, run_ms=RUN_MS, seed=seed, config=config)
+def _row(workload: str, seed: int) -> dict:
+    run = run_profiled_deployment(workload, run_ms=RUN_MS, seed=seed)
     counters = work_counters(run.counters)
-    return {"workload": name, "counter_digest": run.digest,
+    return {"workload": workload, "counter_digest": run.digest,
             **{site.replace(".", "_"): counters[site] for site in sorted(counters)}}
 
 
 def run_rows(smoke: bool = False, seed: int = 1) -> list[dict]:
-    """One row per workload (streamcluster alone with *smoke*), then the
-    knob row."""
-    unoptimized = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    return [*(_row(name, name, seed) for name in (SMOKE_WORKLOADS if smoke else WORKLOADS)),
-            _row(UNOPTIMIZED, "streamcluster", seed, config=unoptimized)]
+    """One row per workload (streamcluster alone with *smoke*)."""
+    return [_row(name, seed) for name in (SMOKE_WORKLOADS if smoke else WORKLOADS)]
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -29,10 +29,9 @@ artifact once (:func:`run_paper`), prints its tables
   :data:`SMOKE_VALIDATION` and the HyCoR comparison on
   :data:`repro.experiments.hycor.SMOKE_WORKLOADS` (with all four recovery
   cells and the traffic cell), the fleet campaign, the first two rows of
-  each fleet sweep, every smoke-scale traffic profile, the engine rows
-  of streamcluster with and without the page-digest cache and the
-  determinism grid.  Every cell is its own world behind an
-  identity-counter reset (:func:`repro.experiments.common.open_cell`,
+  each fleet sweep, every smoke-scale traffic profile, the engine row
+  of streamcluster and the determinism grid.  Every cell is its own world
+  behind an identity-counter reset (:func:`repro.experiments.common.open_cell`,
   :func:`repro.fleet.service.open_fleet`), so smoke cells equal the full
   run's.  The full run takes §VII-A at :data:`VALIDATION_RUNS` injections
   per workload and adds the full-scale traffic profiles
@@ -575,12 +574,6 @@ CLAUSES: tuple[Clause, ...] = (
              lambda violations: violations == 0, _PROFILES),
     *_clause("traffic_full.sustains_1000_sessions", "traffic_full.steady.peak_sessions",
              lambda peak: peak >= 1000),
-    # §VI: the page-digest generation cache hashes only dirty pages, under
-    # a tenth of what re-hashing the resident set every epoch digests.
-    *_clause("engine.digest_cache_saves_work", (
-        "engine.streamcluster.digest_pages_digested",
-        f"engine.{engine.UNOPTIMIZED}.digest_pages_digested"),
-        lambda cached, rehashed: cached < 0.1 * rehashed),
 )
 
 

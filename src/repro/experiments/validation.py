@@ -18,7 +18,11 @@ per run.  Success criteria per workload class:
 * disk-rw — the in-container validator flagged no mismatches.
 * compute — the final output pages equal a golden (stock) run's.
 
-Each run also audits the output-commit invariant log.
+Each run is also judged by the fault campaign's shared oracles
+(:func:`repro.faultinject.evaluate_oracles`): the failover happened, output
+commit held with no release lag, released output is durable, recovery ran
+exactly once and left no open page-store checkpoint, and (for servers) the
+clients saw no error or validation failure and made progress.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import open_cell
+from repro.faultinject import evaluate_oracles
 from repro.sim.units import ms, sec
 from repro.workloads.base import ComputeWorkload, ServerWorkload
 from repro.workloads.microbench import DiskRwWorkload
@@ -74,7 +79,6 @@ def run_one_injection(name: str, seed: int, run_us: int = sec(3)) -> list[str]:
     world, workload, deployment, stats = (
         cell.world, cell.workload, cell.deployment, cell.stats
     )
-    failures: list[str] = []
     cell.start()
     if isinstance(workload, ServerWorkload):
         cell.clients_at(ms(400), run_until_us=run_us)
@@ -94,27 +98,16 @@ def run_one_injection(name: str, seed: int, run_us: int = sec(3)) -> list[str]:
         # Allow in-flight requests to complete after the failover.
         world.run(until=run_us + sec(3))
 
-    if not deployment.failed_over:
-        failures.append("failure was never detected")
+    failures = evaluate_oracles(deployment, stats, expect_failover=True,
+                                expect_liveness=isinstance(workload, ServerWorkload))
+    restored = deployment.restored_container
+    if restored is None:
         return failures
-    if deployment.restored_container is None:
-        failures.append("recovery did not produce a container")
-        return failures
-
-    failures.extend(deployment.audit_output_commit())
-
-    if isinstance(workload, ServerWorkload):
-        if stats.errors:
-            failures.append(f"{stats.errors} client connection errors")
-        failures.extend(stats.validation_failures[:5])
-        if stats.completed == 0:
-            failures.append("client completed no requests")
     if isinstance(workload, DiskRwWorkload):
         failures.extend(workload.errors[:5])
         if workload.operations == 0:
             failures.append("disk-rw made no progress")
     if isinstance(workload, ParsecWorkload):
-        restored = deployment.restored_container
         if not workload.is_complete(restored):
             failures.append("compute workload did not finish after failover")
         else:

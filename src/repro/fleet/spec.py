@@ -16,6 +16,9 @@ from repro.container.spec import ContainerSpec, ProcessSpec
 
 __all__ = ["FleetSpec"]
 
+#: Memory-mapped files per member process.
+MAPPED_FILES = 6
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -35,11 +38,6 @@ class FleetSpec:
     mode: str = "nilicon"
     #: Per-member heap size (kept small: fleet experiments multiply it).
     heap_pages: int = 64
-    n_threads: int = 1
-    n_mapped_files: int = 6
-    #: Every member mounts one namespaced data filesystem (exercises the
-    #: per-container DRBD path at fleet scale).
-    with_disk: bool = True
 
     def member_names(self) -> list[str]:
         return [f"svc{i}" for i in range(self.n_containers)]
@@ -59,12 +57,13 @@ class FleetSpec:
                     processes=[
                         ProcessSpec(
                             comm=f"{name}-srv",
-                            n_threads=self.n_threads,
                             heap_pages=self.heap_pages,
-                            n_mapped_files=self.n_mapped_files,
+                            n_mapped_files=MAPPED_FILES,
                         )
                     ],
-                    mounts=[("/data", f"{name}-data")] if self.with_disk else [],
+                    # Every member mounts one namespaced data filesystem
+                    # (exercises the per-container DRBD path at fleet scale).
+                    mounts=[("/data", f"{name}-data")],
                     cgroup_attributes={"cpu.shares": 256},
                     n_cores=2,
                 )

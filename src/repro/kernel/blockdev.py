@@ -19,6 +19,8 @@ from repro.kernel.errors import FileSystemError
 __all__ = ["BlockDevice"]
 
 BLOCK_SIZE = PAGE_SIZE
+#: Blocks per device (4 GiB of 4 KiB blocks; storage is sparse).
+N_BLOCKS = 1 << 20
 
 WriteHook = Callable[[int, bytes], None]
 
@@ -30,9 +32,8 @@ class BlockDevice:
     #: logical file content reaches the backup via DNC pages + writeback.
     __ckpt_ignore__ = True
 
-    def __init__(self, name: str, n_blocks: int = 1 << 20) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.n_blocks = n_blocks
         self._blocks: dict[int, bytes] = {}
         self._write_hooks: list[WriteHook] = []
         #: Lifetime write counter (metrics / DRBD barrier bookkeeping).
@@ -45,7 +46,7 @@ class BlockDevice:
         self._write_hooks.remove(hook)
 
     def _check(self, idx: int) -> None:
-        if not 0 <= idx < self.n_blocks:
+        if not 0 <= idx < N_BLOCKS:
             raise FileSystemError(f"{self.name}: block {idx} out of range")
 
     def write_block(self, idx: int, data: bytes) -> None:

@@ -23,7 +23,7 @@ in-kernel state           recollect everything        ftrace-invalidated cache
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CostModel", "PAGE_SIZE"]
 
@@ -35,8 +35,10 @@ PAGE_SIZE = 4096
 class CostModel:
     """All kernel/CRIU operation latencies, in integer microseconds.
 
-    A single instance is shared by a simulated host's kernel; experiments
-    may override individual fields (e.g. ablations scale one cost).
+    One instance (``World.costs``) is shared by every simulated host.  The
+    only override is COLO's replica stack, which takes a
+    :func:`dataclasses.replace` copy with its two TCP RTOs raised
+    (:mod:`repro.baselines.colo`).
     """
 
     #: Experiment parameters, not container state.
@@ -255,9 +257,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     syscall_base: int = 1
     proc_text_parse_per_kb: int = 5
-
-    #: Free-form experiment overrides live here (documented at use site).
-    extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # Derived helpers                                                     #

@@ -49,10 +49,10 @@ class Kernel:
         return self.engine.timeout(us)
 
     # -- block / fs ------------------------------------------------------------
-    def add_block_device(self, name: str, n_blocks: int = 1 << 20) -> BlockDevice:
+    def add_block_device(self, name: str) -> BlockDevice:
         if name in self.block_devices:
             raise KernelError(f"{self.hostname}: duplicate block device {name}")
-        device = BlockDevice(f"{self.hostname}/{name}", n_blocks)
+        device = BlockDevice(f"{self.hostname}/{name}")
         self.block_devices[name] = device
         return device
 

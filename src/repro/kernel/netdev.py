@@ -92,8 +92,8 @@ class PlugQdisc:
     While *plugged*, packets queue.  Remus/NiLiCon keep the *egress* plug
     permanently closed and insert a barrier at each checkpoint: packets
     buffered during epoch *k* sit before barrier *k*.  When the backup
-    acknowledges epoch *k*'s state, :meth:`release_epoch` drains packets up
-    to (and including) barrier *k* — and no further, so epoch *k+1* output
+    acknowledges epoch *k*'s state, :meth:`release_through` drains packets
+    up to (and including) barrier *k* — and no further, so epoch *k+1* output
     never escapes before its own state is safe.  :meth:`unplug` fully opens
     the plug (used for the simple input-blocking case).
     """
@@ -153,15 +153,6 @@ class PlugQdisc:
         if barrier_at is None:
             return None, 0
         return barrier_epoch, self._release_to_barrier(barrier_at)
-
-    def release_epoch(self) -> int:
-        """Release packets up to the oldest barrier; returns packets sent.
-
-        The plug stays closed for everything behind the barrier.  Calling
-        with no barrier in the queue releases nothing (there is no safely
-        acknowledged epoch to release).
-        """
-        return self.release_oldest()[1]
 
     def release_through(self, epoch: int) -> list[tuple[int, int]]:
         """Drain every leading segment whose barrier epoch is <= *epoch*.

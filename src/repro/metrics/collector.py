@@ -135,9 +135,3 @@ class RunMetrics:
     def backup_core_utilization(self) -> float:
         """Table V: backup-agent CPU per wall second."""
         return self.backup_cpu_us / self.elapsed_us
-
-    def cache_hit_rate(self) -> float:
-        if not self.epochs:
-            return 0.0
-        hits = sum(1 for e in self.epochs if e.infrequent_from_cache)
-        return hits / len(self.epochs)

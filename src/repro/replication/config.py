@@ -72,15 +72,6 @@ class NiliconConfig:
     #: output has already escaped.  Exists only so the fault campaign can
     #: demonstrate the race; never enable outside tests.
     unsafe_ack_before_commit: bool = False
-    #: REGRESSION KNOB — disable the page-digest cache's dirty-only
-    #: hashing (:class:`~repro.replication.statecache.PageDigestCache`):
-    #: the primary re-hashes the container's entire resident set every
-    #: epoch instead of hashing only the dirty pages its checkpoint image
-    #: carries.  Exists so ``repro perf`` can prove the analyzer flags
-    #: the re-hash-everything loop (PERF002) and the profiler confirms it
-    #: hot, and so the paper gate's ``engine`` artifact can pin the pages
-    #: the cache saves; never enable outside tests and that artifact.
-    perf_unoptimized_digest: bool = False
     #: REGRESSION KNOB — one RNG consumer bypassing the NDLog: the primary
     #: perturbs its checkpoint timing with a draw from an unseeded,
     #: unlogged module-level generator (``replication/primary.py``).  The

@@ -12,10 +12,7 @@ first, exactly like RemusXen's DRBD patch.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Generator
-
 from repro.kernel.blockdev import BlockDevice
-from repro.kernel.costmodel import CostModel
 from repro.net.link import Endpoint
 from repro.sim.access import record_access
 from repro.sim.engine import Engine, Event
@@ -63,9 +60,8 @@ class PrimaryDrbd:
 class BackupDrbd:
     """Backup-side DRBD: buffer mirrored writes, apply on epoch commit."""
 
-    def __init__(self, engine: Engine, costs: CostModel, device: BlockDevice) -> None:
+    def __init__(self, engine: Engine, device: BlockDevice) -> None:
         self.engine = engine
-        self.costs = costs
         self.device = device
         #: epoch -> ordered list of (block_idx, data).
         self._pending: dict[int, list[tuple[int, bytes]]] = defaultdict(list)
@@ -108,17 +104,7 @@ class BackupDrbd:
                 event.succeed(None)
         return event
 
-    def is_epoch_complete(self, epoch: int) -> bool:
-        expected = self._barrier_counts.get(epoch)
-        return expected is not None and len(self._pending.get(epoch, ())) >= expected
-
     # -- commit / discard ----------------------------------------------------------
-    def pending_write_count(self, epoch: int) -> int:
-        """Buffered (uncommitted) writes held for *epoch*."""
-        record_access(self.engine, self, "disk_pending", "r", key=epoch,
-                      site="drbd.pending_count")
-        return len(self._pending.get(epoch, ()))
-
     def apply_epoch(self, epoch: int) -> int:
         """Synchronously apply *epoch*'s buffered writes to the backup disk.
 
@@ -137,15 +123,6 @@ class BackupDrbd:
             self.device.write_block_raw(block_idx, data)
         self.committed_epochs.append(epoch)
         return len(writes)
-
-    def commit_epoch(self, epoch: int) -> Generator[Any, Any, int]:
-        """Charge then apply *epoch*'s writes (compat wrapper used by older
-        call sites and tests; the backup agent charges and applies
-        separately so the apply can be atomic)."""
-        n = self.pending_write_count(epoch)
-        yield self.engine.timeout(n * self.costs.backup_disk_commit_per_block)
-        applied = self.apply_epoch(epoch)
-        return applied
 
     def discard_uncommitted(self) -> int:
         """Failover: drop every buffered-but-uncommitted epoch."""

@@ -139,7 +139,7 @@ class ReplicatedDeployment:
             # primary's current content before incremental mirroring starts.
             backup_dev.load_snapshot(primary_dev.snapshot())
             self.primary_drbd.append(PrimaryDrbd(primary_dev, primary_endpoint, disk_index))
-            self.backup_drbd.append(BackupDrbd(engine, costs, backup_dev))
+            self.backup_drbd.append(BackupDrbd(engine, backup_dev))
 
         # -- primary side -----------------------------------------------------
         self.primary_runtime = ContainerRuntime(self.primary_host.kernel, world.bridge)

@@ -86,11 +86,9 @@ class PrimaryAgent:
         if config.criu.cache_infrequent_state:
             collector = StateCollector(self.kernel, config.criu)
             self.state_cache = InfrequentStateCache(self.kernel, collector, container)
-        #: Per-page transfer-integrity CRCs, cached across epochs (host-side
-        #: only; see docs/perf.md for the unoptimized regression mode).
-        self.digest_cache = PageDigestCache(
-            unoptimized=config.perf_unoptimized_digest
-        )
+        #: Per-page transfer-integrity CRCs of each epoch's dirty pages
+        #: (host-side only).
+        self.digest_cache = PageDigestCache()
 
         #: Continues an adopted container's numbering (0 for a fresh pair).
         self.epoch = initial_epoch

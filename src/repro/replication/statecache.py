@@ -118,18 +118,11 @@ class PageDigestCache:
     ``cache_hits`` counts the clean resident pages that were not re-hashed.
     No CRC outlives the epoch that shipped it: nothing reads one back.
 
-    ``unoptimized=True`` (the ``perf_unoptimized_digest`` regression knob)
-    re-hashes the container's entire resident set every epoch into a
-    per-call table and takes the shipped pages' CRCs from it — the
-    re-hash-everything hot loop that ``repro perf`` must flag (PERF002) and
-    the profiler must confirm hot.
-
     Host-side only: no simulated time is charged and no trace events are
     emitted, so installing the digest path changes no pinned digest.
     """
 
-    def __init__(self, unoptimized: bool = False) -> None:
-        self.unoptimized = unoptimized
+    def __init__(self) -> None:
         #: Checkpoint generations digested so far.
         self.generation = 0
         #: Perf-profiler harvest counters (always on).
@@ -142,44 +135,23 @@ class PageDigestCache:
     ) -> dict[int, dict[int, int]]:  # hot: per-page -- runs over the dirty set every epoch
         """Digest one epoch's checkpoint; returns ``{pid: {idx: crc}}``.
 
-        *processes* is the container's live process list; the optimized
-        path only uses it to count the clean pages it did NOT re-hash,
-        the unoptimized path walks it to re-hash everything resident.
+        *processes* is the container's live process list, used only to
+        count the clean pages that were NOT re-hashed.
         """
         self.generation += 1
-        unoptimized = self.unoptimized
-        resident = 0
-        # Knob only: pid -> {idx: crc} of every resident page, this call.
-        rehashed: dict[int, dict[int, int]] = {}
-        for process in processes:
-            pages = process.mm.pages
-            resident += len(pages)
-            if unoptimized:
-                # Re-hash-everything mode: every resident page of every
-                # process, clean or not, every epoch.
-                crcs = rehashed[process.pid] = {}
-                for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
-                    crcs[idx] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- the 'unoptimized' regression knob IS the re-hash-everything baseline the profiler must still observe
-                    self.pages_digested += 1
-                    self.bytes_hashed += PAGE_SIZE
+        resident = sum(len(process.mm.pages) for process in processes)
         digests: dict[int, dict[int, int]] = {}
         in_image = 0
         for pimage in image.processes:
             pages = pimage.pages
             in_image += len(pages)
             crcs = digests[pimage.pid] = {}
-            if unoptimized:
-                resident_crcs = rehashed[pimage.pid]
-                for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
-                    crcs[idx] = resident_crcs[idx]
-                continue
             for idx in sorted(pages):  # nlint: disable=PERF003 -- digests walk pages in address order by contract
                 crcs[idx] = zlib.crc32(pages[idx])  # nlint: disable=PERF002 -- dirty pages only; soft-dirty tracking already skipped every clean page
                 self.pages_digested += 1
                 self.bytes_hashed += PAGE_SIZE
-        if not unoptimized:
-            # Clean resident pages that were not re-hashed.
-            self.cache_hits += max(0, resident - in_image)
+        # Clean resident pages that were not re-hashed.
+        self.cache_hits += max(0, resident - in_image)
         return digests
 
 

@@ -18,10 +18,8 @@ Public surface:
   :meth:`Process.interrupt`.
 * :class:`~repro.sim.engine.Observer` -- the engine's one hook protocol;
   instruments subclass it and install with :meth:`Engine.observe`.
-* :class:`~repro.sim.engine.AnyOf` / :class:`~repro.sim.engine.AllOf` --
-  composite wait conditions.
+* :class:`~repro.sim.engine.AnyOf` -- wait for the first of several events.
 * :class:`~repro.sim.resources.Queue` -- unbounded FIFO channel.
-* :class:`~repro.sim.resources.Lock` -- mutual exclusion.
 * :class:`~repro.sim.rng.RngRegistry` -- named, independently-seeded RNG
   streams for reproducible experiments.
 * :mod:`~repro.sim.units` -- time unit helpers (all simulation time is kept
@@ -29,7 +27,6 @@ Public surface:
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Call,
     Engine,
@@ -40,18 +37,16 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Lock, Queue
+from repro.sim.resources import Queue
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MICROSECOND, MILLISECOND, SECOND, ms, sec, us
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Call",
     "Engine",
     "Event",
     "Interrupt",
-    "Lock",
     "MICROSECOND",
     "MILLISECOND",
     "Observer",

@@ -8,7 +8,7 @@ proven coroutine protocol but is intentionally smaller: no real-time mixing,
 no environment subclassing, integer-microsecond time only.  A timer nothing
 waits on skips the event altogether: :meth:`Engine.call_later` puts a
 :class:`Call` (the callback and its arguments) in the heap entry instead.
-A triggered :class:`AnyOf`/:class:`AllOf` releases the constituents that
+A triggered :class:`AnyOf` releases the constituents that
 have not fired yet: each keeps a bare defusing callback instead of one that
 holds the condition, so a losing timeout left in the heap does not keep the
 condition, its events and their values alive.
@@ -54,7 +54,6 @@ from collections.abc import Callable, Generator, Iterable
 from typing import Any, Hashable, TypeVar
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Call",
     "Engine",
@@ -121,7 +120,7 @@ class Observer:
         """*process* yielded the already-processed *event* and goes on."""
 
     def on_condition_join(self, condition: Event, event: Event) -> None:
-        """Constituent *event* was folded into an AnyOf/AllOf *condition*."""
+        """Constituent *event* was folded into an AnyOf *condition*."""
 
     def on_access(
         self, obj: Any, field: str, kind: str, key: Hashable, site: str
@@ -439,15 +438,18 @@ def _defuse(event: Event) -> None:
         event._defused = True
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
+class AnyOf(Event):
+    """Triggers when any constituent event triggers.
 
-    __slots__ = ("events", "_n_done")
+    Value is a dict of the constituent events that had triggered by then,
+    mapped to their values.  A failed constituent fails the condition.
+    """
+
+    __slots__ = ("events",)
 
     def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:
         super().__init__(engine)
         self.events: tuple[Event, ...] = tuple(events)
-        self._n_done = 0
         for ev in self.events:
             if ev.engine is not engine:
                 raise SimulationError("condition mixes events from different engines")
@@ -461,7 +463,24 @@ class _Condition(Event):
                 ev.callbacks.append(_defuse if self.triggered else self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
+        if self.triggered:
+            if not event._ok:
+                event._defused = True
+            return
+        # Fold the triggering constituent's causal clock into the
+        # condition's, so the waiter happens-after it.
+        observer = self.engine._observer
+        if observer is not None:
+            observer.on_condition_join(self, event)
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+        else:
+            # ``processed`` (callbacks ran), not ``triggered``: Timeout
+            # pre-sets its value at construction, so ``triggered`` would
+            # report not-yet-fired timeouts as done.
+            self.succeed({ev: ev._value for ev in self.events if ev.processed})
+        self._release()
 
     def _release(self) -> None:
         """Let go of the constituents still pending once this triggered.
@@ -479,72 +498,6 @@ class _Condition(Event):
                 for i, callback in enumerate(callbacks):
                     if callback == check:
                         callbacks[i] = _defuse
-
-    def _note_clock(self, event: Event) -> None:
-        """Fold *event*'s causal clock into the pending condition clock.
-
-        Without this, the condition event would only happen-after the
-        constituent whose firing finally triggered it; the waiter must
-        happen-after *every* constituent folded in so far.
-        """
-        observer = self.engine._observer
-        if observer is not None:
-            observer.on_condition_join(self, event)
-
-    def _collect(self) -> dict[Event, Any]:
-        # Use ``processed`` (callbacks ran) rather than ``triggered``:
-        # Timeout pre-sets its value at construction, so ``triggered`` would
-        # wrongly report not-yet-fired timeouts as done.
-        return {ev: ev._value for ev in self.events if ev.processed}
-
-
-class AnyOf(_Condition):
-    """Triggers when any constituent event triggers.
-
-    Value is a dict of the constituent events that had triggered by then,
-    mapped to their values.  A failed constituent fails the condition.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        self._note_clock(event)
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-        self._release()
-
-
-class AllOf(_Condition):
-    """Triggers when all constituent events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:
-        super().__init__(engine, events)
-        if not self.events and not self.triggered:
-            self.succeed({})
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        self._note_clock(event)
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            self._release()
-            return
-        self._n_done += 1
-        if self._n_done == len(self.events):
-            self.succeed(self._collect())
 
 
 class Engine:
@@ -636,9 +589,6 @@ class Engine:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def set_tiebreak(self, policy: Any) -> None:

@@ -27,8 +27,8 @@ runs a workload in record mode, re-runs it replaying from the serialized
 log, and requires trace/metrics digests to be replay-identical — which is
 exactly the property a HyCoR backup needs from this log.
 
-Wrapper streams compose the compound draw methods (``randint``,
-``choice``, ``shuffle``) from the primitive ones, so record and replay
+The wrapper streams carry exactly the draws the simulator makes
+(``random``, ``randrange`` and ``expovariate``), so record and replay
 consume the log in lockstep by construction.
 """
 
@@ -221,35 +221,11 @@ class NDLog:
 # --------------------------------------------------------------------------- #
 
 
-class _StreamBase:
-    """Compound draw methods, composed from the primitives below so that
-    record and replay consume the log in the same order by construction."""
+class _RecordStream:
+    """Record-mode stream: draw from the seeded generator, log the value.
 
-    __nd_exempt__ = True
-
-    def random(self) -> float:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def randrange(self, *args: int) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def randint(self, a: int, b: int) -> int:
-        return self.randrange(a, b + 1)
-
-    def choice(self, seq):
-        if not len(seq):
-            raise IndexError("cannot choose from an empty sequence")
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, x) -> None:
-        # Fisher-Yates over logged randrange draws.
-        for i in reversed(range(1, len(x))):
-            j = self.randrange(i + 1)
-            x[i], x[j] = x[j], x[i]
-
-
-class _RecordStream(_StreamBase):
-    """Record-mode stream: draw from the seeded generator, log the value."""
+    Only the draw methods the simulator calls are wrapped; any other method
+    raises ``AttributeError`` rather than drawing around the log."""
 
     def __init__(self, log: NDLog, name: str, rng) -> None:
         self._log = log
@@ -263,22 +239,12 @@ class _RecordStream(_StreamBase):
         return self._log.record(
             self._name, "randrange", self._rng.randrange(*args))
 
-    def uniform(self, a: float, b: float) -> float:
-        return self._log.record(self._name, "uniform", self._rng.uniform(a, b))
-
     def expovariate(self, lambd: float) -> float:
         return self._log.record(
             self._name, "expovariate", self._rng.expovariate(lambd))
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._log.record(self._name, "gauss", self._rng.gauss(mu, sigma))
 
-    def getrandbits(self, k: int) -> int:
-        return self._log.record(
-            self._name, "getrandbits", self._rng.getrandbits(k))
-
-
-class _ReplayStream(_StreamBase):
+class _ReplayStream:
     """Replay-mode stream: every draw is served from the log alone; the
     seeded generator is never consulted."""
 
@@ -292,17 +258,8 @@ class _ReplayStream(_StreamBase):
     def randrange(self, *args: int) -> int:
         return self._log.replay(self._name, "randrange")
 
-    def uniform(self, a: float, b: float) -> float:
-        return self._log.replay(self._name, "uniform")
-
     def expovariate(self, lambd: float) -> float:
         return self._log.replay(self._name, "expovariate")
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._log.replay(self._name, "gauss")
-
-    def getrandbits(self, k: int) -> int:
-        return self._log.replay(self._name, "getrandbits")
 
 
 class _RegistryRecorder:

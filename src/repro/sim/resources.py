@@ -4,8 +4,6 @@ Only the primitives the reproduction actually needs are provided:
 
 * :class:`Queue` — an unbounded FIFO channel (used for message passing
   between agents, NIC receive queues, parasite pipes, ...).
-* :class:`Lock` — mutual exclusion (used e.g. to serialize access to a
-  container's freezer).
 * :class:`Gate` — a reusable open/closed barrier (used by the network input
   blocking path: while the gate is closed, deliveries queue up).
 
@@ -20,7 +18,7 @@ from typing import Any
 
 from repro.sim.engine import Engine, Event, SimulationError
 
-__all__ = ["Gate", "Lock", "Queue", "Semaphore"]
+__all__ = ["Gate", "Queue", "Semaphore"]
 
 
 class Queue:
@@ -72,43 +70,6 @@ class Queue:
         drained = list(self._items)
         self._items.clear()
         return drained
-
-
-class Lock:
-    """A fair mutual-exclusion lock.
-
-    Usage from a process::
-
-        yield lock.acquire()
-        try:
-            ...critical section...
-        finally:
-            lock.release()
-    """
-
-    def __init__(self, engine: Engine, name: str = "lock") -> None:
-        self.engine = engine
-        self.name = name
-        self._locked = False
-        self._waiters: deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        event = Event(self.engine)
-        if not self._locked:
-            self._locked = True
-            event.succeed(None)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"release() of unlocked {self.name!r}")
-        if self._waiters:
-            # Hand the lock directly to the next waiter (still held).
-            self._waiters.popleft().succeed(None)
-        else:
-            self._locked = False
 
 
 class Semaphore:

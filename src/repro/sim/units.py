@@ -32,16 +32,3 @@ def ms(value: float) -> int:
 def sec(value: float) -> int:
     """Convert *value* seconds to integer microseconds."""
     return int(round(value * SECOND))
-
-
-def fmt_time(t: int) -> str:
-    """Render an integer-microsecond timestamp as a human string.
-
-    Chooses the largest unit that keeps the value readable; used by log and
-    report code only (never parsed back).
-    """
-    if t >= SECOND:
-        return f"{t / SECOND:.3f}s"
-    if t >= MILLISECOND:
-        return f"{t / MILLISECOND:.3f}ms"
-    return f"{t}us"

@@ -10,7 +10,9 @@ Two shapes, mirroring the paper's methodology (§VI, §VII-C):
   scalability experiments.
 
 Both validate every response via the workload-provided checker and record
-latencies into :class:`~repro.workloads.base.ClientStats`.  Clients run on
+latencies into :class:`~repro.workloads.base.ClientStats`; a response that
+fails its check is a validation failure, never a latency sample (a corrupt
+fast reply would otherwise *improve* the reported percentiles).  Clients run on
 the client host and survive primary failover through ordinary TCP
 retransmission — there is no reconnect logic, which is the point: failover
 must be client-transparent.
@@ -129,9 +131,6 @@ class PipelinedClient:
                 failure = check(frame_body)
                 if failure is not None:
                     self.stats.validation_failures.append(f"req {i}: {failure}")
-                    # An unvalidated response is not a latency sample: a
-                    # corrupt fast reply would otherwise *improve* the
-                    # reported percentiles.
                 else:
                     self.stats.latencies_us.append(self.world.now - sent_at)
                 self.stats.completed += 1
@@ -154,7 +153,6 @@ class ClosedLoopClients:
         think_us: int = 0,
         n_requests_per_client: int | None = None,
         run_until_us: int | None = None,
-        recv_timeout_us: int | None = None,
     ) -> None:
         self.world = world
         self.server_ip = server_ip
@@ -165,7 +163,6 @@ class ClosedLoopClients:
         self.think_us = think_us
         self.n_requests_per_client = n_requests_per_client
         self.run_until_us = run_until_us
-        self.recv_timeout_us = recv_timeout_us
         self.stack = make_client_stack(world, name="web-clients")
         self._request_counter = 0
         self._finished = 0
@@ -177,20 +174,6 @@ class ClosedLoopClients:
     def start(self) -> None:
         for c in range(self.n_clients):
             self.world.engine.process(self._client(c), name=f"client-{c}")
-
-    def _recv_deadline_us(self, sent_at: int) -> int | None:
-        """Absolute deadline for the response to the request sent at
-        *sent_at*, or None for no deadline.  An explicit ``recv_timeout_us``
-        wins; otherwise a ``run_until_us`` run falls back to run end plus
-        :data:`RECV_GRACE_US` — generous enough to ride out a failover, but
-        finite, so an upstream that stalls forever can no longer wedge the
-        campaign (historically a client blocked in recv only re-checked
-        ``run_until_us`` before *sending*)."""
-        if self.recv_timeout_us is not None:
-            return sent_at + self.recv_timeout_us
-        if self.run_until_us is not None:
-            return self.run_until_us + RECV_GRACE_US
-        return None
 
     def _client(self, index: int):
         # ``finally`` is the only exit path allowed to touch ``_finished``:
@@ -211,6 +194,10 @@ class ClosedLoopClients:
             return
         sent = 0
         buffered = bytearray()
+        # A response deadline of run end plus RECV_GRACE_US: generous
+        # enough to ride out a failover, but finite, so an upstream that
+        # stalls forever cannot wedge a client blocked in recv.
+        deadline = None if self.run_until_us is None else self.run_until_us + RECV_GRACE_US
         while True:
             if self.n_requests_per_client is not None and sent >= self.n_requests_per_client:
                 break
@@ -221,7 +208,6 @@ class ClosedLoopClients:
             sock.send(protocol.frame(body))
             sent += 1
             start = self.world.now
-            deadline = self._recv_deadline_us(start)
             frame_body = None
             failed = False
             while frame_body is None:
@@ -257,9 +243,10 @@ class ClosedLoopClients:
             failure = check(frame_body)
             if failure is not None:
                 self.stats.validation_failures.append(f"client {index}: {failure}")
+            else:
+                self.stats.latencies_us.append(self.world.now - start)
             self.stats.completed += 1
             self.stats.operations += ops
-            self.stats.latencies_us.append(self.world.now - start)
             self.stats.bytes_received += len(frame_body)
             if self.think_us:
                 yield self.world.engine.timeout(self.think_us)

@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DiskRwWorkload", "EchoServer", "region_content"]
 
 JOURNAL_BASE = 8
+#: File regions disk-rw writes and reads back, each with one journal page.
+N_REGIONS = 64
 REGION_BYTES = 4096
 #: CPU per disk-rw operation, and echo CPU per KB of request body.
 OP_CPU_US = 150
@@ -46,8 +48,7 @@ class DiskRwWorkload(Workload):
 
     name = "disk-rw"
 
-    def __init__(self, n_regions: int = 64):
-        self.n_regions = n_regions
+    def __init__(self) -> None:
         self.path = "/data/disk-rw.dat"
         #: Errors observed by the in-container validator.
         self.errors: list[str] = []
@@ -59,7 +60,7 @@ class DiskRwWorkload(Workload):
             ip=self.ip,
             processes=[
                 ProcessSpec(comm="disk-rw", n_threads=1,
-                            heap_pages=JOURNAL_BASE + self.n_regions + 16,
+                            heap_pages=JOURNAL_BASE + N_REGIONS + 16,
                             n_mapped_files=12)
             ],
             mounts=[("/data", f"{self.name}-fs")],
@@ -82,7 +83,7 @@ class DiskRwWorkload(Workload):
         rng = world.rng.stream("disk-rw", owner="repro.workloads.microbench")
         flush_tick = 0
         while not container.dead:
-            region = rng.randrange(self.n_regions)
+            region = rng.randrange(N_REGIONS)
             length = rng.randrange(1, REGION_BYTES + 1)
             do_write = rng.random() < 0.5
 

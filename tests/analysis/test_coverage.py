@@ -477,6 +477,14 @@ def test_deleted_dump_site_with_restore_intact_is_ckpt103():
     )
 
 
+@pytest.mark.parametrize("key", ["kernel/zz_fixture.py", "src/repro/kernel/zz_fixture.py"])
+def test_synthetic_override_is_analyzed_however_its_key_is_spelled(key):
+    code = "class ZzWidget:\n    def __init__(self):\n        self.queue = []\n"
+    report = analyze_coverage(overrides={key: code})
+    assert [(f.rule_id, f.path) for f in report.findings if "zz_fixture" in f.path] == [
+        ("CKPT100", "src/repro/kernel/zz_fixture.py")]
+
+
 def test_override_matching_is_suffix_based():
     srcs = load_source_set(overrides={"src/repro/kernel/cgroup.py": "class X:\n    pass\n"})
     assert srcs.inventory["src/repro/kernel/cgroup.py"] == "class X:\n    pass\n"

@@ -70,6 +70,13 @@ def test_selfcheck_rejects_unknown_vocabulary(selfcheck, code, expected):
 
 
 @pytest.mark.parametrize("selfcheck, code, expected", [
+    (_ckptcov, """
+        class ZzState:
+            def __init__(self):
+                self.x = 1
+            def describe(self):
+                return {"x": self.x}  # ckpt: derived -- not on an assignment
+        """, "'# ckpt:' annotation is not on a field-assignment line"),
     (_perf, """
         def zz_fn():
             x = 1
@@ -81,7 +88,7 @@ def test_selfcheck_rejects_unknown_vocabulary(selfcheck, code, expected):
     (_ftcov, """
         ZZ_PLAIN = 1  # ft: defensive -- classifies nothing
         """, "'ft:' annotation is not on an inventoried failure-handling"),
-], ids=["perf", "ndflow", "ftcov"])
+], ids=["ckptcov", "perf", "ndflow", "ftcov"])
 def test_selfcheck_rejects_orphan_annotation(selfcheck, code, expected):
     problems = selfcheck(textwrap.dedent(code))
     assert any(expected in p and "classifies nothing" in p
@@ -102,9 +109,12 @@ def test_override_key_replaces_the_scope_file(key):
 
 
 def test_unmatched_override_key_is_appended_as_a_synthetic_source():
-    sources = load_sources(("sim/engine.py",), {_SCOPE: "ZZ = 1\n"})
-    assert list(sources) == ["src/repro/sim/engine.py", _SCOPE]
-    assert sources[_SCOPE] == "ZZ = 1\n"
+    # Stored under the display-path form whichever way the key is spelled,
+    # so every analyzer's path-scoped corpora and rules see it alike.
+    for key in (_SCOPE, f"src/repro/{_SCOPE}"):
+        sources = load_sources(("sim/engine.py",), {key: "ZZ = 1\n"})
+        assert list(sources) == ["src/repro/sim/engine.py", f"src/repro/{_SCOPE}"]
+        assert sources[f"src/repro/{_SCOPE}"] == "ZZ = 1\n"
 
 
 def test_scope_directories_expand_to_their_python_files():

@@ -3,8 +3,7 @@
 Synthetic scope-file overrides exercise the classifier and each PERF rule
 in isolation (unique ``zz_``-prefixed names keep the name-based call graph
 from reaching real code); the real-tree tests pin the analyzer's verdict
-on the actual package, including the regression probe: the
-``perf_unoptimized_digest`` re-hash loop must surface as PERF002.
+on the actual package.
 """
 
 import textwrap
@@ -392,10 +391,8 @@ def _real_findings(report, rule_id, path):
 
 
 def test_real_tree_digest_debt_is_paid(real):
-    # Both digest loops carry justified suppressions now: the dirty-page
-    # loop hashes only what changed, and the re-hash-everything loop is
-    # the perf_unoptimized_digest regression knob itself — the statecache
-    # must stay clean under PERF002.
+    # The digest loop carries a justified suppression: it hashes only the
+    # dirty pages — the statecache must stay clean under PERF002.
     assert not _real_findings(real, "PERF002", "replication/statecache.py"), (
         "statecache digest loop regressed to whole-buffer hashing")
 

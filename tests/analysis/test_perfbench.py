@@ -2,15 +2,13 @@
 paper gate pins as its ``engine`` cells (:mod:`repro.experiments.engine`).
 
 The load-bearing property: two same-seed profiled runs must produce
-*identical* counter digests, and the ``perf_unoptimized_digest`` knob
-must re-hash more pages than the page-digest cache does.
+*identical* counter digests.
 """
 
 from pathlib import Path
 
 from repro.experiments.engine import run_profiled_deployment, work_counters
 from repro.metrics import benchfile
-from repro.replication.config import NiliconConfig
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -63,14 +61,3 @@ def test_streamcluster_counters_match_the_checked_in_bench():
         site.replace(".", "_"): {"value": n, "unit": "count"}
         for site, n in work_counters(run.counters).items()
     }
-
-
-def test_knob_rehashes_more_pages_than_default():
-    config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    unopt = run_profiled_deployment("lighttpd", run_ms=400, seed=1,
-                                    config=config)
-    opt = run_profiled_deployment("lighttpd", run_ms=400, seed=1)
-    assert (
-        unopt.counters["digest.pages_digested"]
-        > opt.counters["digest.pages_digested"]
-    )

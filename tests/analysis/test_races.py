@@ -184,30 +184,6 @@ def test_anyof_join_creates_happens_before_edges():
     assert det.findings == []
 
 
-def test_allof_waiter_happens_after_every_constituent():
-    """The constituent that settles first is ordered too, not only the
-    one whose firing triggers the condition."""
-    eng = Engine()
-    det = install_detector(eng)
-    a, b = Event(eng), Event(eng)
-
-    def producer(event, site):
-        yield eng.timeout(100)
-        if site:
-            record_access(eng, "state", "field", "w", site=site)
-        event.succeed(None)
-
-    def waiter():
-        yield eng.all_of([a, b])
-        record_access(eng, "state", "field", "w", site="waiter")
-
-    eng.process(producer(a, "prod-a"))  # settles first
-    eng.process(producer(b, ""))
-    eng.process(waiter())
-    eng.run()
-    assert det.findings == []
-
-
 def test_consuming_a_processed_event_creates_happens_before_edge():
     """Yielding an event that already fired resumes inline; the process
     still happens-after whoever triggered it."""

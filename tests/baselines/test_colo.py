@@ -14,13 +14,12 @@ def world():
     return World(seed=55)
 
 
-def make_colo(world, **kw):
+def make_colo(world):
     workload = EchoServer(name="echo", min_len=32, max_len=32, n_clients=2)
     deployment = ColoDeployment(
         world,
         workload.spec(),
         attach_workload=lambda c: workload.attach(world, c),
-        **kw,
     )
     workload.attach(world, deployment.container)
     deployment.start()
@@ -80,7 +79,7 @@ def test_backup_burns_a_full_workload_of_cpu(world):
 
 def test_divergence_triggers_synchronization(world):
     """A replica that answers differently forces the COLO state sync."""
-    workload, deployment = make_colo(world, sync_timeout_us=10_000)
+    workload, deployment = make_colo(world)
 
     # Sabotage determinism: make the replica's echo differ.
     replica = deployment.replica

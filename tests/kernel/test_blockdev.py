@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.blockdev import BlockDevice
+from repro.kernel.blockdev import N_BLOCKS, BlockDevice
 from repro.kernel.errors import FileSystemError
 
 
@@ -14,9 +14,9 @@ def test_write_read_roundtrip():
 
 
 def test_out_of_range_rejected():
-    dev = BlockDevice("d0", n_blocks=10)
+    dev = BlockDevice("d0")
     with pytest.raises(FileSystemError):
-        dev.write_block(10, b"x")
+        dev.write_block(N_BLOCKS, b"x")
     with pytest.raises(FileSystemError):
         dev.read_block(-1)
 

@@ -134,12 +134,3 @@ class TestRunMetrics:
             metrics.record_epoch(make_epoch(i, stop=stop))
         assert metrics.stop_percentile(50) == 3000
         assert metrics.stop_percentile(90) == 5000
-
-    def test_cache_hit_rate(self):
-        metrics = RunMetrics()
-        assert metrics.cache_hit_rate() == 0.0
-        metrics.record_epoch(make_epoch(0))
-        hit = make_epoch(1)
-        hit.infrequent_from_cache = True
-        metrics.record_epoch(hit)
-        assert metrics.cache_hit_rate() == pytest.approx(0.5)

@@ -44,7 +44,7 @@ def test_barrier_release_properties(ops):
             plug.insert_barrier(len(epochs))
             epochs.append(len(sent))
         else:
-            plug.release_epoch()
+            plug.release_oldest()
             if released_epochs < len(epochs):
                 released_epochs += 1
 
@@ -76,6 +76,6 @@ def test_release_per_epoch_exactly(epoch_sizes, releases):
             counter += 1
         plug.insert_barrier(epoch)
     for _ in range(releases):
-        plug.release_epoch()
+        plug.release_oldest()
     expected = sum(epoch_sizes[: min(releases, len(epoch_sizes))])
     assert len(delivered) == expected

@@ -99,7 +99,7 @@ class TestDrbd:
         primary_dev = world.primary.kernel.add_block_device("vda")
         backup_dev = world.backup.kernel.add_block_device("vda")
         primary = PrimaryDrbd(primary_dev, world.primary.endpoint("pair"))
-        backup = BackupDrbd(world.engine, world.costs, backup_dev)
+        backup = BackupDrbd(world.engine, backup_dev)
 
         def receiver():
             while True:
@@ -116,32 +116,28 @@ class TestDrbd:
         primary.send_barrier(0)
         world.run(until=ms(10))
 
-        assert backup.is_epoch_complete(0)
+        assert backup.epoch_complete(0).triggered
         # Not yet applied to the backup disk.
         assert backup_dev.read_block(1) == b""
-
-        def committer():
-            n = yield from backup.commit_epoch(0)
-            return n
-
-        assert world.run(until=world.engine.process(committer())) == 2
+        assert backup.apply_epoch(0) == 2
         assert backup_dev.read_block(1) == b"block-1"
         assert backup_dev.read_block(2) == b"block-2"
 
     def test_barrier_before_all_writes_received_blocks(self):
         world = World(seed=1)
         backup_dev = world.backup.kernel.add_block_device("vda")
-        backup = BackupDrbd(world.engine, world.costs, backup_dev)
+        backup = BackupDrbd(world.engine, backup_dev)
         backup.on_barrier(0, writes=2)
         backup.on_disk_write(0, 1, b"only-one")
-        assert not backup.is_epoch_complete(0)
+        complete = backup.epoch_complete(0)
+        assert not complete.triggered
         backup.on_disk_write(0, 2, b"second")
-        assert backup.is_epoch_complete(0)
+        assert complete.triggered
 
     def test_epoch_complete_event_triggers(self):
         world = World(seed=1)
         backup_dev = world.backup.kernel.add_block_device("vda")
-        backup = BackupDrbd(world.engine, world.costs, backup_dev)
+        backup = BackupDrbd(world.engine, backup_dev)
         got = []
 
         def waiter():
@@ -159,7 +155,7 @@ class TestDrbd:
     def test_discard_uncommitted(self):
         world = World(seed=1)
         backup_dev = world.backup.kernel.add_block_device("vda")
-        backup = BackupDrbd(world.engine, world.costs, backup_dev)
+        backup = BackupDrbd(world.engine, backup_dev)
         backup.on_disk_write(3, 9, b"ghost")
         assert backup.discard_uncommitted() == 1
         assert backup_dev.read_block(9) == b""
@@ -169,14 +165,11 @@ class TestDrbd:
         backup_dev = world.backup.kernel.add_block_device("vda")
         hooked = []
         backup_dev.add_write_hook(lambda idx, data: hooked.append(idx))
-        backup = BackupDrbd(world.engine, world.costs, backup_dev)
+        backup = BackupDrbd(world.engine, backup_dev)
         backup.on_barrier(0, writes=1)
         backup.on_disk_write(0, 1, b"d")
-
-        def committer():
-            yield from backup.commit_epoch(0)
-
-        world.run(until=world.engine.process(committer()))
+        assert backup.apply_epoch(0) == 1
+        assert backup_dev.read_block(1) == b"d"
         assert hooked == []  # raw writes bypass hooks
 
 

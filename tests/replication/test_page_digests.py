@@ -1,19 +1,16 @@
 """Tests for the per-page digest cache (statecache.PageDigestCache).
 
 Unit tests drive the cache with fake images/processes to pin the contract
-— optimized mode hashes exactly the dirty (in-image) pages, counts the
-clean remainder as cache hits and keeps no CRC past the call; the
-``perf_unoptimized_digest`` regression knob re-hashes the whole resident
-set into the same map — and the end-to-end test asserts
-the backup verifies every transfer of a live deployment with zero
-mismatches.
+— it hashes exactly the dirty (in-image) pages, counts the clean
+remainder as cache hits and keeps no CRC past the call — and the
+end-to-end test asserts the backup verifies every transfer of a live
+deployment with zero mismatches.
 """
 
 import zlib
 from types import SimpleNamespace
 
 from repro.kernel.costmodel import PAGE_SIZE
-from repro.replication.config import NiliconConfig
 from repro.replication.statecache import PageDigestCache, verify_page_digests
 from repro.sim.units import ms
 
@@ -64,18 +61,6 @@ def test_optimized_mode_never_rehashes_clean_pages():
     assert cache.generation == 2
 
 
-def test_unoptimized_knob_rehashes_entire_resident_set():
-    cache = PageDigestCache(unoptimized=True)
-    resident = {7: {0: b"aaaa", 1: b"bbbb", 2: b"cccc"}}
-    dirty = {7: {1: b"bbbb"}}
-    digests = cache.digest_image(fake_image(dirty), fake_processes(resident))
-    # The transfer map still covers exactly the image pages...
-    assert digests == {7: {1: zlib.crc32(b"bbbb")}}
-    # ...but all three resident pages were hashed, and nothing was cached.
-    assert cache.pages_digested == 3
-    assert cache.cache_hits == 0
-
-
 def test_digests_cover_multiple_processes():
     cache = PageDigestCache()
     dirty = {1: {0: b"p1"}, 2: {0: b"p2", 5: b"p2x"}}
@@ -105,23 +90,6 @@ def test_digest_calls_keep_no_per_page_state_on_the_cache():
     assert all(isinstance(value, int) for value in after.values())
     assert (cache.generation, cache.pages_digested, cache.cache_hits) == (2, 5, 3)
     assert cache.bytes_hashed == 5 * PAGE_SIZE
-
-
-def test_knob_and_optimized_paths_return_equal_maps():
-    resident = {
-        3: {0: b"a", 1: b"b", 9: b"c"},
-        5: {2: b"d", 700: b"e", 1 << 20: b"f"},
-    }
-    dirty = {3: {9: b"c", 0: b"a"}, 5: {700: b"e"}}
-    fast = PageDigestCache().digest_image(
-        fake_image(dirty), fake_processes(resident)
-    )
-    knob = PageDigestCache(unoptimized=True).digest_image(
-        fake_image(dirty), fake_processes(resident)
-    )
-    assert fast == knob
-    # Both walk each process's pages in address order.
-    assert list(fast[3]) == list(knob[3]) == [0, 9]
 
 
 def test_verify_page_digests_intact_and_corrupted():
@@ -154,19 +122,3 @@ def test_backup_verifies_live_deployment_transfers(world):
     assert backup.digests_verified > 0
     assert backup.digest_mismatches == 0
     assert deployment.primary_agent.digest_cache.pages_digested > 0
-
-
-def test_knob_deployment_still_verifies_clean(world):
-    config = NiliconConfig.nilicon().with_(perf_unoptimized_digest=True)
-    deployment = make_deployment(world, config=config)
-    _populate(deployment)
-    deployment.start()
-    world.run(until=ms(500))
-    deployment.stop()
-    backup = deployment.backup_agent
-    assert backup.digests_verified > 0
-    assert backup.digest_mismatches == 0
-    # The knob did strictly more hashing than the dirty sets required.
-    cache = deployment.primary_agent.digest_cache
-    assert cache.unoptimized is True
-    assert cache.cache_hits == 0

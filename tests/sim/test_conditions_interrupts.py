@@ -7,12 +7,12 @@ import weakref
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, Event, Interrupt
+from repro.sim import AnyOf, Engine, Event, Interrupt
 from repro.sim.engine import NORMAL, URGENT
 
 
 # --------------------------------------------------------------------------- #
-# AnyOf / AllOf with already-settled constituents                             #
+# AnyOf with already-settled constituents                                    #
 # --------------------------------------------------------------------------- #
 
 
@@ -33,36 +33,6 @@ def test_anyof_with_already_triggered_event():
     assert got[done] == "early"
 
 
-def test_allof_with_already_triggered_event_still_waits_for_rest():
-    eng = Engine()
-    done = Event(eng).succeed("early")
-    results = []
-
-    def proc():
-        timeout = eng.timeout(100, value="late")
-        got = yield AllOf(eng, [done, timeout])
-        results.append((eng.now, got[done], got[timeout]))
-
-    eng.process(proc())
-    eng.run()
-    assert results == [(100, "early", "late")]
-
-
-def test_allof_all_already_triggered_completes_immediately():
-    eng = Engine()
-    a = Event(eng).succeed(1)
-    b = Event(eng).succeed(2)
-    results = []
-
-    def proc():
-        got = yield AllOf(eng, [a, b])
-        results.append((eng.now, got[a], got[b]))
-
-    eng.process(proc())
-    eng.run()
-    assert results == [(0, 1, 2)]
-
-
 def test_anyof_with_failed_event_raises_in_waiter():
     eng = Engine()
     boom = RuntimeError("boom")
@@ -81,40 +51,12 @@ def test_anyof_with_failed_event_raises_in_waiter():
     assert caught == [(0, boom)]
 
 
-def test_allof_fails_fast_on_constituent_failure():
-    eng = Engine()
-    boom = ValueError("nope")
-    caught = []
-
-    def proc():
-        failing = Event(eng)
-        eng.process(_fail_later(eng, failing, boom, at=50))
-        try:
-            yield AllOf(eng, [failing, eng.timeout(100)])
-        except ValueError:
-            caught.append(eng.now)
-
-    eng.process(proc())
-    eng.run()
-    # The condition fails when the constituent fails, not at the horizon.
-    assert caught == [50]
-
-
-def _fail_later(eng, event, exc, at):
-    yield eng.timeout(at)
-    event.fail(exc)
-
-
 # --------------------------------------------------------------------------- #
 # A triggered condition releases the constituents that have not fired         #
 # --------------------------------------------------------------------------- #
 
 
 class _WeakAnyOf(AnyOf):
-    __slots__ = ("__weakref__",)
-
-
-class _WeakAllOf(AllOf):
     __slots__ = ("__weakref__",)
 
 
@@ -181,7 +123,7 @@ def test_losing_constituent_fires_in_one_callback_context():
     assert eng._ctx_serial - before == 1
 
 
-def test_allof_failing_fast_releases_the_other_constituents():
+def test_anyof_failing_releases_the_other_constituents():
     eng = Engine()
     failing = Event(eng)
     slow = eng.timeout(10**6)
@@ -190,7 +132,7 @@ def test_allof_failing_fast_releases_the_other_constituents():
 
     def waiter():
         try:
-            yield _tracked(refs, _WeakAllOf(eng, [failing, slow]))
+            yield _tracked(refs, _WeakAnyOf(eng, [failing, slow]))
         except ValueError:
             caught.append(eng.now)
 
@@ -231,35 +173,6 @@ def test_interrupt_while_blocked_on_anyof():
     eng.process(interrupter())
     eng.run()
     assert log == [("interrupted", 100, "hurry"), ("resumed", 110)]
-
-
-def test_interrupt_while_blocked_on_allof_condition_keeps_engine_running():
-    eng = Engine()
-    log = []
-    slow = []
-
-    def slow_proc():
-        yield eng.timeout(500)
-        slow.append(eng.now)
-
-    def waiter():
-        try:
-            yield AllOf(eng, [eng.timeout(1_000), eng.timeout(50)])
-        except Interrupt:
-            log.append(eng.now)
-
-    proc = eng.process(waiter())
-    eng.process(slow_proc())
-
-    def interrupter():
-        yield eng.timeout(200)
-        proc.interrupt()
-
-    eng.process(interrupter())
-    eng.run()
-    assert log == [200]
-    # Unrelated work is unaffected by the waiter's demise.
-    assert slow == [500]
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Engine,
     Interrupt,
@@ -314,34 +313,6 @@ def test_any_of_triggers_on_first():
     eng.process(proc())
     eng.run()
     assert result == [(10, ["fast"])]
-
-
-def test_all_of_waits_for_every_event():
-    eng = Engine()
-    result = []
-
-    def proc():
-        t1 = eng.timeout(100, value=1)
-        t2 = eng.timeout(10, value=2)
-        done = yield AllOf(eng, [t1, t2])
-        result.append((eng.now, sorted(done.values())))
-
-    eng.process(proc())
-    eng.run()
-    assert result == [(100, [1, 2])]
-
-
-def test_all_of_empty_triggers_immediately():
-    eng = Engine()
-    result = []
-
-    def proc():
-        done = yield AllOf(eng, [])
-        result.append(done)
-
-    eng.process(proc())
-    eng.run()
-    assert result == [{}]
 
 
 def test_yield_already_processed_event_resumes_at_same_time():

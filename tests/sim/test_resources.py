@@ -1,9 +1,9 @@
-"""Unit tests for Queue, Lock and Gate primitives."""
+"""Unit tests for Queue and Gate primitives."""
 
 import pytest
 
 from repro.sim import Engine, SimulationError
-from repro.sim.resources import Gate, Lock, Queue
+from repro.sim.resources import Gate, Queue
 
 
 def test_queue_put_then_get():
@@ -82,53 +82,6 @@ def test_queue_clear_drains_items():
     q.put("b")
     assert q.clear() == ["a", "b"]
     assert len(q) == 0
-
-
-def test_lock_mutual_exclusion():
-    eng = Engine()
-    lock = Lock(eng)
-    log = []
-
-    def worker(tag, hold):
-        yield lock.acquire()
-        log.append(("enter", tag, eng.now))
-        yield eng.timeout(hold)
-        log.append(("exit", tag, eng.now))
-        lock.release()
-
-    eng.process(worker("a", 100))
-    eng.process(worker("b", 50))
-    eng.run()
-    assert log == [
-        ("enter", "a", 0),
-        ("exit", "a", 100),
-        ("enter", "b", 100),
-        ("exit", "b", 150),
-    ]
-
-
-def test_lock_release_unlocked_rejected():
-    eng = Engine()
-    lock = Lock(eng)
-    with pytest.raises(SimulationError):
-        lock.release()
-
-
-def test_lock_fair_handoff_order():
-    eng = Engine()
-    lock = Lock(eng)
-    order = []
-
-    def worker(tag):
-        yield lock.acquire()
-        order.append(tag)
-        yield eng.timeout(1)
-        lock.release()
-
-    for tag in ["w1", "w2", "w3"]:
-        eng.process(worker(tag))
-    eng.run()
-    assert order == ["w1", "w2", "w3"]
 
 
 def test_gate_open_passes_immediately():

@@ -1,7 +1,7 @@
 """Tests for RNG streams and time-unit helpers."""
 
 from repro.sim import RngRegistry
-from repro.sim.units import MILLISECOND, SECOND, fmt_time, ms, sec, us
+from repro.sim.units import MILLISECOND, SECOND, ms, sec, us
 
 
 def test_units_are_integer_microseconds():
@@ -11,12 +11,6 @@ def test_units_are_integer_microseconds():
     assert ms(0.5) == 500
     assert sec(0.03) == 30_000
     assert isinstance(ms(1.5), int)
-
-
-def test_fmt_time_picks_unit():
-    assert fmt_time(5) == "5us"
-    assert fmt_time(1500) == "1.500ms"
-    assert fmt_time(2_500_000) == "2.500s"
 
 
 def test_rng_streams_reproducible():

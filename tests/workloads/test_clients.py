@@ -5,7 +5,12 @@ from repro.net import World
 from repro.sim import ms, sec
 from repro.workloads import protocol
 from repro.workloads.base import ClientStats
-from repro.workloads.clients import ClosedLoopClients, PipelinedClient, make_client_stack
+from repro.workloads.clients import (
+    RECV_GRACE_US,
+    ClosedLoopClients,
+    PipelinedClient,
+    make_client_stack,
+)
 from repro.workloads.microbench import EchoServer
 
 
@@ -130,7 +135,7 @@ def test_closed_loop_recv_deadline_unwedges_stalled_upstream():
     assert stats.errors == 2
 
 
-def test_closed_loop_explicit_recv_timeout():
+def test_closed_loop_run_until_deadline_retires_counted_clients():
     world = World(seed=3)
     stack, srv = serve_raw(world, name="blackhole-srv")
 
@@ -144,11 +149,46 @@ def test_closed_loop_explicit_recv_timeout():
     stats = ClientStats()
     clients = ClosedLoopClients(world, stack.ip, 7000, echo_request, stats,
                                 n_clients=3, n_requests_per_client=1,
-                                recv_timeout_us=ms(200))
+                                run_until_us=ms(200))
+    clients.start()
+    world.run(until=ms(200) + RECV_GRACE_US + ms(1))
+    assert clients.done
+    assert stats.errors == 3
+
+
+def test_closed_loop_validation_failure_is_not_a_latency_sample():
+    world = World(seed=3)
+    stack, srv = serve_raw(world, name="wrong-bytes-srv")
+
+    def server():
+        while True:
+            conn = yield srv.accept()
+            world.engine.process(_reply_wrong_bytes(conn), name="wrong-bytes-conn")
+
+    world.engine.process(server(), name="wrong-bytes-server")
+    stats = ClientStats()
+    clients = ClosedLoopClients(world, stack.ip, 7000, echo_request, stats,
+                                n_clients=2, n_requests_per_client=2)
     clients.start()
     world.run(until=sec(2))
     assert clients.done
-    assert stats.errors == 3
+    assert stats.completed == 4
+    assert len(stats.validation_failures) == 4
+    assert not stats.ok
+    # Like PipelinedClient: a corrupt fast reply must not improve the
+    # reported percentiles.
+    assert stats.latencies_us == []
+
+
+def _reply_wrong_bytes(conn):
+    buf = bytearray()
+    while True:
+        chunk = yield conn.recv(1 << 16)
+        if chunk == b"":
+            return
+        buf += chunk
+        while (body := protocol.pop_frame(buf)) is not None:
+            conn.send(protocol.frame(body[::-1]))
 
 
 def test_closed_loop_finished_on_connect_failure():

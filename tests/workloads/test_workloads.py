@@ -158,7 +158,7 @@ class TestParsec:
 class TestDiskRw:
     def test_self_validation_passes_without_faults(self):
         world = World(seed=8)
-        workload = DiskRwWorkload(n_regions=8)
+        workload = DiskRwWorkload()
         deployment = deploy(world, workload)
         world.run(until=ms(300))
         deployment.container.kill()
